@@ -137,13 +137,16 @@ class NeuralMatcher(Module):
         raise NotImplementedError
 
     # ------------------------------------------------- dense retrieval side
-    def query_vector(self, query_tokens: Sequence[str]) -> np.ndarray | None:
+    def query_vector(self, query_tokens: Sequence[str],
+                     encoding: Any = None) -> np.ndarray | None:
         """Query-side embedding for dense first-stage retrieval.
 
         Vector-capable matchers (``dense_vectors = True``) return a flat
         float vector in the same space as :meth:`doc_vector`, so an ANN
         index over doc vectors ranks candidates by the matcher's own
-        similarity.  The base class returns ``None`` (no dense side).
+        similarity.  ``encoding`` accepts an :meth:`encode_query` result
+        for the same tokens, so a request that also reranks encodes its
+        query once.  The base class returns ``None`` (no dense side).
         """
         return None
 
@@ -165,7 +168,8 @@ class NeuralMatcher(Module):
 
     def score_pool(self, query_tokens: Sequence[str],
                    doc_token_lists: Sequence[Sequence[str]],
-                   doc_encodings: Sequence[Any] | None = None) -> np.ndarray:
+                   doc_encodings: Sequence[Any] | None = None,
+                   query_state: Any = None) -> np.ndarray:
         """Match probabilities for one query against a candidate pool.
 
         Equivalent to ``[score_text(query_tokens, d) for d in docs]`` —
@@ -183,6 +187,10 @@ class NeuralMatcher(Module):
                 results aligned with ``doc_token_lists`` (``None`` slots
                 are encoded on the fly).  The serving layer passes its
                 doc-side cache through here.
+            query_state: Optional pre-computed :meth:`encode_query`
+                result for ``query_tokens`` (encoded here when ``None``).
+                The serving layer encodes each request's query once and
+                passes it to every pool it scores.
 
         Returns:
             Probabilities, shape ``(len(doc_token_lists),)``.
@@ -198,7 +206,8 @@ class NeuralMatcher(Module):
                     for tokens in docs
                 ])
             return stable_sigmoid(logits)
-        query_state = self.encode_query(query_tokens)
+        if query_state is None:
+            query_state = self.encode_query(query_tokens)
         if doc_encodings is None:
             doc_encodings = [None] * len(docs)
         encoded = [

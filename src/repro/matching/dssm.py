@@ -72,23 +72,26 @@ class DSSMMatcher(NeuralMatcher):
     def encode_doc(self, doc_tokens) -> tuple[np.ndarray, float]:
         return self._tower_array(doc_tokens, "title_tower")
 
-    def query_vector(self, query_tokens) -> np.ndarray:
+    def query_vector(self, query_tokens, encoding=None) -> np.ndarray:
         """Query-tower embedding; cosine against :meth:`doc_vector` is the
         similarity the matcher itself ranks by, so a cosine ANN index over
         doc vectors is a faithful first stage for this model."""
-        return self.encode_query(query_tokens)[0]
+        state = encoding if encoding is not None else self.encode_query(query_tokens)
+        return state[0]
 
     def doc_vector(self, doc_tokens, encoding=None) -> np.ndarray:
         state = encoding if encoding is not None else self.encode_doc(doc_tokens)
         return state[0]
 
     def _pool_logits(self, query_state, doc_encodings) -> np.ndarray:
+        """The whole pool's logits as array operations.
+
+        Dot products are row sums of ``titles * query``: each row reduces
+        exactly like the oracle's ``(query * title).sum()``, so the logits
+        match it bit for bit (a BLAS ``titles @ query`` may not).
+        """
         query, query_norm = query_state
-        scale = self.scale.data
-        offset = self.offset.data
-        logits = np.empty(len(doc_encodings))
-        for i, (title, title_norm) in enumerate(doc_encodings):
-            dot = (query * title).sum()
-            cosine = dot / (query_norm * title_norm + 1e-8)
-            logits[i] = (cosine * scale + offset)[0]
-        return logits
+        titles = np.stack([title for title, _ in doc_encodings])
+        title_norms = np.array([title_norm for _, title_norm in doc_encodings])
+        cosines = (titles * query).sum(axis=1) / (query_norm * title_norms + 1e-8)
+        return cosines * self.scale.data[0] + self.offset.data[0]

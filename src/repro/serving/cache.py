@@ -8,10 +8,10 @@ can surface cache effectiveness in its stats report.
 
 The cache is shared by every serving thread, so one lock guards the
 entry map and all three counters together.  That keeps the counters
-consistent with each other under contention: every ``get`` increments
-exactly one of ``hits``/``misses``, so ``hits + misses`` always equals
-the number of lookups, and ``evictions`` never drifts from the entries
-actually dropped.
+consistent with each other under contention: every ``get`` (and every
+key of a ``get_many``) increments exactly one of ``hits``/``misses``, so
+``hits + misses`` always equals the number of lookups, and ``evictions``
+never drifts from the entries actually dropped.
 
 Readers of the counters must use :meth:`LRUCache.counters` — one locked
 snapshot of all three at once.  Reading the public ``hits``/``misses``/
@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Hashable, Sequence
 
 from ..errors import ConfigError
 
@@ -103,6 +103,27 @@ class LRUCache:
             self.hits += 1
             return value
 
+    def get_many(self, keys: Sequence[Hashable], default: Any = None) -> list:
+        """Look up every key under one lock acquisition, in order.
+
+        Each key counts exactly as one :meth:`get` would — a hit
+        (refreshing its recency) or a miss answered with ``default`` — so
+        ``hits + misses == lookups`` still holds.
+        """
+        values = []
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                value = entries.get(key, _ABSENT)
+                if value is _ABSENT:
+                    self.misses += 1
+                    values.append(default)
+                else:
+                    entries.move_to_end(key)
+                    self.hits += 1
+                    values.append(value)
+        return values
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or refresh ``key``, evicting the stalest entry if full."""
         with self._lock:
@@ -123,7 +144,7 @@ class LRUCache:
 
     @property
     def lookups(self) -> int:
-        """Total ``get`` calls (always ``hits + misses``)."""
+        """Total keys looked up (always ``hits + misses``)."""
         with self._lock:
             return self.hits + self.misses
 

@@ -143,6 +143,7 @@ from .service import (
     ServiceConfig,
     ServingGeneration,
     fit_concept_index,
+    request_query_state,
     require_layer,
     require_model,
     save_shard_snapshot,
@@ -1318,10 +1319,6 @@ class AliCoCoCluster:
             for shard in shards:
                 self._shard_calls[shard] += 1
 
-    def _count_shard(self, shard: int) -> AliCoCoService:
-        self._count_calls((shard,))
-        return self._services[shard]
-
     def _routed(self, shard: int, endpoint: str, *args: Any) -> Any:
         """Answer one routed endpoint call on its owner shard.
 
@@ -1459,7 +1456,11 @@ class AliCoCoCluster:
         return name in cgen.dense_presence
 
     def _concept_pool_scattered(
-        self, tokens: tuple[str, ...], k: int, cgen: ClusterGeneration
+        self,
+        tokens: tuple[str, ...],
+        k: int,
+        cgen: ClusterGeneration,
+        query_state: Any,
     ) -> tuple:
         """The cluster's version of ``AliCoCoService._concept_pool``."""
         mode = self._service_config.retriever
@@ -1469,7 +1470,7 @@ class AliCoCoCluster:
             or not tokens
         ):
             return self._search_scattered(tokens, k, cgen)
-        vector = dense_query_vector(self._reranker, tokens)
+        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
         if self._pool is not None:
             arms = self._arm_scatter(
                 "dense_arm", (cgen.generation_id, DENSE_CONCEPT_INDEX, vector, k)
@@ -1494,7 +1495,12 @@ class AliCoCoCluster:
         )
 
     def _item_pool_scattered(
-        self, shard: int, concept_id: str, k: int, cgen: ClusterGeneration
+        self,
+        shard: int,
+        concept_id: str,
+        k: int,
+        cgen: ClusterGeneration,
+        query_state: Any,
     ) -> tuple:
         """The cluster's version of ``AliCoCoService._item_pool``.
 
@@ -1506,20 +1512,17 @@ class AliCoCoCluster:
             graph = self._pool.call(
                 shard, "items_arm", cgen.generation_id, concept_id, k
             )
-            concept_store = cgen.store
         else:
-            owner = cgen.shards[shard]
             graph = self._services[shard]._items_uncached(
-                concept_id, k, store=owner.store
+                concept_id, k, store=cgen.shards[shard].store
             )
-            concept_store = owner.store
         mode = self._service_config.retriever
         if mode == "bm25" or not self._has_dense(DENSE_ITEM_INDEX, cgen):
             return graph
-        tokens = tuple(concept_store.get(concept_id).tokens)
+        tokens = tuple(cgen.store.get(concept_id).tokens)
         if not tokens:
             return graph
-        vector = dense_query_vector(self._reranker, tokens)
+        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
         if self._pool is not None:
             arms = self._arm_scatter(
                 "dense_arm", (cgen.generation_id, DENSE_ITEM_INDEX, vector, k)
@@ -1545,6 +1548,7 @@ class AliCoCoCluster:
     def _score_scattered(
         self,
         query_tokens: tuple[str, ...],
+        query_state: Any,
         pool: tuple,
         doc_tokens: Callable[[Any, str], list[str]],
         cgen: ClusterGeneration,
@@ -1556,40 +1560,41 @@ class AliCoCoCluster:
         pool-composition independent, so the merged ranking equals the
         single-service ``sorted(zip(ids, scores), key=(-score, id))``.
 
-        ``doc_tokens(store, node_id)`` reads candidate text from a pinned
-        store: the owner shard's (thread executor) or the global view's
-        (process executor) — the split shares node objects, so the texts
-        are identical.  Under the process executor the whole request goes
-        out as **one batched scatter**: a single round-trip per owner
-        shard carries every candidate that shard owns, and the workers
-        score their batches concurrently.
+        Every shard gets the same ``AliCoCoService._pool_scores``
+        arguments under either executor: the query tokens, the request's
+        one ``query_state`` (encoded once, parent-side), and the ids and
+        texts it owns, read by ``doc_tokens(store, node_id)`` from the
+        pinned global view (the split shares node objects, so the texts
+        are the shard's own).  Under the process executor the whole
+        request goes out as **one batched scatter**: a single round-trip
+        per owner shard carries every candidate that shard owns, and the
+        workers score their batches concurrently.
         """
         groups: dict[int, list[str]] = {}
         for node_id, _ in pool:
             groups.setdefault(shard_of(node_id, self.n_shards), []).append(node_id)
-        scores: dict[str, float] = {}
+        calls = {
+            shard: (
+                query_tokens,
+                groups[shard],
+                [doc_tokens(cgen.store, node_id) for node_id in groups[shard]],
+                query_state,
+            )
+            for shard in sorted(groups)
+        }
+        self._count_calls(calls)
         if self._pool is not None:
-            calls = {}
-            for shard in sorted(groups):
-                shard_ids = groups[shard]
-                texts = [doc_tokens(cgen.store, node_id) for node_id in shard_ids]
-                calls[shard] = ("pool_scores", (query_tokens, shard_ids, texts))
-            self._count_calls(sorted(groups))
-            results = self._pool.scatter(calls)
-            for shard, shard_scores in results.items():
-                scores.update(zip(groups[shard], shard_scores))
+            results = self._pool.scatter(
+                {shard: ("pool_scores", args) for shard, args in calls.items()}
+            )
         else:
-            for shard in sorted(groups):
-                service = self._count_shard(shard)
-                shard_ids = groups[shard]
-                texts = [
-                    doc_tokens(cgen.shards[shard].store, node_id)
-                    for node_id in shard_ids
-                ]
-                shard_scores = service._pool_scores(
-                    self._reranker, query_tokens, shard_ids, texts
-                )
-                scores.update(zip(shard_ids, shard_scores))
+            results = {
+                shard: self._services[shard]._pool_scores(self._reranker, *args)
+                for shard, args in calls.items()
+            }
+        scores: dict[str, float] = {}
+        for shard, shard_scores in results.items():
+            scores.update(zip(groups[shard], shard_scores))
         return sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
 
     def _items_reranked_scattered(
@@ -1599,13 +1604,16 @@ class AliCoCoCluster:
         top_k: int | None,
         cgen: ClusterGeneration,
     ) -> tuple:
-        concept_store = cgen.shards[shard].store if cgen.shards else cgen.store
-        concept_tokens = tuple(concept_store.get(concept_id).tokens)
+        concept_tokens = tuple(cgen.store.get(concept_id).tokens)
+        query_state = request_query_state(
+            self._reranker, concept_tokens, self._service_config
+        )
         pool = self._item_pool_scattered(
-            shard, concept_id, self._service_config.rerank_pool_k, cgen
+            shard, concept_id, self._service_config.rerank_pool_k, cgen, query_state
         )
         scored = self._score_scattered(
             concept_tokens,
+            query_state,
             pool,
             lambda store, item_id: store.get(item_id).title.split(),
             cgen,
@@ -1617,11 +1625,13 @@ class AliCoCoCluster:
     def _search_reranked_scattered(
         self, tokens: tuple[str, ...], k: int, cgen: ClusterGeneration
     ) -> tuple:
+        query_state = request_query_state(self._reranker, tokens, self._service_config)
         pool = self._concept_pool_scattered(
-            tokens, self._service_config.rerank_pool_k, cgen
+            tokens, self._service_config.rerank_pool_k, cgen, query_state
         )
         scored = self._score_scattered(
             tokens,
+            query_state,
             pool,
             lambda store, concept_id: list(store.get(concept_id).tokens),
             cgen,

@@ -12,7 +12,8 @@ experiment scripts.  This module is the glue between trained
   :func:`ensure_inference_mode`, which refuses to serve a module someone
   has flipped back to training mode (training-mode layers such as
   :class:`~repro.ml.Dropout` are stochastic *and* mutate RNG state, which
-  would break both determinism and thread safety);
+  would break both determinism and thread safety); the check runs over
+  the submodule list flattened at preparation, not a recursive walk;
 - **tag spans** — :func:`tag_spans` runs the
   :class:`~repro.concepts.tagging.ConceptTagger` under :func:`no_grad`
   and links each IOB span to a primitive-concept node of the served net;
@@ -78,7 +79,7 @@ def prepare_serving_module(module: Module, name: str) -> Module:
             f"cannot serve untrained model {name!r}; fit it first "
             "(or restore trained weights from a snapshot bundle)"
         )
-    module.eval()
+    _enter_eval(module)
     # Extract the functional inference session (tape-free weight views,
     # repro.ml.inference) eagerly, before the first query arrives, so the
     # hot path never pays the named_parameters walk.
@@ -86,6 +87,18 @@ def prepare_serving_module(module: Module, name: str) -> Module:
     if callable(extract_session):
         extract_session()
     return module
+
+
+def _enter_eval(module: Module) -> None:
+    """Put a served module in eval mode and flatten its submodule tree.
+
+    :func:`ensure_inference_mode` then checks the flat set on every call
+    instead of walking the tree.  A frozenset, not a tuple:
+    ``Module.modules()`` walks tuple and list attributes, so it would
+    recurse into a tuple of the module's own submodules.
+    """
+    module.eval()
+    module._served_submodules = frozenset(module.modules())
 
 
 def ensure_inference_mode(module: Module, name: str) -> None:
@@ -96,7 +109,10 @@ def ensure_inference_mode(module: Module, name: str) -> None:
             training-mode model is nondeterministic (dropout) and mutates
             shared RNG state under concurrent traffic.
     """
-    if any(submodule.training for submodule in module.modules()):
+    submodules = module.__dict__.get("_served_submodules")
+    if submodules is None:
+        submodules = module.modules()
+    if any(submodule.training for submodule in submodules):
         raise ConfigError(
             f"served model {name!r} is in training mode; call .eval() "
             "before serving (a service prepares its models once — this "
@@ -149,6 +165,7 @@ def rerank_pool(
     query_tokens: Sequence[str],
     doc_token_lists: Sequence[Sequence[str]],
     doc_encodings: Sequence[Any] | None = None,
+    query_state: Any = None,
 ):
     """Model match probabilities for one query against a candidate pool.
 
@@ -158,25 +175,34 @@ def rerank_pool(
     fast-path matchers entirely on the tape-free kernels of
     :mod:`repro.ml.inference`.  ``doc_encodings`` lets the service pass
     cached doc-side encodings through (aligned with ``doc_token_lists``,
-    ``None`` slots encoded on the fly).
+    ``None`` slots encoded on the fly), and ``query_state`` the request's
+    one ``encode_query`` result.
 
     Returns:
         A float array, one probability per candidate.
     """
     ensure_inference_mode(model, "reranker")
-    return model.score_pool(query_tokens, doc_token_lists,
-                            doc_encodings=doc_encodings)
+    return model.score_pool(
+        query_tokens,
+        doc_token_lists,
+        doc_encodings=doc_encodings,
+        query_state=query_state,
+    )
 
 
-def dense_query_vector(model: Module, query_tokens: Sequence[str]):
+def dense_query_vector(
+    model: Module, query_tokens: Sequence[str], encoding: Any = None
+):
     """Query-side retrieval embedding from a served vector-capable matcher.
 
     The dense first stage's query entry point: the vector lives in the
     same space as :func:`dense_doc_vector`, so an ANN index over doc
     vectors ranks candidates by the served matcher's own similarity.
+    ``encoding`` accepts the request's ``encode_query`` result for the
+    same tokens, which the vector is then read from.
     """
     ensure_inference_mode(model, "reranker")
-    return model.query_vector(query_tokens)
+    return model.query_vector(query_tokens, encoding=encoding)
 
 
 def dense_doc_vector(model: Module, doc_tokens: Sequence[str],
@@ -226,5 +252,5 @@ def restore_serving_module(
         )
     load_module_state(module, state)
     module._fitted = True
-    module.eval()
+    _enter_eval(module)
     return module

@@ -188,12 +188,14 @@ class _ShardWorker:
         return self._service._items_uncached(concept_id, k, store=gen.store)
 
     def _rpc_pool_scores(
-        self, query_tokens: tuple, node_ids: list, texts: list
+        self, query_tokens: tuple, node_ids: list, texts: list, query_state: Any
     ) -> list[float]:
         reranker = require_model(
             self._service._reranker, RERANKER_MODEL, "pool_scores"
         )
-        return self._service._pool_scores(reranker, query_tokens, node_ids, texts)
+        return self._service._pool_scores(
+            reranker, query_tokens, node_ids, texts, query_state
+        )
 
     # ----------------------------------------------------- maintenance
     def _rpc_ping(self) -> tuple:

@@ -386,6 +386,24 @@ def require_model(module: Module | None, name: str, endpoint: str) -> Module:
     return module
 
 
+def request_query_state(
+    reranker: Module, tokens: Sequence[str], config: ServiceConfig
+) -> Any:
+    """A reranked request's one query-side encoding.
+
+    The service and the cluster encode each request's query here once
+    and pass the state to the dense arm (which reads its vector from it)
+    and to every pool the request scores, on every shard.  ``None`` —
+    each consumer then encodes for itself, as the scalar oracle always
+    does — when the fast path is off, the reranker has none, or there are
+    no tokens (the consumers then raise or answer empty exactly as they
+    would without a shared state).
+    """
+    if not (tokens and config.use_fast_path and getattr(reranker, "fast_path", False)):
+        return None
+    return reranker.encode_query(tokens)
+
+
 def require_layer(store: Any, node_id: str, expected_layer: str) -> None:
     """Validate that ``node_id`` exists in ``store`` on the given layer.
 
@@ -1303,40 +1321,30 @@ class AliCoCoService:
         )
 
     # ------------------------------------------------------------- internals
-    # The graph/index helpers default their store/index argument to the
-    # *current* generation when a caller passes none — endpoint code
-    # always passes its pinned generation's components explicitly, while
-    # cluster scatter paths (which serve frozen shard stores, pinned at
-    # construction) keep calling the historical one-argument form.
+    # The graph/index helpers take the request's pinned generation (or
+    # its store/indexes) as a required argument: every caller pins one,
+    # and a forgotten argument is a TypeError rather than a silent read
+    # of whichever generation is current.
     def _items_uncached(
-        self, concept_id: str, top_k: int | None, store: Any = None
+        self, concept_id: str, top_k: int | None, *, store: Any
     ) -> tuple:
-        store = store if store is not None else self._gen.store
         relations = store.in_relations(concept_id, RelationKind.ITEM_ECOMMERCE)
         relations.sort(key=lambda relation: -relation.weight)
         if top_k is not None:
             relations = relations[:top_k]
         return tuple((relation.source, relation.weight) for relation in relations)
 
-    def _targets_of(
-        self, node_id: str, kind: RelationKind, store: Any = None
-    ) -> tuple:
-        store = store if store is not None else self._gen.store
+    def _targets_of(self, node_id: str, kind: RelationKind, *, store: Any) -> tuple:
         relations = store.out_relations(node_id, kind)
         return tuple(relation.target for relation in relations)
 
     def _hypernyms_uncached(
-        self, primitive_id: str, transitive: bool, store: Any = None
+        self, primitive_id: str, transitive: bool, *, store: Any
     ) -> tuple:
-        store = store if store is not None else self._gen.store
         nodes = kgq.hypernyms(store, primitive_id, transitive=transitive)
         return tuple(node.id for node in nodes)
 
-    def _search_uncached(
-        self, tokens: tuple[str, ...], k: int, index: Any = _MISS
-    ) -> tuple:
-        if index is _MISS:
-            index = self._gen.search_index
+    def _search_uncached(self, tokens: tuple[str, ...], k: int, *, index: Any) -> tuple:
         if not tokens or index is None:
             return ()
         return tuple(index.top_k(tokens, k=k))
@@ -1394,10 +1402,10 @@ class AliCoCoService:
         """One document's retrieval embedding, via the doc-encoding cache."""
         encoding = None
         if self._doc_cache is not None:
-            encoding = self._doc_encoding(self._reranker, node_id, tokens)
+            (encoding,) = self._doc_encodings(self._reranker, [node_id], [tokens])
         return dense_doc_vector(self._reranker, tokens, encoding=encoding)
 
-    def _dense_arm(self, name: str, vector: Any, k: int, indexes: Any = None) -> tuple:
+    def _dense_arm(self, name: str, vector: Any, k: int, *, indexes: Any) -> tuple:
         """One dense first-stage ranking: ((node id, score), ...).
 
         The query-vector-in flavour of dense retrieval, split out so a
@@ -1406,23 +1414,27 @@ class AliCoCoService:
         absent index (e.g. a shard owning no documents of this
         population) answers with an empty arm.
         """
-        indexes = indexes if indexes is not None else self._gen.dense_indexes
         index = indexes.get(name)
         if index is None:
             return ()
         return tuple(index.retrieve(vector, k))
 
     def _concept_pool(
-        self, tokens: tuple[str, ...], k: int, gen: ServingGeneration | None = None
+        self,
+        tokens: tuple[str, ...],
+        k: int,
+        gen: ServingGeneration,
+        query_state: Any,
     ) -> tuple:
         """Concept candidates for ``search_reranked``, per the configured
-        first stage: BM25, the dense concept index, or their RRF fusion."""
-        gen = gen if gen is not None else self._gen
+        first stage: BM25, the dense concept index, or their RRF fusion.
+        The dense arm reads its vector from the request's ``query_state``
+        (encoding the query itself only when that is ``None``)."""
         mode = self.config.retriever
         index = gen.dense_indexes.get(DENSE_CONCEPT_INDEX)
         if mode == "bm25" or index is None or not tokens:
             return self._search_uncached(tokens, k, index=gen.search_index)
-        vector = dense_query_vector(self._reranker, tokens)
+        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
         dense = list(
             self._dense_arm(
                 DENSE_CONCEPT_INDEX, vector, k, indexes=gen.dense_indexes
@@ -1440,7 +1452,7 @@ class AliCoCoService:
         )
 
     def _item_pool(
-        self, concept_id: str, k: int, gen: ServingGeneration | None = None
+        self, concept_id: str, k: int, gen: ServingGeneration, query_state: Any
     ) -> tuple:
         """Item candidates for ``items_for_concept_reranked``.
 
@@ -1449,9 +1461,9 @@ class AliCoCoService:
         historical graph-only pool, ``"dense"`` retrieves by concept
         embedding over the item-title index — which can surface catalog
         items the graph never linked — and ``"hybrid"`` RRF-fuses the
-        two rankings.
+        two rankings.  The dense arm reads its vector from the request's
+        ``query_state``, the concept text's encoding.
         """
-        gen = gen if gen is not None else self._gen
         mode = self.config.retriever
         index = gen.dense_indexes.get(DENSE_ITEM_INDEX)
         graph = self._items_uncached(concept_id, k, store=gen.store)
@@ -1460,7 +1472,7 @@ class AliCoCoService:
         tokens = tuple(gen.store.get(concept_id).tokens)
         if not tokens:
             return graph
-        vector = dense_query_vector(self._reranker, tokens)
+        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
         dense = list(
             self._dense_arm(DENSE_ITEM_INDEX, vector, k, indexes=gen.dense_indexes)
         )
@@ -1479,14 +1491,16 @@ class AliCoCoService:
         reranker: Module,
         concept_id: str,
         top_k: int | None,
-        gen: ServingGeneration | None = None,
+        gen: ServingGeneration,
     ) -> tuple:
-        gen = gen if gen is not None else self._gen
         concept_tokens = tuple(gen.store.get(concept_id).tokens)
-        pool = self._item_pool(concept_id, self.config.rerank_pool_k, gen)
+        query_state = request_query_state(reranker, concept_tokens, self.config)
+        pool = self._item_pool(concept_id, self.config.rerank_pool_k, gen, query_state)
         item_ids = [item_id for item_id, _ in pool]
         titles = [gen.store.get(item_id).title.split() for item_id in item_ids]
-        scores = self._pool_scores(reranker, concept_tokens, item_ids, titles)
+        scores = self._pool_scores(
+            reranker, concept_tokens, item_ids, titles, query_state
+        )
         scored = sorted(zip(item_ids, scores), key=lambda pair: (-pair[1], pair[0]))
         if top_k is not None:
             scored = scored[:top_k]
@@ -1497,13 +1511,13 @@ class AliCoCoService:
         reranker: Module,
         tokens: tuple[str, ...],
         k: int,
-        gen: ServingGeneration | None = None,
+        gen: ServingGeneration,
     ) -> tuple:
-        gen = gen if gen is not None else self._gen
-        pool = self._concept_pool(tokens, self.config.rerank_pool_k, gen)
+        query_state = request_query_state(reranker, tokens, self.config)
+        pool = self._concept_pool(tokens, self.config.rerank_pool_k, gen, query_state)
         concept_ids = [concept_id for concept_id, _ in pool]
         texts = [list(gen.store.get(concept_id).tokens) for concept_id in concept_ids]
-        scores = self._pool_scores(reranker, tokens, concept_ids, texts)
+        scores = self._pool_scores(reranker, tokens, concept_ids, texts, query_state)
         scored = sorted(zip(concept_ids, scores), key=lambda pair: (-pair[1], pair[0]))
         return tuple(scored[:k])
 
@@ -1513,12 +1527,14 @@ class AliCoCoService:
         query_tokens: Sequence[str],
         node_ids: Sequence[str],
         doc_token_lists: Sequence[Sequence[str]],
+        query_state: Any,
     ) -> list[float]:
         """Model probabilities for one query against a candidate pool.
 
         The fast path batches through
-        :func:`~repro.serving.models.rerank_pool`, feeding cached
-        doc-side encodings when the doc cache is enabled; the scalar
+        :func:`~repro.serving.models.rerank_pool` with the request's
+        ``query_state``, feeding cached doc-side encodings (looked up
+        under one cache lock) when the doc cache is enabled; the scalar
         oracle (``use_fast_path=False``, or a reranker without
         ``score_pool``) loops :func:`~repro.serving.models.rerank_score`
         per candidate.  Both produce the same scores — that equivalence
@@ -1533,34 +1549,42 @@ class AliCoCoService:
             ]
         encodings = None
         if self._doc_cache is not None:
-            encodings = [
-                self._doc_encoding(reranker, node_id, tokens)
-                for node_id, tokens in zip(node_ids, doc_token_lists)
-            ]
+            encodings = self._doc_encodings(reranker, node_ids, doc_token_lists)
         scores = rerank_pool(
-            reranker, query_tokens, doc_token_lists, doc_encodings=encodings
+            reranker,
+            query_tokens,
+            doc_token_lists,
+            doc_encodings=encodings,
+            query_state=query_state,
         )
         return [float(score) for score in scores]
 
-    def _doc_encoding(
-        self, reranker: Module, node_id: str, tokens: Sequence[str]
-    ) -> Any:
-        """One candidate's doc-side encoding, through the epoch-keyed cache.
+    def _doc_encodings(
+        self,
+        reranker: Module,
+        node_ids: Sequence[str],
+        doc_token_lists: Sequence[Sequence[str]],
+    ) -> list:
+        """Candidates' doc-side encodings, through the epoch-keyed cache.
 
-        Node ids are globally unique across layers (``it_``/``ec_``
-        prefixes), so items and concepts share one cache without key
-        collisions; keys carry the doc epoch so
+        One ``get_many`` looks the whole pool up; misses are encoded and
+        put back one by one.  Node ids are globally unique across layers
+        (``it_``/``ec_`` prefixes), so items and concepts share one cache
+        without key collisions; keys carry the doc epoch so
         :meth:`invalidate_doc_cache` can retire every entry without a
         ``clear()``.  Two threads missing the same id both encode it —
         deterministically to the same value, nodes and weights being
         immutable — and the second ``put`` is a harmless refresh.
         """
-        key = (self._doc_epoch, node_id)
-        encoding = self._doc_cache.get(key, _MISS)
-        if encoding is _MISS:
-            encoding = reranker.encode_doc(tokens)
-            self._doc_cache.put(key, encoding)
-        return encoding
+        epoch = self._doc_epoch
+        keys = [(epoch, node_id) for node_id in node_ids]
+        encodings = self._doc_cache.get_many(keys, _MISS)
+        for index, encoding in enumerate(encodings):
+            if encoding is _MISS:
+                encoding = reranker.encode_doc(doc_token_lists[index])
+                self._doc_cache.put(keys[index], encoding)
+                encodings[index] = encoding
+        return encodings
 
     def invalidate_doc_cache(self) -> int:
         """Retire every cached doc encoding by bumping the key epoch.
@@ -1622,8 +1646,7 @@ class AliCoCoService:
     ) -> Module:
         return require_model(module, name, endpoint)
 
-    def _require(self, node_id: str, expected_layer: str, store: Any = None) -> None:
-        store = store if store is not None else self._gen.store
+    def _require(self, node_id: str, expected_layer: str, *, store: Any) -> None:
         require_layer(store, node_id, expected_layer)
 
     @contextmanager

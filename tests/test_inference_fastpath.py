@@ -221,7 +221,7 @@ class TestFeatureMemoization:
 
 
 # ------------------------------------------------------------- pool parity
-def _assert_pool_parity(model, rng, pools=(0, 1, 5, 9)):
+def _assert_pool_parity(model, rng, pools=(0, 1, 5, 9, 50)):
     for size in pools:
         query = [str(token) for token in rng.choice(WORDS, size=3)]
         pool = _random_pool(rng, size)
@@ -284,6 +284,16 @@ class TestScorePoolParity:
             ]
             assert_array_equal(
                 model.score_pool(query, pool, doc_encodings=partial),
+                model.score_pool(query, pool),
+            )
+            # A query state encoded once by the caller scores the same.
+            state = model.encode_query(query)
+            assert_array_equal(
+                model.score_pool(query, pool, query_state=state),
+                model.score_pool(query, pool),
+            )
+            assert_array_equal(
+                model.score_pool(query, pool, doc_encodings=encoded, query_state=state),
                 model.score_pool(query, pool),
             )
 
@@ -414,26 +424,49 @@ class TestServiceFastPath:
     def test_doc_cache_consistent_under_contention(self, built, reranker):
         # cache_capacity=0 disables the *result* LRU so every request
         # actually walks the doc-encoding cache; 8 threads then hammer
-        # the same queries concurrently.
+        # the same queries concurrently, and batched get_many lookups of
+        # their own alongside.
         service = AliCoCoService.from_build(
             built, reranker=reranker, config=ServiceConfig(cache_capacity=0)
         )
+        cache = service._doc_cache
         concept_ids = _concept_ids(built, 6)
         queries = _queries(built, 4)
+        # Each request's doc-cache lookups (one per pool candidate) are
+        # fixed by its pool, so the lookup total is known in advance.
+        request_lookups = {}
+
+        def counted_lookups(key, call):
+            before = cache.lookups
+            answer = call()
+            request_lookups[key] = cache.lookups - before
+            return answer
+
         expected_items = {
-            concept_id: service.items_for_concept_reranked(concept_id)
+            concept_id: counted_lookups(
+                concept_id,
+                lambda: service.items_for_concept_reranked(concept_id),
+            )
             for concept_id in concept_ids
         }
-        expected_search = {text: service.search_reranked(text) for text in queries}
+        expected_search = {
+            text: counted_lookups(text, lambda: service.search_reranked(text))
+            for text in queries
+        }
+        probe_keys = [(service._doc_epoch, concept_id) for concept_id in concept_ids]
+        probe_keys.append(("absent", "key"))
+        lookups_before = cache.counters().lookups
 
         threads = 8
         rounds = 4
         barrier = threading.Barrier(threads)
         failures: list[str] = []
+        thread_lookups: list[int] = []
 
         def worker(seed):
             barrier.wait()
             rng = np.random.default_rng(seed)
+            lookups = 0
             for _ in range(rounds):
                 concept_id = concept_ids[rng.integers(len(concept_ids))]
                 if service.items_for_concept_reranked(
@@ -443,6 +476,15 @@ class TestServiceFastPath:
                 text = queries[rng.integers(len(queries))]
                 if service.search_reranked(text) != expected_search[text]:
                     failures.append(f"search diverged for {text!r}")
+                probed = cache.get_many(probe_keys, None)
+                if probed[-1] is not None or len(probed) != len(probe_keys):
+                    failures.append("get_many answered an absent key")
+                lookups += (
+                    request_lookups[concept_id]
+                    + request_lookups[text]
+                    + len(probe_keys)
+                )
+            thread_lookups.append(lookups)
 
         pool = [
             threading.Thread(target=worker, args=(seed,)) for seed in range(threads)
@@ -459,3 +501,6 @@ class TestServiceFastPath:
         assert stats.doc_cache_hits > 0  # the frozen catalog got reused
         # The cache's own invariant, via the service stats cut.
         assert service._doc_cache.lookups == doc_lookups
+        # Every key of every get_many counted exactly one hit or miss.
+        counters = cache.counters()
+        assert counters.hits + counters.misses == lookups_before + sum(thread_lookups)

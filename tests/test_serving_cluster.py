@@ -283,6 +283,37 @@ class TestRerankedParity:
                 service.search_reranked(spec.text, 5)
             )
 
+    @pytest.mark.parametrize("n_shards", [None, 2])
+    def test_one_query_encode_per_request(
+        self, store, built, trained_reranker, monkeypatch, n_shards
+    ):
+        # The dense arm and every shard's pool scoring share the request's
+        # one query encoding (hybrid: dense arm + pools on both shards).
+        config = ServiceConfig(retriever="hybrid")
+        if n_shards is None:
+            server = AliCoCoService(store, config=config, reranker=trained_reranker)
+        else:
+            server = _cluster(
+                store, n_shards, service_config=config, reranker=trained_reranker
+            )
+        calls = []
+        encode_query = trained_reranker.encode_query
+
+        def counting_encode_query(tokens):
+            calls.append(tuple(tokens))
+            return encode_query(tokens)
+
+        monkeypatch.setattr(trained_reranker, "encode_query", counting_encode_query)
+        concept_ids = [node.id for node in store.nodes(ECOMMERCE_PREFIX)][:4]
+        for concept_id in concept_ids:
+            calls.clear()
+            assert server.items_for_concept_reranked(concept_id, 5)
+            assert len(calls) == 1
+        for spec in built.concepts[:4]:
+            calls.clear()
+            assert server.search_reranked(spec.text, 5)
+            assert calls == [tuple(spec.text.split())]
+
 
 class TestClusterSnapshot:
     def test_same_shard_count_warm_start_is_bit_identical(

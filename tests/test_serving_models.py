@@ -34,7 +34,7 @@ from repro.serving import (
     prepare_serving_module,
     restore_serving_module,
 )
-from repro.serving.models import model_bundle_state
+from repro.serving.models import dense_query_vector, model_bundle_state, rerank_pool
 
 N_THREADS = 6
 
@@ -350,6 +350,21 @@ class TestInferenceGuards:
                 service.tag("guard check text")
         finally:
             tagger.eval()
+
+    def test_training_a_nested_submodule_is_loud(self, reranker):
+        # The guard checks the submodule list flattened at preparation:
+        # a layer deep inside a tower still counts.
+        prepared = prepare_serving_module(reranker, RERANKER_MODEL)
+        layer = prepared.title_tower.layers[0]
+        layer.train()
+        try:
+            with pytest.raises(ConfigError, match="training mode"):
+                rerank_pool(prepared, ["red"], [["shoe"]])
+            with pytest.raises(ConfigError, match="training mode"):
+                dense_query_vector(prepared, ["red"])
+        finally:
+            layer.eval()
+        ensure_inference_mode(prepared, RERANKER_MODEL)
 
     def test_ensure_inference_mode_accepts_eval(self, reranker):
         prepared = prepare_serving_module(reranker, RERANKER_MODEL)
