@@ -265,8 +265,9 @@ def test_evolve(report):
 
     # ---- Gate 4: compaction parity.  Folding the chain is a
     # representation change: answers and the generation id must not
-    # move, and auto-compaction must bound the chain while generations
-    # keep publishing.
+    # move — also when a second fold builds on the first one's base —
+    # and auto-compaction must bound the chain while generations keep
+    # publishing.
     before_compaction = _observe(service, probes)
     assert len(store.published_segments) == _GENERATIONS
     assert store.compact() == _GENERATIONS
@@ -275,6 +276,16 @@ def test_evolve(report):
     assert _observe(service, probes) == before_compaction, (
         "compaction changed an answer: folding the segment chain must be "
         "bit-identical"
+    )
+    for generation in range(_GENERATIONS + 1, 2 * _GENERATIONS + 1):
+        _grow(reference, generation)
+        reference_service.publish()
+        _grow(store, generation)
+        service.publish()
+    assert store.compact() == 2 * _GENERATIONS
+    assert store.published_segments == ()
+    assert _observe(service, probes) == _observe(reference_service, probes), (
+        "a fold of a fold must answer exactly like the never-compacted reference"
     )
     compacting = GenerationalStore(built.store, compact_after_segments=2)
     compacting_service = AliCoCoService(compacting, config=config)
@@ -348,8 +359,9 @@ def test_evolve(report):
         f"  cache: {counters.hits} hits / {counters.misses} misses, "
         f"generation-keyed (never cleared)",
         f"  compaction: {_GENERATIONS} segments folded bit-identically at "
-        f"generation {_GENERATIONS}; auto-compaction held the chain at "
-        f"<= 2 segments",
+        f"generation {_GENERATIONS}, {_GENERATIONS} more folded over that "
+        f"base at generation {2 * _GENERATIONS}; auto-compaction held the "
+        f"chain at <= 2 segments",
         f"  evolution driver: {driver_stats.cycles} cycles mined "
         f"{driver_stats.concepts_accepted} concepts "
         f"(+{driver_stats.relations_staged} relations) across "

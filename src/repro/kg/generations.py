@@ -627,20 +627,22 @@ class GenerationalStore:
     def compact(self) -> int:
         """Fold every published segment into a new frozen base.
 
-        Replays the published view — nodes then relations, in global
-        insertion order through the trusted bulk path, exactly like
-        :func:`flatten` — into a fresh :class:`AliCoCoStore`, freezes
-        it, and atomically installs it as the new zero-segment view.
-        Every read API answers bit-identically before and after
-        (insertion order, weight-tie order and name-collision order are
-        all preserved), and :attr:`generation_id` does not move:
-        compaction is a representation change, not a publish, so
-        generation-pinned caches stay valid.
+        Folds the published segments into the frozen base with
+        :meth:`AliCoCoStore.fold` — the new base shares every index list
+        no segment touches with the old one, so the cost is container
+        copies plus the delta, not a replay of the whole net — and
+        atomically installs it as the new zero-segment view.  Every read
+        API answers bit-identically before and after, and exactly like
+        :func:`flatten` (insertion order, weight-tie order and
+        name-collision order are all preserved), and
+        :attr:`generation_id` does not move: compaction is a
+        representation change, not a publish, so generation-pinned
+        caches stay valid.
 
-        Readers pinned to the old overlay keep working (its base and
-        sealed segments are untouched); staged and open segments are
-        *not* folded — they belong to unpublished generations and stay
-        writable behind the new base.
+        Readers pinned to the old overlay keep working (the fold never
+        mutates the old base or a sealed segment); staged and open
+        segments are *not* folded — they belong to unpublished
+        generations and stay writable behind the new base.
 
         Returns:
             The (unchanged) published generation id.
@@ -652,11 +654,7 @@ class GenerationalStore:
         view = self._view
         if not view._segments:
             return view.generation_id  # nothing to fold
-        base = AliCoCoStore()
-        for node in view.nodes():
-            base.add_node(node)
-        base.add_relations_trusted(view.relations())
-        self._base = base.freeze()
+        self._base = view._base.fold(view._segments)
         self._base_generation = view.generation_id
         # Single assignment: readers see the overlay or the folded base,
         # both of which answer every read identically.
@@ -733,7 +731,10 @@ def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
     Node objects are shared, not copied (they are immutable); relations
     replay in global insertion order through the trusted bulk path, so
     the flattened store answers every read identically to the view.
-    Used by snapshot loaders that want a plain store (sharding, tools).
+    Used by snapshot loaders that want a plain store (sharding, tools)
+    and as the oracle :meth:`GenerationalStore.compact` is tested
+    against.  Unlike a compacted base, the result shares no index list
+    with the view, so callers may mutate it.
 
     Raises:
         ConfigError: If ``view`` is not a generational view/store.

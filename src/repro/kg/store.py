@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..errors import (
-    DuplicateNodeError, FrozenStoreError, NodeNotFoundError, RelationError,
+    DuplicateNodeError, FrozenStoreError, GraphError, NodeNotFoundError,
+    RelationError,
 )
 from .ids import (
     CLASS_PREFIX, ECOMMERCE_PREFIX, IdAllocator, ITEM_PREFIX,
@@ -15,6 +16,9 @@ from .ids import (
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .stats import StoreStats
+
+if TYPE_CHECKING:
+    from .generations import DeltaSegment
 
 _LAYER_TYPES = {
     CLASS_PREFIX: ClassNode,
@@ -34,6 +38,9 @@ class AliCoCoStore:
 
     def __init__(self) -> None:
         self._nodes: dict[str, Node] = {}
+        # layer prefix -> that layer's nodes in insertion order
+        self._layer_nodes: dict[str, list[Node]] = {
+            prefix: [] for prefix in _LAYER_TYPES}
         self._ids = IdAllocator()
         # name index: layer prefix -> name -> list of node ids
         self._by_name: dict[str, dict[str, list[str]]] = {
@@ -88,6 +95,7 @@ class AliCoCoStore:
             raise RelationError(
                 f"node {node.id!r} has prefix {layer!r} but type {type(node).__name__}")
         self._nodes[node.id] = node
+        self._layer_nodes[layer].append(node)
         self._by_name[layer][self._name_of(node)].append(node.id)
         self._layer_counts[layer] += 1
         if isinstance(node, ClassNode):
@@ -216,6 +224,67 @@ class AliCoCoStore:
             count += 1
         return count
 
+    # --------------------------------------------------------------- folding
+    def fold(self, segments: Sequence["DeltaSegment"]) -> "AliCoCoStore":
+        """A new frozen store: this store's contents, then ``segments``.
+
+        ``segments`` are sealed delta segments in publish order.  The
+        result answers every read exactly like replaying this store and
+        then each segment into a fresh store (insertion, weight-tie and
+        name-collision order included), but costs container copies plus
+        the delta: dicts and sets are copied at C speed, which keeps
+        their stored hashes, and every index key a segment touches gets
+        a *new* list holding the old entries followed by the segment's.
+        Every untouched list is shared with this store, so both stay
+        read-only: this store must be frozen, and the result is returned
+        frozen.
+
+        Raises:
+            GraphError: If this store is not frozen.
+        """
+        if not self._frozen:
+            raise GraphError(
+                "fold() shares index lists with its base; freeze the base first")
+        store = AliCoCoStore()
+        store._nodes = dict(self._nodes)
+        store._layer_nodes = dict(self._layer_nodes)
+        store._by_name = {layer: defaultdict(list, names)
+                          for layer, names in self._by_name.items()}
+        store._relations = list(self._relations)
+        store._out = defaultdict(list, self._out)
+        store._in = defaultdict(list, self._in)
+        store._relation_by_key = dict(self._relation_by_key)
+        store._layer_counts = dict(self._layer_counts)
+        store._kind_counts = defaultdict(int, self._kind_counts)
+        store._by_kind = defaultdict(list, self._by_kind)
+        store._domain_class_ids = defaultdict(list, self._domain_class_ids)
+        store._domain_primitive_ids = defaultdict(
+            list, self._domain_primitive_ids)
+        store._linked_item_ids = set(self._linked_item_ids)
+        layer_nodes: dict[str, list[Node]] = defaultdict(list)
+        for segment in segments:
+            store._nodes.update(segment.nodes)
+            for node_id, node in segment.nodes.items():
+                layer_nodes[layer_of(node_id)].append(node)
+            store._relations.extend(segment.relations)
+            store._relation_by_key.update(segment.relation_by_key)
+            for layer, count in segment.layer_counts.items():
+                store._layer_counts[layer] += count
+            for kind, count in segment.kind_counts.items():
+                store._kind_counts[kind] += count
+            store._linked_item_ids |= segment.linked_item_ids
+        _grow_lists(store._layer_nodes, [layer_nodes])
+        for layer, names in store._by_name.items():
+            _grow_lists(names, [s.by_name[layer] for s in segments])
+        _grow_lists(store._out, [s.out for s in segments])
+        _grow_lists(store._in, [s.inc for s in segments])
+        _grow_lists(store._by_kind, [s.by_kind for s in segments])
+        _grow_lists(store._domain_class_ids,
+                    [s.domain_class_ids for s in segments])
+        _grow_lists(store._domain_primitive_ids,
+                    [s.domain_primitive_ids for s in segments])
+        return store.freeze()
+
     def _require(self, node_id: str, expected_layer: str) -> Node:
         node = self._nodes.get(node_id)
         if node is None:
@@ -249,10 +318,13 @@ class AliCoCoStore:
         return [self._nodes[i] for i in self._by_name[layer].get(name, [])]
 
     def nodes(self, layer: str | None = None) -> Iterator[Node]:
-        """Iterate nodes, optionally restricted to one layer prefix."""
-        for node_id, node in self._nodes.items():
-            if layer is None or layer_of(node_id) == layer:
-                yield node
+        """Iterate nodes in insertion order, optionally restricted to one
+        layer prefix (per-layer lists are maintained incrementally, so
+        filtering does not scan)."""
+        if layer is None:
+            yield from self._nodes.values()
+        else:
+            yield from self._layer_nodes.get(layer, ())
 
     def relations(self, kind: RelationKind | None = None) -> Iterator[Relation]:
         """Iterate relations, optionally filtered by kind (per-kind lists
@@ -321,3 +393,18 @@ class AliCoCoStore:
         from the per-domain index; no full-store scan)."""
         return [self._nodes[i]
                 for i in self._domain_primitive_ids.get(domain, [])]
+
+
+def _grow_lists(index: dict, additions: Iterable[dict]) -> None:
+    """Append each addition's lists to ``index``'s, key by key, without
+    mutating a list ``index`` already holds: the first touch of a key
+    installs a new list (old + added), later touches extend that one."""
+    grown: dict = {}
+    for added in additions:
+        for key, values in added.items():
+            fresh = grown.get(key)
+            if fresh is None:
+                grown[key] = index.get(key, []) + values
+            else:
+                fresh.extend(values)
+    index.update(grown)

@@ -109,6 +109,7 @@ from ..errors import (
 )
 from ..kg.generations import GenerationalStore
 from ..kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX, layer_of
+from ..kg.relations import RelationKind
 from ..kg.serialize import (
     generational_store_from_snapshot,
     load_snapshot,
@@ -940,7 +941,7 @@ class AliCoCoCluster:
                 item_position=item_position,
                 shards=shard_gens,
                 node_count=len(view),
-                relation_count=view.stats().relations_total,
+                relation_count=sum(view.count_relations(kind) for kind in RelationKind),
                 concept_count=view.count_nodes(ECOMMERCE_PREFIX),
                 dense_presence=dense_presence,
             )

@@ -179,6 +179,13 @@ DENSE_CONCEPT_INDEX = "dense-concepts"
 #: Snapshot index-state name of the dense item index (matching side).
 DENSE_ITEM_INDEX = "dense-items"
 
+#: Each dense index's population: the layer it covers and how a node of
+#: that layer tokenises into a document.
+_DENSE_POPULATIONS: dict[str, tuple[str, Callable[[Any], list[str]]]] = {
+    DENSE_CONCEPT_INDEX: (ECOMMERCE_PREFIX, lambda node: list(node.tokens)),
+    DENSE_ITEM_INDEX: (ITEM_PREFIX, lambda node: node.title.split()),
+}
+
 #: Snapshot bundle name of the served concept tagger.
 TAGGER_MODEL = "concept-tagger"
 
@@ -343,7 +350,7 @@ class ServingGeneration:
             (empty under ``retriever="bm25"``).
         primitive_index: (surface, domain) -> primitive node id, for
             linking tagged mentions.
-        ecommerce_count / item_count: Document-population sizes this
+        ecommerce_count / item_count / primitive_count: Layer sizes this
             generation's indexes cover; the next publish extends indexes
             with exactly the nodes beyond these counts.
     """
@@ -355,6 +362,7 @@ class ServingGeneration:
     primitive_index: dict[tuple[str, str], str] = field(default_factory=dict)
     ecommerce_count: int = 0
     item_count: int = 0
+    primitive_count: int = 0
 
 
 def fit_concept_index(
@@ -501,17 +509,43 @@ def shard_service_from_snapshot(
     )
 
 
-def _build_primitive_index(view: Any) -> dict[tuple[str, str], str]:
+def _build_primitive_index(
+    view: Any, old: ServingGeneration | None = None
+) -> dict[tuple[str, str], str]:
     """(surface, domain) -> node id over a view's primitive layer.
 
     Derived from an immutable view, so the mapping is immutable too;
     setdefault keeps the first node in insertion order on the rare
-    duplicate surface.
+    duplicate surface.  Given the previous generation, only the
+    primitives beyond its count are read: its map is returned as is
+    when none were added, and extended in a copy otherwise (layers only
+    grow, so the first-in-insertion-order rule still holds).
     """
     primitive_index: dict[tuple[str, str], str] = {}
-    for node in view.nodes(PRIMITIVE_PREFIX):
+    covered = 0
+    if old is not None:
+        if view.count_nodes(PRIMITIVE_PREFIX) == old.primitive_count:
+            return old.primitive_index
+        primitive_index = dict(old.primitive_index)
+        covered = old.primitive_count
+    for node in islice(view.nodes(PRIMITIVE_PREFIX), covered, None):
         primitive_index.setdefault((node.name, node.domain), node.id)
     return primitive_index
+
+
+def _dense_documents(
+    name: str, view: Any, start: int = 0
+) -> list[tuple[str, list[str]]]:
+    """(node id, tokens) of one dense population's nodes from position
+    ``start`` of their layer on, in insertion order, skipping empty
+    documents."""
+    layer, tokens_of = _DENSE_POPULATIONS[name]
+    documents = []
+    for node in islice(view.nodes(layer), start, None):
+        tokens = tokens_of(node)
+        if tokens:
+            documents.append((node.id, tokens))
+    return documents
 
 
 class AliCoCoService:
@@ -644,6 +678,7 @@ class AliCoCoService:
             primitive_index=_build_primitive_index(view),
             ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
             item_count=view.count_nodes(ITEM_PREFIX),
+            primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
         )
         if self._doc_cache is not None and self.config.prewarm_doc_cache:
             self.warm_doc_cache()
@@ -876,9 +911,10 @@ class AliCoCoService:
                     else search_index
                 ),
                 dense_indexes=dense_indexes,
-                primitive_index=_build_primitive_index(view),
+                primitive_index=_build_primitive_index(view, old),
                 ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
                 item_count=view.count_nodes(ITEM_PREFIX),
+                primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
             )
             # Roll the caches' stats windows so per-generation hit rates
             # are observable; entries are left in place — retired keys
@@ -933,48 +969,29 @@ class AliCoCoService:
         are cloned through their serialised state and extended with the
         new documents' vectors — encoded through the doc cache, so the
         work is shared with future pool scoring.  Anything else refits
-        over the full view.  Populations only ever grow (generational
-        stores are add-only), so the slice past the old count is exactly
-        the new documents.
+        over the full view.  Layers only ever grow (generational stores
+        are add-only), so only the nodes past the old count are read —
+        the whole population is built only for a refit.
         """
-        populations = self._dense_populations(view)
         covered = {
             DENSE_CONCEPT_INDEX: old.ecommerce_count,
             DENSE_ITEM_INDEX: old.item_count,
         }
         indexes: dict[str, BaseRetriever | None] = {}
-        for name, population in populations.items():
+        for name in _DENSE_POPULATIONS:
             old_index = old.dense_indexes.get(name)
-            fresh = [
-                (node_id, tokens)
-                for node_id, tokens in population[covered[name] :]
-                if tokens
-            ]
+            fresh = _dense_documents(name, view, covered[name])
             if not fresh:
                 indexes[name] = old_index
-                continue
-            if old_index is not None and old_index.supports_add:
+            elif old_index is not None and old_index.supports_add:
                 clone = dense_index_from_state(old_index.to_state())
                 clone.add(
                     [node_id for node_id, _ in fresh],
-                    [
-                        self._dense_vector(node_id, tokens)
-                        for node_id, tokens in fresh
-                    ],
+                    [self._dense_vector(node_id, tokens) for node_id, tokens in fresh],
                 )
                 indexes[name] = clone
-                continue
-            ids, vectors = [], []
-            for node_id, tokens in population:
-                if not tokens:
-                    continue
-                ids.append(node_id)
-                vectors.append(self._dense_vector(node_id, tokens))
-            indexes[name] = (
-                make_dense_index(self.config.dense_backend).fit(ids, vectors)
-                if ids
-                else None
-            )
+            else:
+                indexes[name] = self._fit_dense_index(_dense_documents(name, view))
         return indexes
 
     # ------------------------------------------------------------- endpoints
@@ -1363,40 +1380,27 @@ class AliCoCoService:
         the index is rebuilt from the given view.
         """
         indexes: dict[str, BaseRetriever | None] = {}
-        for name, population in self._dense_populations(view).items():
+        for name in _DENSE_POPULATIONS:
             state = states.get(name)
             if (
                 isinstance(state, dict)
                 and state.get("backend") == self.config.dense_backend
             ):
                 indexes[name] = dense_index_from_state(state)
-                continue
-            ids, vectors = [], []
-            for node_id, tokens in population:
-                if not tokens:
-                    continue
-                ids.append(node_id)
-                vectors.append(self._dense_vector(node_id, tokens))
-            indexes[name] = (
-                make_dense_index(self.config.dense_backend).fit(ids, vectors)
-                if ids
-                else None
-            )
+            else:
+                indexes[name] = self._fit_dense_index(_dense_documents(name, view))
         return indexes
 
-    @staticmethod
-    def _dense_populations(view: Any) -> dict[str, list[tuple[str, list[str]]]]:
-        """The two document populations the dense indexes cover."""
-        return {
-            DENSE_CONCEPT_INDEX: [
-                (node.id, list(node.tokens))
-                for node in view.nodes(ECOMMERCE_PREFIX)
-            ],
-            DENSE_ITEM_INDEX: [
-                (node.id, node.title.split())
-                for node in view.nodes(ITEM_PREFIX)
-            ],
-        }
+    def _fit_dense_index(
+        self, documents: list[tuple[str, list[str]]]
+    ) -> BaseRetriever | None:
+        """A fresh dense index over ``documents`` (None when empty)."""
+        if not documents:
+            return None
+        return make_dense_index(self.config.dense_backend).fit(
+            [node_id for node_id, _ in documents],
+            [self._dense_vector(node_id, tokens) for node_id, tokens in documents],
+        )
 
     def _dense_vector(self, node_id: str, tokens: Sequence[str]) -> Any:
         """One document's retrieval embedding, via the doc-encoding cache."""

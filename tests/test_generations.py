@@ -28,6 +28,7 @@ from repro.errors import (
     DataError,
     DuplicateNodeError,
     FrozenStoreError,
+    GraphError,
     NodeNotFoundError,
     RelationError,
 )
@@ -39,6 +40,7 @@ from repro.kg import (
     RelationKind,
     flatten,
 )
+from repro.kg.ids import layer_of
 from repro.kg.serialize import (
     generational_store_from_snapshot,
     load_generations,
@@ -334,6 +336,59 @@ class TestPublishServing:
         assert service.search(spec.text) == refit.search(spec.text)
         assert before[0][0] == service.search(spec.text)[0][0]
 
+    @pytest.mark.parametrize("retriever", ["bm25", "hybrid"])
+    def test_publish_delta_answers_like_a_fresh_service_over_flatten(
+        self, built_tiny, tagger, reranker, retriever
+    ):
+        config = ServiceConfig(seed=0, retriever=retriever)
+        store = GenerationalStore(built_tiny.store)
+        service = AliCoCoService(store, config=config, tagger=tagger, reranker=reranker)
+        # A span the served net cannot link yet: the delta's primitive
+        # gives it a node, and ``tag`` must link to it after publish.
+        text, span = next(
+            (spec.text, span)
+            for spec in built_tiny.concepts
+            for span in service.tag(spec.text)
+            if span.primitive_id is None and store.classes_in_domain(span.domain)
+        )
+        primitive_index = service._gen.primitive_index
+        _grow(store, "no-primitive")
+        service.publish()
+        assert service._gen.primitive_index is primitive_index
+        class_id = store.classes_in_domain(span.domain)[0].id
+        primitive = store.create_primitive(span.surface, class_id)
+        concept, item = _grow(store, "delta")
+        store.add_relation(Relation(RelationKind.ITEM_PRIMITIVE, item.id, primitive.id))
+        store.add_relation(
+            Relation(RelationKind.INTERPRETED_BY, concept.id, primitive.id)
+        )
+        service.publish()
+        assert (span.surface, span.domain, primitive.id) in {
+            (s.surface, s.domain, s.primitive_id) for s in service.tag(text)
+        }
+        fresh = AliCoCoService(
+            flatten(store), config=config, tagger=tagger, reranker=reranker
+        )
+        requests = [
+            ("tag", text),
+            ("search", "fresh delta concept"),
+            ("search_reranked", "fresh delta concept", 5),
+            ("items_for_concept", concept.id, 5),
+            ("items_for_concept_reranked", concept.id, 5),
+            ("interpretation", concept.id),
+            ("concepts_for_item", item.id),
+            ("hypernyms", primitive.id, True),
+        ]
+        for spec in built_tiny.concepts[:4]:
+            concept_id = built_tiny.concept_ids[spec.text]
+            requests += [
+                ("search", spec.text),
+                ("search_reranked", spec.text, 5),
+                ("items_for_concept_reranked", concept_id, 5),
+                ("tag", spec.text),
+            ]
+        assert service.batch(requests) == fresh.batch(requests)
+
     def test_publish_requires_a_generational_store(self, built_tiny):
         service = AliCoCoService(built_tiny.store)
         with pytest.raises(ConfigError):
@@ -567,8 +622,30 @@ class TestCompaction:
             store.publish()
         return store
 
+    @staticmethod
+    def _reads(store):
+        """Every keyed read the store answers, for exact comparison."""
+        nodes = list(store.nodes())
+        reads = {"nodes": [n.id for n in nodes]}
+        for layer in ("cls", "pc", "ec", "item"):
+            reads["nodes", layer] = [n.id for n in store.nodes(layer)]
+        for node in nodes:
+            layer = layer_of(node.id)
+            name = AliCoCoStore._name_of(node)
+            reads["name", layer, name] = [n.id for n in store.find_by_name(layer, name)]
+            for kind in RelationKind:
+                reads["out", node.id, kind] = store.out_relations(node.id, kind)
+                reads["in", node.id, kind] = store.in_relations(node.id, kind)
+        for domain in {n.domain for n in nodes if layer_of(n.id) in ("cls", "pc")}:
+            reads["classes", domain] = [n.id for n in store.classes_in_domain(domain)]
+            reads["primitives", domain] = [
+                n.id for n in store.primitives_in_domain(domain)
+            ]
+        return reads
+
     def _assert_reads_match(self, store, oracle):
         assert store.stats() == oracle.stats()
+        assert self._reads(store) == self._reads(oracle)
         assert [n.id for n in store.nodes()] == [n.id for n in oracle.nodes()]
         for kind in RelationKind:
             assert list(store.relations(kind)) == list(oracle.relations(kind))
@@ -590,6 +667,58 @@ class TestCompaction:
         assert store.base_generation == 3
         assert store.published_segments == ()
         self._assert_reads_match(store, oracle)
+
+    def test_fold_of_a_fold_matches_flatten_and_mutates_nothing(self, built_tiny):
+        """Segments that hit the same keys as each other and as the base:
+        a name shared by every segment and by a base concept, a base
+        concept and a fresh one gaining edges in several segments, and
+        new primitives under a base class.  Compacting twice (the second
+        folds over the first fold) must match ``flatten`` each time, and
+        every earlier view must answer exactly as before — a fold that
+        appended to a list it shares would show up here."""
+        store = GenerationalStore(built_tiny.store)
+        base_concept = next(built_tiny.store.nodes("ec"))
+        base_class = next(built_tiny.store.nodes("cls"))
+        pinned = [store.current()]
+        earlier = None
+        for round_index in range(2):
+            for tag in ("a", "b"):
+                tag = f"{round_index}{tag}"
+                concept = store.create_ecommerce("colliding fresh concept")
+                store.create_ecommerce(base_concept.text)
+                item = store.create_item(f"fold {tag} item title")
+                primitive = store.create_primitive(
+                    f"fold {tag} primitive", base_class.id
+                )
+                targets = [concept.id, base_concept.id]
+                if earlier is not None:
+                    targets.append(earlier.id)
+                for target in targets:
+                    store.add_relation(
+                        Relation(RelationKind.ITEM_ECOMMERCE, item.id, target, 0.5)
+                    )
+                store.add_relation(
+                    Relation(RelationKind.ITEM_PRIMITIVE, item.id, primitive.id)
+                )
+                earlier = concept
+                store.publish()
+            pinned.append(store.current())
+            oracle = flatten(store)
+            expected = [self._reads(view) for view in pinned]
+            assert store.compact() == store.generation_id
+            assert store.published_segments == ()
+            self._assert_reads_match(store, oracle)
+            assert [self._reads(view) for view in pinned] == expected
+            pinned.append(store.current())  # the folded base
+        assert len(oracle.find_by_name("ec", "colliding fresh concept")) == 4
+        assert len(oracle.find_by_name("ec", base_concept.text)) == 5
+
+    def test_fold_needs_a_frozen_base(self, built_tiny):
+        store = GenerationalStore(built_tiny.store)
+        _grow(store, "unfrozen")
+        store.publish()
+        with pytest.raises(GraphError):
+            AliCoCoStore().fold(store.published_segments)
 
     def test_compact_on_a_zero_segment_store_is_a_noop(self, built_tiny):
         store = GenerationalStore(built_tiny.store)
@@ -643,10 +772,20 @@ class TestCompaction:
         self, built_tiny, tagger, reranker, tmp_path
     ):
         config = ServiceConfig(seed=0)
-        store = self._grown(built_tiny)
+        store = GenerationalStore(built_tiny.store)
+        _grow(store, "c1")
+        store.publish()
+        # The service publishes the rest of the history itself, so its
+        # indexes are extended delta by delta — one delta with a primitive.
         service = AliCoCoService(
             store, config=config, tagger=tagger, reranker=reranker
         )
+        _grow(store, "c2")
+        service.publish()
+        _grow(store, "c3")
+        base_class = next(built_tiny.store.nodes("cls"))
+        primitive = store.create_primitive("fresh c3 primitive", base_class.id)
+        service.publish()
         requests = []
         for spec in built_tiny.concepts[:4]:
             concept_id = built_tiny.concept_ids[spec.text]
@@ -663,7 +802,12 @@ class TestCompaction:
             requests.append(("concepts_for_item", built_tiny.item_ids[index]))
         for primitive_id in list(built_tiny.primitive_ids.values())[:3]:
             requests.append(("hypernyms", primitive_id, True))
+        requests += [("hypernyms", primitive.id, True), ("tag", "fresh c3 primitive")]
         before = service.batch(requests)
+        fresh = AliCoCoService(
+            flatten(store), config=config, tagger=tagger, reranker=reranker
+        )
+        assert fresh.batch(requests) == before
         assert store.compact() == 3
         assert service.generation_id == 3
         assert service.batch(requests) == before

@@ -90,6 +90,14 @@ class TestStoreBasics:
             assert store.count_relations(kind) == \
                 sum(1 for r in store.relations() if r.kind == kind)
 
+    def test_layer_lists_match_the_filtered_walk(self, store):
+        store.create_item("late item")
+        store.create_ecommerce("late concept")
+        for layer in ("cls", "pc", "ec", "item"):
+            assert list(store.nodes(layer)) == \
+                [n for n in store.nodes() if layer_of(n.id) == layer]
+        assert list(store.nodes("no-such-layer")) == []
+
     def test_domain_indexes_match_scans(self, store):
         classes = store.classes_in_domain("Category")
         assert {c.id for c in classes} == \
