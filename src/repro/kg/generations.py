@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
+from itertools import islice
 from typing import Iterable, Iterator
 
 from ..errors import (
@@ -134,6 +135,17 @@ class DeltaSegment:
             RelationKind.ITEM_ECOMMERCE,
         ):
             self.linked_item_ids.add(relation.source)
+
+
+def _skip(parts: list[tuple[int, Iterable]], count: int) -> Iterator:
+    """The items of the concatenated ``(size, items)`` parts past the
+    first ``count``; a part that ends within them is never iterated."""
+    for size, items in parts:
+        if count >= size:
+            count -= size
+            continue
+        yield from islice(items, count, None)
+        count = 0
 
 
 class GenerationView:
@@ -243,6 +255,34 @@ class GenerationView:
                 yield from segment.relations
             else:
                 yield from segment.by_kind.get(kind, [])
+
+    def nodes_since(self, count: int, layer: str | None = None) -> Iterator[Node]:
+        """The nodes of ``nodes(layer)`` past the first ``count``, in order.
+
+        Equal to ``islice(self.nodes(layer), count, None)``, but the base
+        and every segment lying wholly inside the first ``count`` are
+        skipped by their lengths instead of walked, so reading a publish's
+        new nodes costs the delta, not the net.
+        """
+        base = self._base
+        if layer is None:
+            parts = [(len(base), base._nodes.values())]
+            parts += [(len(s), s.nodes.values()) for s in self._segments]
+        else:
+            base_nodes = base._layer_nodes.get(layer, [])
+            parts = [(len(base_nodes), base_nodes)]
+            for s in self._segments:
+                nodes = (node for i, node in s.nodes.items() if layer_of(i) == layer)
+                parts.append((s.layer_counts.get(layer, 0), nodes))
+        return _skip(parts, count)
+
+    def relations_since(self, count: int) -> Iterator[Relation]:
+        """The relations of ``relations()`` past the first ``count``, in
+        order — ``islice(self.relations(), count, None)`` with the base
+        and whole segments skipped by their lengths."""
+        parts = [(len(self._base._relations), self._base._relations)]
+        parts += [(len(s.relations), s.relations) for s in self._segments]
+        return _skip(parts, count)
 
     def out_relations(self, node_id: str, kind: RelationKind) -> list[Relation]:
         """Outgoing relations of ``node_id``, base edges before delta edges."""

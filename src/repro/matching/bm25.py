@@ -144,7 +144,7 @@ class BM25Index:
         self._postings: dict[str, list[tuple[int, int]]] = {}
         self._norms: list[float] = []
         self._idf: dict[str, float] = {}
-        # Raw token counts per document; needed by add_documents to
+        # Raw token counts per document; needed by extended() to
         # recompute the corpus statistics.  None on an index rehydrated
         # from a pre-"lengths" snapshot state (read-only: refit to grow).
         self._lengths: list[int] | None = []
@@ -183,17 +183,21 @@ class BM25Index:
         self._fitted = True
         return self
 
-    def add_documents(
+    def extended(
             self, documents: Mapping[object, Sequence[str]]) -> "BM25Index":
-        """Extend the fitted index with new documents, refit-identically.
+        """A new index over this one's documents followed by ``documents``.
 
-        New documents take the positions after the existing collection
-        and the corpus statistics are recomputed over the grown
-        collection: document frequencies are recovered from the postings
-        lists, idf is rebuilt, and *every* norm is re-derived from the
-        stored raw lengths and the new average length.  The result is
-        bit-identical to ``fit`` over the concatenated collection —
-        scores, rankings and serialised state alike.
+        This index is left unchanged, so readers pinned to it keep
+        scoring against it.  New documents take the positions after the
+        existing collection.  Posting lists no new document touches are
+        shared with this index; each touched term gets a new list holding
+        the old entries plus the new ones.  The corpus statistics are
+        recomputed over the grown collection: the df of each term is its
+        postings length, idf is rebuilt, and *every* norm is re-derived
+        from the stored raw lengths and the new average length.  The
+        result is bit-identical to ``fit`` over the concatenated
+        collection — scores, rankings and serialised state alike.  With
+        no documents, this index itself is returned.
 
         Raises:
             NotFittedError: If the index has not been fitted.
@@ -215,31 +219,39 @@ class BM25Index:
             raise DataError(
                 f"documents already indexed: {clashes[:3]!r}"
                 f"{'...' if len(clashes) > 3 else ''}")
-        start = len(self._doc_ids)
-        lengths = list(self._lengths)
-        for position, (doc_id, tokens) in enumerate(documents.items(),
-                                                    start=start):
-            counts = Counter(tokens)
-            lengths.append(len(tokens))
-            self._doc_ids.append(doc_id)
-            for term, frequency in counts.items():
-                self._postings.setdefault(term, []).append(
-                    (position, frequency))
+        grown = type(self)(k1=self.k1, b=self.b)
+        grown._doc_ids = self._doc_ids + list(documents)
+        grown._lengths = self._lengths + [
+            len(tokens) for tokens in documents.values()]
+        postings = dict(self._postings)
+        touched: dict[str, list[tuple[int, int]]] = {}
+        for position, tokens in enumerate(documents.values(),
+                                          start=len(self._doc_ids)):
+            for term, frequency in Counter(tokens).items():
+                fresh = touched.get(term)
+                if fresh is None:
+                    fresh = touched[term] = list(postings.get(term, ()))
+                    postings[term] = fresh
+                fresh.append((position, frequency))
+        grown._postings = postings
         # Global statistics shift with every addition (n_docs, average
-        # length, per-term df), so idf and all norms are recomputed; the
-        # df of each term is exactly its postings length.
-        n_docs = len(self._doc_ids)
-        document_frequency = {
-            term: len(postings)
-            for term, postings in self._postings.items()}
-        average_length = sum(lengths) / n_docs
-        self._idf = _idf_table(document_frequency, n_docs)
-        self._norms = [
+        # length, per-term df), so idf and all norms are recomputed.
+        n_docs = len(grown._doc_ids)
+        average_length = sum(grown._lengths) / n_docs
+        grown._idf = _idf_table(
+            {term: len(entries) for term, entries in postings.items()},
+            n_docs)
+        grown._norms = [
             self.k1 * (1.0 - self.b + self.b * length
                        / max(average_length, 1e-9))
-            for length in lengths]
-        self._lengths = lengths
-        return self
+            for length in grown._lengths]
+        grown._fitted = True
+        return grown
+
+    @property
+    def doc_ids(self) -> tuple:
+        """Document ids in position order (read-only)."""
+        return tuple(self._doc_ids)
 
     def __len__(self) -> int:
         return len(self._doc_ids)
@@ -289,7 +301,7 @@ class BM25Index:
             index._idf = {term: float(value)
                           for term, value in state["idf"].items()}
             # Older snapshots predate the lengths field; such an index
-            # rehydrates read-only (add_documents raises, callers refit).
+            # rehydrates read-only (extended() raises, callers refit).
             lengths = state.get("lengths")
             index._lengths = ([int(length) for length in lengths]
                               if lengths is not None else None)

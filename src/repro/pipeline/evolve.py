@@ -13,8 +13,12 @@ re-runs the construction stages against fresh synthetic corpus batches:
    trained Section 5.2.2 model with :func:`classifier_stage`;
 3. **link** — INTERPRETED_BY edges from each accepted concept to the
    primitive concepts of its gold interpretation (Section 4.3);
-4. **match** — ITEM_ECOMMERCE edges to catalog items via the Section 6
-   ``item_matches_concept`` check, weighted like the offline build.
+4. **match** — ITEM_ECOMMERCE edges to catalog items.  As in the build,
+   candidates are retrieved before they are verified (Section 6): the
+   :class:`~repro.synth.index.ItemKeyIndex` hands over the items that
+   share the concept's key part, and each is checked with
+   ``item_matches_concept`` and weighted like the offline build — so a
+   new concept costs its key's items, not the whole catalog.
 
 Accepted concepts and relations are staged into the serving tier's
 :class:`~repro.kg.generations.GenerationalStore` open delta — invisible
@@ -49,6 +53,7 @@ from ..kg.ids import ECOMMERCE_PREFIX, PRIMITIVE_PREFIX
 from ..kg.nodes import ECommerceConcept
 from ..kg.relations import Relation, RelationKind
 from ..synth.guides import generate_guides
+from ..synth.index import ItemKeyIndex
 from ..synth.items import SynthItem, item_matches_concept
 from ..synth.queries import generate_queries
 from ..synth.world import ConceptSpec, World
@@ -102,8 +107,6 @@ class EvolutionConfig:
             driver wedges itself.
         backoff_base / backoff_max: Exponential backoff bounds between
             failed cycles, in seconds.
-        match_items: Cap on catalog items scanned per accepted concept
-            (``None`` scans the whole catalog handed to the driver).
     """
 
     seed: int = 7
@@ -118,22 +121,28 @@ class EvolutionConfig:
     max_retries: int = 3
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    match_items: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n_good", "n_queries", "n_guides", "publish_min_nodes",
-                     "max_retries"):
+        for name in (
+            "n_good",
+            "n_queries",
+            "n_guides",
+            "publish_min_nodes",
+            "max_retries",
+        ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("n_bad", "mined_top_k"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in ("publish_max_interval", "cycle_interval",
-                     "backoff_base", "backoff_max"):
+        for name in (
+            "publish_max_interval",
+            "cycle_interval",
+            "backoff_base",
+            "backoff_max",
+        ):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.match_items is not None and self.match_items < 0:
-            raise ConfigError("match_items must be >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -233,19 +242,17 @@ class EvolutionStats:
                 f"last error: {self.last_error or '-'}"
             )
         else:
+            last = f"; last error: {self.last_error}" if self.last_error else ""
             lines.append(
-                f"wedge: clear ({self.consecutive_failures}/"
-                f"{self.retry_budget} consecutive failures burned, "
-                f"{self.failures} total"
-                + (f"; last error: {self.last_error}" if self.last_error
-                   else "")
-                + ")"
+                f"wedge: clear ({self.consecutive_failures}/{self.retry_budget} "
+                f"consecutive failures burned, {self.failures} total{last})"
             )
         return "\n".join(lines)
 
 
-def classifier_stage(classifier: Any,
-                     threshold: float = 0.5) -> Callable[[ConceptSpec], bool]:
+def classifier_stage(
+    classifier: Any, threshold: float = 0.5
+) -> Callable[[ConceptSpec], bool]:
     """Acceptance check backed by a trained Section 5.2.2 classifier.
 
     Args:
@@ -275,7 +282,8 @@ class EvolutionDriver:
         world: Ground-truth world (candidate patterns, oracle, item
             matching all derive from it).
         items: Catalog :class:`~repro.synth.items.SynthItem` objects the
-            match stage scans (usually ``result.corpus.items``).
+            match stage draws from (usually ``result.corpus.items``); they
+            are indexed by key once, here.
         item_ids: ``item.index -> node id`` mapping for those items
             (usually ``result.item_ids``).
         config: Loop knobs.
@@ -310,8 +318,7 @@ class EvolutionDriver:
         self._target = target
         self._store = self._staging_store_of(target)
         self._world = world
-        self._items = list(items)
-        self._item_ids = dict(item_ids or {})
+        self._item_index = ItemKeyIndex(items, item_ids or {})
         self._mine = mine or self._default_mine
         self._classify = classify or self._default_classify
         self._link = link or self._default_link
@@ -342,11 +349,15 @@ class EvolutionDriver:
         self._last_error = ""
 
     @classmethod
-    def from_build(cls, result: Any, target: Any,
-                   **kwargs: Any) -> "EvolutionDriver":
+    def from_build(cls, result: Any, target: Any, **kwargs: Any) -> "EvolutionDriver":
         """Driver over a :class:`~repro.pipeline.build.BuildResult`."""
-        return cls(target, result.world, items=result.corpus.items,
-                   item_ids=dict(result.item_ids), **kwargs)
+        return cls(
+            target,
+            result.world,
+            items=result.corpus.items,
+            item_ids=dict(result.item_ids),
+            **kwargs,
+        )
 
     @staticmethod
     def _staging_store_of(target: Any) -> GenerationalStore:
@@ -369,15 +380,13 @@ class EvolutionDriver:
         """A new text batch: every cycle sees sentences no cycle saw."""
         seed = derive_seed(self.config.seed, "evolve-batch", str(cycle_index))
         rng = spawn_rng(self.config.seed, "evolve-cycle", str(cycle_index))
-        topics = self._world.sample_good_concepts(
-            rng, max(2, self.config.n_good))
-        queries = generate_queries(self._world, topics,
-                                   self.config.n_queries, seed=seed)
-        guides = generate_guides(self._world, topics,
-                                 self.config.n_guides, seed=seed)
+        topics = self._world.sample_good_concepts(rng, max(2, self.config.n_good))
+        queries = generate_queries(
+            self._world, topics, self.config.n_queries, seed=seed
+        )
+        guides = generate_guides(self._world, topics, self.config.n_guides, seed=seed)
         sentences = [list(query.tokens) for query in queries] + guides
-        return CorpusBatch(cycle_index=cycle_index, sentences=sentences,
-                           rng=rng)
+        return CorpusBatch(cycle_index=cycle_index, sentences=sentences, rng=rng)
 
     def _default_mine(self, batch: CorpusBatch) -> Sequence[ConceptSpec]:
         """Section 5.2.1 candidate pool over the batch.
@@ -387,47 +396,62 @@ class EvolutionDriver:
         phrase miner still runs so the batch's text is really mined.
         """
         specs, _mined, _report = self._generator.generate(
-            batch.sentences, batch.rng, self.config.n_good,
-            self.config.n_bad, mined_top_k=self.config.mined_top_k)
+            batch.sentences,
+            batch.rng,
+            self.config.n_good,
+            self.config.n_bad,
+            mined_top_k=self.config.mined_top_k,
+        )
         return specs
 
     def _default_classify(self, spec: ConceptSpec) -> bool:
         """Crowdsourcing substitute: the world's ground-truth label."""
         return spec.good
 
-    def _default_link(self, store: GenerationalStore, node: ECommerceConcept,
-                      spec: ConceptSpec) -> int:
+    def _default_link(
+        self, store: GenerationalStore, node: ECommerceConcept, spec: ConceptSpec
+    ) -> int:
         """INTERPRETED_BY edges to the gold primitive senses."""
         links = 0
         for part in spec.parts:
             primitive_id = self._primitive_id(part.surface, part.domain)
             if primitive_id is None:
                 continue
-            store.add_relation(Relation(
-                RelationKind.INTERPRETED_BY, node.id, primitive_id,
-                name=part.domain))
+            store.add_relation(
+                Relation(
+                    RelationKind.INTERPRETED_BY, node.id, primitive_id, name=part.domain
+                )
+            )
             links += 1
         return links
 
-    def _default_match(self, store: GenerationalStore,
-                       node: ECommerceConcept, spec: ConceptSpec,
-                       rng: np.random.Generator) -> int:
-        """ITEM_ECOMMERCE edges from matching catalog items."""
-        matches = 0
-        items = self._items
-        if self.config.match_items is not None:
-            items = items[: self.config.match_items]
-        for item in items:
-            item_id = self._item_ids.get(item.index)
-            if item_id is None:
-                continue
-            if item_matches_concept(self._world, item, spec):
-                weight = float(np.clip(rng.normal(0.8, 0.1), 0.05, 1.0))
-                store.add_relation(Relation(
-                    RelationKind.ITEM_ECOMMERCE, item_id, node.id,
-                    weight=weight))
-                matches += 1
-        return matches
+    def _default_match(
+        self,
+        store: GenerationalStore,
+        node: ECommerceConcept,
+        spec: ConceptSpec,
+        rng: np.random.Generator,
+    ) -> int:
+        """ITEM_ECOMMERCE edges from the catalog items that match ``spec``.
+
+        Candidates come from the item-key index and are verified with
+        ``item_matches_concept`` in catalog order, so the matched items,
+        and the weights drawn for them from ``rng``, come in the same
+        sequence as from a scan of the whole catalog.
+        """
+        matched = [
+            item_id
+            for item, item_id in self._item_index.candidates(spec)
+            if item_matches_concept(self._world, item, spec)
+        ]
+        # One array draw gives the same values, in the same order, as one
+        # scalar draw per matched item inside the verify loop.
+        weights = np.clip(rng.normal(0.8, 0.1, size=len(matched)), 0.05, 1.0)
+        for item_id, weight in zip(matched, weights.tolist()):
+            store.add_relation(
+                Relation(RelationKind.ITEM_ECOMMERCE, item_id, node.id, weight=weight)
+            )
+        return len(matched)
 
     def _primitive_id(self, surface: str, domain: str) -> str | None:
         key = (surface, domain)
@@ -441,14 +465,15 @@ class EvolutionDriver:
         return self._primitive_ids[key]
 
     def _is_known(self, text: str) -> bool:
-        return (text in self._staged_texts
-                or bool(self._store.find_by_name(ECOMMERCE_PREFIX, text)))
+        if text in self._staged_texts:
+            return True
+        return bool(self._store.find_by_name(ECOMMERCE_PREFIX, text))
 
-    def _timed(self, stage: str, call: Callable[[], Any]) -> Any:
+    def _timed(self, stage: str, call: Callable[..., Any], *args: Any) -> Any:
         """Run one stage invocation under its latency reservoir."""
         start = time.perf_counter()
         try:
-            return call()
+            return call(*args)
         finally:
             self._stage_rtt[stage].record(time.perf_counter() - start)
 
@@ -464,28 +489,23 @@ class EvolutionDriver:
             cycle_index = self._cycle_index
             self._cycle_index += 1
             batch = self._fresh_batch(cycle_index)
-            candidates = list(
-                self._timed("mine", lambda: self._mine(batch)))
+            store, rng = self._store, batch.rng
+            candidates = list(self._timed("mine", self._mine, batch))
             accepted = rejected = duplicates = links = matches = 0
             for spec in candidates:
-                if not self._timed(
-                        "classify", lambda s=spec: self._classify(s)):
+                if not self._timed("classify", self._classify, spec):
                     rejected += 1
                     continue
                 if self._is_known(spec.text):
                     duplicates += 1
                     continue
-                node = self._store.create_ecommerce(spec.text,
-                                                    source=spec.pattern)
+                node = store.create_ecommerce(spec.text, source=spec.pattern)
                 self._staged_texts.add(spec.text)
                 accepted += 1
-                links += int(self._timed(
-                    "link",
-                    lambda n=node, s=spec: self._link(self._store, n, s)))
-                matches += int(self._timed(
-                    "match",
-                    lambda n=node, s=spec: self._match(
-                        self._store, n, s, batch.rng)))
+                links += int(self._timed("link", self._link, store, node, spec))
+                matches += int(
+                    self._timed("match", self._match, store, node, spec, rng)
+                )
             with self._cond:
                 self._cycles += 1
                 self._accepted += accepted
@@ -493,9 +513,15 @@ class EvolutionDriver:
                 self._relations_staged += links + matches
             published = self._maybe_publish()
         return CycleReport(
-            cycle_index=cycle_index, candidates=len(candidates),
-            accepted=accepted, rejected=rejected, duplicates=duplicates,
-            links=links, matches=matches, published_generation=published)
+            cycle_index=cycle_index,
+            candidates=len(candidates),
+            accepted=accepted,
+            rejected=rejected,
+            duplicates=duplicates,
+            links=links,
+            matches=matches,
+            published_generation=published,
+        )
 
     def _maybe_publish(self, force: bool = False) -> int | None:
         with self._publish_lock:
@@ -509,8 +535,7 @@ class EvolutionDriver:
                 due_time = elapsed >= self.config.publish_max_interval
                 if not (due_size or due_time):
                     return None
-            generation_id = int(
-                self._timed("publish", self._target.publish))
+            generation_id = int(self._timed("publish", self._target.publish))
             self._last_publish = self._clock()
             with self._cond:
                 if waiting:
@@ -532,21 +557,20 @@ class EvolutionDriver:
         """
         with self._cond:
             if self._thread is not None and self._thread.is_alive():
-                raise ConfigError(
-                    f"evolution driver is already {self._state.value}")
+                raise ConfigError(f"evolution driver is already {self._state.value}")
             self._consecutive_failures = 0
             self._last_error = ""
             self._state = EvolutionState.RUNNING
             self._thread = threading.Thread(
-                target=self._run_loop, name="evolution-driver", daemon=True)
+                target=self._run_loop, name="evolution-driver", daemon=True
+            )
             self._thread.start()
 
     def pause(self) -> None:
         """Hold the loop between cycles; readers are unaffected."""
         with self._cond:
             if self._state is not EvolutionState.RUNNING:
-                raise ConfigError(
-                    f"cannot pause from state {self._state.value!r}")
+                raise ConfigError(f"cannot pause from state {self._state.value!r}")
             self._state = EvolutionState.PAUSED
             self._cond.notify_all()
 
@@ -563,12 +587,11 @@ class EvolutionDriver:
                 self._state = EvolutionState.RUNNING
                 restart = self._thread is None or not self._thread.is_alive()
             else:
-                raise ConfigError(
-                    f"cannot resume from state {self._state.value!r}")
+                raise ConfigError(f"cannot resume from state {self._state.value!r}")
             if restart:
                 self._thread = threading.Thread(
-                    target=self._run_loop, name="evolution-driver",
-                    daemon=True)
+                    target=self._run_loop, name="evolution-driver", daemon=True
+                )
                 self._thread.start()
 
     def drain(self, timeout: float | None = 10.0) -> int:
@@ -580,8 +603,11 @@ class EvolutionDriver:
         """
         thread = None
         with self._cond:
-            if self._state in (EvolutionState.RUNNING, EvolutionState.PAUSED,
-                               EvolutionState.DRAINING):
+            if self._state in (
+                EvolutionState.RUNNING,
+                EvolutionState.PAUSED,
+                EvolutionState.DRAINING,
+            ):
                 self._state = EvolutionState.DRAINING
                 self._cond.notify_all()
                 thread = self._thread
@@ -590,8 +616,9 @@ class EvolutionDriver:
         if thread is not None and thread.is_alive():
             thread.join(timeout)
             if thread.is_alive():
-                raise ConfigError("drain timed out mid-cycle; the loop "
-                                  "will still flush and stop")
+                raise ConfigError(
+                    "drain timed out mid-cycle; the loop will still flush and stop"
+                )
         else:
             self._maybe_publish(force=True)
         return self._store.generation_id
@@ -616,13 +643,19 @@ class EvolutionDriver:
         for stage in EVOLUTION_STAGES:
             reservoir = self._stage_rtt[stage]
             summary = reservoir.percentiles_ms()
-            stage_latency.append(StageLatency(
-                stage=stage, calls=reservoir.count,
-                p50_ms=summary["p50"], p95_ms=summary["p95"],
-                p99_ms=summary["p99"]))
+            stage_latency.append(
+                StageLatency(
+                    stage=stage,
+                    calls=reservoir.count,
+                    p50_ms=summary["p50"],
+                    p95_ms=summary["p95"],
+                    p99_ms=summary["p99"],
+                )
+            )
         with self._cond:
             return EvolutionStats(
-                state=self._state, cycles=self._cycles,
+                state=self._state,
+                cycles=self._cycles,
                 failures=self._failures,
                 consecutive_failures=self._consecutive_failures,
                 concepts_accepted=self._accepted,
@@ -630,10 +663,12 @@ class EvolutionDriver:
                 relations_staged=self._relations_staged,
                 publishes=self._publishes,
                 generation_id=self._store.generation_id,
-                open_nodes=open_nodes, open_relations=open_relations,
+                open_nodes=open_nodes,
+                open_relations=open_relations,
                 last_error=self._last_error,
                 retry_budget=self.config.max_retries,
-                stage_latency=tuple(stage_latency))
+                stage_latency=tuple(stage_latency),
+            )
 
     # ------------------------------------------------------ background loop
     def _run_loop(self) -> None:
@@ -680,8 +715,7 @@ class EvolutionDriver:
                     return True
                 return False
             exponent = self._consecutive_failures - 1
-        delay = min(self.config.backoff_max,
-                    self.config.backoff_base * (2.0 ** exponent))
+        delay = min(self.config.backoff_max, self.config.backoff_base * (2.0**exponent))
         self._sleep(delay)
         return False
 

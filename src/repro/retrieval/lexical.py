@@ -55,9 +55,9 @@ class BM25Retriever(BaseRetriever):
     def add(self, ids: Sequence, data: Sequence) -> "BM25Retriever":
         """Extend the index with new documents, refit-identically.
 
-        Delegates to :meth:`BM25Index.add_documents`, which recomputes
-        the corpus statistics (idf, average length, every norm) over the
-        grown collection — scores and rankings match a fresh fit of the
+        Swaps in :meth:`BM25Index.extended`, which recomputes the corpus
+        statistics (idf, average length, every norm) over the grown
+        collection — scores and rankings match a fresh fit of the
         concatenated collection exactly.
 
         Raises:
@@ -69,7 +69,7 @@ class BM25Retriever(BaseRetriever):
         if len(ids) != len(data):
             raise DataError(f"{len(ids)} ids for {len(data)} token sequences")
         if ids:
-            self._index.add_documents(
+            self._index = self._index.extended(
                 dict(zip(ids, (list(tokens) for tokens in data)))
             )
         return self

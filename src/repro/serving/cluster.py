@@ -95,7 +95,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -143,6 +142,7 @@ from .service import (
     BatchResult,
     ServiceConfig,
     ServingGeneration,
+    extend_concept_index,
     fit_concept_index,
     request_query_state,
     require_layer,
@@ -869,10 +869,8 @@ class AliCoCoCluster:
             # behind ghost replicas of its endpoints — and either applied
             # to the in-process shard stores or shipped to the workers
             # over RPC, byte-for-byte the same sequence either way.
-            fresh_nodes = list(islice(view.nodes(), old.node_count, None))
-            fresh_relations = list(
-                islice(view.relations(), old.relation_count, None)
-            )
+            fresh_nodes = list(view.nodes_since(old.node_count))
+            fresh_relations = list(view.relations_since(old.relation_count))
             shard_ops: list[list[tuple[str, Any]]] = [
                 [] for _ in range(self.n_shards)
             ]
@@ -890,7 +888,9 @@ class AliCoCoCluster:
                     for endpoint in (relation.source, relation.target):
                         ops.append(("ghost", view.get(endpoint)))
                     ops.append(("relation", relation))
-            search_index = self._next_global_index(old, view)
+            search_index = extend_concept_index(
+                old.search_index, view, old.concept_count
+            )
             projections = split_concept_index(search_index, self.n_shards)
             item_position = dict(old.item_position)
             for node in fresh_nodes:
@@ -949,43 +949,12 @@ class AliCoCoCluster:
                 self._cache.begin_generation(f"gen-{generation_id}")
             return generation_id
 
-    def _next_global_index(
-        self, old: ClusterGeneration, view: Any
-    ) -> BM25Index | None:
-        """The next generation's global concept index (clone + add).
-
-        Mirrors :meth:`AliCoCoService._next_search_index`: the old index
-        is cloned through its serialised state and extended — exactly
-        refit-identical — with a full refit as the fallback for states
-        predating raw-length persistence.
-        """
-        fresh = [
-            node
-            for node in islice(
-                view.nodes(ECOMMERCE_PREFIX), old.concept_count, None
-            )
-            if node.tokens
-        ]
-        if not fresh:
-            return old.search_index
-        if old.search_index is None:
-            return fit_concept_index(view)
-        try:
-            clone = BM25Index.from_state(old.search_index.to_state())
-            clone.add_documents({node.id: list(node.tokens) for node in fresh})
-            return clone
-        except DataError:
-            return fit_concept_index(view)
-
     @staticmethod
     def _positions_of(index: BM25Index | None) -> dict[str, int]:
         """Doc id -> global fit position over an index's document walk."""
         if index is None:
             return {}
-        return {
-            doc_id: position
-            for position, doc_id in enumerate(index.to_state()["doc_ids"])
-        }
+        return {doc_id: position for position, doc_id in enumerate(index.doc_ids)}
 
     # ------------------------------------------------------------- endpoints
     def items_for_concept(self, concept_id: str, top_k: int | None = None) -> tuple:

@@ -381,6 +381,35 @@ def fit_concept_index(
     return BM25Index(k1=k1, b=b).fit(documents)
 
 
+def extend_concept_index(
+    index: BM25Index | None, view: Any, covered: int
+) -> BM25Index | None:
+    """The concept index of a newly published generation.
+
+    Grows ``index`` by the concepts of the generation ``view`` past its
+    first ``covered``.  The old index is never mutated:
+    :meth:`BM25Index.extended` returns a new, exactly refit-identical
+    index that shares the posting lists the new concepts do not touch,
+    so requests pinned to the old generation keep searching the old
+    index.  With no new concepts the old index is returned as is; with
+    no old index, or an old state predating raw-length persistence, the
+    view is refit.
+    """
+    fresh = {
+        node.id: list(node.tokens)
+        for node in view.nodes_since(covered, ECOMMERCE_PREFIX)
+        if node.tokens
+    }
+    if not fresh:
+        return index
+    if index is None:
+        return fit_concept_index(view)
+    try:
+        return index.extended(fresh)
+    except DataError:
+        return fit_concept_index(view)
+
+
 def require_model(module: Module | None, name: str, endpoint: str) -> Module:
     """The served module, or a :class:`~repro.errors.ConfigError` naming
     the endpoint that needs it — shared by the service, the cluster and
@@ -925,40 +954,16 @@ class AliCoCoService:
                 self._doc_cache.begin_generation(f"gen-{generation_id}")
             return generation_id
 
-    def _next_search_index(
-        self, old: ServingGeneration, view: Any
-    ) -> BM25Index | None:
-        """The next generation's concept index: extended, refit, or reused.
-
-        The old index is never mutated — extension clones it through its
-        serialised state first (:meth:`BM25Index.add_documents` is exactly
-        refit-identical, see :mod:`repro.matching.bm25`), so requests
-        pinned to the old generation keep searching the old index.  A
-        state predating raw-length persistence cannot extend; it refits.
-        """
+    def _next_search_index(self, old: ServingGeneration, view: Any) -> BM25Index | None:
+        """The next generation's concept index: extended, refit, or reused
+        (see :func:`extend_concept_index`)."""
         if not self._fit_search_index:
             # Shard services serve projections of a cluster-global index;
             # extending one locally would break scatter-gather parity.
             # The cluster advances them by passing fresh projections
             # through publish(search_index=...).
             return old.search_index
-        fresh = [
-            node
-            for node in islice(
-                view.nodes(ECOMMERCE_PREFIX), old.ecommerce_count, None
-            )
-            if node.tokens
-        ]
-        if not fresh:
-            return old.search_index
-        if old.search_index is None:
-            return fit_concept_index(view)
-        try:
-            clone = BM25Index.from_state(old.search_index.to_state())
-            clone.add_documents({node.id: list(node.tokens) for node in fresh})
-            return clone
-        except DataError:
-            return fit_concept_index(view)
+        return extend_concept_index(old.search_index, view, old.ecommerce_count)
 
     def _next_dense_indexes(
         self, old: ServingGeneration, view: Any

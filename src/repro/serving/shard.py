@@ -231,15 +231,10 @@ def split_concept_index(index: BM25Index | None,
         raise ConfigError(f"n_shards must be positive, got {n_shards}")
     if index is None:
         return [None] * n_shards
-    doc_ids = index.to_state()["doc_ids"]
     return [
         project_bm25_index(
             index,
-            (
-                doc_id
-                for doc_id in doc_ids
-                if shard_of(doc_id, n_shards) == shard
-            ),
+            (doc_id for doc_id in index.doc_ids if shard_of(doc_id, n_shards) == shard),
         )
         for shard in range(n_shards)
     ]

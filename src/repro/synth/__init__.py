@@ -20,7 +20,7 @@ that exercise the same code paths:
 from .lexicon import LexEntry, Lexicon, build_lexicon
 from .world import World, ConceptSpec
 from .items import SynthItem, generate_items
-from .index import ConceptCandidateIndex, PartSignatureIndex
+from .index import ConceptCandidateIndex, ItemKeyIndex, PartSignatureIndex
 from .corpus import Corpus, build_corpus
 from .glosses import GlossKB, build_gloss_kb
 from .oracle import Oracle
@@ -29,7 +29,7 @@ __all__ = [
     "LexEntry", "Lexicon", "build_lexicon",
     "World", "ConceptSpec",
     "SynthItem", "generate_items",
-    "ConceptCandidateIndex", "PartSignatureIndex",
+    "ConceptCandidateIndex", "ItemKeyIndex", "PartSignatureIndex",
     "Corpus", "build_corpus",
     "GlossKB", "build_gloss_kb",
     "Oracle",

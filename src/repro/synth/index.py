@@ -3,20 +3,28 @@
 The paper never scores every item against every concept: candidates are
 retrieved from inverted indexes first and only those are deep-matched
 (Section 6; AliCG makes the same move for serving).  This module provides
-the two indexes the build pipeline needs to stay near-linear:
+the three indexes the build pipeline and the evolution loop need to stay
+near-linear:
 
 - :class:`ConceptCandidateIndex` — inverted index from *required part
   surfaces* (category head, event, audience) to :class:`ConceptSpec`s, so
   the item layer only verifies ``item_matches_concept`` on candidates;
+- :class:`ItemKeyIndex` — its transpose, from the same keys to catalog
+  items, so a concept mined after the build (:mod:`repro.pipeline.evolve`)
+  is verified against its key's items instead of the whole catalog;
 - :class:`PartSignatureIndex` — postings from part to concepts, replacing
   the O(n²) concept-isA double loop with subset lookups.
 
-Both are exact accelerations: every concept the brute-force scan would
+All three are exact accelerations: every match the brute-force scan would
 accept is guaranteed to be in the candidate set (see the per-class
-docstrings for the argument), so build output is bit-identical.
+docstrings for the argument), and candidates come back in scan order, so
+output is bit-identical.  One key rule (``_key_of`` / ``_item_keys``)
+serves both directions.
 """
 
 from __future__ import annotations
+
+from typing import Mapping, Sequence
 
 from .items import SynthItem
 from .world import ConceptSpec
@@ -75,7 +83,8 @@ class ConceptCandidateIndex:
 
     def __init__(self, concepts: list[ConceptSpec]):
         self._position: dict[int, int] = {
-            id(spec): i for i, spec in enumerate(concepts)}
+            id(spec): i for i, spec in enumerate(concepts)
+        }
         self._buckets: dict[tuple[str, str], list[ConceptSpec]] = {}
         self._always: list[ConceptSpec] = []
         self.n_indexed = 0
@@ -115,10 +124,52 @@ class ConceptCandidateIndex:
         at most its keys' buckets plus the always-candidate set.
         """
         sizes = [len(bucket) for bucket in self._buckets.values()]
-        return {"buckets": len(self._buckets),
-                "indexed_concepts": self.n_indexed,
-                "always_candidates": len(self._always),
-                "largest_bucket": max(sizes, default=0)}
+        return {
+            "buckets": len(self._buckets),
+            "indexed_concepts": self.n_indexed,
+            "always_candidates": len(self._always),
+            "largest_bucket": max(sizes, default=0),
+        }
+
+
+class ItemKeyIndex:
+    """Inverted index from item keys to ``(item, item id)`` catalog pairs.
+
+    The transpose of :class:`ConceptCandidateIndex`: that index answers
+    "which concepts can match this item", this one "which items can
+    match this concept".  A good concept matches an item only if its key
+    part does, and ``_item_keys`` enumerates exactly the keys whose part
+    an item satisfies — so the key's bucket holds every item the concept
+    can match.  A concept without a key (a ``"gifts"``-only category
+    with no event or audience) gets the whole catalog.
+
+    Buckets keep catalog order, so a verify loop over the candidates
+    meets the matching items in the same sequence as a full scan and
+    consumes RNG draws identically.  Items without an id are dropped at
+    index time, as a scan would skip them.
+
+    Args:
+        items: The catalog, in catalog order.
+        item_ids: ``item.index -> node id`` for the items in the net.
+    """
+
+    def __init__(self, items: Sequence[SynthItem], item_ids: Mapping[int, str]):
+        pairs = ((item, item_ids.get(item.index)) for item in items)
+        self._catalog: list[tuple[SynthItem, str]] = [
+            (item, item_id) for item, item_id in pairs if item_id is not None
+        ]
+        self._buckets: dict[tuple[str, str], list[tuple[SynthItem, str]]] = {}
+        for pair in self._catalog:
+            for key in dict.fromkeys(_item_keys(pair[0])):
+                self._buckets.setdefault(key, []).append(pair)
+
+    def candidates(self, spec: ConceptSpec) -> list[tuple[SynthItem, str]]:
+        """Superset of the ``(item, item id)`` pairs that can match
+        ``spec``, in catalog order.  Do not mutate the returned list."""
+        key = _key_of(spec)
+        if key is None:
+            return self._catalog
+        return self._buckets.get(key, [])
 
 
 class PartSignatureIndex:
@@ -136,7 +187,8 @@ class PartSignatureIndex:
         self._position = {spec.text: i for i, spec in enumerate(concepts)}
         self.signatures: dict[str, frozenset[tuple[str, str]]] = {
             spec.text: frozenset((p.surface, p.domain) for p in spec.parts)
-            for spec in concepts}
+            for spec in concepts
+        }
         self._postings: dict[tuple[str, str], list[str]] = {}
         for spec in concepts:
             for part in self.signatures[spec.text]:

@@ -22,11 +22,13 @@ Contracts under test:
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DataError
 from repro.kg import GenerationalStore
 from repro.kg.ids import ECOMMERCE_PREFIX
+from repro.kg.relations import Relation, RelationKind
 from repro.pipeline import (
     EVOLUTION_STAGES,
     EvolutionConfig,
@@ -35,6 +37,7 @@ from repro.pipeline import (
     classifier_stage,
 )
 from repro.serving import AliCoCoService, ServiceConfig
+from repro.synth.items import item_matches_concept
 from repro.utils.rng import spawn_rng
 
 FAST = dict(n_queries=10, n_guides=6, n_good=3, n_bad=2, cycle_interval=0.0)
@@ -78,7 +81,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(n_good=0), dict(n_queries=0), dict(publish_min_nodes=0),
         dict(max_retries=0), dict(n_bad=-1), dict(backoff_base=-0.1),
-        dict(cycle_interval=-1.0), dict(match_items=-1),
+        dict(cycle_interval=-1.0),
     ])
     def test_bad_knobs_are_loud(self, bad):
         with pytest.raises(ConfigError):
@@ -111,6 +114,40 @@ class TestRunCycle:
             (n.id, n.text) for n in right.nodes(ECOMMERCE_PREFIX)
         ]
         assert list(left.relations()) == list(right.relations())
+
+    def test_indexed_match_stages_what_a_catalog_scan_stages(self, built_tiny):
+        """The default match stage retrieves candidates through the
+        item-key index; over many cycles it must stage bit-identical
+        relations and weights to the whole-catalog scan it replaced,
+        which lives on here only as the oracle."""
+
+        def scan_match(store, node, spec, rng):
+            matches = 0
+            for item in built_tiny.corpus.items:
+                item_id = built_tiny.item_ids.get(item.index)
+                if item_id is None:
+                    continue
+                if item_matches_concept(built_tiny.world, item, spec):
+                    weight = float(np.clip(rng.normal(0.8, 0.1), 0.05, 1.0))
+                    store.add_relation(
+                        Relation(
+                            RelationKind.ITEM_ECOMMERCE, item_id, node.id, weight=weight
+                        )
+                    )
+                    matches += 1
+            return matches
+
+        indexed_store, _, indexed = _driver(built_tiny, seed=29, publish_min_nodes=1)
+        scan_store, _, scan = _driver(
+            built_tiny, seed=29, publish_min_nodes=1, match=scan_match
+        )
+        reports = [(indexed.run_cycle(), scan.run_cycle()) for _ in range(24)]
+        assert all(left == right for left, right in reports)
+        assert sum(left.matches for left, _ in reports) > 0
+        assert list(indexed_store.relations()) == list(scan_store.relations())
+        assert [n.id for n in indexed_store.nodes()] == [
+            n.id for n in scan_store.nodes()
+        ]
 
     def test_mined_concept_is_served_end_to_end(self, built_tiny):
         store, service, driver = _driver(built_tiny, seed=17,

@@ -20,6 +20,8 @@ These tests pin the three contracts the design stands on:
   cleared, and snapshots round-trip the full generation history.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.concepts import ConceptTagger
@@ -667,6 +669,31 @@ class TestCompaction:
         assert store.base_generation == 3
         assert store.published_segments == ()
         self._assert_reads_match(store, oracle)
+
+    def test_delta_reads_equal_the_islice_walk_across_compaction(self, built_tiny):
+        """``nodes_since``/``relations_since`` skip whole parts by length
+        and must still yield exactly the walk past every count — over
+        segments, over a compacted base, and over both at once."""
+        store = self._grown(built_tiny)
+        for stage, n_segments in (("segments", 3), ("compacted", 0), ("both", 2)):
+            if stage == "compacted":
+                store.compact()
+            elif stage == "both":
+                for tag in ("c4", "c5"):
+                    _grow(store, tag)
+                    store.publish()
+            assert len(store.published_segments) == n_segments
+            view = store.current()
+            for layer in (None, "cls", "pc", "ec", "item"):
+                for count in range(len(view) + 2):
+                    assert list(view.nodes_since(count, layer)) == list(
+                        islice(view.nodes(layer), count, None)
+                    ), (stage, layer, count)
+            n_relations = sum(view.count_relations(kind) for kind in RelationKind)
+            for count in range(n_relations + 2):
+                assert list(view.relations_since(count)) == list(
+                    islice(view.relations(), count, None)
+                ), (stage, count)
 
     def test_fold_of_a_fold_matches_flatten_and_mutates_nothing(self, built_tiny):
         """Segments that hit the same keys as each other and as the base:

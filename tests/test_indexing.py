@@ -1,6 +1,7 @@
 """Tests for the candidate-indexing layer: indexed build parity,
 inverted-index completeness, BM25 retrieval, and stage timing."""
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -13,8 +14,10 @@ from repro.errors import DataError, NotFittedError
 from repro.matching.bm25 import BM25Index
 from repro.matching.retrieval import BM25CandidateGenerator
 from repro.pipeline.build import build_alicoco
-from repro.synth.index import ConceptCandidateIndex, PartSignatureIndex
+from repro.synth.index import (ConceptCandidateIndex, ItemKeyIndex,
+                               PartSignatureIndex)
 from repro.synth.items import item_matches_concept
+from repro.synth.world import ConceptPart, ConceptSpec
 from repro.utils.timing import StageTimer
 
 
@@ -78,6 +81,38 @@ def test_candidate_index_prunes(rng):
     index = ConceptCandidateIndex(concepts)
     average = sum(len(index.candidates(item)) for item in items) / len(items)
     assert average < len(concepts) / 2
+
+
+@pytest.mark.parametrize("id_every", [1, 7])
+def test_item_key_index_verified_equals_catalog_scan(built_tiny, id_every):
+    """Indexed candidates, verified, are exactly the items a scan of the
+    whole catalog matches, in catalog order — for every concept of a
+    build, a keyless "gifts"-only concept and concepts that are not good.
+    With ``id_every=7`` only every seventh item has a node id; the others
+    are skipped, as the scan skips them."""
+    world, items = built_tiny.world, built_tiny.corpus.items
+    item_ids = {index: item_id
+                for index, item_id in built_tiny.item_ids.items()
+                if index % id_every == 0}
+    gifts = ConceptSpec("gifts", (ConceptPart("gifts", "Category"),),
+                        pattern="test", good=True)
+    specs = list(built_tiny.concepts) + [gifts] + [
+        replace(spec, good=False) for spec in built_tiny.concepts[:5]]
+    index = ItemKeyIndex(items, item_ids)
+    for spec in specs:
+        scan = [(item.index, item_ids[item.index]) for item in items
+                if item.index in item_ids
+                and item_matches_concept(world, item, spec)]
+        indexed = [(item.index, item_id)
+                   for item, item_id in index.candidates(spec)
+                   if item_matches_concept(world, item, spec)]
+        assert indexed == scan, spec.text
+    # The "gifts"-only concept has no key: every item is a candidate and
+    # every item matches.  Keyed concepts narrow the catalog.
+    assert len(index.candidates(gifts)) == len(item_ids)
+    keyed = [spec for spec in built_tiny.concepts
+             if len(index.candidates(spec)) < len(item_ids)]
+    assert len(keyed) > len(built_tiny.concepts) / 2
 
 
 def test_part_signature_index_matches_double_loop(rng):
@@ -176,6 +211,25 @@ class TestBM25Index:
 
     def test_len(self, documents):
         assert len(BM25Index().fit(documents)) == len(documents)
+
+    def test_extended_equals_refit_and_leaves_the_old_index(self, documents):
+        ids = list(documents)
+        head = {doc_id: documents[doc_id] for doc_id in ids[:25]}
+        tail = {doc_id: documents[doc_id] for doc_id in ids[25:]}
+        old = BM25Index().fit(head)
+        before = json.dumps(old.to_state())
+        grown = old.extended(tail)
+        # Serialised byte for byte: postings, norms, idf, key order.
+        assert json.dumps(grown.to_state()) == \
+            json.dumps(BM25Index().fit(documents).to_state())
+        assert json.dumps(old.to_state()) == before
+        assert grown.doc_ids == tuple(ids)
+        assert old.doc_ids == tuple(ids[:25])
+        assert old.extended({}) is old
+        with pytest.raises(DataError):
+            old.extended({ids[0]: ["w1"]})
+        with pytest.raises(NotFittedError):
+            BM25Index().extended(tail)
 
 
 class TestBM25MatcherCache:
