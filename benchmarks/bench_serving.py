@@ -4,9 +4,10 @@ The production story of the paper (Section 7) is a *served* net: built
 offline, answered online.  This benchmark measures the two properties the
 serving layer exists for, and asserts both:
 
-- **warm start**: loading a versioned snapshot (store replay through the
-  trusted bulk path + BM25 rehydration) must be at least 2x faster than a
-  fresh ``build_alicoco`` + service init at the same scale;
+- **warm start**: loading a format-2 snapshot (digest checks, the store
+  bulk-built from its relation columns, BM25 rehydration) must be at
+  least 2x faster than a fresh ``build_alicoco`` + service init at the
+  same scale;
 - **caching**: the LRU must put the cached-search p50 at least 10x below
   the uncached p50.
 
@@ -90,10 +91,10 @@ def test_serving(tmp_path, report):
     fresh = AliCoCoService.from_build(built, config_fingerprint=scale.fingerprint())
     cold_seconds = time.perf_counter() - start
 
-    snapshot_path = tmp_path / "net.snapshot.jsonl"
-    snapshot_lines = fresh.save_snapshot(snapshot_path)
+    snapshot_path = tmp_path / "net.snapshot"
+    snapshot_bytes = fresh.save_snapshot(snapshot_path)
 
-    # Warm path: replay the snapshot, rehydrate the index, skip the build.
+    # Warm path: load the snapshot, rehydrate the index, skip the build.
     # Best of three loads = steady-state restart cost, insulated from
     # one-off page-cache/allocator warmup noise.
     warm_seconds = float("inf")
@@ -172,7 +173,7 @@ def test_serving(tmp_path, report):
 
     lines = [
         f"Serving at {_N_ITEMS} items / {_N_CONCEPTS} concepts ({scale.name})",
-        f"  snapshot: {snapshot_lines} lines (fingerprint {scale.fingerprint()})",
+        f"  snapshot: {snapshot_bytes} bytes (fingerprint {scale.fingerprint()})",
         f"  cold start (build + index fit):  {cold_seconds * 1e3:9.1f} ms",
         f"  warm start (snapshot + rehydrate): {warm_seconds * 1e3:7.1f} ms"
         f"  -> {warm_speedup:.1f}x",
@@ -243,8 +244,8 @@ def test_model_serving(tmp_path, report):
     )
     cold_model_seconds = time.perf_counter() - start
 
-    snapshot_path = tmp_path / "net.models.snapshot.jsonl"
-    snapshot_lines = fresh.save_snapshot(snapshot_path)
+    snapshot_path = tmp_path / "net.models.snapshot"
+    snapshot_bytes = fresh.save_snapshot(snapshot_path)
 
     # Warm-bundle start: fresh (untrained) architectures, weights from
     # the snapshot's model bundle.  Best of three, as for the store.
@@ -309,7 +310,7 @@ def test_model_serving(tmp_path, report):
             [
                 f"Model serving at {_N_ITEMS} items / {_N_CONCEPTS} "
                 f"concepts ({scale.name})",
-                f"  snapshot with model bundle: {snapshot_lines} lines",
+                f"  snapshot with model bundle: {snapshot_bytes} bytes",
                 f"  cold model start (train tagger+reranker): "
                 f"{cold_model_seconds * 1e3:9.1f} ms",
                 f"  warm-bundle start (restore weights):      "

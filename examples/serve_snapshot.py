@@ -1,8 +1,9 @@
 """Serving demo (Section 7): build once, snapshot, restart, query.
 
 Walks the offline/online split the paper deploys at Alibaba: construct
-the net offline, persist it as a versioned snapshot, then warm-start the
-online service from that snapshot (no rebuild, no index re-fit) and
+the net offline, persist it as a checksummed snapshot (format 2, see
+``repro.kg.serialize``), then warm-start the online service from that
+snapshot (no rebuild, no index re-fit; a damaged file is refused) and
 answer concept queries — including an enveloped batch, where a bad
 request comes back as a ``BatchResult`` error envelope instead of
 throwing away its neighbours' completed work.
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from repro import build_alicoco, TINY
 from repro.concepts import ConceptTagger
-from repro.errors import OverloadedError
+from repro.errors import DataError, OverloadedError
 from repro.kg import GenerationalStore
 from repro.kg.relations import RelationKind
 from repro.pipeline import EvolutionConfig, EvolutionDriver
@@ -94,10 +95,22 @@ def main() -> None:
     cold_ms = (time.perf_counter() - start) * 1e3
     print(f"cold start (build + index fit): {cold_ms:.0f} ms")
 
-    # --- persist: one versioned, atomically written snapshot file --------
-    snapshot = Path(tempfile.mkdtemp()) / "net.snapshot.jsonl"
-    lines = service.save_snapshot(snapshot)
-    print(f"snapshot: {lines} lines at {snapshot}")
+    # --- persist: one checksummed, atomically written snapshot file -----
+    snapshot = Path(tempfile.mkdtemp()) / "net.snapshot"
+    size = service.save_snapshot(snapshot)
+    print(f"snapshot: {size} bytes at {snapshot}")
+
+    # A flipped bit anywhere fails a digest before anything is built.
+    damaged = bytearray(snapshot.read_bytes())
+    damaged[len(damaged) // 2] ^= 1
+    damaged_path = snapshot.with_name("damaged.snapshot")
+    damaged_path.write_bytes(bytes(damaged))
+    try:
+        AliCoCoService.from_snapshot(damaged_path)
+    except DataError as error:
+        print(f"damaged copy refused: {error}")
+    else:
+        raise AssertionError("a damaged snapshot must not load")
 
     # --- restart: warm-start a fresh service from the snapshot -----------
     start = time.perf_counter()
@@ -105,7 +118,7 @@ def main() -> None:
         snapshot, expected_fingerprint=TINY.fingerprint()
     )
     warm_ms = (time.perf_counter() - start) * 1e3
-    print(f"warm start (snapshot replay): {warm_ms:.0f} ms")
+    print(f"warm start (snapshot load): {warm_ms:.0f} ms")
 
     # --- query: the production surface, one concept card's worth ---------
     spec = built.concepts[0]
@@ -162,7 +175,7 @@ def main() -> None:
     )
     print(f"trained in {train_ms:.0f} ms; serving {modelled.models}")
 
-    bundle_path = snapshot.with_name("net.models.snapshot.jsonl")
+    bundle_path = snapshot.with_name("net.models.snapshot")
     modelled.save_snapshot(bundle_path)
 
     # Restart with weights from the bundle: fresh architectures, no
@@ -233,7 +246,7 @@ def main() -> None:
     for concept_id, prob in answers:
         print(f"  p={prob:.3f}  {hybrid.store.get(concept_id).text!r}")
 
-    hybrid_path = snapshot.with_name("net.hybrid.snapshot.jsonl")
+    hybrid_path = snapshot.with_name("net.hybrid.snapshot")
     hybrid.save_snapshot(hybrid_path)
     start = time.perf_counter()
     warm_hybrid = AliCoCoService.from_snapshot(
@@ -407,7 +420,7 @@ def main() -> None:
 
     # The folded generation rides the snapshot: a warm restart resumes
     # the numbering and keeps growing from where the driver left off.
-    evolved_path = snapshot.with_name("evolved.snapshot.jsonl")
+    evolved_path = snapshot.with_name("evolved.snapshot")
     evolving.save_snapshot(evolved_path)
     warm_evolved = AliCoCoService.from_snapshot(evolved_path)
     assert warm_evolved.generation_id == final_generation

@@ -39,6 +39,13 @@ class RelationKind(enum.Enum):
     #: class -> class schema relation such as suitable_when (Section 2)
     SCHEMA = (CLASS_PREFIX, CLASS_PREFIX, "schema")
 
+    # Members are singletons, so identity hashing is exact.  Enum's own
+    # __hash__ runs in Python, and every (node id, kind) index key pays
+    # it on each store read and write; object.__hash__ is the C slot.
+    # Like any salted hash it varies between processes, so code must
+    # never iterate a set of kinds (dicts keep insertion order).
+    __hash__ = object.__hash__
+
     @property
     def source_layer(self) -> str:
         return self.value[0]

@@ -1,57 +1,91 @@
-"""JSON-lines persistence for a full AliCoCo store, plus versioned snapshots.
+"""Persistence for a full AliCoCo store: a record stream and snapshots.
 
 Two formats live here:
 
-- the original *record stream* (:func:`save_store` / :func:`load_store`):
-  one JSON object per line, nodes then relations, no framing — kept
-  byte-compatible with files written before snapshots existed;
-- the *versioned snapshot* (:func:`save_snapshot` / :func:`load_snapshot`):
-  the same record stream prefixed with a header line carrying a format
-  version, node/relation counts and a build-config fingerprint, and
-  suffixed with serialised query-index state (e.g. the fitted
-  :class:`~repro.matching.bm25.BM25Index` over concept texts) and an
-  optional *model bundle* — one record per trained model, built on
-  :func:`repro.ml.serialize.module_state_record`, carrying exact float64
-  weights plus an architecture fingerprint that is re-validated when the
-  weights are loaded into a live module.  A serving process warm-starts
-  graph, search indexes *and* models from the one artifact — see
-  :mod:`repro.serving`.
+- the *record stream* (:func:`save_store` / :func:`load_store`): one
+  JSON object per line, nodes then relations, no framing.  It replays
+  through the validating :meth:`~repro.kg.store.AliCoCoStore.add_node` /
+  :meth:`~repro.kg.store.AliCoCoStore.add_relation`, so a hand-edited
+  file is checked edge by edge.
+- the *snapshot*, format 2 (:func:`save_snapshot` / :func:`load_snapshot`,
+  :func:`save_generations` / :func:`load_generations`): the net, its
+  serialised query-index states (e.g. the fitted
+  :class:`~repro.matching.bm25.BM25Index` over concept texts) and a
+  *model bundle* — one state per trained model, built on
+  :func:`repro.ml.serialize.module_state_record` — in one checksummed
+  file that a serving process warm-starts from (see :mod:`repro.serving`).
 
-The header makes failure loud instead of quiet: a snapshot produced by a
-different format version, truncated mid-write (counts disagree), or built
-under a different configuration is rejected with a :class:`DataError`
-naming the offending line.  ``load_store`` stays liberal — it accepts both
-formats and simply skips snapshot framing records.
+Snapshot layout (integers little-endian)::
 
-Generational nets (:mod:`repro.kg.generations`) persist through the same
-snapshot framing: :func:`save_generations` writes the frozen base as the
-ordinary record stream plus one ``delta`` record per published segment
-(its nodes and relations, tagged with the generation id they were
-published under), and :func:`load_generations` replays them into a
-:class:`~repro.kg.generations.GenerationalStore` whose published view —
-generation numbering included — answers identically to the saved one.
-``delta`` is a *new record kind*, so a pre-generational loader rejects
-such a snapshot loudly ("unknown record") instead of silently serving
-the base without its deltas; ``load_store`` flattens base + deltas into
-one plain store.
+    magic          8 bytes    b"ALCCSNAP"
+    header length  8 bytes    <u8
+    header         JSON, UTF-8
+    header digest  32 bytes   blake2b of magic + length + header
+    sections       back to back, in section-table order
+
+The header holds ``format`` (:data:`SNAPSHOT_FORMAT`), the ``nodes`` and
+``relations`` counts, the ``config`` fingerprint, ``base_generation``,
+the number of delta ``generations``, the ``indexes`` and ``models``
+names, the ``kinds`` and ``names`` string tables of the relation
+columns, and the ``sections`` table: each entry gives a section's
+``name``, ``offset`` (from the first byte after the header digest),
+``length`` and ``digest`` (blake2b, hex).  The sections are, in order:
+
+- ``base`` — the base store as a *block*;
+- ``delta:<generation>`` — one block per published delta segment, in
+  publish order, tagged with the generation id it was published under;
+- ``index:<name>`` and ``model:<name>`` — one JSON object each.
+
+A block is ``<u4`` node-table bytes, ``<u4`` relation count, the node
+table (a JSON array, one node record per line), then the relations as
+columns: kind ``u1`` (into ``kinds``), source and target ``<i4`` (node
+table positions, counting the base's nodes then each delta's), weight
+``<f8`` and name ``<i4`` (into ``names``), read with ``np.frombuffer``.
+
+What the digests guarantee: the loader reads the whole file and checks
+the magic, the header digest, the exact file length and every section's
+digest before it decodes a section, then checks the decoded tables (the
+counts, every node id's layer, every relation's endpoint layers, range
+and uniqueness) before it builds anything.  A truncated or extended
+file, or any flipped bit, raises :class:`DataError` and no store, index
+or model state is built from it.  The digests detect damage, not
+forgery: whoever can write the file can recompute them.  Saving the same
+net twice writes identical bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import hashlib
+import json
+import struct
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..utils.io import read_jsonl_bulk, write_jsonl
+from ..utils.io import atomic_write_bytes, read_jsonl, write_jsonl
 from .generations import GenerationalStore
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
-from .store import AliCoCoStore
+from .store import _LAYER_TYPES, AliCoCoStore, gc_paused
 
-#: Version of the snapshot framing; bump when the header or record layout
-#: changes incompatibly.  Loaders reject any other version.
-SNAPSHOT_FORMAT = 1
+#: Version of the snapshot layout; loaders reject any other version.
+SNAPSHOT_FORMAT = 2
+
+#: The first bytes of every snapshot file.
+MAGIC = b"ALCCSNAP"
+
+_LENGTH = struct.Struct("<Q")
+_BLOCK_PREFIX = struct.Struct("<II")
+_DIGEST_SIZE = 32
+#: A block's relation columns, in file order.
+_COLUMNS = (("kind", "u1"), ("source", "<i4"), ("target", "<i4"),
+            ("weight", "<f8"), ("name", "<i4"))
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+_LAYER_CODES = {layer: code for code, layer in enumerate(_LAYER_TYPES)}
+_KIND_CODES = {kind: code for code, kind in enumerate(RelationKind)}
 
 _NODE_TYPES = {
     "class": ClassNode,
@@ -64,26 +98,21 @@ _TYPE_NAMES = {cls: name for name, cls in _NODE_TYPES.items()}
 
 @dataclass(frozen=True)
 class SnapshotHeader:
-    """The first line of a snapshot file.
+    """The counts and names a snapshot's header carries.
 
     Attributes:
-        format_version: Snapshot framing version (:data:`SNAPSHOT_FORMAT`).
-        node_count: Nodes the snapshot must contain (validated on load).
-        relation_count: Relations the snapshot must contain.
+        format_version: Snapshot layout version (:data:`SNAPSHOT_FORMAT`).
+        node_count: Nodes the snapshot contains, base and deltas.
+        relation_count: Relations the snapshot contains, base and deltas.
         config_fingerprint: Digest of the build configuration
             (:meth:`repro.config.RunScale.fingerprint`), or ``""``.
-        index_names: Names of the serialised index states that follow the
-            record stream.
-        model_names: Names of the model-bundle records that follow the
-            index states (empty for model-less snapshots — the field is
-            optional on disk, so pre-bundle snapshots still load).
-        generation_count: Number of ``delta`` records the snapshot
-            carries (0 for non-generational snapshots; optional on disk,
-            so older snapshots still load).  Node/relation counts cover
-            base *and* deltas, so truncation stays loud.
-        base_generation: Generation id the base records were compacted
-            at (0 for uncompacted stores; optional on disk).  Delta
-            records, if any, continue the numbering from here.
+        index_names: Names of the serialised index states.
+        model_names: Names of the model-bundle states.
+        generation_count: Number of delta sections (0 for
+            non-generational snapshots).
+        base_generation: Generation id the base was compacted at (0 for
+            uncompacted stores).  Delta sections, if any, continue the
+            numbering from here.
     """
 
     format_version: int
@@ -115,11 +144,9 @@ class Snapshot:
         default_factory=list)
 
 
+# ------------------------------------------------------------ record stream
 def _node_record(node: Node) -> dict[str, Any]:
-    record = {"type": _TYPE_NAMES[type(node)], **asdict(node)}
-    if isinstance(node, ECommerceConcept):
-        record["tokens"] = list(node.tokens)
-    return record
+    return {"type": _TYPE_NAMES[type(node)], **vars(node)}
 
 
 def _relation_record(relation: Relation) -> dict[str, Any]:
@@ -128,19 +155,19 @@ def _relation_record(relation: Relation) -> dict[str, Any]:
             "weight": relation.weight, "name": relation.name}
 
 
-def _parse_node(line_number: int, record: dict[str, Any]) -> Node:
+def _parse_node(where: str, record: Any) -> Node:
+    if not isinstance(record, dict):
+        raise DataError(f"{where}: expected a node object")
     type_name = record.pop("type", None)
     node_cls = _NODE_TYPES.get(type_name)
     if node_cls is None:
-        raise DataError(
-            f"line {line_number}: unknown node type {type_name!r}")
-    if node_cls is ECommerceConcept:
+        raise DataError(f"{where}: unknown node type {type_name!r}")
+    if node_cls is ECommerceConcept and isinstance(record.get("tokens"), list):
         record["tokens"] = tuple(record["tokens"])
     try:
         return node_cls(**record)
     except TypeError as error:
-        raise DataError(
-            f"line {line_number}: bad node record ({error})") from error
+        raise DataError(f"{where}: bad node record ({error})") from error
 
 
 def _parse_relation(line_number: int, record: dict[str, Any]) -> Relation:
@@ -176,12 +203,186 @@ def save_store(store: AliCoCoStore, path: str | Path) -> int:
     return write_jsonl(path, _records(store))
 
 
+def load_store(path: str | Path) -> AliCoCoStore:
+    """Rebuild a store saved by :func:`save_store` or as a snapshot.
+
+    A record stream replays through the validating ``add_node`` /
+    ``add_relation``.  A snapshot (told by its magic) loads through
+    :func:`load_snapshot` and flattens: the returned store holds base
+    *and* delta contents, generation structure discarded — use
+    :func:`load_generations` to keep it.
+
+    Raises:
+        DataError: On malformed records (with line numbers) or a
+            damaged snapshot.
+    """
+    with Path(path).open("rb") as handle:
+        is_snapshot = handle.read(len(MAGIC)) == MAGIC
+    if is_snapshot:
+        snapshot = load_snapshot(path)
+        store = snapshot.store
+        for _, nodes, relations in snapshot.deltas:
+            for node in nodes:
+                store.add_node(node)
+            store.add_relations_trusted(relations)
+        return store
+    store = AliCoCoStore()
+    for line_number, record in read_jsonl(path):
+        kind = record.pop("record", None)
+        if kind == "node":
+            store.add_node(_parse_node(f"line {line_number}", record))
+        elif kind == "relation":
+            store.add_relation(_parse_relation(line_number, record))
+        else:
+            raise DataError(f"line {line_number}: unknown record {kind!r}")
+    return store
+
+
+# ------------------------------------------------------------ section file
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
+
+
+def write_sections(path: str | Path, header: Mapping[str, Any],
+                   sections: Sequence[tuple[str, bytes]]) -> int:
+    """Write a format-2 file atomically: ``header`` plus a section table
+    (offsets, lengths, digests) for ``sections``, then the sections.
+
+    Returns:
+        Number of bytes written.
+    """
+    table = []
+    offset = 0
+    for name, payload in sections:
+        table.append({"name": name, "offset": offset,
+                      "length": len(payload),
+                      "digest": _digest(payload).hex()})
+        offset += len(payload)
+    header_bytes = json.dumps({**header, "sections": table},
+                              ensure_ascii=False).encode("utf-8")
+    prefix = MAGIC + _LENGTH.pack(len(header_bytes)) + header_bytes
+    return atomic_write_bytes(
+        path, [prefix, _digest(prefix), *(payload for _, payload in sections)])
+
+
+def read_sections(path: str | Path) -> tuple[dict[str, Any], dict[str, bytes]]:
+    """The header (without its section table) and the sections (name ->
+    bytes, in file order) of a format-2 file, every byte checked but
+    nothing decoded; :func:`write_sections` writes them back byte for
+    byte.
+
+    Raises:
+        DataError: On a wrong magic, a header or section digest that does
+            not match, a section table that does not tile the file, or a
+            file longer or shorter than its header describes.
+    """
+    data = Path(path).read_bytes()
+    if data[:len(MAGIC)] != MAGIC:
+        raise DataError(f"{path}: not a snapshot (bad magic); use "
+                        "load_store for record streams")
+    body = len(MAGIC) + _LENGTH.size
+    if len(data) < body:
+        raise DataError(f"{path}: snapshot truncated inside its prefix")
+    (header_length,) = _LENGTH.unpack_from(data, len(MAGIC))
+    header_end = body + header_length
+    start = header_end + _DIGEST_SIZE
+    if start > len(data):
+        raise DataError(f"{path}: snapshot truncated inside its header")
+    if _digest(data[:header_end]) != data[header_end:start]:
+        raise DataError(f"{path}: header digest mismatch")
+    try:
+        header = json.loads(data[body:header_end])
+        entries = [(entry["name"], entry["offset"], entry["length"],
+                    entry["digest"]) for entry in header.pop("sections")]
+    except (ValueError, KeyError, TypeError) as error:
+        raise DataError(
+            f"{path}: corrupted snapshot header ({error!r})") from error
+    offset = 0
+    for name, entry_offset, length, _ in entries:
+        if (not isinstance(name, str) or entry_offset != offset
+                or type(length) is not int or length < 0):
+            raise DataError(f"{path}: section table entry {name!r} is "
+                            f"misplaced or malformed")
+        offset += length
+    if start + offset != len(data):
+        raise DataError(f"{path}: file is {len(data)} bytes but its header "
+                        f"describes {start + offset}")
+    sections: dict[str, bytes] = {}
+    for name, offset, length, digest in entries:
+        payload = data[start + offset:start + offset + length]
+        if _digest(payload).hex() != digest:
+            raise DataError(f"{path}: section {name!r} digest mismatch")
+        if name in sections:
+            raise DataError(f"{path}: section {name!r} appears twice")
+        sections[name] = payload
+    return header, sections
+
+
+# ---------------------------------------------------------------- snapshot
+def _encode_block(nodes: Sequence[Node], relations: Sequence[Relation],
+                  position: dict[str, int], name_codes: dict[str, int],
+                  ) -> bytes:
+    """One block; ``position`` must already cover ``nodes``, and
+    ``name_codes`` grows by the names first seen here."""
+    node_table = ("[" + ",\n".join(
+        json.dumps(_node_record(node), ensure_ascii=False)
+        for node in nodes) + "]").encode("utf-8")
+    columns = (
+        [_KIND_CODES[relation.kind] for relation in relations],
+        [position[relation.source] for relation in relations],
+        [position[relation.target] for relation in relations],
+        [relation.weight for relation in relations],
+        [name_codes.setdefault(relation.name, len(name_codes))
+         for relation in relations],
+    )
+    return b"".join([
+        _BLOCK_PREFIX.pack(len(node_table), len(relations)), node_table,
+        *(np.asarray(values, dtype=dtype).tobytes()
+          for values, (_, dtype) in zip(columns, _COLUMNS))])
+
+
+def _write(path: str | Path,
+           blocks: Sequence[tuple[str, Sequence[Node], Sequence[Relation]]],
+           *, config_fingerprint: str, base_generation: int,
+           index_states: Mapping[str, Mapping[str, Any]] | None,
+           model_states: Mapping[str, Mapping[str, Any]] | None) -> int:
+    index_states = dict(index_states or {})
+    model_states = dict(model_states or {})
+    position: dict[str, int] = {}
+    name_codes: dict[str, int] = {}
+    sections = []
+    for name, nodes, relations in blocks:
+        for node in nodes:
+            position[node.id] = len(position)
+        sections.append(
+            (name, _encode_block(nodes, relations, position, name_codes)))
+    for prefix, states in (("index", index_states), ("model", model_states)):
+        sections.extend(
+            (f"{prefix}:{name}",
+             json.dumps(dict(state), ensure_ascii=False).encode("utf-8"))
+            for name, state in states.items())
+    header = {
+        "format": SNAPSHOT_FORMAT,
+        "nodes": len(position),
+        "relations": sum(len(relations) for _, _, relations in blocks),
+        "config": config_fingerprint,
+        "base_generation": base_generation,
+        "generations": len(blocks) - 1,
+        "indexes": list(index_states),
+        "models": list(model_states),
+        "kinds": [kind.name for kind in _KIND_CODES],
+        "names": list(name_codes),
+    }
+    return write_sections(path, header, sections)
+
+
 def save_snapshot(store: AliCoCoStore, path: str | Path, *,
                   config_fingerprint: str = "",
                   index_states: Mapping[str, Mapping[str, Any]] | None = None,
                   model_states: Mapping[str, Mapping[str, Any]] | None = None,
                   ) -> int:
-    """Write a versioned snapshot: header, records, indexes, then models.
+    """Write a format-2 snapshot: the store as the base block, then the
+    index and model states (atomic).
 
     Args:
         store: The net to persist.
@@ -198,175 +399,217 @@ def save_snapshot(store: AliCoCoStore, path: str | Path, *,
             instead of re-trained.
 
     Returns:
-        Number of lines written (header + records + indexes + models).
+        Number of bytes written.
     """
-    index_states = dict(index_states or {})
-    model_states = dict(model_states or {})
-
-    def _lines() -> Iterator[dict[str, Any]]:
-        yield {"record": "header", "format": SNAPSHOT_FORMAT,
-               "nodes": len(store),
-               "relations": store.stats().relations_total,
-               "config": config_fingerprint,
-               "indexes": list(index_states),
-               "models": list(model_states)}
-        yield from _records(store)
-        for name, state in index_states.items():
-            yield {"record": "index", "name": name, "state": dict(state)}
-        for name, state in model_states.items():
-            yield {"record": "model", "name": name, "state": dict(state)}
-
-    return write_jsonl(path, _lines())
+    return _write(path, [("base", list(store.nodes()), list(store.relations()))],
+                  config_fingerprint=config_fingerprint, base_generation=0,
+                  index_states=index_states, model_states=model_states)
 
 
-def _parse_header(line_number: int, record: dict[str, Any]) -> SnapshotHeader:
+def _parse_header(record: Mapping[str, Any],
+                  ) -> tuple[SnapshotHeader, list[RelationKind], list[str]]:
+    """The header, and the kind and name tables of the relation columns."""
+    if record.get("format") != SNAPSHOT_FORMAT:
+        raise DataError(f"snapshot format {record.get('format')!r} "
+                        f"unsupported (this build reads format "
+                        f"{SNAPSHOT_FORMAT})")
     try:
         header = SnapshotHeader(
-            format_version=int(record["format"]),
-            node_count=int(record["nodes"]),
-            relation_count=int(record["relations"]),
-            config_fingerprint=str(record.get("config", "")),
-            index_names=tuple(record.get("indexes", ())),
-            model_names=tuple(record.get("models", ())),
-            generation_count=int(record.get("generations", 0)),
-            base_generation=int(record.get("base_generation", 0)))
-    except (KeyError, TypeError, ValueError) as error:
+            format_version=SNAPSHOT_FORMAT,
+            node_count=record["nodes"],
+            relation_count=record["relations"],
+            config_fingerprint=record["config"],
+            index_names=tuple(record["indexes"]),
+            model_names=tuple(record["models"]),
+            generation_count=record["generations"],
+            base_generation=record["base_generation"])
+    except (KeyError, TypeError) as error:
         raise DataError(
-            f"line {line_number}: corrupted snapshot header "
-            f"({error!r})") from error
-    if header.format_version != SNAPSHOT_FORMAT:
+            f"corrupted snapshot header ({error!r})") from error
+    counts = (header.node_count, header.relation_count,
+              header.generation_count, header.base_generation)
+    if (any(type(count) is not int or count < 0 for count in counts)
+            or not isinstance(header.config_fingerprint, str)
+            or not all(isinstance(name, str)
+                       for name in header.index_names + header.model_names)):
+        raise DataError(f"corrupted snapshot header (counts {counts})")
+    kinds, names = record.get("kinds"), record.get("names")
+    if not (isinstance(kinds, list) and isinstance(names, list)
+            and all(isinstance(kind, str) and kind in RelationKind.__members__
+                    for kind in kinds)
+            and all(isinstance(name, str) for name in names)):
+        raise DataError("corrupted snapshot header (relation string tables)")
+    return header, [RelationKind[kind] for kind in kinds], names
+
+
+@dataclass
+class _Block:
+    """One decoded block: node objects and raw relation columns."""
+
+    section: str
+    nodes: list[Node]
+    columns: dict[str, np.ndarray]
+
+
+def _decode_block(section: str, payload: bytes) -> _Block:
+    prefix = _BLOCK_PREFIX.size
+    if len(payload) < prefix:
+        raise DataError(f"section {section!r}: shorter than a block prefix")
+    node_bytes, n_relations = _BLOCK_PREFIX.unpack_from(payload)
+    if prefix + node_bytes + n_relations * _ROW_BYTES != len(payload):
+        raise DataError(f"section {section!r}: block sizes do not add up")
+    try:
+        records = json.loads(payload[prefix:prefix + node_bytes])
+    except ValueError as error:
+        line = getattr(error, "lineno", "?")
+        raise DataError(f"section {section!r} line {line}: malformed node "
+                        f"table ({error})") from error
+    if not isinstance(records, list):
+        raise DataError(f"section {section!r}: node table is not a list")
+    nodes = [_parse_node(f"section {section!r} line {line}", record)
+             for line, record in enumerate(records, start=1)]
+    columns = {}
+    offset = prefix + node_bytes
+    for name, dtype in _COLUMNS:
+        columns[name] = np.frombuffer(payload, dtype=dtype,
+                                      count=n_relations, offset=offset)
+        offset += columns[name].nbytes
+    return _Block(section, nodes, columns)
+
+
+def _decode_state(section: str, payload: bytes) -> dict[str, Any]:
+    try:
+        state = json.loads(payload)
+    except ValueError as error:
+        raise DataError(f"section {section!r}: malformed JSON "
+                        f"({error})") from error
+    if not isinstance(state, dict):
+        raise DataError(f"section {section!r}: expected a JSON object")
+    return state
+
+
+def _check_tables(blocks: Sequence[_Block], header: SnapshotHeader,
+                  kinds: Sequence[RelationKind], n_names: int) -> None:
+    """Every schema check the trusted bulk build skips, on whole columns:
+    counts, node id layers, relation codes, endpoint ranges and layers,
+    and (kind, source, target) uniqueness across base and deltas."""
+    layer_codes: list[int] = []
+    seen: set[str] = set()
+    for block in blocks:
+        for node in block.nodes:
+            layer = node.id.split("_", 1)[0] if isinstance(node.id, str) \
+                else None
+            if (layer not in _LAYER_TYPES or node.id in seen
+                    or not isinstance(node, _LAYER_TYPES[layer])):
+                raise DataError(f"section {block.section!r}: node "
+                                f"{node.id!r} is repeated or in the wrong "
+                                f"layer")
+            seen.add(node.id)
+            layer_codes.append(_LAYER_CODES[layer])
+    n_relations = sum(len(block.columns["kind"]) for block in blocks)
+    if (len(layer_codes), n_relations) != (header.node_count,
+                                           header.relation_count):
         raise DataError(
-            f"line {line_number}: snapshot format "
-            f"{header.format_version} unsupported "
-            f"(this build reads format {SNAPSHOT_FORMAT})")
-    return header
+            f"snapshot holds {len(layer_codes)} nodes / {n_relations} "
+            f"relations but its header promises {header.node_count} / "
+            f"{header.relation_count}")
+    node_layers = np.asarray(layer_codes, dtype=np.int64)
+    source_layers = np.asarray(
+        [_LAYER_CODES[kind.source_layer] for kind in kinds], dtype=np.int64)
+    target_layers = np.asarray(
+        [_LAYER_CODES[kind.target_layer] for kind in kinds], dtype=np.int64)
+    covered = 0
+    triples = []
+    for block in blocks:
+        covered += len(block.nodes)
+        kind, source, target, name = (block.columns[column] for column in
+                                      ("kind", "source", "target", "name"))
+        if not len(kind):
+            continue
+        if (kind.max() >= len(kinds) or name.min() < 0
+                or name.max() >= n_names
+                or min(source.min(), target.min()) < 0
+                or max(source.max(), target.max()) >= covered):
+            raise DataError(f"section {block.section!r}: a relation code "
+                            f"or endpoint is out of range")
+        if ((node_layers[source] != source_layers[kind]).any()
+                or (node_layers[target] != target_layers[kind]).any()):
+            raise DataError(f"section {block.section!r}: a relation's "
+                            f"endpoint layers do not match its kind")
+        triples.append((kind, source, target))
+    if triples:
+        kind, source, target = (np.concatenate(parts).astype(np.int64)
+                                for parts in zip(*triples))
+        keys = (kind * covered + source) * covered + target
+        if np.unique(keys).size != keys.size:
+            raise DataError("snapshot repeats a (kind, source, target) "
+                            "relation")
 
 
-def _load(path: str | Path,
-          require_header: bool) -> tuple[SnapshotHeader | None, Snapshot]:
-    store = AliCoCoStore()
-    header: SnapshotHeader | None = None
-    index_states: dict[str, dict[str, Any]] = {}
-    model_states: dict[str, dict[str, Any]] = {}
-    deltas: list[tuple[int, list[Node], list[Relation]]] = []
-    # With a verified header the relations were schema-checked when they
-    # first entered a store, so they are buffered and bulk-ingested via
-    # the trusted fast path; headerless streams replay through the fully
-    # validating add_relation.
-    deferred: list[Relation] = []
-    first = True
-    for line_number, record in read_jsonl_bulk(path):
-        kind = record.pop("record", None)
-        if kind == "header":
-            if not first:
-                raise DataError(
-                    f"line {line_number}: snapshot header must be the "
-                    "first record")
-            header = _parse_header(line_number, record)
-        elif kind == "node":
-            store.add_node(_parse_node(line_number, record))
-        elif kind == "relation":
-            relation = _parse_relation(line_number, record)
-            if header is not None:
-                deferred.append(relation)
-            else:
-                store.add_relation(relation)
-        elif kind == "delta":
-            try:
-                generation = int(record["generation"])
-                node_records = list(record["nodes"])
-                relation_records = list(record["relations"])
-            except (KeyError, TypeError, ValueError) as error:
-                raise DataError(f"line {line_number}: bad delta record "
-                                f"({error!r})") from error
-            deltas.append((
-                generation,
-                [_parse_node(line_number, dict(sub))
-                 for sub in node_records],
-                [_parse_relation(line_number, dict(sub))
-                 for sub in relation_records]))
-        elif kind == "index":
-            try:
-                index_states[str(record["name"])] = dict(record["state"])
-            except (KeyError, TypeError) as error:
-                raise DataError(f"line {line_number}: bad index record "
-                                f"({error!r})") from error
-        elif kind == "model":
-            try:
-                model_states[str(record["name"])] = dict(record["state"])
-            except (KeyError, TypeError) as error:
-                raise DataError(f"line {line_number}: bad model record "
-                                f"({error!r})") from error
-        else:
-            raise DataError(f"line {line_number}: unknown record {kind!r}")
-        if first:
-            first = False
-            if require_header and header is None:
-                raise DataError(
-                    "line 1: not a snapshot (missing header record); "
-                    "use load_store for headerless nets")
-    if require_header and header is None:
-        raise DataError("line 1: not a snapshot (missing header record)")
-    if deferred:
-        store.add_relations_trusted(deferred)
-    if header is not None:
-        node_count = len(store) + sum(len(nodes) for _, nodes, _ in deltas)
-        relation_count = store.stats().relations_total \
-            + sum(len(relations) for _, _, relations in deltas)
-        if (node_count, relation_count) != (header.node_count,
-                                            header.relation_count):
-            raise DataError(
-                f"line 1: snapshot is incomplete — header promises "
-                f"{header.node_count} nodes / {header.relation_count} "
-                f"relations but the file holds {node_count} / "
-                f"{relation_count}")
-        if len(deltas) != header.generation_count:
-            raise DataError(
-                f"line 1: snapshot is incomplete — header promises "
-                f"{header.generation_count} delta records but the file "
-                f"holds {len(deltas)}")
-    placeholder = header or SnapshotHeader(SNAPSHOT_FORMAT, len(store),
-                                           store.stats().relations_total)
-    return header, Snapshot(placeholder, store, index_states, model_states,
-                            deltas)
-
-
-def load_store(path: str | Path) -> AliCoCoStore:
-    """Rebuild a store saved by :func:`save_store` or :func:`save_snapshot`.
-
-    Snapshot framing (header and index records), when present, is
-    validated and skipped; the bare record stream loads as before.  A
-    generational snapshot (:func:`save_generations`) flattens: the
-    returned store holds base *and* delta contents, generation structure
-    discarded — use :func:`load_generations` to keep it.
-
-    Raises:
-        DataError: On malformed records (with line numbers).
-    """
-    snapshot = _load(path, require_header=False)[1]
-    store = snapshot.store
-    for _, nodes, relations in snapshot.deltas:
-        for node in nodes:
-            store.add_node(node)
-        if relations:
-            store.add_relations_trusted(relations)
-    return store
+def _relations(block: _Block, ids: Sequence[str],
+               kinds: Sequence[RelationKind],
+               names: Sequence[str]) -> list[Relation]:
+    columns = {name: column.tolist() for name, column in block.columns.items()}
+    return list(map(
+        Relation,
+        [kinds[code] for code in columns["kind"]],
+        [ids[position] for position in columns["source"]],
+        [ids[position] for position in columns["target"]],
+        columns["weight"],
+        [names[code] for code in columns["name"]]))
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Read a versioned snapshot written by :func:`save_snapshot`.
+    """Read a format-2 snapshot written by :func:`save_snapshot` or
+    :func:`save_generations`.
+
+    Every check — magic, exact length, every digest, then the decoded
+    header and tables — runs before anything is built; the base store is
+    then built through the trusted bulk path
+    (:meth:`~repro.kg.store.AliCoCoStore.add_relations_trusted`).
 
     Returns:
-        The header, the rebuilt store, and any serialised index states.
+        The header, the rebuilt base store, the delta segments and the
+        serialised index and model states.
 
     Raises:
-        DataError: If the header is missing, corrupted, from another
-            format version, or disagrees with the file's contents — and
-            on any malformed record, with line numbers throughout.
+        DataError: If the file is not a snapshot, is damaged anywhere,
+            comes from another format version, or its tables disagree
+            with its header.
     """
-    header, snapshot = _load(path, require_header=True)
-    assert header is not None
-    return snapshot
+    record, sections = read_sections(path)
+    header, kinds, names = _parse_header(record)
+    states = [f"index:{name}" for name in header.index_names] + [
+        f"model:{name}" for name in header.model_names]
+    order = list(sections)
+    delta_sections = order[1:len(order) - len(states)]
+    if (order[:1] != ["base"] or order[len(order) - len(states):] != states
+            or len(delta_sections) != header.generation_count
+            or not all(name.startswith("delta:") for name in delta_sections)):
+        raise DataError(f"snapshot sections {order} do not match its header")
+    try:
+        generations = [int(name[len("delta:"):]) for name in delta_sections]
+    except ValueError as error:
+        raise DataError(f"bad delta section name ({error})") from error
+    with gc_paused():
+        blocks = [_decode_block(name, sections[name])
+                  for name in ["base", *delta_sections]]
+        decoded = {name: _decode_state(name, sections[name])
+                   for name in states}
+        _check_tables(blocks, header, kinds, len(names))
+        ids = [node.id for block in blocks for node in block.nodes]
+        store = AliCoCoStore()
+        for node in blocks[0].nodes:
+            store.add_node(node)
+        store.add_relations_trusted(_relations(blocks[0], ids, kinds, names))
+        deltas = [(generation, block.nodes,
+                   _relations(block, ids, kinds, names))
+                  for generation, block in zip(generations, blocks[1:])]
+    return Snapshot(
+        header, store,
+        {name: decoded[f"index:{name}"] for name in header.index_names},
+        {name: decoded[f"model:{name}"] for name in header.model_names},
+        deltas)
 
 
 def save_generations(store: GenerationalStore, path: str | Path, *,
@@ -374,12 +617,12 @@ def save_generations(store: GenerationalStore, path: str | Path, *,
                      index_states: Mapping[str, Mapping[str, Any]] | None = None,
                      model_states: Mapping[str, Mapping[str, Any]] | None = None,
                      ) -> int:
-    """Write a generational snapshot: base records plus delta records.
+    """Write a generational snapshot: the base block plus one delta block
+    per published segment (atomic).
 
     The *published* view is pinned at entry (open/staged writes are not
-    persisted — seal and swap first if they should be).  Header counts
-    cover base **and** deltas, so a truncated file fails the count check;
-    each delta record carries the generation id its segment was published
+    persisted — seal and swap first if they should be).  Each delta
+    section is named after the generation id its segment was published
     under, letting :func:`load_generations` restore the exact generation
     numbering.
 
@@ -389,7 +632,7 @@ def save_generations(store: GenerationalStore, path: str | Path, *,
             :func:`save_snapshot`.
 
     Returns:
-        Number of lines written.
+        Number of bytes written.
 
     Raises:
         ConfigError: If ``store`` is not a :class:`GenerationalStore`.
@@ -404,50 +647,33 @@ def save_generations(store: GenerationalStore, path: str | Path, *,
     # would duplicate content on load).
     view = store.current()
     base = view._base
-    index_states = dict(index_states or {})
-    model_states = dict(model_states or {})
-
-    def _lines() -> Iterator[dict[str, Any]]:
-        yield {"record": "header", "format": SNAPSHOT_FORMAT,
-               "nodes": len(view),
-               "relations": view.stats().relations_total,
-               "config": config_fingerprint,
-               "indexes": list(index_states),
-               "models": list(model_states),
-               "generations": len(view._segments),
-               "base_generation": view.base_generation}
-        yield from _records(base)
+    blocks = [("base", list(base.nodes()), list(base.relations()))]
+    blocks.extend(
+        (f"delta:{generation}", list(segment.nodes.values()),
+         segment.relations)
         for segment, generation in zip(view._segments,
-                                       view.segment_generations):
-            yield {"record": "delta", "generation": generation,
-                   "nodes": [_node_record(node)
-                             for node in segment.nodes.values()],
-                   "relations": [_relation_record(relation)
-                                 for relation in segment.relations]}
-        for name, state in index_states.items():
-            yield {"record": "index", "name": name, "state": dict(state)}
-        for name, state in model_states.items():
-            yield {"record": "model", "name": name, "state": dict(state)}
-
-    return write_jsonl(path, _lines())
+                                       view.segment_generations))
+    return _write(path, blocks, config_fingerprint=config_fingerprint,
+                  base_generation=view.base_generation,
+                  index_states=index_states, model_states=model_states)
 
 
 def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
     """Replay a loaded snapshot's deltas into a fresh generational store.
 
-    Each delta record becomes one sealed segment again, and a ``swap()``
-    fires at every generation boundary, so segment boundaries *and*
-    generation numbering match the saved store exactly — warm-started
-    caches keyed by generation id stay coherent.  A compacted snapshot
+    Each delta becomes one sealed segment again, and a ``swap()`` fires
+    at every generation boundary, so segment boundaries *and* generation
+    numbering match the saved store exactly — warm-started caches keyed
+    by generation id stay coherent.  A compacted snapshot
     (``base_generation > 0``) restores its numbering too: the bare base
     answers as the generation it was folded at, and any later deltas
     continue from there.
 
     Raises:
-        DataError: If the delta records' generation ids are not
-            consecutive from ``base_generation + 1`` as a live store
-            produces (a live store never skips: empty segments are never
-            sealed and swaps without staged content do not bump the id).
+        DataError: If the deltas' generation ids are not consecutive from
+            ``base_generation + 1`` as a live store produces (a live
+            store never skips: empty segments are never sealed and swaps
+            without staged content do not bump the id).
     """
     base_generation = snapshot.header.base_generation
     if base_generation < 0:
@@ -462,7 +688,7 @@ def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
         if (generation <= base_generation
                 or generation not in (previous, previous + 1)):
             raise DataError(
-                f"delta record {position}: generation {generation} "
+                f"delta {position}: generation {generation} "
                 f"follows generation {previous} (ids must be "
                 f"consecutive from {base_generation + 1})")
         if generation == previous + 1 and previous > base_generation:
@@ -473,7 +699,7 @@ def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
             store.add_relation(relation)
         if store.seal() is None:
             raise DataError(
-                f"delta record {position}: segment is empty (a live "
+                f"delta {position}: segment is empty (a live "
                 f"store never seals an empty segment)")
         previous = generation
     if previous > base_generation:
@@ -494,6 +720,6 @@ def load_generations(path: str | Path) -> GenerationalStore:
 
     Raises:
         DataError: As :func:`load_snapshot`, plus non-consecutive or
-            empty delta records.
+            empty deltas.
     """
     return generational_store_from_snapshot(load_snapshot(path))

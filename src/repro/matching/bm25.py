@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -247,6 +247,43 @@ class BM25Index:
             for length in grown._lengths]
         grown._fitted = True
         return grown
+
+    def projected(self, keep: Iterable) -> "BM25Index | None":
+        """This index restricted to the documents whose ids are in ``keep``.
+
+        The projection holds the kept documents' postings and length
+        norms, in this index's order, but this index's idf table (shared:
+        no index mutates its table after fitting), so every kept document
+        scores exactly as it does here.  It holds no raw lengths, so it
+        is read-only (:meth:`extended` raises).  Returns ``None`` when no
+        document is kept.
+
+        Raises:
+            NotFittedError: If the index has not been fitted.
+        """
+        if not self._fitted:
+            raise NotFittedError("BM25Index has not been fitted")
+        keep = set(keep)
+        kept = [position for position, doc_id in enumerate(self._doc_ids)
+                if doc_id in keep]
+        if not kept:
+            return None
+        remap = {old: new for new, old in enumerate(kept)}
+        postings = {}
+        for term, entries in self._postings.items():
+            projected = [(remap[position], frequency)
+                         for position, frequency in entries
+                         if position in remap]
+            if projected:
+                postings[term] = projected
+        index = type(self)(k1=self.k1, b=self.b)
+        index._doc_ids = [self._doc_ids[position] for position in kept]
+        index._postings = postings
+        index._norms = [self._norms[position] for position in kept]
+        index._idf = self._idf
+        index._lengths = None
+        index._fitted = True
+        return index
 
     @property
     def doc_ids(self) -> tuple:

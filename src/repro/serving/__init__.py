@@ -2,7 +2,8 @@
 
 Construction (:mod:`repro.pipeline`) is offline; this package is the
 online half: a read-only, cached, metered query service that warm-starts
-from versioned snapshots instead of rebuilding the net.  Given trained
+from checksummed snapshots (format 2, :mod:`repro.kg.serialize`)
+instead of rebuilding the net.  Given trained
 models it also serves them: concept tagging (``tag``) and neural
 re-ranking of graph/BM25 candidates (``items_for_concept_reranked``,
 ``search_reranked``), with model weights riding the same snapshot as a
@@ -14,9 +15,10 @@ Quickstart::
     from repro.serving import AliCoCoService
 
     service = AliCoCoService.from_build(build_alicoco(TINY))
-    service.save_snapshot("net.snapshot.jsonl")
-    # ... later, in the serving process:
-    service = AliCoCoService.from_snapshot("net.snapshot.jsonl")
+    service.save_snapshot("net.snapshot")  # returns the bytes written
+    # ... later, in the serving process (a damaged file raises DataError
+    # before anything is built):
+    service = AliCoCoService.from_snapshot("net.snapshot")
     service.search("gifts for mother")
     print(service.stats().format_table())
 """

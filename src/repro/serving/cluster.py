@@ -775,7 +775,7 @@ class AliCoCoCluster:
         written exactly as a single service would write them — so a
         plain :meth:`AliCoCoService.from_snapshot` can serve a cluster
         snapshot — plus one ``…@shard{i}`` index state per shard index
-        and a ``cluster`` meta record pinning the shard count for
+        and a ``cluster`` meta state pinning the shard count for
         warm-start validation.  A cluster over a generational store
         writes the source's generation structure (sealed delta segments
         and their numbering), so a reload resumes at the saved
@@ -785,7 +785,7 @@ class AliCoCoCluster:
         otherwise the reload re-splits deterministically.
 
         Returns:
-            Number of lines written.
+            Number of bytes written.
         """
         cgen = self._cgen
         index_states: dict[str, Any] = {CLUSTER_META: {"n_shards": self.n_shards}}

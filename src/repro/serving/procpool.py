@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter

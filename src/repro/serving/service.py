@@ -26,9 +26,10 @@ trained models (Sections 5.3 and 6 deploy them online):
 Every endpoint — model-backed ones included — is LRU-cached and records
 hit/miss latency percentiles and per-exception-type error counters
 (:mod:`repro.serving.stats`), and is addressable through ``batch``.  A
-service warm-starts from a versioned snapshot
+service warm-starts from a checksummed snapshot
 (:func:`repro.kg.serialize.load_snapshot`) in a fraction of a rebuild:
-the store is replayed from disk, the search index is rehydrated from
+the store is bulk-built from the file's relation columns once every
+digest checks out, the search index is rehydrated from
 its serialised state instead of re-fitted, and trained model weights
 restore from the snapshot's model bundle instead of re-training.
 
@@ -477,7 +478,7 @@ def save_shard_snapshot(
     warm start.
 
     Returns:
-        Number of lines written.
+        Number of bytes written.
     """
     index_states: dict[str, Any] = {}
     if search_index is not None:
@@ -804,7 +805,7 @@ class AliCoCoService:
         # segments replay with their saved generation numbering, so the
         # restored service resumes at the exact generation it was saved
         # at and its generation-keyed caches stay coherent.  A compacted
-        # store may have zero delta records but a folded generation in
+        # store may have zero delta sections but a folded generation in
         # the header — still generational.  Delta-less generation-0
         # snapshots serve frozen, as before.
         store: AliCoCoStore | GenerationalStore = (
@@ -848,15 +849,14 @@ class AliCoCoService:
     def save_snapshot(self, path: str | Path) -> int:
         """Persist the served net, indexes and models as one snapshot.
 
-        Served models are embedded as model-bundle records (exact float64
-        weights plus an architecture fingerprint); a model-less service
-        writes a model-less snapshot, byte-compatible with before.  A
-        dense-retrieval service additionally embeds its fitted dense
-        index states, so a warm start skips the k-means/graph build and
-        retrieves bit-identically.
+        Served models are embedded as model-bundle sections (exact
+        float64 weights plus an architecture fingerprint); a model-less
+        service writes a model-less snapshot.  A dense-retrieval service
+        additionally embeds its fitted dense index states, so a warm
+        start skips the k-means/graph build and retrieves bit-identically.
 
         Returns:
-            Number of lines written.
+            Number of bytes written.
         """
         index_states = {}
         if self._search_index is not None:

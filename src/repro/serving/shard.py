@@ -187,37 +187,12 @@ def project_bm25_index(index: BM25Index | None,
     order-consistent with the global index.
 
     Returns ``None`` when the subset is empty (or the index is ``None``)
-    — a shard owning no concepts serves an empty search surface.
+    — a shard owning no concepts serves an empty search surface.  The
+    projection reads the index's own lists
+    (:meth:`~repro.matching.bm25.BM25Index.projected`) and shares its idf
+    table.
     """
-    if index is None:
-        return None
-    keep = set(keep)
-    state = index.to_state()
-    keep_positions = [
-        position
-        for position, doc_id in enumerate(state["doc_ids"])
-        if doc_id in keep
-    ]
-    if not keep_positions:
-        return None
-    remap = {old: new for new, old in enumerate(keep_positions)}
-    postings = {}
-    for term, term_postings in state["postings"].items():
-        kept = [
-            [remap[position], frequency]
-            for position, frequency in term_postings
-            if position in remap
-        ]
-        if kept:
-            postings[term] = kept
-    return BM25Index.from_state({
-        "k1": state["k1"],
-        "b": state["b"],
-        "doc_ids": [state["doc_ids"][position] for position in keep_positions],
-        "postings": postings,
-        "norms": [state["norms"][position] for position in keep_positions],
-        "idf": state["idf"],  # global idf: scores must not change
-    })
+    return None if index is None else index.projected(keep)
 
 
 def split_concept_index(index: BM25Index | None,

@@ -5,52 +5,28 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from ..errors import DataError
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` atomically (write temp file, then rename).
+@contextmanager
+def _atomic_target(path: str | Path, mode: str) -> Iterator[IO]:
+    """A temp file beside ``path`` that is renamed over it on a clean exit.
 
-    A crash mid-write never leaves a truncated file behind.
+    The temp file is flushed and fsynced before the one-step rename, so a
+    crash at any point leaves the previous contents of ``path`` intact and
+    never a truncated file; on any error the temp file is removed.
     """
     path = Path(path)
     handle, temp_name = tempfile.mkstemp(dir=path.parent,
                                          prefix=f".{path.name}.", suffix=".tmp")
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with os.fdopen(handle, "w", encoding="utf-8") as temp_file:
-            temp_file.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
-    """Write records as JSON lines atomically; returns the line count.
-
-    Records are streamed to a temp file in the target directory one line
-    at a time (never materialising the whole payload in memory — a full
-    net snapshot can be orders of magnitude larger than any single
-    record), fsynced, and renamed over ``path`` in one step.  A crash at
-    any point mid-write leaves the previous contents of ``path`` intact
-    and never a truncated file.
-    """
-    path = Path(path)
-    handle, temp_name = tempfile.mkstemp(dir=path.parent,
-                                         prefix=f".{path.name}.", suffix=".tmp")
-    count = 0
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as temp_file:
-            for record in records:
-                temp_file.write(json.dumps(record, ensure_ascii=False))
-                temp_file.write("\n")
-                count += 1
+        with os.fdopen(handle, mode, encoding=encoding) as temp_file:
+            yield temp_file
             temp_file.flush()
             os.fsync(temp_file.fileno())
         os.replace(temp_name, path)
@@ -60,47 +36,57 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to ``path`` atomically (write temp file, then rename).
+
+    A crash mid-write never leaves a truncated file behind.
+    """
+    with _atomic_target(path, "w") as handle:
+        handle.write(text)
+
+
+def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> int:
+    """Write byte chunks to ``path`` atomically; returns the byte count."""
+    count = 0
+    with _atomic_target(path, "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            count += len(chunk)
     return count
 
 
-def read_jsonl_bulk(path: str | Path) -> list[tuple[int, dict[str, Any]]]:
-    """Like :func:`read_jsonl`, but parses the whole file in one decoder
-    call.
+def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
+    """Write records as JSON lines atomically; returns the line count.
 
-    Joining the lines into a single JSON array amortises the per-call
-    overhead of ``json.loads`` across the file — snapshot loads spend
-    most of their time here, so this is the serving warm-start fast path.
-    Any parse failure (including blank lines, which break the join) falls
-    back to the per-line reader so malformed input still reports exact
-    line numbers.
-
-    Raises:
-        DataError: On malformed JSON or non-object lines, with the line
-            number in the message.
+    Records are streamed to the temp file one line at a time (never
+    materialising the whole payload in memory — a full net can be orders
+    of magnitude larger than any single record).
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return []
-    try:
-        records = json.loads("[" + ",".join(lines) + "]")
-    except json.JSONDecodeError:
-        return list(read_jsonl(path))
-    for line_number, record in enumerate(records, start=1):
-        if not isinstance(record, dict):
-            raise DataError(f"line {line_number}: expected a JSON object")
-    return list(enumerate(records, start=1))
+    count = 0
+    with _atomic_target(path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False))
+            handle.write("\n")
+            count += 1
+    return count
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line number, record) pairs from a JSON-lines file.
 
     Raises:
-        DataError: On malformed JSON or non-object lines, with the line
-            number in the message.
+        DataError: On non-UTF-8 text, malformed JSON or non-object lines,
+            with the line number in the message.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+    with Path(path).open("rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as error:
+                raise DataError(
+                    f"line {line_number}: not UTF-8 text") from error
             if not line:
                 continue
             try:

@@ -2,6 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+#: A larger example budget for the snapshot fuzz tests, selected in CI
+#: with ``--hypothesis-profile=snapshot-fuzz``; tier-1 runs the default.
+settings.register_profile("snapshot-fuzz", max_examples=3000, deadline=None)
 
 
 @pytest.fixture

@@ -48,7 +48,9 @@ from repro.kg.serialize import (
     load_generations,
     load_snapshot,
     load_store,
+    read_sections,
     save_generations,
+    write_sections,
 )
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
@@ -476,15 +478,20 @@ class TestGenerationSnapshots:
             save_generations(built_tiny.store, tmp_path / "bad.jsonl")
 
     def test_corrupt_generation_numbering_is_loud(self, grown, tmp_path):
-        path = tmp_path / "net.gen.jsonl"
+        """A file whose digests are all valid but whose delta generation
+        ids skip one loads, and then refuses to replay."""
+        path = tmp_path / "net.gen.snap"
         save_generations(grown, path)
-        text = path.read_text(encoding="utf-8")
-        assert '"generation": 2' in text
-        path.write_text(
-            text.replace('"generation": 2', '"generation": 7'), encoding="utf-8"
-        )
+        header, sections = read_sections(path)
+        assert list(sections)[1:3] == ["delta:1", "delta:2"]
+        renamed = [
+            ("delta:7" if name == "delta:2" else name, payload)
+            for name, payload in sections.items()
+        ]
+        write_sections(path, header, renamed)
         snapshot = load_snapshot(path)
-        with pytest.raises(DataError):
+        assert [generation for generation, _, _ in snapshot.deltas] == [1, 7]
+        with pytest.raises(DataError, match="generation 7"):
             generational_store_from_snapshot(snapshot)
 
     def test_service_snapshot_round_trip_keeps_generations(self, built_tiny, tmp_path):

@@ -9,13 +9,13 @@ semantics (one computation per concurrent duplicate set, exceptions
 shared, never a hang) and admission control's typed, bounded shedding.
 """
 
+import json
 import threading
 import time
 import zlib
 
 import pytest
 
-from repro import TINY, build_alicoco
 from repro.errors import (
     ConfigError,
     DataError,
@@ -30,6 +30,7 @@ from repro.kg.ids import (
     ITEM_PREFIX,
     PRIMITIVE_PREFIX,
 )
+from repro.matching.bm25 import BM25Index
 from repro.serving import (
     AdmissionController,
     AliCoCoCluster,
@@ -38,7 +39,6 @@ from repro.serving import (
     CLUSTER_META,
     Coalescer,
     ClusterConfig,
-    CONCEPT_INDEX,
     ClusterStats,
     ServiceConfig,
     merge_ranked,
@@ -172,6 +172,40 @@ class TestBM25Projection:
         index = fit_concept_index(store)
         assert project_bm25_index(index, []) is None
         assert project_bm25_index(None, ["ec_0"]) is None
+
+    @staticmethod
+    def _projected_through_state(index, keep):
+        """The oracle: project the serialised state, then rehydrate."""
+        keep = set(keep)
+        state = index.to_state()
+        kept = [p for p, doc_id in enumerate(state["doc_ids"]) if doc_id in keep]
+        remap = {old: new for new, old in enumerate(kept)}
+        postings = {}
+        for term, entries in state["postings"].items():
+            projected = [[remap[p], f] for p, f in entries if p in remap]
+            if projected:
+                postings[term] = projected
+        return BM25Index.from_state(
+            {
+                "k1": state["k1"],
+                "b": state["b"],
+                "doc_ids": [state["doc_ids"][p] for p in kept],
+                "postings": postings,
+                "norms": [state["norms"][p] for p in kept],
+                "idf": state["idf"],
+            }
+        )
+
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_projection_state_is_byte_identical_to_the_state_oracle(
+        self, store, n_shards
+    ):
+        index = fit_concept_index(store)
+        for shard in range(n_shards):
+            keep = [d for d in index.doc_ids if shard_of(d, n_shards) == shard]
+            projection = project_bm25_index(index, keep)
+            oracle = self._projected_through_state(index, keep)
+            assert json.dumps(projection.to_state()) == json.dumps(oracle.to_state())
 
 
 class TestClusterParity:

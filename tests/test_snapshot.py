@@ -1,18 +1,23 @@
-"""Versioned snapshots: round-trips, header validation, atomicity."""
+"""Format-2 snapshots: round-trips, header validation, atomicity."""
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro import build_alicoco, TINY
-from repro.errors import DataError, NodeNotFoundError
+from repro.errors import DataError
 from repro.kg.serialize import (
     load_snapshot,
     load_store,
+    MAGIC,
+    read_sections,
     save_snapshot,
     save_store,
     SNAPSHOT_FORMAT,
+    write_sections,
 )
 from repro.matching.bm25 import BM25Index
 from repro.ml import Linear
@@ -25,9 +30,21 @@ def built():
     return build_alicoco(TINY)
 
 
+def _forge(source, target, edit_header=None, edit_sections=None):
+    """Rewrite a snapshot with edited contents but valid digests."""
+    header, sections = read_sections(source)
+    if edit_header is not None:
+        edit_header(header)
+    items = list(sections.items())
+    if edit_sections is not None:
+        items = edit_sections(items)
+    write_sections(target, header, items)
+    return target
+
+
 @pytest.fixture(scope="module")
 def snapshot_path(built, tmp_path_factory):
-    path = tmp_path_factory.mktemp("snap") / "net.snapshot.jsonl"
+    path = tmp_path_factory.mktemp("snap") / "net.snapshot"
     service = AliCoCoService.from_build(built, config_fingerprint=TINY.fingerprint())
     service.save_snapshot(path)
     return path
@@ -36,7 +53,7 @@ def snapshot_path(built, tmp_path_factory):
 class TestSnapshotRoundTrip:
     def test_save_load_save_is_byte_identical(self, snapshot_path, tmp_path):
         snapshot = load_snapshot(snapshot_path)
-        resaved = tmp_path / "resaved.jsonl"
+        resaved = tmp_path / "resaved.snapshot"
         save_snapshot(
             snapshot.store,
             resaved,
@@ -77,12 +94,30 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "legacy.jsonl"
         save_store(built.store, path)
         assert load_store(path).stats() == built.store.stats()
-        with pytest.raises(DataError, match="missing header"):
+        with pytest.raises(DataError, match="not a snapshot"):
             load_snapshot(path)
+
+    def test_sections_rewrite_byte_identically(self, snapshot_path, tmp_path):
+        """What `_forge` relies on."""
+        header, sections = read_sections(snapshot_path)
+        copy = tmp_path / "copy.snapshot"
+        write_sections(copy, header, list(sections.items()))
+        assert copy.read_bytes() == snapshot_path.read_bytes()
+
+    def test_saving_the_same_net_twice_gives_identical_bytes(
+        self, built, snapshot_path, tmp_path
+    ):
+        again = tmp_path / "again.snapshot"
+        service = AliCoCoService.from_build(
+            built, config_fingerprint=TINY.fingerprint()
+        )
+        service.save_snapshot(again)
+        assert again.read_bytes() == snapshot_path.read_bytes()
+        assert again.read_bytes().startswith(MAGIC)
 
 
 class TestModelRecords:
-    """Model bundles riding the snapshot stream (format stays v1)."""
+    """Model bundles riding the snapshot as one section per model."""
 
     @staticmethod
     def _module(seed=3):
@@ -90,7 +125,7 @@ class TestModelRecords:
 
     def test_model_states_round_trip_bit_identical(self, built, tmp_path):
         module = self._module()
-        path = tmp_path / "with_model.jsonl"
+        path = tmp_path / "with_model.snapshot"
         record = module_state_record(module, config={"kind": "demo"})
         save_snapshot(built.store, path, model_states={"demo": record})
         snapshot = load_snapshot(path)
@@ -106,82 +141,113 @@ class TestModelRecords:
         assert snapshot.header.model_names == ()
         assert snapshot.model_states == {}
 
-    def test_pre_bundle_header_still_loads(self, snapshot_path, tmp_path):
-        """A header written before model bundles existed (no ``models``
-        key) parses; the field defaults to empty."""
-        lines = snapshot_path.read_text().splitlines()
-        header = json.loads(lines[0])
-        del header["models"]
-        path = tmp_path / "pre_bundle.jsonl"
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        assert load_snapshot(path).header.model_names == ()
-
     def test_corrupt_model_record_names_its_line(self, built, tmp_path):
+        """A model section that is not JSON (digests valid) names its
+        section."""
         record = module_state_record(self._module())
-        path = tmp_path / "corrupt_model.jsonl"
+        path = tmp_path / "with_model.snapshot"
         save_snapshot(built.store, path, model_states={"demo": record})
-        lines = path.read_text().splitlines()
-        bad = json.loads(lines[-1])
-        del bad["state"]
-        line_number = len(lines)
-        path.write_text("\n".join(lines[:-1] + [json.dumps(bad)]) + "\n")
-        with pytest.raises(DataError, match=f"line {line_number}"):
+
+        def corrupt(items):
+            return [
+                (name, b"{not json" if name == "model:demo" else payload)
+                for name, payload in items
+            ]
+
+        _forge(path, path, edit_sections=corrupt)
+        with pytest.raises(DataError, match="section 'model:demo'"):
             load_snapshot(path)
 
     def test_mismatched_architecture_rejected_on_restore(self, built, tmp_path):
         record = module_state_record(self._module())
         save_snapshot(
-            built.store, tmp_path / "m.jsonl", model_states={"demo": record}
+            built.store, tmp_path / "m.snapshot", model_states={"demo": record}
         )
-        snapshot = load_snapshot(tmp_path / "m.jsonl")
+        snapshot = load_snapshot(tmp_path / "m.snapshot")
         wider = Linear(4, 3, np.random.default_rng(0))
         with pytest.raises(DataError, match="fingerprint"):
             load_module_state(wider, snapshot.model_states["demo"])
 
 
 class TestHeaderValidation:
+    """Damage the digests cannot see: files rewritten with valid digests."""
+
     def test_version_mismatch_rejected_with_line(self, snapshot_path, tmp_path):
-        lines = snapshot_path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["format"] = SNAPSHOT_FORMAT + 1
-        bad = tmp_path / "future.jsonl"
-        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(DataError, match=r"line 1: snapshot format"):
+        def future(header):
+            header["format"] = SNAPSHOT_FORMAT + 1
+
+        bad = _forge(snapshot_path, tmp_path / "future.snapshot", future)
+        with pytest.raises(DataError, match=r"snapshot format 3 unsupported"):
             load_snapshot(bad)
 
     def test_corrupted_header_rejected_with_line(self, snapshot_path, tmp_path):
-        lines = snapshot_path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["nodes"] = "not-a-count"
-        bad = tmp_path / "corrupt.jsonl"
-        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(DataError, match=r"line 1: corrupted snapshot"):
+        def corrupt(header):
+            header["nodes"] = "not-a-count"
+
+        bad = _forge(snapshot_path, tmp_path / "corrupt.snapshot", corrupt)
+        with pytest.raises(DataError, match=r"corrupted snapshot header"):
             load_snapshot(bad)
 
     def test_truncated_snapshot_detected_by_counts(self, snapshot_path, tmp_path):
-        lines = snapshot_path.read_text().splitlines()
-        bad = tmp_path / "truncated.jsonl"
-        bad.write_text("\n".join(lines[:-40]) + "\n")
-        with pytest.raises((DataError, NodeNotFoundError)):
+        data = snapshot_path.read_bytes()
+        bad = tmp_path / "truncated.snapshot"
+        bad.write_bytes(data[:-40])
+        with pytest.raises(DataError, match="header describes"):
+            load_snapshot(bad)
+
+        def inflate(header):
+            header["nodes"] += 1
+
+        bad = _forge(snapshot_path, tmp_path / "counts.snapshot", inflate)
+        with pytest.raises(DataError, match="header promises"):
             load_snapshot(bad)
 
     def test_header_not_first_rejected(self, snapshot_path, tmp_path):
-        lines = snapshot_path.read_text().splitlines()
-        bad = tmp_path / "misplaced.jsonl"
-        bad.write_text("\n".join([lines[1], lines[0]] + lines[2:]) + "\n")
-        # The strict loader fails fast on the missing line-1 header; even
-        # the liberal loader rejects a header that is not the first record.
-        with pytest.raises(DataError, match="missing header"):
+        """Misplaced sections: out of the header's order, or a section
+        table whose offsets do not tile the file."""
+        bad = _forge(
+            snapshot_path,
+            tmp_path / "reordered.snapshot",
+            edit_sections=lambda items: items[1:] + items[:1],
+        )
+        with pytest.raises(DataError, match="do not match its header"):
             load_snapshot(bad)
-        with pytest.raises(DataError, match="must be the first"):
+        with pytest.raises(DataError, match="do not match its header"):
             load_store(bad)
 
+        data = snapshot_path.read_bytes()
+        (length,) = struct.unpack_from("<Q", data, len(MAGIC))
+        body = len(MAGIC) + 8
+        header = json.loads(data[body : body + length])
+        first, second = header["sections"][:2]
+        first["offset"], second["offset"] = second["offset"], first["offset"]
+        text = json.dumps(header).encode()
+        prefix = MAGIC + struct.pack("<Q", len(text)) + text
+        digest = hashlib.blake2b(prefix, digest_size=32).digest()
+        bad = tmp_path / "misplaced.snapshot"
+        bad.write_bytes(prefix + digest + data[body + length + 32 :])
+        with pytest.raises(DataError, match="misplaced"):
+            load_snapshot(bad)
+
     def test_malformed_json_keeps_line_numbers(self, snapshot_path, tmp_path):
-        lines = snapshot_path.read_text().splitlines()
-        lines[2] = "not json"
-        bad = tmp_path / "mangled.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="line 3"):
+        """A node table line that is not JSON (digests valid) is reported
+        with its section and line."""
+
+        def mangle(items):
+            name, payload = items[0]
+            node_bytes, relations = struct.unpack_from("<II", payload)
+            lines = payload[8 : 8 + node_bytes].split(b"\n")
+            lines[2] = b"not json,"
+            table = b"\n".join(lines)
+            payload = (
+                struct.pack("<II", len(table), relations)
+                + table
+                + payload[8 + node_bytes :]
+            )
+            return [(name, payload)] + items[1:]
+
+        bad = _forge(snapshot_path, tmp_path / "mangled.snapshot", edit_sections=mangle)
+        with pytest.raises(DataError, match="section 'base' line 3"):
             load_snapshot(bad)
 
 
@@ -189,21 +255,19 @@ class TestAtomicity:
     def test_failed_save_keeps_previous_snapshot(self, built, tmp_path, monkeypatch):
         """A crash mid-write must leave the old snapshot intact and no
         temp files behind."""
-        path = tmp_path / "net.jsonl"
+        path = tmp_path / "net.snapshot"
         save_snapshot(built.store, path, config_fingerprint="v1")
         before = path.read_bytes()
 
-        import repro.kg.serialize as serialize_module
+        import repro.utils.io as io_module
 
-        original = serialize_module._records
+        def exploding_fsync(descriptor):
+            raise OSError("disk on fire")
 
-        def exploding_records(store):
-            yield from list(original(store))[:10]
-            raise RuntimeError("disk on fire")
-
-        monkeypatch.setattr(serialize_module, "_records", exploding_records)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(io_module.os, "fsync", exploding_fsync)
+        with pytest.raises(OSError):
             save_snapshot(built.store, path, config_fingerprint="v2")
+        monkeypatch.undo()
         assert path.read_bytes() == before
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
