@@ -59,7 +59,7 @@ from .ids import (
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .stats import StoreStats
-from .store import AliCoCoStore, _LAYER_TYPES
+from .store import _ITEM_KINDS, _LAYER_TYPES, AliCoCoStore
 
 
 class DeltaSegment:
@@ -118,23 +118,22 @@ class DeltaSegment:
         elif isinstance(node, PrimitiveConcept):
             self.domain_primitive_ids[node.domain].append(node.id)
 
-    def _add_relation(self, relation: Relation) -> None:
+    def _add_relations(self, relations: list[Relation]) -> None:
+        """Append validated, duplicate-free relations to every index."""
         if self.sealed:
-            raise FrozenStoreError(
-                f"cannot add {relation.kind.name} relation: delta segment is sealed"
-            )
-        key = (relation.kind, relation.source, relation.target)
-        self.relation_by_key[key] = relation
-        self.relations.append(relation)
-        self.out[(relation.source, relation.kind)].append(relation)
-        self.inc[(relation.target, relation.kind)].append(relation)
-        self.kind_counts[relation.kind] += 1
-        self.by_kind[relation.kind].append(relation)
-        if relation.kind in (
-            RelationKind.ITEM_PRIMITIVE,
-            RelationKind.ITEM_ECOMMERCE,
-        ):
-            self.linked_item_ids.add(relation.source)
+            raise FrozenStoreError("cannot add relations: delta segment is sealed")
+        by_key, out, inc = self.relation_by_key, self.out, self.inc
+        kind_counts, by_kind = self.kind_counts, self.by_kind
+        self.relations.extend(relations)
+        for relation in relations:
+            kind, source, target = relation.kind, relation.source, relation.target
+            by_key[(kind, source, target)] = relation
+            out[(source, kind)].append(relation)
+            inc[(target, kind)].append(relation)
+            kind_counts[kind] += 1
+            by_kind[kind].append(relation)
+            if kind in _ITEM_KINDS:
+                self.linked_item_ids.add(source)
 
 
 def _skip(parts: list[tuple[int, Iterable]], count: int) -> Iterator:
@@ -388,8 +387,9 @@ class GenerationalStore:
     (lock-free — grab :meth:`current` once to pin a consistent
     generation for a multi-step read).  Writes go to the open
     :class:`DeltaSegment` through the same mutation API as
-    :class:`AliCoCoStore` (``add_node``/``add_relation``/``create_*``)
-    and stay invisible to readers until published:
+    :class:`AliCoCoStore` — all of it goes through :meth:`add_node` and
+    :meth:`add_relations` (``add_relation`` and ``create_*`` included) —
+    and stays invisible to readers until published:
 
     - :meth:`seal` closes the open segment and stages it;
     - :meth:`swap` publishes every staged segment as the next
@@ -507,39 +507,70 @@ class GenerationalStore:
         return node
 
     def add_relation(self, relation: Relation) -> Relation:
-        """Insert a relation into the open delta after validating endpoints.
-
-        Endpoints may live in any layer of the pending state (base, a
-        published or staged segment, or the open delta).  Duplicate
-        (kind, source, target) triples are ignored across all layers and
-        the stored relation is returned, exactly as
-        :meth:`AliCoCoStore.add_relation` does.
+        """Insert one relation: the one-edge case of :meth:`add_relations`.
 
         Raises:
             NodeNotFoundError: If either endpoint is missing.
             RelationError: If the endpoint layers do not match the kind.
         """
-        with self._lock:
-            return self._add_relation_locked(relation)
+        return self.add_relations((relation,))[0]
 
-    def _add_relation_locked(self, relation: Relation) -> Relation:
+    def add_relations(self, relations: Iterable[Relation]) -> list[Relation]:
+        """Insert a batch of relations into the open delta, all or nothing.
+
+        Endpoints may live in any layer of the pending state (base, a
+        published or staged segment, or the open delta).  The result is
+        that of :meth:`AliCoCoStore.add_relations`: duplicate (kind,
+        source, target) triples — of each other or of an edge in any
+        layer — resolve to the stored relation, which is what the
+        returned list holds per input edge, and a batch with an invalid
+        edge stages nothing.
+
+        An edge with an endpoint in the open delta is checked for
+        duplicates there only.  That is exact: node ids are unique across
+        layers and every relation was validated against the pending
+        state when it was inserted, so no older layer holds an edge that
+        names a node created after it.
+
+        Raises:
+            NodeNotFoundError: If an endpoint is missing.
+            RelationError: If an endpoint's layer does not match its kind.
+        """
+        with self._lock:
+            return self._add_relations_locked(relations)
+
+    def _add_relations_locked(self, relations: Iterable[Relation]) -> list[Relation]:
         pending = self._pending()
-        for node_id, expected in (
-            (relation.source, relation.kind.source_layer),
-            (relation.target, relation.kind.target_layer),
-        ):
-            node = pending.get(node_id)  # NodeNotFoundError if absent
-            if layer_of(node.id) != expected:
-                raise RelationError(
-                    f"node {node_id!r} is in layer {layer_of(node_id)!r}; "
-                    f"expected {expected!r}"
-                )
-        key = (relation.kind, relation.source, relation.target)
-        existing = pending._relation_by_key(key)
-        if existing is not None:
-            return existing
-        self._open._add_relation(relation)
-        return relation
+        open_nodes = self._open.nodes
+        open_keys = self._open.relation_by_key
+        fresh: dict[tuple[RelationKind, str, str], Relation] = {}
+        stored = []
+        for relation in relations:
+            kind, source, target = relation.kind, relation.source, relation.target
+            in_open = False
+            for node_id, expected in (
+                (source, kind.source_layer),
+                (target, kind.target_layer),
+            ):
+                if node_id in open_nodes:
+                    in_open = True
+                else:
+                    pending.get(node_id)  # NodeNotFoundError if absent
+                if layer_of(node_id) != expected:
+                    raise RelationError(
+                        f"node {node_id!r} is in layer {layer_of(node_id)!r}; "
+                        f"expected {expected!r}"
+                    )
+            key = (kind, source, target)
+            existing = fresh.get(key) or (
+                open_keys.get(key) if in_open else pending._relation_by_key(key)
+            )
+            if existing is None:
+                existing = fresh[key] = relation
+            stored.append(existing)
+        if fresh:
+            self._open._add_relations(list(fresh.values()))
+        return stored
 
     def _allocate(self, prefix: str) -> str:
         # Caller holds self._lock.
@@ -562,8 +593,8 @@ class GenerationalStore:
             node = ClassNode(self._allocate(CLASS_PREFIX), name, domain, parent_id)
             self._add_node_locked(node)
             if parent_id is not None:
-                self._add_relation_locked(
-                    Relation(RelationKind.SUBCLASS_OF, node.id, parent_id)
+                self._add_relations_locked(
+                    (Relation(RelationKind.SUBCLASS_OF, node.id, parent_id),)
                 )
             return node
 
@@ -580,8 +611,8 @@ class GenerationalStore:
                 self._allocate(PRIMITIVE_PREFIX), name, class_id, class_node.domain
             )
             self._add_node_locked(node)
-            self._add_relation_locked(
-                Relation(RelationKind.INSTANCE_OF, node.id, class_id)
+            self._add_relations_locked(
+                (Relation(RelationKind.INSTANCE_OF, node.id, class_id),)
             )
             return node
 
@@ -791,14 +822,3 @@ def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
     store.add_relations_trusted(view.relations())
     return store
 
-
-def _replay_segment(
-    store: GenerationalStore,
-    nodes: Iterable[Node],
-    relations: Iterable[Relation],
-) -> None:
-    """Re-apply one persisted delta (validating) and leave it unpublished."""
-    for node in nodes:
-        store.add_node(node)
-    for relation in relations:
-        store.add_relation(relation)

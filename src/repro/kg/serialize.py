@@ -695,8 +695,7 @@ def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
             store.swap()
         for node in nodes:
             store.add_node(node)
-        for relation in relations:
-            store.add_relation(relation)
+        store.add_relations(relations)
         if store.seal() is None:
             raise DataError(
                 f"delta {position}: segment is empty (a live "

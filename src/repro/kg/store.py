@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 from collections import defaultdict
 from contextlib import contextmanager
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..errors import (
@@ -29,13 +30,17 @@ _LAYER_TYPES = {
     ITEM_PREFIX: Item,
 }
 
+#: Relation kinds whose source counts as a linked item in ``stats()``.
+_ITEM_KINDS = (RelationKind.ITEM_PRIMITIVE, RelationKind.ITEM_ECOMMERCE)
+
 
 class AliCoCoStore:
     """Nodes + relations with per-layer name indexes and adjacency lists.
 
-    All mutation goes through :meth:`add_node` / :meth:`add_relation`
-    (or the typed ``create_*`` conveniences, which also allocate ids), so
-    the indexes can never drift from the node table.
+    All mutation goes through :meth:`add_node` / :meth:`add_relations`
+    (:meth:`add_relation` is its one-edge case; the typed ``create_*``
+    conveniences also allocate ids), so the indexes can never drift from
+    the node table.
     """
 
     def __init__(self) -> None:
@@ -52,7 +57,7 @@ class AliCoCoStore:
         self._in: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
         self._relation_by_key: dict[tuple[RelationKind, str, str], Relation] = {}
         # Incrementally-maintained statistics; every mutation funnels
-        # through add_node/add_relation so these can never drift.
+        # through add_node/add_relations so these can never drift.
         self._layer_counts: dict[str, int] = {p: 0 for p in _LAYER_TYPES}
         self._kind_counts: dict[RelationKind, int] = defaultdict(int)
         self._by_kind: dict[RelationKind, list[Relation]] = defaultdict(list)
@@ -149,7 +154,7 @@ class AliCoCoStore:
         return self.add_node(node)
 
     def add_relation(self, relation: Relation) -> Relation:
-        """Insert a relation after validating endpoints.
+        """Insert one relation: the one-edge case of :meth:`add_relations`.
 
         Duplicate (kind, source, target) triples are ignored and the
         existing relation list is left untouched; the *stored* relation is
@@ -161,27 +166,51 @@ class AliCoCoStore:
             NodeNotFoundError: If either endpoint is missing.
             RelationError: If the endpoint layers do not match the kind.
         """
+        return self.add_relations((relation,))[0]
+
+    def add_relations(self, relations: Iterable[Relation]) -> list[Relation]:
+        """Insert a batch of relations after validating every endpoint.
+
+        The result is that of :meth:`add_relation` on each edge in order:
+        a duplicate of a stored edge, or of an earlier edge of the batch,
+        resolves to the stored one, and the returned list holds, per
+        input edge, the relation that is actually in the net.  The batch
+        is all or nothing: every edge is validated before any is
+        inserted, so one that fails leaves the store untouched.
+
+        Raises:
+            FrozenStoreError: If the store has been frozen for serving.
+            NodeNotFoundError: If an endpoint is missing.
+            RelationError: If an endpoint's layer does not match its kind.
+        """
         if self._frozen:
             raise FrozenStoreError(
-                f"cannot add {relation.kind.name} relation: "
-                "store is frozen for serving")
-        for node_id, expected in ((relation.source, relation.kind.source_layer),
-                                  (relation.target, relation.kind.target_layer)):
-            self._require(node_id, expected)
-        key = (relation.kind, relation.source, relation.target)
-        existing = self._relation_by_key.get(key)
-        if existing is not None:
-            return existing
-        self._relation_by_key[key] = relation
-        self._relations.append(relation)
-        self._out[(relation.source, relation.kind)].append(relation)
-        self._in[(relation.target, relation.kind)].append(relation)
-        self._kind_counts[relation.kind] += 1
-        self._by_kind[relation.kind].append(relation)
-        if relation.kind in (RelationKind.ITEM_PRIMITIVE,
-                             RelationKind.ITEM_ECOMMERCE):
-            self._linked_item_ids.add(relation.source)
-        return relation
+                "cannot add relations: store is frozen for serving")
+        require, by_key = self._require, self._relation_by_key
+        fresh: dict[tuple[RelationKind, str, str], Relation] = {}
+        stored = []
+        for relation in relations:
+            kind, source, target = relation.kind, relation.source, relation.target
+            require(source, kind.source_layer)
+            require(target, kind.target_layer)
+            key = (kind, source, target)
+            existing = by_key.get(key) or fresh.get(key)
+            if existing is None:
+                existing = fresh[key] = relation
+            stored.append(existing)
+        ordered, out, inc = self._relations, self._out, self._in
+        kind_counts, by_kind = self._kind_counts, self._by_kind
+        for key, relation in fresh.items():
+            kind, source, target = key
+            by_key[key] = relation
+            ordered.append(relation)
+            out[(source, kind)].append(relation)
+            inc[(target, kind)].append(relation)
+            kind_counts[kind] += 1
+            by_kind[kind].append(relation)
+            if kind in _ITEM_KINDS:
+                self._linked_item_ids.add(source)
+        return stored
 
     def add_relations_trusted(self, relations: Iterable[Relation]) -> int:
         """Bulk-insert relations known to be schema-valid and duplicate-free.
@@ -213,7 +242,6 @@ class AliCoCoStore:
         out, inc = self._out, self._in
         kind_counts, by_kind = self._kind_counts, self._by_kind
         linked = self._linked_item_ids
-        item_kinds = (RelationKind.ITEM_PRIMITIVE, RelationKind.ITEM_ECOMMERCE)
         count = 0
         with gc_paused():
             for relation in relations:
@@ -229,7 +257,7 @@ class AliCoCoStore:
                 inc[(target, kind)].append(relation)
                 kind_counts[kind] += 1
                 by_kind[kind].append(relation)
-                if kind in item_kinds:
+                if kind in _ITEM_KINDS:
                     linked.add(source)
                 count += 1
         return count
@@ -335,6 +363,17 @@ class AliCoCoStore:
             yield from self._nodes.values()
         else:
             yield from self._layer_nodes.get(layer, ())
+
+    def nodes_since(self, count: int, layer: str | None = None) -> Iterator[Node]:
+        """The nodes of ``nodes(layer)`` past the first ``count``, in order.
+
+        Equal to ``islice(self.nodes(layer), count, None)``; a layer's
+        nodes are a list, so with ``layer`` given this is a slice and
+        reading the newest nodes costs them, not the layer.
+        """
+        if layer is None:
+            return islice(self._nodes.values(), count, None)
+        return iter(self._layer_nodes.get(layer, [])[count:])
 
     def relations(self, kind: RelationKind | None = None) -> Iterator[Relation]:
         """Iterate relations, optionally filtered by kind (per-kind lists

@@ -36,7 +36,7 @@ from ..kg.relations import Relation, RelationKind
 from ..kg.store import AliCoCoStore
 from ..synth.corpus import Corpus, build_corpus
 from ..synth.index import ConceptCandidateIndex, PartSignatureIndex
-from ..synth.items import SynthItem, item_matches_concept
+from ..synth.items import SynthItem, concept_matcher
 from ..synth.lexicon import Lexicon, build_lexicon
 from ..synth.world import ConceptSpec, World
 from ..taxonomy.builder import build_taxonomy, TaxonomyIndex
@@ -210,35 +210,47 @@ def _add_item_layer(result: BuildResult, rng: np.random.Generator,
 
     Scenario matching (the items x concepts hot path) runs retrieval-then-
     verify by default: an inverted index proposes candidate concepts per
-    item and only those are verified with ``item_matches_concept``.
-    Candidates come back in original concept order, so the weight RNG is
-    consumed identically to the brute-force scan and both paths build the
-    exact same store.
+    item and only those are verified with their concept's
+    ``concept_matcher``.  Candidates come back in original concept order,
+    so the weight RNG is consumed identically to the brute-force scan and
+    both paths build the exact same store.  Each item's ITEM_PRIMITIVE
+    and ITEM_ECOMMERCE edges go in as one ``add_relations`` batch each.
     """
     store, world = result.store, result.world
     timer = result.timings
     index = (ConceptCandidateIndex(result.concepts)
              if use_candidate_index else None)
+    matchers = {id(spec): (concept_matcher(world, spec),
+                           result.concept_ids[spec.text])
+                for spec in result.concepts}
     for item in result.corpus.items:
         with timer.stage("item-nodes"):
             node = store.create_item(item.title,
                                      shop=f"shop_{item.index % 20}",
                                      properties=_properties_of(item))
             result.item_ids[item.index] = node.id
-            for surface, domain in item.primitive_surfaces():
-                primitive_id = result.primitive_ids.get((surface, domain))
-                if primitive_id is not None:
-                    store.add_relation(Relation(
-                        RelationKind.ITEM_PRIMITIVE, node.id, primitive_id))
+            primitive_ids = (
+                result.primitive_ids.get(key)
+                for key in item.primitive_surfaces())
+            store.add_relations([
+                Relation(RelationKind.ITEM_PRIMITIVE, node.id, primitive_id)
+                for primitive_id in primitive_ids if primitive_id is not None])
         with timer.stage("item-matching"):
             pool = (index.candidates(item) if index is not None
                     else result.concepts)
+            concept_ids = []
             for spec in pool:
-                if item_matches_concept(world, item, spec):
-                    weight = float(np.clip(rng.normal(0.8, 0.1), 0.05, 1.0))
-                    store.add_relation(Relation(
-                        RelationKind.ITEM_ECOMMERCE, node.id,
-                        result.concept_ids[spec.text], weight=weight))
+                matches, concept_id = matchers[id(spec)]
+                if matches(item):
+                    concept_ids.append(concept_id)
+            # One array draw gives the same values, in the same order, as
+            # one scalar draw per matched concept inside the verify loop.
+            weights = np.clip(
+                rng.normal(0.8, 0.1, size=len(concept_ids)), 0.05, 1.0)
+            store.add_relations([
+                Relation(RelationKind.ITEM_ECOMMERCE, node.id, concept_id,
+                         weight=weight)
+                for concept_id, weight in zip(concept_ids, weights.tolist())])
 
 
 def _properties_of(item: SynthItem) -> dict[str, str]:

@@ -16,9 +16,12 @@ re-runs the construction stages against fresh synthetic corpus batches:
 4. **match** — ITEM_ECOMMERCE edges to catalog items.  As in the build,
    candidates are retrieved before they are verified (Section 6): the
    :class:`~repro.synth.index.ItemKeyIndex` hands over the items that
-   share the concept's key part, and each is checked with
-   ``item_matches_concept`` and weighted like the offline build — so a
-   new concept costs its key's items, not the whole catalog.
+   share the concept's key part, and each is checked with the concept's
+   ``concept_matcher`` and weighted like the offline build — so a new
+   concept costs its key's items, not the whole catalog.
+
+The link and match stages each stage one concept's edges as one
+:meth:`~repro.kg.generations.GenerationalStore.add_relations` batch.
 
 Accepted concepts and relations are staged into the serving tier's
 :class:`~repro.kg.generations.GenerationalStore` open delta — invisible
@@ -54,7 +57,7 @@ from ..kg.nodes import ECommerceConcept
 from ..kg.relations import Relation, RelationKind
 from ..synth.guides import generate_guides
 from ..synth.index import ItemKeyIndex
-from ..synth.items import SynthItem, item_matches_concept
+from ..synth.items import SynthItem, concept_matcher
 from ..synth.queries import generate_queries
 from ..synth.world import ConceptSpec, World
 from ..utils.rng import derive_seed, spawn_rng
@@ -411,19 +414,22 @@ class EvolutionDriver:
     def _default_link(
         self, store: GenerationalStore, node: ECommerceConcept, spec: ConceptSpec
     ) -> int:
-        """INTERPRETED_BY edges to the gold primitive senses."""
-        links = 0
+        """INTERPRETED_BY edges to the gold primitive senses, staged as
+        one batch."""
+        links = []
         for part in spec.parts:
             primitive_id = self._primitive_id(part.surface, part.domain)
-            if primitive_id is None:
-                continue
-            store.add_relation(
-                Relation(
-                    RelationKind.INTERPRETED_BY, node.id, primitive_id, name=part.domain
+            if primitive_id is not None:
+                links.append(
+                    Relation(
+                        RelationKind.INTERPRETED_BY,
+                        node.id,
+                        primitive_id,
+                        name=part.domain,
+                    )
                 )
-            )
-            links += 1
-        return links
+        store.add_relations(links)
+        return len(links)
 
     def _default_match(
         self,
@@ -432,25 +438,30 @@ class EvolutionDriver:
         spec: ConceptSpec,
         rng: np.random.Generator,
     ) -> int:
-        """ITEM_ECOMMERCE edges from the catalog items that match ``spec``.
+        """ITEM_ECOMMERCE edges from the catalog items that match ``spec``,
+        staged as one batch.
 
-        Candidates come from the item-key index and are verified with
-        ``item_matches_concept`` in catalog order, so the matched items,
-        and the weights drawn for them from ``rng``, come in the same
-        sequence as from a scan of the whole catalog.
+        Candidates come from the item-key index and are verified with the
+        spec's :func:`~repro.synth.items.concept_matcher` in catalog
+        order, so the matched items, and the weights drawn for them from
+        ``rng``, come in the same sequence as from a scan of the whole
+        catalog.
         """
+        matches = concept_matcher(self._world, spec)
         matched = [
             item_id
             for item, item_id in self._item_index.candidates(spec)
-            if item_matches_concept(self._world, item, spec)
+            if matches(item)
         ]
         # One array draw gives the same values, in the same order, as one
         # scalar draw per matched item inside the verify loop.
         weights = np.clip(rng.normal(0.8, 0.1, size=len(matched)), 0.05, 1.0)
-        for item_id, weight in zip(matched, weights.tolist()):
-            store.add_relation(
+        store.add_relations(
+            [
                 Relation(RelationKind.ITEM_ECOMMERCE, item_id, node.id, weight=weight)
-            )
+                for item_id, weight in zip(matched, weights.tolist())
+            ]
+        )
         return len(matched)
 
     def _primitive_id(self, surface: str, domain: str) -> str | None:

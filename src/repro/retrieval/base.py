@@ -63,9 +63,9 @@ class BaseRetriever(ABC):
     Backends that can grow without a refit advertise ``supports_add``
     and implement :meth:`add`; everyone else inherits the refusing
     default, which callers treat as a refit-fallback signal (the
-    generational serving tier clones an index, ``add``\\ s the new
-    generation's documents to the clone, and refits only when the
-    backend cannot extend — see :mod:`repro.kg.generations`).
+    generational serving tier grows an index into a new one with
+    :meth:`extended`, and refits only when the backend cannot extend —
+    see :mod:`repro.kg.generations`).
     """
 
     #: Backend name used in stats and serialised state.
@@ -100,8 +100,8 @@ class BaseRetriever(ABC):
         grown by ``add`` ranks exactly like one fitted from the
         concatenated collection *when the backend's structure permits*
         (each backend documents how close it comes).  Callers must not
-        mutate an index other threads are reading — clone via
-        ``from_state(to_state())``, ``add`` to the clone, then publish.
+        mutate an index other threads are reading — publish the new
+        index :meth:`extended` returns instead.
 
         Raises:
             ConfigError: For backends with ``supports_add = False``.
@@ -110,6 +110,20 @@ class BaseRetriever(ABC):
             f"{type(self).__name__} ({self.backend}) does not support "
             "incremental add; refit from the full collection instead"
         )
+
+    def extended(self, ids: Sequence, data: Sequence) -> "BaseRetriever":
+        """A new index: this one's documents followed by ``ids``/``data``.
+
+        This index is left unchanged, so readers pinned to it keep
+        retrieving from it; the result ranks as :meth:`add` on a copy
+        would.  The default copies through ``from_state(to_state())``;
+        backends that can share or cheaply copy their structure override
+        it.
+
+        Raises:
+            ConfigError: For backends with ``supports_add = False``.
+        """
+        return type(self).from_state(self.to_state()).add(ids, data)
 
     @abstractmethod
     def stats(self) -> RetrieverStats:

@@ -173,6 +173,21 @@ class BruteForceDense(BaseRetriever):
         Raises:
             DataError: On a count or dimension mismatch.
         """
+        grown = self.extended(ids, data)
+        self._matrix, self._ids = grown._matrix, grown._ids
+        return self
+
+    def extended(self, ids: Sequence, data: Sequence) -> "BruteForceDense":
+        """A new index: this one's rows followed by ``data``'s.
+
+        Retrieves exactly like :meth:`add` on a copy, and so like a refit
+        over the concatenated collection; the new matrix and id list are
+        built directly, with no round trip through :meth:`to_state`.
+        This index is left unchanged.  With no ids, it is returned as is.
+
+        Raises:
+            DataError: On a count or dimension mismatch.
+        """
         self._require_fitted(self._fitted)
         if len(ids) != len(data):
             raise DataError(f"{len(ids)} ids for {len(data)} vectors")
@@ -184,9 +199,11 @@ class BruteForceDense(BaseRetriever):
                 f"new vectors have dim {rows.shape[1]}, index has "
                 f"{self._matrix.shape[1]}"
             )
-        self._matrix = np.ascontiguousarray(np.vstack([self._matrix, rows]))
-        self._ids.extend(ids)
-        return self
+        grown = type(self)(metric=self.metric)
+        grown._matrix = np.ascontiguousarray(np.vstack([self._matrix, rows]))
+        grown._ids = self._ids + list(ids)
+        grown._fitted = True
+        return grown
 
     def retrieve(self, query: Any, top_k: int = 10) -> list[tuple[Any, float]]:
         """Exact top-k by one full-matrix inner product."""

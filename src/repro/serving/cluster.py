@@ -832,9 +832,10 @@ class AliCoCoCluster:
         by :func:`~repro.serving.shard.shard_of` (replicated layers to
         every shard), each relation to its owner shards in global
         insertion order, missing endpoints added as ghost replicas.  The
-        global concept index is extended (clone + add, refit fallback),
-        fresh per-shard projections are derived from it, and each grown
-        shard publishes its next generation with its new projection.
+        global concept index is extended (``BM25Index.extended``, refit
+        fallback), fresh per-shard projections are derived from it, and
+        each grown shard publishes its next generation with its new
+        projection.
 
         **Phase two**: one attribute assignment installs the new
         :class:`ClusterGeneration`.  Scattered reads pin the bundle at
@@ -916,7 +917,11 @@ class AliCoCoCluster:
                 for service, ops, projection in zip(
                     self._services, shard_ops, projections
                 ):
+                    # Nodes and ghosts in op order, then the relations as
+                    # one batch: a relation needs only its endpoints, which
+                    # precede it, so both insertion orders are unchanged.
                     shard_store = service.store
+                    relations = []
                     for kind, payload in ops:
                         if kind == "node":
                             shard_store.add_node(payload)
@@ -926,7 +931,8 @@ class AliCoCoCluster:
                             except DuplicateNodeError:
                                 pass
                         else:
-                            shard_store.add_relation(payload)
+                            relations.append(payload)
+                    shard_store.add_relations(relations)
                     service.publish(search_index=projection)
                 shard_gens = tuple(service._gen for service in self._services)
                 dense_presence = ()

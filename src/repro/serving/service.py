@@ -127,7 +127,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -558,7 +557,7 @@ def _build_primitive_index(
             return old.primitive_index
         primitive_index = dict(old.primitive_index)
         covered = old.primitive_count
-    for node in islice(view.nodes(PRIMITIVE_PREFIX), covered, None):
+    for node in view.nodes_since(covered, PRIMITIVE_PREFIX):
         primitive_index.setdefault((node.name, node.domain), node.id)
     return primitive_index
 
@@ -571,7 +570,7 @@ def _dense_documents(
     documents."""
     layer, tokens_of = _DENSE_POPULATIONS[name]
     documents = []
-    for node in islice(view.nodes(layer), start, None):
+    for node in view.nodes_since(start, layer):
         tokens = tokens_of(node)
         if tokens:
             documents.append((node.id, tokens))
@@ -888,7 +887,7 @@ class AliCoCoService:
         the derived indexes to cover the new nodes — incrementally where
         the backend supports exact extension (BM25 re-derives its corpus
         statistics over the grown collection; brute-force dense appends
-        rows), cloned-then-grown so no live index is ever mutated, with
+        rows) into a new index so no live index is ever mutated, with
         a full refit as the fallback — and installs the whole bundle as
         one :class:`ServingGeneration` in a single atomic assignment.
         In-flight requests finish against the generation they pinned at
@@ -971,9 +970,10 @@ class AliCoCoService:
         """The next generation's dense indexes: delta-merged or refit.
 
         Backends that support incremental add (all three shipped ones)
-        are cloned through their serialised state and extended with the
-        new documents' vectors — encoded through the doc cache, so the
-        work is shared with future pool scoring.  Anything else refits
+        are grown with :meth:`~repro.retrieval.base.BaseRetriever.extended`
+        — a new index, so requests pinned to the old generation keep the
+        old one — by the new documents' vectors, encoded through the doc
+        cache so the work is shared with future pool scoring.  Anything else refits
         over the full view.  Layers only ever grow (generational stores
         are add-only), so only the nodes past the old count are read —
         the whole population is built only for a refit.
@@ -989,12 +989,10 @@ class AliCoCoService:
             if not fresh:
                 indexes[name] = old_index
             elif old_index is not None and old_index.supports_add:
-                clone = dense_index_from_state(old_index.to_state())
-                clone.add(
+                indexes[name] = old_index.extended(
                     [node_id for node_id, _ in fresh],
                     [self._dense_vector(node_id, tokens) for node_id, tokens in fresh],
                 )
-                indexes[name] = clone
             else:
                 indexes[name] = self._fit_dense_index(_dense_documents(name, view))
         return indexes

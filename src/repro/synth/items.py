@@ -15,6 +15,7 @@ distinguished on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -210,16 +211,37 @@ def item_matches_concept(world: World, item: SynthItem,
 
     Encodes the paper's semantics: an item belongs to a shopping scenario
     when it is *needed or suggested* under it — including semantic-drift
-    cases where no concept word appears in the title.
+    cases where no concept word appears in the title.  To test many
+    items against one concept, build its :func:`concept_matcher` once.
     """
-    if not spec.good or not spec.parts:
-        return False
-    has_event = any(p.domain == "Event" for p in spec.parts)
-    has_category = any(p.domain == "Category" for p in spec.parts)
-    for part in spec.parts:
-        if not _part_matches(world, item, part, has_event, has_category):
-            return False
-    return True
+    return concept_matcher(world, spec)(item)
+
+
+def concept_matcher(world: World,
+                    spec: ConceptSpec) -> Callable[[SynthItem], bool]:
+    """The item predicate of :func:`item_matches_concept` for one concept.
+
+    What the predicate needs from the spec alone (whether it is good,
+    and whether it has an Event or a Category part) is worked out here,
+    once, instead of once per item tested.
+    """
+    parts = spec.parts
+    if not spec.good or not parts:
+        return _matches_nothing
+    has_event = any(p.domain == "Event" for p in parts)
+    has_category = any(p.domain == "Category" for p in parts)
+
+    def matches(item: SynthItem) -> bool:
+        for part in parts:
+            if not _part_matches(world, item, part, has_event, has_category):
+                return False
+        return True
+
+    return matches
+
+
+def _matches_nothing(item: SynthItem) -> bool:
+    return False
 
 
 def _part_matches(world: World, item: SynthItem, part, has_event: bool,

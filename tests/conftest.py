@@ -7,6 +7,9 @@ from hypothesis import settings
 #: A larger example budget for the snapshot fuzz tests, selected in CI
 #: with ``--hypothesis-profile=snapshot-fuzz``; tier-1 runs the default.
 settings.register_profile("snapshot-fuzz", max_examples=3000, deadline=None)
+#: A larger example budget for the relation batch-path property tests,
+#: selected in CI with ``--hypothesis-profile=batch-relations``.
+settings.register_profile("batch-relations", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -585,6 +585,40 @@ class TestRetrieverAdd:
         query = rng.normal(size=6)
         assert grown.retrieve(query, 12) == refit.retrieve(query, 12)
 
+    def test_bruteforce_extended_equals_refit_and_leaves_the_old_index(self):
+        import numpy as np
+
+        rng = np.random.default_rng(3)
+        vectors = [rng.normal(size=6) for _ in range(12)]
+        old = BruteForceDense().fit(list(range(8)), vectors[:8])
+        state = old.to_state()
+        grown = old.extended(list(range(8, 12)), vectors[8:])
+        refit = BruteForceDense().fit(list(range(12)), vectors)
+        assert grown is not old
+        assert grown.to_state() == refit.to_state()
+        for query in [rng.normal(size=6) for _ in range(5)]:
+            assert grown.retrieve(query, 12) == refit.retrieve(query, 12)
+        assert old.to_state() == state
+        assert old.extended([], []) is old
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: IVFIndex(n_lists=3, nprobe=3, seed=0), lambda: HNSWLiteIndex(seed=0)],
+        ids=["ivf", "hnsw"],
+    )
+    def test_default_extended_grows_a_copy(self, make):
+        import numpy as np
+
+        rng = np.random.default_rng(4)
+        vectors = [rng.normal(size=6) for _ in range(20)]
+        old = make().fit(list(range(16)), vectors[:16])
+        state = old.to_state()
+        grown = old.extended([16, 17, 18, 19], vectors[16:])
+        added = type(old).from_state(state).add([16, 17, 18, 19], vectors[16:])
+        assert grown is not old
+        assert grown.to_state() == added.to_state()
+        assert old.to_state() == state
+
     def test_ivf_add_merges_into_nearest_centroid(self):
         import numpy as np
 
@@ -618,6 +652,93 @@ class TestRetrieverAdd:
         assert grown.retrieve(("alpha", "delta"), 4) == refit.retrieve(
             ("alpha", "delta"), 4
         )
+
+
+# ------------------------------------------------------- delta-only publish
+class TestPublishReadsTheDelta:
+    """The publish helpers read only the nodes past the old counts, and
+    must read exactly what walking the whole layer would."""
+
+    @staticmethod
+    def _grown(built_tiny):
+        store = GenerationalStore(built_tiny.store)
+        class_id = next(store.nodes("cls")).id
+        for tag in ("d1", "d2", "d3"):
+            store.create_primitive(f"fresh {tag} primitive", class_id)
+            _grow(store, tag)
+            store.publish()
+        return store
+
+    def test_helpers_equal_the_islice_walk_at_every_start(self, built_tiny):
+        from types import SimpleNamespace
+
+        from repro.serving.service import (
+            _DENSE_POPULATIONS,
+            _build_primitive_index,
+            _dense_documents,
+        )
+
+        store = self._grown(built_tiny)
+        for stage in ("segments", "compacted", "plain"):
+            if stage == "compacted":
+                store.compact()
+            view = built_tiny.store if stage == "plain" else store.current()
+            for layer in (None, "cls", "pc", "ec", "item"):
+                for count in (0, 1, 40, 500, len(view)):
+                    assert list(view.nodes_since(count, layer)) == list(
+                        islice(view.nodes(layer), count, None)
+                    ), (stage, layer, count)
+            for name, (layer, tokens_of) in _DENSE_POPULATIONS.items():
+                for start in range(view.count_nodes(layer) + 2):
+                    walked = islice(view.nodes(layer), start, None)
+                    assert _dense_documents(name, view, start) == [
+                        (node.id, tokens_of(node)) for node in walked if tokens_of(node)
+                    ], (stage, name, start)
+            primitives = list(view.nodes("pc"))
+            full: dict = {}
+            for node in primitives:
+                full.setdefault((node.name, node.domain), node.id)
+            assert _build_primitive_index(view) == full
+            for start in range(len(primitives) + 1):
+                covered: dict = {}
+                for node in primitives[:start]:
+                    covered.setdefault((node.name, node.domain), node.id)
+                old = SimpleNamespace(primitive_count=start, primitive_index=covered)
+                assert _build_primitive_index(view, old) == full, (stage, start)
+
+    def test_evolved_dense_indexes_equal_a_refit(self, built_tiny, tagger, reranker):
+        from repro.pipeline import EvolutionConfig, EvolutionDriver
+        from repro.serving.service import _DENSE_POPULATIONS
+
+        config = ServiceConfig(seed=0, retriever="hybrid")
+        store = GenerationalStore(built_tiny.store, compact_after_segments=4)
+        service = AliCoCoService(store, config=config, tagger=tagger, reranker=reranker)
+        driver = EvolutionDriver.from_build(
+            built_tiny,
+            service,
+            config=EvolutionConfig(
+                seed=5,
+                n_queries=10,
+                n_guides=6,
+                n_good=3,
+                n_bad=2,
+                publish_min_nodes=1,
+                cycle_interval=0.0,
+            ),
+        )
+        while driver.stats().publishes < 12:
+            driver.run_cycle()
+        assert service.generation_id == 12
+        refit = AliCoCoService(
+            flatten(store), config=config, tagger=tagger, reranker=reranker
+        )
+        for name, (layer, tokens_of) in _DENSE_POPULATIONS.items():
+            served = service._gen.dense_indexes[name]
+            fresh = refit._gen.dense_indexes[name]
+            assert served is not None and served.to_state() == fresh.to_state()
+            for node in list(store.nodes(layer))[-5:]:
+                query = service._dense_vector(node.id, tokens_of(node))
+                assert served.retrieve(query, 10) == fresh.retrieve(query, 10)
 
 
 # ---------------------------------------------------------------- compaction

@@ -44,6 +44,31 @@ def test_indexed_build_parity(n_items):
     assert indexed.store.stats() == brute.store.stats()
 
 
+def test_item_layer_weights_are_one_scalar_draw_per_match(built_tiny):
+    """The item layer draws each item's matched weights as one array;
+    the edges and weights must be those of the scalar draw per matched
+    (item, concept) pair in catalog x concept order that it replaced,
+    which lives on here only as the oracle."""
+    from repro.kg.relations import RelationKind
+    from repro.utils.rng import spawn_rng
+
+    built = built_tiny
+    rng = spawn_rng(TINY.seed, "build")
+    # Replay the build's only other use of its RNG, so the oracle draws
+    # from where the item layer started.
+    assert built.world.sample_good_concepts(
+        rng, len(built.concepts)) == built.concepts
+    expected = []
+    for item in built.corpus.items:
+        for spec in built.concepts:
+            if item_matches_concept(built.world, item, spec):
+                weight = float(np.clip(rng.normal(0.8, 0.1), 0.05, 1.0))
+                expected.append((built.item_ids[item.index],
+                                 built.concept_ids[spec.text], weight))
+    assert [(r.source, r.target, r.weight) for r in
+            built.store.relations(RelationKind.ITEM_ECOMMERCE)] == expected
+
+
 def test_candidate_index_is_complete(rng):
     """Every concept that matches an item must be in its candidate set
     (retrieval may over-propose, never under-propose)."""
