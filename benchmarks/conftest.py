@@ -4,7 +4,9 @@ Each benchmark regenerates one table/figure of the paper (see DESIGN.md's
 per-experiment index), asserts its *shape* (who wins, roughly by how
 much), and registers a formatted report.  Reports are printed in the
 terminal summary (bypassing capture) and written to
-``benchmarks/reports/``.
+``benchmarks/reports/`` — or, in smoke mode, to the untracked
+``benchmarks/reports/smoke/``, so a smoke run never rewrites the
+full-scale reports kept in the repository.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from repro.config import RunScale
 from repro.experiments.common import build_experiment_world
 
 _REPORTS: list[tuple[str, str]] = []
-_REPORT_DIR = Path(__file__).parent / "reports"
 
 #: Smoke mode (``REPRO_BENCH_SMOKE=1``): CI runs selected benchmarks at a
 #: reduced scale to validate the harness end to end in seconds.  Shape
 #: assertions with tight margins relax their thresholds under smoke —
 #: timings at toy sizes are dominated by constant factors.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+
+_REPORT_DIR = Path(__file__).parent / "reports"
+if SMOKE:
+    _REPORT_DIR = _REPORT_DIR / "smoke"
 
 #: Benchmark scale: item/corpus sizes between TINY and SMALL, tuned so the
 #: whole suite finishes in minutes while every shape is stable.
@@ -55,7 +60,7 @@ def report(request):
 
     def _add(text: str) -> None:
         _REPORTS.append((request.node.name, text))
-        _REPORT_DIR.mkdir(exist_ok=True)
+        _REPORT_DIR.mkdir(parents=True, exist_ok=True)
         path = _REPORT_DIR / f"{request.node.name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
 

@@ -46,13 +46,17 @@ class RelationKind(enum.Enum):
     # never iterate a set of kinds (dicts keep insertion order).
     __hash__ = object.__hash__
 
-    @property
-    def source_layer(self) -> str:
-        return self.value[0]
+    #: Layer prefix every source / target of this kind must carry.
+    source_layer: str
+    target_layer: str
 
-    @property
-    def target_layer(self) -> str:
-        return self.value[1]
+
+# Plain instance attributes, set once per member: a property over the
+# Enum ``value`` descriptor costs two Python-level calls per read, and
+# store validation reads both layers of every edge it checks.
+for _kind in RelationKind:
+    _kind.source_layer, _kind.target_layer = _kind.value[:2]
+del _kind
 
 
 @dataclass(frozen=True)

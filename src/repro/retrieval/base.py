@@ -74,6 +74,9 @@ class BaseRetriever(ABC):
     #: Whether :meth:`add` extends the fitted index in place.
     supports_add = False
 
+    #: Whether :meth:`projected` can select a subset without a refit.
+    supports_projection = False
+
     @abstractmethod
     def fit(self, ids: Sequence, data: Sequence) -> "BaseRetriever":
         """Index a collection: one id per data element, aligned.
@@ -124,6 +127,25 @@ class BaseRetriever(ABC):
             ConfigError: For backends with ``supports_add = False``.
         """
         return type(self).from_state(self.to_state()).add(ids, data)
+
+    def projected(self, ids: Sequence) -> "BaseRetriever | None":
+        """A new index over the documents ``ids``, in that order.
+
+        The projection retrieves exactly like a fit over those documents
+        alone; this index is left unchanged.  Returns ``None`` when
+        ``ids`` is empty.  Only backends whose structure does not depend
+        on the whole population (``supports_projection``) can project;
+        everyone else inherits this refusing default, which callers treat
+        as a refit-fallback signal (the cluster's per-shard dense indexes
+        — see :mod:`repro.serving.shard`).
+
+        Raises:
+            ConfigError: For backends with ``supports_projection = False``.
+        """
+        raise ConfigError(
+            f"{type(self).__name__} ({self.backend}) cannot project a "
+            "subset; refit over the subset instead"
+        )
 
     @abstractmethod
     def stats(self) -> RetrieverStats:

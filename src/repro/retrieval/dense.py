@@ -141,6 +141,7 @@ class BruteForceDense(BaseRetriever):
 
     backend = "bruteforce"
     supports_add = True
+    supports_projection = True
 
     def __init__(self, metric: str = "cosine"):
         if metric not in METRICS:
@@ -204,6 +205,32 @@ class BruteForceDense(BaseRetriever):
         grown._ids = self._ids + list(ids)
         grown._fitted = True
         return grown
+
+    def projected(self, ids: Sequence) -> "BruteForceDense | None":
+        """A new index holding this one's rows for ``ids``, in that order.
+
+        Rows are selected as stored (already normalised for cosine), so
+        the projection equals a fit over the selected vectors and
+        retrieves exactly like one; nothing goes through
+        :meth:`to_state`.  This index is left unchanged.  Returns
+        ``None`` when ``ids`` is empty.
+
+        Raises:
+            DataError: If an id is not in this index.
+        """
+        self._require_fitted(self._fitted)
+        if not ids:
+            return None
+        row_of = {doc_id: row for row, doc_id in enumerate(self._ids)}
+        try:
+            rows = [row_of[doc_id] for doc_id in ids]
+        except KeyError as error:
+            raise DataError(f"cannot project unknown id {error.args[0]!r}") from None
+        projection = type(self)(metric=self.metric)
+        projection._matrix = self._matrix[rows]
+        projection._ids = list(ids)
+        projection._fitted = True
+        return projection
 
     def retrieve(self, query: Any, top_k: int = 10) -> list[tuple[Any, float]]:
         """Exact top-k by one full-matrix inner product."""

@@ -70,7 +70,6 @@ from .shard import (
     REPLICATED_LAYERS,
     merge_ranked,
     owned_ids,
-    owner_shards,
     project_bm25_index,
     shard_of,
     shard_sizes,
@@ -103,7 +102,6 @@ __all__ = [
     "endpoint_table",
     "merge_ranked",
     "owned_ids",
-    "owner_shards",
     "project_bm25_index",
     "save_shard_snapshot",
     "shard_of",

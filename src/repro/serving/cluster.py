@@ -95,6 +95,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -148,13 +149,16 @@ from .service import (
     require_layer,
     require_model,
     save_shard_snapshot,
+    shard_dense_indexes,
 )
 from .shard import (
     is_partitioned,
     merge_ranked,
-    owner_shards,
+    owned_counts,
+    owner_map,
+    owner_of,
+    place_relations,
     shard_of,
-    shard_sizes,
     split_concept_index,
     split_store,
 )
@@ -472,6 +476,12 @@ class AliCoCoCluster:
             shard service.
         shard_dense_states: Per-shard dense index states to warm-start
             from, ``{shard id: {index name: state}}``.
+        dense_index_states: *Global* dense index states (a single-service
+            snapshot's); used when no per-shard states are given.  Shards
+            then serve projections of the global index, rehydrated from
+            a matching state or fitted once over the store
+            (:func:`~repro.serving.service.shard_dense_indexes`); only
+            backends that cannot project (IVF, HNSW) fit per shard.
         config_fingerprint: Build-config digest embedded in snapshots.
 
     Raises:
@@ -491,6 +501,7 @@ class AliCoCoCluster:
         tagger: ConceptTagger | None = None,
         reranker: Module | None = None,
         shard_dense_states: dict[int, dict[str, Any]] | None = None,
+        dense_index_states: dict[str, Any] | None = None,
         config_fingerprint: str = "",
     ):
         self.config = config or ClusterConfig()
@@ -523,43 +534,63 @@ class AliCoCoCluster:
             )
         dense_states = shard_dense_states or {}
         initial_generation = view.generation_id if self._source is not None else 0
+        # The prepared (fitted-checked, eval-mode) models; shared by
+        # every shard, referenced here for query-side encodings.
+        self._tagger = (
+            prepare_serving_module(tagger, TAGGER_MODEL) if tagger is not None else None
+        )
+        self._reranker = (
+            prepare_serving_module(reranker, RERANKER_MODEL)
+            if reranker is not None
+            else None
+        )
+        if self._service_config.retriever != "bm25":
+            require_dense_capable(
+                self._reranker, f"retriever {self._service_config.retriever!r}"
+            )
+        owners = owner_map(view, n_shards)
+        shard_stores = split_store(view, n_shards, owners)
+        # Without per-shard states, shards serve projections of one
+        # global dense index (empty dicts: each shard fits its own).
+        shard_dense = (
+            [{} for _ in shard_stores]
+            if dense_states
+            else shard_dense_indexes(
+                view,
+                shard_stores,
+                self._service_config,
+                self._reranker,
+                dense_index_states or {},
+            )
+        )
         self._pool: ProcessShardPool | None = None
         self._worker_dir: Path | None = None
         self._owns_worker_dir = False
         if self.config.executor == "process":
-            # The parent holds no shard services: it prepares the models
-            # itself (query-side encodings and snapshot bundles), writes
-            # one bootstrap snapshot per shard store, and spawns a worker
-            # process over each.  Workers rebuild dense indexes from the
-            # snapshot-replayed stores (insertion order preserved, fits
-            # deterministic) unless warm-start states are embedded — so
-            # their answers are bit-identical to in-process shards.
+            # The parent holds no shard services: it writes one
+            # bootstrap snapshot per shard store, embedding its dense
+            # index states, and spawns a worker process over each.
+            # Workers rebuild dense indexes from the snapshot-replayed
+            # stores (insertion order preserved, fits deterministic)
+            # only where no state is embedded — so their answers are
+            # bit-identical to in-process shards.
             self._services: list[AliCoCoService] = []
-            self._tagger = (
-                prepare_serving_module(tagger, TAGGER_MODEL)
-                if tagger is not None
-                else None
-            )
-            self._reranker = (
-                prepare_serving_module(reranker, RERANKER_MODEL)
-                if reranker is not None
-                else None
-            )
-            if self._service_config.retriever != "bm25":
-                require_dense_capable(
-                    self._reranker, f"retriever {self._service_config.retriever!r}"
-                )
             self._worker_dir = snapshot_dir_for(self.config.worker_dir)
             self._owns_worker_dir = self.config.worker_dir is None
             try:
                 specs = []
-                for shard, shard_store in enumerate(split_store(view, n_shards)):
+                for shard, shard_store in enumerate(shard_stores):
                     path = self._worker_dir / f"shard-{shard}.snap"
+                    states = dense_states.get(shard) or {
+                        name: index.to_state()
+                        for name, index in shard_dense[shard].items()
+                        if index is not None
+                    }
                     save_shard_snapshot(
                         path,
                         shard_store,
                         search_index=shard_search_indexes[shard],
-                        dense_states=dense_states.get(shard),
+                        dense_states=states,
                         config_fingerprint=config_fingerprint,
                     )
                     specs.append(
@@ -598,21 +629,18 @@ class AliCoCoCluster:
                     config=self._service_config,
                     search_index=shard_search_indexes[shard],
                     fit_search_index=False,
-                    tagger=tagger,
-                    reranker=reranker,
+                    tagger=self._tagger,
+                    reranker=self._reranker,
                     dense_index_states=dense_states.get(shard),
+                    dense_indexes=shard_dense[shard],
                     config_fingerprint=config_fingerprint,
                 )
-                for shard, shard_store in enumerate(split_store(view, n_shards))
+                for shard, shard_store in enumerate(shard_stores)
             ]
-            # The prepared (fitted-checked, eval-mode) modules; shared by
-            # every shard, referenced here for query-side encodings.
-            self._tagger = self._services[0]._tagger
-            self._reranker = self._services[0]._reranker
             shard_gens = tuple(service._gen for service in self._services)
             dense_presence = ()
         self._publish_lock = threading.Lock()
-        self._shard_owned = tuple(shard_sizes(view, n_shards))
+        self._shard_owned = tuple(owned_counts(owners.values(), n_shards))
         self._cgen = ClusterGeneration(
             generation_id=initial_generation,
             store=view,
@@ -692,7 +720,9 @@ class AliCoCoCluster:
         dense indexes) without re-fitting; any other snapshot — a
         single-service one, or a cluster one with a different shard
         count — re-splits deterministically from the global store and
-        index, landing on identical placement.  Model bundles restore
+        index, landing on identical placement, and projects each shard's
+        dense indexes from the snapshot's global ones (refitting only for
+        backends that cannot project).  Model bundles restore
         exactly as in :meth:`AliCoCoService.from_snapshot`.
 
         Raises:
@@ -765,6 +795,11 @@ class AliCoCoCluster:
             tagger=tagger,
             reranker=reranker,
             shard_dense_states=shard_dense_states or None,
+            dense_index_states={
+                name: snapshot.index_states[name]
+                for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
+                if name in snapshot.index_states
+            },
             config_fingerprint=header.config_fingerprint,
         )
 
@@ -831,11 +866,12 @@ class AliCoCoCluster:
         and routes them into the shards' own generational stores: nodes
         by :func:`~repro.serving.shard.shard_of` (replicated layers to
         every shard), each relation to its owner shards in global
-        insertion order, missing endpoints added as ghost replicas.  The
-        global concept index is extended (``BM25Index.extended``, refit
-        fallback), fresh per-shard projections are derived from it, and
-        each grown shard publishes its next generation with its new
-        projection.
+        insertion order (:func:`~repro.serving.shard.place_relations`,
+        the rule the initial split uses), endpoints owned elsewhere added
+        as ghost replicas.  The global concept index is extended
+        (``BM25Index.extended``, refit fallback), fresh per-shard
+        projections are derived from it, and each grown shard publishes
+        its next generation with its new projection.
 
         **Phase two**: one attribute assignment installs the new
         :class:`ClusterGeneration`.  Scattered reads pin the bundle at
@@ -867,28 +903,32 @@ class AliCoCoCluster:
             # deltas; readers still see the old shard generations).  The
             # delta is built as one op list per shard, each in global
             # insertion order — fresh nodes first, then each relation
-            # behind ghost replicas of its endpoints — and either applied
-            # to the in-process shard stores or shipped to the workers
-            # over RPC, byte-for-byte the same sequence either way.
+            # behind a ghost replica of its endpoint owned elsewhere, if
+            # any — and either applied to the in-process shard stores or
+            # shipped to the workers over RPC, byte-for-byte the same
+            # sequence either way.
             fresh_nodes = list(view.nodes_since(old.node_count))
             fresh_relations = list(view.relations_since(old.relation_count))
             shard_ops: list[list[tuple[str, Any]]] = [
                 [] for _ in range(self.n_shards)
             ]
+            n_shards = self.n_shards
+            owned = list(self._shard_owned)
             for node in fresh_nodes:
-                if is_partitioned(node.id):
-                    shard_ops[shard_of(node.id, self.n_shards)].append(
-                        ("node", node)
-                    )
-                else:
+                home = owner_of(node.id, n_shards)
+                if home is None:
                     for ops in shard_ops:
                         ops.append(("node", node))
-            for relation in fresh_relations:
-                for home in owner_shards(relation, self.n_shards):
-                    ops = shard_ops[home]
-                    for endpoint in (relation.source, relation.target):
-                        ops.append(("ghost", view.get(endpoint)))
-                    ops.append(("relation", relation))
+                else:
+                    shard_ops[home].append(("node", node))
+                    owned[home] += 1
+            for home, ghost, relation in place_relations(
+                fresh_relations, partial(owner_of, n_shards=n_shards), n_shards
+            ):
+                ops = shard_ops[home]
+                if ghost is not None:
+                    ops.append(("ghost", view.get(ghost)))
+                ops.append(("relation", relation))
             search_index = extend_concept_index(
                 old.search_index, view, old.concept_count
             )
@@ -936,7 +976,7 @@ class AliCoCoCluster:
                     service.publish(search_index=projection)
                 shard_gens = tuple(service._gen for service in self._services)
                 dense_presence = ()
-            self._shard_owned = tuple(shard_sizes(view, self.n_shards))
+            self._shard_owned = tuple(owned)
             # Phase two — a single assignment installs the whole bundle.
             self._cgen = ClusterGeneration(
                 generation_id=generation_id,

@@ -577,6 +577,66 @@ def _dense_documents(
     return documents
 
 
+def fit_dense_index(
+    backend: str,
+    documents: list[tuple[str, list[str]]],
+    vector_of: Callable[[str, Sequence[str]], Any],
+) -> BaseRetriever | None:
+    """A fresh ``backend`` index over ``(node id, tokens)`` documents,
+    each embedded by ``vector_of(node_id, tokens)``; None when empty."""
+    if not documents:
+        return None
+    return make_dense_index(backend).fit(
+        [node_id for node_id, _ in documents],
+        [vector_of(node_id, tokens) for node_id, tokens in documents],
+    )
+
+
+def shard_dense_indexes(
+    view: Any,
+    shard_stores: Sequence[AliCoCoStore],
+    config: ServiceConfig,
+    reranker: Module | None,
+    states: dict[str, Any],
+) -> list[dict[str, BaseRetriever | None]]:
+    """Each cluster shard's dense indexes, projected from one global index.
+
+    The global index of a population is rehydrated from ``states`` when
+    the state was written by ``config.dense_backend`` over exactly the
+    view's documents, and fitted once over the view otherwise — each
+    document is encoded once, not once per shard that holds it.  A shard
+    gets the rows of its own documents (ghost replicas included) in its
+    store's order, so its index equals a fit over the shard store
+    (:meth:`~repro.retrieval.dense.BruteForceDense.projected`); a shard
+    with no document of a population gets ``None``.
+
+    Returns one empty dict per shard when the config has no dense stage
+    or its backend cannot project (``supports_projection``: IVF and HNSW
+    depend on the whole population); those shards fit their own.
+    """
+    projections: list[dict[str, BaseRetriever | None]] = [{} for _ in shard_stores]
+    backend = config.dense_backend
+    if config.retriever == "bm25" or not DENSE_BACKENDS[backend].supports_projection:
+        return projections
+    for name in _DENSE_POPULATIONS:
+        documents = _dense_documents(name, view)
+        state = states.get(name)
+        if (
+            isinstance(state, dict)
+            and state.get("backend") == backend
+            and state.get("ids") == [node_id for node_id, _ in documents]
+        ):
+            index = dense_index_from_state(state)
+        else:
+            index = fit_dense_index(
+                backend, documents, lambda _, tokens: dense_doc_vector(reranker, tokens)
+            )
+        for shard_store, shard_indexes in zip(shard_stores, projections):
+            ids = [node_id for node_id, _ in _dense_documents(name, shard_store)]
+            shard_indexes[name] = None if index is None else index.projected(ids)
+    return projections
+
+
 class AliCoCoService:
     """Concept query service over a frozen net — or an evolvable one.
 
@@ -616,6 +676,12 @@ class AliCoCoService:
             rehydrated instead of re-fitted — retrieval is bit-identical
             to the fresh fit; mismatched or absent states rebuild from
             the store.  Ignored under ``retriever="bm25"``.
+        dense_indexes: Fitted dense indexes to serve as they are, keyed
+            like ``dense_index_states`` (``None`` for an empty
+            population).  They take precedence over states; a cluster
+            passes each shard its projections of one global index (see
+            :mod:`repro.serving.shard`).  Ignored under
+            ``retriever="bm25"``.
         fit_search_index: Fit a BM25 index from the store when none is
             supplied (the default).  A cluster shard passes ``False``
             together with its *projection* of the global index (or no
@@ -642,6 +708,7 @@ class AliCoCoService:
         tagger: ConceptTagger | None = None,
         reranker: Module | None = None,
         dense_index_states: dict[str, Any] | None = None,
+        dense_indexes: dict[str, BaseRetriever | None] | None = None,
         fit_search_index: bool = True,
         config_fingerprint: str = "",
     ):
@@ -688,12 +755,14 @@ class AliCoCoService:
         # mean "population empty, fall back to the cheap stage").  Built
         # after the doc cache exists so index construction flows through
         # it — every title/concept encoded here is a future cache hit.
-        dense_indexes: dict[str, BaseRetriever | None] = {}
+        served_dense: dict[str, BaseRetriever | None] = {}
         if self.config.retriever != "bm25":
             require_dense_capable(
                 self._reranker, f"retriever {self.config.retriever!r}"
             )
-            dense_indexes = self._build_dense_indexes(dense_index_states or {}, view)
+            served_dense = self._build_dense_indexes(
+                dense_index_states or {}, view, dense_indexes or {}
+            )
         # All per-generation state rides one immutable bundle behind one
         # attribute; requests pin it at entry and publish() replaces it
         # atomically (the lock serializes publishers only — readers
@@ -703,7 +772,7 @@ class AliCoCoService:
             generation_id=view.generation_id if self._generational else 0,
             store=view,
             search_index=search_index,
-            dense_indexes=dense_indexes,
+            dense_indexes=served_dense,
             primitive_index=_build_primitive_index(view),
             ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
             item_count=view.count_nodes(ITEM_PREFIX),
@@ -1371,21 +1440,27 @@ class AliCoCoService:
 
     # ------------------------------------------------- dense first stage
     def _build_dense_indexes(
-        self, states: dict[str, Any], view: Any
+        self,
+        states: dict[str, Any],
+        view: Any,
+        given: dict[str, BaseRetriever | None],
     ) -> dict[str, BaseRetriever | None]:
-        """Fit (or warm-start) the dense concept and item indexes.
+        """Take, warm-start or fit the dense concept and item indexes.
 
-        Every document is encoded through the doc-side cache when one is
-        enabled, so building here doubles as a cache warm — and a later
-        ``warm_doc_cache`` re-encodes nothing.  A snapshot state is
-        reused only when its backend tag matches ``config.dense_backend``
+        A ``given`` index is served as is.  A snapshot state is reused
+        only when its backend tag matches ``config.dense_backend``
         (rehydration is then bit-identical to the fresh fit); otherwise
-        the index is rebuilt from the given view.
+        the index is rebuilt from the given view.  A fit encodes every
+        document through the doc-side cache when one is enabled, so it
+        doubles as a cache warm — and a later ``warm_doc_cache``
+        re-encodes nothing.
         """
         indexes: dict[str, BaseRetriever | None] = {}
         for name in _DENSE_POPULATIONS:
             state = states.get(name)
-            if (
+            if name in given:
+                indexes[name] = given[name]
+            elif (
                 isinstance(state, dict)
                 and state.get("backend") == self.config.dense_backend
             ):
@@ -1398,12 +1473,7 @@ class AliCoCoService:
         self, documents: list[tuple[str, list[str]]]
     ) -> BaseRetriever | None:
         """A fresh dense index over ``documents`` (None when empty)."""
-        if not documents:
-            return None
-        return make_dense_index(self.config.dense_backend).fit(
-            [node_id for node_id, _ in documents],
-            [self._dense_vector(node_id, tokens) for node_id, tokens in documents],
-        )
+        return fit_dense_index(self.config.dense_backend, documents, self._dense_vector)
 
     def _dense_vector(self, node_id: str, tokens: Sequence[str]) -> Any:
         """One document's retrieval embedding, via the doc-encoding cache."""

@@ -22,6 +22,13 @@ shard or *scatter* across all of them and merge.
   replica* (same node object, not owned), so the shard store passes
   endpoint validation and can serve the relation's text locally.
 
+Placement is computed **once per node**, not once per relation:
+:func:`owner_map` hashes each partitioned node once, and
+:func:`place_relations` — the one statement of the relation rule, which
+the cluster's publish also routes its deltas through — places each
+relation with two dictionary lookups, naming a ghost only for an
+endpoint owned by another shard.
+
 The placement invariant the cluster relies on: **every relation incident
 to a node is present on that node's owner shard, in global insertion
 order.**  Point lookups (``items_for_concept``, ``concepts_for_item``,
@@ -39,12 +46,23 @@ Shard scores are then exactly the global scores, and merging per-shard
 top-k lists by ``(-score, global fit position)`` reproduces the global
 ``top_k`` bit for bit (:func:`merge_ranked` — the same tie-break contract
 the retrieval backends pin down).
+
+**Sharded dense retrieval** works the same way: each shard's dense
+indexes are *projections* of one global index — the rows of the shard's
+own documents, ghost replicas included, in shard-store order
+(:meth:`~repro.retrieval.base.BaseRetriever.projected`,
+:func:`~repro.serving.service.shard_dense_indexes`).  The global index
+comes from a snapshot's state or one fit over the net, so a re-split
+warm start encodes nothing; a projection equals a fit over the shard's
+documents, so it retrieves exactly as a per-shard refit would.  Only
+backends whose structure depends on the whole population (IVF, HNSW)
+cannot project, and their shards refit.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConfigError
 from ..kg.ids import (
@@ -86,23 +104,68 @@ def is_partitioned(node_id: str) -> bool:
     return layer_of(node_id) in PARTITIONED_LAYERS
 
 
-def owner_shards(relation: Relation, n_shards: int) -> tuple[int, ...]:
-    """The shards a relation is placed on (sorted, duplicate-free).
+def owner_of(node_id: str, n_shards: int) -> int | None:
+    """Owner shard of a partitioned node id; ``None`` for a replicated one."""
+    return shard_of(node_id, n_shards) if is_partitioned(node_id) else None
 
-    A relation between two replicated-layer nodes lives everywhere; any
-    other relation lives on the owner shard of each partitioned endpoint.
+
+def owner_map(store: AliCoCoStore, n_shards: int) -> dict[str, int]:
+    """Owner shard of every partitioned node of ``store``, keyed by id.
+
+    One :func:`shard_of` per node: the map is computed once per split and
+    placement then reads it with dictionary lookups.  Replicated-layer
+    ids are absent, so ``owners.get`` answers like :func:`owner_of`.
+
+    Raises:
+        ConfigError: If ``n_shards`` is not positive.
     """
-    owners = {
-        shard_of(endpoint, n_shards)
-        for endpoint in (relation.source, relation.target)
-        if is_partitioned(endpoint)
+    if n_shards <= 0:
+        raise ConfigError(f"n_shards must be positive, got {n_shards}")
+    return {
+        node.id: shard_of(node.id, n_shards)
+        for layer in PARTITIONED_LAYERS
+        for node in store.nodes(layer)
     }
-    if not owners:
-        return tuple(range(n_shards))
-    return tuple(sorted(owners))
 
 
-def split_store(store: AliCoCoStore, n_shards: int) -> list[AliCoCoStore]:
+def place_relations(
+    relations: Iterable[Relation],
+    owner: Callable[[str], int | None],
+    n_shards: int,
+) -> Iterator[tuple[int, str | None, Relation]]:
+    """Where each relation lives: ``(home shard, ghost id, relation)``.
+
+    The placement rule, in one place.  ``owner`` maps a node id to its
+    owner shard, ``None`` for a replicated node.  A relation between two
+    replicated nodes lives on every shard; any other relation lives on
+    the owner shard of each partitioned endpoint.  ``ghost`` names the
+    endpoint that shard must hold as a ghost replica: it is set only when
+    the other endpoint is partitioned and owned elsewhere (a replicated
+    or locally owned endpoint is present already).  Placements come in
+    the relations' order, so each shard's share is an order-preserving
+    subsequence of the input.
+    """
+    for relation in relations:
+        source_home = owner(relation.source)
+        target_home = owner(relation.target)
+        if source_home is None:
+            if target_home is None:
+                for home in range(n_shards):
+                    yield home, None, relation
+            else:
+                yield target_home, None, relation
+        elif target_home is None or target_home == source_home:
+            yield source_home, None, relation
+        else:
+            yield source_home, relation.target, relation
+            yield target_home, relation.source, relation
+
+
+def split_store(
+    store: AliCoCoStore,
+    n_shards: int,
+    owners: Mapping[str, int] | None = None,
+) -> list[AliCoCoStore]:
     """Split a store into ``n_shards`` self-contained shard stores.
 
     Node objects are shared, not copied (nodes are immutable under
@@ -110,31 +173,40 @@ def split_store(store: AliCoCoStore, n_shards: int) -> list[AliCoCoStore]:
     them through the services that serve them.  Splitting is
     deterministic: the same store and shard count always produce the
     same shards, so a cluster can re-split after a snapshot reload and
-    land on identical placement.
+    land on identical placement.  Each shard holds its nodes in global
+    order, then its ghost replicas in first-use order, and its relations
+    in global order.
+
+    Args:
+        owners: The store's :func:`owner_map` for ``n_shards``, when the
+            caller already has it; computed here otherwise.
 
     Raises:
         ConfigError: If ``n_shards`` is not positive.
     """
     if n_shards <= 0:
         raise ConfigError(f"n_shards must be positive, got {n_shards}")
+    if owners is None:
+        owners = owner_map(store, n_shards)
+    owner = owners.get
     shards = [AliCoCoStore() for _ in range(n_shards)]
     for node in store.nodes():
-        if is_partitioned(node.id):
-            shards[shard_of(node.id, n_shards)].add_node(node)
-        else:
+        home = owner(node.id)
+        if home is None:
             for shard in shards:
                 shard.add_node(node)
+        else:
+            shards[home].add_node(node)
     # Relations replay in global insertion order per shard, so a shard's
     # adjacency lists are order-preserving subsequences of the global
     # ones — weight ties resolve exactly as the monolithic store would.
     pending: list[list[Relation]] = [[] for _ in range(n_shards)]
-    for relation in store.relations():
-        for home in owner_shards(relation, n_shards):
+    for home, ghost, relation in place_relations(store.relations(), owner, n_shards):
+        if ghost is not None:
             shard = shards[home]
-            for endpoint in (relation.source, relation.target):
-                if endpoint not in shard:
-                    shard.add_node(store.get(endpoint))  # ghost replica
-            pending[home].append(relation)
+            if ghost not in shard:
+                shard.add_node(store.get(ghost))  # ghost replica
+        pending[home].append(relation)
     for shard, relations in zip(shards, pending):
         shard.add_relations_trusted(relations)
     return shards
@@ -151,12 +223,15 @@ def shard_sizes(store: AliCoCoStore, n_shards: int) -> list[int]:
     Raises:
         ConfigError: If ``n_shards`` is not positive.
     """
-    if n_shards <= 0:
-        raise ConfigError(f"n_shards must be positive, got {n_shards}")
+    return owned_counts(owner_map(store, n_shards).values(), n_shards)
+
+
+def owned_counts(homes: Iterable[int], n_shards: int) -> list[int]:
+    """How many of ``homes`` name each shard: the census of an
+    :func:`owner_map`'s values."""
     counts = [0] * n_shards
-    for layer in PARTITIONED_LAYERS:
-        for node in store.nodes(layer):
-            counts[shard_of(node.id, n_shards)] += 1
+    for home in homes:
+        counts[home] += 1
     return counts
 
 

@@ -60,3 +60,78 @@ def make_trained_reranker(built, *, seed=1, epochs=2):
 def trained_reranker(built_tiny):
     """A trained reranker shared by the cluster/concurrency suites."""
     return make_trained_reranker(built_tiny)
+
+
+def oracle_owner_shards(relation, n_shards):
+    """The shards a relation is placed on, recomputed per relation from
+    its endpoints: sorted, duplicate-free (the placement oracle)."""
+    from repro.serving.shard import is_partitioned, shard_of
+
+    owners = {
+        shard_of(endpoint, n_shards)
+        for endpoint in (relation.source, relation.target)
+        if is_partitioned(endpoint)
+    }
+    return tuple(sorted(owners)) if owners else tuple(range(n_shards))
+
+
+def oracle_split(store, n_shards):
+    """Shard stores by the per-relation placement walk: partitioned nodes
+    to their owner, replicated ones everywhere, then every relation to
+    each of its :func:`oracle_owner_shards`, missing endpoints added as
+    ghost replicas on first use.  ``split_store`` must equal it exactly."""
+    from repro.kg.store import AliCoCoStore
+    from repro.serving.shard import is_partitioned, shard_of
+
+    shards = [AliCoCoStore() for _ in range(n_shards)]
+    for node in store.nodes():
+        if is_partitioned(node.id):
+            shards[shard_of(node.id, n_shards)].add_node(node)
+        else:
+            for shard in shards:
+                shard.add_node(node)
+    for relation in store.relations():
+        for home in oracle_owner_shards(relation, n_shards):
+            shard = shards[home]
+            for endpoint in (relation.source, relation.target):
+                if endpoint not in shard:
+                    shard.add_node(store.get(endpoint))
+            shard.add_relation(relation)
+    return shards
+
+
+def assert_same_store(actual, expected):
+    """Node order, relation order, every adjacency list and every name
+    lookup of ``actual`` equal ``expected``'s."""
+    from repro.kg.ids import (
+        CLASS_PREFIX,
+        ECOMMERCE_PREFIX,
+        ITEM_PREFIX,
+        PRIMITIVE_PREFIX,
+    )
+    from repro.kg.relations import RelationKind
+
+    assert [node.id for node in actual.nodes()] == [
+        node.id for node in expected.nodes()
+    ]
+    assert list(actual.relations()) == list(expected.relations())
+    for node in expected.nodes():
+        for kind in RelationKind:
+            assert actual.out_relations(node.id, kind) == expected.out_relations(
+                node.id, kind
+            )
+            assert actual.in_relations(node.id, kind) == expected.in_relations(
+                node.id, kind
+            )
+    name_field = {
+        CLASS_PREFIX: "name",
+        PRIMITIVE_PREFIX: "name",
+        ECOMMERCE_PREFIX: "text",
+        ITEM_PREFIX: "title",
+    }
+    for layer, field in name_field.items():
+        for node in expected.nodes(layer):
+            name = getattr(node, field)
+            assert [found.id for found in actual.find_by_name(layer, name)] == [
+                found.id for found in expected.find_by_name(layer, name)
+            ]

@@ -34,6 +34,40 @@ def store():
     return store
 
 
+class TestRelationKindLayers:
+    """Every kind's endpoint layers, as the store validates them."""
+
+    TABLE = {
+        RelationKind.SUBCLASS_OF: ("cls", "cls"),
+        RelationKind.INSTANCE_OF: ("pc", "cls"),
+        RelationKind.ISA_PRIMITIVE: ("pc", "pc"),
+        RelationKind.RELATED_PRIMITIVE: ("pc", "pc"),
+        RelationKind.ISA_ECOMMERCE: ("ec", "ec"),
+        RelationKind.INTERPRETED_BY: ("ec", "pc"),
+        RelationKind.ITEM_PRIMITIVE: ("item", "pc"),
+        RelationKind.ITEM_ECOMMERCE: ("item", "ec"),
+        RelationKind.SCHEMA: ("cls", "cls"),
+    }
+
+    def test_every_kind_is_pinned(self):
+        assert list(self.TABLE) == list(RelationKind)
+
+    @pytest.mark.parametrize("kind", list(RelationKind))
+    def test_layers_are_plain_attributes(self, kind):
+        assert (kind.source_layer, kind.target_layer) == self.TABLE[kind]
+        assert (kind.source_layer, kind.target_layer) == kind.value[:2]
+        # Set on the member itself, not computed by a class property.
+        assert "source_layer" in vars(kind) and "target_layer" in vars(kind)
+
+    def test_layers_survive_pickling(self):
+        import pickle
+
+        for kind in RelationKind:
+            clone = pickle.loads(pickle.dumps(kind))
+            assert clone is kind
+            assert clone.source_layer == self.TABLE[kind][0]
+
+
 class TestStoreBasics:
     def test_ids_have_layer_prefixes(self, store):
         for node in store.nodes():

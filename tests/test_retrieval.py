@@ -281,6 +281,51 @@ class TestStateRoundTrips:
             HNSWLiteIndex.from_state(hnsw_state)
 
 
+class TestProjection:
+    """``projected(ids)``: a subset index without a refit."""
+
+    @pytest.mark.parametrize("metric", ["cosine", "ip"])
+    def test_bruteforce_projection_equals_a_fit_over_the_subset(self, corpus, metric):
+        ids, vectors, queries = corpus
+        full = BruteForceDense(metric=metric).fit(ids, vectors)
+        state = full.to_state()
+        keep = [397, 3, 150, 42, 0, 211, 399, 7]  # any order, not fit order
+        projection = full.projected(keep)
+        refit = BruteForceDense(metric=metric).fit(
+            keep, [vectors[doc_id] for doc_id in keep]
+        )
+        assert projection._ids == refit._ids == keep
+        assert projection._matrix.tobytes() == refit._matrix.tobytes()
+        assert projection.to_state() == refit.to_state()
+        for query in queries:
+            assert projection.retrieve(query, 5) == refit.retrieve(query, 5)
+        # The source index is untouched.
+        assert full.to_state() == state
+        assert len(full) == len(ids)
+
+    def test_empty_projection_is_none(self, corpus):
+        ids, vectors, _ = corpus
+        assert BruteForceDense().fit(ids, vectors).projected([]) is None
+
+    def test_unknown_id_is_refused(self, corpus):
+        ids, vectors, _ = corpus
+        with pytest.raises(DataError, match="unknown id"):
+            BruteForceDense().fit(ids, vectors).projected([1, 10_000])
+
+    def test_unfitted_index_is_refused(self):
+        with pytest.raises(NotFittedError):
+            BruteForceDense().projected([1])
+
+    @pytest.mark.parametrize("backend", ["ivf", "hnsw"])
+    def test_population_shaped_backends_cannot_project(self, corpus, backend):
+        ids, vectors, _ = corpus
+        assert DENSE_BACKENDS[backend].supports_projection is False
+        index = make_dense_index(backend).fit(ids, vectors)
+        with pytest.raises(ConfigError, match="refit"):
+            index.projected(ids[:5])
+        assert DENSE_BACKENDS["bruteforce"].supports_projection is True
+
+
 # ---------------------------------------------------------------- facades
 @pytest.fixture(scope="module")
 def matching_world():

@@ -49,6 +49,14 @@ from repro.serving import (
     split_store,
 )
 from repro.serving.service import fit_concept_index
+from repro.serving.shard import (
+    owned_counts,
+    owner_map,
+    owner_of,
+    place_relations,
+)
+
+from tests.conftest import assert_same_store, oracle_owner_shards, oracle_split
 
 SHARD_COUNTS = (1, 2, 3)
 
@@ -125,6 +133,35 @@ class TestSplitStore:
                 assert owner.out_relations(node.id, kind) == store.out_relations(
                     node.id, kind
                 )
+
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_split_equals_the_per_relation_oracle(self, store, n_shards):
+        owners = owner_map(store, n_shards)
+        for given in (None, owners):
+            shards = split_store(store, n_shards, given)
+            for actual, expected in zip(shards, oracle_split(store, n_shards)):
+                assert_same_store(actual, expected)
+        assert shard_sizes(store, n_shards) == owned_counts(owners.values(), n_shards)
+
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_placement_equals_the_oracle_per_relation(self, store, n_shards):
+        owners = owner_map(store, n_shards)
+        placed = {}
+        for home, ghost, relation in place_relations(
+            store.relations(), owners.get, n_shards
+        ):
+            placed.setdefault(relation, []).append(home)
+            if ghost is not None:
+                assert ghost in (relation.source, relation.target)
+                assert owners[ghost] != home  # owned elsewhere
+        for relation in store.relations():
+            homes = placed[relation]
+            assert tuple(sorted(homes)) == oracle_owner_shards(relation, n_shards)
+        assert owners == {
+            node.id: owner_of(node.id, n_shards)
+            for node in store.nodes()
+            if owner_of(node.id, n_shards) is not None
+        }
 
     def test_split_is_deterministic(self, store):
         first = split_store(store, 2)
@@ -948,6 +985,27 @@ class TestClusterGenerations:
             assert cluster.generation_id == round_index + 1
             assert cluster.stats().generation_id == round_index + 1
             self._assert_parity(cluster, service, source, fresh)
+
+    def test_publish_routes_by_the_placement_oracle(self, built):
+        """Published relations land on their oracle shards, in global
+        order; the ownership census grows with the fresh nodes."""
+        from repro.kg import GenerationalStore
+
+        n_shards = 3
+        source = GenerationalStore(built.store)
+        cluster = _cluster(source, n_shards)
+        for round_index in range(3):
+            _grow_round(source, f"route-{round_index}")
+            cluster.publish()
+        view = cluster.store
+        for shard, service in enumerate(cluster.services):
+            expected = [
+                relation
+                for relation in view.relations()
+                if shard in oracle_owner_shards(relation, n_shards)
+            ]
+            assert list(service.store.relations()) == expected
+        assert list(cluster._shard_owned) == shard_sizes(view, n_shards)
 
     def test_publish_needs_a_generational_source(self, store):
         cluster = _cluster(store, 2)

@@ -5,17 +5,24 @@ generational store with deltas and a compacted one (``base_generation >
 0``): the warm-started system answers every endpoint exactly like the
 system that saved it, and saving the same net twice writes identical
 bytes.
+
+A cluster warm-started from a single-service snapshot (plain or
+generational) re-splits the net and projects its shards' dense indexes
+from the snapshot's global ones: its shard stores must equal the
+per-relation oracle split and its dense indexes a per-shard refit.
 """
 
 import pytest
 
 from repro.concepts import ConceptTagger
 from repro.kg import GenerationalStore, Relation, RelationKind
+from repro.kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
 from repro.serving import AliCoCoCluster, AliCoCoService, ClusterConfig, ServiceConfig
+from repro.serving.service import DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX
 
-from tests.conftest import make_trained_reranker
+from tests.conftest import assert_same_store, make_trained_reranker, oracle_split
 
 CONFIG = ServiceConfig(retriever="hybrid", seed=0)
 
@@ -160,3 +167,175 @@ def test_generational_round_trip(
     )
     assert warm.generation_id == service.generation_id == 3
     assert warm.batch(requests) == service.batch(requests)
+
+
+
+GROWN = ("w1", "w2")
+
+
+def _saved_generational(built, tagger, reranker, path):
+    """A generational service snapshot: two published segments."""
+    store = GenerationalStore(built.store)
+    service = AliCoCoService(store, config=CONFIG, tagger=tagger, reranker=reranker)
+    for tag in GROWN:
+        _grow(store, tag)
+        service.publish()
+    service.save_snapshot(path)
+    return path
+
+
+def _assert_oracle_shards(cluster, config=CONFIG):
+    """Shard stores equal the oracle split; dense indexes a refit on it."""
+    expected_shards = oracle_split(cluster.store, cluster.n_shards)
+    for service, expected in zip(cluster.services, expected_shards):
+        assert_same_store(service._gen.store, expected)
+        refit = AliCoCoService(
+            expected, config=config, reranker=cluster._reranker, fit_search_index=False
+        )
+        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX):
+            served = service._gen.dense_indexes[name]
+            fitted = refit._gen.dense_indexes[name]
+            if fitted is None:
+                assert served is None
+            else:
+                assert served.to_state() == fitted.to_state()
+
+
+class TestClusterWarmStartFromAServiceSnapshot:
+    """A re-split warm start: placement once per node, dense indexes
+    projected from the snapshot's global ones — bit-identical to the
+    per-relation oracle split and a per-shard refit."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self, built_tiny, tagger, trained_reranker, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("warm-start")
+        service = AliCoCoService(
+            built_tiny.store, config=CONFIG, tagger=tagger, reranker=trained_reranker
+        )
+        service.save_snapshot(directory / "service.snapshot")
+        return {
+            "service": directory / "service.snapshot",
+            "generational": _saved_generational(
+                built_tiny, tagger, trained_reranker, directory / "gen.snapshot"
+            ),
+        }
+
+    def _warm(self, path, built, n_shards, monkeypatch, config=CONFIG):
+        """The warm-started cluster and the dense fits its shards ran."""
+        fits = []
+        fit = AliCoCoService._fit_dense_index
+
+        def counting_fit(service, documents):
+            fits.append(len(documents))
+            return fit(service, documents)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AliCoCoService, "_fit_dense_index", counting_fit)
+            cluster = AliCoCoCluster.from_snapshot(
+                path,
+                config=ClusterConfig(n_shards=n_shards),
+                service_config=config,
+                **_fresh_models(built),
+            )
+        return cluster, fits
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_single_service_snapshot(
+        self, snapshots, built_tiny, monkeypatch, n_shards
+    ):
+        path = snapshots["service"]
+        cluster, fits = self._warm(path, built_tiny, n_shards, monkeypatch)
+        try:
+            assert fits == []  # every shard serves projections, no refit
+            _assert_oracle_shards(cluster)
+            single = AliCoCoService.from_snapshot(
+                path, config=CONFIG, **_fresh_models(built_tiny)
+            )
+            requests = _requests(built_tiny)
+            assert cluster.batch(requests) == single.batch(requests)
+        finally:
+            cluster.close()
+
+    def test_generational_snapshot(self, snapshots, built_tiny, monkeypatch):
+        path = snapshots["generational"]
+        cluster, fits = self._warm(path, built_tiny, 2, monkeypatch)
+        try:
+            assert fits == []
+            assert cluster.generation_id == len(GROWN)
+            _assert_oracle_shards(cluster)
+            single = AliCoCoService.from_snapshot(
+                path, config=CONFIG, **_fresh_models(built_tiny)
+            )
+            requests = _requests(built_tiny, GROWN)
+            assert cluster.batch(requests) == single.batch(requests)
+        finally:
+            cluster.close()
+
+    def test_ivf_shards_still_refit(self, snapshots, built_tiny, monkeypatch):
+        config = ServiceConfig(retriever="hybrid", dense_backend="ivf", seed=0)
+        path = snapshots["service"]
+        cluster, fits = self._warm(path, built_tiny, 2, monkeypatch, config)
+        from_store = AliCoCoCluster(
+            cluster.store,
+            config=ClusterConfig(n_shards=2),
+            service_config=config,
+            tagger=cluster._tagger,
+            reranker=cluster._reranker,
+        )
+        try:
+            assert len(fits) == 2 * cluster.n_shards  # both populations
+            _assert_oracle_shards(cluster, config)
+            requests = _requests(built_tiny)
+            assert cluster.batch(requests) == from_store.batch(requests)
+        finally:
+            cluster.close()
+            from_store.close()
+
+
+def test_store_built_cluster_encodes_each_document_once(
+    built_tiny, trained_reranker, monkeypatch
+):
+    """No snapshot states: one global fit over the view, then projections."""
+    encoded = []
+    encode_doc = trained_reranker.encode_doc
+
+    def counting_encode_doc(tokens):
+        encoded.append(tuple(tokens))
+        return encode_doc(tokens)
+
+    store = built_tiny.store
+    with monkeypatch.context() as patch:
+        patch.setattr(trained_reranker, "encode_doc", counting_encode_doc)
+        cluster = AliCoCoCluster(
+            store,
+            config=ClusterConfig(n_shards=3),
+            service_config=CONFIG,
+            reranker=trained_reranker,
+        )
+    documents = [node.title.split() for node in store.nodes(ITEM_PREFIX)] + [
+        list(node.tokens) for node in store.nodes(ECOMMERCE_PREFIX)
+    ]
+    assert len(encoded) == sum(1 for tokens in documents if tokens)
+    # Ghost items sit on two shards each, yet were encoded once.
+    held = sum(service.store.count_nodes(ITEM_PREFIX) for service in cluster.services)
+    assert held > store.count_nodes(ITEM_PREFIX)
+    _assert_oracle_shards(cluster)
+
+
+def test_a_global_state_not_covering_the_net_is_refit(built_tiny, trained_reranker):
+    """A dense state over other documents than the net's is not projected
+    from: the cluster fits the population over the net instead."""
+    store = built_tiny.store
+    items = [node.id for node in store.nodes(ITEM_PREFIX)]
+    stale = AliCoCoService(store, config=CONFIG, reranker=trained_reranker)
+    state = stale._gen.dense_indexes[DENSE_ITEM_INDEX].to_state()
+    state = {**state, "ids": list(reversed(state["ids"]))}
+    assert state["ids"] != items
+    cluster = AliCoCoCluster(
+        store,
+        config=ClusterConfig(n_shards=2),
+        service_config=CONFIG,
+        reranker=trained_reranker,
+        dense_index_states={DENSE_ITEM_INDEX: state},
+    )
+    _assert_oracle_shards(cluster)
