@@ -33,8 +33,17 @@ Two more gates close the evolution loop:
 - **driver freshness**: the background ``EvolutionDriver`` mines real
   candidates from fresh corpus batches and every concept it accepts is
   searchable the moment its publish returns — end to end, no restart.
+
+A last section reports **compaction scaling**: the same ten-segment
+delta folded by ``compact()`` over bases of two sizes (4800 and 9600
+items at full scale).  A fold that costs the delta stays nearly flat as
+the base doubles; one that copies whole-net lists doubles with it.  The
+section checks that each fold reads like ``flatten`` and reports the
+fold times; it asserts no timing, which a shared host makes noisy.
 """
 
+import gc
+import statistics
 import threading
 import time
 from dataclasses import replace
@@ -68,6 +77,12 @@ _PUBLISH_GAP_SECONDS = 0.01 if SMOKE else 0.02
 #: an absolute floor because toy-scale p99s are single-digit micros.
 _MAX_P99_RATIO = 50.0
 _P99_FLOOR_SECONDS = 0.05
+#: Compaction scaling: base sizes (items; concepts fixed) and folds timed
+#: per size.
+_FOLD_BASE_ITEMS = (160, 320) if SMOKE else (4800, 9600)
+_FOLD_CONCEPTS = 40 if SMOKE else 220
+_FOLD_SEGMENTS = 10
+_FOLD_REPEATS = 3 if SMOKE else 15
 
 
 def _train_models(built):
@@ -368,4 +383,71 @@ def test_evolve(report):
         f"{driver_stats.publishes} publishes to generation "
         f"{final_generation}; every concept searchable on publish",
     ]
+    report("\n".join(lines))
+
+
+def _fold_delta(store):
+    """Ten published segments shaped like evolution publishes: a new
+    concept linked from existing items and interpreted by primitives."""
+    items = [node.id for node in store.nodes("item")][:100]
+    primitives = [node.id for node in store.nodes("pc")][:20]
+    for segment in range(_FOLD_SEGMENTS):
+        concept = store.create_ecommerce(f"fold scaling {segment} concept")
+        edges = [
+            Relation(
+                RelationKind.ITEM_ECOMMERCE,
+                items[(7 * segment + k) % len(items)],
+                concept.id,
+                0.5,
+            )
+            for k in range(40)
+        ]
+        edges += [
+            Relation(
+                RelationKind.INTERPRETED_BY,
+                concept.id,
+                primitives[(segment + k) % len(primitives)],
+            )
+            for k in range(2)
+        ]
+        store.add_relations(edges)
+        store.publish()
+
+
+def test_compaction_scaling(report):
+    lines = [
+        f"Compaction scaling: {_FOLD_SEGMENTS} published segments folded by "
+        f"compact(), median of {_FOLD_REPEATS} folds per base"
+    ]
+    medians = []
+    for n_items in _FOLD_BASE_ITEMS:
+        built = build_alicoco(
+            replace(BENCH_SCALE, n_items=n_items), n_concepts=_FOLD_CONCEPTS
+        )
+        stats = built.store.stats()
+        seconds = []
+        for repeat in range(_FOLD_REPEATS):
+            store = GenerationalStore(built.store)
+            _fold_delta(store)
+            if repeat == 0:
+                oracle = flatten(store)
+            gc.collect()
+            start = time.perf_counter()
+            store.compact()
+            seconds.append(time.perf_counter() - start)
+            assert store.published_segments == ()
+        assert store.stats() == oracle.stats()
+        assert list(store.relations()) == list(oracle.relations()), (
+            "a fold must read like the flattened store"
+        )
+        medians.append(statistics.median(seconds))
+        lines.append(
+            f"  base of {n_items} items ({len(built.store)} nodes, "
+            f"{stats.relations_total} relations): fold "
+            f"{medians[-1] * 1e3:.3f} ms"
+        )
+    lines.append(
+        f"  fold time ratio {medians[-1] / medians[0]:.2f} for a base "
+        f"{_FOLD_BASE_ITEMS[-1] / _FOLD_BASE_ITEMS[0]:.0f}x as large"
+    )
     report("\n".join(lines))

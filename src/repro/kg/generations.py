@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from itertools import islice
 from typing import Iterable, Iterator
 
 from ..errors import (
@@ -59,7 +58,7 @@ from .ids import (
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .stats import StoreStats
-from .store import _ITEM_KINDS, _LAYER_TYPES, AliCoCoStore
+from .store import _ITEM_KINDS, _LAYER_TYPES, AliCoCoStore, _edge_to, _skip
 
 
 class DeltaSegment:
@@ -84,7 +83,6 @@ class DeltaSegment:
         }
         self.out: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
         self.inc: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
-        self.relation_by_key: dict[tuple[RelationKind, str, str], Relation] = {}
         self.layer_counts: dict[str, int] = {p: 0 for p in _LAYER_TYPES}
         self.kind_counts: dict[RelationKind, int] = defaultdict(int)
         self.by_kind: dict[RelationKind, list[Relation]] = defaultdict(list)
@@ -122,29 +120,17 @@ class DeltaSegment:
         """Append validated, duplicate-free relations to every index."""
         if self.sealed:
             raise FrozenStoreError("cannot add relations: delta segment is sealed")
-        by_key, out, inc = self.relation_by_key, self.out, self.inc
+        out, inc = self.out, self.inc
         kind_counts, by_kind = self.kind_counts, self.by_kind
         self.relations.extend(relations)
         for relation in relations:
             kind, source, target = relation.kind, relation.source, relation.target
-            by_key[(kind, source, target)] = relation
             out[(source, kind)].append(relation)
             inc[(target, kind)].append(relation)
             kind_counts[kind] += 1
             by_kind[kind].append(relation)
             if kind in _ITEM_KINDS:
                 self.linked_item_ids.add(source)
-
-
-def _skip(parts: list[tuple[int, Iterable]], count: int) -> Iterator:
-    """The items of the concatenated ``(size, items)`` parts past the
-    first ``count``; a part that ends within them is never iterated."""
-    for size, items in parts:
-        if count >= size:
-            count -= size
-            continue
-        yield from islice(items, count, None)
-        count = 0
 
 
 class GenerationView:
@@ -277,9 +263,9 @@ class GenerationView:
 
     def relations_since(self, count: int) -> Iterator[Relation]:
         """The relations of ``relations()`` past the first ``count``, in
-        order — ``islice(self.relations(), count, None)`` with the base
-        and whole segments skipped by their lengths."""
-        parts = [(len(self._base._relations), self._base._relations)]
+        order — ``islice(self.relations(), count, None)`` with the base's
+        chunks and whole segments skipped by their lengths."""
+        parts = [(len(chunk), chunk) for chunk in self._base._relations]
         parts += [(len(s.relations), s.relations) for s in self._segments]
         return _skip(parts, count)
 
@@ -327,13 +313,15 @@ class GenerationView:
             domain: len(ids)
             for domain, ids in self._base._domain_primitive_ids.items()
         }
-        linked = set(self._base._linked_item_ids)
-        relations_total = len(self._base._relations)
+        base_linked = self._base._linked_item_ids
+        linked: set[str] = set()  # items the segments link, the base does not
+        relations_total = sum(self._base._kind_counts.values())
         for segment in self._segments:
             for domain, ids in segment.domain_primitive_ids.items():
                 by_domain[domain] = by_domain.get(domain, 0) + len(ids)
-            linked |= segment.linked_item_ids
+            linked |= segment.linked_item_ids - base_linked
             relations_total += len(segment.relations)
+        n_linked = len(base_linked) + len(linked)
         return StoreStats(
             primitive_concepts=self.count_nodes(PRIMITIVE_PREFIX),
             ecommerce_concepts=self.count_nodes(ECOMMERCE_PREFIX),
@@ -346,7 +334,7 @@ class GenerationView:
             item_ecommerce=self.count_relations(RelationKind.ITEM_ECOMMERCE),
             ecommerce_primitive=self.count_relations(RelationKind.INTERPRETED_BY),
             primitive_by_domain=by_domain,
-            linked_item_fraction=(len(linked) / items) if items else 0.0,
+            linked_item_fraction=(n_linked / items) if items else 0.0,
         )
 
     # -------------------------------------------------------------- helpers
@@ -369,15 +357,16 @@ class GenerationView:
             )
         return found
 
-    def _relation_by_key(self, key: tuple[RelationKind, str, str]) -> Relation | None:
-        existing = self._base._relation_by_key.get(key)
-        if existing is not None:
-            return existing
+    def _edge(self, kind: RelationKind, source: str, target: str) -> Relation | None:
+        """The stored (kind, source, target) edge in any layer, if any: a
+        scan of the source's out lists (see :func:`~repro.kg.store._edge_to`)."""
+        key = (source, kind)
+        existing = _edge_to(self._base._out.get(key, ()), target)
         for segment in self._segments:
-            existing = segment.relation_by_key.get(key)
             if existing is not None:
-                return existing
-        return None
+                break
+            existing = _edge_to(segment.out.get(key, ()), target)
+        return existing
 
 
 class GenerationalStore:
@@ -541,8 +530,7 @@ class GenerationalStore:
 
     def _add_relations_locked(self, relations: Iterable[Relation]) -> list[Relation]:
         pending = self._pending()
-        open_nodes = self._open.nodes
-        open_keys = self._open.relation_by_key
+        open_nodes, open_out = self._open.nodes, self._open.out
         fresh: dict[tuple[RelationKind, str, str], Relation] = {}
         stored = []
         for relation in relations:
@@ -562,11 +550,15 @@ class GenerationalStore:
                         f"expected {expected!r}"
                     )
             key = (kind, source, target)
-            existing = fresh.get(key) or (
-                open_keys.get(key) if in_open else pending._relation_by_key(key)
-            )
+            existing = fresh.get(key)
             if existing is None:
-                existing = fresh[key] = relation
+                existing = (
+                    _edge_to(open_out.get((source, kind), ()), target)
+                    if in_open
+                    else pending._edge(kind, source, target)
+                )
+                if existing is None:
+                    existing = fresh[key] = relation
             stored.append(existing)
         if fresh:
             self._open._add_relations(list(fresh.values()))
@@ -699,10 +691,12 @@ class GenerationalStore:
         """Fold every published segment into a new frozen base.
 
         Folds the published segments into the frozen base with
-        :meth:`AliCoCoStore.fold` — the new base shares every index list
-        no segment touches with the old one, so the cost is container
-        copies plus the delta, not a replay of the whole net — and
-        atomically installs it as the new zero-segment view.  Every read
+        :meth:`AliCoCoStore.fold` and atomically installs the result as
+        the new zero-segment view.  The fold costs the delta, not the
+        net: shallow dict copies, new lists for the keys the segments
+        touch, and one new chunk on each chunked relation sequence; every
+        other list and chunk is shared with the old base, no whole-net
+        list is copied, and the collector is paused while it runs.  Every read
         API answers bit-identically before and after, and exactly like
         :func:`flatten` (insertion order, weight-tie order and
         name-collision order are all preserved), and
@@ -762,6 +756,12 @@ class GenerationalStore:
     def relations(self, kind: RelationKind | None = None) -> Iterator[Relation]:
         return self._view.relations(kind)
 
+    def nodes_since(self, count: int, layer: str | None = None) -> Iterator[Node]:
+        return self._view.nodes_since(count, layer)
+
+    def relations_since(self, count: int) -> Iterator[Relation]:
+        return self._view.relations_since(count)
+
     def out_relations(self, node_id: str, kind: RelationKind) -> list[Relation]:
         return self._view.out_relations(node_id, kind)
 
@@ -799,8 +799,9 @@ class GenerationalStore:
 def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
     """Replay a generation view into one monolithic (unfrozen) store.
 
-    Node objects are shared, not copied (they are immutable); relations
-    replay in global insertion order through the trusted bulk path, so
+    Node objects are shared, not copied (they are immutable); nodes and
+    relations replay in global insertion order through the trusted bulk
+    paths (every one was validated when the view's layers took it), so
     the flattened store answers every read identically to the view.
     Used by snapshot loaders that want a plain store (sharding, tools)
     and as the oracle :meth:`GenerationalStore.compact` is tested
@@ -817,8 +818,7 @@ def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
             f"flatten() expects a GenerationView, got {type(view).__name__}"
         )
     store = AliCoCoStore()
-    for node in view.nodes():
-        store.add_node(node)
+    store.add_nodes_trusted(view.nodes())
     store.add_relations_trusted(view.relations())
     return store
 

@@ -52,15 +52,19 @@ class AliCoCoStore:
         # name index: layer prefix -> name -> list of node ids
         self._by_name: dict[str, dict[str, list[str]]] = {
             prefix: defaultdict(list) for prefix in _LAYER_TYPES}
-        self._relations: list[Relation] = []
+        # The whole-net relation sequences (``_relations`` and each
+        # ``_by_kind`` entry) are chunked: lists of lists, read in order.
+        # A store being built appends to its last chunk; a fold shares
+        # its base's chunks and adds the delta as one more, so it never
+        # copies a whole-net list.
+        self._relations: list[list[Relation]] = _chunks()
         self._out: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
         self._in: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
-        self._relation_by_key: dict[tuple[RelationKind, str, str], Relation] = {}
         # Incrementally-maintained statistics; every mutation funnels
         # through add_node/add_relations so these can never drift.
         self._layer_counts: dict[str, int] = {p: 0 for p in _LAYER_TYPES}
         self._kind_counts: dict[RelationKind, int] = defaultdict(int)
-        self._by_kind: dict[RelationKind, list[Relation]] = defaultdict(list)
+        self._by_kind: dict[RelationKind, list[list[Relation]]] = defaultdict(_chunks)
         self._domain_class_ids: dict[str, list[str]] = defaultdict(list)
         self._domain_primitive_ids: dict[str, list[str]] = defaultdict(list)
         self._linked_item_ids: set[str] = set()
@@ -101,15 +105,51 @@ class AliCoCoStore:
         if not isinstance(node, _LAYER_TYPES[layer]):
             raise RelationError(
                 f"node {node.id!r} has prefix {layer!r} but type {type(node).__name__}")
+        self._index_node(node, layer)
+        return node
+
+    def add_nodes_trusted(self, nodes: Iterable[Node]) -> int:
+        """Bulk-insert nodes that another store already validated.
+
+        The node half of the bulk build path (see
+        :meth:`add_relations_trusted`): :func:`flatten
+        <repro.kg.generations.flatten>` and shard splitting copy nodes
+        out of a store that checked each one's type against its id
+        prefix on insert, so this skips that check.  Duplicate ids are
+        still refused, and the garbage collector is paused for the build
+        (:func:`gc_paused`).  A snapshot's nodes come from a file, so
+        its loader keeps the validating :meth:`add_node`.
+
+        Returns:
+            Number of nodes inserted.
+
+        Raises:
+            FrozenStoreError: If the store has been frozen for serving.
+            DuplicateNodeError: If an id is already present.
+        """
+        if self._frozen:
+            raise FrozenStoreError(
+                "cannot bulk-add nodes: store is frozen for serving")
+        table, index = self._nodes, self._index_node
+        count = 0
+        with gc_paused():
+            for node in nodes:
+                node_id = node.id
+                if node_id in table:
+                    raise DuplicateNodeError(f"node {node_id!r} already exists")
+                index(node, layer_of(node_id))
+                count += 1
+        return count
+
+    def _index_node(self, node: Node, layer: str) -> None:
         self._nodes[node.id] = node
         self._layer_nodes[layer].append(node)
         self._by_name[layer][self._name_of(node)].append(node.id)
         self._layer_counts[layer] += 1
-        if isinstance(node, ClassNode):
+        if layer == CLASS_PREFIX:
             self._domain_class_ids[node.domain].append(node.id)
-        elif isinstance(node, PrimitiveConcept):
+        elif layer == PRIMITIVE_PREFIX:
             self._domain_primitive_ids[node.domain].append(node.id)
-        return node
 
     @staticmethod
     def _name_of(node: Node) -> str:
@@ -186,7 +226,7 @@ class AliCoCoStore:
         if self._frozen:
             raise FrozenStoreError(
                 "cannot add relations: store is frozen for serving")
-        require, by_key = self._require, self._relation_by_key
+        require, out = self._require, self._out
         fresh: dict[tuple[RelationKind, str, str], Relation] = {}
         stored = []
         for relation in relations:
@@ -194,20 +234,21 @@ class AliCoCoStore:
             require(source, kind.source_layer)
             require(target, kind.target_layer)
             key = (kind, source, target)
-            existing = by_key.get(key) or fresh.get(key)
+            existing = fresh.get(key)
             if existing is None:
-                existing = fresh[key] = relation
+                existing = _edge_to(out.get((source, kind), ()), target)
+                if existing is None:
+                    existing = fresh[key] = relation
             stored.append(existing)
-        ordered, out, inc = self._relations, self._out, self._in
+        ordered, inc = self._relations[-1], self._in
         kind_counts, by_kind = self._kind_counts, self._by_kind
         for key, relation in fresh.items():
             kind, source, target = key
-            by_key[key] = relation
             ordered.append(relation)
             out[(source, kind)].append(relation)
             inc[(target, kind)].append(relation)
             kind_counts[kind] += 1
-            by_kind[kind].append(relation)
+            by_kind[kind][-1].append(relation)
             if kind in _ITEM_KINDS:
                 self._linked_item_ids.add(source)
         return stored
@@ -237,8 +278,7 @@ class AliCoCoStore:
             raise FrozenStoreError(
                 "cannot bulk-add relations: store is frozen for serving")
         nodes = self._nodes
-        by_key = self._relation_by_key
-        ordered = self._relations
+        ordered = self._relations[-1]
         out, inc = self._out, self._in
         kind_counts, by_kind = self._kind_counts, self._by_kind
         linked = self._linked_item_ids
@@ -251,12 +291,11 @@ class AliCoCoStore:
                     raise NodeNotFoundError(f"node {source!r} does not exist")
                 if target not in nodes:
                     raise NodeNotFoundError(f"node {target!r} does not exist")
-                by_key[(kind, source, target)] = relation
                 ordered.append(relation)
                 out[(source, kind)].append(relation)
                 inc[(target, kind)].append(relation)
                 kind_counts[kind] += 1
-                by_kind[kind].append(relation)
+                by_kind[kind][-1].append(relation)
                 if kind in _ITEM_KINDS:
                     linked.add(source)
                 count += 1
@@ -269,13 +308,27 @@ class AliCoCoStore:
         ``segments`` are sealed delta segments in publish order.  The
         result answers every read exactly like replaying this store and
         then each segment into a fresh store (insertion, weight-tie and
-        name-collision order included), but costs container copies plus
-        the delta: dicts and sets are copied at C speed, which keeps
-        their stored hashes, and every index key a segment touches gets
-        a *new* list holding the old entries followed by the segment's.
-        Every untouched list is shared with this store, so both stay
-        read-only: this store must be frozen, and the result is returned
-        frozen.
+        name-collision order included), but costs the delta, not the
+        net:
+
+        - dicts are copied shallowly at C speed, which keeps their
+          stored hashes; a layer's name index that no segment adds to,
+          and the linked-item set when no segment links a new item, are
+          shared instead;
+        - every keyed list a segment touches (adjacency, name, domain and
+          layer lists) gets a *new* list holding the old entries followed
+          by the segments';
+        - the whole-net relation sequences are chunked, so the result
+          shares every chunk of this store and adds the segments'
+          relations as one new chunk (per kind, likewise): no whole-net
+          list is copied;
+        - the cyclic garbage collector is paused for the fold
+          (:func:`gc_paused`), so no collection walks the copies half
+          built; the first one after the fold walks them once.
+
+        Every untouched list and chunk is shared with this store, so both
+        stay read-only: this store must be frozen, and the result is
+        returned frozen.
 
         Raises:
             GraphError: If this store is not frozen.
@@ -283,44 +336,59 @@ class AliCoCoStore:
         if not self._frozen:
             raise GraphError(
                 "fold() shares index lists with its base; freeze the base first")
-        store = AliCoCoStore()
-        store._nodes = dict(self._nodes)
-        store._layer_nodes = dict(self._layer_nodes)
-        store._by_name = {layer: defaultdict(list, names)
-                          for layer, names in self._by_name.items()}
-        store._relations = list(self._relations)
-        store._out = defaultdict(list, self._out)
-        store._in = defaultdict(list, self._in)
-        store._relation_by_key = dict(self._relation_by_key)
-        store._layer_counts = dict(self._layer_counts)
-        store._kind_counts = defaultdict(int, self._kind_counts)
-        store._by_kind = defaultdict(list, self._by_kind)
-        store._domain_class_ids = defaultdict(list, self._domain_class_ids)
-        store._domain_primitive_ids = defaultdict(
-            list, self._domain_primitive_ids)
-        store._linked_item_ids = set(self._linked_item_ids)
-        layer_nodes: dict[str, list[Node]] = defaultdict(list)
-        for segment in segments:
-            store._nodes.update(segment.nodes)
-            for node_id, node in segment.nodes.items():
-                layer_nodes[layer_of(node_id)].append(node)
-            store._relations.extend(segment.relations)
-            store._relation_by_key.update(segment.relation_by_key)
-            for layer, count in segment.layer_counts.items():
-                store._layer_counts[layer] += count
-            for kind, count in segment.kind_counts.items():
-                store._kind_counts[kind] += count
-            store._linked_item_ids |= segment.linked_item_ids
-        _grow_lists(store._layer_nodes, [layer_nodes])
-        for layer, names in store._by_name.items():
-            _grow_lists(names, [s.by_name[layer] for s in segments])
-        _grow_lists(store._out, [s.out for s in segments])
-        _grow_lists(store._in, [s.inc for s in segments])
-        _grow_lists(store._by_kind, [s.by_kind for s in segments])
-        _grow_lists(store._domain_class_ids,
-                    [s.domain_class_ids for s in segments])
-        _grow_lists(store._domain_primitive_ids,
-                    [s.domain_primitive_ids for s in segments])
+        # Layers no segment adds a node to keep their name index, and the
+        # linked-item set is shared unless a segment links a new item.
+        layers = {layer for s in segments
+                  for layer, count in s.layer_counts.items() if count}
+        linked = set().union(*(s.linked_item_ids for s in segments))
+        linked -= self._linked_item_ids
+        with gc_paused():
+            store = AliCoCoStore()
+            store._nodes = dict(self._nodes)
+            store._layer_nodes = dict(self._layer_nodes)
+            store._by_name = {
+                layer: defaultdict(list, names) if layer in layers else names
+                for layer, names in self._by_name.items()}
+            store._out = defaultdict(list, self._out)
+            store._in = defaultdict(list, self._in)
+            store._layer_counts = dict(self._layer_counts)
+            store._kind_counts = defaultdict(int, self._kind_counts)
+            store._by_kind = defaultdict(_chunks, self._by_kind)
+            store._domain_class_ids = defaultdict(list, self._domain_class_ids)
+            store._domain_primitive_ids = defaultdict(
+                list, self._domain_primitive_ids)
+            store._linked_item_ids = (
+                self._linked_item_ids | linked if linked else self._linked_item_ids)
+            layer_nodes: dict[str, list[Node]] = defaultdict(list)
+            relations: list[Relation] = []
+            by_kind: dict[RelationKind, list[Relation]] = defaultdict(list)
+            for segment in segments:
+                store._nodes.update(segment.nodes)
+                for node_id, node in segment.nodes.items():
+                    layer_nodes[layer_of(node_id)].append(node)
+                relations += segment.relations
+                for kind, added in segment.by_kind.items():
+                    by_kind[kind] += added
+                for layer, count in segment.layer_counts.items():
+                    store._layer_counts[layer] += count
+                for kind, count in segment.kind_counts.items():
+                    store._kind_counts[kind] += count
+            if relations:
+                store._relations = self._relations + [relations]
+            else:
+                store._relations = self._relations
+            for kind, added in by_kind.items():
+                store._by_kind[kind] = self._by_kind.get(kind, []) + [added]
+            _grow_lists(store._layer_nodes, [layer_nodes])
+            for layer in layers:
+                _grow_lists(store._by_name[layer],
+                            [s.by_name[layer] for s in segments])
+            _grow_lists(store._out, [s.out for s in segments])
+            _grow_lists(store._in, [s.inc for s in segments])
+            _grow_lists(store._domain_class_ids,
+                        [s.domain_class_ids for s in segments])
+            _grow_lists(store._domain_primitive_ids,
+                        [s.domain_primitive_ids for s in segments])
         return store.freeze()
 
     def _require(self, node_id: str, expected_layer: str) -> Node:
@@ -378,8 +446,15 @@ class AliCoCoStore:
     def relations(self, kind: RelationKind | None = None) -> Iterator[Relation]:
         """Iterate relations, optionally filtered by kind (per-kind lists
         are maintained incrementally, so filtering does not scan)."""
-        source = self._relations if kind is None else self._by_kind.get(kind, [])
-        yield from source
+        chunks = self._relations if kind is None else self._by_kind.get(kind, ())
+        for chunk in chunks:
+            yield from chunk
+
+    def relations_since(self, count: int) -> Iterator[Relation]:
+        """The relations of ``relations()`` past the first ``count``, in
+        order — ``islice(self.relations(), count, None)`` with whole
+        chunks skipped by their lengths."""
+        return _skip([(len(chunk), chunk) for chunk in self._relations], count)
 
     def out_relations(self, node_id: str, kind: RelationKind) -> list[Relation]:
         """Outgoing relations of ``node_id`` with the given kind."""
@@ -418,7 +493,7 @@ class AliCoCoStore:
             ecommerce_concepts=self.count_nodes(ECOMMERCE_PREFIX),
             items=items,
             classes=self.count_nodes(CLASS_PREFIX),
-            relations_total=len(self._relations),
+            relations_total=sum(self._kind_counts.values()),
             isa_primitive=self.count_relations(RelationKind.ISA_PRIMITIVE),
             isa_ecommerce=self.count_relations(RelationKind.ISA_ECOMMERCE),
             item_primitive=self.count_relations(RelationKind.ITEM_PRIMITIVE),
@@ -463,6 +538,36 @@ def gc_paused() -> Iterator[None]:
         yield
     finally:
         gc.enable()
+
+
+def _chunks() -> list[list[Relation]]:
+    """A new chunked relation sequence: one empty chunk to append to."""
+    return [[]]
+
+
+def _edge_to(relations: Iterable[Relation], target: str) -> Relation | None:
+    """The edge of ``relations`` that ends at ``target``, if any.
+
+    The duplicate check of every write path: ``relations`` is one
+    source's out list for one kind, so (kind, source, target) is unique
+    within it, and out lists are short (a source has few edges of one
+    kind), so a scan costs less than keeping a net-wide key index.
+    """
+    for relation in relations:
+        if relation.target == target:
+            return relation
+    return None
+
+
+def _skip(parts: list[tuple[int, Iterable]], count: int) -> Iterator:
+    """The items of the concatenated ``(size, items)`` parts past the
+    first ``count``; a part that ends within them is never iterated."""
+    for size, items in parts:
+        if count >= size:
+            count -= size
+            continue
+        yield from islice(items, count, None)
+        count = 0
 
 
 def _grow_lists(index: dict, additions: Iterable[dict]) -> None:

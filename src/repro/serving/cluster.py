@@ -116,7 +116,7 @@ from ..kg.serialize import (
     save_generations,
     save_snapshot,
 )
-from ..kg.store import AliCoCoStore
+from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
 from ..matching.retrieval import require_dense_capable
 from ..ml.module import Module
@@ -619,24 +619,27 @@ class AliCoCoCluster:
             # Shards of an advancing cluster get generational stores of
             # their own, so publish() can grow them behind their readers;
             # frozen clusters keep the historical frozen shard stores.
-            self._services = [
-                AliCoCoService(
-                    (
-                        GenerationalStore(shard_store)
-                        if self._source is not None
-                        else shard_store
-                    ),
-                    config=self._service_config,
-                    search_index=shard_search_indexes[shard],
-                    fit_search_index=False,
-                    tagger=self._tagger,
-                    reranker=self._reranker,
-                    dense_index_states=dense_states.get(shard),
-                    dense_indexes=shard_dense[shard],
-                    config_fingerprint=config_fingerprint,
-                )
-                for shard, shard_store in enumerate(shard_stores)
-            ]
+            # Building a shard service is a bulk build (its per-shard
+            # indexes), so the collector is paused, as for the split.
+            with gc_paused():
+                self._services = [
+                    AliCoCoService(
+                        (
+                            GenerationalStore(shard_store)
+                            if self._source is not None
+                            else shard_store
+                        ),
+                        config=self._service_config,
+                        search_index=shard_search_indexes[shard],
+                        fit_search_index=False,
+                        tagger=self._tagger,
+                        reranker=self._reranker,
+                        dense_index_states=dense_states.get(shard),
+                        dense_indexes=shard_dense[shard],
+                        config_fingerprint=config_fingerprint,
+                    )
+                    for shard, shard_store in enumerate(shard_stores)
+                ]
             shard_gens = tuple(service._gen for service in self._services)
             dense_presence = ()
         self._publish_lock = threading.Lock()
@@ -723,85 +726,88 @@ class AliCoCoCluster:
         index, landing on identical placement, and projects each shard's
         dense indexes from the snapshot's global ones (refitting only for
         backends that cannot project).  Model bundles restore
-        exactly as in :meth:`AliCoCoService.from_snapshot`.
+        exactly as in :meth:`AliCoCoService.from_snapshot`.  The warm
+        start is one bulk build, so the collector is paused for all of
+        it (:func:`~repro.kg.store.gc_paused`).
 
         Raises:
             DataError: If the snapshot is malformed, fingerprint-
                 mismatched, or a requested model bundle is absent or
                 invalid.
         """
-        config = config or ClusterConfig()
-        snapshot = load_snapshot(path)
-        header = snapshot.header
-        if (
-            expected_fingerprint is not None
-            and header.config_fingerprint != expected_fingerprint
-        ):
-            raise DataError(
-                f"snapshot fingerprint {header.config_fingerprint!r} does "
-                f"not match expected {expected_fingerprint!r}"
-            )
-        # A generational snapshot replays into a generational store so
-        # the cluster pins the saved generation (id included — it keys
-        # the cluster cache).  A compacted store may carry zero delta
-        # records but a folded generation in the header — still
-        # generational.  Delta-less generation-0 snapshots serve frozen.
-        store: AliCoCoStore | GenerationalStore = (
-            generational_store_from_snapshot(snapshot)
-            if snapshot.deltas or header.base_generation > 0
-            else snapshot.store
-        )
-        state = snapshot.index_states.get(CONCEPT_INDEX)
-        search_index = (
-            BM25Index.from_state(state)
-            if state is not None
-            else fit_concept_index(store)
-        )
-        meta = snapshot.index_states.get(CLUSTER_META)
-        shard_search_indexes = None
-        shard_dense_states: dict[int, dict[str, Any]] = {}
-        if isinstance(meta, dict) and meta.get("n_shards") == config.n_shards:
-            shard_search_indexes = []
-            for shard in range(config.n_shards):
-                state = snapshot.index_states.get(f"{CONCEPT_INDEX}@shard{shard}")
-                shard_search_indexes.append(
-                    BM25Index.from_state(state) if state is not None else None
-                )
-                dense = {
-                    name: snapshot.index_states[f"{name}@shard{shard}"]
-                    for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
-                    if f"{name}@shard{shard}" in snapshot.index_states
-                }
-                if dense:
-                    shard_dense_states[shard] = dense
-        for name, module in ((TAGGER_MODEL, tagger), (RERANKER_MODEL, reranker)):
-            if module is None:
-                continue
-            bundle = snapshot.model_states.get(name)
-            if bundle is None:
-                bundled = ", ".join(sorted(snapshot.model_states)) or "none"
+        with gc_paused():
+            config = config or ClusterConfig()
+            snapshot = load_snapshot(path)
+            header = snapshot.header
+            if (
+                expected_fingerprint is not None
+                and header.config_fingerprint != expected_fingerprint
+            ):
                 raise DataError(
-                    f"snapshot carries no {name!r} model bundle "
-                    f"(bundled models: {bundled})"
+                    f"snapshot fingerprint {header.config_fingerprint!r} does "
+                    f"not match expected {expected_fingerprint!r}"
                 )
-            kind = TAGGER_KIND if name == TAGGER_MODEL else RERANKER_KIND
-            restore_serving_module(module, bundle, kind, name)
-        return cls(
-            store,
-            config=config,
-            service_config=service_config,
-            search_index=search_index,
-            shard_search_indexes=shard_search_indexes,
-            tagger=tagger,
-            reranker=reranker,
-            shard_dense_states=shard_dense_states or None,
-            dense_index_states={
-                name: snapshot.index_states[name]
-                for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
-                if name in snapshot.index_states
-            },
-            config_fingerprint=header.config_fingerprint,
-        )
+            # A generational snapshot replays into a generational store so
+            # the cluster pins the saved generation (id included — it keys
+            # the cluster cache).  A compacted store may carry zero delta
+            # records but a folded generation in the header — still
+            # generational.  Delta-less generation-0 snapshots serve frozen.
+            store: AliCoCoStore | GenerationalStore = (
+                generational_store_from_snapshot(snapshot)
+                if snapshot.deltas or header.base_generation > 0
+                else snapshot.store
+            )
+            state = snapshot.index_states.get(CONCEPT_INDEX)
+            search_index = (
+                BM25Index.from_state(state)
+                if state is not None
+                else fit_concept_index(store)
+            )
+            meta = snapshot.index_states.get(CLUSTER_META)
+            shard_search_indexes = None
+            shard_dense_states: dict[int, dict[str, Any]] = {}
+            if isinstance(meta, dict) and meta.get("n_shards") == config.n_shards:
+                shard_search_indexes = []
+                for shard in range(config.n_shards):
+                    state = snapshot.index_states.get(f"{CONCEPT_INDEX}@shard{shard}")
+                    shard_search_indexes.append(
+                        BM25Index.from_state(state) if state is not None else None
+                    )
+                    dense = {
+                        name: snapshot.index_states[f"{name}@shard{shard}"]
+                        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
+                        if f"{name}@shard{shard}" in snapshot.index_states
+                    }
+                    if dense:
+                        shard_dense_states[shard] = dense
+            for name, module in ((TAGGER_MODEL, tagger), (RERANKER_MODEL, reranker)):
+                if module is None:
+                    continue
+                bundle = snapshot.model_states.get(name)
+                if bundle is None:
+                    bundled = ", ".join(sorted(snapshot.model_states)) or "none"
+                    raise DataError(
+                        f"snapshot carries no {name!r} model bundle "
+                        f"(bundled models: {bundled})"
+                    )
+                kind = TAGGER_KIND if name == TAGGER_MODEL else RERANKER_KIND
+                restore_serving_module(module, bundle, kind, name)
+            return cls(
+                store,
+                config=config,
+                service_config=service_config,
+                search_index=search_index,
+                shard_search_indexes=shard_search_indexes,
+                tagger=tagger,
+                reranker=reranker,
+                shard_dense_states=shard_dense_states or None,
+                dense_index_states={
+                    name: snapshot.index_states[name]
+                    for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
+                    if name in snapshot.index_states
+                },
+                config_fingerprint=header.config_fingerprint,
+            )
 
     def save_snapshot(self, path: str | Path) -> int:
         """Persist the cluster as one ordinary snapshot file.

@@ -72,8 +72,9 @@ from ..kg.ids import (
     PRIMITIVE_PREFIX,
     layer_of,
 )
+from ..kg.nodes import Node
 from ..kg.relations import Relation
-from ..kg.store import AliCoCoStore
+from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
 
 #: Layers partitioned across shards by node-id hash.
@@ -175,7 +176,10 @@ def split_store(
     same shards, so a cluster can re-split after a snapshot reload and
     land on identical placement.  Each shard holds its nodes in global
     order, then its ghost replicas in first-use order, and its relations
-    in global order.
+    in global order.  Every node and relation was validated by ``store``,
+    so the shards take them through the trusted bulk paths, with the
+    garbage collector paused for the whole split
+    (:func:`~repro.kg.store.gc_paused`).
 
     Args:
         owners: The store's :func:`owner_map` for ``n_shards``, when the
@@ -190,25 +194,33 @@ def split_store(
         owners = owner_map(store, n_shards)
     owner = owners.get
     shards = [AliCoCoStore() for _ in range(n_shards)]
-    for node in store.nodes():
-        home = owner(node.id)
-        if home is None:
-            for shard in shards:
-                shard.add_node(node)
-        else:
-            shards[home].add_node(node)
-    # Relations replay in global insertion order per shard, so a shard's
-    # adjacency lists are order-preserving subsequences of the global
-    # ones — weight ties resolve exactly as the monolithic store would.
-    pending: list[list[Relation]] = [[] for _ in range(n_shards)]
-    for home, ghost, relation in place_relations(store.relations(), owner, n_shards):
-        if ghost is not None:
-            shard = shards[home]
-            if ghost not in shard:
-                shard.add_node(store.get(ghost))  # ghost replica
-        pending[home].append(relation)
-    for shard, relations in zip(shards, pending):
-        shard.add_relations_trusted(relations)
+    with gc_paused():
+        homes: list[list[Node]] = [[] for _ in range(n_shards)]
+        for node in store.nodes():
+            home = owner(node.id)
+            if home is None:
+                for nodes in homes:
+                    nodes.append(node)
+            else:
+                homes[home].append(node)
+        for shard, nodes in zip(shards, homes):
+            shard.add_nodes_trusted(nodes)
+        # Relations replay in global insertion order per shard, so a
+        # shard's adjacency lists are order-preserving subsequences of
+        # the global ones — weight ties resolve exactly as the
+        # monolithic store would.  Ghost replicas follow the shard's own
+        # nodes, in first-use order.
+        ghosts: list[dict[str, None]] = [{} for _ in range(n_shards)]
+        pending: list[list[Relation]] = [[] for _ in range(n_shards)]
+        for home, ghost, relation in place_relations(
+            store.relations(), owner, n_shards
+        ):
+            if ghost is not None and ghost not in shards[home]:
+                ghosts[home][ghost] = None
+            pending[home].append(relation)
+        for shard, replicas, relations in zip(shards, ghosts, pending):
+            shard.add_nodes_trusted(store.get(ghost) for ghost in replicas)
+            shard.add_relations_trusted(relations)
     return shards
 
 
@@ -265,9 +277,13 @@ def project_bm25_index(index: BM25Index | None,
     — a shard owning no concepts serves an empty search surface.  The
     projection reads the index's own lists
     (:meth:`~repro.matching.bm25.BM25Index.projected`) and shares its idf
-    table.
+    table; it is a bulk build of posting lists, so it runs with the
+    garbage collector paused (:func:`~repro.kg.store.gc_paused`).
     """
-    return None if index is None else index.projected(keep)
+    if index is None:
+        return None
+    with gc_paused():
+        return index.projected(keep)
 
 
 def split_concept_index(index: BM25Index | None,

@@ -10,6 +10,13 @@ staged segments and the open delta at once; an edge with an endpoint in
 the open delta is checked for duplicates there only, which the property
 test below holds to the same answers as the full walk.
 
+A second property runs whole histories — batches, new nodes, ``seal``,
+``publish`` and ``compact`` (a fold of a fold included) in random order
+— and after every step holds every keyed and bulk read of the published
+view to :func:`~repro.kg.generations.flatten` and to a plain store given
+the same published writes, and every earlier view to what it read when
+it was published.
+
 CI reruns the property tests with ``--hypothesis-profile=batch-relations``
 (a larger example budget); tier-1 runs hypothesis's default.
 """
@@ -27,6 +34,7 @@ from repro.kg import (
     PrimitiveConcept,
     Relation,
     RelationKind,
+    flatten,
 )
 from repro.kg.ids import layer_of
 
@@ -322,3 +330,133 @@ class TestBatchSemantics:
         counts = store.open_counts
         assert store.add_relations([]) == []
         assert store.open_counts == counts
+
+
+# ------------------------------------------------------------------ histories
+#: The layers a history writes after the base, one ``grow`` step each.
+GROWN = ["published-1", "published-2", "staged", "open"]
+
+#: History step kinds, weighted towards the steps that change what a
+#: fold sees.
+STEP_KINDS = ["batch", "batch", "grow", "grow", "seal", "publish", "publish", "compact"]
+
+
+@st.composite
+def _written_edges(draw, written):
+    """A valid edge between written nodes, when their layers allow one."""
+    kinds = [
+        kind
+        for kind in KINDS
+        if any(layer_of(i) == kind.source_layer for i in written)
+        and any(layer_of(i) == kind.target_layer for i in written)
+    ]
+    kind = draw(st.sampled_from(kinds))
+    return Relation(
+        kind,
+        draw(st.sampled_from([i for i in written if layer_of(i) == kind.source_layer])),
+        draw(st.sampled_from([i for i in written if layer_of(i) == kind.target_layer])),
+        weight=draw(st.sampled_from(WEIGHTS)),
+    )
+
+
+def _base_store():
+    nodes, relations = LAYERS["base"]
+    store = AliCoCoStore()
+    for node in nodes:
+        store.add_node(node)
+    store.add_relations(relations)
+    return store
+
+
+def _history_reads(store):
+    """Every keyed and bulk read of a store or view; the delta reads at
+    every count, so every chunk and segment boundary is crossed."""
+    relations = list(store.relations())
+    layers = {
+        layer: [node.id for node in store.nodes(layer)]
+        for layer in (None, "cls", "pc", "ec", "item")
+    }
+    reads = {"relations": relations, "nodes": layers, "stats": store.stats()}
+    for count in range(len(relations) + 1):
+        reads["relations since", count] = list(store.relations_since(count))
+    for layer, ids in layers.items():
+        for count in range(len(ids) + 1):
+            reads["nodes since", layer, count] = [
+                node.id for node in store.nodes_since(count, layer)
+            ]
+    for kind in RelationKind:
+        reads["kind", kind] = list(store.relations(kind))
+        reads["count", kind] = store.count_relations(kind)
+        for node_id in layers[None]:
+            reads["out", node_id, kind] = store.out_relations(node_id, kind)
+            reads["in", node_id, kind] = store.in_relations(node_id, kind)
+    for node in store.nodes():
+        layer = layer_of(node.id)
+        name = AliCoCoStore._name_of(node)
+        reads["name", layer, name] = [n.id for n in store.find_by_name(layer, name)]
+    reads["classes"] = [node.id for node in store.classes_in_domain("Category")]
+    reads["primitives"] = [node.id for node in store.primitives_in_domain("Category")]
+    return reads
+
+
+def _write_both(store, pending, nodes, relations):
+    """Write to the generational store and its pending twin; the two
+    must store the same edges, or refuse the batch with the same error.
+    Returns whether the write went in."""
+    for node in nodes:
+        assert store.add_node(node) == pending.add_node(node)
+    try:
+        expected = pending.add_relations(relations)
+    except GraphError as error:
+        with pytest.raises(type(error)) as raised:
+            store.add_relations(relations)
+        assert str(raised.value) == str(error)
+        return False
+    assert store.add_relations(relations) == expected
+    return True
+
+
+class TestHistoryProperty:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_every_history_reads_like_flatten(self, data):
+        """A generational store against two plain stores: ``pending``
+        takes every write at once (so each batch must give the same
+        stored edges or the same error), ``published`` takes them at
+        ``publish`` (so the published view must read like it)."""
+        store = GenerationalStore(_base_store())
+        pending, published = _base_store(), _base_store()
+        unpublished: list = []
+        grown = iter(GROWN)
+        pinned: list = []
+        for _ in range(data.draw(st.integers(1, 10), label="steps")):
+            step = data.draw(st.sampled_from(STEP_KINDS), label="step")
+            if step == "batch":
+                written = [node.id for node in pending.nodes()]
+                edges = st.one_of(_written_edges(written), _edges())
+                write = ((), data.draw(st.lists(edges, max_size=6)))
+            elif step == "grow":
+                write = LAYERS.get(next(grown, None))
+            else:
+                write = None
+            if write is not None and _write_both(store, pending, *write):
+                unpublished.append(write)
+            if step == "seal":
+                store.seal()
+            elif step == "publish":
+                store.publish()
+                for nodes, relations in unpublished:
+                    for node in nodes:
+                        published.add_node(node)
+                    published.add_relations(relations)
+                unpublished = []
+            elif step == "compact":
+                store.compact()
+            view = store.current()
+            reads = _history_reads(view)
+            assert reads == _history_reads(flatten(view)), step
+            assert reads == _history_reads(published), step
+            for earlier, expected in pinned:
+                assert _history_reads(earlier) == expected, step
+            if step in ("publish", "compact"):
+                pinned.append((view, reads))

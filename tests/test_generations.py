@@ -754,11 +754,31 @@ class TestCompaction:
 
     @staticmethod
     def _reads(store):
-        """Every keyed read the store answers, for exact comparison."""
+        """Every keyed and bulk read the store answers, for exact
+        comparison.  The delta reads are checked here against the
+        store's own walk at every count, so every chunk and segment
+        boundary is crossed: ``relations_since`` against ``relations()``
+        and ``nodes_since`` against ``nodes(layer)``."""
         nodes = list(store.nodes())
-        reads = {"nodes": [n.id for n in nodes]}
-        for layer in ("cls", "pc", "ec", "item"):
-            reads["nodes", layer] = [n.id for n in store.nodes(layer)]
+        relations = list(store.relations())
+        reads = {
+            "nodes": [n.id for n in nodes],
+            "relations": relations,
+            "stats": store.stats(),
+        }
+        for count in range(len(relations) + 2):
+            assert list(store.relations_since(count)) == relations[count:], count
+        for kind in RelationKind:
+            reads["relations", kind] = list(store.relations(kind))
+            reads["count", kind] = store.count_relations(kind)
+        for layer in (None, "cls", "pc", "ec", "item"):
+            layer_nodes = list(store.nodes(layer))
+            reads["nodes", layer] = [n.id for n in layer_nodes]
+            for count in range(len(layer_nodes) + 2):
+                assert list(store.nodes_since(count, layer)) == layer_nodes[count:], (
+                    layer,
+                    count,
+                )
         for node in nodes:
             layer = layer_of(node.id)
             name = AliCoCoStore._name_of(node)
@@ -867,6 +887,73 @@ class TestCompaction:
             pinned.append(store.current())  # the folded base
         assert len(oracle.find_by_name("ec", "colliding fresh concept")) == 4
         assert len(oracle.find_by_name("ec", base_concept.text)) == 5
+
+    def test_three_folds_deep_read_like_flatten(self, built_tiny):
+        """Every keyed and bulk read, three folds deep, each fold over the
+        last one's base: deltas that touch new and old keys of several
+        kinds, and one segment of nodes only (no relation chunk)."""
+        store = GenerationalStore(built_tiny.store)
+        base_class = next(built_tiny.store.nodes("cls"))
+        base_item = next(built_tiny.store.nodes("item"))
+        pinned = [(store.current(), self._reads(store.current()))]
+        for depth in range(3):
+            concept, item = _grow(store, f"deep {depth}")
+            primitive = store.create_primitive(f"deep {depth} primitive", base_class.id)
+            store.add_relations(
+                [
+                    Relation(RelationKind.ITEM_PRIMITIVE, item.id, primitive.id),
+                    Relation(RelationKind.ITEM_PRIMITIVE, base_item.id, primitive.id),
+                    Relation(RelationKind.INTERPRETED_BY, concept.id, primitive.id),
+                ]
+            )
+            store.publish()
+            store.create_ecommerce(f"deep {depth} lone concept")
+            store.publish()
+            pinned.append((store.current(), self._reads(store.current())))
+            oracle = flatten(store)
+            assert store.compact() == store.generation_id
+            self._assert_reads_match(store, oracle)
+            for view, expected in pinned:
+                assert self._reads(view) == expected
+            pinned.append((store.current(), self._reads(store.current())))
+        # The build's chunk, then one per fold.
+        assert len(store.current()._base._relations) == 4
+
+    def test_a_fold_shares_every_base_chunk_and_untouched_list(self, built_tiny):
+        """The guard on a fold's cost: it shares every chunk of its base's
+        relation sequences by identity and adds the delta as one new
+        chunk, so no whole-net or per-kind list is copied; every keyed
+        list no segment touches is shared too.  Checked on a fold of a
+        fold as well."""
+        store = self._grown(built_tiny)
+        for _ in range(2):
+            view = store.current()
+            base, segments = view._base, view._segments
+            store.compact()
+            folded = store.current()._base
+            added = [r for s in segments for r in s.relations]
+            assert folded._relations[:-1] == base._relations
+            assert all(
+                new is old for new, old in zip(folded._relations, base._relations)
+            )
+            assert folded._relations[-1] == added
+            for kind in RelationKind:
+                old = base._by_kind.get(kind, [])
+                new = folded._by_kind.get(kind, [])
+                kind_added = [r for s in segments for r in s.by_kind.get(kind, [])]
+                if kind_added:
+                    assert len(new) == len(old) + 1 and new[-1] == kind_added
+                else:
+                    assert new == old
+                assert all(a is b for a, b in zip(new, old)), kind
+            for index, delta in (("_out", "out"), ("_in", "inc")):
+                touched = {key for s in segments for key in getattr(s, delta)}
+                for key, values in getattr(base, index).items():
+                    if key not in touched:
+                        assert getattr(folded, index)[key] is values
+            _grow(store, "next fold")
+            _grow(store, "next fold again")
+            store.publish()
 
     def test_fold_needs_a_frozen_base(self, built_tiny):
         store = GenerationalStore(built_tiny.store)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import (
-    DuplicateNodeError, NodeNotFoundError, RelationError, TaxonomyError,
+    DuplicateNodeError, FrozenStoreError, NodeNotFoundError, RelationError,
+    TaxonomyError,
 )
 from repro.kg import (
     AliCoCoStore, ECommerceConcept, Relation, RelationKind,
@@ -152,6 +153,34 @@ class TestStoreBasics:
     def test_create_primitive_unknown_class(self, store):
         with pytest.raises(NodeNotFoundError):
             store.create_primitive("thing", "cls_404")
+
+    def test_trusted_node_insert_indexes_like_add_node(self, store):
+        copy = AliCoCoStore()
+        assert copy.add_nodes_trusted(store.nodes()) == len(store)
+        assert [n.id for n in copy.nodes()] == [n.id for n in store.nodes()]
+        for node in store.nodes():
+            layer = layer_of(node.id)
+            name = AliCoCoStore._name_of(node)
+            assert copy.find_by_name(layer, name) == store.find_by_name(layer, name)
+        for layer in ("cls", "pc", "ec", "item"):
+            assert list(copy.nodes(layer)) == list(store.nodes(layer))
+            assert copy.count_nodes(layer) == store.count_nodes(layer)
+        assert copy.classes_in_domain("Category") == \
+            store.classes_in_domain("Category")
+        assert copy.primitives_in_domain("Category") == \
+            store.primitives_in_domain("Category")
+
+    def test_trusted_node_insert_refuses_duplicates_and_frozen(self, store):
+        node = next(store.nodes("ec"))
+        with pytest.raises(DuplicateNodeError):
+            store.add_nodes_trusted([node])
+        with pytest.raises(FrozenStoreError):
+            AliCoCoStore().freeze().add_nodes_trusted([node])
+
+    def test_relations_since_equals_the_walk(self, store):
+        relations = list(store.relations())
+        for count in range(len(relations) + 2):
+            assert list(store.relations_since(count)) == relations[count:]
 
 
 class TestQueries:
