@@ -23,14 +23,19 @@ in envelope mode too, where failures come back as ``BatchResult``
 envelopes instead of aborting the batch.
 """
 
+import gc
+import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
 from repro.concepts import ConceptTagger
-from repro.kg.relations import RelationKind
+from repro.kg import serialize
+from repro.kg.relations import Relation, RelationKind
+from repro.kg.store import AliCoCoStore
 from repro.matching import DSSMMatcher, KnowledgeMatcher, train_matcher
 from repro.matching.base import matching_vocab
 from repro.matching.dataset import pair_from_texts
@@ -524,4 +529,138 @@ def test_pool_scoring(report):
         f"  parity: rankings identical, scores within 1e-9, "
         f"{len(texts)} queries x 2 endpoints"
     )
+    report("\n".join(lines))
+
+
+#: Load-stage bench: the snapshot it splits is of a net at the perfbench
+#: scale (4800 items, 220 concepts), so its per-edge figures compare with
+#: the warm-start profiles in ROADMAP.md.
+_LOAD_ITEMS = 160 if SMOKE else 4800
+_LOAD_CONCEPTS = 40 if SMOKE else 220
+_LOAD_PASSES = 3 if SMOKE else 7
+
+
+def _load_stages(path):
+    """``load_snapshot``'s steps on a one-block snapshot, under one
+    collector pause as the loader runs them: the store they build, and
+    stage name -> seconds."""
+    times = {}
+
+    def timed(stage, call, *args):
+        start = time.perf_counter()
+        result = call(*args)
+        times[stage] = times.get(stage, 0.0) + time.perf_counter() - start
+        return result
+
+    verify, insert = "verify (digests, header)", "trusted insert"
+    with serialize.gc_paused():
+        record, sections = timed(verify, serialize.read_sections, path)
+        header, kinds, names = timed(verify, serialize._parse_header, record)
+        block = timed("node decode", serialize._decode_block, "base", sections["base"])
+        check = serialize._check_tables
+        timed("table check", check, [block], header, kinds, len(names))
+        relations = timed(
+            "relation build",
+            lambda: serialize._relations(
+                block,
+                serialize._objects([node.id for node in block.nodes]),
+                serialize._objects(kinds),
+                serialize._objects(names),
+            ),
+        )
+        store = AliCoCoStore()
+        timed(f"{insert} (nodes)", store.add_nodes_trusted, block.nodes)
+        timed(f"{insert} (relations)", store.add_relations_trusted, relations)
+    return store, times
+
+
+def _collections_during(call):
+    """Run ``call``; its wall seconds and every collection the cyclic
+    collector ran inside it, as ``(generation, seconds)`` pairs."""
+    collections, started = [], []
+
+    def probe(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            seconds = time.perf_counter() - started.pop()
+            collections.append((info["generation"], seconds))
+
+    gc.callbacks.append(probe)
+    try:
+        start = time.perf_counter()
+        call()
+        wall = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(probe)
+    return wall, collections
+
+
+def test_load_stages(tmp_path, report):
+    """Where a snapshot load goes: ``load_snapshot`` split into its steps,
+    the collection the bulk build's pause defers, and bytes per edge.
+
+    Reports only: the staged steps must rebuild the store the build
+    made, and no timing is asserted.
+    """
+    scale = replace(BENCH_SCALE, n_items=_LOAD_ITEMS)
+    built = build_alicoco(scale, n_concepts=_LOAD_CONCEPTS)
+    path = tmp_path / "net.snapshot"
+    snapshot_bytes = serialize.save_store(built.store, path)
+    n_relations = built.store.stats().relations_total
+
+    passes = [_load_stages(path) for _ in range(_LOAD_PASSES)]
+    staged = passes[-1][0]
+    assert list(staged.relations()) == list(built.store.relations())
+    assert staged.stats() == built.store.stats()
+    stages = {
+        stage: float(np.median([times[stage] for _, times in passes]))
+        for stage in passes[0][1]
+    }
+    del passes, staged
+
+    # The whole load with the collector on, as a server runs it: the bulk
+    # build runs paused, and the collection the pause deferred runs as
+    # soon as it ends, still inside load_snapshot.
+    loads = []
+    for _ in range(_LOAD_PASSES):
+        gc.collect()
+        loads.append(_collections_during(lambda: serialize.load_snapshot(path)))
+    walls = [wall for wall, _ in loads]
+    collected = [sum(seconds for _, seconds in found) for _, found in loads]
+    generations = sorted({generation for _, found in loads for generation, _ in found})
+    full = sum(generation == 2 for _, found in loads for generation, _ in found)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = serialize.load_snapshot(path).store
+        net_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    edge = next(held.relations())
+    assert type(edge) is Relation
+
+    total = sum(stages.values())
+    lines = [
+        f"Snapshot load stages at {_LOAD_ITEMS} items / {_LOAD_CONCEPTS} concepts "
+        f"({scale.name}): {len(built.store)} nodes, {n_relations} relations, "
+        f"{snapshot_bytes} bytes",
+        f"  median of {_LOAD_PASSES} staged loads, collector paused:",
+    ]
+    lines += [
+        f"    {stage:<28} {seconds * 1e3:8.2f} ms  {seconds / total:6.1%}"
+        for stage, seconds in stages.items()
+    ]
+    lines += [
+        f"    {'sum':<28} {total * 1e3:8.2f} ms",
+        f"  load_snapshot with the collector on: median {np.median(walls) * 1e3:.2f} "
+        f"ms, of which collections {np.median(collected) * 1e3:.2f} ms (the walk "
+        f"the pause defers; generations {generations}, {full} full collections "
+        f"in {_LOAD_PASSES} loads)",
+        f"  tracemalloc after one load: {net_bytes / 1e6:.2f} MB held, "
+        f"{net_bytes / max(n_relations, 1):.0f} bytes per relation (nodes and "
+        f"indexes included); one Relation is {sys.getsizeof(edge)} bytes",
+    ]
     report("\n".join(lines))

@@ -1,19 +1,13 @@
-"""Persistence for a full AliCoCo store: a record stream and snapshots.
+"""Persistence for a full AliCoCo store: format-2 snapshots.
 
-Two formats live here:
-
-- the *record stream* (:func:`save_store` / :func:`load_store`): one
-  JSON object per line, nodes then relations, no framing.  It replays
-  through the validating :meth:`~repro.kg.store.AliCoCoStore.add_node` /
-  :meth:`~repro.kg.store.AliCoCoStore.add_relation`, so a hand-edited
-  file is checked edge by edge.
-- the *snapshot*, format 2 (:func:`save_snapshot` / :func:`load_snapshot`,
-  :func:`save_generations` / :func:`load_generations`): the net, its
-  serialised query-index states (e.g. the fitted
-  :class:`~repro.matching.bm25.BM25Index` over concept texts) and a
-  *model bundle* — one state per trained model, built on
-  :func:`repro.ml.serialize.module_state_record` — in one checksummed
-  file that a serving process warm-starts from (see :mod:`repro.serving`).
+One on-disk format lives here, the *snapshot*, format 2
+(:func:`save_snapshot` / :func:`load_snapshot`, :func:`save_generations`
+/ :func:`load_generations`, and the store-only :func:`save_store` /
+:func:`load_store`): the net, its serialised query-index states (e.g.
+the fitted :class:`~repro.matching.bm25.BM25Index` over concept texts)
+and a *model bundle* — one state per trained model, built on
+:func:`repro.ml.serialize.module_state_record` — in one checksummed file
+that a serving process warm-starts from (see :mod:`repro.serving`).
 
 Snapshot layout (integers little-endian)::
 
@@ -51,6 +45,15 @@ file, or any flipped bit, raises :class:`DataError` and no store, index
 or model state is built from it.  The digests detect damage, not
 forgery: whoever can write the file can recompute them.  Saving the same
 net twice writes identical bytes.
+
+Once every check has passed, the relations are built in bulk: each
+column becomes a list of field values through one fancy index over an
+object array, and each edge costs one tuple (``tuple.__new__`` on the
+:class:`~repro.kg.relations.Relation` NamedTuple).  Nodes and edges
+enter the store through the trusted bulk paths,
+:meth:`~repro.kg.store.AliCoCoStore.add_nodes_trusted` and
+:meth:`~repro.kg.store.AliCoCoStore.add_relations_trusted`, which skip
+the checks the loader has already made on whole tables.
 """
 
 from __future__ import annotations
@@ -59,13 +62,14 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..utils.io import atomic_write_bytes, read_jsonl, write_jsonl
+from ..utils.io import atomic_write_bytes
 from .generations import GenerationalStore
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
@@ -144,15 +148,9 @@ class Snapshot:
         default_factory=list)
 
 
-# ------------------------------------------------------------ record stream
+# ------------------------------------------------------------- node records
 def _node_record(node: Node) -> dict[str, Any]:
     return {"type": _TYPE_NAMES[type(node)], **vars(node)}
-
-
-def _relation_record(relation: Relation) -> dict[str, Any]:
-    return {"kind": relation.kind.name,
-            "source": relation.source, "target": relation.target,
-            "weight": relation.weight, "name": relation.name}
 
 
 def _parse_node(where: str, record: Any) -> Node:
@@ -168,74 +166,6 @@ def _parse_node(where: str, record: Any) -> Node:
         return node_cls(**record)
     except TypeError as error:
         raise DataError(f"{where}: bad node record ({error})") from error
-
-
-def _parse_relation(line_number: int, record: dict[str, Any]) -> Relation:
-    try:
-        relation_kind = RelationKind[record["kind"]]
-    except KeyError:
-        raise DataError(f"line {line_number}: unknown relation kind "
-                        f"{record.get('kind')!r}") from None
-    return Relation(
-        kind=relation_kind,
-        source=record["source"], target=record["target"],
-        weight=record.get("weight", 1.0),
-        name=record.get("name", ""))
-
-
-def _records(store: AliCoCoStore) -> Iterator[dict[str, Any]]:
-    for node in store.nodes():
-        yield {"record": "node", **_node_record(node)}
-    for relation in store.relations():
-        yield {"record": "relation", **_relation_record(relation)}
-
-
-def save_store(store: AliCoCoStore, path: str | Path) -> int:
-    """Write nodes then relations, one JSON object per line (atomic).
-
-    The write streams to a temp file in the target directory and renames
-    it over ``path`` in one step (:func:`repro.utils.io.write_jsonl`), so
-    a crash mid-write never leaves a truncated net behind.
-
-    Returns:
-        Number of lines written.
-    """
-    return write_jsonl(path, _records(store))
-
-
-def load_store(path: str | Path) -> AliCoCoStore:
-    """Rebuild a store saved by :func:`save_store` or as a snapshot.
-
-    A record stream replays through the validating ``add_node`` /
-    ``add_relation``.  A snapshot (told by its magic) loads through
-    :func:`load_snapshot` and flattens: the returned store holds base
-    *and* delta contents, generation structure discarded — use
-    :func:`load_generations` to keep it.
-
-    Raises:
-        DataError: On malformed records (with line numbers) or a
-            damaged snapshot.
-    """
-    with Path(path).open("rb") as handle:
-        is_snapshot = handle.read(len(MAGIC)) == MAGIC
-    if is_snapshot:
-        snapshot = load_snapshot(path)
-        store = snapshot.store
-        for _, nodes, relations in snapshot.deltas:
-            for node in nodes:
-                store.add_node(node)
-            store.add_relations_trusted(relations)
-        return store
-    store = AliCoCoStore()
-    for line_number, record in read_jsonl(path):
-        kind = record.pop("record", None)
-        if kind == "node":
-            store.add_node(_parse_node(f"line {line_number}", record))
-        elif kind == "relation":
-            store.add_relation(_parse_relation(line_number, record))
-        else:
-            raise DataError(f"line {line_number}: unknown record {kind!r}")
-    return store
 
 
 # ------------------------------------------------------------ section file
@@ -278,8 +208,7 @@ def read_sections(path: str | Path) -> tuple[dict[str, Any], dict[str, bytes]]:
     """
     data = Path(path).read_bytes()
     if data[:len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: not a snapshot (bad magic); use "
-                        "load_store for record streams")
+        raise DataError(f"{path}: not a snapshot (bad magic)")
     body = len(MAGIC) + _LENGTH.size
     if len(data) < body:
         raise DataError(f"{path}: snapshot truncated inside its prefix")
@@ -546,17 +475,25 @@ def _check_tables(blocks: Sequence[_Block], header: SnapshotHeader,
                             "relation")
 
 
-def _relations(block: _Block, ids: Sequence[str],
-               kinds: Sequence[RelationKind],
-               names: Sequence[str]) -> list[Relation]:
-    columns = {name: column.tolist() for name, column in block.columns.items()}
-    return list(map(
-        Relation,
-        [kinds[code] for code in columns["kind"]],
-        [ids[position] for position in columns["source"]],
-        [ids[position] for position in columns["target"]],
-        columns["weight"],
-        [names[code] for code in columns["name"]]))
+def _objects(values: Sequence[Any]) -> np.ndarray:
+    """``values`` as a one-dimensional object array, for fancy indexing."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+def _relations(block: _Block, ids: np.ndarray, kinds: np.ndarray,
+               names: np.ndarray) -> list[Relation]:
+    """A block's relations, one tuple each: ``ids``, ``kinds`` and
+    ``names`` are object arrays, so each column's field values come from
+    one fancy index (ranges were checked by :func:`_check_tables`)."""
+    columns = block.columns
+    return list(map(tuple.__new__, repeat(Relation), zip(
+        kinds[columns["kind"]].tolist(),
+        ids[columns["source"]].tolist(),
+        ids[columns["target"]].tolist(),
+        columns["weight"].tolist(),
+        names[columns["name"]].tolist())))
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -565,8 +502,9 @@ def load_snapshot(path: str | Path) -> Snapshot:
 
     Every check — magic, exact length, every digest, then the decoded
     header and tables — runs before anything is built; the base store is
-    then built through the trusted bulk path
-    (:meth:`~repro.kg.store.AliCoCoStore.add_relations_trusted`).
+    then built through the trusted bulk paths
+    (:meth:`~repro.kg.store.AliCoCoStore.add_nodes_trusted` and
+    :meth:`~repro.kg.store.AliCoCoStore.add_relations_trusted`).
 
     Returns:
         The header, the rebuilt base store, the delta segments and the
@@ -597,13 +535,13 @@ def load_snapshot(path: str | Path) -> Snapshot:
         decoded = {name: _decode_state(name, sections[name])
                    for name in states}
         _check_tables(blocks, header, kinds, len(names))
-        ids = [node.id for block in blocks for node in block.nodes]
+        tables = (_objects([node.id for block in blocks
+                            for node in block.nodes]),
+                  _objects(kinds), _objects(names))
         store = AliCoCoStore()
-        for node in blocks[0].nodes:
-            store.add_node(node)
-        store.add_relations_trusted(_relations(blocks[0], ids, kinds, names))
-        deltas = [(generation, block.nodes,
-                   _relations(block, ids, kinds, names))
+        store.add_nodes_trusted(blocks[0].nodes)
+        store.add_relations_trusted(_relations(blocks[0], *tables))
+        deltas = [(generation, block.nodes, _relations(block, *tables))
                   for generation, block in zip(generations, blocks[1:])]
     return Snapshot(
         header, store,
@@ -722,3 +660,33 @@ def load_generations(path: str | Path) -> GenerationalStore:
             empty deltas.
     """
     return generational_store_from_snapshot(load_snapshot(path))
+
+
+def save_store(store: AliCoCoStore, path: str | Path) -> int:
+    """Write ``store`` as a format-2 snapshot with no index or model
+    states (atomic): :func:`save_snapshot` with its defaults.
+
+    Returns:
+        Number of bytes written.
+    """
+    return save_snapshot(store, path)
+
+
+def load_store(path: str | Path) -> AliCoCoStore:
+    """Read any snapshot back as one plain store.
+
+    The file loads through :func:`load_snapshot` and its deltas are
+    flattened in: the returned store holds base *and* delta contents,
+    generation structure discarded — use :func:`load_generations` to
+    keep it.  Index and model states are not returned.
+
+    Raises:
+        DataError: If the file is not a snapshot (an empty file
+            included) or is damaged anywhere; see :func:`load_snapshot`.
+    """
+    snapshot = load_snapshot(path)
+    store = snapshot.store
+    for _, nodes, relations in snapshot.deltas:
+        store.add_nodes_trusted(nodes)
+        store.add_relations_trusted(relations)
+    return store

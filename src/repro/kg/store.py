@@ -115,10 +115,11 @@ class AliCoCoStore:
         :meth:`add_relations_trusted`): :func:`flatten
         <repro.kg.generations.flatten>` and shard splitting copy nodes
         out of a store that checked each one's type against its id
-        prefix on insert, so this skips that check.  Duplicate ids are
-        still refused, and the garbage collector is paused for the build
-        (:func:`gc_paused`).  A snapshot's nodes come from a file, so
-        its loader keeps the validating :meth:`add_node`.
+        prefix on insert, and the snapshot loader checks every node's id
+        layer, its type against that layer and that no id repeats, on
+        the whole node table before it builds anything; so this skips
+        the type check.  Duplicate ids are still refused, and the
+        garbage collector is paused for the build (:func:`gc_paused`).
 
         Returns:
             Number of nodes inserted.
@@ -282,11 +283,13 @@ class AliCoCoStore:
         out, inc = self._out, self._in
         kind_counts, by_kind = self._kind_counts, self._by_kind
         linked = self._linked_item_ids
-        count = 0
+        # kind -> the last chunk of its per-kind sequence, looked up on
+        # the first edge of that kind only.
+        chunks: dict[RelationKind, list[Relation]] = {}
+        before = len(ordered)
         with gc_paused():
             for relation in relations:
-                kind, source, target = (
-                    relation.kind, relation.source, relation.target)
+                kind, source, target, _, _ = relation
                 if source not in nodes:
                     raise NodeNotFoundError(f"node {source!r} does not exist")
                 if target not in nodes:
@@ -295,11 +298,13 @@ class AliCoCoStore:
                 out[(source, kind)].append(relation)
                 inc[(target, kind)].append(relation)
                 kind_counts[kind] += 1
-                by_kind[kind][-1].append(relation)
+                chunk = chunks.get(kind)
+                if chunk is None:
+                    chunk = chunks[kind] = by_kind[kind][-1]
+                chunk.append(relation)
                 if kind in _ITEM_KINDS:
                     linked.add(source)
-                count += 1
-        return count
+        return len(ordered) - before
 
     # --------------------------------------------------------------- folding
     def fold(self, segments: Sequence["DeltaSegment"]) -> "AliCoCoStore":

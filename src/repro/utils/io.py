@@ -1,15 +1,12 @@
-"""File I/O helpers: atomic writes and JSON-lines streams."""
+"""File I/O helpers: atomic writes."""
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
-
-from ..errors import DataError
+from typing import IO, Iterable, Iterator
 
 
 @contextmanager
@@ -55,46 +52,3 @@ def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> int:
             handle.write(chunk)
             count += len(chunk)
     return count
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
-    """Write records as JSON lines atomically; returns the line count.
-
-    Records are streamed to the temp file one line at a time (never
-    materialising the whole payload in memory — a full net can be orders
-    of magnitude larger than any single record).
-    """
-    count = 0
-    with _atomic_target(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
-
-
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line number, record) pairs from a JSON-lines file.
-
-    Raises:
-        DataError: On non-UTF-8 text, malformed JSON or non-object lines,
-            with the line number in the message.
-    """
-    with Path(path).open("rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as error:
-                raise DataError(
-                    f"line {line_number}: not UTF-8 text") from error
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise DataError(
-                    f"line {line_number}: malformed JSON ({error.msg})") \
-                    from error
-            if not isinstance(record, dict):
-                raise DataError(f"line {line_number}: expected a JSON object")
-            yield line_number, record

@@ -467,7 +467,7 @@ class TestGenerationSnapshots:
         assert not restored.find_by_name("ec", "fresh snap-open concept")
 
     def test_load_store_flattens_the_deltas(self, grown, tmp_path):
-        path = tmp_path / "net.gen.jsonl"
+        path = tmp_path / "net.gen.snap"
         save_generations(grown, path)
         flat = load_store(path)
         assert isinstance(flat, AliCoCoStore)

@@ -34,7 +34,7 @@ class TestEndToEnd:
         assert stats.avg_ecommerce_per_item > 0
 
     def test_persistence_survives_full_cycle(self, built, tmp_path):
-        path = tmp_path / "net.jsonl"
+        path = tmp_path / "net.snapshot"
         save_store(built.store, path)
         loaded = load_store(path)
         assert validate_store(loaded).ok

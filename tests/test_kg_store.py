@@ -1,5 +1,7 @@
 """Tests for the graph store, queries, stats and serialization."""
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -7,11 +9,15 @@ from repro.errors import (
     TaxonomyError,
 )
 from repro.kg import (
-    AliCoCoStore, ECommerceConcept, Relation, RelationKind,
+    AliCoCoStore, ECommerceConcept, GenerationalStore, Relation, RelationKind,
 )
 from repro.kg import query as kgq
+from repro.kg.generations import flatten
 from repro.kg.ids import layer_of
-from repro.kg.serialize import load_store, save_store
+from repro.kg.serialize import (
+    load_snapshot, load_store, save_generations, save_store,
+)
+from repro.serving.shard import split_store
 
 
 @pytest.fixture
@@ -264,7 +270,7 @@ class TestStats:
 
 class TestSerialization:
     def test_roundtrip(self, store, tmp_path):
-        path = tmp_path / "net.jsonl"
+        path = tmp_path / "net.snapshot"
         save_store(store, path)
         loaded = load_store(path)
         assert len(loaded) == len(store)
@@ -274,8 +280,75 @@ class TestSerialization:
         assert concept.tokens == ("summer", "dress", "for", "women")
 
     def test_roundtrip_preserves_weights(self, store, tmp_path):
-        path = tmp_path / "net.jsonl"
+        path = tmp_path / "net.snapshot"
         save_store(store, path)
         loaded = load_store(path)
         weights = [r.weight for r in loaded.relations(RelationKind.ITEM_ECOMMERCE)]
         assert weights == [0.9]
+
+
+class TestRelationValue:
+    """``Relation`` is a NamedTuple value: what callers may rely on."""
+
+    def test_positional_and_keyword_construction_with_defaults(self):
+        kind = RelationKind.ISA_PRIMITIVE
+        positional = Relation(kind, "pc_1", "pc_2")
+        keyword = Relation(kind=kind, source="pc_1", target="pc_2")
+        assert positional == keyword == Relation(kind, "pc_1", "pc_2", 1.0, "")
+        assert (keyword.weight, keyword.name) == (1.0, "")
+        named = Relation(kind, "pc_1", "pc_2", name="color", weight=0.5)
+        assert (named.weight, named.name) == (0.5, "color")
+        # Equality and hashing are the field tuple's.
+        fields = (kind, "pc_1", "pc_2", 0.5, "color")
+        assert named == fields and hash(named) == hash(fields)
+        with pytest.raises(TypeError):
+            Relation(kind, "pc_1")
+
+    def test_fields_are_read_only_and_there_is_no_dict(self, store):
+        relation = next(store.relations(RelationKind.ITEM_ECOMMERCE))
+        for field in Relation._fields:
+            with pytest.raises(AttributeError):
+                setattr(relation, field, None)
+        with pytest.raises(AttributeError):
+            relation.extra = 1
+        assert not hasattr(relation, "__dict__")
+        assert relation.weight == 0.9
+
+    def test_relations_pickle_round_trip(self, store):
+        for relation in store.relations():
+            clone = pickle.loads(pickle.dumps(relation))
+            assert type(clone) is Relation
+            assert clone == relation and hash(clone) == hash(relation)
+
+    def test_loaded_split_and_flattened_edges_are_the_built_ones(
+            self, store, tmp_path):
+        base = list(store.relations())
+        generational = GenerationalStore(store.freeze())
+        concept = generational.create_ecommerce("maxi dress for party")
+        dress = generational.find_by_name("pc", "maxi dress")[0]
+        generational.add_relation(Relation(
+            RelationKind.INTERPRETED_BY, concept.id, dress.id, 0.75, "style"))
+        generational.publish()
+        built = list(generational.relations())
+        assert len(built) == len(base) + 1
+
+        path = tmp_path / "net.gen.snap"
+        save_generations(generational, path)
+        snapshot = load_snapshot(path)
+        read_back = {
+            "loaded base": list(snapshot.store.relations()),
+            "loaded delta": [relation for _, _, relations in snapshot.deltas
+                             for relation in relations],
+            "load_store": list(load_store(path).relations()),
+            "flatten": list(flatten(generational).relations()),
+            "split": [relation for shard in split_store(store, 2)
+                      for relation in shard.relations()],
+        }
+        assert read_back["loaded base"] == base
+        assert read_back["loaded delta"] == built[len(base):]
+        for how in ("load_store", "flatten"):
+            assert read_back[how] == built, how
+            assert [hash(r) for r in read_back[how]] == [hash(r) for r in built]
+        assert set(read_back["split"]) == set(base)
+        for how, relations in read_back.items():
+            assert all(type(r) is Relation for r in relations), how

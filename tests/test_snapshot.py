@@ -90,12 +90,31 @@ class TestSnapshotRoundTrip:
         loaded = load_store(snapshot_path)
         assert loaded.stats() == built.store.stats()
 
-    def test_legacy_headerless_files_still_load(self, built, tmp_path):
-        path = tmp_path / "legacy.jsonl"
-        save_store(built.store, path)
-        assert load_store(path).stats() == built.store.stats()
-        with pytest.raises(DataError, match="not a snapshot"):
-            load_snapshot(path)
+    def test_save_store_writes_a_state_free_snapshot(self, built, tmp_path):
+        path = tmp_path / "net.snapshot"
+        written = save_store(built.store, path)
+        assert written == path.stat().st_size
+        same = tmp_path / "same.snapshot"
+        save_snapshot(built.store, same)
+        assert path.read_bytes() == same.read_bytes()
+        snapshot = load_snapshot(path)
+        assert snapshot.index_states == snapshot.model_states == {}
+        assert list(load_store(path).relations()) == list(built.store.relations())
+
+    def test_headerless_files_are_refused(self, built, tmp_path):
+        """An empty file, or one without the magic (such as a JSON-lines
+        record stream), is not a snapshot for either loader."""
+        records = tmp_path / "legacy.jsonl"
+        records.write_text(
+            '{"record": "node", "type": "class", "id": "cls_0", '
+            '"name": "X", "domain": "D", "parent_id": null}\n'
+        )
+        empty = tmp_path / "empty.snapshot"
+        empty.write_bytes(b"")
+        for path in (records, empty):
+            for load in (load_snapshot, load_store):
+                with pytest.raises(DataError, match="not a snapshot"):
+                    load(path)
 
     def test_sections_rewrite_byte_identically(self, snapshot_path, tmp_path):
         """What `_forge` relies on."""
@@ -272,7 +291,7 @@ class TestAtomicity:
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
     def test_save_store_streams_atomically(self, built, tmp_path, monkeypatch):
-        path = tmp_path / "net.jsonl"
+        path = tmp_path / "net.snapshot"
         save_store(built.store, path)
         before = path.read_bytes()
 

@@ -4,8 +4,8 @@ A small generational net (every layer, named and weighted relations, two
 delta segments, an index state and a model state) is saved once.  Every
 truncation, every appended suffix and every single-bit flip of that file
 must raise :class:`DataError` from :func:`load_snapshot` and
-:func:`load_store`, and the bulk build path must never be entered: the
-tests replace it with one that fails.
+:func:`load_store`, and the bulk build paths must never be entered: the
+tests replace them, and ``add_node``, with ones that fail.
 
 The example budget is hypothesis's default in tier-1; CI runs this
 module again under the larger ``snapshot-fuzz`` profile registered in
@@ -89,24 +89,20 @@ def saved(tmp_path_factory):
 
 
 def _assert_rejected(path, damaged: bytes) -> None:
-    """Both loaders raise DataError, and nothing is ever built.
-
-    The one exception is the empty file, which ``load_store`` reads as
-    the empty record stream ``save_store`` writes for an empty net.
-    """
+    """Both loaders raise DataError, the empty file included, and nothing
+    is ever built: both bulk paths and ``add_node`` are made to fail."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("a damaged snapshot reached the bulk build path")
 
     path.write_bytes(damaged)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AliCoCoStore, "add_relations_trusted", no_build)
-        patch.setattr(AliCoCoStore, "add_node", no_build)
+        for method in ("add_relations_trusted", "add_nodes_trusted", "add_node"):
+            patch.setattr(AliCoCoStore, method, no_build)
         with pytest.raises(DataError):
             load_snapshot(path)
-        if damaged:
-            with pytest.raises(DataError):
-                load_store(path)
+        with pytest.raises(DataError):
+            load_store(path)
 
 
 def _flip(data: bytes, position: int, bit: int) -> bytes:

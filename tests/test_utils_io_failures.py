@@ -1,12 +1,15 @@
 """Tests for the io helpers plus failure-injection across the stack."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from repro import build_alicoco, TINY
 from repro.errors import BudgetExhaustedError, DataError
-from repro.kg.serialize import load_store, save_store
-from repro.utils.io import atomic_write_text, read_jsonl, write_jsonl
+from repro.kg.serialize import load_store, read_sections, save_store, write_sections
+from repro.utils.io import atomic_write_bytes, atomic_write_text
 
 
 class TestIoHelpers:
@@ -19,74 +22,98 @@ class TestIoHelpers:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
-    def test_jsonl_roundtrip(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        records = [{"a": 1}, {"b": [1, 2]}, {"c": "x"}]
-        assert write_jsonl(path, records) == 3
-        loaded = [record for _, record in read_jsonl(path)]
-        assert loaded == records
-
     def test_write_empty(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        assert write_jsonl(path, []) == 0
-        assert list(read_jsonl(path)) == []
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"old contents")
+        assert atomic_write_bytes(path, []) == 0
+        assert path.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.bin"]
 
-    def test_malformed_json_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(DataError, match="line 2"):
-            list(read_jsonl(path))
 
-    def test_non_object_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("[1, 2, 3]\n")
-        with pytest.raises(DataError, match="JSON object"):
-            list(read_jsonl(path))
+def _forge(source, target, edit_header=None, edit_base=None):
+    """Rewrite a snapshot with edited contents but valid digests."""
+    header, sections = read_sections(source)
+    if edit_header is not None:
+        edit_header(header)
+    if edit_base is not None:
+        sections["base"] = edit_base(sections["base"])
+    write_sections(target, header, list(sections.items()))
+    return target
 
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "sparse.jsonl"
-        path.write_text('{"a": 1}\n\n\n{"b": 2}\n')
-        assert [r for _, r in read_jsonl(path)] == [{"a": 1}, {"b": 2}]
+
+def _edit_node_table(payload: bytes, edit) -> bytes:
+    """A base block whose node-table records went through ``edit``."""
+    node_bytes, relations = struct.unpack_from("<II", payload)
+    records = edit(json.loads(payload[8 : 8 + node_bytes]))
+    table = json.dumps(records).encode("utf-8")
+    return struct.pack("<II", len(table), relations) + table + payload[8 + node_bytes :]
+
+
+@pytest.fixture(scope="module")
+def saved_tiny(tmp_path_factory):
+    built = build_alicoco(TINY)
+    path = tmp_path_factory.mktemp("store") / "net.snapshot"
+    save_store(built.store, path)
+    return built, path
 
 
 class TestStoreSerializationFailures:
-    def test_full_build_roundtrip(self, tmp_path):
-        built = build_alicoco(TINY)
-        path = tmp_path / "net.jsonl"
-        lines = save_store(built.store, path)
-        assert lines == len(built.store) + built.store.stats().relations_total
+    def test_full_build_roundtrip(self, saved_tiny, tmp_path):
+        built, _ = saved_tiny
+        path = tmp_path / "net.snapshot"
+        written = save_store(built.store, path)
+        assert written == path.stat().st_size
         loaded = load_store(path)
         assert loaded.stats() == built.store.stats()
 
-    def test_unknown_relation_kind_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"record": "relation", "kind": "TELEPORTS_TO", '
-            '"source": "a", "target": "b"}\n')
-        with pytest.raises(DataError, match="unknown relation kind"):
-            load_store(path)
+    def test_unknown_relation_kind_rejected(self, saved_tiny, tmp_path):
+        _, source = saved_tiny
 
-    def test_bad_node_fields_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"record": "node", "type": "class", "id": "cls_0", '
-                        '"name": "X", "domain": "D", "extra_field": 1}\n')
+        def teleport(header):
+            header["kinds"][0] = "TELEPORTS_TO"
+
+        bad = _forge(source, tmp_path / "bad.snapshot", edit_header=teleport)
+        with pytest.raises(DataError, match="relation string tables"):
+            load_store(bad)
+
+    def test_bad_node_fields_rejected(self, saved_tiny, tmp_path):
+        _, source = saved_tiny
+
+        def extra_field(records):
+            records[0]["extra_field"] = 1
+            return records
+
+        bad = _forge(
+            source,
+            tmp_path / "bad.snapshot",
+            edit_base=lambda payload: _edit_node_table(payload, extra_field),
+        )
         with pytest.raises(DataError, match="bad node record"):
-            load_store(path)
+            load_store(bad)
 
-    def test_truncated_file_is_detected(self, tmp_path):
-        """A relation referencing a node cut off by truncation fails loudly
-        instead of producing a silently broken store."""
-        built = build_alicoco(TINY)
-        path = tmp_path / "net.jsonl"
-        save_store(built.store, path)
-        lines = path.read_text().splitlines()
-        # Drop all nodes, keep a relation: endpoints now dangle.
-        relation_lines = [line for line in lines
-                          if '"record": "relation"' in line]
-        path.write_text(relation_lines[0] + "\n")
-        from repro.errors import NodeNotFoundError
-        with pytest.raises(NodeNotFoundError):
-            load_store(path)
+    def test_truncated_file_is_detected(self, saved_tiny, tmp_path):
+        """A truncated file, or one whose relations reference nodes cut out
+        of its node table (digests valid), fails loudly instead of
+        producing a silently broken store."""
+        _, source = saved_tiny
+        data = source.read_bytes()
+        for length in (0, len(data) // 2, len(data) - 1):
+            truncated = tmp_path / "truncated.snapshot"
+            truncated.write_bytes(data[:length])
+            with pytest.raises(DataError):
+                load_store(truncated)
+
+        def no_nodes(header):
+            header["nodes"] = 0
+
+        dangling = _forge(
+            source,
+            tmp_path / "dangling.snapshot",
+            edit_header=no_nodes,
+            edit_base=lambda payload: _edit_node_table(payload, lambda _: []),
+        )
+        with pytest.raises(DataError, match="out of range"):
+            load_store(dangling)
 
 
 class TestOracleBudgetFailures:
