@@ -225,15 +225,15 @@ def main() -> None:
         f"({doc_stats.doc_cache_hits} doc-cache hits)"
     )
 
-    # --- hybrid retrieval: dense ANN + BM25 fused with RRF ----------------
-    # The first stage behind the reranked endpoints is pluggable
-    # (ServiceConfig(retriever=...)): "bm25" (default), "dense" (an ANN
+    # --- hybrid retrieval: exact dense + BM25 fused with RRF --------------
+    # The first stage behind the reranked endpoints is configurable
+    # (ServiceConfig(retriever=...)): "bm25" (default), "dense" (an exact
     # index over the reranker's own doc vectors), or "hybrid" (both arms
     # fused with Reciprocal Rank Fusion).  The dense index embeds the
     # frozen catalog once at startup — through the same doc-encoding
     # cache — and its *fitted* state rides the snapshot, so a restart
-    # skips the k-means build entirely.
-    hybrid_config = ServiceConfig(retriever="hybrid", dense_backend="ivf")
+    # encodes nothing.
+    hybrid_config = ServiceConfig(retriever="hybrid")
     hybrid = AliCoCoService.from_build(
         built,
         tagger=tagger,
@@ -260,7 +260,7 @@ def main() -> None:
     assert warm_hybrid.search_reranked(spec.text, 3) == answers
     print(
         f"  warm hybrid restart: {hybrid_warm_ms:.0f} ms, answers "
-        "bit-identical (fitted ANN index state rides the snapshot)"
+        "bit-identical (fitted dense index state rides the snapshot)"
     )
 
     # --- cluster serving: shards, coalescing, load shedding ---------------

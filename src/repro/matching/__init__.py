@@ -13,7 +13,6 @@ from .match_pyramid import MatchPyramidMatcher
 from .re2 import RE2Matcher
 from .knowledge_model import KnowledgeMatcher
 from .retrieval import (
-    BM25CandidateGenerator,
     CandidateGenerator,
     RETRIEVER_MODES,
     require_dense_capable,
@@ -22,9 +21,19 @@ from .retrieval import (
 from .trainer import evaluate_matcher, train_matcher
 
 __all__ = [
-    "MatchingDataset", "MatchingExample", "build_matching_dataset",
-    "BM25Index", "BM25Matcher", "DSSMMatcher", "MatchPyramidMatcher",
-    "RE2Matcher", "KnowledgeMatcher", "BM25CandidateGenerator",
-    "CandidateGenerator", "RETRIEVER_MODES", "require_dense_capable",
-    "retrieval_recall", "evaluate_matcher", "train_matcher",
+    "MatchingDataset",
+    "MatchingExample",
+    "build_matching_dataset",
+    "BM25Index",
+    "BM25Matcher",
+    "DSSMMatcher",
+    "MatchPyramidMatcher",
+    "RE2Matcher",
+    "KnowledgeMatcher",
+    "CandidateGenerator",
+    "RETRIEVER_MODES",
+    "require_dense_capable",
+    "retrieval_recall",
+    "evaluate_matcher",
+    "train_matcher",
 ]

@@ -2,15 +2,13 @@
 
 At Alibaba scale nobody scores every (concept, item) pair with a deep
 model: a cheap first-stage retriever proposes top candidates per concept
-and only those reach the matcher.  This module provides that first stage
-— historically BM25-only (:class:`BM25CandidateGenerator`), now a facade
-(:class:`CandidateGenerator`) over the pluggable backends of
-:mod:`repro.retrieval`:
+and only those reach the matcher.  :class:`CandidateGenerator` provides
+that first stage over the backends of :mod:`repro.retrieval`:
 
 - ``"bm25"`` — the lexical inverted index (semantic drift is its known
   failure mode: "mid-autumn festival gifts" never mentions moon cakes);
-- ``"dense"`` — an ANN index over a vector-capable matcher's doc
-  embeddings (:class:`~repro.retrieval.ivf.IVFIndex` and friends), which
+- ``"dense"`` — an exact index over a vector-capable matcher's doc
+  embeddings (:class:`~repro.retrieval.dense.BruteForceDense`), which
   bridges drift but can miss exact lexical pins;
 - ``"hybrid"`` — both arms fused with Reciprocal Rank Fusion
   (:class:`~repro.retrieval.fusion.HybridRetriever`).
@@ -29,13 +27,12 @@ from ..errors import ConfigError, DataError
 from ..retrieval import (
     DEFAULT_RRF_K,
     BM25Retriever,
+    BruteForceDense,
     HybridQuery,
     HybridRetriever,
-    make_dense_index,
 )
 from ..synth.items import SynthItem
 from .base import NeuralMatcher
-from .bm25 import BM25Index
 from .dataset import MatchingDataset
 
 #: First-stage strategies accepted by :class:`CandidateGenerator`.
@@ -64,67 +61,22 @@ def require_dense_capable(matcher, context: str) -> NeuralMatcher:
     return matcher
 
 
-class BM25CandidateGenerator:
-    """Top-k item candidate generation for a concept query (lexical only).
-
-    Kept as the zero-dependency baseline generator; the pluggable
-    :class:`CandidateGenerator` facade generalises it to dense and hybrid
-    first stages.
-
-    Args:
-        k1 / b: BM25 parameters, forwarded to the index.
-    """
-
-    def __init__(self, k1: float = 1.5, b: float = 0.75):
-        self._k1 = k1
-        self._b = b
-        self._index = BM25Index(k1=k1, b=b)
-        self._items: dict[int, SynthItem] = {}
-
-    def fit(self, items: Sequence[SynthItem]) -> "BM25CandidateGenerator":
-        """Index a catalog by item title.
-
-        Refitting replaces the previous catalog wholesale: both the item
-        map and the index are rebuilt from scratch first, so a smaller
-        refit can never serve candidates left over from a larger earlier
-        fit (and a failed refit cannot leave a half-updated generator).
-        """
-        if not items:
-            raise DataError("candidate generator needs at least one item")
-        self._items = {}
-        self._index = BM25Index(k1=self._k1, b=self._b)
-        self._items = {item.index: item for item in items}
-        self._index.fit({item.index: item.title_tokens
-                         for item in self._items.values()})
-        return self
-
-    def candidates(self, query_tokens: Sequence[str],
-                   k: int = 50) -> list[tuple[SynthItem, float]]:
-        """The ``k`` best-matching (item, score) pairs, best first."""
-        return [(self._items[index], score)
-                for index, score in self._index.top_k(query_tokens, k)]
-
-
 class CandidateGenerator:
-    """First-stage item retrieval for a concept query, any backend.
+    """First-stage item retrieval for a concept query.
 
-    The facade fits one of the :mod:`repro.retrieval` backends over a
-    catalog's titles and answers ``candidates(query_tokens, k)`` with the
-    same (item, score) shape as :class:`BM25CandidateGenerator` —
-    drop-in for :func:`retrieval_recall` and the serving pool builders.
+    Fits one of the :mod:`repro.retrieval` backends over a catalog's
+    titles and answers ``candidates(query_tokens, k)`` with (item, score)
+    pairs — the shape :func:`retrieval_recall` and the serving pool
+    builders consume.
 
     Args:
         retriever: ``"bm25"``, ``"dense"``, or ``"hybrid"``.
         matcher: A vector-capable matcher (``dense_vectors = True``)
             supplying ``doc_vector`` (fit time) and ``query_vector``
             (query time).  Required for dense and hybrid modes.
-        dense_backend: :data:`~repro.retrieval.DENSE_BACKENDS` name for
-            the dense arm (``"bruteforce"``, ``"ivf"``, ``"hnsw"``).
         rrf_k: Reciprocal Rank Fusion constant (hybrid mode).
         weights: (dense, lexical) RRF arm weights (hybrid mode).
         k1 / b: BM25 parameters for the lexical arm.
-        dense_kwargs: Extra constructor arguments for the dense backend
-            (e.g. ``nprobe`` for IVF, ``ef_search`` for HNSW).
 
     Raises:
         ConfigError: On an unknown mode, or a dense/hybrid mode without a
@@ -136,12 +88,10 @@ class CandidateGenerator:
         retriever: str = "bm25",
         *,
         matcher: NeuralMatcher | None = None,
-        dense_backend: str = "bruteforce",
         rrf_k: int = DEFAULT_RRF_K,
         weights: Sequence[float] = (1.0, 1.0),
         k1: float = 1.5,
         b: float = 0.75,
-        **dense_kwargs,
     ):
         if retriever not in RETRIEVER_MODES:
             expected = ", ".join(repr(mode) for mode in RETRIEVER_MODES)
@@ -156,12 +106,11 @@ class CandidateGenerator:
             self._matcher = require_dense_capable(
                 matcher, f"retriever mode {retriever!r}"
             )
-            dense = make_dense_index(dense_backend, **dense_kwargs)
             if retriever == "dense":
-                self._backend = dense
+                self._backend = BruteForceDense()
             else:
                 self._backend = HybridRetriever(
-                    dense=dense,
+                    dense=BruteForceDense(),
                     lexical=BM25Retriever(k1=k1, b=b),
                     rrf_k=rrf_k,
                     weights=weights,
@@ -171,8 +120,9 @@ class CandidateGenerator:
     def fit(self, items: Sequence[SynthItem]) -> "CandidateGenerator":
         """Index a catalog by item title (titles embedded for dense arms).
 
-        Like :meth:`BM25CandidateGenerator.fit`, a refit rebuilds from
-        scratch — stale items from a previous catalog cannot survive.
+        A refit replaces the previous catalog wholesale: the item map and
+        the index are rebuilt from scratch, so a smaller refit can never
+        serve candidates left over from a larger earlier fit.
         """
         if not items:
             raise DataError("candidate generator needs at least one item")
@@ -190,15 +140,15 @@ class CandidateGenerator:
             self._backend.fit(
                 ids,
                 [
-                    (self._matcher.doc_vector(item.title_tokens),
-                     item.title_tokens)
+                    (self._matcher.doc_vector(item.title_tokens), item.title_tokens)
                     for item in catalog
                 ],
             )
         return self
 
-    def candidates(self, query_tokens: Sequence[str],
-                   k: int = 50) -> list[tuple[SynthItem, float]]:
+    def candidates(
+        self, query_tokens: Sequence[str], k: int = 50
+    ) -> list[tuple[SynthItem, float]]:
         """The ``k`` best-matching (item, score) pairs, best first.
 
         Scores are backend-native (BM25 mass, cosine, or fused RRF mass)
@@ -232,20 +182,21 @@ def retrieval_recall(generator, dataset: MatchingDataset, k: int = 50) -> float:
     fraction of oracle-positive items recovered; returns the mean over
     concepts.  This is the ceiling any downstream matcher can reach in a
     retrieval-then-verify pipeline.  ``generator`` is anything with a
-    ``candidates(query_tokens, k)`` method — both generator classes here
-    and any future facade mode qualify, which is how the benchmark
+    ``candidates(query_tokens, k)`` method — every
+    :class:`CandidateGenerator` mode qualifies, which is how the benchmark
     compares BM25, dense, and hybrid first stages on equal footing.
     """
     if not dataset.test_by_concept:
         raise DataError("dataset has no per-concept test pools")
     recalls: list[float] = []
     for examples in dataset.test_by_concept.values():
-        positives = {example.item.index
-                     for example in examples if example.label == 1}
+        positives = {example.item.index for example in examples if example.label == 1}
         if not positives:
             continue
-        retrieved = {item.index for item, _ in generator.candidates(
-            examples[0].concept.tokens, k)}
+        retrieved = {
+            item.index
+            for item, _ in generator.candidates(examples[0].concept.tokens, k)
+        }
         recalls.append(len(positives & retrieved) / len(positives))
     if not recalls:
         raise DataError("no test concept has positive examples")

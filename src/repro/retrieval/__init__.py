@@ -1,17 +1,16 @@
-"""Sublinear hybrid retrieval behind a pluggable interface (Section 6).
+"""First-stage retrieval behind one small interface (Section 6).
 
-First-stage candidate generation, swappable per deployment:
+The paper matches items against a BM25 and DSSM first stage; this
+package serves that stage:
 
-- :class:`BruteForceDense` — exact dense scoring, the recall oracle;
-- :class:`IVFIndex` — k-means inverted file, the sublinear latency backend;
-- :class:`HNSWLiteIndex` — layered small-world graph ANN;
+- :class:`BruteForceDense` — exact dense scoring, the one dense index;
 - :class:`BM25Retriever` — the existing inverted index, adapted;
 - :class:`HybridRetriever` — dense + BM25 fused with Reciprocal Rank
   Fusion (:func:`rrf_fuse`).
 
-All share :class:`BaseRetriever` (``fit`` / ``retrieve`` / ``stats`` /
-``to_state``), deterministic fit-order tie-breaking, and JSON state
-round-trips so snapshots warm-start a fitted index bit-identically.
+All share :class:`BaseRetriever` (``fit`` / ``add`` / ``retrieve`` /
+``stats`` / ``to_state``), deterministic fit-order tie-breaking, and JSON
+state round-trips so snapshots warm-start a fitted index bit-identically.
 """
 
 from __future__ import annotations
@@ -22,34 +21,16 @@ from ..errors import DataError
 from .base import BaseRetriever, RetrieverStats, check_state_backend
 from .dense import BruteForceDense
 from .fusion import DEFAULT_RRF_K, HybridQuery, HybridRetriever, rrf_fuse
-from .hnsw import HNSWLiteIndex
-from .ivf import IVFIndex
 from .lexical import BM25Retriever
 
-#: Dense backend name -> class, the pluggable registry behind config
-#: strings and serialised state tags.
-DENSE_BACKENDS: dict[str, type[BaseRetriever]] = {
+#: Dense backend name -> class: the tag serialised dense states carry.
+DENSE_BACKENDS: dict[str, type[BruteForceDense]] = {
     BruteForceDense.backend: BruteForceDense,
-    IVFIndex.backend: IVFIndex,
-    HNSWLiteIndex.backend: HNSWLiteIndex,
 }
 
 
-def make_dense_index(backend: str, **kwargs: Any) -> BaseRetriever:
-    """Construct an (unfitted) dense backend by registry name.
-
-    Raises:
-        DataError: On an unknown backend name.
-    """
-    cls = DENSE_BACKENDS.get(backend)
-    if cls is None:
-        known = ", ".join(sorted(DENSE_BACKENDS))
-        raise DataError(f"unknown dense backend {backend!r}; expected one of: {known}")
-    return cls(**kwargs)
-
-
-def dense_index_from_state(state: Mapping[str, Any]) -> BaseRetriever:
-    """Rehydrate any dense backend from its serialised state tag.
+def dense_index_from_state(state: Mapping[str, Any]) -> BruteForceDense:
+    """Rehydrate a dense index from its serialised state tag.
 
     Raises:
         DataError: On an unknown or missing backend tag.
@@ -79,15 +60,12 @@ __all__ = [
     "BaseRetriever",
     "RetrieverStats",
     "BruteForceDense",
-    "IVFIndex",
-    "HNSWLiteIndex",
     "BM25Retriever",
     "HybridRetriever",
     "HybridQuery",
     "rrf_fuse",
     "DEFAULT_RRF_K",
     "DENSE_BACKENDS",
-    "make_dense_index",
     "dense_index_from_state",
     "retriever_from_state",
     "check_state_backend",

@@ -1,12 +1,14 @@
-"""The pluggable retriever interface behind candidate generation.
+"""The retriever interface behind candidate generation.
 
 AliCoCo serves retrieval-then-verify (Section 6): a cheap first stage
 proposes candidates and only those reach the deep matcher.  This package
-makes that first stage *swappable* — lexical (BM25), dense (brute force
-or ANN), or a hybrid fusing both — behind one small contract:
+gives that first stage — lexical (BM25), dense (exact brute force), or a
+hybrid fusing both — one small contract:
 
 - ``fit(ids, data)`` indexes an id-keyed collection (token sequences for
   lexical backends, vectors for dense ones);
+- ``add(ids, data)`` / ``extended(ids, data)`` grow a fitted index in
+  place or into a new one, ranking exactly like a refit;
 - ``retrieve(query, top_k)`` answers with the best ``(id, score)`` pairs;
 - ``stats()`` reports what the index is and how much work queries do;
 - ``to_state()`` / ``from_state()`` round-trip the *fitted* index through
@@ -24,7 +26,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from ..errors import ConfigError, DataError, NotFittedError
+from ..errors import DataError, NotFittedError
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,13 @@ class RetrieverStats:
     """What a fitted retriever is and what its queries cost.
 
     Attributes:
-        backend: Backend name (``"bruteforce"``, ``"ivf"``, ...).
+        backend: Backend name (``"bruteforce"``, ``"bm25"``, ``"hybrid"``).
         size: Number of indexed documents.
         dim: Vector dimensionality (0 for lexical backends).
         queries: Queries answered since ``fit``.
         candidates_scored: Total documents actually scored across those
-            queries — the sublinearity witness: for ANN backends this
-            grows much slower than ``queries * size``.
+            queries (every document for the dense scan; only those
+            sharing a term for BM25).
         extra: Backend-specific knobs and structure sizes.
     """
 
@@ -60,22 +62,14 @@ class RetrieverStats:
 class BaseRetriever(ABC):
     """One first-stage candidate source over an id-keyed collection.
 
-    Backends that can grow without a refit advertise ``supports_add``
-    and implement :meth:`add`; everyone else inherits the refusing
-    default, which callers treat as a refit-fallback signal (the
-    generational serving tier grows an index into a new one with
-    :meth:`extended`, and refits only when the backend cannot extend —
-    see :mod:`repro.kg.generations`).
+    Every backend grows without a refit: :meth:`add` extends an index in
+    place, and :meth:`extended` grows a new one so readers pinned to the
+    old index keep it (the generational serving tier publishes indexes
+    this way — see :mod:`repro.kg.generations`).
     """
 
     #: Backend name used in stats and serialised state.
     backend = "base"
-
-    #: Whether :meth:`add` extends the fitted index in place.
-    supports_add = False
-
-    #: Whether :meth:`projected` can select a subset without a refit.
-    supports_projection = False
 
     @abstractmethod
     def fit(self, ids: Sequence, data: Sequence) -> "BaseRetriever":
@@ -95,24 +89,17 @@ class BaseRetriever(ABC):
         (lexical backends only return nonzero-score documents).
         """
 
+    @abstractmethod
     def add(self, ids: Sequence, data: Sequence) -> "BaseRetriever":
         """Extend a fitted index with new documents, preserving fit order.
 
         New ids take the positions after the existing collection, so the
         tie-break contract ("fit order") extends naturally: an index
         grown by ``add`` ranks exactly like one fitted from the
-        concatenated collection *when the backend's structure permits*
-        (each backend documents how close it comes).  Callers must not
-        mutate an index other threads are reading — publish the new
-        index :meth:`extended` returns instead.
-
-        Raises:
-            ConfigError: For backends with ``supports_add = False``.
+        concatenated collection.  Callers must not mutate an index other
+        threads are reading — publish the new index :meth:`extended`
+        returns instead.
         """
-        raise ConfigError(
-            f"{type(self).__name__} ({self.backend}) does not support "
-            "incremental add; refit from the full collection instead"
-        )
 
     def extended(self, ids: Sequence, data: Sequence) -> "BaseRetriever":
         """A new index: this one's documents followed by ``ids``/``data``.
@@ -122,30 +109,8 @@ class BaseRetriever(ABC):
         would.  The default copies through ``from_state(to_state())``;
         backends that can share or cheaply copy their structure override
         it.
-
-        Raises:
-            ConfigError: For backends with ``supports_add = False``.
         """
         return type(self).from_state(self.to_state()).add(ids, data)
-
-    def projected(self, ids: Sequence) -> "BaseRetriever | None":
-        """A new index over the documents ``ids``, in that order.
-
-        The projection retrieves exactly like a fit over those documents
-        alone; this index is left unchanged.  Returns ``None`` when
-        ``ids`` is empty.  Only backends whose structure does not depend
-        on the whole population (``supports_projection``) can project;
-        everyone else inherits this refusing default, which callers treat
-        as a refit-fallback signal (the cluster's per-shard dense indexes
-        — see :mod:`repro.serving.shard`).
-
-        Raises:
-            ConfigError: For backends with ``supports_projection = False``.
-        """
-        raise ConfigError(
-            f"{type(self).__name__} ({self.backend}) cannot project a "
-            "subset; refit over the subset instead"
-        )
 
     @abstractmethod
     def stats(self) -> RetrieverStats:

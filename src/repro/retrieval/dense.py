@@ -1,15 +1,17 @@
-"""Exact dense retrieval: the recall oracle every ANN backend is judged by.
+"""Exact dense retrieval: the one dense index.
 
 :class:`BruteForceDense` scores a query against *every* indexed vector
-with one packed float32 matmul — O(n·d) per query, unbeatable recall,
-and the baseline the benchmarks hold :class:`~repro.retrieval.ivf.IVFIndex`
-and :class:`~repro.retrieval.hnsw.HNSWLiteIndex` against (recall@k ≥ 0.9,
-latency ≥ 3x better at 10k items).
+with one packed float32 matmul — O(n·d) per query and exact.  Exactness
+is what the serving tier needs: a cluster shard serves a
+:meth:`~BruteForceDense.projected` subset of one global index and
+answers exactly like a single service over the same store.  At the
+catalog sizes served here (a few thousand items per shard) an
+approximate index bought no speed either.
 
-The module also owns the shared dense plumbing: float32 packing,
-cosine/inner-product query preparation, base64 matrix (de)serialisation,
-and the deterministic top-k selection (score desc, fit position asc) that
-makes rankings reproducible across fits, warm starts, and backends.
+The module also owns the dense plumbing: float32 packing, cosine/inner-
+product query preparation, base64 matrix (de)serialisation, and the
+deterministic top-k selection (score desc, fit position asc) that makes
+rankings reproducible across fits, warm starts, and projections.
 """
 
 from __future__ import annotations
@@ -72,13 +74,12 @@ def prepare_query(vector: Any, dim: int, metric: str) -> np.ndarray:
     return query
 
 
-def top_k_positions(scores: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
-    """Indices into ``scores`` of the best ``k``, score desc / position asc.
+def top_k_positions(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the best ``k`` scores, score desc / position asc.
 
-    ``positions`` carries each score's global fit position, the
-    deterministic tie-break shared by every backend.  Selection goes
-    through ``argpartition`` first so the common case never sorts the
-    whole collection.
+    A score's position is its row's fit position, the deterministic
+    tie-break.  Selection goes through ``argpartition`` first so the
+    common case never sorts the whole collection.
     """
     n = scores.shape[0]
     k = min(k, n)
@@ -101,11 +102,10 @@ def top_k_positions(scores: np.ndarray, positions: np.ndarray, k: int) -> np.nda
             # Re-gather the whole tie group and keep its lowest positions.
             above = np.flatnonzero(scores > boundary)
             ties = np.flatnonzero(scores == boundary)
-            keep = np.argsort(positions[ties])[: k - above.size]
-            candidates = np.concatenate([above, ties[keep]])
-        order = np.lexsort((positions[candidates], -scores[candidates]))
+            candidates = np.concatenate([above, ties[: k - above.size]])
+        order = np.lexsort((candidates, -scores[candidates]))
         return candidates[order]
-    return np.lexsort((positions, -scores))[:k]
+    return np.argsort(-scores, kind="stable")[:k]
 
 
 def matrix_to_state(matrix: np.ndarray) -> dict[str, Any]:
@@ -140,8 +140,6 @@ class BruteForceDense(BaseRetriever):
     """
 
     backend = "bruteforce"
-    supports_add = True
-    supports_projection = True
 
     def __init__(self, metric: str = "cosine"):
         if metric not in METRICS:
@@ -239,8 +237,7 @@ class BruteForceDense(BaseRetriever):
         scores = self._matrix @ vector
         self._queries += 1
         self._scored += scores.shape[0]
-        positions = np.arange(scores.shape[0])
-        best = top_k_positions(scores, positions, top_k)
+        best = top_k_positions(scores, top_k)
         ids = self._ids
         return list(zip(map(ids.__getitem__, best.tolist()), scores[best].tolist()))
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from .base import BaseRetriever, RetrieverStats, check_state_backend
+from .dense import BruteForceDense
 from .lexical import BM25Retriever
 
 #: The RRF constant from the original Cormack et al. formulation; large
@@ -88,7 +89,7 @@ class HybridRetriever(BaseRetriever):
     """A dense arm and a lexical arm fused with RRF.
 
     Args:
-        dense: Any fitted (or to-be-fitted) dense backend.
+        dense: The dense arm, fitted or to be fitted.
         lexical: The BM25 arm.
         rrf_k: RRF constant.
         weights: (dense weight, lexical weight).
@@ -101,7 +102,7 @@ class HybridRetriever(BaseRetriever):
 
     def __init__(
         self,
-        dense: BaseRetriever,
+        dense: BruteForceDense,
         lexical: BM25Retriever | None = None,
         rrf_k: int = DEFAULT_RRF_K,
         weights: Sequence[float] = (1.0, 1.0),
@@ -121,11 +122,6 @@ class HybridRetriever(BaseRetriever):
         self.weights = tuple(float(weight) for weight in weights)
         self.arm_depth = arm_depth
 
-    @property
-    def supports_add(self) -> bool:  # type: ignore[override]
-        """Growable only when both arms are."""
-        return self.dense.supports_add and self.lexical.supports_add
-
     def fit(self, ids: Sequence, data: Sequence) -> "HybridRetriever":
         """Fit both arms from (vector, tokens) pairs, one per id."""
         vectors = [vector for vector, _ in data]
@@ -138,15 +134,8 @@ class HybridRetriever(BaseRetriever):
         """Extend both arms with new (vector, tokens) pairs.
 
         Raises:
-            ConfigError: If either arm does not support incremental add.
             DataError: On a count mismatch in either arm.
         """
-        if not self.supports_add:
-            raise ConfigError(
-                "hybrid add needs both arms to support incremental add "
-                f"(dense={self.dense.backend!r}: {self.dense.supports_add}, "
-                f"lexical={self.lexical.backend!r}: {self.lexical.supports_add})"
-            )
         vectors = [vector for vector, _ in data]
         token_lists = [tokens for _, tokens in data]
         self.dense.add(ids, vectors)
@@ -215,7 +204,7 @@ class HybridRetriever(BaseRetriever):
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "HybridRetriever":
-        """Rehydrate both fitted arms (dense backend chosen by its tag).
+        """Rehydrate both fitted arms.
 
         Raises:
             DataError: On a wrong backend tag or malformed arm states.

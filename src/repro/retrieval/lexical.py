@@ -3,8 +3,8 @@
 The inverted index already answers "which documents best match these
 tokens" sublinearly (postings of the query terms only); this adapter
 gives it the :class:`~repro.retrieval.base.BaseRetriever` shape so it can
-slot into a :class:`~repro.retrieval.fusion.HybridRetriever` next to a
-dense backend, carry work counters, and round-trip through snapshots
+slot into a :class:`~repro.retrieval.fusion.HybridRetriever` next to the
+dense arm, carry work counters, and round-trip through snapshots
 like every other backend.
 """
 
@@ -33,7 +33,6 @@ class BM25Retriever(BaseRetriever):
     """
 
     backend = "bm25"
-    supports_add = True
 
     def __init__(self, k1: float = 1.5, b: float = 0.75):
         self._index = _bm25_index_class()(k1=k1, b=b)

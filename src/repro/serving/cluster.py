@@ -22,11 +22,10 @@ shape in miniature: the frozen net is hash-split across N shard stores
   then scatter the scoring back to each candidate's owner shard (whose
   doc-encoding cache already holds it) and merge by ``(-probability,
   id)``, the single-service sort contract.  Per-candidate scores are
-  pool-composition independent (the PR 5 bit-identity contract), so the
-  merged ranking equals the single-service one.  With approximate dense
-  backends (``ivf``/``hnsw``) per-shard recall differs from a global
-  index by construction; the bit-identity guarantee covers ``bm25`` and
-  ``bruteforce`` first stages (what the bench gates).
+  pool-composition independent, so the merged ranking equals the
+  single-service one.  Every first stage is exact — BM25 projections and
+  brute-force dense projections (:mod:`repro.serving.shard`) — so the
+  bit-identity guarantee covers every retriever mode.
 
 On top of the fan-out sit the two traffic-shaping layers this module
 adds (both off the hot path of a cache hit):
@@ -479,9 +478,9 @@ class AliCoCoCluster:
         dense_index_states: *Global* dense index states (a single-service
             snapshot's); used when no per-shard states are given.  Shards
             then serve projections of the global index, rehydrated from
-            a matching state or fitted once over the store
-            (:func:`~repro.serving.service.shard_dense_indexes`); only
-            backends that cannot project (IVF, HNSW) fit per shard.
+            a brute-force state over the store's documents or fitted once
+            over the store
+            (:func:`~repro.serving.service.shard_dense_indexes`).
         config_fingerprint: Build-config digest embedded in snapshots.
 
     Raises:
@@ -724,11 +723,11 @@ class AliCoCoCluster:
         single-service one, or a cluster one with a different shard
         count — re-splits deterministically from the global store and
         index, landing on identical placement, and projects each shard's
-        dense indexes from the snapshot's global ones (refitting only for
-        backends that cannot project).  Model bundles restore
-        exactly as in :meth:`AliCoCoService.from_snapshot`.  The warm
-        start is one bulk build, so the collector is paused for all of
-        it (:func:`~repro.kg.store.gc_paused`).
+        dense indexes from the snapshot's global ones (fitting a global
+        one first when its state is absent or not ``bruteforce``).  Model
+        bundles restore exactly as in :meth:`AliCoCoService.from_snapshot`.
+        The warm start is one bulk build, so the collector is paused for
+        all of it (:func:`~repro.kg.store.gc_paused`).
 
         Raises:
             DataError: If the snapshot is malformed, fingerprint-

@@ -196,7 +196,7 @@ def dense_query_vector(
     """Query-side retrieval embedding from a served vector-capable matcher.
 
     The dense first stage's query entry point: the vector lives in the
-    same space as :func:`dense_doc_vector`, so an ANN index over doc
+    same space as :func:`dense_doc_vector`, so a dense index over doc
     vectors ranks candidates by the served matcher's own similarity.
     ``encoding`` accepts the request's ``encode_query`` result for the
     same tokens, which the vector is then read from.

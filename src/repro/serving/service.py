@@ -87,15 +87,16 @@ the scalar per-candidate path, kept as the parity oracle: identical
 rankings, scores within 1e-9 of the fast path (empirically
 bit-identical).
 
-**Pluggable first stage.**  The reranked endpoints' candidate pools come
-from a configurable retriever (``ServiceConfig(retriever=...)``):
+**Configurable first stage.**  The reranked endpoints' candidate pools
+come from a configurable retriever (``ServiceConfig(retriever=...)``):
 ``"bm25"`` keeps the historical cheap stage (lexical index for concepts,
-graph association weights for items); ``"dense"`` swaps in an ANN index
-(:data:`~repro.retrieval.DENSE_BACKENDS`) over the served matcher's own
-embeddings, built at construction time through the doc-encoding cache;
-``"hybrid"`` runs both arms and fuses their *rankings* with Reciprocal
-Rank Fusion (:func:`~repro.retrieval.rrf_fuse`) — lexical arms pin exact
-term matches, the dense arm bridges semantic drift.  Dense indexes are
+graph association weights for items); ``"dense"`` swaps in an exact
+dense index (:class:`~repro.retrieval.BruteForceDense`) over the served
+matcher's own embeddings, built at construction time through the
+doc-encoding cache; ``"hybrid"`` runs both arms and fuses their
+*rankings* with Reciprocal Rank Fusion (:func:`~repro.retrieval.rrf_fuse`)
+— lexical arms pin exact term matches, the dense arm bridges semantic
+drift.  Dense indexes are
 frozen with the store, persist inside snapshots
 (:data:`DENSE_CONCEPT_INDEX` / :data:`DENSE_ITEM_INDEX`), and
 warm-start bit-identically to a fresh fit.
@@ -108,9 +109,8 @@ search index, dense indexes, primitive index) — at entry and reads only
 from it, so no request ever observes a mixed generation.  Writers grow
 the store through its ``create_*``/``add_*`` API (buffered in an open
 delta, invisible to readers), and :meth:`AliCoCoService.publish` seals
-and swaps: indexes extend incrementally where the backend supports it
-(BM25 re-derives corpus statistics exactly; brute-force appends;
-IVF/HNSW delta-merge) or refit as a fallback, and one attribute
+and swaps: indexes extend incrementally (BM25 re-derives corpus
+statistics exactly; the dense index appends rows), and one attribute
 assignment installs the next generation.  Result-cache entries are
 keyed by generation id, so a swap retires the old generation's entries
 without ever calling a racy ``clear()`` — in-flight requests keep
@@ -149,10 +149,8 @@ from ..matching.retrieval import RETRIEVER_MODES, require_dense_capable
 from ..ml.module import Module
 from ..retrieval import (
     DEFAULT_RRF_K,
-    DENSE_BACKENDS,
-    BaseRetriever,
+    BruteForceDense,
     dense_index_from_state,
-    make_dense_index,
     rrf_fuse,
 )
 from .cache import CacheCounters, LRUCache
@@ -266,14 +264,11 @@ class ServiceConfig:
             ``"bm25"`` (default) keeps the historical cheap stage — BM25
             concept candidates for ``search_reranked``, graph association
             ranking for ``items_for_concept_reranked``.  ``"dense"``
-            replaces it with an ANN index over the served matcher's
-            embeddings; ``"hybrid"`` fuses both arms with Reciprocal Rank
-            Fusion.  Dense and hybrid modes need a vector-capable
+            replaces it with an exact dense index over the served
+            matcher's embeddings; ``"hybrid"`` fuses both arms with
+            Reciprocal Rank Fusion.  Dense and hybrid modes need a vector-capable
             reranker (``dense_vectors = True``, e.g. DSSM) — construction
             raises :class:`~repro.errors.ConfigError` otherwise.
-        dense_backend: Dense index implementation
-            (:data:`~repro.retrieval.DENSE_BACKENDS` name):
-            ``"bruteforce"``, ``"ivf"``, or ``"hnsw"``.
         rrf_k: Reciprocal Rank Fusion constant (hybrid mode).
         hybrid_weights: (dense arm, lexical/graph arm) RRF multipliers.
     """
@@ -287,7 +282,6 @@ class ServiceConfig:
     doc_cache_capacity: int = 8192
     prewarm_doc_cache: bool = False
     retriever: str = "bm25"
-    dense_backend: str = "bruteforce"
     rrf_k: int = DEFAULT_RRF_K
     hybrid_weights: tuple[float, float] = (1.0, 1.0)
 
@@ -312,12 +306,6 @@ class ServiceConfig:
             expected = ", ".join(repr(mode) for mode in RETRIEVER_MODES)
             raise ConfigError(
                 f"unknown retriever {self.retriever!r}; expected one of: {expected}"
-            )
-        if self.dense_backend not in DENSE_BACKENDS:
-            expected = ", ".join(repr(name) for name in sorted(DENSE_BACKENDS))
-            raise ConfigError(
-                f"unknown dense_backend {self.dense_backend!r}; "
-                f"expected one of: {expected}"
             )
         if self.rrf_k <= 0:
             raise ConfigError(f"rrf_k must be positive, got {self.rrf_k}")
@@ -358,7 +346,7 @@ class ServingGeneration:
     generation_id: int
     store: Any
     search_index: BM25Index | None
-    dense_indexes: dict[str, BaseRetriever | None] = field(default_factory=dict)
+    dense_indexes: dict[str, BruteForceDense | None] = field(default_factory=dict)
     primitive_index: dict[tuple[str, str], str] = field(default_factory=dict)
     ecommerce_count: int = 0
     item_count: int = 0
@@ -578,15 +566,14 @@ def _dense_documents(
 
 
 def fit_dense_index(
-    backend: str,
     documents: list[tuple[str, list[str]]],
     vector_of: Callable[[str, Sequence[str]], Any],
-) -> BaseRetriever | None:
-    """A fresh ``backend`` index over ``(node id, tokens)`` documents,
-    each embedded by ``vector_of(node_id, tokens)``; None when empty."""
+) -> BruteForceDense | None:
+    """A fresh dense index over ``(node id, tokens)`` documents, each
+    embedded by ``vector_of(node_id, tokens)``; None when empty."""
     if not documents:
         return None
-    return make_dense_index(backend).fit(
+    return BruteForceDense().fit(
         [node_id for node_id, _ in documents],
         [vector_of(node_id, tokens) for node_id, tokens in documents],
     )
@@ -598,38 +585,36 @@ def shard_dense_indexes(
     config: ServiceConfig,
     reranker: Module | None,
     states: dict[str, Any],
-) -> list[dict[str, BaseRetriever | None]]:
+) -> list[dict[str, BruteForceDense | None]]:
     """Each cluster shard's dense indexes, projected from one global index.
 
     The global index of a population is rehydrated from ``states`` when
-    the state was written by ``config.dense_backend`` over exactly the
-    view's documents, and fitted once over the view otherwise — each
-    document is encoded once, not once per shard that holds it.  A shard
+    the state is a brute-force one over exactly the view's documents
+    (an ``ivf``/``hnsw`` state from an older snapshot is not), and
+    fitted once over the view otherwise — each document is encoded once,
+    not once per shard that holds it.  A shard
     gets the rows of its own documents (ghost replicas included) in its
     store's order, so its index equals a fit over the shard store
     (:meth:`~repro.retrieval.dense.BruteForceDense.projected`); a shard
     with no document of a population gets ``None``.
 
-    Returns one empty dict per shard when the config has no dense stage
-    or its backend cannot project (``supports_projection``: IVF and HNSW
-    depend on the whole population); those shards fit their own.
+    Returns one empty dict per shard when the config has no dense stage.
     """
-    projections: list[dict[str, BaseRetriever | None]] = [{} for _ in shard_stores]
-    backend = config.dense_backend
-    if config.retriever == "bm25" or not DENSE_BACKENDS[backend].supports_projection:
+    projections: list[dict[str, BruteForceDense | None]] = [{} for _ in shard_stores]
+    if config.retriever == "bm25":
         return projections
     for name in _DENSE_POPULATIONS:
         documents = _dense_documents(name, view)
         state = states.get(name)
         if (
             isinstance(state, dict)
-            and state.get("backend") == backend
+            and state.get("backend") == BruteForceDense.backend
             and state.get("ids") == [node_id for node_id, _ in documents]
         ):
             index = dense_index_from_state(state)
         else:
             index = fit_dense_index(
-                backend, documents, lambda _, tokens: dense_doc_vector(reranker, tokens)
+                documents, lambda _, tokens: dense_doc_vector(reranker, tokens)
             )
         for shard_store, shard_indexes in zip(shard_stores, projections):
             ids = [node_id for node_id, _ in _dense_documents(name, shard_store)]
@@ -672,10 +657,10 @@ class AliCoCoService:
         dense_index_states: Serialised dense index states to warm-start
             from (snapshot ``index_states`` entries, keyed
             :data:`DENSE_CONCEPT_INDEX` / :data:`DENSE_ITEM_INDEX`).  A
-            state whose backend matches ``config.dense_backend`` is
-            rehydrated instead of re-fitted — retrieval is bit-identical
-            to the fresh fit; mismatched or absent states rebuild from
-            the store.  Ignored under ``retriever="bm25"``.
+            brute-force state is rehydrated instead of re-fitted —
+            retrieval is bit-identical to the fresh fit; other states
+            (``ivf``/``hnsw`` ones from older snapshots) and absent ones
+            rebuild from the store.  Ignored under ``retriever="bm25"``.
         dense_indexes: Fitted dense indexes to serve as they are, keyed
             like ``dense_index_states`` (``None`` for an empty
             population).  They take precedence over states; a cluster
@@ -708,7 +693,7 @@ class AliCoCoService:
         tagger: ConceptTagger | None = None,
         reranker: Module | None = None,
         dense_index_states: dict[str, Any] | None = None,
-        dense_indexes: dict[str, BaseRetriever | None] | None = None,
+        dense_indexes: dict[str, BruteForceDense | None] | None = None,
         fit_search_index: bool = True,
         config_fingerprint: str = "",
     ):
@@ -755,7 +740,7 @@ class AliCoCoService:
         # mean "population empty, fall back to the cheap stage").  Built
         # after the doc cache exists so index construction flows through
         # it — every title/concept encoded here is a future cache hit.
-        served_dense: dict[str, BaseRetriever | None] = {}
+        served_dense: dict[str, BruteForceDense | None] = {}
         if self.config.retriever != "bm25":
             require_dense_capable(
                 self._reranker, f"retriever {self.config.retriever!r}"
@@ -953,12 +938,11 @@ class AliCoCoService:
         """Seal pending writes and atomically serve the next generation.
 
         Seals the store's open delta, swaps the published view, extends
-        the derived indexes to cover the new nodes — incrementally where
-        the backend supports exact extension (BM25 re-derives its corpus
-        statistics over the grown collection; brute-force dense appends
-        rows) into a new index so no live index is ever mutated, with
-        a full refit as the fallback — and installs the whole bundle as
-        one :class:`ServingGeneration` in a single atomic assignment.
+        the derived indexes to cover the new nodes — exactly and
+        incrementally (BM25 re-derives its corpus statistics over the
+        grown collection; the dense index appends rows) into a new index
+        so no live index is ever mutated — and installs the whole bundle
+        as one :class:`ServingGeneration` in a single atomic assignment.
         In-flight requests finish against the generation they pinned at
         entry; new requests see the new one.  Result-cache entries carry
         the generation id in their key, so the old generation's entries
@@ -1035,35 +1019,35 @@ class AliCoCoService:
 
     def _next_dense_indexes(
         self, old: ServingGeneration, view: Any
-    ) -> dict[str, BaseRetriever | None]:
-        """The next generation's dense indexes: delta-merged or refit.
+    ) -> dict[str, BruteForceDense | None]:
+        """The next generation's dense indexes: extended, or fitted.
 
-        Backends that support incremental add (all three shipped ones)
-        are grown with :meth:`~repro.retrieval.base.BaseRetriever.extended`
-        — a new index, so requests pinned to the old generation keep the
-        old one — by the new documents' vectors, encoded through the doc
-        cache so the work is shared with future pool scoring.  Anything else refits
-        over the full view.  Layers only ever grow (generational stores
-        are add-only), so only the nodes past the old count are read —
-        the whole population is built only for a refit.
+        An index is grown with
+        :meth:`~repro.retrieval.dense.BruteForceDense.extended` — a new
+        index, so requests pinned to the old generation keep the old one
+        — by the new documents' vectors, encoded through the doc cache so
+        the work is shared with future pool scoring.  A population that
+        had no documents yet (no index) is fitted over the full view.
+        Layers only ever grow (generational stores are add-only), so only
+        the nodes past the old count are read otherwise.
         """
         covered = {
             DENSE_CONCEPT_INDEX: old.ecommerce_count,
             DENSE_ITEM_INDEX: old.item_count,
         }
-        indexes: dict[str, BaseRetriever | None] = {}
+        indexes: dict[str, BruteForceDense | None] = {}
         for name in _DENSE_POPULATIONS:
             old_index = old.dense_indexes.get(name)
             fresh = _dense_documents(name, view, covered[name])
             if not fresh:
                 indexes[name] = old_index
-            elif old_index is not None and old_index.supports_add:
+            elif old_index is None:
+                indexes[name] = self._fit_dense_index(_dense_documents(name, view))
+            else:
                 indexes[name] = old_index.extended(
                     [node_id for node_id, _ in fresh],
                     [self._dense_vector(node_id, tokens) for node_id, tokens in fresh],
                 )
-            else:
-                indexes[name] = self._fit_dense_index(_dense_documents(name, view))
         return indexes
 
     # ------------------------------------------------------------- endpoints
@@ -1340,7 +1324,7 @@ class AliCoCoService:
         return self._gen.search_index
 
     @property
-    def _dense_indexes(self) -> dict[str, BaseRetriever | None]:
+    def _dense_indexes(self) -> dict[str, BruteForceDense | None]:
         """The current generation's dense indexes (cluster compatibility)."""
         return self._gen.dense_indexes
 
@@ -1443,26 +1427,27 @@ class AliCoCoService:
         self,
         states: dict[str, Any],
         view: Any,
-        given: dict[str, BaseRetriever | None],
-    ) -> dict[str, BaseRetriever | None]:
+        given: dict[str, BruteForceDense | None],
+    ) -> dict[str, BruteForceDense | None]:
         """Take, warm-start or fit the dense concept and item indexes.
 
         A ``given`` index is served as is.  A snapshot state is reused
-        only when its backend tag matches ``config.dense_backend``
-        (rehydration is then bit-identical to the fresh fit); otherwise
-        the index is rebuilt from the given view.  A fit encodes every
+        only when it is tagged ``bruteforce`` (rehydration is then
+        bit-identical to the fresh fit); a state another backend wrote —
+        an ``ivf`` or ``hnsw`` one from an older snapshot — is rebuilt
+        from the given view, not refused.  A fit encodes every
         document through the doc-side cache when one is enabled, so it
         doubles as a cache warm — and a later ``warm_doc_cache``
         re-encodes nothing.
         """
-        indexes: dict[str, BaseRetriever | None] = {}
+        indexes: dict[str, BruteForceDense | None] = {}
         for name in _DENSE_POPULATIONS:
             state = states.get(name)
             if name in given:
                 indexes[name] = given[name]
             elif (
                 isinstance(state, dict)
-                and state.get("backend") == self.config.dense_backend
+                and state.get("backend") == BruteForceDense.backend
             ):
                 indexes[name] = dense_index_from_state(state)
             else:
@@ -1471,9 +1456,9 @@ class AliCoCoService:
 
     def _fit_dense_index(
         self, documents: list[tuple[str, list[str]]]
-    ) -> BaseRetriever | None:
+    ) -> BruteForceDense | None:
         """A fresh dense index over ``documents`` (None when empty)."""
-        return fit_dense_index(self.config.dense_backend, documents, self._dense_vector)
+        return fit_dense_index(documents, self._dense_vector)
 
     def _dense_vector(self, node_id: str, tokens: Sequence[str]) -> Any:
         """One document's retrieval embedding, via the doc-encoding cache."""

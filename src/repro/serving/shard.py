@@ -50,13 +50,14 @@ the retrieval backends pin down).
 **Sharded dense retrieval** works the same way: each shard's dense
 indexes are *projections* of one global index — the rows of the shard's
 own documents, ghost replicas included, in shard-store order
-(:meth:`~repro.retrieval.base.BaseRetriever.projected`,
+(:meth:`~repro.retrieval.dense.BruteForceDense.projected`,
 :func:`~repro.serving.service.shard_dense_indexes`).  The global index
 comes from a snapshot's state or one fit over the net, so a re-split
 warm start encodes nothing; a projection equals a fit over the shard's
-documents, so it retrieves exactly as a per-shard refit would.  Only
-backends whose structure depends on the whole population (IVF, HNSW)
-cannot project, and their shards refit.
+documents, so it retrieves exactly as a per-shard refit would.  This is
+why the one dense index is exact: an approximate index whose structure
+depends on the whole population could not be projected, and its shards
+would answer differently from a single service.
 """
 
 from __future__ import annotations

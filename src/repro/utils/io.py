@@ -4,26 +4,28 @@ from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable
 
 
-@contextmanager
-def _atomic_target(path: str | Path, mode: str) -> Iterator[IO]:
-    """A temp file beside ``path`` that is renamed over it on a clean exit.
+def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> int:
+    """Write byte chunks to ``path`` atomically; returns the byte count.
 
-    The temp file is flushed and fsynced before the one-step rename, so a
-    crash at any point leaves the previous contents of ``path`` intact and
-    never a truncated file; on any error the temp file is removed.
+    The chunks go to a temp file beside ``path``, which is flushed and
+    fsynced before a one-step rename over it, so a crash at any point
+    leaves the previous contents of ``path`` intact and never a truncated
+    file; on any error the temp file is removed.
     """
     path = Path(path)
-    handle, temp_name = tempfile.mkstemp(dir=path.parent,
-                                         prefix=f".{path.name}.", suffix=".tmp")
-    encoding = None if "b" in mode else "utf-8"
+    handle, temp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    count = 0
     try:
-        with os.fdopen(handle, mode, encoding=encoding) as temp_file:
-            yield temp_file
+        with os.fdopen(handle, "wb") as temp_file:
+            for chunk in chunks:
+                temp_file.write(chunk)
+                count += len(chunk)
             temp_file.flush()
             os.fsync(temp_file.fileno())
         os.replace(temp_name, path)
@@ -33,22 +35,4 @@ def _atomic_target(path: str | Path, mode: str) -> Iterator[IO]:
         except OSError:
             pass
         raise
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` atomically (write temp file, then rename).
-
-    A crash mid-write never leaves a truncated file behind.
-    """
-    with _atomic_target(path, "w") as handle:
-        handle.write(text)
-
-
-def atomic_write_bytes(path: str | Path, chunks: Iterable[bytes]) -> int:
-    """Write byte chunks to ``path`` atomically; returns the byte count."""
-    count = 0
-    with _atomic_target(path, "wb") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-            count += len(chunk)
     return count

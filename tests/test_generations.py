@@ -54,7 +54,7 @@ from repro.kg.serialize import (
 )
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
-from repro.retrieval import BruteForceDense, HNSWLiteIndex, IVFIndex
+from repro.retrieval import BruteForceDense, HybridRetriever
 from repro.retrieval.lexical import BM25Retriever
 from repro.serving import (
     AliCoCoService,
@@ -552,7 +552,9 @@ class TestCacheCounters:
 
 # ------------------------------------------------------- retriever add units
 class TestRetrieverAdd:
-    def test_default_add_is_a_loud_config_error(self):
+    def test_add_is_abstract(self):
+        """Every backend implements ``add``: the generational tier grows
+        an index rather than refitting it."""
         from repro.retrieval.base import BaseRetriever, RetrieverStats
 
         class Static(BaseRetriever):
@@ -570,9 +572,8 @@ class TestRetrieverAdd:
             def to_state(self):
                 return {}
 
-        assert Static.supports_add is False
-        with pytest.raises(ConfigError):
-            Static().add([1], [None])
+        with pytest.raises(TypeError, match="add"):
+            Static()
 
     def test_bruteforce_add_equals_refit(self):
         import numpy as np
@@ -602,47 +603,28 @@ class TestRetrieverAdd:
         assert old.extended([], []) is old
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda: IVFIndex(n_lists=3, nprobe=3, seed=0), lambda: HNSWLiteIndex(seed=0)],
-        ids=["ivf", "hnsw"],
+        "make, documents",
+        [
+            (BM25Retriever, lambda vector, doc_id: (f"t{doc_id % 3}", f"d{doc_id}")),
+            (
+                lambda: HybridRetriever(dense=BruteForceDense()),
+                lambda vector, doc_id: (vector, (f"t{doc_id % 3}", f"d{doc_id}")),
+            ),
+        ],
+        ids=["bm25", "hybrid"],
     )
-    def test_default_extended_grows_a_copy(self, make):
+    def test_default_extended_grows_a_copy(self, make, documents):
         import numpy as np
 
         rng = np.random.default_rng(4)
-        vectors = [rng.normal(size=6) for _ in range(20)]
-        old = make().fit(list(range(16)), vectors[:16])
+        data = [documents(rng.normal(size=6), doc_id) for doc_id in range(20)]
+        old = make().fit(list(range(16)), data[:16])
         state = old.to_state()
-        grown = old.extended([16, 17, 18, 19], vectors[16:])
-        added = type(old).from_state(state).add([16, 17, 18, 19], vectors[16:])
+        grown = old.extended([16, 17, 18, 19], data[16:])
+        added = type(old).from_state(state).add([16, 17, 18, 19], data[16:])
         assert grown is not old
         assert grown.to_state() == added.to_state()
         assert old.to_state() == state
-
-    def test_ivf_add_merges_into_nearest_centroid(self):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        vectors = [rng.normal(size=6) for _ in range(20)]
-        index = IVFIndex(n_lists=3, nprobe=3, seed=0).fit(
-            list(range(16)), vectors[:16]
-        )
-        index.add([16, 17, 18, 19], vectors[16:])
-        assert index.stats().extra["added_since_fit"] == 4
-        assert index.stats().size == 20
-        hits = index.retrieve(vectors[17], 5)
-        assert hits[0][0] == 17  # the added vector is its own best match
-
-    def test_hnsw_add_inserts_natively(self):
-        import numpy as np
-
-        rng = np.random.default_rng(2)
-        vectors = [rng.normal(size=6) for _ in range(20)]
-        index = HNSWLiteIndex(seed=0).fit(list(range(16)), vectors[:16])
-        index.add([16, 17, 18, 19], vectors[16:])
-        assert index.stats().size == 20
-        hits = index.retrieve(vectors[18], 5)
-        assert hits[0][0] == 18
 
     def test_bm25_retriever_add_extends_the_postings(self):
         docs = [("alpha", "beta"), ("beta", "gamma"), ("delta",), ("alpha", "delta")]

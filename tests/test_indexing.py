@@ -12,7 +12,7 @@ import pytest
 from repro.config import TINY
 from repro.errors import DataError, NotFittedError
 from repro.matching.bm25 import BM25Index
-from repro.matching.retrieval import BM25CandidateGenerator
+from repro.matching.retrieval import CandidateGenerator
 from repro.pipeline.build import build_alicoco
 from repro.synth.index import (ConceptCandidateIndex, ItemKeyIndex,
                                PartSignatureIndex)
@@ -303,7 +303,7 @@ def test_candidate_generator_recall(rng):
     clicks = simulate_clicks(world, concepts, items, impressions_per_concept=10)
     dataset = build_matching_dataset(world, concepts, items, clicks, rng,
                                      test_concepts=12)
-    generator = BM25CandidateGenerator().fit(items)
+    generator = CandidateGenerator("bm25").fit(items)
     candidates = generator.candidates(("summer",), k=5)
     assert len(candidates) <= 5
     assert all(score > 0 for _, score in candidates)

@@ -8,6 +8,7 @@ bit-for-bit; and the inference-mode guards turn misuse (unfitted models,
 training a live served module) into typed errors.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.matching import DSSMMatcher, train_matcher
 from repro.matching.base import matching_vocab
 from repro.matching.dataset import pair_from_texts
 from repro.kg.relations import RelationKind
+from repro.kg.serialize import read_sections, write_sections
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
 from repro.serving import (
@@ -35,6 +37,7 @@ from repro.serving import (
     restore_serving_module,
 )
 from repro.serving.models import dense_query_vector, model_bundle_state, rerank_pool
+from repro.serving.service import DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX
 
 N_THREADS = 6
 
@@ -384,22 +387,10 @@ def _retrieval_battery(built, service):
 class TestRetrieverModes:
     """The pluggable first stage behind the reranked endpoints."""
 
-    @pytest.mark.parametrize(
-        "retriever, backend",
-        [
-            ("dense", "bruteforce"),
-            ("dense", "ivf"),
-            ("dense", "hnsw"),
-            ("hybrid", "ivf"),
-        ],
-    )
-    def test_every_mode_serves_the_reranked_endpoints(
-        self, built, reranker, retriever, backend
-    ):
+    @pytest.mark.parametrize("retriever", ["dense", "hybrid"])
+    def test_every_mode_serves_the_reranked_endpoints(self, built, reranker, retriever):
         service = AliCoCoService.from_build(
-            built,
-            reranker=reranker,
-            config=ServiceConfig(retriever=retriever, dense_backend=backend),
+            built, reranker=reranker, config=ServiceConfig(retriever=retriever)
         )
         for ranked in _retrieval_battery(built, service):
             assert ranked, "a reranked endpoint returned an empty pool"
@@ -412,7 +403,7 @@ class TestRetrieverModes:
     def test_hybrid_snapshot_warm_start_is_bit_identical(
         self, tmp_path, built, reranker
     ):
-        config = ServiceConfig(retriever="hybrid", dense_backend="ivf")
+        config = ServiceConfig(retriever="hybrid")
         fresh = AliCoCoService.from_build(
             built, reranker=reranker, config=config
         )
@@ -427,31 +418,41 @@ class TestRetrieverModes:
             built, fresh
         )
         # The fitted index state itself must survive the round trip —
-        # warm start reuses it instead of re-running k-means.
+        # warm start reuses it instead of re-encoding the catalog.
         for name, index in fresh._dense_indexes.items():
             assert warm._dense_indexes[name].to_state() == index.to_state()
 
     def test_warm_start_refits_when_backend_config_changes(
         self, tmp_path, built, reranker
     ):
-        fresh = AliCoCoService.from_build(
-            built,
-            reranker=reranker,
-            config=ServiceConfig(retriever="dense", dense_backend="ivf"),
-        )
+        config = ServiceConfig(retriever="dense")
+        fresh = AliCoCoService.from_build(built, reranker=reranker, config=config)
         path = tmp_path / "dense.snapshot.jsonl"
         fresh.save_snapshot(path)
-        # Restart asking for a different dense backend: the persisted IVF
-        # state must not be forced onto it — the service refits instead.
+        # An older snapshot may hold dense states of another backend
+        # (``ivf``): they must not be forced onto the brute-force index —
+        # the service refits instead.
+        header, sections = read_sections(path)
+        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX):
+            key = f"index:{name}"
+            if key in sections:
+                state = json.loads(sections[key])
+                state["backend"] = "ivf"
+                sections[key] = json.dumps(state).encode("utf-8")
+        write_sections(path, header, list(sections.items()))
         warm = AliCoCoService.from_snapshot(
-            path,
-            reranker=_make_reranker(built, seed=99),
-            config=ServiceConfig(retriever="dense", dense_backend="bruteforce"),
+            path, reranker=_make_reranker(built, seed=99), config=config
         )
-        for index in warm._dense_indexes.values():
-            assert index is None or index.backend == "bruteforce"
-        for ranked in _retrieval_battery(built, warm):
-            assert ranked
+        for name, index in fresh._dense_indexes.items():
+            served = warm._dense_indexes[name]
+            if index is None:
+                assert served is None
+            else:
+                assert served.backend == "bruteforce"
+                assert served.to_state() == index.to_state()
+        assert _retrieval_battery(built, warm) == _retrieval_battery(
+            built, fresh
+        )
 
     def test_dense_mode_without_vector_capable_matcher_is_loud(self, built):
         with pytest.raises(ConfigError, match="vector-capable"):
@@ -462,8 +463,6 @@ class TestRetrieverModes:
     def test_config_validation_rejects_bad_knobs(self):
         with pytest.raises(ConfigError, match="retriever"):
             ServiceConfig(retriever="bogus")
-        with pytest.raises(ConfigError, match="dense_backend"):
-            ServiceConfig(retriever="dense", dense_backend="faiss")
         with pytest.raises(ConfigError, match="rrf_k"):
             ServiceConfig(retriever="hybrid", rrf_k=0)
         with pytest.raises(ConfigError, match="weights"):

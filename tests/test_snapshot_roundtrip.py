@@ -10,16 +10,22 @@ A cluster warm-started from a single-service snapshot (plain or
 generational) re-splits the net and projects its shards' dense indexes
 from the snapshot's global ones: its shard stores must equal the
 per-relation oracle split and its dense indexes a per-shard refit.
+Dense states another backend wrote (``ivf``/``hnsw`` ones in older
+snapshots) are refit, not refused.
 """
+
+import json
 
 import pytest
 
 from repro.concepts import ConceptTagger
 from repro.kg import GenerationalStore, Relation, RelationKind
 from repro.kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX
+from repro.kg.serialize import read_sections, write_sections
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
 from repro.serving import AliCoCoCluster, AliCoCoService, ClusterConfig, ServiceConfig
+from repro.serving import service as service_module
 from repro.serving.service import DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX
 
 from tests.conftest import assert_same_store, make_trained_reranker, oracle_split
@@ -271,25 +277,41 @@ class TestClusterWarmStartFromAServiceSnapshot:
         finally:
             cluster.close()
 
-    def test_ivf_shards_still_refit(self, snapshots, built_tiny, monkeypatch):
-        config = ServiceConfig(retriever="hybrid", dense_backend="ivf", seed=0)
+    def test_ivf_shards_still_refit(self, snapshots, built_tiny, monkeypatch, tmp_path):
+        """An older snapshot may hold ``ivf`` dense states: a cluster
+        warm-started from it refits its shards' dense indexes, which equal
+        a per-shard refit, and answers like the unforged snapshot."""
         path = snapshots["service"]
-        cluster, fits = self._warm(path, built_tiny, 2, monkeypatch, config)
-        from_store = AliCoCoCluster(
-            cluster.store,
-            config=ClusterConfig(n_shards=2),
-            service_config=config,
-            tagger=cluster._tagger,
-            reranker=cluster._reranker,
+        forged = tmp_path / "ivf.snapshot"
+        header, sections = read_sections(path)
+        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX):
+            state = json.loads(sections[f"index:{name}"])
+            state["backend"] = "ivf"
+            sections[f"index:{name}"] = json.dumps(state).encode("utf-8")
+        write_sections(forged, header, list(sections.items()))
+
+        unforged = AliCoCoService.from_snapshot(
+            path, config=CONFIG, **_fresh_models(built_tiny)
         )
+        global_fits = []
+        fit = service_module.fit_dense_index
+
+        def counting_fit(documents, vector):
+            global_fits.append(len(documents))
+            return fit(documents, vector)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(service_module, "fit_dense_index", counting_fit)
+            cluster, fits = self._warm(forged, built_tiny, 2, monkeypatch)
         try:
-            assert len(fits) == 2 * cluster.n_shards  # both populations
-            _assert_oracle_shards(cluster, config)
+            # One global refit per population, projected onto the shards.
+            assert len(global_fits) == 2
+            assert fits == []
+            _assert_oracle_shards(cluster)
             requests = _requests(built_tiny)
-            assert cluster.batch(requests) == from_store.batch(requests)
+            assert cluster.batch(requests) == unforged.batch(requests)
         finally:
             cluster.close()
-            from_store.close()
 
 
 def test_store_built_cluster_encodes_each_document_once(

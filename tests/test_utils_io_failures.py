@@ -9,16 +9,16 @@ import pytest
 from repro import build_alicoco, TINY
 from repro.errors import BudgetExhaustedError, DataError
 from repro.kg.serialize import load_store, read_sections, save_store, write_sections
-from repro.utils.io import atomic_write_bytes, atomic_write_text
+from repro.utils.io import atomic_write_bytes
 
 
 class TestIoHelpers:
     def test_atomic_write_roundtrip(self, tmp_path):
-        path = tmp_path / "out.txt"
-        atomic_write_text(path, "hello")
-        assert path.read_text() == "hello"
-        atomic_write_text(path, "replaced")
-        assert path.read_text() == "replaced"
+        path = tmp_path / "out.bin"
+        assert atomic_write_bytes(path, [b"hel", b"lo"]) == 5
+        assert path.read_bytes() == b"hello"
+        atomic_write_bytes(path, [b"replaced"])
+        assert path.read_bytes() == b"replaced"
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
 
