@@ -43,44 +43,63 @@ class ScalingResult:
         return [p.n_items for p in self.points]
 
 
-def run(base: RunScale, item_counts: tuple[int, ...] = (60, 120, 240, 480),
-        n_concepts: int = 60,
-        use_candidate_index: bool = True) -> ScalingResult:
+def run(
+    base: RunScale,
+    item_counts: tuple[int, ...] = (60, 120, 240, 480),
+    n_concepts: int = 60,
+) -> ScalingResult:
     """Build the net at several catalog sizes and record cost/shape.
 
-    Args:
-        use_candidate_index: Route the build through the inverted
-            candidate indexes (default); ``False`` measures the
-            brute-force all-pairs path for comparison.
+    Every build routes through the inverted candidate indexes, the
+    configuration construction runs by default.
     """
     points: list[ScalePoint] = []
     for n_items in item_counts:
         scale = replace(base, n_items=n_items)
         start = time.perf_counter()
-        built = build_alicoco(scale, n_concepts=n_concepts,
-                              use_candidate_index=use_candidate_index)
+        built = build_alicoco(scale, n_concepts=n_concepts)
         elapsed = time.perf_counter() - start
         stats = built.store.stats()
-        points.append(ScalePoint(
-            n_items=n_items, build_seconds=elapsed,
-            relations_total=stats.relations_total,
-            item_relations=stats.item_primitive + stats.item_ecommerce,
-            linked_fraction=stats.linked_item_fraction,
-            match_seconds=built.timings.seconds("item-matching"),
-            isa_seconds=built.timings.seconds("concept-isa")))
+        points.append(
+            ScalePoint(
+                n_items=n_items,
+                build_seconds=elapsed,
+                relations_total=stats.relations_total,
+                item_relations=stats.item_primitive + stats.item_ecommerce,
+                linked_fraction=stats.linked_item_fraction,
+                match_seconds=built.timings.seconds("item-matching"),
+                isa_seconds=built.timings.seconds("concept-isa"),
+            )
+        )
     return ScalingResult(points=points)
 
 
 def format_report(result: ScalingResult) -> str:
-    rows = [(p.n_items, f"{p.build_seconds:.2f}s",
-             f"{p.match_seconds * 1e3:.0f}ms", f"{p.isa_seconds * 1e3:.1f}ms",
-             p.relations_total, p.item_relations, f"{p.linked_fraction:.0%}")
-            for p in result.points]
+    rows = [
+        (
+            p.n_items,
+            f"{p.build_seconds:.2f}s",
+            f"{p.match_seconds * 1e3:.0f}ms",
+            f"{p.isa_seconds * 1e3:.1f}ms",
+            p.relations_total,
+            p.item_relations,
+            f"{p.linked_fraction:.0%}",
+        )
+        for p in result.points
+    ]
     return format_rows(
         "Scaling — construction cost vs catalog size",
-        ("items", "build time", "match stage", "isA stage", "relations",
-         "item relations", "linked"),
+        (
+            "items",
+            "build time",
+            "match stage",
+            "isA stage",
+            "relations",
+            "item relations",
+            "linked",
+        ),
         rows,
         paper_note="the paper links 98% of >3B items; growth must stay "
-                   "linear-ish in the catalog (matching runs indexed "
-                   "retrieval-then-verify)")
+        "linear-ish in the catalog (matching runs indexed "
+        "retrieval-then-verify)",
+    )

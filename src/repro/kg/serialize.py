@@ -317,11 +317,9 @@ def save_snapshot(store: AliCoCoStore, path: str | Path, *,
         store: The net to persist.
         config_fingerprint: Digest of the configuration the net was built
             under; loaders may verify it before serving.
-        index_states: Name -> JSON-serialisable index state (e.g.
-            ``BM25Index.to_state()``, or any
-            :meth:`repro.retrieval.BaseRetriever.to_state` — dense ANN
-            indexes ride the same generic slot), rehydrated on warm start
-            instead of re-fitted.
+        index_states: Name -> JSON-serialisable index state
+            (``BM25Index.to_state()`` or ``BruteForceDense.to_state()``),
+            rehydrated on warm start instead of re-fitted.
         model_states: Name -> model-state record
             (:func:`repro.ml.serialize.module_state_record`): trained
             weights + architecture fingerprint, restored on warm start

@@ -1,22 +1,24 @@
 """Retrieval-then-verify candidate generation for matching (Section 6).
 
 At Alibaba scale nobody scores every (concept, item) pair with a deep
-model: a cheap first-stage retriever proposes top candidates per concept
-and only those reach the matcher.  :class:`CandidateGenerator` provides
-that first stage over the backends of :mod:`repro.retrieval`:
+model: a cheap first stage proposes top candidates per concept and only
+those reach the matcher.  :class:`CandidateGenerator` is that first stage
+over a catalog's titles, in one of three modes:
 
-- ``"bm25"`` — the lexical inverted index (semantic drift is its known
-  failure mode: "mid-autumn festival gifts" never mentions moon cakes);
+- ``"bm25"`` — the lexical inverted index (:class:`~.bm25.BM25Index`;
+  semantic drift is its known failure mode: "mid-autumn festival gifts"
+  never mentions moon cakes);
 - ``"dense"`` — an exact index over a vector-capable matcher's doc
   embeddings (:class:`~repro.retrieval.dense.BruteForceDense`), which
   bridges drift but can miss exact lexical pins;
 - ``"hybrid"`` — both arms fused with Reciprocal Rank Fusion
-  (:class:`~repro.retrieval.fusion.HybridRetriever`).
+  (:func:`~repro.retrieval.fusion.rrf_fuse`).
 
-The evaluation the paper's deployment story implies is candidate
-*recall* (:func:`retrieval_recall`): the fraction of truly matching
-items that survive the retrieval cut — anything lost here is
-unrecoverable downstream.
+The serving pools (``ServiceConfig(retriever=...)``) build the same first
+stage from the same three calls.  The evaluation the paper's deployment
+story implies is candidate *recall* (:func:`retrieval_recall`): the
+fraction of truly matching items that survive the retrieval cut —
+anything lost here is unrecoverable downstream.
 """
 
 from __future__ import annotations
@@ -24,15 +26,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import ConfigError, DataError
-from ..retrieval import (
-    DEFAULT_RRF_K,
-    BM25Retriever,
-    BruteForceDense,
-    HybridQuery,
-    HybridRetriever,
-)
+from ..retrieval import DEFAULT_RRF_K, BruteForceDense, rrf_fuse
 from ..synth.items import SynthItem
 from .base import NeuralMatcher
+from .bm25 import BM25Index
 from .dataset import MatchingDataset
 
 #: First-stage strategies accepted by :class:`CandidateGenerator`.
@@ -64,10 +61,12 @@ def require_dense_capable(matcher, context: str) -> NeuralMatcher:
 class CandidateGenerator:
     """First-stage item retrieval for a concept query.
 
-    Fits one of the :mod:`repro.retrieval` backends over a catalog's
-    titles and answers ``candidates(query_tokens, k)`` with (item, score)
-    pairs — the shape :func:`retrieval_recall` and the serving pool
-    builders consume.
+    Holds a :class:`~.bm25.BM25Index` over the catalog's titles (modes
+    ``"bm25"`` and ``"hybrid"``) and a
+    :class:`~repro.retrieval.dense.BruteForceDense` over their embeddings
+    (modes ``"dense"`` and ``"hybrid"``), and answers
+    ``candidates(query_tokens, k)`` with (item, score) pairs — the shape
+    :func:`retrieval_recall` consumes.
 
     Args:
         retriever: ``"bm25"``, ``"dense"``, or ``"hybrid"``.
@@ -79,8 +78,9 @@ class CandidateGenerator:
         k1 / b: BM25 parameters for the lexical arm.
 
     Raises:
-        ConfigError: On an unknown mode, or a dense/hybrid mode without a
-            vector-capable matcher.
+        ConfigError: On an unknown mode, a dense/hybrid mode without a
+            vector-capable matcher, or (hybrid mode) a non-positive
+            ``rrf_k`` or other than two weights.
     """
 
     def __init__(
@@ -100,49 +100,39 @@ class CandidateGenerator:
             )
         self.retriever = retriever
         self._matcher = None
-        if retriever == "bm25":
-            self._backend = BM25Retriever(k1=k1, b=b)
-        else:
+        if retriever != "bm25":
             self._matcher = require_dense_capable(
                 matcher, f"retriever mode {retriever!r}"
             )
-            if retriever == "dense":
-                self._backend = BruteForceDense()
-            else:
-                self._backend = HybridRetriever(
-                    dense=BruteForceDense(),
-                    lexical=BM25Retriever(k1=k1, b=b),
-                    rrf_k=rrf_k,
-                    weights=weights,
-                )
+        if retriever == "hybrid" and rrf_k <= 0:
+            raise ConfigError(f"rrf_k must be positive, got {rrf_k}")
+        if retriever == "hybrid" and len(tuple(weights)) != 2:
+            raise ConfigError(
+                f"hybrid weights must be (dense, lexical), got {tuple(weights)!r}"
+            )
+        self.rrf_k = rrf_k
+        self.weights = tuple(float(weight) for weight in weights)
+        self._index = BM25Index(k1=k1, b=b) if retriever != "dense" else None
+        self._dense = BruteForceDense() if retriever != "bm25" else None
         self._items: dict[int, SynthItem] = {}
 
     def fit(self, items: Sequence[SynthItem]) -> "CandidateGenerator":
         """Index a catalog by item title (titles embedded for dense arms).
 
         A refit replaces the previous catalog wholesale: the item map and
-        the index are rebuilt from scratch, so a smaller refit can never
+        the indexes are rebuilt from scratch, so a smaller refit can never
         serve candidates left over from a larger earlier fit.
         """
         if not items:
             raise DataError("candidate generator needs at least one item")
         self._items = {item.index: item for item in items}
         catalog = list(self._items.values())
-        ids = [item.index for item in catalog]
-        if self.retriever == "bm25":
-            self._backend.fit(ids, [item.title_tokens for item in catalog])
-        elif self.retriever == "dense":
-            self._backend.fit(
-                ids,
+        if self._index is not None:
+            self._index.fit({item.index: item.title_tokens for item in catalog})
+        if self._dense is not None:
+            self._dense.fit(
+                [item.index for item in catalog],
                 [self._matcher.doc_vector(item.title_tokens) for item in catalog],
-            )
-        else:
-            self._backend.fit(
-                ids,
-                [
-                    (self._matcher.doc_vector(item.title_tokens), item.title_tokens)
-                    for item in catalog
-                ],
             )
         return self
 
@@ -151,28 +141,26 @@ class CandidateGenerator:
     ) -> list[tuple[SynthItem, float]]:
         """The ``k`` best-matching (item, score) pairs, best first.
 
-        Scores are backend-native (BM25 mass, cosine, or fused RRF mass)
-        — comparable within one generator, not across modes.
+        Scores are mode-native (BM25 mass, cosine, or fused RRF mass) —
+        comparable within one generator, not across modes.  In hybrid
+        mode each arm retrieves ``k`` before fusion.
+
+        Raises:
+            NotFittedError: Before :meth:`fit`.
         """
         if self.retriever == "bm25":
-            ranked = self._backend.retrieve(query_tokens, k)
-        elif self.retriever == "dense":
-            ranked = self._backend.retrieve(
-                self._matcher.query_vector(query_tokens), k
-            )
+            ranked = self._index.top_k(query_tokens, k)
         else:
-            ranked = self._backend.retrieve(
-                HybridQuery(
-                    tokens=tuple(query_tokens),
-                    vector=self._matcher.query_vector(query_tokens),
-                ),
-                k,
-            )
+            dense = self._dense.retrieve(self._matcher.query_vector(query_tokens), k)
+            if self.retriever == "dense":
+                ranked = dense
+            else:
+                ranked = rrf_fuse(
+                    [dense, self._index.top_k(query_tokens, k)],
+                    k=self.rrf_k,
+                    weights=self.weights,
+                )[:k]
         return [(self._items[index], score) for index, score in ranked]
-
-    def stats(self):
-        """The backend's work counters (:class:`~repro.retrieval.RetrieverStats`)."""
-        return self._backend.stats()
 
 
 def retrieval_recall(generator, dataset: MatchingDataset, k: int = 50) -> float:

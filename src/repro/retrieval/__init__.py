@@ -1,16 +1,18 @@
-"""First-stage retrieval behind one small interface (Section 6).
+"""The first stage's dense index and fusion (Section 6).
 
-The paper matches items against a BM25 and DSSM first stage; this
-package serves that stage:
+The paper matches items against a BM25 and DSSM first stage.  That stage
+is three primitives, called directly by its two users —
+:class:`~repro.matching.retrieval.CandidateGenerator` offline and the
+serving pools (``ServiceConfig(retriever=...)``) online:
 
+- :class:`~repro.matching.bm25.BM25Index` — the lexical inverted index;
 - :class:`BruteForceDense` — exact dense scoring, the one dense index;
-- :class:`BM25Retriever` — the existing inverted index, adapted;
-- :class:`HybridRetriever` — dense + BM25 fused with Reciprocal Rank
-  Fusion (:func:`rrf_fuse`).
+- :func:`rrf_fuse` — Reciprocal Rank Fusion of the two arms' rankings.
 
-All share :class:`BaseRetriever` (``fit`` / ``add`` / ``retrieve`` /
-``stats`` / ``to_state``), deterministic fit-order tie-breaking, and JSON
-state round-trips so snapshots warm-start a fitted index bit-identically.
+This package holds the last two.  Both break ties deterministically by
+fit order, and a fitted dense index round-trips through JSON state
+(:func:`dense_index_from_state`) so a snapshot warm start skips the fit
+and retrieves bit-identically.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..errors import DataError
-from .base import BaseRetriever, RetrieverStats, check_state_backend
+from .base import RetrieverStats, check_state_backend
 from .dense import BruteForceDense
-from .fusion import DEFAULT_RRF_K, HybridQuery, HybridRetriever, rrf_fuse
-from .lexical import BM25Retriever
+from .fusion import DEFAULT_RRF_K, rrf_fuse
 
 #: Dense backend name -> class: the tag serialised dense states carry.
 DENSE_BACKENDS: dict[str, type[BruteForceDense]] = {
@@ -46,27 +47,12 @@ def dense_index_from_state(state: Mapping[str, Any]) -> BruteForceDense:
     return cls.from_state(state)
 
 
-def retriever_from_state(state: Mapping[str, Any]) -> BaseRetriever:
-    """Rehydrate *any* retriever (dense, lexical, or hybrid) from state."""
-    backend = state.get("backend") if isinstance(state, Mapping) else None
-    if backend == BM25Retriever.backend:
-        return BM25Retriever.from_state(state)
-    if backend == HybridRetriever.backend:
-        return HybridRetriever.from_state(state)
-    return dense_index_from_state(state)
-
-
 __all__ = [
-    "BaseRetriever",
     "RetrieverStats",
     "BruteForceDense",
-    "BM25Retriever",
-    "HybridRetriever",
-    "HybridQuery",
     "rrf_fuse",
     "DEFAULT_RRF_K",
     "DENSE_BACKENDS",
     "dense_index_from_state",
-    "retriever_from_state",
     "check_state_backend",
 ]

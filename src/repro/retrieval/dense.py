@@ -21,8 +21,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import DataError
-from .base import BaseRetriever, RetrieverStats, check_state_backend
+from ..errors import DataError, NotFittedError
+from .base import RetrieverStats, check_state_backend
 
 #: Accepted similarity metrics ("cosine" normalises, "ip" does not).
 METRICS = ("cosine", "ip")
@@ -132,13 +132,18 @@ def matrix_from_state(state: Mapping[str, Any]) -> np.ndarray:
     return np.ascontiguousarray(matrix, dtype=np.float32)
 
 
-class BruteForceDense(BaseRetriever):
+class BruteForceDense:
     """Exact inner-product / cosine retrieval over a packed matrix.
+
+    Grows without a refit: :meth:`extended` and :meth:`projected` build
+    new indexes, so readers pinned to this one keep it (the generational
+    serving tier publishes indexes this way).
 
     Args:
         metric: ``"cosine"`` (rows and queries normalised) or ``"ip"``.
     """
 
+    #: Backend name used in stats and serialised state.
     backend = "bruteforce"
 
     def __init__(self, metric: str = "cosine"):
@@ -162,32 +167,19 @@ class BruteForceDense(BaseRetriever):
         self._fitted = True
         return self
 
-    def add(self, ids: Sequence, data: Sequence) -> "BruteForceDense":
-        """Append new vectors after the existing rows.
-
-        Exactly refit-identical: packing normalises per row, so an index
-        grown by ``add`` holds the same matrix (and fit positions) as one
-        fitted from the concatenated collection.
-
-        Raises:
-            DataError: On a count or dimension mismatch.
-        """
-        grown = self.extended(ids, data)
-        self._matrix, self._ids = grown._matrix, grown._ids
-        return self
-
     def extended(self, ids: Sequence, data: Sequence) -> "BruteForceDense":
         """A new index: this one's rows followed by ``data``'s.
 
-        Retrieves exactly like :meth:`add` on a copy, and so like a refit
-        over the concatenated collection; the new matrix and id list are
-        built directly, with no round trip through :meth:`to_state`.
-        This index is left unchanged.  With no ids, it is returned as is.
+        Packing normalises per row, so the result holds the same matrix
+        (and fit positions) as a fit over the concatenated collection and
+        retrieves exactly like one; nothing goes through
+        :meth:`to_state`.  This index is left unchanged, so readers
+        pinned to it keep it.  With no ids, it is returned as is.
 
         Raises:
             DataError: On a count or dimension mismatch.
         """
-        self._require_fitted(self._fitted)
+        self._require_fitted()
         if len(ids) != len(data):
             raise DataError(f"{len(ids)} ids for {len(data)} vectors")
         if not ids:
@@ -216,7 +208,7 @@ class BruteForceDense(BaseRetriever):
         Raises:
             DataError: If an id is not in this index.
         """
-        self._require_fitted(self._fitted)
+        self._require_fitted()
         if not ids:
             return None
         row_of = {doc_id: row for row, doc_id in enumerate(self._ids)}
@@ -232,7 +224,7 @@ class BruteForceDense(BaseRetriever):
 
     def retrieve(self, query: Any, top_k: int = 10) -> list[tuple[Any, float]]:
         """Exact top-k by one full-matrix inner product."""
-        self._require_fitted(self._fitted)
+        self._require_fitted()
         vector = prepare_query(query, self._matrix.shape[1], self.metric)
         scores = self._matrix @ vector
         self._queries += 1
@@ -242,6 +234,7 @@ class BruteForceDense(BaseRetriever):
         return list(zip(map(ids.__getitem__, best.tolist()), scores[best].tolist()))
 
     def stats(self) -> RetrieverStats:
+        """Size, metric, and per-query work counters."""
         return RetrieverStats(
             backend=self.backend,
             size=len(self._ids),
@@ -251,8 +244,16 @@ class BruteForceDense(BaseRetriever):
             extra={"metric": self.metric},
         )
 
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def _require_fitted(self) -> None:
+        if not self._fitted:
+            raise NotFittedError(f"{type(self).__name__} has not been fitted")
+
     def to_state(self) -> dict[str, Any]:
-        self._require_fitted(self._fitted)
+        """The fitted index as a JSON-serialisable dict (snapshot payload)."""
+        self._require_fitted()
         return {
             "backend": self.backend,
             "metric": self.metric,

@@ -92,12 +92,11 @@ from __future__ import annotations
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..concepts.tagging import ConceptTagger
 from ..errors import (
@@ -139,14 +138,15 @@ from .service import (
     RERANKER_MODEL,
     TAGGER_MODEL,
     AliCoCoService,
-    BatchResult,
     ServiceConfig,
     ServingGeneration,
     extend_concept_index,
     fit_concept_index,
+    metered_errors,
     request_query_state,
     require_layer,
     require_model,
+    run_batch,
     save_shard_snapshot,
     shard_dense_indexes,
 )
@@ -171,8 +171,6 @@ COALESCED_ENDPOINTS = ("items_for_concept_reranked", "search_reranked")
 
 #: Sentinel for cache lookups (results may legitimately be falsy).
 _MISS = object()
-
-_ON_ERROR_MODES = ("raise", "envelope")
 
 
 @dataclass(frozen=True)
@@ -1010,7 +1008,7 @@ class AliCoCoCluster:
     # ------------------------------------------------------------- endpoints
     def items_for_concept(self, concept_id: str, top_k: int | None = None) -> tuple:
         """Best items for a concept, answered by its owner shard."""
-        with self._metered_errors("items_for_concept"):
+        with metered_errors(self._metrics, "items_for_concept"):
             cgen = self._cgen
             shard = self._shard_for(concept_id)
             self._count_calls((shard,))
@@ -1023,7 +1021,7 @@ class AliCoCoCluster:
 
     def concepts_for_item(self, item_id: str) -> tuple:
         """Concepts an item participates in, from the item's owner shard."""
-        with self._metered_errors("concepts_for_item"):
+        with metered_errors(self._metrics, "concepts_for_item"):
             cgen = self._cgen
             shard = self._shard_for(item_id)
             self._count_calls((shard,))
@@ -1036,7 +1034,7 @@ class AliCoCoCluster:
 
     def interpretation(self, concept_id: str) -> tuple:
         """Primitive senses of a concept, from its owner shard."""
-        with self._metered_errors("interpretation"):
+        with metered_errors(self._metrics, "interpretation"):
             cgen = self._cgen
             shard = self._shard_for(concept_id)
             self._count_calls((shard,))
@@ -1049,7 +1047,7 @@ class AliCoCoCluster:
 
     def hypernyms(self, primitive_id: str, transitive: bool = False) -> tuple:
         """Hypernym expansion; the taxonomy is replicated, shard 0 answers."""
-        with self._metered_errors("hypernyms"):
+        with metered_errors(self._metrics, "hypernyms"):
             cgen = self._cgen
             shard = self._shard_for(primitive_id)
             self._count_calls((shard,))
@@ -1062,7 +1060,7 @@ class AliCoCoCluster:
 
     def search(self, text: str, k: int | None = None) -> tuple:
         """Text -> concepts, scattered to every shard and merged globally."""
-        with self._metered_errors("search"):
+        with metered_errors(self._metrics, "search"):
             if k is not None and k <= 0:
                 raise ConfigError(f"search k must be positive, got {k}")
             k = k if k is not None else self._service_config.search_top_k
@@ -1077,7 +1075,7 @@ class AliCoCoCluster:
 
     def tag(self, text: str) -> tuple:
         """Concept tagging; the model and primitive layer are replicated."""
-        with self._metered_errors("tag"):
+        with metered_errors(self._metrics, "tag"):
             cgen = self._cgen
             self._count_calls((0,))
             tokens = tuple(text.split())
@@ -1092,7 +1090,7 @@ class AliCoCoCluster:
 
         Coalesced: concurrent identical requests share one computation.
         """
-        with self._metered_errors("items_for_concept_reranked"):
+        with metered_errors(self._metrics, "items_for_concept_reranked"):
             self._require_reranker("items_for_concept_reranked")
             if top_k is not None and top_k <= 0:
                 raise ConfigError(
@@ -1125,7 +1123,7 @@ class AliCoCoCluster:
 
         Coalesced: concurrent identical requests share one computation.
         """
-        with self._metered_errors("search_reranked"):
+        with metered_errors(self._metrics, "search_reranked"):
             self._require_reranker("search_reranked")
             if k is not None and k <= 0:
                 raise ConfigError(f"search_reranked k must be positive, got {k}")
@@ -1157,40 +1155,7 @@ class AliCoCoCluster:
             ConfigError: On an unknown endpoint (``"raise"`` mode), an
                 unknown ``on_error`` policy, or non-positive ``workers``.
         """
-        if on_error not in _ON_ERROR_MODES:
-            expected = ", ".join(repr(mode) for mode in _ON_ERROR_MODES)
-            raise ConfigError(
-                f"unknown on_error policy {on_error!r}; expected one of: {expected}"
-            )
-        if workers is not None and workers <= 0:
-            raise ConfigError(f"batch workers must be positive, got {workers}")
-        run = self._run_one if on_error == "raise" else self._run_enveloped
-        requests = list(requests)
-        if workers is None or workers == 1 or len(requests) <= 1:
-            return [run(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, request) for request in requests]
-            return [future.result() for future in futures]
-
-    def _run_one(self, request: Sequence) -> Any:
-        endpoint, *args = request
-        handler = self._handlers.get(endpoint)
-        if handler is None:
-            known = ", ".join(sorted(self._handlers))
-            raise ConfigError(
-                f"unknown endpoint {endpoint!r}; expected one of: {known}"
-            )
-        return handler(*args)
-
-    def _run_enveloped(self, request: Sequence) -> BatchResult:
-        try:
-            return BatchResult(ok=True, value=self._run_one(request))
-        except Exception as error:
-            return BatchResult(
-                ok=False,
-                error_type=type(error).__name__,
-                error_message=str(error),
-            )
+        return run_batch(self._handlers, requests, on_error=on_error, workers=workers)
 
     # --------------------------------------------------------- introspection
     @property
@@ -1391,15 +1356,6 @@ class AliCoCoCluster:
 
     def _require_reranker(self, endpoint: str) -> None:
         require_model(self._reranker, RERANKER_MODEL, endpoint)
-
-    @contextmanager
-    def _metered_errors(self, endpoint: str) -> Iterator[None]:
-        """Count any failure (shed requests included) against the endpoint."""
-        try:
-            yield
-        except Exception as error:
-            self._metrics[endpoint].record_error(type(error).__name__)
-            raise
 
     def _serve(
         self,

@@ -129,7 +129,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..concepts.tagging import ConceptTagger
 from ..errors import ConfigError, DataError, RelationError, ReproError, error_by_name
@@ -233,6 +233,78 @@ class BatchResult:
         if klass is ReproError:
             raise ReproError(f"{self.error_type}: {self.error_message}")
         raise klass(self.error_message)
+
+
+def run_batch(
+    handlers: Mapping[str, Callable[..., Any]],
+    requests: Iterable[Sequence],
+    *,
+    on_error: str,
+    workers: int | None,
+) -> list:
+    """Dispatch ``(endpoint_name, *args)`` requests to ``handlers``.
+
+    The one batch envelope behind :meth:`AliCoCoService.batch` and
+    :meth:`~repro.serving.AliCoCoCluster.batch`: results in request
+    order, ``"raise"`` propagating the earliest-submitted failure and
+    ``"envelope"`` capturing each failure in a :class:`BatchResult`,
+    optionally fanned out over a thread pool of ``workers``.
+
+    Raises:
+        ConfigError: On an unknown endpoint name (``"raise"`` mode),
+            an unknown ``on_error`` policy, or a non-positive
+            ``workers``.
+    """
+    if on_error not in _ON_ERROR_MODES:
+        expected = ", ".join(repr(mode) for mode in _ON_ERROR_MODES)
+        raise ConfigError(
+            f"unknown on_error policy {on_error!r}; expected one of: {expected}"
+        )
+    if workers is not None and workers <= 0:
+        raise ConfigError(f"batch workers must be positive, got {workers}")
+
+    def run_one(request: Sequence) -> Any:
+        endpoint, *args = request
+        handler = handlers.get(endpoint)
+        if handler is None:
+            known = ", ".join(sorted(handlers))
+            raise ConfigError(
+                f"unknown endpoint {endpoint!r}; expected one of: {known}"
+            )
+        return handler(*args)
+
+    def run_enveloped(request: Sequence) -> BatchResult:
+        try:
+            return BatchResult(ok=True, value=run_one(request))
+        except Exception as error:
+            return BatchResult(
+                ok=False,
+                error_type=type(error).__name__,
+                error_message=str(error),
+            )
+
+    run = run_one if on_error == "raise" else run_enveloped
+    requests = list(requests)
+    if workers is None or workers == 1 or len(requests) <= 1:
+        return [run(request) for request in requests]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Futures are gathered in submission order, so results come back
+        # in request order regardless of completion order; in "raise"
+        # mode the earliest-submitted failure propagates.
+        futures = [pool.submit(run, request) for request in requests]
+        return [future.result() for future in futures]
+
+
+@contextmanager
+def metered_errors(
+    metrics: Mapping[str, EndpointMetrics], endpoint: str
+) -> Iterator[None]:
+    """Count any failure against ``metrics[endpoint]``'s errors, re-raising."""
+    try:
+        yield
+    except Exception as error:
+        metrics[endpoint].record_error(type(error).__name__)
+        raise
 
 
 @dataclass(frozen=True)
@@ -1060,7 +1132,7 @@ class AliCoCoService:
         Raises:
             ConfigError: If ``top_k`` is given but not positive.
         """
-        with self._metered_errors("items_for_concept"):
+        with metered_errors(self._metrics, "items_for_concept"):
             if top_k is not None and top_k <= 0:
                 raise ConfigError(
                     f"items_for_concept top_k must be positive, got {top_k}"
@@ -1076,7 +1148,7 @@ class AliCoCoService:
 
     def concepts_for_item(self, item_id: str) -> tuple:
         """E-commerce concept ids an item participates in."""
-        with self._metered_errors("concepts_for_item"):
+        with metered_errors(self._metrics, "concepts_for_item"):
             gen = self._gen
             self._require(item_id, ITEM_PREFIX, store=gen.store)
             return self._serve(
@@ -1090,7 +1162,7 @@ class AliCoCoService:
 
     def interpretation(self, concept_id: str) -> tuple:
         """Primitive-concept ids interpreting an e-commerce concept."""
-        with self._metered_errors("interpretation"):
+        with metered_errors(self._metrics, "interpretation"):
             gen = self._gen
             self._require(concept_id, ECOMMERCE_PREFIX, store=gen.store)
             return self._serve(
@@ -1104,7 +1176,7 @@ class AliCoCoService:
 
     def hypernyms(self, primitive_id: str, transitive: bool = False) -> tuple:
         """Hypernym primitive-concept ids (breadth-first when transitive)."""
-        with self._metered_errors("hypernyms"):
+        with metered_errors(self._metrics, "hypernyms"):
             gen = self._gen
             self._require(primitive_id, PRIMITIVE_PREFIX, store=gen.store)
             return self._serve(
@@ -1124,7 +1196,7 @@ class AliCoCoService:
         on the *token tuple*, so queries differing only in whitespace
         (``"a  b"`` vs ``"a b"``) share one cache entry.
         """
-        with self._metered_errors("search"):
+        with metered_errors(self._metrics, "search"):
             if k is not None and k <= 0:
                 raise ConfigError(f"search k must be positive, got {k}")
             k = k if k is not None else self.config.search_top_k
@@ -1149,7 +1221,7 @@ class AliCoCoService:
             ConfigError: If the service was built without a tagger.
             DataError: On empty text (the tagger cannot tag zero tokens).
         """
-        with self._metered_errors("tag"):
+        with metered_errors(self._metrics, "tag"):
             tagger = self._require_model(self._tagger, TAGGER_MODEL, "tag")
             tokens = tuple(text.split())
             gen = self._gen
@@ -1179,7 +1251,7 @@ class AliCoCoService:
             ConfigError: If the service was built without a reranker, or
                 ``top_k`` is given but not positive.
         """
-        with self._metered_errors("items_for_concept_reranked"):
+        with metered_errors(self._metrics, "items_for_concept_reranked"):
             reranker = self._require_model(
                 self._reranker, RERANKER_MODEL, "items_for_concept_reranked"
             )
@@ -1212,7 +1284,7 @@ class AliCoCoService:
             ConfigError: If the service was built without a reranker, or
                 ``k`` is given but not positive.
         """
-        with self._metered_errors("search_reranked"):
+        with metered_errors(self._metrics, "search_reranked"):
             reranker = self._require_model(
                 self._reranker, RERANKER_MODEL, "search_reranked"
             )
@@ -1261,45 +1333,7 @@ class AliCoCoService:
                 an unknown ``on_error`` policy, or a non-positive
                 ``workers``.
         """
-        if on_error not in _ON_ERROR_MODES:
-            expected = ", ".join(repr(mode) for mode in _ON_ERROR_MODES)
-            raise ConfigError(
-                f"unknown on_error policy {on_error!r}; expected one of: {expected}"
-            )
-        if workers is not None and workers <= 0:
-            raise ConfigError(f"batch workers must be positive, got {workers}")
-        run = self._run_one if on_error == "raise" else self._run_enveloped
-        requests = list(requests)
-        if workers is None or workers == 1 or len(requests) <= 1:
-            return [run(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Futures are gathered in submission order, so results come
-            # back in request order regardless of completion order; in
-            # "raise" mode the earliest-submitted failure propagates.
-            futures = [pool.submit(run, request) for request in requests]
-            return [future.result() for future in futures]
-
-    def _run_one(self, request: Sequence) -> Any:
-        """Dispatch one batch sub-query, letting failures propagate."""
-        endpoint, *args = request
-        handler = self._handlers.get(endpoint)
-        if handler is None:
-            known = ", ".join(sorted(self._handlers))
-            raise ConfigError(
-                f"unknown endpoint {endpoint!r}; expected one of: {known}"
-            )
-        return handler(*args)
-
-    def _run_enveloped(self, request: Sequence) -> BatchResult:
-        """Dispatch one batch sub-query, capturing any failure."""
-        try:
-            return BatchResult(ok=True, value=self._run_one(request))
-        except Exception as error:
-            return BatchResult(
-                ok=False,
-                error_type=type(error).__name__,
-                error_message=str(error),
-            )
+        return run_batch(self._handlers, requests, on_error=on_error, workers=workers)
 
     # --------------------------------------------------------- introspection
     @property
@@ -1710,15 +1744,6 @@ class AliCoCoService:
 
     def _require(self, node_id: str, expected_layer: str, *, store: Any) -> None:
         require_layer(store, node_id, expected_layer)
-
-    @contextmanager
-    def _metered_errors(self, endpoint: str) -> Iterator[None]:
-        """Count any failure against the endpoint's error stats, re-raising."""
-        try:
-            yield
-        except Exception as error:
-            self._metrics[endpoint].record_error(type(error).__name__)
-            raise
 
     def _serve(
         self,

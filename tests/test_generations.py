@@ -54,8 +54,7 @@ from repro.kg.serialize import (
 )
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
-from repro.retrieval import BruteForceDense, HybridRetriever
-from repro.retrieval.lexical import BM25Retriever
+from repro.retrieval import BruteForceDense
 from repro.serving import (
     AliCoCoService,
     CacheCounters,
@@ -550,42 +549,8 @@ class TestCacheCounters:
         assert sum(w.misses for _, w in windows) == total.misses
 
 
-# ------------------------------------------------------- retriever add units
+# ------------------------------------------------------- dense index growth
 class TestRetrieverAdd:
-    def test_add_is_abstract(self):
-        """Every backend implements ``add``: the generational tier grows
-        an index rather than refitting it."""
-        from repro.retrieval.base import BaseRetriever, RetrieverStats
-
-        class Static(BaseRetriever):
-            backend = "static"
-
-            def fit(self, ids, data):
-                return self
-
-            def retrieve(self, query, top_k=10):
-                return []
-
-            def stats(self):
-                return RetrieverStats(backend="static", size=0, dim=0)
-
-            def to_state(self):
-                return {}
-
-        with pytest.raises(TypeError, match="add"):
-            Static()
-
-    def test_bruteforce_add_equals_refit(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        vectors = [rng.normal(size=6) for _ in range(12)]
-        grown = BruteForceDense().fit(list(range(8)), vectors[:8])
-        grown.add(list(range(8, 12)), vectors[8:])
-        refit = BruteForceDense().fit(list(range(12)), vectors)
-        query = rng.normal(size=6)
-        assert grown.retrieve(query, 12) == refit.retrieve(query, 12)
-
     def test_bruteforce_extended_equals_refit_and_leaves_the_old_index(self):
         import numpy as np
 
@@ -601,39 +566,6 @@ class TestRetrieverAdd:
             assert grown.retrieve(query, 12) == refit.retrieve(query, 12)
         assert old.to_state() == state
         assert old.extended([], []) is old
-
-    @pytest.mark.parametrize(
-        "make, documents",
-        [
-            (BM25Retriever, lambda vector, doc_id: (f"t{doc_id % 3}", f"d{doc_id}")),
-            (
-                lambda: HybridRetriever(dense=BruteForceDense()),
-                lambda vector, doc_id: (vector, (f"t{doc_id % 3}", f"d{doc_id}")),
-            ),
-        ],
-        ids=["bm25", "hybrid"],
-    )
-    def test_default_extended_grows_a_copy(self, make, documents):
-        import numpy as np
-
-        rng = np.random.default_rng(4)
-        data = [documents(rng.normal(size=6), doc_id) for doc_id in range(20)]
-        old = make().fit(list(range(16)), data[:16])
-        state = old.to_state()
-        grown = old.extended([16, 17, 18, 19], data[16:])
-        added = type(old).from_state(state).add([16, 17, 18, 19], data[16:])
-        assert grown is not old
-        assert grown.to_state() == added.to_state()
-        assert old.to_state() == state
-
-    def test_bm25_retriever_add_extends_the_postings(self):
-        docs = [("alpha", "beta"), ("beta", "gamma"), ("delta",), ("alpha", "delta")]
-        grown = BM25Retriever().fit(["d0", "d1"], docs[:2])
-        grown.add(["d2", "d3"], docs[2:])
-        refit = BM25Retriever().fit(["d0", "d1", "d2", "d3"], docs)
-        assert grown.retrieve(("alpha", "delta"), 4) == refit.retrieve(
-            ("alpha", "delta"), 4
-        )
 
 
 # ------------------------------------------------------- delta-only publish

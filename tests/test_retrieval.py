@@ -2,9 +2,9 @@
 
 Pins the contracts the hybrid first stage is built on: the dense index
 ranks exactly like an exhaustive argsort, RRF fusion is deterministic and
-edge-case safe, every fitted index round-trips through JSON state
-bit-identically (the snapshot warm-start path), and the matching facade
-gates, dispatches, and refits correctly.
+edge-case safe, a fitted dense index round-trips through JSON state
+bit-identically (the snapshot warm-start path), and the candidate
+generator gates, dispatches, fuses, and refits correctly.
 """
 
 import json
@@ -23,13 +23,9 @@ from repro.matching import (
 from repro.matching.base import matching_vocab
 from repro.matching.dataset import build_matching_dataset
 from repro.retrieval import (
-    BM25Retriever,
     BruteForceDense,
     DENSE_BACKENDS,
-    HybridQuery,
-    HybridRetriever,
     dense_index_from_state,
-    retriever_from_state,
     rrf_fuse,
 )
 from repro.retrieval.dense import top_k_positions
@@ -53,6 +49,10 @@ def corpus():
 
 def _ranking(pairs):
     return [doc_id for doc_id, _ in pairs]
+
+
+def _indexed(candidates):
+    return [(item.index, score) for item, score in candidates]
 
 
 # --------------------------------------------------------------- kernels
@@ -135,38 +135,6 @@ class TestRRF:
             rrf_fuse([[("a", 1.0)]], k=0)
 
 
-# ----------------------------------------------------------------- hybrid
-class TestHybridRetriever:
-    @pytest.fixture()
-    def fitted(self, corpus):
-        ids, vectors, _ = corpus
-        tokens = [("tok%d" % (i % 7), "doc%d" % i) for i in ids]
-        hybrid = HybridRetriever(dense=BruteForceDense())
-        return hybrid.fit(ids, list(zip(vectors, tokens))), vectors
-
-    def test_fuses_both_arms(self, fitted):
-        hybrid, vectors = fitted
-        query = HybridQuery(tokens=("doc3", "tok3"), vector=vectors[3])
-        assert _ranking(hybrid.retrieve(query, 5))[0] == 3
-
-    def test_missing_arm_sits_out(self, fitted):
-        hybrid, vectors = fitted
-        dense_only = hybrid.retrieve(HybridQuery(vector=vectors[8]), 5)
-        lexical_only = hybrid.retrieve(HybridQuery(tokens=("doc8",)), 5)
-        assert _ranking(dense_only)[0] == 8
-        assert _ranking(lexical_only)[0] == 8
-        with pytest.raises(DataError):
-            hybrid.retrieve(HybridQuery(), 5)
-
-    def test_stats_combine(self, fitted):
-        hybrid, vectors = fitted
-        hybrid.retrieve(HybridQuery(tokens=("doc1",), vector=vectors[1]), 3)
-        stats = hybrid.stats()
-        assert stats.backend == "hybrid"
-        assert stats.queries == 1
-        assert stats.candidates_scored > 0
-
-
 # ------------------------------------------------------------------ state
 class TestStateRoundTrips:
     @pytest.mark.parametrize("backend", sorted(DENSE_BACKENDS))
@@ -179,27 +147,11 @@ class TestStateRoundTrips:
         for query in queries:
             assert warm.retrieve(query, 10) == fresh.retrieve(query, 10)
 
-    def test_lexical_and_hybrid_round_trip(self, corpus):
-        ids, vectors, _ = corpus
-        token_lists = [("tok%d" % (i % 5), "doc%d" % i) for i in ids]
-        lexical = BM25Retriever().fit(ids, token_lists)
-        state = json.loads(json.dumps(lexical.to_state()))
-        warm = retriever_from_state(state)
-        assert warm.retrieve(("doc7", "tok2"), 5) == \
-            lexical.retrieve(("doc7", "tok2"), 5)
-
-        hybrid = HybridRetriever(dense=BruteForceDense())
-        hybrid.fit(ids, list(zip(vectors, token_lists)))
-        state = json.loads(json.dumps(hybrid.to_state()))
-        warm = retriever_from_state(state)
-        query = HybridQuery(tokens=("doc7",), vector=vectors[7])
-        assert warm.retrieve(query, 5) == hybrid.retrieve(query, 5)
-
     def test_wrong_backend_tag_rejected(self, corpus):
         ids, vectors, _ = corpus
         state = BruteForceDense().fit(ids, vectors).to_state()
-        with pytest.raises(DataError):
-            BM25Retriever.from_state(state)
+        with pytest.raises(DataError, match="'bm25' index"):
+            BruteForceDense.from_state({**state, "backend": "bm25"})
         state["backend"] = "unheard-of"
         with pytest.raises(DataError):
             dense_index_from_state(state)
@@ -334,10 +286,44 @@ class TestCandidateGenerators:
             CandidateGenerator("dense")  # no matcher
         with pytest.raises(ConfigError):
             CandidateGenerator("hybrid", matcher=object())  # not dense-capable
+        with pytest.raises(ConfigError):
+            CandidateGenerator("hybrid", matcher=matcher, rrf_k=0)
+        with pytest.raises(ConfigError):
+            CandidateGenerator("hybrid", matcher=matcher, weights=(1.0,))
         with pytest.raises(DataError):
             CandidateGenerator("bm25").fit([])
+        with pytest.raises(NotFittedError):
+            CandidateGenerator("dense", matcher=matcher).candidates(("red",), 3)
         generator = CandidateGenerator("dense", matcher=matcher)
-        assert generator.fit(items).stats().backend == "bruteforce"
+        assert len(generator.fit(items).candidates(("red",), 3)) == 3
+
+    def test_hybrid_mode_fuses_the_other_two_modes(self, matching_world):
+        """Hybrid candidates are the RRF fusion of the dense-mode and
+        bm25-mode candidates at the same depth, dense arm first; a query
+        with no lexical hit comes back in dense order."""
+        concepts, items, _, matcher = matching_world
+        rrf_k, weights = 40, (1.0, 0.5)
+        bm25 = CandidateGenerator("bm25").fit(items)
+        dense = CandidateGenerator("dense", matcher=matcher).fit(items)
+        hybrid = CandidateGenerator(
+            "hybrid", matcher=matcher, rrf_k=rrf_k, weights=weights
+        ).fit(items)
+        titles = {token for item in items for token in item.title_tokens}
+        no_hit = ("zzqx-absent-token",)
+        assert not titles & set(no_hit)
+        queries = [concept.tokens for concept in concepts[:8]] + [no_hit]
+        for query in queries:
+            for k in (1, 5, 30, len(items) + 5):
+                arms = [
+                    _indexed(generator.candidates(query, k))
+                    for generator in (dense, bm25)
+                ]
+                expected = rrf_fuse(arms, rrf_k, weights)[:k]
+                got = _indexed(hybrid.candidates(query, k))
+                assert got == expected
+                if query == no_hit:
+                    assert arms[1] == []
+                    assert _ranking(got) == _ranking(arms[0])
 
     def test_matcher_vector_capability_flags(self, matching_world):
         _, _, _, matcher = matching_world
