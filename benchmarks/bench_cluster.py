@@ -34,6 +34,7 @@ Per-shard balance and a coalescing-window sweep are reported (not
 gated).
 """
 
+import copy
 import multiprocessing
 import os
 import threading
@@ -473,13 +474,16 @@ def test_cluster_executor_scaling(built, reranker, report):
     service_config = ServiceConfig(
         retriever="hybrid",
         rerank_pool_k=_SCALING_POOL_K,
-        use_fast_path=False,
         doc_cache_capacity=0,
         cache_capacity=0,
     )
+    # The scalar path: a copy of the matcher with its fast path off
+    # scores each pool pair by pair.
+    scalar_reranker = copy.copy(reranker)
+    scalar_reranker.fast_path = False
     requests = _scaling_requests(built)
     oracle = AliCoCoService(
-        built.store, config=service_config, reranker=reranker
+        built.store, config=service_config, reranker=scalar_reranker
     )
     expected = oracle.batch(requests)
 
@@ -495,7 +499,7 @@ def test_cluster_executor_scaling(built, reranker, report):
                     fanout_workers=n_shards,
                 ),
                 service_config=service_config,
-                reranker=reranker,
+                reranker=scalar_reranker,
             )
             try:
                 assert cluster.batch(requests) == expected, (

@@ -23,6 +23,7 @@ in envelope mode too, where failures come back as ``BatchResult``
 envelopes instead of aborting the batch.
 """
 
+import copy
 import gc
 import sys
 import threading
@@ -460,17 +461,20 @@ def test_pool_scoring(report):
         )
 
     # Service level: the reranked endpoints through the fast path +
-    # pre-warmed doc cache vs the scalar oracle (use_fast_path=False).
-    # The result LRU is disabled so every pass pays full scoring cost.
+    # pre-warmed doc cache vs the scalar oracle, a copy of the matcher
+    # with fast_path = False (pair-by-pair scoring, no doc cache).  The
+    # result LRU is disabled so every pass pays full scoring cost.
     fast = AliCoCoService.from_build(
         built,
         reranker=knowledge,
         config=ServiceConfig(cache_capacity=0, prewarm_doc_cache=True),
     )
+    scalar_matcher = copy.copy(knowledge)
+    scalar_matcher.fast_path = False
     oracle = AliCoCoService.from_build(
         built,
-        reranker=knowledge,
-        config=ServiceConfig(cache_capacity=0, use_fast_path=False),
+        reranker=scalar_matcher,
+        config=ServiceConfig(cache_capacity=0),
     )
     # Concepts with actual item pools — a pool of zero measures nothing.
     linked = [

@@ -1,7 +1,7 @@
 """Exact dense retrieval: the one dense index.
 
 :class:`BruteForceDense` scores a query against *every* indexed vector
-with one packed float32 matmul — O(n·d) per query and exact.  Exactness
+of one packed float32 matrix — O(n·d) per query and exact.  Exactness
 is what the serving tier needs: a cluster shard serves a
 :meth:`~BruteForceDense.projected` subset of one global index and
 answers exactly like a single service over the same store.  At the
@@ -223,10 +223,14 @@ class BruteForceDense:
         return projection
 
     def retrieve(self, query: Any, top_k: int = 10) -> list[tuple[Any, float]]:
-        """Exact top-k by one full-matrix inner product."""
+        """Exact top-k by the inner product with every row."""
         self._require_fitted()
         vector = prepare_query(query, self._matrix.shape[1], self.metric)
-        scores = self._matrix @ vector
+        # Row by row, not one BLAS matrix-vector product: gemv rounds a
+        # row's dot product differently by its place in the matrix, so a
+        # cluster shard's projection would score a document some ulps off
+        # the global index and break ties the other way.
+        scores = np.einsum("ij,j->i", self._matrix, vector)
         self._queries += 1
         self._scored += scores.shape[0]
         best = top_k_positions(scores, top_k)

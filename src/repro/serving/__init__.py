@@ -41,7 +41,6 @@ from .models import (
     model_bundle_state,
     prepare_serving_module,
     rerank_pool,
-    rerank_score,
     restore_serving_module,
 )
 from .procpool import (
@@ -123,7 +122,6 @@ __all__ = [
     "model_bundle_state",
     "prepare_serving_module",
     "rerank_pool",
-    "rerank_score",
     "restore_serving_module",
     "fit_concept_index",
     "CacheCounters",

@@ -95,60 +95,49 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
 from ..concepts.tagging import ConceptTagger
-from ..errors import (
-    ConfigError,
-    DataError,
-    DuplicateNodeError,
-    ShardUnavailableError,
-)
+from ..errors import ConfigError, DuplicateNodeError, ShardUnavailableError
 from ..kg.generations import GenerationalStore
 from ..kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX, layer_of
 from ..kg.relations import RelationKind
-from ..kg.serialize import (
-    generational_store_from_snapshot,
-    load_snapshot,
-    save_generations,
-    save_snapshot,
-)
+from ..kg.serialize import load_snapshot, save_generations, save_snapshot
 from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
-from ..matching.retrieval import require_dense_capable
 from ..ml.module import Module
-from ..retrieval import rrf_fuse
+# Unused here since fusion runs in service.first_stage, but perfbench
+# wraps cluster.rrf_fuse by name until its next benchmark change.
+from ..retrieval import rrf_fuse  # noqa: F401
 from .admission import AdmissionController, AdmissionStats
 from .cache import CacheCounters, LRUCache
 from .coalesce import Coalescer, CoalescerStats
-from .models import (
-    RERANKER_KIND,
-    TAGGER_KIND,
-    dense_query_vector,
-    model_bundle_state,
-    prepare_serving_module,
-    restore_serving_module,
-)
+from .models import dense_query_vector
 from .procpool import ProcessShardPool, ProcPoolStats, ShardWorkerSpec, snapshot_dir_for
 from .service import (
     CONCEPT_INDEX,
     DENSE_CONCEPT_INDEX,
     DENSE_ITEM_INDEX,
     RERANKER_MODEL,
-    TAGGER_MODEL,
     AliCoCoService,
     ServiceConfig,
     ServingGeneration,
+    dense_states_of,
+    endpoint_handlers,
     extend_concept_index,
     fit_concept_index,
     metered_errors,
-    request_query_state,
+    model_bundles,
+    open_snapshot,
+    prepare_models,
     require_layer,
     require_model,
     run_batch,
     save_shard_snapshot,
+    served_models,
+    serve_cached,
     shard_dense_indexes,
+    verify_pool,
 )
 from .shard import (
     is_partitioned,
@@ -161,16 +150,13 @@ from .shard import (
     split_concept_index,
     split_store,
 )
-from .stats import EndpointMetrics, EndpointStats, ServiceStats, endpoint_table
+from .stats import EndpointStats, ServiceStats, endpoint_table
 
 #: Snapshot index-state name of the cluster meta record (shard count).
 CLUSTER_META = "cluster"
 
 #: Endpoints routed through the coalescer — the model-bound hot path.
 COALESCED_ENDPOINTS = ("items_for_concept_reranked", "search_reranked")
-
-#: Sentinel for cache lookups (results may legitimately be falsy).
-_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -518,6 +504,7 @@ class AliCoCoCluster:
         else:
             self._source = None
             view = store.freeze()
+        self._generational = self._source is not None
         self._fingerprint = config_fingerprint
         search_index = (
             search_index if search_index is not None else fit_concept_index(view)
@@ -530,21 +517,12 @@ class AliCoCoCluster:
                 f"got {len(shard_search_indexes)}"
             )
         dense_states = shard_dense_states or {}
-        initial_generation = view.generation_id if self._source is not None else 0
+        initial_generation = view.generation_id if self._generational else 0
         # The prepared (fitted-checked, eval-mode) models; shared by
         # every shard, referenced here for query-side encodings.
-        self._tagger = (
-            prepare_serving_module(tagger, TAGGER_MODEL) if tagger is not None else None
+        self._tagger, self._reranker = prepare_models(
+            self._service_config, tagger, reranker
         )
-        self._reranker = (
-            prepare_serving_module(reranker, RERANKER_MODEL)
-            if reranker is not None
-            else None
-        )
-        if self._service_config.retriever != "bm25":
-            require_dense_capable(
-                self._reranker, f"retriever {self._service_config.retriever!r}"
-            )
         owners = owner_map(view, n_shards)
         shard_stores = split_store(view, n_shards, owners)
         # Without per-shard states, shards serve projections of one
@@ -597,7 +575,7 @@ class AliCoCoCluster:
                             service_config=self._service_config,
                             tagger=tagger,
                             reranker=reranker,
-                            generational=self._source is not None,
+                            generational=self._generational,
                             cluster_generation_id=initial_generation,
                         )
                     )
@@ -623,7 +601,7 @@ class AliCoCoCluster:
                     AliCoCoService(
                         (
                             GenerationalStore(shard_store)
-                            if self._source is not None
+                            if self._generational
                             else shard_store
                         ),
                         config=self._service_config,
@@ -684,22 +662,9 @@ class AliCoCoCluster:
             if self.config.fanout_workers
             else None
         )
-        self._handlers: dict[str, Callable[..., Any]] = {
-            "items_for_concept": self.items_for_concept,
-            "concepts_for_item": self.concepts_for_item,
-            "interpretation": self.interpretation,
-            "hypernyms": self.hypernyms,
-            "search": self.search,
-            "tag": self.tag,
-            "items_for_concept_reranked": self.items_for_concept_reranked,
-            "search_reranked": self.search_reranked,
-        }
-        self._metrics = {}
-        for position, endpoint in enumerate(self._handlers):
-            self._metrics[endpoint] = EndpointMetrics(
-                self.config.reservoir_capacity,
-                seed=self.config.seed + position,
-            )
+        self._handlers, self._metrics = endpoint_handlers(
+            self, self.config.reservoir_capacity, self.config.seed
+        )
 
     # ------------------------------------------------------------ warm start
     @classmethod
@@ -735,30 +700,8 @@ class AliCoCoCluster:
         with gc_paused():
             config = config or ClusterConfig()
             snapshot = load_snapshot(path)
-            header = snapshot.header
-            if (
-                expected_fingerprint is not None
-                and header.config_fingerprint != expected_fingerprint
-            ):
-                raise DataError(
-                    f"snapshot fingerprint {header.config_fingerprint!r} does "
-                    f"not match expected {expected_fingerprint!r}"
-                )
-            # A generational snapshot replays into a generational store so
-            # the cluster pins the saved generation (id included — it keys
-            # the cluster cache).  A compacted store may carry zero delta
-            # records but a folded generation in the header — still
-            # generational.  Delta-less generation-0 snapshots serve frozen.
-            store: AliCoCoStore | GenerationalStore = (
-                generational_store_from_snapshot(snapshot)
-                if snapshot.deltas or header.base_generation > 0
-                else snapshot.store
-            )
-            state = snapshot.index_states.get(CONCEPT_INDEX)
-            search_index = (
-                BM25Index.from_state(state)
-                if state is not None
-                else fit_concept_index(store)
+            store, search_index = open_snapshot(
+                snapshot, expected_fingerprint, tagger, reranker
             )
             meta = snapshot.index_states.get(CLUSTER_META)
             shard_search_indexes = None
@@ -777,18 +720,6 @@ class AliCoCoCluster:
                     }
                     if dense:
                         shard_dense_states[shard] = dense
-            for name, module in ((TAGGER_MODEL, tagger), (RERANKER_MODEL, reranker)):
-                if module is None:
-                    continue
-                bundle = snapshot.model_states.get(name)
-                if bundle is None:
-                    bundled = ", ".join(sorted(snapshot.model_states)) or "none"
-                    raise DataError(
-                        f"snapshot carries no {name!r} model bundle "
-                        f"(bundled models: {bundled})"
-                    )
-                kind = TAGGER_KIND if name == TAGGER_MODEL else RERANKER_KIND
-                restore_serving_module(module, bundle, kind, name)
             return cls(
                 store,
                 config=config,
@@ -798,12 +729,8 @@ class AliCoCoCluster:
                 tagger=tagger,
                 reranker=reranker,
                 shard_dense_states=shard_dense_states or None,
-                dense_index_states={
-                    name: snapshot.index_states[name]
-                    for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
-                    if name in snapshot.index_states
-                },
-                config_fingerprint=header.config_fingerprint,
+                dense_index_states=dense_states_of(snapshot.index_states),
+                config_fingerprint=snapshot.header.config_fingerprint,
             )
 
     def save_snapshot(self, path: str | Path) -> int:
@@ -842,20 +769,13 @@ class AliCoCoCluster:
                     )
                 for name, state in self._shard_dense_states(shard, cgen).items():
                     index_states[f"{name}@shard{shard}"] = state
-        model_states = {}
-        if self._tagger is not None:
-            model_states[TAGGER_MODEL] = model_bundle_state(self._tagger, TAGGER_KIND)
-        if self._reranker is not None:
-            model_states[RERANKER_MODEL] = model_bundle_state(
-                self._reranker, RERANKER_KIND
-            )
         saver = save_snapshot if self._source is None else save_generations
         return saver(
             cgen.store if self._source is None else self._source,
             path,
             config_fingerprint=self._fingerprint,
             index_states=index_states,
-            model_states=model_states,
+            model_states=model_bundles(self._tagger, self._reranker),
         )
 
     # ----------------------------------------------------------- generations
@@ -1012,11 +932,13 @@ class AliCoCoCluster:
             cgen = self._cgen
             shard = self._shard_for(concept_id)
             self._count_calls((shard,))
-            return self._serve(
+            return serve_cached(
+                self,
                 "items_for_concept",
                 (concept_id, top_k),
                 lambda: self._routed(shard, "items_for_concept", concept_id, top_k),
                 cgen,
+                self._admitted,
             )
 
     def concepts_for_item(self, item_id: str) -> tuple:
@@ -1025,11 +947,13 @@ class AliCoCoCluster:
             cgen = self._cgen
             shard = self._shard_for(item_id)
             self._count_calls((shard,))
-            return self._serve(
+            return serve_cached(
+                self,
                 "concepts_for_item",
                 (item_id,),
                 lambda: self._routed(shard, "concepts_for_item", item_id),
                 cgen,
+                self._admitted,
             )
 
     def interpretation(self, concept_id: str) -> tuple:
@@ -1038,11 +962,13 @@ class AliCoCoCluster:
             cgen = self._cgen
             shard = self._shard_for(concept_id)
             self._count_calls((shard,))
-            return self._serve(
+            return serve_cached(
+                self,
                 "interpretation",
                 (concept_id,),
                 lambda: self._routed(shard, "interpretation", concept_id),
                 cgen,
+                self._admitted,
             )
 
     def hypernyms(self, primitive_id: str, transitive: bool = False) -> tuple:
@@ -1051,11 +977,13 @@ class AliCoCoCluster:
             cgen = self._cgen
             shard = self._shard_for(primitive_id)
             self._count_calls((shard,))
-            return self._serve(
+            return serve_cached(
+                self,
                 "hypernyms",
                 (primitive_id, transitive),
                 lambda: self._routed(shard, "hypernyms", primitive_id, transitive),
                 cgen,
+                self._admitted,
             )
 
     def search(self, text: str, k: int | None = None) -> tuple:
@@ -1066,11 +994,13 @@ class AliCoCoCluster:
             k = k if k is not None else self._service_config.search_top_k
             tokens = tuple(text.split())
             cgen = self._cgen
-            return self._serve(
+            return serve_cached(
+                self,
                 "search",
                 (tokens, k),
                 lambda: self._search_scattered(tokens, k, cgen),
                 cgen,
+                self._admitted,
             )
 
     def tag(self, text: str) -> tuple:
@@ -1079,8 +1009,13 @@ class AliCoCoCluster:
             cgen = self._cgen
             self._count_calls((0,))
             tokens = tuple(text.split())
-            return self._serve(
-                "tag", (tokens,), lambda: self._routed(0, "tag", text), cgen
+            return serve_cached(
+                self,
+                "tag",
+                (tokens,),
+                lambda: self._routed(0, "tag", text),
+                cgen,
+                self._admitted,
             )
 
     def items_for_concept_reranked(
@@ -1091,7 +1026,9 @@ class AliCoCoCluster:
         Coalesced: concurrent identical requests share one computation.
         """
         with metered_errors(self._metrics, "items_for_concept_reranked"):
-            self._require_reranker("items_for_concept_reranked")
+            reranker = require_model(
+                self._reranker, RERANKER_MODEL, "items_for_concept_reranked"
+            )
             if top_k is not None and top_k <= 0:
                 raise ConfigError(
                     f"items_for_concept_reranked top_k must be positive, got {top_k}"
@@ -1099,23 +1036,27 @@ class AliCoCoCluster:
             cgen = self._cgen
             shard = self._shard_for(concept_id)
             self._count_calls((shard,))
-            # The existence/layer precheck happens parent-side either
-            # way: against the owner shard's pinned store (thread) or
-            # the pinned global view (process) — the shard owns exactly
-            # the global view's nodes, so the errors are identical.
-            if self._pool is not None:
-                require_layer(cgen.store, concept_id, ECOMMERCE_PREFIX)
-            else:
-                self._services[shard]._require(
-                    concept_id, ECOMMERCE_PREFIX, store=cgen.shards[shard].store
-                )
-            return self._serve(
+            # The existence/layer precheck reads the pinned global view
+            # under either executor: a concept is there exactly when its
+            # owner shard has it, so the errors are the shard's.
+            require_layer(cgen.store, concept_id, ECOMMERCE_PREFIX)
+            return serve_cached(
+                self,
                 "items_for_concept_reranked",
                 (concept_id, top_k),
-                lambda: self._items_reranked_scattered(
-                    shard, concept_id, top_k, cgen
+                lambda: verify_pool(
+                    self._service_config,
+                    reranker,
+                    tuple(cgen.store.get(concept_id).tokens),
+                    DENSE_ITEM_INDEX,
+                    partial(self._graph_arm, shard, concept_id, cgen=cgen),
+                    partial(self._dense_stage, cgen),
+                    cgen.store,
+                    self._owner_scores,
+                    top_k,
                 ),
                 cgen,
+                self._admitted,
             )
 
     def search_reranked(self, text: str, k: int | None = None) -> tuple:
@@ -1124,17 +1065,29 @@ class AliCoCoCluster:
         Coalesced: concurrent identical requests share one computation.
         """
         with metered_errors(self._metrics, "search_reranked"):
-            self._require_reranker("search_reranked")
+            reranker = require_model(self._reranker, RERANKER_MODEL, "search_reranked")
             if k is not None and k <= 0:
                 raise ConfigError(f"search_reranked k must be positive, got {k}")
             k = k if k is not None else self._service_config.search_top_k
             tokens = tuple(text.split())
             cgen = self._cgen
-            return self._serve(
+            return serve_cached(
+                self,
                 "search_reranked",
                 (tokens, k),
-                lambda: self._search_reranked_scattered(tokens, k, cgen),
+                lambda: verify_pool(
+                    self._service_config,
+                    reranker,
+                    tokens,
+                    DENSE_CONCEPT_INDEX,
+                    partial(self._search_scattered, tokens, cgen=cgen),
+                    partial(self._dense_stage, cgen),
+                    cgen.store,
+                    self._owner_scores,
+                    k,
+                ),
                 cgen,
+                self._admitted,
             )
 
     def batch(
@@ -1207,14 +1160,7 @@ class AliCoCoCluster:
     @property
     def models(self) -> tuple[str, ...]:
         """Bundle names of the models the cluster is serving."""
-        if self._services:
-            return self._services[0].models
-        names = []
-        if self._tagger is not None:
-            names.append(TAGGER_MODEL)
-        if self._reranker is not None:
-            names.append(RERANKER_MODEL)
-        return tuple(names)
+        return tuple(served_models(self._tagger, self._reranker))
 
     def stats(self) -> ClusterStats:
         """Current cluster statistics (fan-out, coalescing, admission).
@@ -1354,53 +1300,27 @@ class AliCoCoCluster:
         except ShardUnavailableError:
             return {}
 
-    def _require_reranker(self, endpoint: str) -> None:
-        require_model(self._reranker, RERANKER_MODEL, endpoint)
-
-    def _serve(
-        self,
-        endpoint: str,
-        key: tuple,
-        compute: Callable[[], Any],
-        cgen: ClusterGeneration | None = None,
+    def _admitted(
+        self, endpoint: str, cache_key: tuple, compute: Callable[[], Any]
     ) -> Any:
-        """Cache -> coalesce -> admission -> compute, in that order.
+        """A cache miss's path (see :func:`serve_cached`): coalesce ->
+        admission -> compute.
 
-        The cache sits first so a hot repeat never costs a slot; the
+        The cache sits in front, so a hot repeat never costs a slot; the
         coalescer sits *outside* admission so N concurrent duplicates
         consume one slot (a leader is always admitted-or-shed, never
         blocked on its own joiners — no deadlock by construction).
         Joiners count as cache misses: their latency includes the wait
         for the leader, which is exactly what a caller observed.
         """
-        metrics = self._metrics[endpoint]
-        start = perf_counter()
-        # Advancing clusters prefix cache keys with the pinned bundle's
-        # generation id: a publish retires the old generation's entries
-        # by making them unreachable (the single service's convention).
-        if self._source is not None:
-            cgen = cgen if cgen is not None else self._cgen
-            cache_key = ("gen", cgen.generation_id, endpoint, *key)
-        else:
-            cache_key = (endpoint, *key)
-        if self._cache is not None:
-            cached = self._cache.get(cache_key, _MISS)
-            if cached is not _MISS:
-                metrics.record_hit(perf_counter() - start)
-                return cached
 
         def admitted() -> Any:
             with self._admission.admit():
                 return compute()
 
         if endpoint in COALESCED_ENDPOINTS:
-            value = self._coalescer.submit(cache_key, admitted)
-        else:
-            value = admitted()
-        if self._cache is not None:
-            self._cache.put(cache_key, value)
-        metrics.record_miss(perf_counter() - start)
-        return value
+            return self._coalescer.submit(cache_key, admitted)
+        return admitted()
 
     # ----------------------------------------------------- scattered queries
     # Every scattered computation receives the pinned ClusterGeneration
@@ -1423,141 +1343,90 @@ class AliCoCoCluster:
             )
         return merge_ranked(arms, cgen.concept_position, k)
 
-    @staticmethod
-    def _has_dense(name: str, cgen: ClusterGeneration) -> bool:
-        if cgen.shards:
-            return any(
-                shard_gen.dense_indexes.get(name) is not None
-                for shard_gen in cgen.shards
-            )
-        return name in cgen.dense_presence
-
-    def _concept_pool_scattered(
-        self,
-        tokens: tuple[str, ...],
-        k: int,
-        cgen: ClusterGeneration,
-        query_state: Any,
+    def _graph_arm(
+        self, shard: int, concept_id: str, k: int, cgen: ClusterGeneration
     ) -> tuple:
-        """The cluster's version of ``AliCoCoService._concept_pool``."""
-        mode = self._service_config.retriever
-        if (
-            mode == "bm25"
-            or not self._has_dense(DENSE_CONCEPT_INDEX, cgen)
-            or not tokens
-        ):
-            return self._search_scattered(tokens, k, cgen)
-        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
+        """The graph's association ranking, from the concept's owner
+        shard: every item->concept edge lives there, in global insertion
+        order, so the ranking is bit-identical."""
         if self._pool is not None:
-            arms = self._arm_scatter(
-                "dense_arm", (cgen.generation_id, DENSE_CONCEPT_INDEX, vector, k)
-            )
-        else:
-            arms = self._scatter(
-                lambda shard, service: service._dense_arm(
-                    DENSE_CONCEPT_INDEX, vector, k,
-                    indexes=cgen.shards[shard].dense_indexes,
-                )
-            )
-        dense = merge_ranked(arms, cgen.concept_position, k)
-        if mode == "dense":
-            return dense
-        lexical = self._search_scattered(tokens, k, cgen)
-        return tuple(
-            rrf_fuse(
-                [list(dense), list(lexical)],
-                k=self._service_config.rrf_k,
-                weights=self._service_config.hybrid_weights,
-            )[:k]
-        )
-
-    def _item_pool_scattered(
-        self,
-        shard: int,
-        concept_id: str,
-        k: int,
-        cgen: ClusterGeneration,
-        query_state: Any,
-    ) -> tuple:
-        """The cluster's version of ``AliCoCoService._item_pool``.
-
-        The graph arm comes entirely from the concept's owner shard:
-        every item->concept edge lives there, in global insertion order,
-        so the association ranking is bit-identical.
-        """
-        if self._pool is not None:
-            graph = self._pool.call(
+            return self._pool.call(
                 shard, "items_arm", cgen.generation_id, concept_id, k
             )
-        else:
-            graph = self._services[shard]._items_uncached(
-                concept_id, k, store=cgen.shards[shard].store
-            )
-        mode = self._service_config.retriever
-        if mode == "bm25" or not self._has_dense(DENSE_ITEM_INDEX, cgen):
-            return graph
-        tokens = tuple(cgen.store.get(concept_id).tokens)
-        if not tokens:
-            return graph
-        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
-        if self._pool is not None:
-            arms = self._arm_scatter(
-                "dense_arm", (cgen.generation_id, DENSE_ITEM_INDEX, vector, k)
-            )
-        else:
-            arms = self._scatter(
-                lambda arm_shard, service: service._dense_arm(
-                    DENSE_ITEM_INDEX, vector, k,
-                    indexes=cgen.shards[arm_shard].dense_indexes,
-                )
-            )
-        dense = merge_ranked(arms, cgen.item_position, k)
-        if mode == "dense":
-            return dense
-        return tuple(
-            rrf_fuse(
-                [list(dense), list(graph)],
-                k=self._service_config.rrf_k,
-                weights=self._service_config.hybrid_weights,
-            )[:k]
+        return self._services[shard]._items_uncached(
+            concept_id, k, store=cgen.shards[shard].store
         )
 
-    def _score_scattered(
+    def _dense_stage(
         self,
-        query_tokens: tuple[str, ...],
-        query_state: Any,
-        pool: tuple,
-        doc_tokens: Callable[[Any, str], list[str]],
         cgen: ClusterGeneration,
-    ) -> list[tuple[str, float]]:
-        """Scatter pool scoring to owner shards, merge by ``(-prob, id)``.
+        name: str,
+        tokens: tuple[str, ...],
+        k: int,
+        query_state: Any,
+    ) -> Callable[[], tuple] | None:
+        """The dense arm of :func:`verify_pool` over every shard's index
+        ``name``, merged, or ``None`` when no shard has one or the query
+        no tokens.  The query vector is read from ``query_state`` once,
+        parent-side, and the same vector goes to every shard."""
+        present = (
+            any(gen.dense_indexes.get(name) is not None for gen in cgen.shards)
+            if cgen.shards
+            else name in cgen.dense_presence
+        )
+        if not tokens or not present:
+            return None
+        positions = (
+            cgen.concept_position if name == DENSE_CONCEPT_INDEX else cgen.item_position
+        )
 
-        Each candidate is scored on the shard that owns it — through that
-        shard's doc-encoding cache — and per-candidate scores are
-        pool-composition independent, so the merged ranking equals the
-        single-service ``sorted(zip(ids, scores), key=(-score, id))``.
+        def arm() -> tuple:
+            vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
+            if self._pool is not None:
+                arms = self._arm_scatter(
+                    "dense_arm", (cgen.generation_id, name, vector, k)
+                )
+            else:
+                arms = self._scatter(
+                    lambda shard, service: service._dense_arm(
+                        name, vector, k, indexes=cgen.shards[shard].dense_indexes
+                    )
+                )
+            return merge_ranked(arms, positions, k)
 
-        Every shard gets the same ``AliCoCoService._pool_scores``
-        arguments under either executor: the query tokens, the request's
-        one ``query_state`` (encoded once, parent-side), and the ids and
-        texts it owns, read by ``doc_tokens(store, node_id)`` from the
-        pinned global view (the split shares node objects, so the texts
-        are the shard's own).  Under the process executor the whole
-        request goes out as **one batched scatter**: a single round-trip
-        per owner shard carries every candidate that shard owns, and the
-        workers score their batches concurrently.
+        return arm
+
+    def _owner_scores(
+        self,
+        reranker: Module,
+        query_tokens: tuple[str, ...],
+        node_ids: Sequence[str],
+        texts: Sequence[list[str]],
+        query_state: Any,
+    ) -> list[float]:
+        """Pool scores, each candidate scored on the shard that owns it.
+
+        Each owner shard scores through its doc-encoding cache, and
+        per-candidate scores are pool-composition independent, so the
+        scores equal the single service's.  Every shard gets
+        ``AliCoCoService._pool_scores`` arguments: the query tokens, the
+        request's one ``query_state`` (encoded once, parent-side), and
+        the ids it owns with their texts.  Under the process executor
+        the whole request goes out as **one batched scatter**: a single
+        round-trip per owner shard carries every candidate that shard
+        owns, and the workers score their batches concurrently.
         """
-        groups: dict[int, list[str]] = {}
-        for node_id, _ in pool:
-            groups.setdefault(shard_of(node_id, self.n_shards), []).append(node_id)
+        groups: dict[int, list[int]] = {}
+        for position, node_id in enumerate(node_ids):
+            groups.setdefault(shard_of(node_id, self.n_shards), []).append(position)
         calls = {
             shard: (
                 query_tokens,
-                groups[shard],
-                [doc_tokens(cgen.store, node_id) for node_id in groups[shard]],
+                [node_ids[position] for position in positions],
+                [texts[position] for position in positions],
                 query_state,
             )
-            for shard in sorted(groups)
+            for shard, positions in sorted(groups.items())
         }
         self._count_calls(calls)
         if self._pool is not None:
@@ -1566,51 +1435,11 @@ class AliCoCoCluster:
             )
         else:
             results = {
-                shard: self._services[shard]._pool_scores(self._reranker, *args)
+                shard: self._services[shard]._pool_scores(reranker, *args)
                 for shard, args in calls.items()
             }
-        scores: dict[str, float] = {}
+        scores = [0.0] * len(node_ids)
         for shard, shard_scores in results.items():
-            scores.update(zip(groups[shard], shard_scores))
-        return sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-
-    def _items_reranked_scattered(
-        self,
-        shard: int,
-        concept_id: str,
-        top_k: int | None,
-        cgen: ClusterGeneration,
-    ) -> tuple:
-        concept_tokens = tuple(cgen.store.get(concept_id).tokens)
-        query_state = request_query_state(
-            self._reranker, concept_tokens, self._service_config
-        )
-        pool = self._item_pool_scattered(
-            shard, concept_id, self._service_config.rerank_pool_k, cgen, query_state
-        )
-        scored = self._score_scattered(
-            concept_tokens,
-            query_state,
-            pool,
-            lambda store, item_id: store.get(item_id).title.split(),
-            cgen,
-        )
-        if top_k is not None:
-            scored = scored[:top_k]
-        return tuple(scored)
-
-    def _search_reranked_scattered(
-        self, tokens: tuple[str, ...], k: int, cgen: ClusterGeneration
-    ) -> tuple:
-        query_state = request_query_state(self._reranker, tokens, self._service_config)
-        pool = self._concept_pool_scattered(
-            tokens, self._service_config.rerank_pool_k, cgen, query_state
-        )
-        scored = self._score_scattered(
-            tokens,
-            query_state,
-            pool,
-            lambda store, concept_id: list(store.get(concept_id).tokens),
-            cgen,
-        )
-        return tuple(scored[:k])
+            for position, score in zip(groups[shard], shard_scores):
+                scores[position] = score
+        return scores

@@ -148,18 +148,6 @@ def tag_spans(
     return tuple(spans)
 
 
-def rerank_score(
-    model: Module, query_tokens: Sequence[str], doc_tokens: Sequence[str]
-) -> float:
-    """Model match probability for one (query, document) text pair.
-
-    The scalar oracle: the fast path (:func:`rerank_pool`) must produce
-    scores identical to a per-candidate loop over this function.
-    """
-    ensure_inference_mode(model, "reranker")
-    return float(model.score_text(query_tokens, doc_tokens))
-
-
 def rerank_pool(
     model: Module,
     query_tokens: Sequence[str],
@@ -169,7 +157,6 @@ def rerank_pool(
 ):
     """Model match probabilities for one query against a candidate pool.
 
-    The batched counterpart of :func:`rerank_score`:
     :meth:`~repro.matching.base.NeuralMatcher.score_pool` encodes the
     query side once and reuses it across every candidate, running
     fast-path matchers entirely on the tape-free kernels of

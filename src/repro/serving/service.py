@@ -82,10 +82,11 @@ served model is equally frozen (prepared once, never trained —
 encodings outlive any individual query.  The cache warms lazily as pools
 are scored; :meth:`AliCoCoService.warm_doc_cache` (or
 ``ServiceConfig(prewarm_doc_cache=True)``) pre-encodes the snapshot's
-whole catalog up front.  ``ServiceConfig(use_fast_path=False)`` restores
-the scalar per-candidate path, kept as the parity oracle: identical
-rankings, scores within 1e-9 of the fast path (empirically
-bit-identical).
+whole catalog up front.  The parity oracle is the same service over a
+shallow copy of the matcher with ``fast_path = False``: its
+``score_pool`` scores pair by pair and the service keeps no doc cache
+for it; rankings are identical and scores within 1e-9 of the fast path
+(empirically bit-identical).
 
 **Configurable first stage.**  The reranked endpoints' candidate pools
 come from a configurable retriever (``ServiceConfig(retriever=...)``):
@@ -127,6 +128,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -162,7 +164,6 @@ from .models import (
     model_bundle_state,
     prepare_serving_module,
     rerank_pool,
-    rerank_score,
     restore_serving_module,
     tag_spans,
 )
@@ -184,11 +185,26 @@ _DENSE_POPULATIONS: dict[str, tuple[str, Callable[[Any], list[str]]]] = {
     DENSE_ITEM_INDEX: (ITEM_PREFIX, lambda node: node.title.split()),
 }
 
+#: The endpoints of a service and of a cluster, in handler-table order.
+ENDPOINTS = (
+    "items_for_concept",
+    "concepts_for_item",
+    "interpretation",
+    "hypernyms",
+    "search",
+    "tag",
+    "items_for_concept_reranked",
+    "search_reranked",
+)
+
 #: Snapshot bundle name of the served concept tagger.
 TAGGER_MODEL = "concept-tagger"
 
 #: Snapshot bundle name of the served matching reranker.
 RERANKER_MODEL = "reranker"
+
+#: Each snapshot model bundle's kind.
+_MODEL_KINDS = {TAGGER_MODEL: TAGGER_KIND, RERANKER_MODEL: RERANKER_KIND}
 
 #: Sentinel for cache lookups (results may legitimately be falsy).
 _MISS = object()
@@ -321,15 +337,11 @@ class ServiceConfig:
             cache outcome (see
             :class:`~repro.utils.timing.LatencyReservoir`).
         seed: Seed for the reservoirs' replacement RNG.
-        use_fast_path: Score rerank pools through the batched
-            :func:`~repro.serving.models.rerank_pool` (query encoded
-            once, tape-free kernels).  ``False`` restores the scalar
-            per-candidate ``score_text`` loop — the parity oracle, for
-            debugging.
         doc_cache_capacity: Doc-side encoding cache entries (see the
             module docstring's fast-path section); ``0`` disables the
             cache (pools still batch, encodings are just not reused
-            across queries).
+            across queries).  A matcher with ``fast_path = False`` gets
+            no cache: it has no doc-side encodings.
         prewarm_doc_cache: Encode the store's whole catalog into the doc
             cache at construction time instead of lazily on first use.
         retriever: First-stage strategy for the reranked endpoints.
@@ -350,7 +362,6 @@ class ServiceConfig:
     rerank_pool_k: int = 50
     reservoir_capacity: int = 512
     seed: int = 0
-    use_fast_path: bool = True
     doc_cache_capacity: int = 8192
     prewarm_doc_cache: bool = False
     retriever: str = "bm25"
@@ -483,20 +494,18 @@ def require_model(module: Module | None, name: str, endpoint: str) -> Module:
     return module
 
 
-def request_query_state(
-    reranker: Module, tokens: Sequence[str], config: ServiceConfig
-) -> Any:
+def request_query_state(reranker: Module, tokens: Sequence[str]) -> Any:
     """A reranked request's one query-side encoding.
 
     The service and the cluster encode each request's query here once
     and pass the state to the dense arm (which reads its vector from it)
     and to every pool the request scores, on every shard.  ``None`` —
-    each consumer then encodes for itself, as the scalar oracle always
-    does — when the fast path is off, the reranker has none, or there are
+    each consumer then encodes for itself — when the reranker has no
+    fast path (``fast_path = False``, as the scalar oracle) or there are
     no tokens (the consumers then raise or answer empty exactly as they
     would without a shared state).
     """
-    if not (tokens and config.use_fast_path and getattr(reranker, "fast_path", False)):
+    if not (tokens and getattr(reranker, "fast_path", False)):
         return None
     return reranker.encode_query(tokens)
 
@@ -514,6 +523,219 @@ def require_layer(store: Any, node_id: str, expected_layer: str) -> None:
             f"node {node_id!r} is in layer {layer_of(node_id)!r}; "
             f"this endpoint serves layer {expected_layer!r}"
         )
+
+
+# ----------------------------------------- shared by service and cluster
+# The parts of a request that do not depend on where the shards run.
+# The classes supply the rest: local indexes or scatter + merge_ranked
+# for the first-stage arms, and local or owner-shard pool scoring.
+
+
+def endpoint_handlers(
+    owner: Any, reservoir_capacity: int, seed: int
+) -> tuple[dict[str, Callable[..., Any]], dict[str, EndpointMetrics]]:
+    """``owner``'s :data:`ENDPOINTS` as a :func:`run_batch` handler table,
+    and one :class:`EndpointMetrics` each, seeded ``seed + position``."""
+    handlers = {endpoint: getattr(owner, endpoint) for endpoint in ENDPOINTS}
+    metrics = {
+        endpoint: EndpointMetrics(reservoir_capacity, seed=seed + position)
+        for position, endpoint in enumerate(ENDPOINTS)
+    }
+    return handlers, metrics
+
+
+def serve_cached(
+    owner: Any,
+    endpoint: str,
+    key: tuple,
+    compute: Callable[[], Any],
+    gen: Any,
+    run: Callable[[str, tuple, Callable[[], Any]], Any] | None = None,
+) -> Any:
+    """Answer one request through ``owner``'s result cache, metered.
+
+    ``owner`` (a service or a cluster) supplies ``_cache``, ``_metrics``
+    and ``_generational``.  A generational owner prefixes keys with the
+    pinned ``gen``'s id, so a swap retires the old generation's entries
+    by making them unreachable instead of ``clear()``-ing under
+    concurrent readers.  A miss runs ``compute()``, or ``run(endpoint,
+    cache_key, compute)`` when given (the cluster's coalesce ->
+    admission path).
+    """
+    metrics = owner._metrics[endpoint]
+    start = perf_counter()
+    if owner._generational:
+        cache_key = ("gen", gen.generation_id, endpoint, *key)
+    else:
+        cache_key = (endpoint, *key)
+    cache = owner._cache
+    if cache is not None:
+        cached = cache.get(cache_key, _MISS)
+        if cached is not _MISS:
+            metrics.record_hit(perf_counter() - start)
+            return cached
+    value = compute() if run is None else run(endpoint, cache_key, compute)
+    if cache is not None:
+        cache.put(cache_key, value)
+    metrics.record_miss(perf_counter() - start)
+    return value
+
+
+def first_stage(
+    config: ServiceConfig,
+    k: int,
+    cheap: Callable[[], Sequence[tuple[str, float]]],
+    dense: Callable[[], Sequence[tuple[str, float]]] | None,
+) -> Sequence[tuple[str, float]]:
+    """A reranked request's candidate pool, per ``config.retriever``.
+
+    ``cheap`` is the structural arm (BM25 concepts, or the graph's item
+    ranking); ``dense`` the dense-index arm, ``None`` when no shard has
+    an index or the query no tokens.  ``"bm25"`` (or no dense arm)
+    answers with the cheap arm, ``"dense"`` with the dense arm, and
+    ``"hybrid"`` with the top ``k`` of their Reciprocal Rank Fusion,
+    dense arm first.  An arm the answer does not use is not run.
+    """
+    if dense is None or config.retriever == "bm25":
+        return cheap()
+    ranked = dense()
+    if config.retriever == "dense":
+        return ranked
+    return rrf_fuse(
+        [ranked, cheap()], k=config.rrf_k, weights=config.hybrid_weights
+    )[:k]
+
+
+def verify_pool(
+    config: ServiceConfig,
+    reranker: Module,
+    tokens: tuple[str, ...],
+    population: str,
+    cheap: Callable[[int], Sequence[tuple[str, float]]],
+    dense: Callable[[str, tuple[str, ...], int, Any], Callable[[], Sequence] | None],
+    store: Any,
+    score: Callable[..., Sequence[float]],
+    k: int | None,
+) -> tuple:
+    """Retrieve, then verify: one reranked request's answer.
+
+    Encodes the query once (:func:`request_query_state`) and draws up
+    to ``config.rerank_pool_k`` candidates of ``population`` (a
+    :data:`DENSE_CONCEPT_INDEX` or :data:`DENSE_ITEM_INDEX` layer)
+    through :func:`first_stage`, from ``cheap(pool_k)`` and ``dense(
+    population, tokens, pool_k, query_state)``.  Reads their texts from
+    the pinned ``store``, rescores them with ``score(reranker, tokens,
+    ids, texts, query_state)`` and returns the best ``k`` (all when
+    ``None``) as ((node id, probability), ...), ties broken by id.
+    """
+    query_state = request_query_state(reranker, tokens)
+    pool_k = config.rerank_pool_k
+    pool = first_stage(
+        config,
+        pool_k,
+        partial(cheap, pool_k),
+        dense(population, tokens, pool_k, query_state),
+    )
+    node_ids = [node_id for node_id, _ in pool]
+    _, tokens_of = _DENSE_POPULATIONS[population]
+    texts = [tokens_of(store.get(node_id)) for node_id in node_ids]
+    scores = score(reranker, tokens, node_ids, texts, query_state)
+    scored = sorted(zip(node_ids, scores), key=lambda pair: (-pair[1], pair[0]))
+    return tuple(scored if k is None else scored[:k])
+
+
+def prepare_models(
+    config: ServiceConfig, tagger: ConceptTagger | None, reranker: Module | None
+) -> tuple[ConceptTagger | None, Module | None]:
+    """The given models, admitted by :func:`prepare_serving_module`.
+
+    Raises:
+        NotFittedError: If a model has not been trained.
+        ConfigError: If ``config`` asks for a dense first stage without a
+            vector-capable reranker.
+    """
+    if tagger is not None:
+        tagger = prepare_serving_module(tagger, TAGGER_MODEL)
+    if reranker is not None:
+        reranker = prepare_serving_module(reranker, RERANKER_MODEL)
+    if config.retriever != "bm25":
+        require_dense_capable(reranker, f"retriever {config.retriever!r}")
+    return tagger, reranker
+
+
+def served_models(
+    tagger: ConceptTagger | None, reranker: Module | None
+) -> dict[str, Module]:
+    """The given models by snapshot bundle name, absent ones left out."""
+    models = {TAGGER_MODEL: tagger, RERANKER_MODEL: reranker}
+    return {name: module for name, module in models.items() if module is not None}
+
+
+def model_bundles(
+    tagger: ConceptTagger | None, reranker: Module | None
+) -> dict[str, Any]:
+    """Snapshot model bundles of the given models, by bundle name."""
+    return {
+        name: model_bundle_state(module, _MODEL_KINDS[name])
+        for name, module in served_models(tagger, reranker).items()
+    }
+
+
+def dense_states_of(index_states: Mapping[str, Any]) -> dict[str, Any]:
+    """The dense index states among a snapshot's ``index_states``."""
+    return {
+        name: index_states[name] for name in _DENSE_POPULATIONS if name in index_states
+    }
+
+
+def open_snapshot(
+    snapshot: Any,
+    expected_fingerprint: str | None,
+    tagger: ConceptTagger | None,
+    reranker: Module | None,
+) -> tuple[AliCoCoStore | GenerationalStore, BM25Index | None]:
+    """The store and concept index a loaded snapshot serves; restores
+    each given model's bundled weights into it.
+
+    A generational snapshot (delta segments, or a folded generation in
+    the header) replays into a generational store with its saved
+    generation numbering, so generation-keyed caches stay coherent;
+    others serve frozen.  The concept index rehydrates from its state,
+    or is fitted when the snapshot has none.
+
+    Raises:
+        DataError: If the snapshot's fingerprint is not
+            ``expected_fingerprint`` (when given), or a requested model
+            bundle is absent or fails kind/architecture validation.
+    """
+    header = snapshot.header
+    if (
+        expected_fingerprint is not None
+        and header.config_fingerprint != expected_fingerprint
+    ):
+        raise DataError(
+            f"snapshot fingerprint {header.config_fingerprint!r} does "
+            f"not match expected {expected_fingerprint!r}"
+        )
+    store: AliCoCoStore | GenerationalStore = (
+        generational_store_from_snapshot(snapshot)
+        if snapshot.deltas or header.base_generation > 0
+        else snapshot.store
+    )
+    state = snapshot.index_states.get(CONCEPT_INDEX)
+    search_index = (
+        BM25Index.from_state(state) if state is not None else fit_concept_index(store)
+    )
+    for name, module in served_models(tagger, reranker).items():
+        bundle = snapshot.model_states.get(name)
+        if bundle is None:
+            bundled = ", ".join(sorted(snapshot.model_states)) or "none"
+            raise DataError(
+                f"snapshot carries no {name!r} model bundle "
+                f"(bundled models: {bundled})"
+            )
+        restore_serving_module(module, bundle, _MODEL_KINDS[name], name)
+    return store, search_index
 
 
 def save_shard_snapshot(
@@ -581,11 +803,6 @@ def shard_service_from_snapshot(
         store = GenerationalStore(store)
     state = snapshot.index_states.get(CONCEPT_INDEX)
     search_index = BM25Index.from_state(state) if state is not None else None
-    dense_index_states = {
-        name: snapshot.index_states[name]
-        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
-        if name in snapshot.index_states
-    }
     return AliCoCoService(
         store,
         config=config,
@@ -593,7 +810,7 @@ def shard_service_from_snapshot(
         fit_search_index=False,
         tagger=tagger,
         reranker=reranker,
-        dense_index_states=dense_index_states or None,
+        dense_index_states=dense_states_of(snapshot.index_states) or None,
         config_fingerprint=snapshot.header.config_fingerprint,
     )
 
@@ -780,14 +997,7 @@ class AliCoCoService:
         view = store.current() if self._generational else self._store
         if search_index is None and fit_search_index:
             search_index = fit_concept_index(view)
-        self._tagger = (
-            prepare_serving_module(tagger, TAGGER_MODEL) if tagger is not None else None
-        )
-        self._reranker = (
-            prepare_serving_module(reranker, RERANKER_MODEL)
-            if reranker is not None
-            else None
-        )
+        self._tagger, self._reranker = prepare_models(self.config, tagger, reranker)
         self._cache = (
             LRUCache(self.config.cache_capacity) if self.config.cache_capacity else None
         )
@@ -800,9 +1010,7 @@ class AliCoCoService:
         self._doc_cache = (
             LRUCache(self.config.doc_cache_capacity)
             if (
-                self._reranker is not None
-                and self.config.use_fast_path
-                and self.config.doc_cache_capacity > 0
+                self.config.doc_cache_capacity > 0
                 and getattr(self._reranker, "fast_path", False)
             )
             else None
@@ -814,9 +1022,6 @@ class AliCoCoService:
         # it — every title/concept encoded here is a future cache hit.
         served_dense: dict[str, BruteForceDense | None] = {}
         if self.config.retriever != "bm25":
-            require_dense_capable(
-                self._reranker, f"retriever {self.config.retriever!r}"
-            )
             served_dense = self._build_dense_indexes(
                 dense_index_states or {}, view, dense_indexes or {}
             )
@@ -837,22 +1042,9 @@ class AliCoCoService:
         )
         if self._doc_cache is not None and self.config.prewarm_doc_cache:
             self.warm_doc_cache()
-        self._handlers: dict[str, Callable[..., Any]] = {
-            "items_for_concept": self.items_for_concept,
-            "concepts_for_item": self.concepts_for_item,
-            "interpretation": self.interpretation,
-            "hypernyms": self.hypernyms,
-            "search": self.search,
-            "tag": self.tag,
-            "items_for_concept_reranked": self.items_for_concept_reranked,
-            "search_reranked": self.search_reranked,
-        }
-        self._metrics = {}
-        for position, endpoint in enumerate(self._handlers):
-            self._metrics[endpoint] = EndpointMetrics(
-                self.config.reservoir_capacity,
-                seed=self.config.seed + position,
-            )
+        self._handlers, self._metrics = endpoint_handlers(
+            self, self.config.reservoir_capacity, self.config.seed
+        )
 
     # ------------------------------------------------------------ warm start
     @classmethod
@@ -917,58 +1109,17 @@ class AliCoCoService:
                 is absent, or a bundle fails kind/architecture validation.
         """
         snapshot = load_snapshot(path)
-        header = snapshot.header
-        if (
-            expected_fingerprint is not None
-            and header.config_fingerprint != expected_fingerprint
-        ):
-            raise DataError(
-                f"snapshot fingerprint {header.config_fingerprint!r} does "
-                f"not match expected {expected_fingerprint!r}"
-            )
-        # A generational snapshot warm-starts a generational service:
-        # segments replay with their saved generation numbering, so the
-        # restored service resumes at the exact generation it was saved
-        # at and its generation-keyed caches stay coherent.  A compacted
-        # store may have zero delta sections but a folded generation in
-        # the header — still generational.  Delta-less generation-0
-        # snapshots serve frozen, as before.
-        store: AliCoCoStore | GenerationalStore = (
-            generational_store_from_snapshot(snapshot)
-            if snapshot.deltas or header.base_generation > 0
-            else snapshot.store
+        store, search_index = open_snapshot(
+            snapshot, expected_fingerprint, tagger, reranker
         )
-        state = snapshot.index_states.get(CONCEPT_INDEX)
-        search_index = (
-            BM25Index.from_state(state)
-            if state is not None
-            else fit_concept_index(store)
-        )
-        dense_index_states = {
-            name: snapshot.index_states[name]
-            for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
-            if name in snapshot.index_states
-        }
-        for name, module in ((TAGGER_MODEL, tagger), (RERANKER_MODEL, reranker)):
-            if module is None:
-                continue
-            bundle = snapshot.model_states.get(name)
-            if bundle is None:
-                bundled = ", ".join(sorted(snapshot.model_states)) or "none"
-                raise DataError(
-                    f"snapshot carries no {name!r} model bundle "
-                    f"(bundled models: {bundled})"
-                )
-            kind = TAGGER_KIND if name == TAGGER_MODEL else RERANKER_KIND
-            restore_serving_module(module, bundle, kind, name)
         return cls(
             store,
             config=config,
             search_index=search_index,
             tagger=tagger,
             reranker=reranker,
-            dense_index_states=dense_index_states or None,
-            config_fingerprint=header.config_fingerprint,
+            dense_index_states=dense_states_of(snapshot.index_states) or None,
+            config_fingerprint=snapshot.header.config_fingerprint,
         )
 
     def save_snapshot(self, path: str | Path) -> int:
@@ -989,20 +1140,13 @@ class AliCoCoService:
         for name, dense_index in self._dense_indexes.items():
             if dense_index is not None:
                 index_states[name] = dense_index.to_state()
-        model_states = {}
-        if self._tagger is not None:
-            model_states[TAGGER_MODEL] = model_bundle_state(self._tagger, TAGGER_KIND)
-        if self._reranker is not None:
-            model_states[RERANKER_MODEL] = model_bundle_state(
-                self._reranker, RERANKER_KIND
-            )
         saver = save_generations if self._generational else save_snapshot
         return saver(
             self._store,
             path,
             config_fingerprint=self._fingerprint,
             index_states=index_states,
-            model_states=model_states,
+            model_states=model_bundles(self._tagger, self._reranker),
         )
 
     # ----------------------------------------------------------- generations
@@ -1138,8 +1282,9 @@ class AliCoCoService:
                     f"items_for_concept top_k must be positive, got {top_k}"
                 )
             gen = self._gen
-            self._require(concept_id, ECOMMERCE_PREFIX, store=gen.store)
-            return self._serve(
+            require_layer(gen.store, concept_id, ECOMMERCE_PREFIX)
+            return serve_cached(
+                self,
                 "items_for_concept",
                 (concept_id, top_k),
                 lambda: self._items_uncached(concept_id, top_k, store=gen.store),
@@ -1150,8 +1295,9 @@ class AliCoCoService:
         """E-commerce concept ids an item participates in."""
         with metered_errors(self._metrics, "concepts_for_item"):
             gen = self._gen
-            self._require(item_id, ITEM_PREFIX, store=gen.store)
-            return self._serve(
+            require_layer(gen.store, item_id, ITEM_PREFIX)
+            return serve_cached(
+                self,
                 "concepts_for_item",
                 (item_id,),
                 lambda: self._targets_of(
@@ -1164,8 +1310,9 @@ class AliCoCoService:
         """Primitive-concept ids interpreting an e-commerce concept."""
         with metered_errors(self._metrics, "interpretation"):
             gen = self._gen
-            self._require(concept_id, ECOMMERCE_PREFIX, store=gen.store)
-            return self._serve(
+            require_layer(gen.store, concept_id, ECOMMERCE_PREFIX)
+            return serve_cached(
+                self,
                 "interpretation",
                 (concept_id,),
                 lambda: self._targets_of(
@@ -1178,8 +1325,9 @@ class AliCoCoService:
         """Hypernym primitive-concept ids (breadth-first when transitive)."""
         with metered_errors(self._metrics, "hypernyms"):
             gen = self._gen
-            self._require(primitive_id, PRIMITIVE_PREFIX, store=gen.store)
-            return self._serve(
+            require_layer(gen.store, primitive_id, PRIMITIVE_PREFIX)
+            return serve_cached(
+                self,
                 "hypernyms",
                 (primitive_id, transitive),
                 lambda: self._hypernyms_uncached(
@@ -1202,7 +1350,8 @@ class AliCoCoService:
             k = k if k is not None else self.config.search_top_k
             tokens = tuple(text.split())
             gen = self._gen
-            return self._serve(
+            return serve_cached(
+                self,
                 "search",
                 (tokens, k),
                 lambda: self._search_uncached(tokens, k, index=gen.search_index),
@@ -1222,10 +1371,11 @@ class AliCoCoService:
             DataError: On empty text (the tagger cannot tag zero tokens).
         """
         with metered_errors(self._metrics, "tag"):
-            tagger = self._require_model(self._tagger, TAGGER_MODEL, "tag")
+            tagger = require_model(self._tagger, TAGGER_MODEL, "tag")
             tokens = tuple(text.split())
             gen = self._gen
-            return self._serve(
+            return serve_cached(
+                self,
                 "tag",
                 (tokens,),
                 lambda: tag_spans(tagger, tokens, gen.primitive_index),
@@ -1252,7 +1402,7 @@ class AliCoCoService:
                 ``top_k`` is given but not positive.
         """
         with metered_errors(self._metrics, "items_for_concept_reranked"):
-            reranker = self._require_model(
+            reranker = require_model(
                 self._reranker, RERANKER_MODEL, "items_for_concept_reranked"
             )
             if top_k is not None and top_k <= 0:
@@ -1260,12 +1410,21 @@ class AliCoCoService:
                     f"items_for_concept_reranked top_k must be positive, got {top_k}"
                 )
             gen = self._gen
-            self._require(concept_id, ECOMMERCE_PREFIX, store=gen.store)
-            return self._serve(
+            require_layer(gen.store, concept_id, ECOMMERCE_PREFIX)
+            return serve_cached(
+                self,
                 "items_for_concept_reranked",
                 (concept_id, top_k),
-                lambda: self._items_reranked_uncached(
-                    reranker, concept_id, top_k, gen
+                lambda: verify_pool(
+                    self.config,
+                    reranker,
+                    tuple(gen.store.get(concept_id).tokens),
+                    DENSE_ITEM_INDEX,
+                    partial(self._items_uncached, concept_id, store=gen.store),
+                    partial(self._dense_stage, gen),
+                    gen.store,
+                    self._pool_scores,
+                    top_k,
                 ),
                 gen,
             )
@@ -1285,18 +1444,27 @@ class AliCoCoService:
                 ``k`` is given but not positive.
         """
         with metered_errors(self._metrics, "search_reranked"):
-            reranker = self._require_model(
-                self._reranker, RERANKER_MODEL, "search_reranked"
-            )
+            reranker = require_model(self._reranker, RERANKER_MODEL, "search_reranked")
             if k is not None and k <= 0:
                 raise ConfigError(f"search_reranked k must be positive, got {k}")
             k = k if k is not None else self.config.search_top_k
             tokens = tuple(text.split())
             gen = self._gen
-            return self._serve(
+            return serve_cached(
+                self,
                 "search_reranked",
                 (tokens, k),
-                lambda: self._search_reranked_uncached(reranker, tokens, k, gen),
+                lambda: verify_pool(
+                    self.config,
+                    reranker,
+                    tokens,
+                    DENSE_CONCEPT_INDEX,
+                    partial(self._search_uncached, tokens, index=gen.search_index),
+                    partial(self._dense_stage, gen),
+                    gen.store,
+                    self._pool_scores,
+                    k,
+                ),
                 gen,
             )
 
@@ -1363,11 +1531,6 @@ class AliCoCoService:
         return self._gen.dense_indexes
 
     @property
-    def _primitive_index(self) -> dict[tuple[str, str], str]:
-        """The current generation's primitive surface index."""
-        return self._gen.primitive_index
-
-    @property
     def endpoints(self) -> tuple[str, ...]:
         """Names accepted by :meth:`batch`."""
         return tuple(self._handlers)
@@ -1375,12 +1538,7 @@ class AliCoCoService:
     @property
     def models(self) -> tuple[str, ...]:
         """Bundle names of the models this service is serving."""
-        names = []
-        if self._tagger is not None:
-            names.append(TAGGER_MODEL)
-        if self._reranker is not None:
-            names.append(RERANKER_MODEL)
-        return tuple(names)
+        return tuple(served_models(self._tagger, self._reranker))
 
     def stats(self) -> ServiceStats:
         """Current serving statistics (store size, cache, latencies).
@@ -1515,107 +1673,27 @@ class AliCoCoService:
             return ()
         return tuple(index.retrieve(vector, k))
 
-    def _concept_pool(
+    def _dense_stage(
         self,
+        gen: ServingGeneration,
+        name: str,
         tokens: tuple[str, ...],
         k: int,
-        gen: ServingGeneration,
         query_state: Any,
-    ) -> tuple:
-        """Concept candidates for ``search_reranked``, per the configured
-        first stage: BM25, the dense concept index, or their RRF fusion.
-        The dense arm reads its vector from the request's ``query_state``
-        (encoding the query itself only when that is ``None``)."""
-        mode = self.config.retriever
-        index = gen.dense_indexes.get(DENSE_CONCEPT_INDEX)
-        if mode == "bm25" or index is None or not tokens:
-            return self._search_uncached(tokens, k, index=gen.search_index)
-        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
-        dense = list(
-            self._dense_arm(
-                DENSE_CONCEPT_INDEX, vector, k, indexes=gen.dense_indexes
-            )
+    ) -> Callable[[], tuple] | None:
+        """The dense arm of :func:`verify_pool` over ``gen``'s index
+        ``name``, or ``None`` when the population has no index or the
+        query no tokens.  The arm reads its vector from the request's
+        ``query_state`` (encoding the query itself only when that is
+        ``None``)."""
+        if not tokens or gen.dense_indexes.get(name) is None:
+            return None
+        return lambda: self._dense_arm(
+            name,
+            dense_query_vector(self._reranker, tokens, encoding=query_state),
+            k,
+            indexes=gen.dense_indexes,
         )
-        if mode == "dense":
-            return tuple(dense)
-        lexical = list(self._search_uncached(tokens, k, index=gen.search_index))
-        return tuple(
-            rrf_fuse(
-                [dense, lexical],
-                k=self.config.rrf_k,
-                weights=self.config.hybrid_weights,
-            )[:k]
-        )
-
-    def _item_pool(
-        self, concept_id: str, k: int, gen: ServingGeneration, query_state: Any
-    ) -> tuple:
-        """Item candidates for ``items_for_concept_reranked``.
-
-        The cheap structural arm here is the graph's association ranking
-        (items have no BM25 index), so ``"bm25"`` mode keeps the
-        historical graph-only pool, ``"dense"`` retrieves by concept
-        embedding over the item-title index — which can surface catalog
-        items the graph never linked — and ``"hybrid"`` RRF-fuses the
-        two rankings.  The dense arm reads its vector from the request's
-        ``query_state``, the concept text's encoding.
-        """
-        mode = self.config.retriever
-        index = gen.dense_indexes.get(DENSE_ITEM_INDEX)
-        graph = self._items_uncached(concept_id, k, store=gen.store)
-        if mode == "bm25" or index is None:
-            return graph
-        tokens = tuple(gen.store.get(concept_id).tokens)
-        if not tokens:
-            return graph
-        vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
-        dense = list(
-            self._dense_arm(DENSE_ITEM_INDEX, vector, k, indexes=gen.dense_indexes)
-        )
-        if mode == "dense":
-            return tuple(dense)
-        return tuple(
-            rrf_fuse(
-                [dense, list(graph)],
-                k=self.config.rrf_k,
-                weights=self.config.hybrid_weights,
-            )[:k]
-        )
-
-    def _items_reranked_uncached(
-        self,
-        reranker: Module,
-        concept_id: str,
-        top_k: int | None,
-        gen: ServingGeneration,
-    ) -> tuple:
-        concept_tokens = tuple(gen.store.get(concept_id).tokens)
-        query_state = request_query_state(reranker, concept_tokens, self.config)
-        pool = self._item_pool(concept_id, self.config.rerank_pool_k, gen, query_state)
-        item_ids = [item_id for item_id, _ in pool]
-        titles = [gen.store.get(item_id).title.split() for item_id in item_ids]
-        scores = self._pool_scores(
-            reranker, concept_tokens, item_ids, titles, query_state
-        )
-        scored = sorted(zip(item_ids, scores), key=lambda pair: (-pair[1], pair[0]))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return tuple(scored)
-
-    def _search_reranked_uncached(
-        self,
-        reranker: Module,
-        tokens: tuple[str, ...],
-        k: int,
-        gen: ServingGeneration,
-    ) -> tuple:
-        query_state = request_query_state(reranker, tokens, self.config)
-        pool = self._concept_pool(tokens, self.config.rerank_pool_k, gen, query_state)
-        concept_ids = [concept_id for concept_id, _ in pool]
-        texts = [list(gen.store.get(concept_id).tokens) for concept_id in concept_ids]
-        scores = self._pool_scores(reranker, tokens, concept_ids, texts, query_state)
-        scored = sorted(zip(concept_ids, scores), key=lambda pair: (-pair[1], pair[0]))
-        return tuple(scored[:k])
 
     def _pool_scores(
         self,
@@ -1627,22 +1705,15 @@ class AliCoCoService:
     ) -> list[float]:
         """Model probabilities for one query against a candidate pool.
 
-        The fast path batches through
-        :func:`~repro.serving.models.rerank_pool` with the request's
-        ``query_state``, feeding cached doc-side encodings (looked up
-        under one cache lock) when the doc cache is enabled; the scalar
-        oracle (``use_fast_path=False``, or a reranker without
-        ``score_pool``) loops :func:`~repro.serving.models.rerank_score`
-        per candidate.  Both produce the same scores — that equivalence
-        is what the parity suite pins down.
+        Batches through :func:`~repro.serving.models.rerank_pool` with
+        the request's ``query_state``, feeding cached doc-side encodings
+        (looked up under one cache lock) when the doc cache is enabled.
+        A matcher with ``fast_path = False`` scores pair by pair inside
+        ``score_pool``: the scalar oracle, whose scores the parity suite
+        holds the fast path to.
         """
         if not doc_token_lists:
             return []
-        if not self.config.use_fast_path or not hasattr(reranker, "score_pool"):
-            return [
-                rerank_score(reranker, query_tokens, tokens)
-                for tokens in doc_token_lists
-            ]
         encodings = None
         if self._doc_cache is not None:
             encodings = self._doc_encodings(reranker, node_ids, doc_token_lists)
@@ -1720,57 +1791,14 @@ class AliCoCoService:
         epoch = self._doc_epoch
         store = self._gen.store
         warmed = 0
-        populations = (
-            ((node.id, node.title.split()) for node in store.nodes(ITEM_PREFIX)),
-            (
-                (node.id, list(node.tokens))
-                for node in store.nodes(ECOMMERCE_PREFIX)
-            ),
-        )
-        for population in populations:
-            for node_id, tokens in population:
+        for name in (DENSE_ITEM_INDEX, DENSE_CONCEPT_INDEX):
+            layer, tokens_of = _DENSE_POPULATIONS[name]
+            for node in store.nodes(layer):
+                tokens = tokens_of(node)
                 # ``in`` skips already-cached ids without counting a
                 # lookup, keeping hit/miss stats meaningful for traffic.
-                if not tokens or (epoch, node_id) in self._doc_cache:
+                if not tokens or (epoch, node.id) in self._doc_cache:
                     continue
-                self._doc_cache.put((epoch, node_id), reranker.encode_doc(tokens))
+                self._doc_cache.put((epoch, node.id), reranker.encode_doc(tokens))
                 warmed += 1
         return warmed
-
-    def _require_model(
-        self, module: Module | None, name: str, endpoint: str
-    ) -> Module:
-        return require_model(module, name, endpoint)
-
-    def _require(self, node_id: str, expected_layer: str, *, store: Any) -> None:
-        require_layer(store, node_id, expected_layer)
-
-    def _serve(
-        self,
-        endpoint: str,
-        key: tuple,
-        compute: Callable[[], Any],
-        gen: ServingGeneration | None = None,
-    ) -> Any:
-        metrics = self._metrics[endpoint]
-        start = perf_counter()
-        # Generational services prefix cache keys with the pinned
-        # generation id: a swap retires the old generation's entries by
-        # making them unreachable (the LRU evicts them naturally) instead
-        # of clear()ing under concurrent readers.  Frozen services keep
-        # the historical unprefixed keys.
-        if self._generational:
-            gen = gen if gen is not None else self._gen
-            cache_key = ("gen", gen.generation_id, endpoint, *key)
-        else:
-            cache_key = (endpoint, *key)
-        if self._cache is not None:
-            cached = self._cache.get(cache_key, _MISS)
-            if cached is not _MISS:
-                metrics.record_hit(perf_counter() - start)
-                return cached
-        value = compute()
-        if self._cache is not None:
-            self._cache.put(cache_key, value)
-        metrics.record_miss(perf_counter() - start)
-        return value

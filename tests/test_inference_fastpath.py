@@ -8,9 +8,11 @@ Three layers of guarantees, each pinned here:
   ``score_text`` loop (the scalar oracle), fast path or fallback;
 - the service's doc-encoding cache is sound under contention
   (``hits + misses == lookups``, identical answers across 8 threads) and
-  the fast-path endpoints match the ``use_fast_path=False`` oracle.
+  the fast-path endpoints match the scalar oracle: the same service over
+  a copy of the matcher with ``fast_path = False``.
 """
 
+import copy
 import threading
 import warnings
 
@@ -341,6 +343,14 @@ def reranker(built):
     return model
 
 
+def _scalar_oracle(matcher):
+    """A shallow copy of ``matcher`` with its fast path off: ``score_pool``
+    scores pair by pair, and a service keeps no doc cache for it."""
+    oracle = copy.copy(matcher)
+    oracle.fast_path = False
+    return oracle
+
+
 def _concept_ids(built, count=8):
     return [node.id for node in built.store.nodes(ECOMMERCE_PREFIX)][:count]
 
@@ -352,9 +362,7 @@ def _queries(built, count=6):
 class TestServiceFastPath:
     def test_endpoints_match_scalar_oracle(self, built, reranker):
         fast = AliCoCoService.from_build(built, reranker=reranker)
-        oracle = AliCoCoService.from_build(
-            built, reranker=reranker, config=ServiceConfig(use_fast_path=False)
-        )
+        oracle = AliCoCoService.from_build(built, reranker=_scalar_oracle(reranker))
         for concept_id in _concept_ids(built):
             a = fast.items_for_concept_reranked(concept_id)
             b = oracle.items_for_concept_reranked(concept_id)
@@ -391,9 +399,7 @@ class TestServiceFastPath:
         assert service.stats().doc_cache_entries > 0
 
     def test_oracle_service_has_no_doc_cache(self, built, reranker):
-        oracle = AliCoCoService.from_build(
-            built, reranker=reranker, config=ServiceConfig(use_fast_path=False)
-        )
+        oracle = AliCoCoService.from_build(built, reranker=_scalar_oracle(reranker))
         for concept_id in _concept_ids(built, 3):
             oracle.items_for_concept_reranked(concept_id)
         stats = oracle.stats()

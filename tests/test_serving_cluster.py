@@ -332,7 +332,7 @@ class TestClusterParity:
 
 
 class TestRerankedParity:
-    @pytest.fixture(scope="class", params=["bm25", "hybrid"])
+    @pytest.fixture(scope="class", params=["bm25", "dense", "hybrid"])
     def mode(self, request):
         return request.param
 
@@ -341,18 +341,28 @@ class TestRerankedParity:
     ):
         config = ServiceConfig(retriever=mode)
         service = AliCoCoService(store, config=config, reranker=trained_reranker)
-        cluster = _cluster(
-            store, 2, service_config=config, reranker=trained_reranker
-        )
-        concept_ids = [node.id for node in store.nodes(ECOMMERCE_PREFIX)][:6]
-        for concept_id in concept_ids:
-            assert cluster.items_for_concept_reranked(concept_id, 5) == (
-                service.items_for_concept_reranked(concept_id, 5)
+        concept_ids = [node.id for node in store.nodes(ECOMMERCE_PREFIX)]
+        vocabulary = {token for spec in built.concepts for token in spec.tokens}
+        unmatched = "zzqx wvvk"
+        assert not vocabulary & set(unmatched.split())
+        queries = [spec.text for spec in built.concepts] + ["", unmatched]
+        for n_shards in SHARD_COUNTS:
+            cluster = _cluster(
+                store, n_shards, service_config=config, reranker=trained_reranker
             )
-        for spec in built.concepts[:6]:
-            assert cluster.search_reranked(spec.text, 5) == (
-                service.search_reranked(spec.text, 5)
-            )
+            for concept_id in concept_ids:
+                for top_k in (None, 5):
+                    assert cluster.items_for_concept_reranked(concept_id, top_k) == (
+                        service.items_for_concept_reranked(concept_id, top_k)
+                    )
+            for query in queries:
+                for k in (None, 5):
+                    assert cluster.search_reranked(query, k) == (
+                        service.search_reranked(query, k)
+                    )
+        assert service.search_reranked("") == ()
+        # No shared token: BM25 proposes nothing, the dense arm still does.
+        assert bool(service.search_reranked(unmatched)) == (mode != "bm25")
 
     @pytest.mark.parametrize("n_shards", [None, 2])
     def test_one_query_encode_per_request(
