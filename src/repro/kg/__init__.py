@@ -13,14 +13,22 @@ copy-on-write delta segments layered over the base, published atomically
 as numbered generations (see :mod:`repro.kg.generations`).
 """
 
-from .generations import DeltaSegment, GenerationalStore, GenerationView, flatten
+from .generations import GenerationalStore, GenerationView, flatten
 from .nodes import ClassNode, ECommerceConcept, Item, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .store import AliCoCoStore
 from .stats import StoreStats
 
 __all__ = [
-    "ClassNode", "PrimitiveConcept", "ECommerceConcept", "Item",
-    "Relation", "RelationKind", "AliCoCoStore", "StoreStats",
-    "GenerationalStore", "GenerationView", "DeltaSegment", "flatten",
+    "ClassNode",
+    "PrimitiveConcept",
+    "ECommerceConcept",
+    "Item",
+    "Relation",
+    "RelationKind",
+    "AliCoCoStore",
+    "StoreStats",
+    "GenerationalStore",
+    "GenerationView",
+    "flatten",
 ]

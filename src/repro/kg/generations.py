@@ -8,10 +8,11 @@ reconciles the two with a classic copy-on-write generation scheme:
 
 - a frozen **base** :class:`~repro.kg.store.AliCoCoStore` holds the
   build output and is never touched again;
-- writes go to an **open** :class:`DeltaSegment` — a small add-only
-  mini-store with the same indexes as the base;
-- :meth:`GenerationalStore.seal` closes the open segment (it becomes
-  immutable) and :meth:`GenerationalStore.swap` atomically publishes all
+- writes go to an **open** delta segment — an unfrozen
+  :class:`~repro.kg.store.AliCoCoStore` whose own indexes the views read
+  after the base's;
+- :meth:`GenerationalStore.seal` closes the open segment (it is frozen)
+  and :meth:`GenerationalStore.swap` atomically publishes all
   sealed segments as the next **generation** — a new immutable
   :class:`GenerationView` whose reads see base + segments through the
   existing store/query API.
@@ -38,99 +39,22 @@ bit-identical to one over the frozen store itself.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from typing import Iterable, Iterator
 
-from ..errors import (
-    ConfigError,
-    DuplicateNodeError,
-    FrozenStoreError,
-    NodeNotFoundError,
-    RelationError,
-)
-from .ids import (
-    CLASS_PREFIX,
-    ECOMMERCE_PREFIX,
-    ITEM_PREFIX,
-    PRIMITIVE_PREFIX,
-    layer_of,
-)
+from ..errors import ConfigError
+from .ids import CLASS_PREFIX, ECOMMERCE_PREFIX, ITEM_PREFIX, PRIMITIVE_PREFIX
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .stats import StoreStats
-from .store import _ITEM_KINDS, _LAYER_TYPES, AliCoCoStore, _edge_to, _skip
-
-
-class DeltaSegment:
-    """One add-only batch of nodes and relations over some prior state.
-
-    A segment maintains the same incremental indexes as
-    :class:`~repro.kg.store.AliCoCoStore` (name index, adjacency lists,
-    per-kind lists, counters), so :class:`GenerationView` reads can
-    concatenate per-segment results without scanning.  Validation lives
-    in :class:`GenerationalStore`, which checks writes against the whole
-    pending state (base + sealed + open) before routing them here.
-
-    Once sealed, any further mutation raises :class:`FrozenStoreError` —
-    sealed segments are shared by published views and must never change.
-    """
-
-    def __init__(self) -> None:
-        self.nodes: dict[str, Node] = {}
-        self.relations: list[Relation] = []
-        self.by_name: dict[str, dict[str, list[str]]] = {
-            prefix: defaultdict(list) for prefix in _LAYER_TYPES
-        }
-        self.out: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
-        self.inc: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
-        self.layer_counts: dict[str, int] = {p: 0 for p in _LAYER_TYPES}
-        self.kind_counts: dict[RelationKind, int] = defaultdict(int)
-        self.by_kind: dict[RelationKind, list[Relation]] = defaultdict(list)
-        self.domain_class_ids: dict[str, list[str]] = defaultdict(list)
-        self.domain_primitive_ids: dict[str, list[str]] = defaultdict(list)
-        self.linked_item_ids: set[str] = set()
-        self.sealed = False
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def empty(self) -> bool:
-        return not self.nodes and not self.relations
-
-    def seal(self) -> "DeltaSegment":
-        self.sealed = True
-        return self
-
-    def _add_node(self, node: Node) -> None:
-        if self.sealed:
-            raise FrozenStoreError(
-                f"cannot add node {node.id!r}: delta segment is sealed"
-            )
-        layer = layer_of(node.id)
-        self.nodes[node.id] = node
-        self.by_name[layer][AliCoCoStore._name_of(node)].append(node.id)
-        self.layer_counts[layer] += 1
-        if isinstance(node, ClassNode):
-            self.domain_class_ids[node.domain].append(node.id)
-        elif isinstance(node, PrimitiveConcept):
-            self.domain_primitive_ids[node.domain].append(node.id)
-
-    def _add_relations(self, relations: list[Relation]) -> None:
-        """Append validated, duplicate-free relations to every index."""
-        if self.sealed:
-            raise FrozenStoreError("cannot add relations: delta segment is sealed")
-        out, inc = self.out, self.inc
-        kind_counts, by_kind = self.kind_counts, self.by_kind
-        self.relations.extend(relations)
-        for relation in relations:
-            kind, source, target = relation.kind, relation.source, relation.target
-            out[(source, kind)].append(relation)
-            inc[(target, kind)].append(relation)
-            kind_counts[kind] += 1
-            by_kind[kind].append(relation)
-            if kind in _ITEM_KINDS:
-                self.linked_item_ids.add(source)
+from .store import (
+    AliCoCoStore,
+    _check_edges,
+    _check_endpoint,
+    _check_node,
+    _missing,
+    _skip,
+    _stats,
+)
 
 
 class GenerationView:
@@ -141,10 +65,11 @@ class GenerationView:
     helpers), so :mod:`repro.kg.query` functions and the serving tier
     work on it unchanged.  Every method answers base-first, then each
     segment in publish order — the insertion order a monolithic store
-    would have.
+    would have.  A segment is itself a (frozen) :class:`AliCoCoStore`,
+    read through its own indexes.
 
-    A view is deeply immutable (the base is frozen, the segments are
-    sealed), so reads are lock-free and results can be cached keyed by
+    A view is deeply immutable (the base and the segments are frozen),
+    so reads are lock-free and results can be cached keyed by
     :attr:`generation_id`.  With zero segments every method delegates
     straight to the base store: generation 0 is bit-identical to the
     frozen path.
@@ -153,6 +78,7 @@ class GenerationView:
     __slots__ = (
         "_base",
         "_segments",
+        "_stores",
         "generation_id",
         "segment_generations",
         "base_generation",
@@ -161,13 +87,15 @@ class GenerationView:
     def __init__(
         self,
         base: AliCoCoStore,
-        segments: tuple[DeltaSegment, ...] = (),
+        segments: tuple[AliCoCoStore, ...] = (),
         generation_id: int = 0,
         segment_generations: tuple[int, ...] = (),
         base_generation: int = 0,
     ) -> None:
         self._base = base
         self._segments = segments
+        # The base, then every segment: the order every read answers in.
+        self._stores = (base, *segments)
         #: Monotonic publish counter; 0 is the bare base store.
         self.generation_id = generation_id
         #: Generation id each segment was published under (one swap may
@@ -198,48 +126,34 @@ class GenerationView:
         Raises:
             NodeNotFoundError: If absent from every layer.
         """
-        node = self._base._nodes.get(node_id)
-        if node is not None:
-            return node
-        for segment in self._segments:
-            node = segment.nodes.get(node_id)
+        for store in self._stores:
+            node = store._nodes.get(node_id)
             if node is not None:
                 return node
-        raise NodeNotFoundError(f"node {node_id!r} does not exist")
+        raise _missing(node_id)
 
     def __contains__(self, node_id: str) -> bool:
-        if node_id in self._base._nodes:
-            return True
-        return any(node_id in segment.nodes for segment in self._segments)
+        for store in self._stores:
+            if node_id in store._nodes:
+                return True
+        return False
 
     def __len__(self) -> int:
-        return len(self._base) + sum(len(s) for s in self._segments)
+        return sum(map(len, self._stores))
 
     def find_by_name(self, layer: str, name: str) -> list[Node]:
         """All nodes in ``layer`` whose name/text/title equals ``name``."""
-        found = self._base.find_by_name(layer, name)
-        for segment in self._segments:
-            found.extend(
-                segment.nodes[i] for i in segment.by_name[layer].get(name, [])
-            )
-        return found
+        return [n for s in self._stores for n in s.find_by_name(layer, name)]
 
     def nodes(self, layer: str | None = None) -> Iterator[Node]:
         """Iterate nodes in insertion order, base first."""
-        yield from self._base.nodes(layer)
-        for segment in self._segments:
-            for node_id, node in segment.nodes.items():
-                if layer is None or layer_of(node_id) == layer:
-                    yield node
+        for store in self._stores:
+            yield from store.nodes(layer)
 
     def relations(self, kind: RelationKind | None = None) -> Iterator[Relation]:
         """Iterate relations in insertion order, base first."""
-        yield from self._base.relations(kind)
-        for segment in self._segments:
-            if kind is None:
-                yield from segment.relations
-            else:
-                yield from segment.by_kind.get(kind, [])
+        for store in self._stores:
+            yield from store.relations(kind)
 
     def nodes_since(self, count: int, layer: str | None = None) -> Iterator[Node]:
         """The nodes of ``nodes(layer)`` past the first ``count``, in order.
@@ -249,38 +163,33 @@ class GenerationView:
         skipped by their lengths instead of walked, so reading a publish's
         new nodes costs the delta, not the net.
         """
-        base = self._base
         if layer is None:
-            parts = [(len(base), base._nodes.values())]
-            parts += [(len(s), s.nodes.values()) for s in self._segments]
+            nodes = [store._nodes.values() for store in self._stores]
         else:
-            base_nodes = base._layer_nodes.get(layer, [])
-            parts = [(len(base_nodes), base_nodes)]
-            for s in self._segments:
-                nodes = (node for i, node in s.nodes.items() if layer_of(i) == layer)
-                parts.append((s.layer_counts.get(layer, 0), nodes))
-        return _skip(parts, count)
+            nodes = [store._layer_nodes.get(layer, []) for store in self._stores]
+        return _skip([(len(part), part) for part in nodes], count)
 
     def relations_since(self, count: int) -> Iterator[Relation]:
         """The relations of ``relations()`` past the first ``count``, in
-        order — ``islice(self.relations(), count, None)`` with the base's
-        chunks and whole segments skipped by their lengths."""
-        parts = [(len(chunk), chunk) for chunk in self._base._relations]
-        parts += [(len(s.relations), s.relations) for s in self._segments]
+        order — ``islice(self.relations(), count, None)`` with whole
+        chunks of the base and the segments skipped by their lengths."""
+        parts = [
+            (len(chunk), chunk) for store in self._stores for chunk in store._relations
+        ]
         return _skip(parts, count)
 
     def out_relations(self, node_id: str, kind: RelationKind) -> list[Relation]:
         """Outgoing relations of ``node_id``, base edges before delta edges."""
         found = self._base.out_relations(node_id, kind)
         for segment in self._segments:
-            found.extend(segment.out.get((node_id, kind), []))
+            found += segment._out.get((node_id, kind), ())
         return found
 
     def in_relations(self, node_id: str, kind: RelationKind) -> list[Relation]:
         """Incoming relations of ``node_id``, base edges before delta edges."""
         found = self._base.in_relations(node_id, kind)
         for segment in self._segments:
-            found.extend(segment.inc.get((node_id, kind), []))
+            found += segment._in.get((node_id, kind), ())
         return found
 
     def targets(self, node_id: str, kind: RelationKind) -> list[Node]:
@@ -294,79 +203,32 @@ class GenerationView:
     # ----------------------------------------------------------- statistics
     def count_nodes(self, layer: str) -> int:
         """Nodes in a layer — O(segments) from maintained counters."""
-        return self._base.count_nodes(layer) + sum(
-            s.layer_counts[layer] for s in self._segments
-        )
+        return sum(store.count_nodes(layer) for store in self._stores)
 
     def count_relations(self, kind: RelationKind) -> int:
         """Relations of a kind — O(segments) from maintained counters."""
-        return self._base.count_relations(kind) + sum(
-            s.kind_counts.get(kind, 0) for s in self._segments
-        )
+        return sum(store.count_relations(kind) for store in self._stores)
 
     def stats(self) -> StoreStats:
         """Aggregate statistics over base + deltas (Table 2 shape)."""
-        if not self._segments:
-            return self._base.stats()
-        items = self.count_nodes(ITEM_PREFIX)
-        by_domain: dict[str, int] = {
-            domain: len(ids)
-            for domain, ids in self._base._domain_primitive_ids.items()
-        }
-        base_linked = self._base._linked_item_ids
-        linked: set[str] = set()  # items the segments link, the base does not
-        relations_total = sum(self._base._kind_counts.values())
-        for segment in self._segments:
-            for domain, ids in segment.domain_primitive_ids.items():
-                by_domain[domain] = by_domain.get(domain, 0) + len(ids)
-            linked |= segment.linked_item_ids - base_linked
-            relations_total += len(segment.relations)
-        n_linked = len(base_linked) + len(linked)
-        return StoreStats(
-            primitive_concepts=self.count_nodes(PRIMITIVE_PREFIX),
-            ecommerce_concepts=self.count_nodes(ECOMMERCE_PREFIX),
-            items=items,
-            classes=self.count_nodes(CLASS_PREFIX),
-            relations_total=relations_total,
-            isa_primitive=self.count_relations(RelationKind.ISA_PRIMITIVE),
-            isa_ecommerce=self.count_relations(RelationKind.ISA_ECOMMERCE),
-            item_primitive=self.count_relations(RelationKind.ITEM_PRIMITIVE),
-            item_ecommerce=self.count_relations(RelationKind.ITEM_ECOMMERCE),
-            ecommerce_primitive=self.count_relations(RelationKind.INTERPRETED_BY),
-            primitive_by_domain=by_domain,
-            linked_item_fraction=(n_linked / items) if items else 0.0,
-        )
+        return _stats(self._stores)
 
     # -------------------------------------------------------------- helpers
     def classes_in_domain(self, domain: str) -> list[ClassNode]:
         """All taxonomy classes of a first-level domain, base first."""
-        found = self._base.classes_in_domain(domain)
-        for segment in self._segments:
-            found.extend(
-                segment.nodes[i] for i in segment.domain_class_ids.get(domain, [])
-            )
-        return found
+        return [n for s in self._stores for n in s.classes_in_domain(domain)]
 
     def primitives_in_domain(self, domain: str) -> list[PrimitiveConcept]:
         """All primitive concepts of a first-level domain, base first."""
-        found = self._base.primitives_in_domain(domain)
-        for segment in self._segments:
-            found.extend(
-                segment.nodes[i]
-                for i in segment.domain_primitive_ids.get(domain, [])
-            )
-        return found
+        return [n for s in self._stores for n in s.primitives_in_domain(domain)]
 
     def _edge(self, kind: RelationKind, source: str, target: str) -> Relation | None:
-        """The stored (kind, source, target) edge in any layer, if any: a
-        scan of the source's out lists (see :func:`~repro.kg.store._edge_to`)."""
-        key = (source, kind)
-        existing = _edge_to(self._base._out.get(key, ()), target)
-        for segment in self._segments:
+        """The stored (kind, source, target) edge in any layer, if any."""
+        for store in self._stores:
+            existing = store._edge(kind, source, target)
             if existing is not None:
-                break
-            existing = _edge_to(segment.out.get(key, ()), target)
-        return existing
+                return existing
+        return None
 
 
 class GenerationalStore:
@@ -374,13 +236,14 @@ class GenerationalStore:
 
     Reads delegate to the currently *published* :class:`GenerationView`
     (lock-free — grab :meth:`current` once to pin a consistent
-    generation for a multi-step read).  Writes go to the open
-    :class:`DeltaSegment` through the same mutation API as
+    generation for a multi-step read).  Writes go to the open delta, an
+    unfrozen :class:`AliCoCoStore`, through the same mutation API as
     :class:`AliCoCoStore` — all of it goes through :meth:`add_node` and
-    :meth:`add_relations` (``add_relation`` and ``create_*`` included) —
+    :meth:`add_relations` (``add_relation`` and ``create_*`` included),
+    which run the store's own checks against the whole pending state —
     and stays invisible to readers until published:
 
-    - :meth:`seal` closes the open segment and stages it;
+    - :meth:`seal` freezes the open segment and stages it;
     - :meth:`swap` publishes every staged segment as the next
       generation, bumping :attr:`generation_id` by one;
     - :meth:`publish` is the common ``seal(); swap()`` shorthand.
@@ -426,8 +289,8 @@ class GenerationalStore:
             )
         self._base = base.freeze()
         self._lock = threading.Lock()
-        self._open = DeltaSegment()
-        self._staged: list[DeltaSegment] = []
+        self._open = AliCoCoStore()
+        self._staged: list[AliCoCoStore] = []
         self._base_generation = base_generation
         self.compact_after_segments = compact_after_segments
         self._view = GenerationView(
@@ -484,15 +347,7 @@ class GenerationalStore:
             return self._add_node_locked(node)
 
     def _add_node_locked(self, node: Node) -> Node:
-        if node.id in self._pending():
-            raise DuplicateNodeError(f"node {node.id!r} already exists")
-        layer = layer_of(node.id)
-        if not isinstance(node, _LAYER_TYPES[layer]):
-            raise RelationError(
-                f"node {node.id!r} has prefix {layer!r} "
-                f"but type {type(node).__name__}"
-            )
-        self._open._add_node(node)
+        self._open._index_node(node, _check_node(node, self._pending()))
         return node
 
     def add_relation(self, relation: Relation) -> Relation:
@@ -530,38 +385,15 @@ class GenerationalStore:
 
     def _add_relations_locked(self, relations: Iterable[Relation]) -> list[Relation]:
         pending = self._pending()
-        open_nodes, open_out = self._open.nodes, self._open.out
-        fresh: dict[tuple[RelationKind, str, str], Relation] = {}
-        stored = []
-        for relation in relations:
-            kind, source, target = relation.kind, relation.source, relation.target
-            in_open = False
-            for node_id, expected in (
-                (source, kind.source_layer),
-                (target, kind.target_layer),
-            ):
-                if node_id in open_nodes:
-                    in_open = True
-                else:
-                    pending.get(node_id)  # NodeNotFoundError if absent
-                if layer_of(node_id) != expected:
-                    raise RelationError(
-                        f"node {node_id!r} is in layer {layer_of(node_id)!r}; "
-                        f"expected {expected!r}"
-                    )
-            key = (kind, source, target)
-            existing = fresh.get(key)
-            if existing is None:
-                existing = (
-                    _edge_to(open_out.get((source, kind), ()), target)
-                    if in_open
-                    else pending._edge(kind, source, target)
-                )
-                if existing is None:
-                    existing = fresh[key] = relation
-            stored.append(existing)
-        if fresh:
-            self._open._add_relations(list(fresh.values()))
+        open_nodes, open_edge = self._open._nodes, self._open._edge
+
+        def edge(kind: RelationKind, source: str, target: str) -> Relation | None:
+            if source in open_nodes or target in open_nodes:
+                return open_edge(kind, source, target)
+            return pending._edge(kind, source, target)
+
+        stored, fresh = _check_edges(relations, pending, edge)
+        self._open._insert_relations(fresh)
         return stored
 
     def _allocate(self, prefix: str) -> str:
@@ -581,7 +413,7 @@ class GenerationalStore:
         """Allocate an id and insert a taxonomy class into the open delta."""
         with self._lock:
             if parent_id is not None:
-                self._pending().get(parent_id)  # validate before inserting
+                _check_endpoint(self._pending(), parent_id, CLASS_PREFIX)
             node = ClassNode(self._allocate(CLASS_PREFIX), name, domain, parent_id)
             self._add_node_locked(node)
             if parent_id is not None:
@@ -593,14 +425,13 @@ class GenerationalStore:
     def create_primitive(self, name: str, class_id: str) -> PrimitiveConcept:
         """Allocate an id and insert a primitive concept under ``class_id``."""
         with self._lock:
-            class_node = self._pending().get(class_id)
-            if layer_of(class_id) != CLASS_PREFIX:
-                raise RelationError(
-                    f"node {class_id!r} is in layer {layer_of(class_id)!r}; "
-                    f"expected {CLASS_PREFIX!r}"
-                )
+            pending = self._pending()
+            _check_endpoint(pending, class_id, CLASS_PREFIX)
             node = PrimitiveConcept(
-                self._allocate(PRIMITIVE_PREFIX), name, class_id, class_node.domain
+                self._allocate(PRIMITIVE_PREFIX),
+                name,
+                class_id,
+                pending.get(class_id).domain,
             )
             self._add_node_locked(node)
             self._add_relations_locked(
@@ -630,18 +461,18 @@ class GenerationalStore:
             )
 
     # ---------------------------------------------------------- publication
-    def seal(self) -> DeltaSegment | None:
-        """Close the open delta and stage it for the next :meth:`swap`.
+    def seal(self) -> AliCoCoStore | None:
+        """Freeze the open delta and stage it for the next :meth:`swap`.
 
         Returns the sealed segment, or ``None`` when the open delta was
         empty (nothing to stage).
         """
         with self._lock:
-            if self._open.empty:
+            if _empty(self._open):
                 return None
-            segment = self._open.seal()
+            segment = self._open.freeze()
             self._staged.append(segment)
-            self._open = DeltaSegment()
+            self._open = AliCoCoStore()
             return segment
 
     def swap(self) -> int:
@@ -662,7 +493,7 @@ class GenerationalStore:
             The now-published generation id.
         """
         with self._lock:
-            staged = [s for s in self._staged if not s.empty]
+            staged = [s for s in self._staged if not _empty(s)]
             self._staged = []
             if not staged:
                 return self._view.generation_id
@@ -735,7 +566,7 @@ class GenerationalStore:
     def open_counts(self) -> tuple[int, int]:
         """(nodes, relations) waiting in the open delta — for observability."""
         with self._lock:
-            return (len(self._open.nodes), len(self._open.relations))
+            return (len(self._open), sum(self._open._kind_counts.values()))
 
     # ------------------------------------------------------- delegated reads
     def get(self, node_id: str) -> Node:
@@ -791,8 +622,8 @@ class GenerationalStore:
 
     # -------------------------------------------------------------- segments
     @property
-    def published_segments(self) -> tuple[DeltaSegment, ...]:
-        """Sealed segments of the published view, in publish order."""
+    def published_segments(self) -> tuple[AliCoCoStore, ...]:
+        """Sealed (frozen) segments of the published view, in publish order."""
         return self._view._segments
 
 
@@ -822,3 +653,7 @@ def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
     store.add_relations_trusted(view.relations())
     return store
 
+
+def _empty(segment: AliCoCoStore) -> bool:
+    """Whether a delta segment holds no node and no relation."""
+    return not segment._nodes and not segment._kind_counts

@@ -68,12 +68,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, GraphError
 from ..utils.io import atomic_write_bytes
 from .generations import GenerationalStore
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
-from .store import _LAYER_TYPES, AliCoCoStore, gc_paused
+from .store import _LAYER_TYPES, AliCoCoStore, _check_node, gc_paused
 
 #: Version of the snapshot layout; loaders reject any other version.
 SNAPSHOT_FORMAT = 2
@@ -85,8 +85,13 @@ _LENGTH = struct.Struct("<Q")
 _BLOCK_PREFIX = struct.Struct("<II")
 _DIGEST_SIZE = 32
 #: A block's relation columns, in file order.
-_COLUMNS = (("kind", "u1"), ("source", "<i4"), ("target", "<i4"),
-            ("weight", "<f8"), ("name", "<i4"))
+_COLUMNS = (
+    ("kind", "u1"),
+    ("source", "<i4"),
+    ("target", "<i4"),
+    ("weight", "<f8"),
+    ("name", "<i4"),
+)
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
 _LAYER_CODES = {layer: code for code, layer in enumerate(_LAYER_TYPES)}
 _KIND_CODES = {kind: code for code, kind in enumerate(RelationKind)}
@@ -144,8 +149,7 @@ class Snapshot:
     store: AliCoCoStore
     index_states: dict[str, dict[str, Any]] = field(default_factory=dict)
     model_states: dict[str, dict[str, Any]] = field(default_factory=dict)
-    deltas: list[tuple[int, list[Node], list[Relation]]] = field(
-        default_factory=list)
+    deltas: list[tuple[int, list[Node], list[Relation]]] = field(default_factory=list)
 
 
 # ------------------------------------------------------------- node records
@@ -173,8 +177,9 @@ def _digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
-def write_sections(path: str | Path, header: Mapping[str, Any],
-                   sections: Sequence[tuple[str, bytes]]) -> int:
+def write_sections(
+    path: str | Path, header: Mapping[str, Any], sections: Sequence[tuple[str, bytes]]
+) -> int:
     """Write a format-2 file atomically: ``header`` plus a section table
     (offsets, lengths, digests) for ``sections``, then the sections.
 
@@ -184,15 +189,21 @@ def write_sections(path: str | Path, header: Mapping[str, Any],
     table = []
     offset = 0
     for name, payload in sections:
-        table.append({"name": name, "offset": offset,
-                      "length": len(payload),
-                      "digest": _digest(payload).hex()})
+        table.append(
+            {
+                "name": name,
+                "offset": offset,
+                "length": len(payload),
+                "digest": _digest(payload).hex(),
+            }
+        )
         offset += len(payload)
-    header_bytes = json.dumps({**header, "sections": table},
-                              ensure_ascii=False).encode("utf-8")
+    header_json = json.dumps({**header, "sections": table}, ensure_ascii=False)
+    header_bytes = header_json.encode("utf-8")
     prefix = MAGIC + _LENGTH.pack(len(header_bytes)) + header_bytes
     return atomic_write_bytes(
-        path, [prefix, _digest(prefix), *(payload for _, payload in sections)])
+        path, [prefix, _digest(prefix), *(payload for _, payload in sections)]
+    )
 
 
 def read_sections(path: str | Path) -> tuple[dict[str, Any], dict[str, bytes]]:
@@ -207,7 +218,7 @@ def read_sections(path: str | Path) -> tuple[dict[str, Any], dict[str, bytes]]:
             file longer or shorter than its header describes.
     """
     data = Path(path).read_bytes()
-    if data[:len(MAGIC)] != MAGIC:
+    if not data.startswith(MAGIC):
         raise DataError(f"{path}: not a snapshot (bad magic)")
     body = len(MAGIC) + _LENGTH.size
     if len(data) < body:
@@ -221,24 +232,32 @@ def read_sections(path: str | Path) -> tuple[dict[str, Any], dict[str, bytes]]:
         raise DataError(f"{path}: header digest mismatch")
     try:
         header = json.loads(data[body:header_end])
-        entries = [(entry["name"], entry["offset"], entry["length"],
-                    entry["digest"]) for entry in header.pop("sections")]
+        entries = [
+            (entry["name"], entry["offset"], entry["length"], entry["digest"])
+            for entry in header.pop("sections")
+        ]
     except (ValueError, KeyError, TypeError) as error:
-        raise DataError(
-            f"{path}: corrupted snapshot header ({error!r})") from error
+        raise DataError(f"{path}: corrupted snapshot header ({error!r})") from error
     offset = 0
     for name, entry_offset, length, _ in entries:
-        if (not isinstance(name, str) or entry_offset != offset
-                or type(length) is not int or length < 0):
-            raise DataError(f"{path}: section table entry {name!r} is "
-                            f"misplaced or malformed")
+        if (
+            not isinstance(name, str)
+            or entry_offset != offset
+            or type(length) is not int
+            or length < 0
+        ):
+            raise DataError(
+                f"{path}: section table entry {name!r} is misplaced or malformed"
+            )
         offset += length
     if start + offset != len(data):
-        raise DataError(f"{path}: file is {len(data)} bytes but its header "
-                        f"describes {start + offset}")
+        raise DataError(
+            f"{path}: file is {len(data)} bytes but its header "
+            f"describes {start + offset}"
+        )
     sections: dict[str, bytes] = {}
     for name, offset, length, digest in entries:
-        payload = data[start + offset:start + offset + length]
+        payload = data[start + offset : start + offset + length]
         if _digest(payload).hex() != digest:
             raise DataError(f"{path}: section {name!r} digest mismatch")
         if name in sections:
@@ -248,33 +267,43 @@ def read_sections(path: str | Path) -> tuple[dict[str, Any], dict[str, bytes]]:
 
 
 # ---------------------------------------------------------------- snapshot
-def _encode_block(nodes: Sequence[Node], relations: Sequence[Relation],
-                  position: dict[str, int], name_codes: dict[str, int],
-                  ) -> bytes:
+def _encode_block(
+    nodes: Sequence[Node],
+    relations: Sequence[Relation],
+    position: dict[str, int],
+    name_codes: dict[str, int],
+) -> bytes:
     """One block; ``position`` must already cover ``nodes``, and
     ``name_codes`` grows by the names first seen here."""
-    node_table = ("[" + ",\n".join(
-        json.dumps(_node_record(node), ensure_ascii=False)
-        for node in nodes) + "]").encode("utf-8")
+    records = (json.dumps(_node_record(node), ensure_ascii=False) for node in nodes)
+    node_table = ("[" + ",\n".join(records) + "]").encode("utf-8")
     columns = (
         [_KIND_CODES[relation.kind] for relation in relations],
         [position[relation.source] for relation in relations],
         [position[relation.target] for relation in relations],
         [relation.weight for relation in relations],
-        [name_codes.setdefault(relation.name, len(name_codes))
-         for relation in relations],
+        [
+            name_codes.setdefault(relation.name, len(name_codes))
+            for relation in relations
+        ],
     )
-    return b"".join([
-        _BLOCK_PREFIX.pack(len(node_table), len(relations)), node_table,
-        *(np.asarray(values, dtype=dtype).tobytes()
-          for values, (_, dtype) in zip(columns, _COLUMNS))])
+    parts = [_BLOCK_PREFIX.pack(len(node_table), len(relations)), node_table]
+    parts += (
+        np.asarray(values, dtype=dtype).tobytes()
+        for values, (_, dtype) in zip(columns, _COLUMNS)
+    )
+    return b"".join(parts)
 
 
-def _write(path: str | Path,
-           blocks: Sequence[tuple[str, Sequence[Node], Sequence[Relation]]],
-           *, config_fingerprint: str, base_generation: int,
-           index_states: Mapping[str, Mapping[str, Any]] | None,
-           model_states: Mapping[str, Mapping[str, Any]] | None) -> int:
+def _write(
+    path: str | Path,
+    blocks: Sequence[tuple[str, Sequence[Node], Sequence[Relation]]],
+    *,
+    config_fingerprint: str,
+    base_generation: int,
+    index_states: Mapping[str, Mapping[str, Any]] | None,
+    model_states: Mapping[str, Mapping[str, Any]] | None,
+) -> int:
     index_states = dict(index_states or {})
     model_states = dict(model_states or {})
     position: dict[str, int] = {}
@@ -283,13 +312,11 @@ def _write(path: str | Path,
     for name, nodes, relations in blocks:
         for node in nodes:
             position[node.id] = len(position)
-        sections.append(
-            (name, _encode_block(nodes, relations, position, name_codes)))
+        sections.append((name, _encode_block(nodes, relations, position, name_codes)))
     for prefix, states in (("index", index_states), ("model", model_states)):
-        sections.extend(
-            (f"{prefix}:{name}",
-             json.dumps(dict(state), ensure_ascii=False).encode("utf-8"))
-            for name, state in states.items())
+        for name, state in states.items():
+            payload = json.dumps(dict(state), ensure_ascii=False).encode("utf-8")
+            sections.append((f"{prefix}:{name}", payload))
     header = {
         "format": SNAPSHOT_FORMAT,
         "nodes": len(position),
@@ -305,11 +332,14 @@ def _write(path: str | Path,
     return write_sections(path, header, sections)
 
 
-def save_snapshot(store: AliCoCoStore, path: str | Path, *,
-                  config_fingerprint: str = "",
-                  index_states: Mapping[str, Mapping[str, Any]] | None = None,
-                  model_states: Mapping[str, Mapping[str, Any]] | None = None,
-                  ) -> int:
+def save_snapshot(
+    store: AliCoCoStore,
+    path: str | Path,
+    *,
+    config_fingerprint: str = "",
+    index_states: Mapping[str, Mapping[str, Any]] | None = None,
+    model_states: Mapping[str, Mapping[str, Any]] | None = None,
+) -> int:
     """Write a format-2 snapshot: the store as the base block, then the
     index and model states (atomic).
 
@@ -328,18 +358,26 @@ def save_snapshot(store: AliCoCoStore, path: str | Path, *,
     Returns:
         Number of bytes written.
     """
-    return _write(path, [("base", list(store.nodes()), list(store.relations()))],
-                  config_fingerprint=config_fingerprint, base_generation=0,
-                  index_states=index_states, model_states=model_states)
+    return _write(
+        path,
+        [("base", list(store.nodes()), list(store.relations()))],
+        config_fingerprint=config_fingerprint,
+        base_generation=0,
+        index_states=index_states,
+        model_states=model_states,
+    )
 
 
-def _parse_header(record: Mapping[str, Any],
-                  ) -> tuple[SnapshotHeader, list[RelationKind], list[str]]:
+def _parse_header(
+    record: Mapping[str, Any],
+) -> tuple[SnapshotHeader, list[RelationKind], list[str]]:
     """The header, and the kind and name tables of the relation columns."""
-    if record.get("format") != SNAPSHOT_FORMAT:
-        raise DataError(f"snapshot format {record.get('format')!r} "
-                        f"unsupported (this build reads format "
-                        f"{SNAPSHOT_FORMAT})")
+    version = record.get("format")
+    if version != SNAPSHOT_FORMAT:
+        raise DataError(
+            f"snapshot format {version!r} unsupported (this build reads "
+            f"format {SNAPSHOT_FORMAT})"
+        )
     try:
         header = SnapshotHeader(
             format_version=SNAPSHOT_FORMAT,
@@ -349,22 +387,31 @@ def _parse_header(record: Mapping[str, Any],
             index_names=tuple(record["indexes"]),
             model_names=tuple(record["models"]),
             generation_count=record["generations"],
-            base_generation=record["base_generation"])
+            base_generation=record["base_generation"],
+        )
     except (KeyError, TypeError) as error:
-        raise DataError(
-            f"corrupted snapshot header ({error!r})") from error
-    counts = (header.node_count, header.relation_count,
-              header.generation_count, header.base_generation)
-    if (any(type(count) is not int or count < 0 for count in counts)
-            or not isinstance(header.config_fingerprint, str)
-            or not all(isinstance(name, str)
-                       for name in header.index_names + header.model_names)):
+        raise DataError(f"corrupted snapshot header ({error!r})") from error
+    counts = (
+        header.node_count,
+        header.relation_count,
+        header.generation_count,
+        header.base_generation,
+    )
+    state_names = header.index_names + header.model_names
+    if (
+        any(type(count) is not int or count < 0 for count in counts)
+        or not isinstance(header.config_fingerprint, str)
+        or not all(isinstance(name, str) for name in state_names)
+    ):
         raise DataError(f"corrupted snapshot header (counts {counts})")
     kinds, names = record.get("kinds"), record.get("names")
-    if not (isinstance(kinds, list) and isinstance(names, list)
-            and all(isinstance(kind, str) and kind in RelationKind.__members__
-                    for kind in kinds)
-            and all(isinstance(name, str) for name in names)):
+    if not (
+        isinstance(kinds, list)
+        and isinstance(names, list)
+        and all(isinstance(kind, str) for kind in kinds)
+        and all(kind in RelationKind.__members__ for kind in kinds)
+        and all(isinstance(name, str) for name in names)
+    ):
         raise DataError("corrupted snapshot header (relation string tables)")
     return header, [RelationKind[kind] for kind in kinds], names
 
@@ -386,20 +433,24 @@ def _decode_block(section: str, payload: bytes) -> _Block:
     if prefix + node_bytes + n_relations * _ROW_BYTES != len(payload):
         raise DataError(f"section {section!r}: block sizes do not add up")
     try:
-        records = json.loads(payload[prefix:prefix + node_bytes])
+        records = json.loads(payload[prefix : prefix + node_bytes])
     except ValueError as error:
         line = getattr(error, "lineno", "?")
-        raise DataError(f"section {section!r} line {line}: malformed node "
-                        f"table ({error})") from error
+        raise DataError(
+            f"section {section!r} line {line}: malformed node table ({error})"
+        ) from error
     if not isinstance(records, list):
         raise DataError(f"section {section!r}: node table is not a list")
-    nodes = [_parse_node(f"section {section!r} line {line}", record)
-             for line, record in enumerate(records, start=1)]
+    nodes = [
+        _parse_node(f"section {section!r} line {line}", record)
+        for line, record in enumerate(records, start=1)
+    ]
     columns = {}
     offset = prefix + node_bytes
     for name, dtype in _COLUMNS:
-        columns[name] = np.frombuffer(payload, dtype=dtype,
-                                      count=n_relations, offset=offset)
+        columns[name] = np.frombuffer(
+            payload, dtype=dtype, count=n_relations, offset=offset
+        )
         offset += columns[name].nbytes
     return _Block(section, nodes, columns)
 
@@ -408,69 +459,87 @@ def _decode_state(section: str, payload: bytes) -> dict[str, Any]:
     try:
         state = json.loads(payload)
     except ValueError as error:
-        raise DataError(f"section {section!r}: malformed JSON "
-                        f"({error})") from error
+        raise DataError(f"section {section!r}: malformed JSON ({error})") from error
     if not isinstance(state, dict):
         raise DataError(f"section {section!r}: expected a JSON object")
     return state
 
 
-def _check_tables(blocks: Sequence[_Block], header: SnapshotHeader,
-                  kinds: Sequence[RelationKind], n_names: int) -> None:
+def _check_tables(
+    blocks: Sequence[_Block],
+    header: SnapshotHeader,
+    kinds: Sequence[RelationKind],
+    n_names: int,
+) -> None:
     """Every schema check the trusted bulk build skips, on whole columns:
-    counts, node id layers, relation codes, endpoint ranges and layers,
+    counts, node ids (new, and a type that matches the id's layer: the
+    store's own node check), relation codes, endpoint ranges and layers,
     and (kind, source, target) uniqueness across base and deltas."""
     layer_codes: list[int] = []
     seen: set[str] = set()
     for block in blocks:
         for node in block.nodes:
-            layer = node.id.split("_", 1)[0] if isinstance(node.id, str) \
-                else None
-            if (layer not in _LAYER_TYPES or node.id in seen
-                    or not isinstance(node, _LAYER_TYPES[layer])):
-                raise DataError(f"section {block.section!r}: node "
-                                f"{node.id!r} is repeated or in the wrong "
-                                f"layer")
+            try:
+                layer = _check_node(node, seen) if isinstance(node.id, str) else None
+            except (GraphError, ValueError):
+                layer = None
+            if layer is None:
+                raise DataError(
+                    f"section {block.section!r}: node {node.id!r} is repeated "
+                    f"or in the wrong layer"
+                )
             seen.add(node.id)
             layer_codes.append(_LAYER_CODES[layer])
     n_relations = sum(len(block.columns["kind"]) for block in blocks)
-    if (len(layer_codes), n_relations) != (header.node_count,
-                                           header.relation_count):
+    if (len(layer_codes), n_relations) != (header.node_count, header.relation_count):
         raise DataError(
             f"snapshot holds {len(layer_codes)} nodes / {n_relations} "
             f"relations but its header promises {header.node_count} / "
-            f"{header.relation_count}")
+            f"{header.relation_count}"
+        )
     node_layers = np.asarray(layer_codes, dtype=np.int64)
     source_layers = np.asarray(
-        [_LAYER_CODES[kind.source_layer] for kind in kinds], dtype=np.int64)
+        [_LAYER_CODES[kind.source_layer] for kind in kinds], dtype=np.int64
+    )
     target_layers = np.asarray(
-        [_LAYER_CODES[kind.target_layer] for kind in kinds], dtype=np.int64)
+        [_LAYER_CODES[kind.target_layer] for kind in kinds], dtype=np.int64
+    )
     covered = 0
     triples = []
     for block in blocks:
         covered += len(block.nodes)
-        kind, source, target, name = (block.columns[column] for column in
-                                      ("kind", "source", "target", "name"))
+        kind, source, target, name = (
+            block.columns[column] for column in ("kind", "source", "target", "name")
+        )
         if not len(kind):
             continue
-        if (kind.max() >= len(kinds) or name.min() < 0
-                or name.max() >= n_names
-                or min(source.min(), target.min()) < 0
-                or max(source.max(), target.max()) >= covered):
-            raise DataError(f"section {block.section!r}: a relation code "
-                            f"or endpoint is out of range")
-        if ((node_layers[source] != source_layers[kind]).any()
-                or (node_layers[target] != target_layers[kind]).any()):
-            raise DataError(f"section {block.section!r}: a relation's "
-                            f"endpoint layers do not match its kind")
+        if (
+            kind.max() >= len(kinds)
+            or name.min() < 0
+            or name.max() >= n_names
+            or min(source.min(), target.min()) < 0
+            or max(source.max(), target.max()) >= covered
+        ):
+            raise DataError(
+                f"section {block.section!r}: a relation code or endpoint is "
+                f"out of range"
+            )
+        if (
+            (node_layers[source] != source_layers[kind]).any()
+            or (node_layers[target] != target_layers[kind]).any()
+        ):
+            raise DataError(
+                f"section {block.section!r}: a relation's endpoint layers do "
+                f"not match its kind"
+            )
         triples.append((kind, source, target))
     if triples:
-        kind, source, target = (np.concatenate(parts).astype(np.int64)
-                                for parts in zip(*triples))
+        kind, source, target = (
+            np.concatenate(parts).astype(np.int64) for parts in zip(*triples)
+        )
         keys = (kind * covered + source) * covered + target
         if np.unique(keys).size != keys.size:
-            raise DataError("snapshot repeats a (kind, source, target) "
-                            "relation")
+            raise DataError("snapshot repeats a (kind, source, target) relation")
 
 
 def _objects(values: Sequence[Any]) -> np.ndarray:
@@ -480,18 +549,21 @@ def _objects(values: Sequence[Any]) -> np.ndarray:
     return array
 
 
-def _relations(block: _Block, ids: np.ndarray, kinds: np.ndarray,
-               names: np.ndarray) -> list[Relation]:
+def _relations(
+    block: _Block, ids: np.ndarray, kinds: np.ndarray, names: np.ndarray
+) -> list[Relation]:
     """A block's relations, one tuple each: ``ids``, ``kinds`` and
     ``names`` are object arrays, so each column's field values come from
     one fancy index (ranges were checked by :func:`_check_tables`)."""
     columns = block.columns
-    return list(map(tuple.__new__, repeat(Relation), zip(
+    fields = zip(
         kinds[columns["kind"]].tolist(),
         ids[columns["source"]].tolist(),
         ids[columns["target"]].tolist(),
         columns["weight"].tolist(),
-        names[columns["name"]].tolist())))
+        names[columns["name"]].tolist(),
+    )
+    return list(map(tuple.__new__, repeat(Relation), fields))
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
@@ -515,44 +587,53 @@ def load_snapshot(path: str | Path) -> Snapshot:
     """
     record, sections = read_sections(path)
     header, kinds, names = _parse_header(record)
-    states = [f"index:{name}" for name in header.index_names] + [
-        f"model:{name}" for name in header.model_names]
+    states = [f"index:{name}" for name in header.index_names]
+    states += [f"model:{name}" for name in header.model_names]
     order = list(sections)
-    delta_sections = order[1:len(order) - len(states)]
-    if (order[:1] != ["base"] or order[len(order) - len(states):] != states
-            or len(delta_sections) != header.generation_count
-            or not all(name.startswith("delta:") for name in delta_sections)):
+    delta_sections = order[1 : len(order) - len(states)]
+    if (
+        order[:1] != ["base"]
+        or order[len(order) - len(states) :] != states
+        or len(delta_sections) != header.generation_count
+        or not all(name.startswith("delta:") for name in delta_sections)
+    ):
         raise DataError(f"snapshot sections {order} do not match its header")
     try:
-        generations = [int(name[len("delta:"):]) for name in delta_sections]
+        generations = [int(name[len("delta:") :]) for name in delta_sections]
     except ValueError as error:
         raise DataError(f"bad delta section name ({error})") from error
     with gc_paused():
-        blocks = [_decode_block(name, sections[name])
-                  for name in ["base", *delta_sections]]
-        decoded = {name: _decode_state(name, sections[name])
-                   for name in states}
+        blocks = [
+            _decode_block(name, sections[name]) for name in ["base", *delta_sections]
+        ]
+        decoded = {name: _decode_state(name, sections[name]) for name in states}
         _check_tables(blocks, header, kinds, len(names))
-        tables = (_objects([node.id for block in blocks
-                            for node in block.nodes]),
-                  _objects(kinds), _objects(names))
+        node_ids = [node.id for block in blocks for node in block.nodes]
+        tables = (_objects(node_ids), _objects(kinds), _objects(names))
         store = AliCoCoStore()
         store.add_nodes_trusted(blocks[0].nodes)
         store.add_relations_trusted(_relations(blocks[0], *tables))
-        deltas = [(generation, block.nodes, _relations(block, *tables))
-                  for generation, block in zip(generations, blocks[1:])]
+        deltas = [
+            (generation, block.nodes, _relations(block, *tables))
+            for generation, block in zip(generations, blocks[1:])
+        ]
     return Snapshot(
-        header, store,
+        header,
+        store,
         {name: decoded[f"index:{name}"] for name in header.index_names},
         {name: decoded[f"model:{name}"] for name in header.model_names},
-        deltas)
+        deltas,
+    )
 
 
-def save_generations(store: GenerationalStore, path: str | Path, *,
-                     config_fingerprint: str = "",
-                     index_states: Mapping[str, Mapping[str, Any]] | None = None,
-                     model_states: Mapping[str, Mapping[str, Any]] | None = None,
-                     ) -> int:
+def save_generations(
+    store: GenerationalStore,
+    path: str | Path,
+    *,
+    config_fingerprint: str = "",
+    index_states: Mapping[str, Mapping[str, Any]] | None = None,
+    model_states: Mapping[str, Mapping[str, Any]] | None = None,
+) -> int:
     """Write a generational snapshot: the base block plus one delta block
     per published segment (atomic).
 
@@ -576,22 +657,27 @@ def save_generations(store: GenerationalStore, path: str | Path, *,
     if not isinstance(store, GenerationalStore):
         raise ConfigError(
             f"save_generations needs a GenerationalStore, got "
-            f"{type(store).__name__}; use save_snapshot for plain stores")
+            f"{type(store).__name__}; use save_snapshot for plain stores"
+        )
     # Everything is read off the pinned view — base, segments and the
     # base generation — so a concurrent compact() can never tear the
     # snapshot (a folded base paired with the old overlay's deltas
-    # would duplicate content on load).
+    # would duplicate content on load).  The base and each segment are
+    # stores, so each becomes its block the same way.
     view = store.current()
-    base = view._base
-    blocks = [("base", list(base.nodes()), list(base.relations()))]
-    blocks.extend(
-        (f"delta:{generation}", list(segment.nodes.values()),
-         segment.relations)
-        for segment, generation in zip(view._segments,
-                                       view.segment_generations))
-    return _write(path, blocks, config_fingerprint=config_fingerprint,
-                  base_generation=view.base_generation,
-                  index_states=index_states, model_states=model_states)
+    deltas = [f"delta:{generation}" for generation in view.segment_generations]
+    blocks = [
+        (name, list(layer.nodes()), list(layer.relations()))
+        for name, layer in zip(["base", *deltas], view._stores)
+    ]
+    return _write(
+        path,
+        blocks,
+        config_fingerprint=config_fingerprint,
+        base_generation=view.base_generation,
+        index_states=index_states,
+        model_states=model_states,
+    )
 
 
 def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
@@ -614,19 +700,17 @@ def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
     base_generation = snapshot.header.base_generation
     if base_generation < 0:
         raise DataError(
-            f"snapshot header: base_generation {base_generation} "
-            f"must be >= 0")
-    store = GenerationalStore(
-        snapshot.store, base_generation=base_generation)
+            f"snapshot header: base_generation {base_generation} must be >= 0"
+        )
+    store = GenerationalStore(snapshot.store, base_generation=base_generation)
     previous = base_generation
-    for position, (generation, nodes, relations) in enumerate(
-            snapshot.deltas):
-        if (generation <= base_generation
-                or generation not in (previous, previous + 1)):
+    for position, (generation, nodes, relations) in enumerate(snapshot.deltas):
+        if generation <= base_generation or generation not in (previous, previous + 1):
             raise DataError(
                 f"delta {position}: generation {generation} "
                 f"follows generation {previous} (ids must be "
-                f"consecutive from {base_generation + 1})")
+                f"consecutive from {base_generation + 1})"
+            )
         if generation == previous + 1 and previous > base_generation:
             store.swap()
         for node in nodes:
@@ -635,14 +719,16 @@ def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
         if store.seal() is None:
             raise DataError(
                 f"delta {position}: segment is empty (a live "
-                f"store never seals an empty segment)")
+                f"store never seals an empty segment)"
+            )
         previous = generation
     if previous > base_generation:
         store.swap()
     if store.generation_id != previous:
         raise DataError(
             f"replayed generation id {store.generation_id} does not "
-            f"match the saved {previous}")
+            f"match the saved {previous}"
+        )
     return store
 
 

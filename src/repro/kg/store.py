@@ -6,22 +6,26 @@ import gc
 from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 from ..errors import (
-    DuplicateNodeError, FrozenStoreError, GraphError, NodeNotFoundError,
+    DuplicateNodeError,
+    FrozenStoreError,
+    GraphError,
+    NodeNotFoundError,
     RelationError,
 )
 from .ids import (
-    CLASS_PREFIX, ECOMMERCE_PREFIX, IdAllocator, ITEM_PREFIX,
-    PRIMITIVE_PREFIX, layer_of,
+    CLASS_PREFIX,
+    ECOMMERCE_PREFIX,
+    IdAllocator,
+    ITEM_PREFIX,
+    PRIMITIVE_PREFIX,
+    layer_of,
 )
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .stats import StoreStats
-
-if TYPE_CHECKING:
-    from .generations import DeltaSegment
 
 _LAYER_TYPES = {
     CLASS_PREFIX: ClassNode,
@@ -32,6 +36,15 @@ _LAYER_TYPES = {
 
 #: Relation kinds whose source counts as a linked item in ``stats()``.
 _ITEM_KINDS = (RelationKind.ITEM_PRIMITIVE, RelationKind.ITEM_ECOMMERCE)
+
+#: The per-key index lists a fold grows (see :meth:`AliCoCoStore.fold`).
+_KEYED_INDEXES = (
+    "_layer_nodes",
+    "_out",
+    "_in",
+    "_domain_class_ids",
+    "_domain_primitive_ids",
+)
 
 
 class AliCoCoStore:
@@ -47,11 +60,13 @@ class AliCoCoStore:
         self._nodes: dict[str, Node] = {}
         # layer prefix -> that layer's nodes in insertion order
         self._layer_nodes: dict[str, list[Node]] = {
-            prefix: [] for prefix in _LAYER_TYPES}
+            prefix: [] for prefix in _LAYER_TYPES
+        }
         self._ids = IdAllocator()
         # name index: layer prefix -> name -> list of node ids
         self._by_name: dict[str, dict[str, list[str]]] = {
-            prefix: defaultdict(list) for prefix in _LAYER_TYPES}
+            prefix: defaultdict(list) for prefix in _LAYER_TYPES
+        }
         # The whole-net relation sequences (``_relations`` and each
         # ``_by_kind`` entry) are chunked: lists of lists, read in order.
         # A store being built appends to its last chunk; a fold shares
@@ -61,7 +76,7 @@ class AliCoCoStore:
         self._out: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
         self._in: dict[tuple[str, RelationKind], list[Relation]] = defaultdict(list)
         # Incrementally-maintained statistics; every mutation funnels
-        # through add_node/add_relations so these can never drift.
+        # through _index_node/_insert_relations so these can never drift.
         self._layer_counts: dict[str, int] = {p: 0 for p in _LAYER_TYPES}
         self._kind_counts: dict[RelationKind, int] = defaultdict(int)
         self._by_kind: dict[RelationKind, list[list[Relation]]] = defaultdict(_chunks)
@@ -97,15 +112,8 @@ class AliCoCoStore:
             RelationError: If the node type does not match its id prefix.
         """
         if self._frozen:
-            raise FrozenStoreError(
-                f"cannot add node {node.id!r}: store is frozen for serving")
-        if node.id in self._nodes:
-            raise DuplicateNodeError(f"node {node.id!r} already exists")
-        layer = layer_of(node.id)
-        if not isinstance(node, _LAYER_TYPES[layer]):
-            raise RelationError(
-                f"node {node.id!r} has prefix {layer!r} but type {type(node).__name__}")
-        self._index_node(node, layer)
+            raise _frozen(f"add node {node.id!r}")
+        self._index_node(node, _check_node(node, self._nodes))
         return node
 
     def add_nodes_trusted(self, nodes: Iterable[Node]) -> int:
@@ -129,8 +137,7 @@ class AliCoCoStore:
             DuplicateNodeError: If an id is already present.
         """
         if self._frozen:
-            raise FrozenStoreError(
-                "cannot bulk-add nodes: store is frozen for serving")
+            raise _frozen("bulk-add nodes")
         table, index = self._nodes, self._index_node
         count = 0
         with gc_paused():
@@ -143,6 +150,7 @@ class AliCoCoStore:
         return count
 
     def _index_node(self, node: Node, layer: str) -> None:
+        """Add a checked node to every index: the one node insert."""
         self._nodes[node.id] = node
         self._layer_nodes[layer].append(node)
         self._by_name[layer][self._name_of(node)].append(node.id)
@@ -160,11 +168,12 @@ class AliCoCoStore:
             return node.text
         return node.title
 
-    def create_class(self, name: str, domain: str,
-                     parent_id: str | None = None) -> ClassNode:
+    def create_class(
+        self, name: str, domain: str, parent_id: str | None = None
+    ) -> ClassNode:
         """Allocate an id and insert a taxonomy class."""
         if parent_id is not None:
-            self._require(parent_id, CLASS_PREFIX)
+            _check_endpoint(self._nodes, parent_id, CLASS_PREFIX)
         node = ClassNode(self._ids.allocate(CLASS_PREFIX), name, domain, parent_id)
         self.add_node(node)
         if parent_id is not None:
@@ -173,9 +182,11 @@ class AliCoCoStore:
 
     def create_primitive(self, name: str, class_id: str) -> PrimitiveConcept:
         """Allocate an id and insert a primitive concept under ``class_id``."""
-        class_node = self._require(class_id, CLASS_PREFIX)
-        node = PrimitiveConcept(self._ids.allocate(PRIMITIVE_PREFIX), name,
-                                class_id, class_node.domain)
+        _check_endpoint(self._nodes, class_id, CLASS_PREFIX)
+        domain = self._nodes[class_id].domain
+        node = PrimitiveConcept(
+            self._ids.allocate(PRIMITIVE_PREFIX), name, class_id, domain
+        )
         self.add_node(node)
         self.add_relation(Relation(RelationKind.INSTANCE_OF, node.id, class_id))
         return node
@@ -183,15 +194,21 @@ class AliCoCoStore:
     def create_ecommerce(self, text: str, source: str = "mined") -> ECommerceConcept:
         """Allocate an id and insert an e-commerce concept."""
         tokens = tuple(text.split())
-        node = ECommerceConcept(self._ids.allocate(ECOMMERCE_PREFIX), text,
-                                tokens, source)
+        node = ECommerceConcept(
+            self._ids.allocate(ECOMMERCE_PREFIX), text, tokens, source
+        )
         return self.add_node(node)
 
-    def create_item(self, title: str, shop: str = "shop_0",
-                    properties: dict[str, str] | None = None) -> Item:
+    def create_item(
+        self,
+        title: str,
+        shop: str = "shop_0",
+        properties: dict[str, str] | None = None,
+    ) -> Item:
         """Allocate an id and insert an item."""
-        node = Item(self._ids.allocate(ITEM_PREFIX), title, shop,
-                    dict(properties or {}))
+        node = Item(
+            self._ids.allocate(ITEM_PREFIX), title, shop, dict(properties or {})
+        )
         return self.add_node(node)
 
     def add_relation(self, relation: Relation) -> Relation:
@@ -216,8 +233,9 @@ class AliCoCoStore:
         a duplicate of a stored edge, or of an earlier edge of the batch,
         resolves to the stored one, and the returned list holds, per
         input edge, the relation that is actually in the net.  The batch
-        is all or nothing: every edge is validated before any is
-        inserted, so one that fails leaves the store untouched.
+        is all or nothing: every edge is validated (:func:`_check_edges`)
+        before any is inserted, so one that fails leaves the store
+        untouched.
 
         Raises:
             FrozenStoreError: If the store has been frozen for serving.
@@ -225,33 +243,9 @@ class AliCoCoStore:
             RelationError: If an endpoint's layer does not match its kind.
         """
         if self._frozen:
-            raise FrozenStoreError(
-                "cannot add relations: store is frozen for serving")
-        require, out = self._require, self._out
-        fresh: dict[tuple[RelationKind, str, str], Relation] = {}
-        stored = []
-        for relation in relations:
-            kind, source, target = relation.kind, relation.source, relation.target
-            require(source, kind.source_layer)
-            require(target, kind.target_layer)
-            key = (kind, source, target)
-            existing = fresh.get(key)
-            if existing is None:
-                existing = _edge_to(out.get((source, kind), ()), target)
-                if existing is None:
-                    existing = fresh[key] = relation
-            stored.append(existing)
-        ordered, inc = self._relations[-1], self._in
-        kind_counts, by_kind = self._kind_counts, self._by_kind
-        for key, relation in fresh.items():
-            kind, source, target = key
-            ordered.append(relation)
-            out[(source, kind)].append(relation)
-            inc[(target, kind)].append(relation)
-            kind_counts[kind] += 1
-            by_kind[kind][-1].append(relation)
-            if kind in _ITEM_KINDS:
-                self._linked_item_ids.add(source)
+            raise _frozen("add relations")
+        stored, fresh = _check_edges(relations, self._nodes, self._edge)
+        self._insert_relations(fresh)
         return stored
 
     def add_relations_trusted(self, relations: Iterable[Relation]) -> int:
@@ -263,10 +257,10 @@ class AliCoCoStore:
         relation table at array speed before it builds).  Re-validating
         endpoint layers and re-checking for duplicates per edge would
         dominate their time, so this path skips both.  Endpoint
-        *existence* is still enforced (one dictionary lookup each).  All
-        indexes and counters are maintained exactly as
-        :meth:`add_relation` would, and the garbage collector is paused
-        for the build (:func:`gc_paused`).
+        *existence* is still enforced, one dictionary lookup each inside
+        the insert :meth:`add_relations` uses too, so every index and
+        counter is maintained the same way; the garbage collector is
+        paused for the build (:func:`gc_paused`).
 
         Returns:
             Number of relations inserted.
@@ -276,9 +270,20 @@ class AliCoCoStore:
             NodeNotFoundError: If an endpoint is missing.
         """
         if self._frozen:
-            raise FrozenStoreError(
-                "cannot bulk-add relations: store is frozen for serving")
-        nodes = self._nodes
+            raise _frozen("bulk-add relations")
+        ordered = self._relations[-1]
+        before = len(ordered)
+        with gc_paused():
+            self._insert_relations(relations, self._nodes)
+        return len(ordered) - before
+
+    def _insert_relations(
+        self, relations: Iterable[Relation], nodes: Container[str] | None = None
+    ) -> None:
+        """Add validated relations to every index and counter: the one edge
+        insert of both add paths and a generational store's open delta.
+        With ``nodes`` given, an endpoint missing from it raises
+        :class:`NodeNotFoundError` (the trusted path's one check)."""
         ordered = self._relations[-1]
         out, inc = self._out, self._in
         kind_counts, by_kind = self._kind_counts, self._by_kind
@@ -286,31 +291,39 @@ class AliCoCoStore:
         # kind -> the last chunk of its per-kind sequence, looked up on
         # the first edge of that kind only.
         chunks: dict[RelationKind, list[Relation]] = {}
-        before = len(ordered)
-        with gc_paused():
-            for relation in relations:
-                kind, source, target, _, _ = relation
-                if source not in nodes:
-                    raise NodeNotFoundError(f"node {source!r} does not exist")
-                if target not in nodes:
-                    raise NodeNotFoundError(f"node {target!r} does not exist")
-                ordered.append(relation)
-                out[(source, kind)].append(relation)
-                inc[(target, kind)].append(relation)
-                kind_counts[kind] += 1
-                chunk = chunks.get(kind)
-                if chunk is None:
-                    chunk = chunks[kind] = by_kind[kind][-1]
-                chunk.append(relation)
-                if kind in _ITEM_KINDS:
-                    linked.add(source)
-        return len(ordered) - before
+        for relation in relations:
+            kind, source, target, _, _ = relation
+            if nodes is not None and (source not in nodes or target not in nodes):
+                raise _missing(source if source not in nodes else target)
+            ordered.append(relation)
+            out[(source, kind)].append(relation)
+            inc[(target, kind)].append(relation)
+            kind_counts[kind] += 1
+            chunk = chunks.get(kind)
+            if chunk is None:
+                chunk = chunks[kind] = by_kind[kind][-1]
+            chunk.append(relation)
+            if kind in _ITEM_KINDS:
+                linked.add(source)
+
+    def _edge(self, kind: RelationKind, source: str, target: str) -> Relation | None:
+        """The stored (kind, source, target) edge, if any.
+
+        The duplicate lookup of every write path: a scan of the source's
+        out list for ``kind``, in which the target is unique.  Out lists
+        are short (a source has few edges of one kind), so a scan costs
+        less than keeping a net-wide key index.
+        """
+        for relation in self._out.get((source, kind), ()):
+            if relation.target == target:
+                return relation
+        return None
 
     # --------------------------------------------------------------- folding
-    def fold(self, segments: Sequence["DeltaSegment"]) -> "AliCoCoStore":
+    def fold(self, segments: Sequence[AliCoCoStore]) -> AliCoCoStore:
         """A new frozen store: this store's contents, then ``segments``.
 
-        ``segments`` are sealed delta segments in publish order.  The
+        ``segments`` are frozen delta stores in publish order.  The
         result answers every read exactly like replaying this store and
         then each segment into a fresh store (insertion, weight-tie and
         name-collision order included), but costs the delta, not the
@@ -340,12 +353,17 @@ class AliCoCoStore:
         """
         if not self._frozen:
             raise GraphError(
-                "fold() shares index lists with its base; freeze the base first")
+                "fold() shares index lists with its base; freeze the base first"
+            )
         # Layers no segment adds a node to keep their name index, and the
         # linked-item set is shared unless a segment links a new item.
-        layers = {layer for s in segments
-                  for layer, count in s.layer_counts.items() if count}
-        linked = set().union(*(s.linked_item_ids for s in segments))
+        layers = {
+            layer
+            for segment in segments
+            for layer, count in segment._layer_counts.items()
+            if count
+        }
+        linked = set().union(*(s._linked_item_ids for s in segments))
         linked -= self._linked_item_ids
         with gc_paused():
             store = AliCoCoStore()
@@ -353,58 +371,45 @@ class AliCoCoStore:
             store._layer_nodes = dict(self._layer_nodes)
             store._by_name = {
                 layer: defaultdict(list, names) if layer in layers else names
-                for layer, names in self._by_name.items()}
+                for layer, names in self._by_name.items()
+            }
             store._out = defaultdict(list, self._out)
             store._in = defaultdict(list, self._in)
             store._layer_counts = dict(self._layer_counts)
             store._kind_counts = defaultdict(int, self._kind_counts)
             store._by_kind = defaultdict(_chunks, self._by_kind)
             store._domain_class_ids = defaultdict(list, self._domain_class_ids)
-            store._domain_primitive_ids = defaultdict(
-                list, self._domain_primitive_ids)
+            store._domain_primitive_ids = defaultdict(list, self._domain_primitive_ids)
             store._linked_item_ids = (
-                self._linked_item_ids | linked if linked else self._linked_item_ids)
-            layer_nodes: dict[str, list[Node]] = defaultdict(list)
+                self._linked_item_ids | linked if linked else self._linked_item_ids
+            )
             relations: list[Relation] = []
             by_kind: dict[RelationKind, list[Relation]] = defaultdict(list)
             for segment in segments:
-                store._nodes.update(segment.nodes)
-                for node_id, node in segment.nodes.items():
-                    layer_nodes[layer_of(node_id)].append(node)
-                relations += segment.relations
-                for kind, added in segment.by_kind.items():
-                    by_kind[kind] += added
-                for layer, count in segment.layer_counts.items():
+                store._nodes.update(segment._nodes)
+                for chunk in segment._relations:
+                    relations += chunk
+                for kind, chunks in segment._by_kind.items():
+                    for chunk in chunks:
+                        by_kind[kind] += chunk
+                for layer, count in segment._layer_counts.items():
                     store._layer_counts[layer] += count
-                for kind, count in segment.kind_counts.items():
+                for kind, count in segment._kind_counts.items():
                     store._kind_counts[kind] += count
             if relations:
                 store._relations = self._relations + [relations]
             else:
                 store._relations = self._relations
             for kind, added in by_kind.items():
-                store._by_kind[kind] = self._by_kind.get(kind, []) + [added]
-            _grow_lists(store._layer_nodes, [layer_nodes])
+                if added:
+                    store._by_kind[kind] = self._by_kind.get(kind, []) + [added]
+            for name in _KEYED_INDEXES:
+                _grow_lists(getattr(store, name), [getattr(s, name) for s in segments])
             for layer in layers:
-                _grow_lists(store._by_name[layer],
-                            [s.by_name[layer] for s in segments])
-            _grow_lists(store._out, [s.out for s in segments])
-            _grow_lists(store._in, [s.inc for s in segments])
-            _grow_lists(store._domain_class_ids,
-                        [s.domain_class_ids for s in segments])
-            _grow_lists(store._domain_primitive_ids,
-                        [s.domain_primitive_ids for s in segments])
+                _grow_lists(
+                    store._by_name[layer], [s._by_name[layer] for s in segments]
+                )
         return store.freeze()
-
-    def _require(self, node_id: str, expected_layer: str) -> Node:
-        node = self._nodes.get(node_id)
-        if node is None:
-            raise NodeNotFoundError(f"node {node_id!r} does not exist")
-        if layer_of(node_id) != expected_layer:
-            raise RelationError(
-                f"node {node_id!r} is in layer {layer_of(node_id)!r}; "
-                f"expected {expected_layer!r}")
-        return node
 
     # ---------------------------------------------------------------- access
     def get(self, node_id: str) -> Node:
@@ -415,7 +420,7 @@ class AliCoCoStore:
         """
         node = self._nodes.get(node_id)
         if node is None:
-            raise NodeNotFoundError(f"node {node_id!r} does not exist")
+            raise _missing(node_id)
         return node
 
     def __contains__(self, node_id: str) -> bool:
@@ -492,24 +497,7 @@ class AliCoCoStore:
         Every figure is read off incrementally-maintained counters and
         indexes, so this is O(domains) rather than O(nodes + relations).
         """
-        items = self.count_nodes(ITEM_PREFIX)
-        return StoreStats(
-            primitive_concepts=self.count_nodes(PRIMITIVE_PREFIX),
-            ecommerce_concepts=self.count_nodes(ECOMMERCE_PREFIX),
-            items=items,
-            classes=self.count_nodes(CLASS_PREFIX),
-            relations_total=sum(self._kind_counts.values()),
-            isa_primitive=self.count_relations(RelationKind.ISA_PRIMITIVE),
-            isa_ecommerce=self.count_relations(RelationKind.ISA_ECOMMERCE),
-            item_primitive=self.count_relations(RelationKind.ITEM_PRIMITIVE),
-            item_ecommerce=self.count_relations(RelationKind.ITEM_ECOMMERCE),
-            ecommerce_primitive=self.count_relations(RelationKind.INTERPRETED_BY),
-            primitive_by_domain={
-                domain: len(ids)
-                for domain, ids in self._domain_primitive_ids.items()},
-            linked_item_fraction=(
-                len(self._linked_item_ids) / items) if items else 0.0,
-        )
+        return _stats((self,))
 
     # --------------------------------------------------------------- helpers
     def classes_in_domain(self, domain: str) -> list[ClassNode]:
@@ -520,8 +508,7 @@ class AliCoCoStore:
     def primitives_in_domain(self, domain: str) -> list[PrimitiveConcept]:
         """All primitive concepts belonging to a first-level domain (served
         from the per-domain index; no full-store scan)."""
-        return [self._nodes[i]
-                for i in self._domain_primitive_ids.get(domain, [])]
+        return [self._nodes[i] for i in self._domain_primitive_ids.get(domain, [])]
 
 
 @contextmanager
@@ -545,23 +532,116 @@ def gc_paused() -> Iterator[None]:
         gc.enable()
 
 
+def _stats(stores: Sequence[AliCoCoStore]) -> StoreStats:
+    """Table 2 statistics summed over one store, or a generation view's
+    base then segments; the base's linked-item set is never copied."""
+
+    def nodes(layer: str) -> int:
+        return sum(store._layer_counts[layer] for store in stores)
+
+    def relations(kind: RelationKind) -> int:
+        return sum(store._kind_counts.get(kind, 0) for store in stores)
+
+    by_domain: dict[str, int] = {}
+    for store in stores:
+        for domain, ids in store._domain_primitive_ids.items():
+            by_domain[domain] = by_domain.get(domain, 0) + len(ids)
+    linked = stores[0]._linked_item_ids
+    later = set().union(*(store._linked_item_ids for store in stores[1:]))
+    n_linked = len(linked) + len(later - linked)
+    items = nodes(ITEM_PREFIX)
+    return StoreStats(
+        primitive_concepts=nodes(PRIMITIVE_PREFIX),
+        ecommerce_concepts=nodes(ECOMMERCE_PREFIX),
+        items=items,
+        classes=nodes(CLASS_PREFIX),
+        relations_total=sum(sum(store._kind_counts.values()) for store in stores),
+        isa_primitive=relations(RelationKind.ISA_PRIMITIVE),
+        isa_ecommerce=relations(RelationKind.ISA_ECOMMERCE),
+        item_primitive=relations(RelationKind.ITEM_PRIMITIVE),
+        item_ecommerce=relations(RelationKind.ITEM_ECOMMERCE),
+        ecommerce_primitive=relations(RelationKind.INTERPRETED_BY),
+        primitive_by_domain=by_domain,
+        linked_item_fraction=n_linked / items if items else 0.0,
+    )
+
+
+def _check_node(node: Node, nodes: Container[str]) -> str:
+    """The layer of a node about to join ``nodes``: the node check of both
+    stores' ``add_node`` and of the snapshot loader's node table.
+
+    Raises:
+        DuplicateNodeError: If the id is already one of ``nodes``.
+        ValueError: If the id carries no known layer prefix.
+        RelationError: If the node type does not match its id prefix.
+    """
+    if node.id in nodes:
+        raise DuplicateNodeError(f"node {node.id!r} already exists")
+    layer = layer_of(node.id)
+    if not isinstance(node, _LAYER_TYPES[layer]):
+        raise RelationError(
+            f"node {node.id!r} has prefix {layer!r} but type {type(node).__name__}"
+        )
+    return layer
+
+
+def _check_edges(
+    relations: Iterable[Relation],
+    nodes: Container[str],
+    edge: Callable[[RelationKind, str, str], Relation | None],
+) -> tuple[list[Relation], Collection[Relation]]:
+    """The edge validator of both stores' ``add_relations``, given the
+    store's node set and edge lookup.  Endpoints are checked in order,
+    source before target; a repeat of an earlier edge of the batch, or
+    of a stored edge, resolves to that edge.
+
+    Returns:
+        ``(stored, fresh)``: per input edge, the relation in the net once
+        ``fresh``, the new edges in order, is inserted.
+
+    Raises:
+        NodeNotFoundError: If an endpoint is missing.
+        RelationError: If an endpoint's layer does not match its kind.
+    """
+    fresh: dict[tuple[RelationKind, str, str], Relation] = {}
+    stored = []
+    for relation in relations:
+        kind, source, target, _, _ = relation
+        _check_endpoint(nodes, source, kind.source_layer)
+        _check_endpoint(nodes, target, kind.target_layer)
+        key = (kind, source, target)
+        existing = fresh.get(key)
+        if existing is None:
+            existing = edge(kind, source, target)
+            if existing is None:
+                existing = fresh[key] = relation
+        stored.append(existing)
+    return stored, fresh.values()
+
+
+def _check_endpoint(nodes: Container[str], node_id: str, layer: str) -> None:
+    """Raise unless ``node_id`` is one of ``nodes`` and lies in ``layer``."""
+    if node_id not in nodes:
+        raise _missing(node_id)
+    if layer_of(node_id) != layer:
+        raise RelationError(
+            f"node {node_id!r} is in layer {layer_of(node_id)!r}; expected {layer!r}"
+        )
+
+
+def _missing(node_id: str) -> NodeNotFoundError:
+    """The error a read or write naming an absent node raises."""
+    return NodeNotFoundError(f"node {node_id!r} does not exist")
+
+
+def _frozen(action: str) -> FrozenStoreError:
+    """The error a write to a frozen store raises."""
+    return FrozenStoreError(f"cannot {action}: store is frozen for serving")
+
+
 def _chunks() -> list[list[Relation]]:
     """A new chunked relation sequence: one empty chunk to append to."""
     return [[]]
-
-
-def _edge_to(relations: Iterable[Relation], target: str) -> Relation | None:
-    """The edge of ``relations`` that ends at ``target``, if any.
-
-    The duplicate check of every write path: ``relations`` is one
-    source's out list for one kind, so (kind, source, target) is unique
-    within it, and out lists are short (a source has few edges of one
-    kind), so a scan costs less than keeping a net-wide key index.
-    """
-    for relation in relations:
-        if relation.target == target:
-            return relation
-    return None
 
 
 def _skip(parts: list[tuple[int, Iterable]], count: int) -> Iterator:
@@ -578,10 +658,13 @@ def _skip(parts: list[tuple[int, Iterable]], count: int) -> Iterator:
 def _grow_lists(index: dict, additions: Iterable[dict]) -> None:
     """Append each addition's lists to ``index``'s, key by key, without
     mutating a list ``index`` already holds: the first touch of a key
-    installs a new list (old + added), later touches extend that one."""
+    installs a new list (old + added), later touches extend that one.
+    Empty additions leave the key's list shared."""
     grown: dict = {}
     for added in additions:
         for key, values in added.items():
+            if not values:
+                continue
             fresh = grown.get(key)
             if fresh is None:
                 grown[key] = index.get(key, []) + values

@@ -5,9 +5,11 @@ The paper's net is "continuously growing"; the offline build
 module closes the loop at serving time.  An :class:`EvolutionDriver`
 re-runs the construction stages against fresh synthetic corpus batches:
 
-1. **mine** — candidate concepts from a new batch of queries and guides,
-   via :class:`~repro.concepts.generation.CandidateGenerator` (quality
-   phrases + pattern combination, Section 5.2.1);
+1. **mine** — candidate concepts for a new batch of queries and guides,
+   by pattern combination
+   (:meth:`~repro.concepts.generation.CandidateGenerator.combine_primitives`,
+   Section 5.2.1); raw mined phrases carry no gold interpretation to
+   link, so the default stage does not run the phrase miner;
 2. **classify** — accept or reject each candidate.  The default is the
    ground-truth oracle (the repo's crowdsourcing substitute); wire in a
    trained Section 5.2.2 model with :func:`classifier_stage`;
@@ -99,7 +101,6 @@ class EvolutionConfig:
         n_good / n_bad: Pattern-combined candidates per cycle (the bad
             share exercises the classify stage).
         n_queries / n_guides: Size of the fresh corpus batch per cycle.
-        mined_top_k: Quality-phrase budget per batch.
         publish_min_nodes: Publish as soon as this many nodes are staged
             in the open delta (the *size* trigger).
         publish_max_interval: Publish any non-empty delta older than
@@ -117,7 +118,6 @@ class EvolutionConfig:
     n_bad: int = 3
     n_queries: int = 40
     n_guides: int = 25
-    mined_top_k: int = 20
     publish_min_nodes: int = 6
     publish_max_interval: float = 10.0
     cycle_interval: float = 0.05
@@ -135,9 +135,8 @@ class EvolutionConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("n_bad", "mined_top_k"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if self.n_bad < 0:
+            raise ConfigError("n_bad must be >= 0")
         for name in (
             "publish_max_interval",
             "cycle_interval",
@@ -392,20 +391,16 @@ class EvolutionDriver:
         return CorpusBatch(cycle_index=cycle_index, sentences=sentences, rng=rng)
 
     def _default_mine(self, batch: CorpusBatch) -> Sequence[ConceptSpec]:
-        """Section 5.2.1 candidate pool over the batch.
+        """Section 5.2.1 pattern-combined candidates for the batch.
 
         Raw mined phrases have no gold interpretation to link, so only
-        the pattern-combined specs continue down the pipeline; the
-        phrase miner still runs so the batch's text is really mined.
+        pattern-combined specs can continue down the pipeline, and the
+        default stage does not run the phrase miner.  A custom ``mine``
+        stage can read the batch's text from ``batch.sentences``.
         """
-        specs, _mined, _report = self._generator.generate(
-            batch.sentences,
-            batch.rng,
-            self.config.n_good,
-            self.config.n_bad,
-            mined_top_k=self.config.mined_top_k,
+        return self._generator.combine_primitives(
+            batch.rng, self.config.n_good, self.config.n_bad
         )
-        return specs
 
     def _default_classify(self, spec: ConceptSpec) -> bool:
         """Crowdsourcing substitute: the world's ground-truth label."""

@@ -24,7 +24,13 @@ CI reruns the property tests with ``--hypothesis-profile=batch-relations``
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FrozenStoreError, GraphError, NodeNotFoundError, RelationError
+from repro.errors import (
+    DataError,
+    FrozenStoreError,
+    GraphError,
+    NodeNotFoundError,
+    RelationError,
+)
 from repro.kg import (
     AliCoCoStore,
     ClassNode,
@@ -37,6 +43,7 @@ from repro.kg import (
     flatten,
 )
 from repro.kg.ids import layer_of
+from repro.kg.serialize import _write, load_snapshot
 
 K = RelationKind
 
@@ -263,8 +270,9 @@ class TestBatchProperty:
             expected = plain.add_relations(batch)
         except GraphError as error:
             for shape in ("segments", "compacted"):
-                with pytest.raises(type(error)):
+                with pytest.raises(type(error)) as raised:
                     _scenario(shape).add_relations(batch)
+                assert str(raised.value) == str(error)
             return
         for shape in ("segments", "compacted"):
             store = _scenario(shape)
@@ -330,6 +338,42 @@ class TestBatchSemantics:
         counts = store.open_counts
         assert store.add_relations([]) == []
         assert store.open_counts == counts
+
+
+#: Node writes every store refuses: a copy of the first node of each
+#: pending layer, and a node whose type does not match its id prefix.
+BAD_NODES = {
+    **{f"copy-in-{name}": nodes[0] for name, (nodes, _) in LAYERS.items()},
+    "type-mismatch": Item("ec_77", "an item in the concept layer"),
+}
+
+
+class TestNodeWriteParity:
+    @pytest.mark.parametrize("node", BAD_NODES.values(), ids=list(BAD_NODES))
+    def test_node_writes_fail_alike_everywhere(self, node, tmp_path):
+        """Both stores share one node check, and the snapshot loader
+        applies it to the node table under its own error type."""
+        with pytest.raises(GraphError) as plain:
+            _plain().add_node(node)
+        for shape in ("segments", "compacted"):
+            with pytest.raises(type(plain.value)) as generational:
+                _scenario(shape).add_node(node)
+            assert str(generational.value) == str(plain.value)
+        store = _plain()
+        path = tmp_path / "bad.snapshot"
+        _write(
+            path,
+            [
+                ("base", list(store.nodes()), list(store.relations())),
+                ("delta:1", [node], []),
+            ],
+            config_fingerprint="",
+            base_generation=0,
+            index_states=None,
+            model_states=None,
+        )
+        with pytest.raises(DataError, match="repeated or in the wrong layer"):
+            load_snapshot(path)
 
 
 # ------------------------------------------------------------------ histories

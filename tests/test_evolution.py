@@ -25,8 +25,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.concepts.generation import CandidateGenerator
 from repro.errors import ConfigError, DataError
-from repro.kg import GenerationalStore
+from repro.kg import GenerationalStore, flatten
 from repro.kg.ids import ECOMMERCE_PREFIX
 from repro.kg.relations import Relation, RelationKind
 from repro.pipeline import (
@@ -148,6 +149,40 @@ class TestRunCycle:
         assert [n.id for n in indexed_store.nodes()] == [
             n.id for n in scan_store.nodes()
         ]
+
+    def test_default_mine_stages_what_generate_and_drop_staged(self, built_tiny):
+        """The default mine stage combines patterns without running the
+        phrase miner, whose phrases the pipeline dropped anyway.  The
+        miner draws no randomness, so cycles over the default stage read
+        exactly like cycles over a stage that mines the batch's text
+        and drops the phrases."""
+        generator = CandidateGenerator(built_tiny.world)
+
+        def generate_and_drop(batch):
+            specs, _mined, _report = generator.generate(
+                batch.sentences, batch.rng, FAST["n_good"], FAST["n_bad"], 20
+            )
+            return specs
+
+        reads = []
+        for stages in ({}, {"mine": generate_and_drop}):
+            store, _, driver = _driver(
+                built_tiny, seed=29, publish_min_nodes=1, **stages
+            )
+            reports = [driver.run_cycle() for _ in range(6)]
+            store.publish()
+            flat = flatten(store)
+            reads.append(
+                (
+                    reports,
+                    store.generation_id,
+                    [vars(node) for node in flat.nodes()],
+                    list(flat.relations()),
+                    flat.stats(),
+                )
+            )
+        assert sum(report.accepted for report in reads[0][0]) > 0
+        assert reads[0] == reads[1]
 
     def test_mined_concept_is_served_end_to_end(self, built_tiny):
         store, service, driver = _driver(built_tiny, seed=17,

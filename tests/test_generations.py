@@ -188,9 +188,34 @@ class TestGenerationalStore:
         _grow(store, "sealed")
         store.publish()
         (segment,) = store.published_segments
-        assert segment.sealed
+        assert segment.frozen
         with pytest.raises(FrozenStoreError):
-            segment._add_node(Item(id="item_999999998", title="late"))
+            segment.add_node(Item(id="item_999999998", title="late"))
+
+    def test_writes_into_a_sealed_segment_raise(self, built_tiny):
+        """A sealed segment is a frozen store: every write path refuses,
+        and the segment reads as it did when it was sealed."""
+        store = GenerationalStore(built_tiny.store)
+        _grow(store, "sealed")
+        segment = store.seal()
+        assert segment is not None and segment.frozen
+        before = (list(segment.nodes()), list(segment.relations()))
+        (item,) = segment.nodes("item")
+        (concept,) = segment.nodes("ec")
+        edge = Relation(RelationKind.ITEM_ECOMMERCE, item.id, concept.id, weight=0.1)
+        late = Item(id="item_999999997", title="late")
+        for write, argument in (
+            (segment.add_node, late),
+            (segment.add_nodes_trusted, [late]),
+            (segment.add_relation, edge),
+            (segment.add_relations, [edge]),
+            (segment.add_relations_trusted, [edge]),
+        ):
+            with pytest.raises(FrozenStoreError):
+                write(argument)
+        with pytest.raises(FrozenStoreError):
+            segment.create_ecommerce("late concept")
+        assert (list(segment.nodes()), list(segment.relations())) == before
 
     def test_empty_publish_is_a_noop(self, built_tiny):
         store = GenerationalStore(built_tiny.store)
@@ -205,7 +230,7 @@ class TestGenerationalStore:
         for expected in (1, 2, 3):
             _grow(store, f"round-{expected}")
             assert store.publish() == expected
-        assert [segment.sealed for segment in store.published_segments] == [True] * 3
+        assert [segment.frozen for segment in store.published_segments] == [True] * 3
 
 
 # ------------------------------------------------- overlay vs flatten oracle
@@ -845,7 +870,7 @@ class TestCompaction:
             base, segments = view._base, view._segments
             store.compact()
             folded = store.current()._base
-            added = [r for s in segments for r in s.relations]
+            added = [r for s in segments for r in s.relations()]
             assert folded._relations[:-1] == base._relations
             assert all(
                 new is old for new, old in zip(folded._relations, base._relations)
@@ -854,14 +879,14 @@ class TestCompaction:
             for kind in RelationKind:
                 old = base._by_kind.get(kind, [])
                 new = folded._by_kind.get(kind, [])
-                kind_added = [r for s in segments for r in s.by_kind.get(kind, [])]
+                kind_added = [r for s in segments for r in s.relations(kind)]
                 if kind_added:
                     assert len(new) == len(old) + 1 and new[-1] == kind_added
                 else:
                     assert new == old
                 assert all(a is b for a, b in zip(new, old)), kind
-            for index, delta in (("_out", "out"), ("_in", "inc")):
-                touched = {key for s in segments for key in getattr(s, delta)}
+            for index in ("_out", "_in"):
+                touched = {key for s in segments for key in getattr(s, index)}
                 for key, values in getattr(base, index).items():
                     if key not in touched:
                         assert getattr(folded, index)[key] is values
@@ -988,21 +1013,17 @@ class TestEmptySegments:
         assert store.published_segments == ()
 
     def test_hand_staged_empty_segment_is_dropped(self, built_tiny):
-        from repro.kg.generations import DeltaSegment
-
         store = GenerationalStore(built_tiny.store)
-        store._staged.append(DeltaSegment())
+        store._staged.append(AliCoCoStore().freeze())
         assert store.swap() == 0
         assert store.published_segments == ()
 
     def test_empty_segments_dropped_alongside_real_ones(self, built_tiny):
-        from repro.kg.generations import DeltaSegment
-
         store = GenerationalStore(built_tiny.store)
-        store._staged.append(DeltaSegment())
+        store._staged.append(AliCoCoStore().freeze())
         _grow(store, "real")
         store.seal()
-        store._staged.append(DeltaSegment())
+        store._staged.append(AliCoCoStore().freeze())
         assert store.swap() == 1
         assert len(store.published_segments) == 1
         assert store.find_by_name("ec", "fresh real concept")
