@@ -23,7 +23,9 @@ class ScalePoint:
 
     ``match_seconds`` / ``isa_seconds`` come from the build's stage
     timers and isolate the two construction hot paths (item-concept
-    matching and concept-isA discovery) from corpus generation.
+    matching and concept-isA discovery) from corpus generation.  The
+    ``"item-matching"`` stage times matching and the weight draw only;
+    item nodes and every item edge land in ``"item-nodes"``.
     """
 
     n_items: int

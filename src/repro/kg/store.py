@@ -521,6 +521,11 @@ def gc_paused() -> Iterator[None]:
     scale that is over a third of the build.  Nothing is leaked: the
     collector's previous state is restored on exit, and a pause inside a
     pause is a no-op.
+
+    A pause defers collection rather than skipping it.  The allocation
+    counters keep counting while the collector is off, so the first
+    tracked allocation after it is re-enabled runs a collection over
+    everything the paused block allocated.
     """
     if not gc.isenabled():
         yield

@@ -16,12 +16,13 @@ an :class:`~repro.kg.store.AliCoCoStore`:
    ITEM_ECOMMERCE edges from scenario membership (Section 6), weighted by
    simulated click-through rates.
 
-Stage 4 and the concept-isA pass are the hot paths at scale.  By default
-they run retrieval-then-verify over the inverted indexes in
-:mod:`repro.synth.index` (near-linear in items); the brute-force
-all-pairs scans stay callable via ``use_candidate_index=False`` and are
-guaranteed — and tested — to produce an identical store.  Every build
-records per-stage wall times in a :class:`~repro.utils.timing.StageTimer`
+Stage 4 and the concept-isA pass are the hot paths at scale.  Both run
+retrieval-then-verify over the inverted indexes in
+:mod:`repro.synth.index` (near-linear in items).  Each stage creates its
+nodes first and then adds its edges as one ``add_relations`` batch; the
+item layer runs one matching pass over the catalog, draws every weight
+at once and adds every item edge in one batch.  Every build records
+per-stage wall times in a :class:`~repro.utils.timing.StageTimer`
 exposed as ``BuildResult.timings``.
 """
 
@@ -73,10 +74,12 @@ class BuildResult:
     timings: StageTimer = field(default_factory=StageTimer)
 
 
-def build_alicoco(scale: RunScale, n_concepts: int | None = None,
-                  mine_implicit: bool = True,
-                  use_candidate_index: bool = True,
-                  timer: StageTimer | None = None) -> BuildResult:
+def build_alicoco(
+    scale: RunScale,
+    n_concepts: int | None = None,
+    mine_implicit: bool = True,
+    timer: StageTimer | None = None,
+) -> BuildResult:
     """Construct the net at the given scale.
 
     Args:
@@ -84,17 +87,14 @@ def build_alicoco(scale: RunScale, n_concepts: int | None = None,
         n_concepts: Override for the number of e-commerce concepts.
         mine_implicit: Also mine probabilistic commonsense relations
             ("T-shirt suitable_when summer") per the paper's future work.
-        use_candidate_index: Route item-concept matching and concept-isA
-            discovery through the inverted candidate indexes (default).
-            ``False`` keeps the brute-force all-pairs scans, which produce
-            an identical store — useful for parity tests and benchmarks.
         timer: Stage timer to record into (a fresh one is created when
             omitted); also exposed as ``BuildResult.timings``.
     """
     timer = timer if timer is not None else StageTimer()
     with timer.stage("world"):
-        lexicon = build_lexicon(seed=scale.seed, n_brands=scale.n_brands,
-                                n_ips=scale.n_ips)
+        lexicon = build_lexicon(
+            seed=scale.seed, n_brands=scale.n_brands, n_ips=scale.n_ips
+        )
         world = World(lexicon, seed=scale.seed)
         rng = spawn_rng(scale.seed, "build")
         if n_concepts is None:
@@ -106,16 +106,16 @@ def build_alicoco(scale: RunScale, n_concepts: int | None = None,
     store = AliCoCoStore()
     with timer.stage("taxonomy"):
         taxonomy = build_taxonomy(store)
-    result = BuildResult(store=store, world=world, lexicon=lexicon,
-                         corpus=corpus, concepts=concepts, taxonomy=taxonomy,
-                         timings=timer)
+    result = BuildResult(
+        store, world, lexicon, corpus, concepts, taxonomy, timings=timer
+    )
 
     with timer.stage("primitive-layer"):
         _add_primitive_layer(result)
     with timer.stage("concept-layer"):
-        _add_concept_layer(result, use_candidate_index)
+        _add_concept_layer(result)
     with timer.stage("item-layer"):
-        _add_item_layer(result, rng, use_candidate_index)
+        _add_item_layer(result, rng)
     if mine_implicit:
         with timer.stage("implicit-relations"):
             _add_implicit_relations(result)
@@ -128,136 +128,125 @@ def _add_implicit_relations(result: BuildResult) -> None:
     from ..mining.implicit import ImplicitRelationMiner
 
     miner = ImplicitRelationMiner(min_probability=0.6, min_support=3)
+    kind, primitive_ids = RelationKind.RELATED_PRIMITIVE, result.primitive_ids
+    relations = []
     for mined in miner.mine(result.corpus.items):
-        source = result.primitive_ids.get((mined.source, "Category"))
-        target = result.primitive_ids.get((mined.target, mined.target_domain))
+        source = primitive_ids.get((mined.source, "Category"))
+        target = primitive_ids.get((mined.target, mined.target_domain))
         if source is None or target is None:
             continue
-        result.store.add_relation(Relation(
-            RelationKind.RELATED_PRIMITIVE, source, target,
-            weight=mined.probability, name=mined.name))
+        relations.append(Relation(kind, source, target, mined.probability, mined.name))
+    result.store.add_relations(relations)
 
 
 def _add_primitive_layer(result: BuildResult) -> None:
     """Primitive concepts for every lexicon sense + Category isA edges."""
-    store, taxonomy = result.store, result.taxonomy
+    store, taxonomy, primitive_ids = result.store, result.taxonomy, result.primitive_ids
     for entry in result.lexicon.entries:
         class_id = taxonomy.by_name.get(entry.class_name)
         if class_id is None:
             class_id = taxonomy.leaf_class_of_domain[entry.domain]
         node = store.create_primitive(entry.surface, class_id)
-        result.primitive_ids[(entry.surface, entry.domain)] = node.id
+        primitive_ids[(entry.surface, entry.domain)] = node.id
+    relations = []
     for hyponym, hypernym in result.lexicon.hypernym_pairs("Category"):
-        source = result.primitive_ids[(hyponym, "Category")]
-        target = result.primitive_ids[(hypernym, "Category")]
-        store.add_relation(Relation(RelationKind.ISA_PRIMITIVE, source, target))
+        source = primitive_ids[(hyponym, "Category")]
+        target = primitive_ids[(hypernym, "Category")]
+        relations.append(Relation(RelationKind.ISA_PRIMITIVE, source, target))
+    store.add_relations(relations)
 
 
-def _add_concept_layer(result: BuildResult, use_candidate_index: bool) -> None:
-    """E-commerce concepts + interpretation links to the correct senses."""
-    store = result.store
+def _add_concept_layer(result: BuildResult) -> None:
+    """E-commerce concepts + interpretation links to the correct senses.
+    Every concept node exists before the links go in as one batch."""
+    store, primitive_ids = result.store, result.primitive_ids
+    kind = RelationKind.INTERPRETED_BY
+    relations = []
     for spec in result.concepts:
         node = store.create_ecommerce(spec.text, source=spec.pattern)
         result.concept_ids[spec.text] = node.id
         for part in spec.parts:
-            primitive_id = result.primitive_ids.get((part.surface, part.domain))
-            if primitive_id is not None:
-                store.add_relation(Relation(
-                    RelationKind.INTERPRETED_BY, node.id, primitive_id,
-                    name=part.domain))
+            target = primitive_ids.get((part.surface, part.domain))
+            if target is not None:
+                relations.append(Relation(kind, node.id, target, name=part.domain))
+    store.add_relations(relations)
     with result.timings.stage("concept-isa"):
-        if use_candidate_index:
-            _add_concept_isa_indexed(result)
-        else:
-            _add_concept_isa(result)
-
-
-def _add_concept_isa(result: BuildResult) -> None:
-    """Brute-force isA discovery: compare every concept pair.  A concept
-    whose parts are a strict superset of another's (same senses) is the
-    more specific one."""
-    store = result.store
-    signatures: dict[str, frozenset[tuple[str, str]]] = {}
-    for spec in result.concepts:
-        signatures[spec.text] = frozenset(
-            (p.surface, p.domain) for p in spec.parts)
-    texts = list(signatures)
-    for narrow in texts:
-        for broad in texts:
-            if narrow == broad:
-                continue
-            if signatures[broad] and signatures[broad] < signatures[narrow]:
-                store.add_relation(Relation(
-                    RelationKind.ISA_ECOMMERCE,
-                    result.concept_ids[narrow], result.concept_ids[broad]))
+        _add_concept_isa_indexed(result)
 
 
 def _add_concept_isa_indexed(result: BuildResult) -> None:
-    """Subset-lookup isA discovery over a part-signature index; produces
-    the same edges as :func:`_add_concept_isa` in the same order."""
-    store = result.store
+    """isA discovery by subset lookups over a part-signature index: a
+    concept whose parts are a strict superset of another's (same senses)
+    is the more specific one."""
     index = PartSignatureIndex(result.concepts)
-    for spec in result.concepts:
-        for broad in index.broader_than(spec.text):
-            store.add_relation(Relation(
-                RelationKind.ISA_ECOMMERCE,
-                result.concept_ids[spec.text], result.concept_ids[broad]))
+    kind, ids = RelationKind.ISA_ECOMMERCE, result.concept_ids
+    relations = [
+        Relation(kind, ids[spec.text], ids[broad])
+        for spec in result.concepts
+        for broad in index.broader_than(spec.text)
+    ]
+    result.store.add_relations(relations)
 
 
-def _add_item_layer(result: BuildResult, rng: np.random.Generator,
-                    use_candidate_index: bool) -> None:
+def _add_item_layer(result: BuildResult, rng: np.random.Generator) -> None:
     """Items, their primitive tags, and scenario associations.
 
     Scenario matching (the items x concepts hot path) runs retrieval-then-
-    verify by default: an inverted index proposes candidate concepts per
-    item and only those are verified with their concept's
-    ``concept_matcher``.  Candidates come back in original concept order,
-    so the weight RNG is consumed identically to the brute-force scan and
-    both paths build the exact same store.  Each item's ITEM_PRIMITIVE
-    and ITEM_ECOMMERCE edges go in as one ``add_relations`` batch each.
+    verify: an inverted index proposes candidate concepts per item and
+    only those are verified with their concept's ``concept_matcher``.
+    One matching pass (``"item-matching"``) collects every item's matched
+    concepts in catalog order and draws all their weights at once;
+    candidates come back in original concept order, so that one draw
+    holds the values of one scalar draw per matched (item, concept) pair.
+    One node pass (``"item-nodes"``) creates each item and stages its
+    ITEM_PRIMITIVE edges, then its ITEM_ECOMMERCE edges; every item edge
+    goes in as one ``add_relations`` batch.
     """
-    store, world = result.store, result.world
-    timer = result.timings
-    index = (ConceptCandidateIndex(result.concepts)
-             if use_candidate_index else None)
-    matchers = {id(spec): (concept_matcher(world, spec),
-                           result.concept_ids[spec.text])
-                for spec in result.concepts}
-    for item in result.corpus.items:
-        with timer.stage("item-nodes"):
-            node = store.create_item(item.title,
-                                     shop=f"shop_{item.index % 20}",
-                                     properties=_properties_of(item))
-            result.item_ids[item.index] = node.id
-            primitive_ids = (
-                result.primitive_ids.get(key)
-                for key in item.primitive_surfaces())
-            store.add_relations([
-                Relation(RelationKind.ITEM_PRIMITIVE, node.id, primitive_id)
-                for primitive_id in primitive_ids if primitive_id is not None])
-        with timer.stage("item-matching"):
-            pool = (index.candidates(item) if index is not None
-                    else result.concepts)
+    store, timer, items = result.store, result.timings, result.corpus.items
+    index = ConceptCandidateIndex(result.concepts)
+    matchers = {
+        id(spec): (concept_matcher(result.world, spec), result.concept_ids[spec.text])
+        for spec in result.concepts
+    }
+    with timer.stage("item-matching"):
+        matched = []
+        for item in items:
             concept_ids = []
-            for spec in pool:
+            for spec in index.candidates(item):
                 matches, concept_id = matchers[id(spec)]
                 if matches(item):
                     concept_ids.append(concept_id)
-            # One array draw gives the same values, in the same order, as
-            # one scalar draw per matched concept inside the verify loop.
-            weights = np.clip(
-                rng.normal(0.8, 0.1, size=len(concept_ids)), 0.05, 1.0)
-            store.add_relations([
-                Relation(RelationKind.ITEM_ECOMMERCE, node.id, concept_id,
-                         weight=weight)
-                for concept_id, weight in zip(concept_ids, weights.tolist())])
+            matched.append(concept_ids)
+        # One array draw gives the same values, in the same order, as one
+        # scalar draw per matched concept inside the verify loop.
+        draws = rng.normal(0.8, 0.1, size=sum(map(len, matched)))
+        weights = iter(np.clip(draws, 0.05, 1.0).tolist())
+    tag, association = RelationKind.ITEM_PRIMITIVE, RelationKind.ITEM_ECOMMERCE
+    with timer.stage("item-nodes"):
+        relations = []
+        for item, concept_ids in zip(items, matched):
+            shop, properties = f"shop_{item.index % 20}", _properties_of(item)
+            node = store.create_item(item.title, shop=shop, properties=properties)
+            result.item_ids[item.index] = node.id
+            for key in item.primitive_surfaces():
+                target = result.primitive_ids.get(key)
+                if target is not None:
+                    relations.append(Relation(tag, node.id, target))
+            for target in concept_ids:
+                relations.append(Relation(association, node.id, target, next(weights)))
+        store.add_relations(relations)
 
 
 def _properties_of(item: SynthItem) -> dict[str, str]:
     properties = {"Category": item.category}
-    for key, value in (("Brand", item.brand), ("Color", item.color),
-                       ("Material", item.material), ("Style", item.style),
-                       ("Pattern", item.pattern), ("Quantity", item.quantity)):
+    for key, value in (
+        ("Brand", item.brand),
+        ("Color", item.color),
+        ("Material", item.material),
+        ("Style", item.style),
+        ("Pattern", item.pattern),
+        ("Quantity", item.quantity),
+    ):
         if value is not None:
             properties[key] = value
     return properties

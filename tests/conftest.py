@@ -135,3 +135,46 @@ def assert_same_store(actual, expected):
             assert [found.id for found in actual.find_by_name(layer, name)] == [
                 found.id for found in expected.find_by_name(layer, name)
             ]
+
+
+class _AllConcepts:
+    """A ``ConceptCandidateIndex`` that proposes every concept, in order."""
+
+    def __init__(self, concepts):
+        self._concepts = list(concepts)
+
+    def candidates(self, item):
+        return self._concepts
+
+
+class _AllPairs:
+    """A ``PartSignatureIndex`` answered by the all-pairs scan: every
+    concept whose non-empty part set is a strict subset of ``narrow``'s,
+    in concept order."""
+
+    def __init__(self, concepts):
+        self._signatures = {
+            spec.text: frozenset((part.surface, part.domain) for part in spec.parts)
+            for spec in concepts
+        }
+
+    def broader_than(self, narrow):
+        signatures = self._signatures
+        return [
+            broad
+            for broad, signature in signatures.items()
+            if broad != narrow and signature and signature < signatures[narrow]
+        ]
+
+
+def oracle_build(scale, **kwargs):
+    """``build_alicoco`` through all-pairs candidates: every item is
+    verified against every concept, and every concept pair is compared
+    for isA.  The indexed build must equal it exactly."""
+    from unittest import mock
+
+    from repro.pipeline import build
+
+    with mock.patch.object(build, "ConceptCandidateIndex", _AllConcepts):
+        with mock.patch.object(build, "PartSignatureIndex", _AllPairs):
+            return build.build_alicoco(scale, **kwargs)

@@ -55,8 +55,8 @@ def _driver(built, target=None, **overrides):
     service = AliCoCoService(store, config=ServiceConfig(seed=0))
     config = EvolutionConfig(**{**FAST, **overrides})
     driver = EvolutionDriver.from_build(
-        built, target if target is not None else service, config=config,
-        **stage_kwargs)
+        built, target if target is not None else service, config=config, **stage_kwargs
+    )
     return store, service, driver
 
 
@@ -79,11 +79,18 @@ def _wait_for(predicate, timeout=10.0):
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("bad", [
-        dict(n_good=0), dict(n_queries=0), dict(publish_min_nodes=0),
-        dict(max_retries=0), dict(n_bad=-1), dict(backoff_base=-0.1),
-        dict(cycle_interval=-1.0),
-    ])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(n_good=0),
+            dict(n_queries=0),
+            dict(publish_min_nodes=0),
+            dict(max_retries=0),
+            dict(n_bad=-1),
+            dict(backoff_base=-0.1),
+            dict(cycle_interval=-1.0),
+        ],
+    )
     def test_bad_knobs_are_loud(self, bad):
         with pytest.raises(ConfigError):
             EvolutionConfig(**bad)
@@ -94,8 +101,7 @@ class TestConfigValidation:
 
     def test_frozen_targets_are_rejected(self, built_tiny):
         with pytest.raises(ConfigError, match="GenerationalStore"):
-            EvolutionDriver.from_build(
-                built_tiny, AliCoCoService(built_tiny.store))
+            EvolutionDriver.from_build(built_tiny, AliCoCoService(built_tiny.store))
         with pytest.raises(ConfigError, match="GenerationalStore"):
             EvolutionDriver.from_build(built_tiny, built_tiny.store)
 
@@ -105,8 +111,7 @@ class TestRunCycle:
         reports = []
         stores = []
         for _ in range(2):
-            store, _, driver = _driver(built_tiny, seed=17,
-                                       publish_min_nodes=1)
+            store, _, driver = _driver(built_tiny, seed=17, publish_min_nodes=1)
             reports.append([driver.run_cycle() for _ in range(3)])
             stores.append(store)
         assert reports[0] == reports[1]
@@ -185,14 +190,13 @@ class TestRunCycle:
         assert reads[0] == reads[1]
 
     def test_mined_concept_is_served_end_to_end(self, built_tiny):
-        store, service, driver = _driver(built_tiny, seed=17,
-                                         publish_min_nodes=1)
+        store, service, driver = _driver(built_tiny, seed=17, publish_min_nodes=1)
         before = len(store)
         report = driver.run_cycle()
         assert report.accepted > 0
         assert report.published_generation == 1
         assert service.generation_id == 1
-        new = list(store.nodes(ECOMMERCE_PREFIX))[-report.accepted:]
+        new = list(store.nodes(ECOMMERCE_PREFIX))[-report.accepted :]
         for node in new:
             hits = service.search(node.text, k=3)
             assert hits and hits[0][0] == node.id  # searchable, no restart
@@ -220,14 +224,18 @@ class TestRunCycle:
     def test_duplicates_are_skipped_staged_and_published(self, built_tiny):
         spec = _fresh_spec(built_tiny)
         # Staged but unpublished: the second cycle must not re-create it.
-        _, _, driver = _driver(built_tiny, publish_min_nodes=100,
-                               publish_max_interval=1e9,
-                               mine=lambda batch: [spec])
+        _, _, driver = _driver(
+            built_tiny,
+            publish_min_nodes=100,
+            publish_max_interval=1e9,
+            mine=lambda batch: [spec],
+        )
         assert driver.run_cycle().accepted == 1
         assert driver.run_cycle().duplicates == 1
         # Published: find_by_name sees it.
-        _, _, driver = _driver(built_tiny, publish_min_nodes=1,
-                               mine=lambda batch: [spec])
+        _, _, driver = _driver(
+            built_tiny, publish_min_nodes=1, mine=lambda batch: [spec]
+        )
         assert driver.run_cycle().published_generation == 1
         assert driver.run_cycle().duplicates == 1
 
@@ -246,18 +254,26 @@ class TestRunCycle:
 class TestPublishPolicy:
     def test_size_trigger_ships_immediately(self, built_tiny):
         clock = [0.0]
-        _, service, driver = _driver(built_tiny, seed=17, publish_min_nodes=1,
-                                     publish_max_interval=1e9,
-                                     clock=lambda: clock[0])
+        _, service, driver = _driver(
+            built_tiny,
+            seed=17,
+            publish_min_nodes=1,
+            publish_max_interval=1e9,
+            clock=lambda: clock[0],
+        )
         report = driver.run_cycle()
         assert report.published_generation == 1
         assert service.generation_id == 1
 
     def test_interval_trigger_ships_a_stale_trickle(self, built_tiny):
         clock = [0.0]
-        store, _, driver = _driver(built_tiny, seed=17, publish_min_nodes=100,
-                                   publish_max_interval=10.0,
-                                   clock=lambda: clock[0])
+        store, _, driver = _driver(
+            built_tiny,
+            seed=17,
+            publish_min_nodes=100,
+            publish_max_interval=10.0,
+            clock=lambda: clock[0],
+        )
         assert driver.run_cycle().published_generation is None
         assert store.open_counts[0] > 0  # trickle held open
         clock[0] = 11.0
@@ -266,10 +282,13 @@ class TestPublishPolicy:
 
     def test_nothing_ships_below_both_thresholds_until_drain(self, built_tiny):
         clock = [0.0]
-        store, service, driver = _driver(built_tiny, seed=17,
-                                         publish_min_nodes=100,
-                                         publish_max_interval=1e9,
-                                         clock=lambda: clock[0])
+        store, service, driver = _driver(
+            built_tiny,
+            seed=17,
+            publish_min_nodes=100,
+            publish_max_interval=1e9,
+            clock=lambda: clock[0],
+        )
         for _ in range(3):
             assert driver.run_cycle().published_generation is None
         assert service.generation_id == 0
@@ -282,8 +301,7 @@ class TestPublishPolicy:
 
 class TestLifecycle:
     def test_background_loop_publishes_and_drains(self, built_tiny):
-        store, service, driver = _driver(built_tiny, seed=29,
-                                         publish_min_nodes=2)
+        store, service, driver = _driver(built_tiny, seed=29, publish_min_nodes=2)
         driver.start()
         assert driver.state is EvolutionState.RUNNING
         with pytest.raises(ConfigError, match="already"):
@@ -310,8 +328,9 @@ class TestLifecycle:
             driver.resume()
 
     def test_stop_abandons_nothing(self, built_tiny):
-        store, _, driver = _driver(built_tiny, seed=17, publish_min_nodes=100,
-                                   publish_max_interval=1e9)
+        store, _, driver = _driver(
+            built_tiny, seed=17, publish_min_nodes=100, publish_max_interval=1e9
+        )
         driver.run_cycle()
         driver.stop()  # no final publish...
         assert store.open_counts[0] > 0
@@ -320,8 +339,9 @@ class TestLifecycle:
 
 class TestDegradation:
     def test_failing_stage_backs_off_then_wedges(self, built_tiny):
-        _, service, driver = _driver(built_tiny, seed=17, max_retries=3,
-                                     backoff_base=0.0, publish_min_nodes=1)
+        _, service, driver = _driver(
+            built_tiny, seed=17, max_retries=3, backoff_base=0.0, publish_min_nodes=1
+        )
         healthy = service.search(built_tiny.concepts[0].text)
         generation = service.generation_id
 
@@ -340,8 +360,9 @@ class TestDegradation:
         assert service.search(built_tiny.concepts[0].text) == healthy
 
     def test_resume_restarts_a_wedged_loop(self, built_tiny):
-        _, service, driver = _driver(built_tiny, seed=17, max_retries=2,
-                                     backoff_base=0.0, publish_min_nodes=1)
+        _, service, driver = _driver(
+            built_tiny, seed=17, max_retries=2, backoff_base=0.0, publish_min_nodes=1
+        )
         default_mine = driver._mine
         calls = []
 
@@ -361,8 +382,9 @@ class TestDegradation:
         assert service.generation_id >= 1
 
     def test_transient_failures_recover_without_wedging(self, built_tiny):
-        _, _, driver = _driver(built_tiny, seed=17, max_retries=5,
-                               backoff_base=0.0, publish_min_nodes=1)
+        _, _, driver = _driver(
+            built_tiny, seed=17, max_retries=5, backoff_base=0.0, publish_min_nodes=1
+        )
         default_mine = driver._mine
         calls = []
 
@@ -400,9 +422,9 @@ class TestStageLatency:
             assert entry.p50_ms <= entry.p95_ms <= entry.p99_ms
 
     def test_skipped_publish_checks_do_not_record(self, built_tiny):
-        _, _, driver = _driver(built_tiny, seed=17,
-                               publish_min_nodes=10_000,
-                               publish_max_interval=10_000.0)
+        _, _, driver = _driver(
+            built_tiny, seed=17, publish_min_nodes=10_000, publish_max_interval=10_000.0
+        )
         driver.run_cycle()
         stats = driver.stats()
         by_stage = {entry.stage: entry for entry in stats.stage_latency}
@@ -420,8 +442,9 @@ class TestStageLatency:
         assert "serving generation 1" in table
 
     def test_format_table_surfaces_a_wedged_loop(self, built_tiny):
-        _, _, driver = _driver(built_tiny, seed=17, max_retries=2,
-                               backoff_base=0.0, publish_min_nodes=1)
+        _, _, driver = _driver(
+            built_tiny, seed=17, max_retries=2, backoff_base=0.0, publish_min_nodes=1
+        )
 
         def broken(batch):
             raise DataError("miner fell over")
@@ -450,8 +473,9 @@ class TestPipelineUnderLoad:
         max_generation = 12
         while reference.generation_id < max_generation:
             twin.run_cycle()
-        probes = [(node.text, node.id)
-                  for node in probe_store.nodes(ECOMMERCE_PREFIX)][-3:]
+        probes = [
+            (node.text, node.id) for node in probe_store.nodes(ECOMMERCE_PREFIX)
+        ][-3:]
 
         def observe(service):
             results = []
@@ -482,14 +506,12 @@ class TestPipelineUnderLoad:
                 while not stop.is_set():
                     observed = observe(service)
                     for index, value in enumerate(observed):
-                        allowed = {answer[index]
-                                   for answer in answers.values()}
+                        allowed = {answer[index] for answer in answers.values()}
                         assert value in allowed, (index, value)
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
-        threads = [threading.Thread(target=hammer)
-                   for _ in range(self.N_THREADS)]
+        threads = [threading.Thread(target=hammer) for _ in range(self.N_THREADS)]
         for thread in threads:
             thread.start()
         driver.start()
@@ -509,14 +531,14 @@ class TestClusterTarget:
     def test_cluster_and_service_evolve_identically(self, built_tiny):
         from repro.serving import AliCoCoCluster, ClusterConfig
 
-        _, service, service_driver = _driver(built_tiny, seed=53,
-                                             publish_min_nodes=1)
+        _, service, service_driver = _driver(built_tiny, seed=53, publish_min_nodes=1)
         cluster_store = GenerationalStore(built_tiny.store)
-        cluster = AliCoCoCluster(cluster_store,
-                                 config=ClusterConfig(n_shards=3))
+        cluster = AliCoCoCluster(cluster_store, config=ClusterConfig(n_shards=3))
         cluster_driver = EvolutionDriver.from_build(
-            built_tiny, cluster,
-            config=EvolutionConfig(**FAST, seed=53, publish_min_nodes=1))
+            built_tiny,
+            cluster,
+            config=EvolutionConfig(**FAST, seed=53, publish_min_nodes=1),
+        )
         for _ in range(3):
             left = service_driver.run_cycle()
             right = cluster_driver.run_cycle()

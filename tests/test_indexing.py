@@ -19,6 +19,7 @@ from repro.synth.index import (ConceptCandidateIndex, ItemKeyIndex,
 from repro.synth.items import item_matches_concept
 from repro.synth.world import ConceptPart, ConceptSpec
 from repro.utils.timing import StageTimer
+from tests.conftest import oracle_build
 
 
 def _store_snapshot(result):
@@ -32,8 +33,8 @@ def test_indexed_build_parity(n_items):
     """The indexed build must produce a store *identical* to brute force —
     same nodes, same relation sequence, same RNG-drawn weights."""
     scale = replace(TINY, n_items=n_items)
-    indexed = build_alicoco(scale, use_candidate_index=True)
-    brute = build_alicoco(scale, use_candidate_index=False)
+    indexed = build_alicoco(scale)
+    brute = oracle_build(scale)
     indexed_nodes, indexed_relations = _store_snapshot(indexed)
     brute_nodes, brute_relations = _store_snapshot(brute)
     assert indexed_nodes == brute_nodes
@@ -370,3 +371,32 @@ def test_build_records_stage_timings():
                   "concept-layer", "concept-isa", "item-nodes",
                   "item-matching"):
         assert result.timings.calls(stage) >= 1, stage
+
+
+def test_build_adds_each_layer_as_one_batch(monkeypatch):
+    """Every item edge reaches the store in one ``add_relations`` batch,
+    and the whole build makes fewer calls than it has items: beyond one
+    batch per stage, only the taxonomy's and the primitive layer's
+    ``create_*`` calls add an edge each."""
+    from repro.kg.relations import RelationKind
+    from repro.kg.store import AliCoCoStore
+
+    batches = []
+    add_relations = AliCoCoStore.add_relations
+
+    def spy(store, relations):
+        relations = list(relations)
+        batches.append(relations)
+        return add_relations(store, relations)
+
+    monkeypatch.setattr(AliCoCoStore, "add_relations", spy)
+    scale = replace(TINY, n_items=800)
+    built = build_alicoco(scale)
+    item_kinds = {RelationKind.ITEM_PRIMITIVE, RelationKind.ITEM_ECOMMERCE}
+    item_batches = [
+        batch for batch in batches if any(r.kind in item_kinds for r in batch)
+    ]
+    assert item_batches == [
+        [r for r in built.store.relations() if r.kind in item_kinds]
+    ]
+    assert len(batches) < scale.n_items
