@@ -463,9 +463,9 @@ def _scaling_requests(built):
 def test_cluster_executor_scaling(built, reranker, report):
     """Process workers bend the throughput-vs-shard-count curve upward.
 
-    The thread executor scatters rerank arms across a fanout pool, but
-    the scalar scoring loop holds the GIL, so adding shards adds no
-    compute.  The process executor runs each arm in its own interpreter:
+    The thread executor runs every shard's rerank arm in the parent
+    interpreter, where the scalar scoring loop holds the GIL, so adding
+    shards adds no compute.  The process executor runs each arm in its own interpreter:
     at full scale on >= 4 usable cores its 4-shard throughput must be >=
     ``_SCALING_MIN_SPEEDUP``x the thread executor's, and its curve must
     be monotone in shard count.  Answers stay bit-identical throughout —
@@ -496,7 +496,6 @@ def test_cluster_executor_scaling(built, reranker, report):
                     n_shards=n_shards,
                     executor=executor,
                     cache_capacity=0,
-                    fanout_workers=n_shards,
                 ),
                 service_config=service_config,
                 reranker=scalar_reranker,

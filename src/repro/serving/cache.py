@@ -27,6 +27,9 @@ swap *does* want is attributable hit rates, so the cache keeps a
 per-generation counter window: :meth:`begin_generation` closes the
 current window and opens a new one, and :meth:`generation_counters`
 reports each window separately while the lifetime totals keep counting.
+At most :data:`GENERATION_WINDOWS` windows are kept: the oldest two fold
+into one, so a long-lived cache stays bounded and its windows still add
+up to the lifetime totals.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from ..errors import ConfigError
 
 #: Unique sentinel distinguishing "absent" from a cached ``None``.
 _ABSENT = object()
+
+#: Counter windows a cache keeps, the open one included.
+GENERATION_WINDOWS = 8
 
 
 @dataclass(frozen=True)
@@ -172,10 +178,25 @@ class LRUCache:
         Called by the serving tier on a generation swap so post-swap hit
         rate is attributable to the new generation instead of being
         diluted by the lifetime totals.  Lifetime counters keep running;
-        only the window bookkeeping changes.
+        only the window bookkeeping changes.  Past
+        :data:`GENERATION_WINDOWS`, the two oldest windows fold into one
+        labelled ``"<first>..<last>"``.
         """
         with self._lock:
-            self._windows.append((self._window_label, self._window_delta()))
+            windows = self._windows
+            windows.append((self._window_label, self._window_delta()))
+            if len(windows) >= GENERATION_WINDOWS:
+                (first, old), (last, new) = windows[:2]
+                windows[:2] = [
+                    (
+                        f"{first.split('..')[0]}..{last}",
+                        CacheCounters(
+                            old.hits + new.hits,
+                            old.misses + new.misses,
+                            old.evictions + new.evictions,
+                        ),
+                    )
+                ]
             self._window_label = label
             self._window_start = CacheCounters(self.hits, self.misses, self.evictions)
 

@@ -60,45 +60,41 @@ shard's own generational store (delta nodes route through
 shards with ghost replicas, all invisible to readers), extends the
 global concept index, and installs each shard's next generation; phase
 two installs one immutable :class:`ClusterGeneration` bundle — global
-view, global index, per-shard projections, merge position maps and the
-per-shard :class:`~repro.serving.ServingGeneration` pins — with a
+view, global index, per-shard projections, merge position maps and
+each shard's pin (the generation its scattered verbs read) — with a
 single attribute assignment.  Scattered reads pin the bundle at entry
 and read only from it, so a fan-out never mixes two generations:
 every answer is a whole generation, before or after, never a blend.
 
-**Executors.**  ``ClusterConfig(executor="thread")`` (the default) runs
-every shard service in-process — simple, but per-shard work is pure
-Python, so fan-out serializes on the GIL and adding shards buys almost
-no throughput.  ``executor="process"`` moves each shard into its own
-worker process (:mod:`repro.serving.procpool`): the parent writes one
-bootstrap snapshot per shard, spawns a worker over each, and serves
-the same eight endpoints by routing point queries and scattering
-batched arm requests over a compact framed RPC
-(:mod:`repro.serving.rpc`).  Answers are bit-identical to the thread
-executor's — workers serve the same stores, the same index projections
-(global corpus statistics) and the same models — while scattered
-sub-requests compute on separate interpreters in parallel, so the
-throughput-vs-shard-count curve actually bends upward
-(``benchmarks/bench_cluster.py`` gates it).  Cache → coalesce → admit
-ordering stays in the parent either way, publish() ships its delta to
-workers over the same RPC, and a crashed worker restarts from its
-snapshot plus the replayed delta log — or, past the restart budget,
-degrades to a typed :class:`~repro.errors.ShardUnavailableError` while
-healthy shards keep answering.
+**Executors.**  The cluster reaches its shards only through a shard
+pool's verbs (:class:`~repro.serving.shard.ShardHandler`): ``call`` for a
+routed endpoint, ``scatter`` for a fan-out, ``apply_delta`` for a
+publish.  ``ClusterConfig(executor="thread")`` (the default) builds a
+:class:`~repro.serving.shard.LocalShardPool` over in-process shard
+services; per-shard work is pure Python, so a fan-out serializes on the
+GIL and adding shards buys almost no throughput.
+``executor="process"`` builds a
+:class:`~repro.serving.procpool.ProcessShardPool` instead: one bootstrap
+snapshot and one worker process per shard, answering the same verbs over
+a compact framed RPC (:mod:`repro.serving.rpc`).  Answers are
+bit-identical either way — the same stores, index projections (global
+corpus statistics) and models.  Cache → coalesce → admit ordering stays
+in the parent, and under the process executor a crashed worker restarts
+from its snapshot plus the replayed delta log — or, past the restart
+budget, degrades to a typed :class:`~repro.errors.ShardUnavailableError`
+while healthy shards keep answering.
 """
 
 from __future__ import annotations
 
-import shutil
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from ..concepts.tagging import ConceptTagger
-from ..errors import ConfigError, DuplicateNodeError, ShardUnavailableError
+from ..errors import ConfigError, ShardUnavailableError
 from ..kg.generations import GenerationalStore
 from ..kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX, layer_of
 from ..kg.relations import RelationKind
@@ -113,7 +109,7 @@ from .admission import AdmissionController, AdmissionStats
 from .cache import CacheCounters, LRUCache
 from .coalesce import Coalescer, CoalescerStats
 from .models import dense_query_vector
-from .procpool import ProcessShardPool, ProcPoolStats, ShardWorkerSpec, snapshot_dir_for
+from .procpool import ProcessShardPool, ProcPoolStats, spawn_shard_pool
 from .service import (
     CONCEPT_INDEX,
     DENSE_CONCEPT_INDEX,
@@ -121,7 +117,6 @@ from .service import (
     RERANKER_MODEL,
     AliCoCoService,
     ServiceConfig,
-    ServingGeneration,
     dense_states_of,
     endpoint_handlers,
     extend_concept_index,
@@ -133,13 +128,13 @@ from .service import (
     require_layer,
     require_model,
     run_batch,
-    save_shard_snapshot,
     served_models,
     serve_cached,
     shard_dense_indexes,
     verify_pool,
 )
 from .shard import (
+    LocalShardPool,
     is_partitioned,
     merge_ranked,
     owned_counts,
@@ -179,11 +174,9 @@ class ClusterConfig:
             shedding (``reason="queue_timeout"``).
         reservoir_capacity: Latency samples per endpoint / wait reservoir.
         seed: Seed for the reservoirs' replacement RNG.
-        fanout_workers: Thread-pool size for scatter calls; ``None``
-            (default) fans out serially — per-shard work is pure Python
-            under the GIL, so threads buy nothing locally, but the knob
-            models the parallel fan-out a multi-process deployment gets.
-        executor: ``"thread"`` (default) serves every shard in-process;
+        executor: Which shard pool serves the verbs: ``"thread"``
+            (default) serves every shard in-process, one shard after
+            another (:class:`~repro.serving.shard.LocalShardPool`);
             ``"process"`` spawns one worker process per shard
             (:mod:`repro.serving.procpool`) — bit-identical answers,
             genuinely parallel scattered arms (the GIL escape).
@@ -204,7 +197,6 @@ class ClusterConfig:
     max_queue_wait_ms: float = 200.0
     reservoir_capacity: int = 512
     seed: int = 0
-    fanout_workers: int | None = None
     executor: str = "thread"
     max_worker_restarts: int = 2
     worker_dir: str | None = None
@@ -227,10 +219,6 @@ class ClusterConfig:
         if self.coalesce_window_ms < 0:
             raise ConfigError(
                 f"coalesce_window_ms must be >= 0, got {self.coalesce_window_ms}"
-            )
-        if self.fanout_workers is not None and self.fanout_workers <= 0:
-            raise ConfigError(
-                f"fanout_workers must be positive, got {self.fanout_workers}"
             )
         # max_inflight / max_queue_depth / max_queue_wait_ms are validated
         # by the AdmissionController built from them.
@@ -258,20 +246,17 @@ class ClusterGeneration:
         concept_position / item_position: Node id -> global fit position
             maps for deterministic scatter merges
             (:func:`~repro.serving.shard.merge_ranked`).
-        shards: Each shard service's pinned
-            :class:`~repro.serving.ServingGeneration`, in shard order.
+        shards: Each shard's pin, in shard order — what a scattered verb
+            reads from: an in-process shard's pinned
+            :class:`~repro.serving.ServingGeneration`, or the cluster
+            generation id a worker process retains its generation under.
         node_count / relation_count: Global sizes this bundle covers;
             the next publish routes exactly the rows beyond these counts
             (count slicing survives source-store compaction, which
             reshapes segments but never reorders reads).
         concept_count: E-commerce concepts covered by ``search_index``;
             the next publish extends the index with the nodes past it.
-        shards: Empty under the process executor — shard state lives in
-            the worker processes, pinned there by ``generation_id``.
-        dense_presence: Process executor only — dense index names
-            present on at least one worker (reported in the boot hello
-            and after every shipped delta); the thread executor reads
-            presence off ``shards`` directly.
+        dense_presence: Dense index names present on at least one shard.
     """
 
     generation_id: int
@@ -280,11 +265,11 @@ class ClusterGeneration:
     shard_search_indexes: tuple[BM25Index | None, ...]
     concept_position: dict[str, int]
     item_position: dict[str, int]
-    shards: tuple[ServingGeneration, ...]
+    shards: tuple[Any, ...]
     node_count: int
     relation_count: int
     concept_count: int
-    dense_presence: tuple[str, ...] = ()
+    dense_presence: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -538,58 +523,21 @@ class AliCoCoCluster:
                 dense_index_states or {},
             )
         )
-        self._pool: ProcessShardPool | None = None
-        self._worker_dir: Path | None = None
-        self._owns_worker_dir = False
         if self.config.executor == "process":
-            # The parent holds no shard services: it writes one
-            # bootstrap snapshot per shard store, embedding its dense
-            # index states, and spawns a worker process over each.
-            # Workers rebuild dense indexes from the snapshot-replayed
-            # stores (insertion order preserved, fits deterministic)
-            # only where no state is embedded — so their answers are
-            # bit-identical to in-process shards.
-            self._services: list[AliCoCoService] = []
-            self._worker_dir = snapshot_dir_for(self.config.worker_dir)
-            self._owns_worker_dir = self.config.worker_dir is None
-            try:
-                specs = []
-                for shard, shard_store in enumerate(shard_stores):
-                    path = self._worker_dir / f"shard-{shard}.snap"
-                    states = dense_states.get(shard) or {
-                        name: index.to_state()
-                        for name, index in shard_dense[shard].items()
-                        if index is not None
-                    }
-                    save_shard_snapshot(
-                        path,
-                        shard_store,
-                        search_index=shard_search_indexes[shard],
-                        dense_states=states,
-                        config_fingerprint=config_fingerprint,
-                    )
-                    specs.append(
-                        ShardWorkerSpec(
-                            shard_id=shard,
-                            snapshot_path=str(path),
-                            service_config=self._service_config,
-                            tagger=tagger,
-                            reranker=reranker,
-                            generational=self._generational,
-                            cluster_generation_id=initial_generation,
-                        )
-                    )
-                self._pool = ProcessShardPool(
-                    specs,
-                    max_restarts=self.config.max_worker_restarts,
-                    reservoir_capacity=self.config.reservoir_capacity,
-                    seed=self.config.seed,
-                )
-            except BaseException:
-                self._cleanup_worker_dir()
-                raise
-            shard_gens: tuple[ServingGeneration, ...] = ()
-            dense_presence = self._pool.dense_presence()
+            self._services: tuple[AliCoCoService, ...] = ()
+            self._pool: LocalShardPool | ProcessShardPool = spawn_shard_pool(
+                shard_stores,
+                self.config,
+                search_indexes=shard_search_indexes,
+                dense_indexes=shard_dense,
+                dense_states=dense_states,
+                config_fingerprint=config_fingerprint,
+                service_config=self._service_config,
+                tagger=self._tagger,
+                reranker=self._reranker,
+                generational=self._generational,
+                cluster_generation_id=initial_generation,
+            )
         else:
             # Shards of an advancing cluster get generational stores of
             # their own, so publish() can grow them behind their readers;
@@ -597,7 +545,7 @@ class AliCoCoCluster:
             # Building a shard service is a bulk build (its per-shard
             # indexes), so the collector is paused, as for the split.
             with gc_paused():
-                self._services = [
+                self._services = tuple(
                     AliCoCoService(
                         (
                             GenerationalStore(shard_store)
@@ -614,9 +562,8 @@ class AliCoCoCluster:
                         config_fingerprint=config_fingerprint,
                     )
                     for shard, shard_store in enumerate(shard_stores)
-                ]
-            shard_gens = tuple(service._gen for service in self._services)
-            dense_presence = ()
+                )
+            self._pool = LocalShardPool(self._services)
         self._publish_lock = threading.Lock()
         self._shard_owned = tuple(owned_counts(owners.values(), n_shards))
         self._cgen = ClusterGeneration(
@@ -634,11 +581,11 @@ class AliCoCoCluster:
                 node.id: position
                 for position, node in enumerate(view.nodes(ITEM_PREFIX))
             },
-            shards=shard_gens,
+            shards=self._pool.pins(),
             node_count=len(view),
             relation_count=view.stats().relations_total,
             concept_count=view.count_nodes(ECOMMERCE_PREFIX),
-            dense_presence=dense_presence,
+            dense_presence=self._pool.dense_presence(),
         )
         self._cache = (
             LRUCache(self.config.cache_capacity)
@@ -657,11 +604,6 @@ class AliCoCoCluster:
         )
         self._shard_calls = [0] * n_shards
         self._balance_lock = threading.Lock()
-        self._fanout = (
-            ThreadPoolExecutor(max_workers=self.config.fanout_workers)
-            if self.config.fanout_workers
-            else None
-        )
         self._handlers, self._metrics = endpoint_handlers(
             self, self.config.reservoir_capacity, self.config.seed
         )
@@ -827,9 +769,8 @@ class AliCoCoCluster:
             # delta is built as one op list per shard, each in global
             # insertion order — fresh nodes first, then each relation
             # behind a ghost replica of its endpoint owned elsewhere, if
-            # any — and either applied to the in-process shard stores or
-            # shipped to the workers over RPC, byte-for-byte the same
-            # sequence either way.
+            # any — and applied by the shard pool
+            # (ShardHandler.apply_delta, in-process or in the worker).
             fresh_nodes = list(view.nodes_since(old.node_count))
             fresh_relations = list(view.relations_since(old.relation_count))
             shard_ops: list[list[tuple[str, Any]]] = [
@@ -860,45 +801,10 @@ class AliCoCoCluster:
             for node in fresh_nodes:
                 if layer_of(node.id) == ITEM_PREFIX:
                     item_position[node.id] = len(item_position)
-            # A shard without a delta no-ops its publish and keeps its
-            # old bundle — correct for its store and dense indexes (both
-            # unchanged), while its *lexical* arm always comes from the
-            # fresh projections below (global corpus statistics moved
-            # even if the shard's own documents did not).
-            if self._pool is not None:
-                for shard, ops in enumerate(shard_ops):
-                    projection = projections[shard]
-                    self._pool.apply_delta(
-                        shard,
-                        generation_id,
-                        ops,
-                        projection.to_state() if projection is not None else None,
-                    )
-                shard_gens: tuple[ServingGeneration, ...] = ()
-                dense_presence = self._pool.dense_presence()
-            else:
-                for service, ops, projection in zip(
-                    self._services, shard_ops, projections
-                ):
-                    # Nodes and ghosts in op order, then the relations as
-                    # one batch: a relation needs only its endpoints, which
-                    # precede it, so both insertion orders are unchanged.
-                    shard_store = service.store
-                    relations = []
-                    for kind, payload in ops:
-                        if kind == "node":
-                            shard_store.add_node(payload)
-                        elif kind == "ghost":
-                            try:
-                                shard_store.add_node(payload)
-                            except DuplicateNodeError:
-                                pass
-                        else:
-                            relations.append(payload)
-                    shard_store.add_relations(relations)
-                    service.publish(search_index=projection)
-                shard_gens = tuple(service._gen for service in self._services)
-                dense_presence = ()
+            pins = tuple(
+                self._pool.apply_delta(shard, generation_id, ops, projection)
+                for shard, (ops, projection) in enumerate(zip(shard_ops, projections))
+            )
             self._shard_owned = tuple(owned)
             # Phase two — a single assignment installs the whole bundle.
             self._cgen = ClusterGeneration(
@@ -908,14 +814,12 @@ class AliCoCoCluster:
                 shard_search_indexes=tuple(projections),
                 concept_position=self._positions_of(search_index),
                 item_position=item_position,
-                shards=shard_gens,
+                shards=pins,
                 node_count=len(view),
                 relation_count=sum(view.count_relations(kind) for kind in RelationKind),
                 concept_count=view.count_nodes(ECOMMERCE_PREFIX),
-                dense_presence=dense_presence,
+                dense_presence=self._pool.dense_presence(),
             )
-            if self._cache is not None:
-                self._cache.begin_generation(f"gen-{generation_id}")
             return generation_id
 
     @staticmethod
@@ -928,63 +832,19 @@ class AliCoCoCluster:
     # ------------------------------------------------------------- endpoints
     def items_for_concept(self, concept_id: str, top_k: int | None = None) -> tuple:
         """Best items for a concept, answered by its owner shard."""
-        with metered_errors(self._metrics, "items_for_concept"):
-            cgen = self._cgen
-            shard = self._shard_for(concept_id)
-            self._count_calls((shard,))
-            return serve_cached(
-                self,
-                "items_for_concept",
-                (concept_id, top_k),
-                lambda: self._routed(shard, "items_for_concept", concept_id, top_k),
-                cgen,
-                self._admitted,
-            )
+        return self._route("items_for_concept", concept_id, concept_id, top_k)
 
     def concepts_for_item(self, item_id: str) -> tuple:
         """Concepts an item participates in, from the item's owner shard."""
-        with metered_errors(self._metrics, "concepts_for_item"):
-            cgen = self._cgen
-            shard = self._shard_for(item_id)
-            self._count_calls((shard,))
-            return serve_cached(
-                self,
-                "concepts_for_item",
-                (item_id,),
-                lambda: self._routed(shard, "concepts_for_item", item_id),
-                cgen,
-                self._admitted,
-            )
+        return self._route("concepts_for_item", item_id, item_id)
 
     def interpretation(self, concept_id: str) -> tuple:
         """Primitive senses of a concept, from its owner shard."""
-        with metered_errors(self._metrics, "interpretation"):
-            cgen = self._cgen
-            shard = self._shard_for(concept_id)
-            self._count_calls((shard,))
-            return serve_cached(
-                self,
-                "interpretation",
-                (concept_id,),
-                lambda: self._routed(shard, "interpretation", concept_id),
-                cgen,
-                self._admitted,
-            )
+        return self._route("interpretation", concept_id, concept_id)
 
     def hypernyms(self, primitive_id: str, transitive: bool = False) -> tuple:
         """Hypernym expansion; the taxonomy is replicated, shard 0 answers."""
-        with metered_errors(self._metrics, "hypernyms"):
-            cgen = self._cgen
-            shard = self._shard_for(primitive_id)
-            self._count_calls((shard,))
-            return serve_cached(
-                self,
-                "hypernyms",
-                (primitive_id, transitive),
-                lambda: self._routed(shard, "hypernyms", primitive_id, transitive),
-                cgen,
-                self._admitted,
-            )
+        return self._route("hypernyms", primitive_id, primitive_id, transitive)
 
     def search(self, text: str, k: int | None = None) -> tuple:
         """Text -> concepts, scattered to every shard and merged globally."""
@@ -1013,7 +873,7 @@ class AliCoCoCluster:
                 self,
                 "tag",
                 (tokens,),
-                lambda: self._routed(0, "tag", text),
+                lambda: self._pool.call(0, "tag", text),
                 cgen,
                 self._admitted,
             )
@@ -1141,14 +1001,15 @@ class AliCoCoCluster:
     def services(self) -> tuple[AliCoCoService, ...]:
         """The in-process shard services, in shard order (empty under
         the process executor — shard state lives in the workers)."""
-        return tuple(self._services)
+        return self._services
 
     @property
-    def worker_pool(self) -> ProcessShardPool | None:
-        """The process executor's worker pool (``None`` under threads).
+    def worker_pool(self) -> LocalShardPool | ProcessShardPool:
+        """The shard pool the cluster's verbs go through.
 
-        Exposed for health checks (``ping_all``), worker stats, and
-        crash-recovery tests that kill a live worker process.
+        Under the process executor it is the worker pool, exposed for
+        health checks (``ping_all``), worker stats, and crash-recovery
+        tests that kill a live worker process.
         """
         return self._pool
 
@@ -1174,17 +1035,12 @@ class AliCoCoCluster:
         with self._balance_lock:
             shard_calls = tuple(self._shard_calls)
         cache_counters = self._cache.counters() if self._cache else CacheCounters()
-        if self._pool is not None:
-            shard_stats = []
-            for shard in range(self.n_shards):
-                try:
-                    shard_stats.append(self._pool.call(shard, "stats"))
-                except ShardUnavailableError:
-                    continue
-            workers = self._pool.stats()
-        else:
-            shard_stats = [service.stats() for service in self._services]
-            workers = None
+        shard_stats = []
+        for shard in range(self.n_shards):
+            try:
+                shard_stats.append(self._pool.call(shard, "stats"))
+            except ShardUnavailableError:
+                continue
         return ClusterStats(
             n_shards=self.n_shards,
             nodes=cgen.node_count,
@@ -1203,26 +1059,17 @@ class AliCoCoCluster:
             generation_id=cgen.generation_id,
             executor=self.config.executor,
             shard_owned=self._shard_owned,
-            workers=workers,
+            workers=self._pool.stats(),
         )
 
     def close(self) -> None:
-        """Shut down the executors (fan-out threads and worker processes).
+        """Shut down the shard pool.
 
         Under the process executor this joins every worker process and
         removes the private bootstrap-snapshot directory — after close
         the cluster leaves no child processes behind.
         """
-        if self._fanout is not None:
-            self._fanout.shutdown(wait=True)
-        if self._pool is not None:
-            self._pool.close()
-        self._cleanup_worker_dir()
-
-    def _cleanup_worker_dir(self) -> None:
-        if self._owns_worker_dir and self._worker_dir is not None:
-            shutil.rmtree(self._worker_dir, ignore_errors=True)
-            self._owns_worker_dir = False
+        self._pool.close()
 
     def __enter__(self) -> "AliCoCoCluster":
         return self
@@ -1251,52 +1098,38 @@ class AliCoCoCluster:
             for shard in shards:
                 self._shard_calls[shard] += 1
 
-    def _routed(self, shard: int, endpoint: str, *args: Any) -> Any:
-        """Answer one routed endpoint call on its owner shard.
+    def _route(self, endpoint: str, node_id: str, *args: Any) -> tuple:
+        """A routed endpoint: ``args`` (also its cache key) answered by
+        ``node_id``'s owner shard, through the shard service's public,
+        cached endpoint."""
+        with metered_errors(self._metrics, endpoint):
+            cgen = self._cgen
+            shard = self._shard_for(node_id)
+            self._count_calls((shard,))
+            return serve_cached(
+                self,
+                endpoint,
+                args,
+                lambda: self._pool.call(shard, endpoint, *args),
+                cgen,
+                self._admitted,
+            )
 
-        Dispatches in-process (thread executor) or as one RPC round-trip
-        (process executor); the caller has already charged the shard's
-        balance counter.
-        """
-        if self._pool is not None:
-            return self._pool.call(shard, endpoint, *args)
-        return getattr(self._services[shard], endpoint)(*args)
-
-    def _scatter(self, call: Callable[[int, AliCoCoService], Any]) -> list:
-        """Run ``call(shard, service)`` against every shard, in order."""
-        self._count_calls(range(self.n_shards))
-        if self._fanout is None:
-            return [
-                call(shard, service)
-                for shard, service in enumerate(self._services)
-            ]
-        return list(
-            self._fanout.map(call, range(self.n_shards), self._services)
-        )
-
-    def _arm_scatter(self, method: str, args: tuple) -> list:
-        """Scatter one generation-pinned arm request to every worker.
-
-        One pipelined round-trip per shard — every worker computes its
-        arm concurrently (:meth:`ProcessShardPool.scatter`).  Returns
-        the per-shard results in shard order.
-        """
-        self._count_calls(range(self.n_shards))
+    def _arm_scatter(self, verb: str, cgen: ClusterGeneration, *args: Any) -> list:
+        """One pinned verb on every shard, results in shard order: each
+        shard gets its pin from ``cgen``, then ``args``."""
+        shards = range(len(cgen.shards))
+        self._count_calls(shards)
         results = self._pool.scatter(
-            {shard: (method, args) for shard in range(self.n_shards)}
+            {shard: (verb, (cgen.shards[shard], *args)) for shard in shards}
         )
-        return [results[shard] for shard in range(self.n_shards)]
+        return [results[shard] for shard in shards]
 
     def _shard_dense_states(self, shard: int, cgen: ClusterGeneration) -> dict:
-        """One shard's dense index states, local or fetched over RPC."""
-        if self._pool is None:
-            return {
-                name: dense_index.to_state()
-                for name, dense_index in cgen.shards[shard].dense_indexes.items()
-                if dense_index is not None
-            }
+        """One shard's dense index states at the pinned generation
+        (empty when the shard is unavailable)."""
         try:
-            return self._pool.call(shard, "index_states")
+            return self._pool.call(shard, "index_states", cgen.shards[shard])
         except ShardUnavailableError:
             return {}
 
@@ -1333,14 +1166,7 @@ class AliCoCoCluster:
         """Global BM25 ranking from per-shard projections (bit-identical)."""
         if not tokens or cgen.search_index is None:
             return ()
-        if self._pool is not None:
-            arms = self._arm_scatter("search_arm", (cgen.generation_id, tokens, k))
-        else:
-            arms = self._scatter(
-                lambda shard, service: service._search_uncached(
-                    tokens, k, index=cgen.shard_search_indexes[shard]
-                )
-            )
+        arms = self._arm_scatter("search_arm", cgen, tokens, k)
         return merge_ranked(arms, cgen.concept_position, k)
 
     def _graph_arm(
@@ -1349,13 +1175,7 @@ class AliCoCoCluster:
         """The graph's association ranking, from the concept's owner
         shard: every item->concept edge lives there, in global insertion
         order, so the ranking is bit-identical."""
-        if self._pool is not None:
-            return self._pool.call(
-                shard, "items_arm", cgen.generation_id, concept_id, k
-            )
-        return self._services[shard]._items_uncached(
-            concept_id, k, store=cgen.shards[shard].store
-        )
+        return self._pool.call(shard, "items_arm", cgen.shards[shard], concept_id, k)
 
     def _dense_stage(
         self,
@@ -1369,12 +1189,7 @@ class AliCoCoCluster:
         ``name``, merged, or ``None`` when no shard has one or the query
         no tokens.  The query vector is read from ``query_state`` once,
         parent-side, and the same vector goes to every shard."""
-        present = (
-            any(gen.dense_indexes.get(name) is not None for gen in cgen.shards)
-            if cgen.shards
-            else name in cgen.dense_presence
-        )
-        if not tokens or not present:
+        if not tokens or name not in cgen.dense_presence:
             return None
         positions = (
             cgen.concept_position if name == DENSE_CONCEPT_INDEX else cgen.item_position
@@ -1382,16 +1197,7 @@ class AliCoCoCluster:
 
         def arm() -> tuple:
             vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
-            if self._pool is not None:
-                arms = self._arm_scatter(
-                    "dense_arm", (cgen.generation_id, name, vector, k)
-                )
-            else:
-                arms = self._scatter(
-                    lambda shard, service: service._dense_arm(
-                        name, vector, k, indexes=cgen.shards[shard].dense_indexes
-                    )
-                )
+            arms = self._arm_scatter("dense_arm", cgen, name, vector, k)
             return merge_ranked(arms, positions, k)
 
         return arm
@@ -1411,10 +1217,11 @@ class AliCoCoCluster:
         scores equal the single service's.  Every shard gets
         ``AliCoCoService._pool_scores`` arguments: the query tokens, the
         request's one ``query_state`` (encoded once, parent-side), and
-        the ids it owns with their texts.  Under the process executor
-        the whole request goes out as **one batched scatter**: a single
-        round-trip per owner shard carries every candidate that shard
-        owns, and the workers score their batches concurrently.
+        the ids it owns with their texts.  The whole request is **one
+        batched scatter**: a single verb per owner shard carries every
+        candidate that shard owns (under the process executor the
+        workers score their batches concurrently).  Shards score with
+        their own copy of the cluster's ``reranker``.
         """
         groups: dict[int, list[int]] = {}
         for position, node_id in enumerate(node_ids):
@@ -1429,15 +1236,9 @@ class AliCoCoCluster:
             for shard, positions in sorted(groups.items())
         }
         self._count_calls(calls)
-        if self._pool is not None:
-            results = self._pool.scatter(
-                {shard: ("pool_scores", args) for shard, args in calls.items()}
-            )
-        else:
-            results = {
-                shard: self._services[shard]._pool_scores(reranker, *args)
-                for shard, args in calls.items()
-            }
+        results = self._pool.scatter(
+            {shard: ("pool_scores", args) for shard, args in calls.items()}
+        )
         scores = [0.0] * len(node_ids)
         for shard, shard_scores in results.items():
             for position, score in zip(groups[shard], shard_scores):

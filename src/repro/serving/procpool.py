@@ -1,12 +1,15 @@
-"""Out-of-process shard workers: the cluster's GIL-escaping executor.
+"""Out-of-process shard workers: the cluster's process executor.
 
-The thread executor in :mod:`repro.serving.cluster` fans scatter calls
-out over a ``ThreadPoolExecutor`` — but per-shard work is pure Python,
-so every sub-request serializes on the parent's GIL and adding shards
+In-process, every shard's work runs on the parent's interpreter, so a
+cluster's scattered sub-requests serialize on the GIL and adding shards
 buys almost no throughput.  :class:`ProcessShardPool` moves each shard
 into its own **worker process**: scattered sub-requests then compute on
-separate interpreters in parallel, and the throughput-vs-shard-count
-curve bends upward (``benchmarks/bench_cluster.py`` gates it).
+separate interpreters in parallel.  A worker answers the same shard
+verbs an in-process shard does (:class:`~repro.serving.shard.ShardHandler`),
+so the pool offers the cluster the same surface as
+:class:`~repro.serving.shard.LocalShardPool`; what this module adds is
+transport — spawn, framed RPC, restart — and the worker's map from
+cluster generation id to retained generation.
 
 **Lifecycle.**
 
@@ -43,28 +46,27 @@ the slowest shard plus IPC, not the sum — this is the GIL escape.  One
 round-trip carries one whole per-shard batch (e.g. every pool-scoring
 candidate the shard owns), never one frame per candidate.
 
-**Generation pinning.**  Scattered requests carry the parent's pinned
-cluster generation id; each worker retains its last few published
+**Generation pinning.**  A scattered verb carries the shard's pin from
+the parent's pinned cluster bundle — for a worker, the cluster
+generation id.  Each worker retains its last few published
 :class:`~repro.serving.ServingGeneration` bundles keyed by that id, so a
-fan-out racing a ``publish()`` reads one whole generation — exactly the
-thread executor's contract.
+fan-out racing a ``publish()`` reads one whole generation, as an
+in-process shard does.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+import shutil
+import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from ..errors import (
-    ConfigError,
-    DataError,
-    DuplicateNodeError,
-    ShardUnavailableError,
-)
+from ..errors import ConfigError, DataError, ShardUnavailableError
+from ..kg.store import AliCoCoStore
 from ..matching.bm25 import BM25Index
 from .rpc import (
     ShardChannel,
@@ -75,21 +77,12 @@ from .rpc import (
     serve_connection,
 )
 from .service import (
-    RERANKER_MODEL,
     AliCoCoService,
-    require_model,
+    ServingGeneration,
+    save_shard_snapshot,
     shard_service_from_snapshot,
 )
-
-#: Endpoints a worker answers directly through its shard service (the
-#: cluster's routed surface; scattered endpoints merge in the parent).
-ROUTED_ENDPOINTS = (
-    "items_for_concept",
-    "concepts_for_item",
-    "interpretation",
-    "hypernyms",
-    "tag",
-)
+from .shard import ShardHandler, dense_presence
 
 #: Published generations a worker keeps addressable by cluster
 #: generation id.  Scatters only ever pin the current bundle (briefly
@@ -131,133 +124,39 @@ class ShardWorkerSpec:
     cluster_generation_id: int = 0
 
 
-def _dense_presence(service: AliCoCoService) -> tuple[str, ...]:
-    """Names of the dense indexes this worker actually holds."""
-    return tuple(
-        sorted(
-            name
-            for name, index in service._gen.dense_indexes.items()
-            if index is not None
-        )
-    )
-
-
-class _ShardWorker:
-    """Worker-process request handler over one shard service."""
+class _ShardWorker(ShardHandler):
+    """Worker-process shard handler: pins are cluster generation ids."""
 
     def __init__(self, service: AliCoCoService, cluster_generation_id: int):
-        self._service = service
+        super().__init__(service)
         self._gens = {cluster_generation_id: service._gen}
 
-    def dispatch(self, method: str, args: tuple) -> Any:
-        if method in ROUTED_ENDPOINTS:
-            return getattr(self._service, method)(*args)
-        handler = getattr(self, f"_rpc_{method}", None)
-        if handler is None:
-            raise ConfigError(f"unknown RPC method {method!r}")
-        return handler(*args)
-
-    def _gen_for(self, cluster_generation_id: int) -> Any:
-        gen = self._gens.get(cluster_generation_id)
+    def pinned(self, pin: int) -> ServingGeneration:
+        gen = self._gens.get(pin)
         if gen is None:
             retained = ", ".join(str(key) for key in sorted(self._gens))
             raise DataError(
-                f"worker retains no cluster generation "
-                f"{cluster_generation_id} (retained: {retained})"
+                f"worker retains no cluster generation {pin} (retained: {retained})"
             )
         return gen
 
-    # -------------------------------------------------- scattered arms
-    def _rpc_search_arm(
-        self, generation_id: int, tokens: tuple[str, ...], k: int
-    ) -> tuple:
-        gen = self._gen_for(generation_id)
-        return self._service._search_uncached(tokens, k, index=gen.search_index)
+    def _verb_ping(self) -> tuple:
+        return ("pong", os.getpid(), self.service.generation_id)
 
-    def _rpc_dense_arm(
-        self, generation_id: int, name: str, vector: Any, k: int
-    ) -> tuple:
-        gen = self._gen_for(generation_id)
-        return self._service._dense_arm(name, vector, k, indexes=gen.dense_indexes)
-
-    def _rpc_items_arm(
-        self, generation_id: int, concept_id: str, k: int
-    ) -> tuple:
-        gen = self._gen_for(generation_id)
-        return self._service._items_uncached(concept_id, k, store=gen.store)
-
-    def _rpc_pool_scores(
-        self, query_tokens: tuple, node_ids: list, texts: list, query_state: Any
-    ) -> list[float]:
-        reranker = require_model(
-            self._service._reranker, RERANKER_MODEL, "pool_scores"
-        )
-        return self._service._pool_scores(
-            reranker, query_tokens, node_ids, texts, query_state
-        )
-
-    # ----------------------------------------------------- maintenance
-    def _rpc_ping(self) -> tuple:
-        return ("pong", os.getpid(), self._service.generation_id)
-
-    def _rpc_stats(self) -> Any:
-        return self._service.stats()
-
-    def _rpc_dense_presence(self) -> tuple[str, ...]:
-        return _dense_presence(self._service)
-
-    def _rpc_index_states(self) -> dict[str, Any]:
-        return {
-            name: index.to_state()
-            for name, index in self._service._gen.dense_indexes.items()
-            if index is not None
-        }
-
-    def _rpc_apply_delta(
+    def _verb_apply_delta(
         self, cluster_generation_id: int, ops: list, projection_state: Any
-    ) -> tuple:
-        """Grow the shard store with routed delta ops and publish.
-
-        ``ops`` is the parent's pre-routed sequence for this shard, in
-        global insertion order: ``("node", node)`` adds a fresh node,
-        ``("ghost", node)`` adds a replica tolerating duplicates,
-        ``("relation", relation)`` adds an edge.  The fresh projection
-        of the advanced global concept index rides along as serialised
-        state (a shard must never extend its index with local corpus
-        statistics).  Returns the worker's own generation id plus its
-        dense-index presence, so the parent can track both.
-        """
-        store = self._service.store
-        for kind, payload in ops:
-            if kind == "node":
-                store.add_node(payload)
-            elif kind == "ghost":
-                try:
-                    store.add_node(payload)
-                except DuplicateNodeError:
-                    pass
-            elif kind == "relation":
-                store.add_relation(payload)
-            else:
-                raise DataError(f"unknown delta op kind {kind!r}")
+    ) -> tuple[str, ...]:
+        """:meth:`ShardHandler.apply_delta` over a shipped projection
+        state; returns the dense presence."""
         projection = (
             BM25Index.from_state(projection_state)
             if projection_state is not None
             else None
         )
-        self._service.publish(search_index=projection)
-        gen = self._service._gen
-        # A shard with no delta no-ops its store publish and keeps the
-        # old bundle — correct for its store and dense indexes, but the
-        # lexical arm must still serve the *fresh* projection (global
-        # corpus statistics moved even if this shard's documents did
-        # not).  Mirror the thread executor by rebinding it.
-        if gen.search_index is not projection:
-            gen = replace(gen, search_index=projection)
-        self._gens[cluster_generation_id] = gen
+        self._gens[cluster_generation_id] = self.apply_delta(ops, projection)
         while len(self._gens) > RETAINED_GENERATIONS:
             self._gens.pop(min(self._gens))
-        return (self._service.generation_id, _dense_presence(self._service))
+        return dense_presence(self.service)
 
 
 def _worker_main(connection: Any, spec: ShardWorkerSpec) -> None:
@@ -271,7 +170,7 @@ def _worker_main(connection: Any, spec: ShardWorkerSpec) -> None:
             generational=spec.generational,
         )
         worker = _ShardWorker(service, spec.cluster_generation_id)
-        hello = (True, ("ready", os.getpid(), _dense_presence(service)))
+        hello = (True, ("ready", os.getpid(), dense_presence(service)))
     except BaseException as error:  # boot failures must travel, typed
         try:
             connection.send_bytes(encode_frame(error_envelope(error)))
@@ -347,6 +246,8 @@ class ProcessShardPool:
             degrades to :class:`~repro.errors.ShardUnavailableError`.
         reservoir_capacity / seed: Per-channel round-trip reservoirs.
         boot_timeout: Seconds to wait for a worker's hello frame.
+        scratch_dir: A directory the pool owns (the bootstrap snapshots'),
+            removed on :meth:`close`.
 
     Raises:
         ShardUnavailableError: If a worker fails to boot in time.
@@ -361,7 +262,9 @@ class ProcessShardPool:
         reservoir_capacity: int = 512,
         seed: int = 0,
         boot_timeout: float = 120.0,
+        scratch_dir: Path | None = None,
     ):
+        self._scratch_dir = scratch_dir
         if max_restarts < 0:
             raise ConfigError(f"max_restarts must be >= 0, got {max_restarts}")
         self._context = multiprocessing.get_context("spawn")
@@ -380,6 +283,7 @@ class ProcessShardPool:
             for position, spec in enumerate(specs)
         ]
         self._presence: set[str] = set()
+        self._pins = [spec.cluster_generation_id for spec in specs]
         try:
             for slot in self._slots:
                 presence = self._spawn_locked(slot)
@@ -476,7 +380,8 @@ class ProcessShardPool:
 
         Workers get a cooperative ``shutdown`` round-trip first; a
         worker that does not exit promptly is terminated.  After close
-        no worker process of this pool is left running.
+        no worker process of this pool is left running, and the pool's
+        scratch directory is gone.
         """
         if self._closed:
             return
@@ -491,6 +396,8 @@ class ProcessShardPool:
                     except Exception:
                         pass
                 self._reap(slot)
+        if self._scratch_dir is not None:
+            shutil.rmtree(self._scratch_dir, ignore_errors=True)
 
     def __enter__(self) -> "ProcessShardPool":
         return self
@@ -612,8 +519,8 @@ class ProcessShardPool:
         shard: int,
         cluster_generation_id: int,
         ops: list,
-        projection_state: Any,
-    ) -> tuple:
+        projection: BM25Index | None,
+    ) -> int:
         """Ship one shard's publish delta and log it for crash replay.
 
         The payload lands in the shard's delta log only after the worker
@@ -622,20 +529,26 @@ class ProcessShardPool:
         call applies this one exactly once.
 
         Returns:
-            ``(worker generation id, dense presence)`` from the worker.
+            The shard's new pin: the cluster generation id the worker
+            retains the new generation under.
         """
-        args = (cluster_generation_id, ops, projection_state)
-        value = self.call(shard, "apply_delta", *args)
+        state = projection.to_state() if projection is not None else None
+        args = (cluster_generation_id, ops, state)
+        presence = self.call(shard, "apply_delta", *args)
         self._slots[shard].delta_log.append(("apply_delta", args))
-        _generation, presence = value
         self._presence.update(presence)
-        return value
+        self._pins[shard] = cluster_generation_id
+        return cluster_generation_id
 
     # ------------------------------------------------------ introspection
     @property
     def n_shards(self) -> int:
         """Number of shard workers."""
         return len(self._slots)
+
+    def pins(self) -> tuple[int, ...]:
+        """Each shard's current pin, in shard order."""
+        return tuple(self._pins)
 
     def dense_presence(self) -> tuple[str, ...]:
         """Dense index names present on at least one worker (from the
@@ -684,16 +597,58 @@ class ProcessShardPool:
         return ProcPoolStats(workers=tuple(workers))
 
 
-def snapshot_dir_for(base: str | Path | None) -> Path:
-    """The directory per-shard bootstrap snapshots are written to.
+def spawn_shard_pool(
+    shard_stores: Sequence[AliCoCoStore],
+    config: Any,
+    *,
+    search_indexes: Sequence[BM25Index | None],
+    dense_indexes: Sequence[dict[str, Any]],
+    dense_states: dict[int, dict[str, Any]],
+    config_fingerprint: str,
+    **spec: Any,
+) -> ProcessShardPool:
+    """Write one bootstrap snapshot per shard store (its projection and
+    dense index states embedded: a worker fits a dense index only where
+    none was given, as an in-process shard does) and spawn a worker over
+    each.
 
-    A caller-provided directory is created (parents included) and
-    reused; ``None`` makes a fresh private temporary directory.
+    ``config`` is the :class:`~repro.serving.cluster.ClusterConfig`;
+    ``spec`` holds the :class:`ShardWorkerSpec` fields all shards share.
+    Without ``config.worker_dir`` the snapshots go to a private
+    temporary directory the pool removes on close.
     """
-    import tempfile
-
-    if base is None:
-        return Path(tempfile.mkdtemp(prefix="alicoco-shards-"))
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    owned = config.worker_dir is None
+    directory = Path(
+        tempfile.mkdtemp(prefix="alicoco-shards-") if owned else config.worker_dir
+    )
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        specs = []
+        for shard, shard_store in enumerate(shard_stores):
+            path = directory / f"shard-{shard}.snap"
+            states = dense_states.get(shard) or {
+                name: index.to_state()
+                for name, index in dense_indexes[shard].items()
+                if index is not None
+            }
+            save_shard_snapshot(
+                path,
+                shard_store,
+                search_index=search_indexes[shard],
+                dense_states=states,
+                config_fingerprint=config_fingerprint,
+            )
+            specs.append(
+                ShardWorkerSpec(shard_id=shard, snapshot_path=str(path), **spec)
+            )
+        return ProcessShardPool(
+            specs,
+            max_restarts=config.max_worker_restarts,
+            reservoir_capacity=config.reservoir_capacity,
+            seed=config.seed,
+            scratch_dir=directory if owned else None,
+        )
+    except BaseException:
+        if owned:
+            shutil.rmtree(directory, ignore_errors=True)
+        raise

@@ -1213,13 +1213,11 @@ class AliCoCoService:
                 item_count=view.count_nodes(ITEM_PREFIX),
                 primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
             )
-            # Roll the caches' stats windows so per-generation hit rates
-            # are observable; entries are left in place — retired keys
-            # are unreachable, which is the whole invalidation story.
+            # Roll the result cache's stats window so per-generation hit
+            # rates are observable; entries are left in place — retired
+            # keys are unreachable, which is the whole invalidation story.
             if self._cache is not None:
                 self._cache.begin_generation(f"gen-{generation_id}")
-            if self._doc_cache is not None:
-                self._doc_cache.begin_generation(f"gen-{generation_id}")
             return generation_id
 
     def _next_search_index(self, old: ServingGeneration, view: Any) -> BM25Index | None:

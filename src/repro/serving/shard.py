@@ -58,14 +58,28 @@ documents, so it retrieves exactly as a per-shard refit would.  This is
 why the one dense index is exact: an approximate index whose structure
 depends on the whole population could not be projected, and its shards
 would answer differently from a single service.
+
+**The shard interface** (:class:`ShardHandler`): the cluster reaches a
+shard only through named verbs — the five routed endpoints, answered by
+the shard service's public cached surface, plus the scattered arms,
+pool scoring, stats, index states and the publish delta
+(:meth:`ShardHandler.apply_delta`).  :class:`LocalShardPool` serves the
+verbs in-process; the process executor's worker
+(:mod:`repro.serving.procpool`) serves the same verbs over a pipe.
+Scattered verbs take a *pin* and read only from the generation it names
+(:meth:`ShardHandler.pinned`): an in-process shard's pin is the
+:class:`~repro.serving.ServingGeneration` itself, so a read never
+depends on how many publishes came since; a worker's pin is the cluster
+generation id it retains that generation under.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError, DuplicateNodeError
 from ..kg.ids import (
     CLASS_PREFIX,
     ECOMMERCE_PREFIX,
@@ -77,12 +91,24 @@ from ..kg.nodes import Node
 from ..kg.relations import Relation
 from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
+from .service import RERANKER_MODEL, AliCoCoService, ServingGeneration, require_model
 
 #: Layers partitioned across shards by node-id hash.
 PARTITIONED_LAYERS = (ECOMMERCE_PREFIX, ITEM_PREFIX)
 
 #: Layers replicated in full to every shard (the small taxonomy layers).
 REPLICATED_LAYERS = (CLASS_PREFIX, PRIMITIVE_PREFIX)
+
+#: Endpoints a shard answers through its service's public, cached
+#: surface (the cluster's routed endpoints; scattered ones merge in the
+#: cluster).
+ROUTED_ENDPOINTS = (
+    "items_for_concept",
+    "concepts_for_item",
+    "interpretation",
+    "hypernyms",
+    "tag",
+)
 
 
 def shard_of(node_id: str, n_shards: int) -> int:
@@ -248,8 +274,9 @@ def owned_counts(homes: Iterable[int], n_shards: int) -> list[int]:
     return counts
 
 
-def owned_ids(store: AliCoCoStore, shard_id: int, n_shards: int,
-              layer: str) -> list[str]:
+def owned_ids(
+    store: AliCoCoStore, shard_id: int, n_shards: int, layer: str
+) -> list[str]:
     """Ids of a layer a shard *owns* (ghost replicas excluded).
 
     Ownership is a pure function of the id (:func:`shard_of`), so this
@@ -262,8 +289,9 @@ def owned_ids(store: AliCoCoStore, shard_id: int, n_shards: int,
     ]
 
 
-def project_bm25_index(index: BM25Index | None,
-                       keep: Iterable[str]) -> BM25Index | None:
+def project_bm25_index(
+    index: BM25Index | None, keep: Iterable[str]
+) -> BM25Index | None:
     """Project a fitted global BM25 index onto a document subset.
 
     The projection keeps only the subset's documents, postings and
@@ -287,8 +315,9 @@ def project_bm25_index(index: BM25Index | None,
         return index.projected(keep)
 
 
-def split_concept_index(index: BM25Index | None,
-                        n_shards: int) -> list[BM25Index | None]:
+def split_concept_index(
+    index: BM25Index | None, n_shards: int
+) -> list[BM25Index | None]:
     """Per-shard projections of the global concept index.
 
     Raises:
@@ -307,9 +336,9 @@ def split_concept_index(index: BM25Index | None,
     ]
 
 
-def merge_ranked(arms: Sequence[Sequence[tuple]],
-                 position: Mapping[str, int],
-                 k: int) -> tuple:
+def merge_ranked(
+    arms: Sequence[Sequence[tuple]], position: Mapping[str, int], k: int
+) -> tuple:
     """Deterministic global merge of per-shard ``(id, score)`` rankings.
 
     The scatter-gather counterpart of a single index's ``top_k``: every
@@ -339,3 +368,151 @@ def merge_ranked(arms: Sequence[Sequence[tuple]],
         key=lambda pair: (-pair[1], position.get(pair[0], fallback), pair[0]),
     )
     return tuple(ranked[:k])
+
+
+def dense_presence(service: AliCoCoService) -> tuple[str, ...]:
+    """Names of the dense indexes a shard service currently holds."""
+    indexes = service._gen.dense_indexes
+    return tuple(sorted(name for name, index in indexes.items() if index is not None))
+
+
+class ShardHandler:
+    """The shard verbs over one shard service (see the module docstring)."""
+
+    def __init__(self, service: AliCoCoService):
+        self.service = service
+        self._verbs = {
+            name.removeprefix("_verb_"): getattr(self, name)
+            for name in dir(self)
+            if name.startswith("_verb_")
+        }
+
+    def dispatch(self, method: str, args: tuple) -> Any:
+        """Answer one verb; an unknown one raises ``ConfigError``."""
+        verb = self._verbs.get(method)
+        if verb is not None:
+            return verb(*args)
+        if method in ROUTED_ENDPOINTS:
+            # Looked up per call, so a wrapper installed on the service
+            # class after construction still sees routed requests.
+            return getattr(self.service, method)(*args)
+        raise ConfigError(f"unknown shard verb {method!r}")
+
+    def pinned(self, pin: Any) -> ServingGeneration:
+        """The generation a pin names: in-process, the pin itself."""
+        return pin
+
+    def apply_delta(
+        self, ops: Sequence[tuple[str, Any]], projection: BM25Index | None
+    ) -> ServingGeneration:
+        """Grow the shard store with a publish delta, publish, and return
+        the new pin.
+
+        ``ops`` is the cluster's sequence for this shard, in global
+        insertion order: ``("node", node)``, ``("ghost", node)`` (a
+        replica, duplicates tolerated) and ``("relation", relation)``.
+        Nodes go in op order, then the relations as one batch (each needs
+        only its endpoints, which precede it).  The pin serves
+        ``projection``, the shard's share of the advanced global concept
+        index, even when the shard had no delta and kept its old bundle:
+        global corpus statistics moved all the same.
+        """
+        store = self.service.store
+        relations = []
+        for kind, payload in ops:
+            if kind == "node":
+                store.add_node(payload)
+            elif kind == "ghost":
+                try:
+                    store.add_node(payload)
+                except DuplicateNodeError:
+                    pass
+            elif kind == "relation":
+                relations.append(payload)
+            else:
+                raise DataError(f"unknown delta op kind {kind!r}")
+        store.add_relations(relations)
+        self.service.publish(search_index=projection)
+        gen = self.service._gen
+        if gen.search_index is not projection:
+            gen = replace(gen, search_index=projection)
+        return gen
+
+    def _verb_search_arm(self, pin: Any, tokens: tuple[str, ...], k: int) -> tuple:
+        index = self.pinned(pin).search_index
+        return self.service._search_uncached(tokens, k, index=index)
+
+    def _verb_dense_arm(self, pin: Any, name: str, vector: Any, k: int) -> tuple:
+        indexes = self.pinned(pin).dense_indexes
+        return self.service._dense_arm(name, vector, k, indexes=indexes)
+
+    def _verb_items_arm(self, pin: Any, concept_id: str, k: int) -> tuple:
+        store = self.pinned(pin).store
+        return self.service._items_uncached(concept_id, k, store=store)
+
+    def _verb_pool_scores(self, *args: Any) -> list[float]:
+        reranker = require_model(self.service._reranker, RERANKER_MODEL, "pool_scores")
+        return self.service._pool_scores(reranker, *args)
+
+    def _verb_stats(self) -> Any:
+        return self.service.stats()
+
+    def _verb_index_states(self, pin: Any) -> dict[str, Any]:
+        indexes = self.pinned(pin).dense_indexes
+        return {
+            name: index.to_state()
+            for name, index in indexes.items()
+            if index is not None
+        }
+
+
+class LocalShardPool:
+    """In-process shard services behind
+    :class:`~repro.serving.procpool.ProcessShardPool`'s surface; a
+    shard's pin is its :class:`~repro.serving.ServingGeneration`."""
+
+    def __init__(self, services: Sequence[AliCoCoService]):
+        self._handlers = [ShardHandler(service) for service in services]
+        self._pins = [service._gen for service in services]
+
+    def call(self, shard: int, method: str, *args: Any) -> Any:
+        """Answer one verb on one shard."""
+        return self._handlers[shard].dispatch(method, args)
+
+    def scatter(self, calls: Mapping[int, tuple[str, tuple]]) -> dict[int, Any]:
+        """``{shard: result}`` of one verb per listed shard, in shard order."""
+        handlers = self._handlers
+        return {
+            shard: handlers[shard].dispatch(method, args)
+            for shard, (method, args) in sorted(calls.items())
+        }
+
+    def apply_delta(
+        self,
+        shard: int,
+        cluster_generation_id: int,
+        ops: Sequence[tuple[str, Any]],
+        projection: BM25Index | None,
+    ) -> ServingGeneration:
+        """One shard's :meth:`ShardHandler.apply_delta`; returns its pin."""
+        self._pins[shard] = self._handlers[shard].apply_delta(ops, projection)
+        return self._pins[shard]
+
+    def pins(self) -> tuple[ServingGeneration, ...]:
+        """Each shard's current pin, in shard order."""
+        return tuple(self._pins)
+
+    def dense_presence(self) -> tuple[str, ...]:
+        """Dense index names present on at least one shard."""
+        names = {
+            name
+            for handler in self._handlers
+            for name in dense_presence(handler.service)
+        }
+        return tuple(sorted(names))
+
+    def stats(self) -> None:
+        """No worker health to report in-process."""
+
+    def close(self) -> None:
+        """Nothing to shut down in-process."""

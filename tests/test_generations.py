@@ -62,6 +62,7 @@ from repro.serving import (
     ServiceConfig,
     fit_concept_index,
 )
+from repro.serving.cache import GENERATION_WINDOWS
 
 from tests.conftest import make_trained_reranker
 
@@ -440,6 +441,25 @@ class TestPublishServing:
         windows = service.stats().cache_generations
         assert [label for label, *_ in windows] == ["gen-0", "gen-1"]
         assert windows[1][2] >= 1  # misses in the gen-1 window
+
+    def test_cache_windows_stay_capped_and_sum_to_the_totals(self, built_tiny):
+        store = GenerationalStore(built_tiny.store)
+        service = AliCoCoService(store, config=ServiceConfig(seed=0))
+        spec = built_tiny.concepts[0]
+        for round_index in range(GENERATION_WINDOWS + 5):
+            service.search(spec.text)
+            service.search(spec.text)
+            _grow(store, f"window-{round_index}")
+            service.publish()
+        service.search(spec.text)
+        windows = service.stats().cache_generations
+        assert len(windows) == GENERATION_WINDOWS
+        assert windows[0][0] == "gen-0..gen-6"
+        assert windows[-1][0] == f"gen-{GENERATION_WINDOWS + 5}"
+        total = service._cache.counters()
+        assert sum(hits for _, hits, _, _ in windows) == total.hits
+        assert sum(misses for _, _, misses, _ in windows) == total.misses
+        assert sum(evicted for *_, evicted in windows) == total.evictions
 
     def test_incremental_bm25_equals_refit_bit_for_bit(self, built_tiny):
         store = GenerationalStore(built_tiny.store)

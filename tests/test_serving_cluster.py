@@ -48,7 +48,11 @@ from repro.serving import (
     shard_sizes,
     split_store,
 )
-from repro.serving.service import fit_concept_index
+from repro.serving.service import (
+    DENSE_CONCEPT_INDEX,
+    DENSE_ITEM_INDEX,
+    fit_concept_index,
+)
 from repro.serving.shard import (
     owned_counts,
     owner_map,
@@ -877,8 +881,6 @@ class TestClusterStatsReport:
             ClusterConfig(n_shards=0)
         with pytest.raises(ConfigError, match="coalesce_window_ms"):
             ClusterConfig(coalesce_window_ms=-1)
-        with pytest.raises(ConfigError, match="fanout_workers"):
-            ClusterConfig(fanout_workers=0)
 
     def test_bad_admission_knobs_surface_at_construction(self, store):
         with pytest.raises(ConfigError, match="max_inflight"):
@@ -930,14 +932,6 @@ class TestClusterStatsReport:
         with pytest.raises(ConfigError, match="n_shards"):
             shard_sizes(store, 0)
 
-    def test_fanout_executor_matches_serial(self, store, service):
-        with AliCoCoCluster(
-            store, config=ClusterConfig(n_shards=3, fanout_workers=3)
-        ) as cluster:
-            for node in list(store.nodes(ECOMMERCE_PREFIX))[:5]:
-                query = " ".join(node.tokens)
-                assert cluster.search(query) == service.search(query)
-
 
 # --------------------------------------------------------------- generations
 def _grow_round(store, tag):
@@ -947,10 +941,14 @@ def _grow_round(store, tag):
     concept = store.create_ecommerce(f"fresh {tag} cluster concept")
     item = store.create_item(f"fresh {tag} cluster item title")
     primitive = next(iter(store.nodes(PRIMITIVE_PREFIX)))
-    store.add_relation(Relation(RelationKind.INTERPRETED_BY, concept.id,
-                                primitive.id, name=primitive.domain))
-    store.add_relation(Relation(RelationKind.ITEM_ECOMMERCE, item.id,
-                                concept.id, weight=0.9))
+    store.add_relation(
+        Relation(
+            RelationKind.INTERPRETED_BY, concept.id, primitive.id, name=primitive.domain
+        )
+    )
+    store.add_relation(
+        Relation(RelationKind.ITEM_ECOMMERCE, item.id, concept.id, weight=0.9)
+    )
     return concept, item
 
 
@@ -1060,6 +1058,58 @@ class TestClusterGenerations:
         grown, _ = _grow_round(warm.source, "snap-2")
         assert warm.publish() == 2
         assert warm.search(grown.text)[0][0] == grown.id
+
+    def test_scattered_reads_keep_their_pin_across_publishes(
+        self, built, trained_reranker
+    ):
+        """Arms called with a bundle pinned five publishes ago answer like
+        a service over that generation's flatten(), not like the current
+        generation."""
+        from repro.kg import GenerationalStore, Relation, RelationKind, flatten
+        from repro.serving.service import request_query_state
+
+        config = ServiceConfig(retriever="hybrid")
+        source = GenerationalStore(built.store)
+        cluster = _cluster(source, 2, service_config=config, reranker=trained_reranker)
+        pinned_concept, _ = _grow_round(source, "pin")
+        cluster.publish()
+        pinned = cluster._cgen
+        oracle = AliCoCoService(
+            flatten(pinned.store), config=config, reranker=trained_reranker
+        )
+        old_concept = next(iter(built.store.nodes(ECOMMERCE_PREFIX))).id
+        for round_index in range(5):
+            _, item = _grow_round(source, f"pin {round_index}")
+            for target in (pinned_concept.id, old_concept):
+                source.add_relation(
+                    Relation(RelationKind.ITEM_ECOMMERCE, item.id, target, weight=1.0)
+                )
+            cluster.publish()
+        assert cluster.generation_id == pinned.generation_id + 5
+
+        queries = [pinned_concept.text, "fresh pin cluster concept"] + [
+            spec.text for spec in built.concepts[:6]
+        ]
+        for query in queries:
+            tokens = tuple(query.split())
+            state = request_query_state(trained_reranker, tokens)
+            assert cluster._search_scattered(tokens, 10, pinned) == (
+                oracle._search_uncached(tokens, 10, index=oracle._gen.search_index)
+            )
+            for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX):
+                assert cluster._dense_stage(pinned, name, tokens, 10, state)() == (
+                    oracle._dense_stage(oracle._gen, name, tokens, 10, state)()
+                )
+        for concept_id in (pinned_concept.id, old_concept):
+            shard = cluster._shard_for(concept_id)
+            expected = oracle.items_for_concept(concept_id, 20)
+            assert cluster._graph_arm(shard, concept_id, 20, cgen=pinned) == expected
+            # The current generation has moved on: five more items each.
+            current = cluster._graph_arm(shard, concept_id, 20, cgen=cluster._cgen)
+            assert current != expected
+        fresh = ("fresh", "pin", "0")
+        current = cluster._search_scattered(fresh, 10, cluster._cgen)
+        assert current != cluster._search_scattered(fresh, 10, pinned)
 
     def test_compaction_is_invisible_to_the_cluster(self, built):
         from repro.kg import GenerationalStore

@@ -134,7 +134,7 @@ class TestTag:
         assert [(s.start, s.stop, s.domain) for s in spans] == expected
         tokens = spec.text.split()
         for span in spans:
-            assert span.surface == " ".join(tokens[span.start:span.stop])
+            assert span.surface == " ".join(tokens[span.start : span.stop])
 
     def test_linked_spans_point_into_primitive_layer(self, built, service):
         linked = []
