@@ -276,12 +276,15 @@ class GenerationalStore:
             non-positive ``compact_after_segments``.
     """
 
-    def __init__(self, base: AliCoCoStore, *, base_generation: int = 0,
-                 compact_after_segments: int | None = None) -> None:
+    def __init__(
+        self,
+        base: AliCoCoStore,
+        *,
+        base_generation: int = 0,
+        compact_after_segments: int | None = None,
+    ) -> None:
         if base_generation < 0:
-            raise ConfigError(
-                f"base_generation must be >= 0, got {base_generation}"
-            )
+            raise ConfigError(f"base_generation must be >= 0, got {base_generation}")
         if compact_after_segments is not None and compact_after_segments <= 0:
             raise ConfigError(
                 "compact_after_segments must be positive, got "

@@ -36,12 +36,17 @@ class Conv1d(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def _im2col(self, data: np.ndarray) -> np.ndarray:
+        # Window ``offset`` reads the input shifted by ``offset - half``;
+        # the columns it would read from the padding stay zero.
         batch, time, dim = data.shape
         half = self.kernel_size // 2
-        padded = np.pad(data, ((0, 0), (half, half), (0, 0)))
-        cols = np.empty((batch, time, self.kernel_size * dim))
+        cols = np.zeros((batch, time, self.kernel_size * dim))
         for offset in range(self.kernel_size):
-            cols[:, :, offset * dim:(offset + 1) * dim] = padded[:, offset:offset + time, :]
+            shift = offset - half
+            lo, hi = max(0, -shift), min(time, time - shift)
+            if lo < hi:
+                cols[:, lo:hi, offset * dim:(offset + 1) * dim] = \
+                    data[:, lo + shift:hi + shift, :]
         return cols
 
     def forward(self, x: Tensor) -> Tensor:

@@ -1,9 +1,18 @@
 """LSTM and BiLSTM encoders (batch-first).
 
 The paper uses BiLSTM encoders in four of its five models (Figs 4, 5, 6).
-Sequences here are short (concepts average 2-3 words; titles ~10), so a
-straightforward per-timestep loop through the autograd engine is fast
-enough.
+An LSTM call records one tape node: the forward runs the recurrence on
+plain arrays and the backward is hand-written backpropagation through
+time.  Composed from primitive autograd ops, the same recurrence records
+about 19 nodes per step and direction, and the engine's bookkeeping for
+them costs more than the arithmetic.
+
+The fused node is bit-identical to the composed recurrence, values and
+gradients alike: the forward repeats its per-step expressions operation
+for operation (no GEMM over all steps, whose rounding can differ from the
+per-step products), and the backward adds each parameter's per-step
+gradients in reverse time order, the order the tape adds them.
+``tests/test_ml_fused.py`` keeps the composed recurrence as the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import numpy as np
 from ...errors import ShapeError
 from ..init import xavier_uniform
 from ..module import Module, Parameter
-from ..tensor import Tensor, concat, stack
+from ..tensor import Tensor, concat, custom_op, is_grad_enabled
 
 
 class LSTM(Module):
@@ -28,12 +37,10 @@ class LSTM(Module):
         super().__init__()
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.w_input = Parameter(
-            xavier_uniform(rng, input_dim, 4 * hidden_dim))
-        self.w_hidden = Parameter(
-            xavier_uniform(rng, hidden_dim, 4 * hidden_dim))
+        self.w_input = Parameter(xavier_uniform(rng, input_dim, 4 * hidden_dim))
+        self.w_hidden = Parameter(xavier_uniform(rng, hidden_dim, 4 * hidden_dim))
         bias = np.zeros(4 * hidden_dim)
-        bias[hidden_dim:2 * hidden_dim] = 1.0
+        bias[hidden_dim : 2 * hidden_dim] = 1.0
         self.bias = Parameter(bias)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -47,23 +54,60 @@ class LSTM(Module):
         """
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ShapeError(
-                f"LSTM expects (batch, time, {self.input_dim}), got {x.shape}")
+                f"LSTM expects (batch, time, {self.input_dim}), got {x.shape}"
+            )
         batch, time, _ = x.shape
         h_dim = self.hidden_dim
-        h = Tensor(np.zeros((batch, h_dim)))
-        c = Tensor(np.zeros((batch, h_dim)))
-        outputs: list[Tensor] = []
+        data = x.data
+        w_input, w_hidden, bias = self.w_input, self.w_hidden, self.bias
+        h = np.zeros((batch, h_dim))
+        c = np.zeros((batch, h_dim))
+        out = np.empty((batch, time, h_dim))
+        # Per step: (h_prev, c_prev, i, f, g, o, tanh(c)); kept only when
+        # a backward pass can follow.
+        steps = [] if is_grad_enabled() else None
         for t in range(time):
-            x_t = x[:, t, :]
-            z = x_t @ self.w_input + h @ self.w_hidden + self.bias
-            i_gate = z[:, 0:h_dim].sigmoid()
-            f_gate = z[:, h_dim:2 * h_dim].sigmoid()
-            g_cell = z[:, 2 * h_dim:3 * h_dim].tanh()
-            o_gate = z[:, 3 * h_dim:4 * h_dim].sigmoid()
-            c = f_gate * c + i_gate * g_cell
-            h = o_gate * c.tanh()
-            outputs.append(h)
-        return stack(outputs, axis=1)
+            z = data[:, t, :] @ w_input.data + h @ w_hidden.data + bias.data
+            i_gate = 1.0 / (1.0 + np.exp(-z[:, 0:h_dim]))
+            f_gate = 1.0 / (1.0 + np.exp(-z[:, h_dim : 2 * h_dim]))
+            g_cell = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
+            o_gate = 1.0 / (1.0 + np.exp(-z[:, 3 * h_dim : 4 * h_dim]))
+            c_prev, h_prev = c, h
+            c = f_gate * c_prev + i_gate * g_cell
+            tanh_c = np.tanh(c)
+            h = o_gate * tanh_c
+            out[:, t, :] = h
+            if steps is not None:
+                steps.append((h_prev, c_prev, i_gate, f_gate, g_cell, o_gate, tanh_c))
+
+        def backward(grad: np.ndarray) -> None:
+            d_x = np.empty_like(data) if x.requires_grad else None
+            d_h_next = d_c_next = None
+            for t in range(time - 1, -1, -1):
+                h_prev, c_prev, i_gate, f_gate, g_cell, o_gate, tanh_c = steps[t]
+                d_h = grad[:, t, :]
+                if d_h_next is not None:
+                    d_h = d_h + d_h_next
+                d_c = d_h * o_gate * (1.0 - tanh_c**2)
+                if d_c_next is not None:
+                    d_c = d_c + d_c_next
+                d_z = np.empty((batch, 4 * h_dim))
+                d_z[:, 0:h_dim] = d_c * g_cell * i_gate * (1.0 - i_gate)
+                d_z[:, h_dim : 2 * h_dim] = d_c * c_prev * f_gate * (1.0 - f_gate)
+                d_z[:, 2 * h_dim : 3 * h_dim] = d_c * i_gate * (1.0 - g_cell**2)
+                d_z[:, 3 * h_dim : 4 * h_dim] = d_h * tanh_c * o_gate * (1.0 - o_gate)
+                bias._accumulate(d_z.sum(axis=0))
+                if d_x is not None:
+                    d_x[:, t, :] = d_z @ w_input.data.T
+                w_input._accumulate(data[:, t, :].T @ d_z)
+                if t > 0:
+                    d_h_next = d_z @ w_hidden.data.T
+                    d_c_next = d_c * f_gate
+                w_hidden._accumulate(h_prev.T @ d_z)
+            if d_x is not None:
+                x._accumulate(d_x)
+
+        return custom_op((x, w_input, w_hidden, bias), out, backward)
 
 
 class BiLSTM(Module):

@@ -8,7 +8,9 @@ every tensor created with ``requires_grad=True``.
 The op set is intentionally small — exactly what the paper's five models
 need: arithmetic with broadcasting, matmul, the usual nonlinearities,
 reductions, indexing/gather (for embeddings), concat/stack, and logsumexp
-(for the CRF partition function).
+(for softmax).  Layers whose gradients are cheaper to derive by hand (the
+conv, the LSTM and the CRF partition) record one node through
+:func:`custom_op`.
 
 **Inference mode is context-local.**  Graph recording is controlled by a
 :class:`contextvars.ContextVar`, not a module global: every thread (and
@@ -137,18 +139,22 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
-        requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=tuple(parents),
-                      _backward=backward)
+        if _GRAD_ENABLED.get():
+            for parent in parents:
+                if parent.requires_grad:
+                    return Tensor(data, requires_grad=True,
+                                  _parents=tuple(parents), _backward=backward)
+        return Tensor(data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # The bits of ``zeros_like(data) + grad`` (shape, memory layout,
+            # -0.0 -> +0.0) in one ufunc call.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
@@ -361,11 +367,7 @@ class Tensor:
 
     def logsumexp(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Numerically stable log-sum-exp along ``axis``."""
-        m = self.data.max(axis=axis, keepdims=True)
-        shifted = np.exp(self.data - m)
-        total = shifted.sum(axis=axis, keepdims=True)
-        out_keep = m + np.log(total)
-        softmax = shifted / total
+        out_keep, softmax = logsumexp_softmax(self.data, axis)
         out = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
 
         def backward(grad: np.ndarray) -> None:
@@ -433,6 +435,19 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
 
+def logsumexp_softmax(data: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted log-sum-exp of ``data`` along ``axis`` (kept as a
+    length-1 axis) and the softmax along it, on plain arrays.
+
+    The one copy of this arithmetic: :meth:`Tensor.logsumexp` and the
+    CRF's fused forward algorithm both call it, so they agree bit for bit.
+    """
+    m = data.max(axis=axis, keepdims=True)
+    shifted = np.exp(data - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    return m + np.log(total), shifted / total
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -465,7 +480,7 @@ def custom_op(inputs: Iterable[Tensor], out_data: np.ndarray,
               backward: Callable[[np.ndarray], None]) -> Tensor:
     """Create a tensor from a hand-written forward/backward pair.
 
-    Used by layers (e.g. Conv1d, CRF) whose gradients are cheaper to derive
+    Used by layers (e.g. Conv1d, LSTM, CRF) whose gradients are cheaper to derive
     by hand than to compose from primitive ops.  ``backward`` receives the
     upstream gradient and must call ``_accumulate`` on each input itself.
     """

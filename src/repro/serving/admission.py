@@ -91,18 +91,20 @@ class AdmissionController:
             ``max_queue_wait_seconds`` or negative ``max_queue_depth``.
     """
 
-    def __init__(self, max_inflight: int, max_queue_depth: int,
-                 max_queue_wait_seconds: float, *,
-                 reservoir_capacity: int = 512, seed: int = 0,
-                 clock: Callable[[], float] = time.perf_counter):
+    def __init__(
+        self,
+        max_inflight: int,
+        max_queue_depth: int,
+        max_queue_wait_seconds: float,
+        *,
+        reservoir_capacity: int = 512,
+        seed: int = 0,
+        clock: Callable[[], float] = time.perf_counter,
+    ):
         if max_inflight <= 0:
-            raise ConfigError(
-                f"max_inflight must be positive, got {max_inflight}"
-            )
+            raise ConfigError(f"max_inflight must be positive, got {max_inflight}")
         if max_queue_depth < 0:
-            raise ConfigError(
-                f"max_queue_depth must be >= 0, got {max_queue_depth}"
-            )
+            raise ConfigError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
         if max_queue_wait_seconds <= 0:
             raise ConfigError(
                 "max_queue_wait_seconds must be positive, got "

@@ -89,12 +89,11 @@ class Coalescer:
         ConfigError: If the window is negative.
     """
 
-    def __init__(self, window_seconds: float = 0.0,
-                 sleep: Callable[[float], None] = time.sleep):
+    def __init__(
+        self, window_seconds: float = 0.0, sleep: Callable[[float], None] = time.sleep
+    ):
         if window_seconds < 0:
-            raise ConfigError(
-                f"window_seconds must be >= 0, got {window_seconds}"
-            )
+            raise ConfigError(f"window_seconds must be >= 0, got {window_seconds}")
         self.window_seconds = window_seconds
         self._sleep = sleep
         self._flights: dict[Hashable, _Flight] = {}

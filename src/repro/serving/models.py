@@ -192,8 +192,7 @@ def dense_query_vector(
     return model.query_vector(query_tokens, encoding=encoding)
 
 
-def dense_doc_vector(model: Module, doc_tokens: Sequence[str],
-                     encoding: Any = None):
+def dense_doc_vector(model: Module, doc_tokens: Sequence[str], encoding: Any = None):
     """Doc-side retrieval embedding, optionally from a cached encoding.
 
     ``encoding`` accepts an ``encode_doc`` result for the same tokens —

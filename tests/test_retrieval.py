@@ -214,10 +214,10 @@ def matching_world():
     concepts = world.sample_good_concepts(rng, 30)
     items = generate_items(world, 90)
     clicks = simulate_clicks(world, concepts, items, impressions_per_concept=8)
-    dataset = build_matching_dataset(world, concepts, items, clicks, rng,
-                                     test_concepts=10)
-    matcher = DSSMMatcher(matching_vocab(dataset.train), dim=8, hidden=8,
-                          seed=0)
+    dataset = build_matching_dataset(
+        world, concepts, items, clicks, rng, test_concepts=10
+    )
+    matcher = DSSMMatcher(matching_vocab(dataset.train), dim=8, hidden=8, seed=0)
     train_matcher(matcher, dataset.train, epochs=2, lr=0.05, seed=0)
     return concepts, items, dataset, matcher
 

@@ -39,7 +39,6 @@ from repro.serving import (
     CLUSTER_META,
     Coalescer,
     ClusterConfig,
-    ClusterStats,
     ServiceConfig,
     merge_ranked,
     owned_ids,

@@ -197,8 +197,7 @@ class TestProcessParity:
     def test_error_parity_across_the_process_boundary(self, pair):
         cluster, service = pair
         for call, error in (
-            (lambda target: target.items_for_concept("ec_999999"),
-             NodeNotFoundError),
+            (lambda target: target.items_for_concept("ec_999999"), NodeNotFoundError),
             (lambda target: target.concepts_for_item("ec_0"), RelationError),
             (lambda target: target.search("gift", k=0), ConfigError),
         ):
@@ -256,10 +255,14 @@ def _grow_round(store, tag):
     concept = store.create_ecommerce(f"fresh {tag} worker concept")
     item = store.create_item(f"fresh {tag} worker item title")
     primitive = next(iter(store.nodes(PRIMITIVE_PREFIX)))
-    store.add_relation(Relation(RelationKind.INTERPRETED_BY, concept.id,
-                                primitive.id, name=primitive.domain))
-    store.add_relation(Relation(RelationKind.ITEM_ECOMMERCE, item.id,
-                                concept.id, weight=0.9))
+    store.add_relation(
+        Relation(
+            RelationKind.INTERPRETED_BY, concept.id, primitive.id, name=primitive.domain
+        )
+    )
+    store.add_relation(
+        Relation(RelationKind.ITEM_ECOMMERCE, item.id, concept.id, weight=0.9)
+    )
     return concept, item
 
 
