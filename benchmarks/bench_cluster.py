@@ -7,7 +7,10 @@ with hard assertions (CI runs them under ``REPRO_BENCH_SMOKE=1`` in the
 - **scatter-gather parity**: a cluster at 1/2/4 shards must answer a
   mixed battery (point lookups, scattered search, reranked endpoints
   under the hybrid retriever) *bit-identically* to the single-store
-  oracle, with routed traffic reasonably balanced across shards;
+  oracle, with routed traffic reasonably balanced across shards.  Each
+  cluster after the first warm-starts from the snapshot the previous one
+  saved, at another shard count (1 -> 2 -> 4 -> 1): a cluster snapshot
+  is a service snapshot, and every reload re-splits it;
 - **request coalescing**: 8 closed-loop clients hammering a handful of
   hot rerank queries must see coalesced throughput at least match the
   straight-through cluster (>= 2x in full mode) — duplicates share one
@@ -37,9 +40,11 @@ gated).
 import copy
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -172,7 +177,8 @@ def _battery(built):
 
 
 def test_cluster_scatter_gather(built, reranker, report):
-    """1/2/4-shard clusters answer bit-identically to the single store."""
+    """1/2/4-shard clusters answer bit-identically to the single store,
+    each after the first reloaded from the previous one's snapshot."""
     service_config = ServiceConfig(retriever="hybrid")
     oracle = AliCoCoService(
         built.store, config=service_config, reranker=reranker
@@ -184,38 +190,54 @@ def test_cluster_scatter_gather(built, reranker, report):
         f"Cluster scatter-gather at {_N_ITEMS} items / {_N_CONCEPTS} "
         f"concepts ({BENCH_SCALE.name}); {len(requests)} mixed requests, "
         f"retriever=hybrid",
-        f"  {'shards':>6} {'batch':>10} {'q/s':>8} {'imbalance':>10} "
-        f"shard calls",
+        f"  {'shards':>6} {'from':>18} {'batch':>10} {'q/s':>8} "
+        f"{'imbalance':>10} shard calls",
     ]
-    for n_shards in _SHARD_COUNTS:
-        cluster = AliCoCoCluster(
-            built.store,
-            config=ClusterConfig(n_shards=n_shards, executor=_EXECUTOR),
-            service_config=service_config,
-            reranker=reranker,
-        )
-        start = time.perf_counter()
-        answers = cluster.batch(requests)
-        batch_seconds = time.perf_counter() - start
-        assert answers == expected, (
-            f"scatter-gather at {n_shards} shards diverged from the "
-            f"single-store oracle"
-        )
-        stats = cluster.stats()
-        # Scatter fan-out plus hash routing must keep shards busy evenly:
-        # no shard may see more than 3x the mean call count.
-        assert stats.imbalance <= 3.0, (
-            f"shard imbalance {stats.imbalance:.2f} at {n_shards} shards"
-        )
-        qps = len(requests) / max(batch_seconds, 1e-9)
-        lines.append(
-            f"  {n_shards:>6} {batch_seconds * 1e3:>8.1f}ms {qps:>8,.0f} "
-            f"{stats.imbalance:>9.2f}x {list(stats.shard_calls)}"
-        )
-        cluster.close()
+    previous: tuple[int, Path] | None = None
+    with tempfile.TemporaryDirectory(prefix="bench-cluster-") as directory:
+        for step, n_shards in enumerate((*_SHARD_COUNTS, _SHARD_COUNTS[0])):
+            config = ClusterConfig(n_shards=n_shards, executor=_EXECUTOR)
+            if previous is None:
+                source = "store"
+                cluster = AliCoCoCluster(
+                    built.store,
+                    config=config,
+                    service_config=service_config,
+                    reranker=reranker,
+                )
+            else:
+                source = f"{previous[0]}-shard snapshot"
+                cluster = AliCoCoCluster.from_snapshot(
+                    previous[1],
+                    config=config,
+                    service_config=service_config,
+                    reranker=copy.deepcopy(reranker),
+                )
+            start = time.perf_counter()
+            answers = cluster.batch(requests)
+            batch_seconds = time.perf_counter() - start
+            assert answers == expected, (
+                f"scatter-gather at {n_shards} shards (from the {source}) "
+                f"diverged from the single-store oracle"
+            )
+            stats = cluster.stats()
+            # Scatter fan-out plus hash routing must keep shards busy
+            # evenly: no shard may see more than 3x the mean call count.
+            assert stats.imbalance <= 3.0, (
+                f"shard imbalance {stats.imbalance:.2f} at {n_shards} shards"
+            )
+            qps = len(requests) / max(batch_seconds, 1e-9)
+            lines.append(
+                f"  {n_shards:>6} {source:>18} {batch_seconds * 1e3:>8.1f}ms "
+                f"{qps:>8,.0f} {stats.imbalance:>9.2f}x {list(stats.shard_calls)}"
+            )
+            previous = (n_shards, Path(directory) / f"cluster-{step}.snapshot")
+            cluster.save_snapshot(previous[1])
+            cluster.close()
     lines.append(
         f"  parity: all {len(requests)} answers bit-identical to the "
-        f"oracle at every shard count (incl. reranked hybrid retrieval)"
+        f"oracle at every shard count (incl. reranked hybrid retrieval), "
+        f"fresh and reloaded from the previous shard count's snapshot"
     )
     report("\n".join(lines))
 

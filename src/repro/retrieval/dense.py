@@ -184,15 +184,33 @@ class BruteForceDense:
             raise DataError(f"{len(ids)} ids for {len(data)} vectors")
         if not ids:
             return self
-        rows = pack_vectors(data, self.metric)
-        if rows.shape[1] != self._matrix.shape[1]:
+        return self.concatenated(type(self)(metric=self.metric).fit(ids, data))
+
+    def concatenated(self, other: "BruteForceDense") -> "BruteForceDense":
+        """A new index: this one's rows followed by ``other``'s, as stored.
+
+        Rows are taken as packed, never re-normalised, so appending a
+        projection of a global index's new rows to a projection of its
+        old ones gives the projection of the grown index bit for bit.
+        Both indexes are left unchanged.
+
+        Raises:
+            DataError: On a metric or dimension mismatch.
+        """
+        self._require_fitted()
+        other._require_fitted()
+        if other.metric != self.metric:
             raise DataError(
-                f"new vectors have dim {rows.shape[1]}, index has "
+                f"cannot append {other.metric} rows to a {self.metric} index"
+            )
+        if other._matrix.shape[1] != self._matrix.shape[1]:
+            raise DataError(
+                f"new vectors have dim {other._matrix.shape[1]}, index has "
                 f"{self._matrix.shape[1]}"
             )
         grown = type(self)(metric=self.metric)
-        grown._matrix = np.ascontiguousarray(np.vstack([self._matrix, rows]))
-        grown._ids = self._ids + list(ids)
+        grown._matrix = np.ascontiguousarray(np.vstack([self._matrix, other._matrix]))
+        grown._ids = self._ids + other._ids
         grown._fitted = True
         return grown
 
@@ -247,6 +265,11 @@ class BruteForceDense:
             candidates_scored=self._scored,
             extra={"metric": self.metric},
         )
+
+    @property
+    def doc_ids(self) -> tuple:
+        """Document ids in row (fit) order (read-only)."""
+        return tuple(self._ids)
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -26,7 +26,6 @@ Quickstart::
 from .admission import AdmissionController, AdmissionStats
 from .cache import CacheCounters, LRUCache
 from .cluster import (
-    CLUSTER_META,
     COALESCED_ENDPOINTS,
     AliCoCoCluster,
     ClusterConfig,
@@ -68,11 +67,8 @@ from .shard import (
     PARTITIONED_LAYERS,
     REPLICATED_LAYERS,
     merge_ranked,
-    owned_ids,
-    project_bm25_index,
     shard_of,
-    shard_sizes,
-    split_concept_index,
+    split_index,
     split_store,
 )
 from .stats import EndpointMetrics, EndpointStats, ServiceStats, endpoint_table
@@ -82,7 +78,6 @@ __all__ = [
     "AliCoCoService",
     "AdmissionController",
     "AdmissionStats",
-    "CLUSTER_META",
     "COALESCED_ENDPOINTS",
     "Coalescer",
     "CoalescerStats",
@@ -100,13 +95,10 @@ __all__ = [
     "encode_frame",
     "endpoint_table",
     "merge_ranked",
-    "owned_ids",
-    "project_bm25_index",
     "save_shard_snapshot",
     "shard_of",
     "shard_service_from_snapshot",
-    "shard_sizes",
-    "split_concept_index",
+    "split_index",
     "split_store",
     "BatchResult",
     "ServiceConfig",

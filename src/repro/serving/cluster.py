@@ -27,6 +27,13 @@ shape in miniature: the frozen net is hash-split across N shard stores
   brute-force dense projections (:mod:`repro.serving.shard`) — so the
   bit-identity guarantee covers every retriever mode.
 
+**One owner per index.**  The cluster owns every global index — the
+BM25 concept index and one dense index per population — and each shard
+holds exactly its own rows of each (:func:`~repro.serving.shard.split_index`):
+the documents it owns, in global fit order, never a ghost replica.  Warm
+start and :meth:`AliCoCoCluster.publish` project both kinds of index by
+that one rule, and no shard fits or extends an index itself.
+
 On top of the fan-out sit the two traffic-shaping layers this module
 adds (both off the hot path of a cache hit):
 
@@ -44,12 +51,13 @@ adds (both off the hot path of a cache hit):
   deadlock waiting for a leader that is itself queued behind the
   joiner's slot.
 
-A cluster snapshot is one ordinary snapshot file: the global store and
-global concept index plus *per-shard* index states (``…@shard{i}``) and
-a ``cluster`` meta record pinning the shard count.  Loading with the
-same shard count rehydrates every shard index without re-fitting;
-loading with a different count re-splits deterministically from the
-global state.
+A cluster snapshot **is** a service snapshot: the global store (or its
+generations), the global concept index, the global dense index states
+and the model bundles — nothing per shard.  A single service serves it
+as it is, and a cluster at any shard count warm-starts from it, or from
+a service's snapshot, the same way: :func:`~repro.serving.service.open_snapshot`,
+then a deterministic re-split and fresh projections of the global
+indexes, re-fitting none whose state covers the net.
 
 **Generation advancement.**  A cluster over a
 :class:`~repro.kg.generations.GenerationalStore` is not pinned forever:
@@ -58,11 +66,12 @@ advances every shard in a **two-phase** publish.  Phase one grows each
 shard's own generational store (delta nodes route through
 :func:`~repro.serving.shard.shard_of`, relations land on their owner
 shards with ghost replicas, all invisible to readers), extends the
-global concept index, and installs each shard's next generation; phase
+global concept and dense indexes (each new document encoded once), and
+installs each shard's next generation with its new projections; phase
 two installs one immutable :class:`ClusterGeneration` bundle — global
-view, global index, per-shard projections, merge position maps and
-each shard's pin (the generation its scattered verbs read) — with a
-single attribute assignment.  Scattered reads pin the bundle at entry
+view, global indexes, merge position maps and each shard's pin (the
+generation its scattered verbs read) — with a single attribute
+assignment.  Scattered reads pin the bundle at entry
 and read only from it, so a fan-out never mixes two generations:
 every answer is a whole generation, before or after, never a blend.
 
@@ -96,12 +105,13 @@ from typing import Any, Callable, Iterable, Sequence
 from ..concepts.tagging import ConceptTagger
 from ..errors import ConfigError, ShardUnavailableError
 from ..kg.generations import GenerationalStore
-from ..kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX, layer_of
+from ..kg.ids import ECOMMERCE_PREFIX
 from ..kg.relations import RelationKind
 from ..kg.serialize import load_snapshot, save_generations, save_snapshot
 from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
 from ..ml.module import Module
+from ..retrieval import BruteForceDense
 # Unused here since fusion runs in service.first_stage, but perfbench
 # wraps cluster.rrf_fuse by name until its next benchmark change.
 from ..retrieval import rrf_fuse  # noqa: F401
@@ -120,7 +130,11 @@ from .service import (
     dense_states_of,
     endpoint_handlers,
     extend_concept_index,
+    extend_dense_indexes,
     fit_concept_index,
+    fresh_doc_vector,
+    global_dense_indexes,
+    index_states_of,
     metered_errors,
     model_bundles,
     open_snapshot,
@@ -130,7 +144,6 @@ from .service import (
     run_batch,
     served_models,
     serve_cached,
-    shard_dense_indexes,
     verify_pool,
 )
 from .shard import (
@@ -142,13 +155,10 @@ from .shard import (
     owner_of,
     place_relations,
     shard_of,
-    split_concept_index,
+    split_index,
     split_store,
 )
 from .stats import EndpointStats, ServiceStats, endpoint_table
-
-#: Snapshot index-state name of the cluster meta record (shard count).
-CLUSTER_META = "cluster"
 
 #: Endpoints routed through the coalescer — the model-bound hot path.
 COALESCED_ENDPOINTS = ("items_for_concept_reranked", "search_reranked")
@@ -230,9 +240,9 @@ class ClusterGeneration:
 
     The cluster's counterpart of :class:`~repro.serving.ServingGeneration`:
     everything a scattered read touches — the global view, the global
-    concept index, the per-shard projections, the merge tie-break maps
-    and each shard's pinned generation — rides one frozen bundle behind
-    one attribute.  Requests pin the current instance at entry, so a
+    indexes, the merge tie-break maps and each shard's pinned generation
+    (which holds the shard's projections) — rides one frozen bundle
+    behind one attribute.  Requests pin the current instance at entry, so a
     concurrent :meth:`AliCoCoCluster.publish` can never show a fan-out
     two different generations (phase two of the publish installs the
     next bundle with a single atomic assignment).
@@ -241,10 +251,11 @@ class ClusterGeneration:
         generation_id: The source-store generation this bundle serves.
         store: The pinned global read view.
         search_index: The global BM25 concept index, or ``None``.
-        shard_search_indexes: Per-shard projections of ``search_index``
-            (global corpus statistics, shard-local postings).
-        concept_position / item_position: Node id -> global fit position
-            maps for deterministic scatter merges
+        dense_indexes: The global dense indexes by population (empty
+            under ``retriever="bm25"``; ``None`` for an empty
+            population).  Each shard serves its own rows of each.
+        positions: Each global index's node id -> fit position map, by
+            index name: the tie-break of its scatter merges
             (:func:`~repro.serving.shard.merge_ranked`).
         shards: Each shard's pin, in shard order — what a scattered verb
             reads from: an in-process shard's pinned
@@ -256,20 +267,17 @@ class ClusterGeneration:
             reshapes segments but never reorders reads).
         concept_count: E-commerce concepts covered by ``search_index``;
             the next publish extends the index with the nodes past it.
-        dense_presence: Dense index names present on at least one shard.
     """
 
     generation_id: int
     store: Any
     search_index: BM25Index | None
-    shard_search_indexes: tuple[BM25Index | None, ...]
-    concept_position: dict[str, int]
-    item_position: dict[str, int]
+    dense_indexes: dict[str, BruteForceDense | None]
+    positions: dict[str, dict[str, int]]
     shards: tuple[Any, ...]
     node_count: int
     relation_count: int
     concept_count: int
-    dense_presence: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -437,19 +445,14 @@ class AliCoCoCluster:
         search_index: A fitted *global* concept index to reuse; fitted
             from the store when omitted.  Shards always serve
             projections of this index, never their own fits.
-        shard_search_indexes: Pre-projected per-shard concept indexes
-            (snapshot warm start); derived from the global index when
-            omitted.
         tagger / reranker: Trained models, shared read-only by every
             shard service.
-        shard_dense_states: Per-shard dense index states to warm-start
-            from, ``{shard id: {index name: state}}``.
-        dense_index_states: *Global* dense index states (a single-service
-            snapshot's); used when no per-shard states are given.  Shards
-            then serve projections of the global index, rehydrated from
-            a brute-force state over the store's documents or fitted once
+        dense_index_states: *Global* dense index states (a snapshot's).
+            The cluster's global dense indexes are rehydrated from a
+            brute-force state over the store's documents or fitted once
             over the store
-            (:func:`~repro.serving.service.shard_dense_indexes`).
+            (:func:`~repro.serving.service.global_dense_indexes`), and
+            shards serve their projections.
         config_fingerprint: Build-config digest embedded in snapshots.
 
     Raises:
@@ -465,10 +468,8 @@ class AliCoCoCluster:
         config: ClusterConfig | None = None,
         service_config: ServiceConfig | None = None,
         search_index: BM25Index | None = None,
-        shard_search_indexes: Sequence[BM25Index | None] | None = None,
         tagger: ConceptTagger | None = None,
         reranker: Module | None = None,
-        shard_dense_states: dict[int, dict[str, Any]] | None = None,
         dense_index_states: dict[str, Any] | None = None,
         config_fingerprint: str = "",
     ):
@@ -494,43 +495,26 @@ class AliCoCoCluster:
         search_index = (
             search_index if search_index is not None else fit_concept_index(view)
         )
-        if shard_search_indexes is None:
-            shard_search_indexes = split_concept_index(search_index, n_shards)
-        elif len(shard_search_indexes) != n_shards:
-            raise ConfigError(
-                f"expected {n_shards} shard search indexes, "
-                f"got {len(shard_search_indexes)}"
-            )
-        dense_states = shard_dense_states or {}
         initial_generation = view.generation_id if self._generational else 0
         # The prepared (fitted-checked, eval-mode) models; shared by
         # every shard, referenced here for query-side encodings.
         self._tagger, self._reranker = prepare_models(
             self._service_config, tagger, reranker
         )
+        dense_indexes = global_dense_indexes(
+            view, self._service_config, self._reranker, dense_index_states or {}
+        )
         owners = owner_map(view, n_shards)
         shard_stores = split_store(view, n_shards, owners)
-        # Without per-shard states, shards serve projections of one
-        # global dense index (empty dicts: each shard fits its own).
-        shard_dense = (
-            [{} for _ in shard_stores]
-            if dense_states
-            else shard_dense_indexes(
-                view,
-                shard_stores,
-                self._service_config,
-                self._reranker,
-                dense_index_states or {},
-            )
-        )
+        shard_search = split_index(search_index, n_shards)
+        shard_dense = _dense_rows(dense_indexes, n_shards, {})
         if self.config.executor == "process":
             self._services: tuple[AliCoCoService, ...] = ()
             self._pool: LocalShardPool | ProcessShardPool = spawn_shard_pool(
                 shard_stores,
                 self.config,
-                search_indexes=shard_search_indexes,
+                search_indexes=shard_search,
                 dense_indexes=shard_dense,
-                dense_states=dense_states,
                 config_fingerprint=config_fingerprint,
                 service_config=self._service_config,
                 tagger=self._tagger,
@@ -542,8 +526,8 @@ class AliCoCoCluster:
             # Shards of an advancing cluster get generational stores of
             # their own, so publish() can grow them behind their readers;
             # frozen clusters keep the historical frozen shard stores.
-            # Building a shard service is a bulk build (its per-shard
-            # indexes), so the collector is paused, as for the split.
+            # Building a shard service is a bulk build, so the collector
+            # is paused, as for the split.
             with gc_paused():
                 self._services = tuple(
                     AliCoCoService(
@@ -553,11 +537,10 @@ class AliCoCoCluster:
                             else shard_store
                         ),
                         config=self._service_config,
-                        search_index=shard_search_indexes[shard],
+                        search_index=shard_search[shard],
                         fit_search_index=False,
                         tagger=self._tagger,
                         reranker=self._reranker,
-                        dense_index_states=dense_states.get(shard),
                         dense_indexes=shard_dense[shard],
                         config_fingerprint=config_fingerprint,
                     )
@@ -566,26 +549,8 @@ class AliCoCoCluster:
             self._pool = LocalShardPool(self._services)
         self._publish_lock = threading.Lock()
         self._shard_owned = tuple(owned_counts(owners.values(), n_shards))
-        self._cgen = ClusterGeneration(
-            generation_id=initial_generation,
-            store=view,
-            search_index=search_index,
-            shard_search_indexes=tuple(shard_search_indexes),
-            # Global tie-break orders for scatter merges: BM25 breaks
-            # score ties by fit position, the dense backends by fit
-            # position over the store walk — both are subsequences of
-            # these maps, so the relative order (all a tie-break needs)
-            # is preserved.
-            concept_position=self._positions_of(search_index),
-            item_position={
-                node.id: position
-                for position, node in enumerate(view.nodes(ITEM_PREFIX))
-            },
-            shards=self._pool.pins(),
-            node_count=len(view),
-            relation_count=view.stats().relations_total,
-            concept_count=view.count_nodes(ECOMMERCE_PREFIX),
-            dense_presence=self._pool.dense_presence(),
+        self._cgen = _bundle(
+            initial_generation, view, search_index, dense_indexes, self._pool.pins()
         )
         self._cache = (
             LRUCache(self.config.cache_capacity)
@@ -620,19 +585,15 @@ class AliCoCoCluster:
         reranker: Module | None = None,
         expected_fingerprint: str | None = None,
     ) -> "AliCoCoCluster":
-        """Warm-start a cluster from one snapshot file.
+        """Warm-start a cluster from a service (or cluster) snapshot, at
+        any shard count.
 
-        A snapshot written by :meth:`save_snapshot` with the *same* shard
-        count rehydrates every per-shard index (BM25 projections and
-        dense indexes) without re-fitting; any other snapshot — a
-        single-service one, or a cluster one with a different shard
-        count — re-splits deterministically from the global store and
-        index, landing on identical placement, and projects each shard's
-        dense indexes from the snapshot's global ones (fitting a global
-        one first when its state is absent or not ``bruteforce``).  Model
-        bundles restore exactly as in :meth:`AliCoCoService.from_snapshot`.
-        The warm start is one bulk build, so the collector is paused for
-        all of it (:func:`~repro.kg.store.gc_paused`).
+        :func:`~repro.serving.service.open_snapshot` — store, global
+        concept index, model bundles restored exactly as in
+        :meth:`AliCoCoService.from_snapshot` — then the constructor with
+        the snapshot's global dense states.  The warm start is one bulk
+        build, so the collector is paused for all of it
+        (:func:`~repro.kg.store.gc_paused`).
 
         Raises:
             DataError: If the snapshot is malformed, fingerprint-
@@ -640,83 +601,37 @@ class AliCoCoCluster:
                 invalid.
         """
         with gc_paused():
-            config = config or ClusterConfig()
             snapshot = load_snapshot(path)
             store, search_index = open_snapshot(
                 snapshot, expected_fingerprint, tagger, reranker
             )
-            meta = snapshot.index_states.get(CLUSTER_META)
-            shard_search_indexes = None
-            shard_dense_states: dict[int, dict[str, Any]] = {}
-            if isinstance(meta, dict) and meta.get("n_shards") == config.n_shards:
-                shard_search_indexes = []
-                for shard in range(config.n_shards):
-                    state = snapshot.index_states.get(f"{CONCEPT_INDEX}@shard{shard}")
-                    shard_search_indexes.append(
-                        BM25Index.from_state(state) if state is not None else None
-                    )
-                    dense = {
-                        name: snapshot.index_states[f"{name}@shard{shard}"]
-                        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX)
-                        if f"{name}@shard{shard}" in snapshot.index_states
-                    }
-                    if dense:
-                        shard_dense_states[shard] = dense
             return cls(
                 store,
                 config=config,
                 service_config=service_config,
                 search_index=search_index,
-                shard_search_indexes=shard_search_indexes,
                 tagger=tagger,
                 reranker=reranker,
-                shard_dense_states=shard_dense_states or None,
                 dense_index_states=dense_states_of(snapshot.index_states),
                 config_fingerprint=snapshot.header.config_fingerprint,
             )
 
     def save_snapshot(self, path: str | Path) -> int:
-        """Persist the cluster as one ordinary snapshot file.
-
-        The global store, global concept index and model bundles are
-        written exactly as a single service would write them — so a
-        plain :meth:`AliCoCoService.from_snapshot` can serve a cluster
-        snapshot — plus one ``…@shard{i}`` index state per shard index
-        and a ``cluster`` meta state pinning the shard count for
-        warm-start validation.  A cluster over a generational store
-        writes the source's generation structure (sealed delta segments
-        and their numbering), so a reload resumes at the saved
-        generation and can keep advancing.  Per-shard index states are
-        embedded only when the served bundle is aligned with the
-        source's published generation (i.e. after a :meth:`publish`);
-        otherwise the reload re-splits deterministically.
+        """Persist the cluster as the snapshot a single service would write:
+        the global store — or, over a generational store, the source's
+        sealed segments and their numbering, so a reload resumes at the
+        saved generation — the global indexes and the model bundles.
 
         Returns:
             Number of bytes written.
         """
         cgen = self._cgen
-        index_states: dict[str, Any] = {CLUSTER_META: {"n_shards": self.n_shards}}
-        if cgen.search_index is not None:
-            index_states[CONCEPT_INDEX] = cgen.search_index.to_state()
-        aligned = (
-            self._source is None
-            or self._source.current().generation_id == cgen.generation_id
-        )
-        if aligned:
-            for shard in range(self.n_shards):
-                projection = cgen.shard_search_indexes[shard]
-                if projection is not None:
-                    index_states[f"{CONCEPT_INDEX}@shard{shard}"] = (
-                        projection.to_state()
-                    )
-                for name, state in self._shard_dense_states(shard, cgen).items():
-                    index_states[f"{name}@shard{shard}"] = state
         saver = save_snapshot if self._source is None else save_generations
         return saver(
             cgen.store if self._source is None else self._source,
             path,
             config_fingerprint=self._fingerprint,
-            index_states=index_states,
+            index_states=index_states_of(cgen.search_index, cgen.dense_indexes),
             model_states=model_bundles(self._tagger, self._reranker),
         )
 
@@ -734,9 +649,11 @@ class AliCoCoCluster:
         insertion order (:func:`~repro.serving.shard.place_relations`,
         the rule the initial split uses), endpoints owned elsewhere added
         as ghost replicas.  The global concept index is extended
-        (``BM25Index.extended``, refit fallback), fresh per-shard
-        projections are derived from it, and each grown shard publishes
-        its next generation with its new projection.
+        (``BM25Index.extended``, refit fallback) and re-split into fresh
+        per-shard projections; the global dense indexes are extended
+        (each new document encoded once) and each shard gets only its
+        new rows.  Each grown shard publishes its next generation with
+        them (:meth:`~repro.serving.shard.ShardHandler.apply_delta`).
 
         **Phase two**: one attribute assignment installs the new
         :class:`ClusterGeneration`.  Scattered reads pin the bundle at
@@ -796,38 +713,21 @@ class AliCoCoCluster:
             search_index = extend_concept_index(
                 old.search_index, view, old.concept_count
             )
-            projections = split_concept_index(search_index, self.n_shards)
-            item_position = dict(old.item_position)
-            for node in fresh_nodes:
-                if layer_of(node.id) == ITEM_PREFIX:
-                    item_position[node.id] = len(item_position)
+            dense_indexes = extend_dense_indexes(
+                old.dense_indexes, view, old.store, fresh_doc_vector(self._reranker)
+            )
+            projections = split_index(search_index, n_shards)
+            dense_rows = _dense_rows(dense_indexes, n_shards, old.dense_indexes)
             pins = tuple(
-                self._pool.apply_delta(shard, generation_id, ops, projection)
-                for shard, (ops, projection) in enumerate(zip(shard_ops, projections))
+                self._pool.apply_delta(
+                    shard, generation_id, shard_ops[shard], projections[shard], rows
+                )
+                for shard, rows in enumerate(dense_rows)
             )
             self._shard_owned = tuple(owned)
             # Phase two — a single assignment installs the whole bundle.
-            self._cgen = ClusterGeneration(
-                generation_id=generation_id,
-                store=view,
-                search_index=search_index,
-                shard_search_indexes=tuple(projections),
-                concept_position=self._positions_of(search_index),
-                item_position=item_position,
-                shards=pins,
-                node_count=len(view),
-                relation_count=sum(view.count_relations(kind) for kind in RelationKind),
-                concept_count=view.count_nodes(ECOMMERCE_PREFIX),
-                dense_presence=self._pool.dense_presence(),
-            )
+            self._cgen = _bundle(generation_id, view, search_index, dense_indexes, pins)
             return generation_id
-
-    @staticmethod
-    def _positions_of(index: BM25Index | None) -> dict[str, int]:
-        """Doc id -> global fit position over an index's document walk."""
-        if index is None:
-            return {}
-        return {doc_id: position for position, doc_id in enumerate(index.doc_ids)}
 
     # ------------------------------------------------------------- endpoints
     def items_for_concept(self, concept_id: str, top_k: int | None = None) -> tuple:
@@ -1125,14 +1025,6 @@ class AliCoCoCluster:
         )
         return [results[shard] for shard in shards]
 
-    def _shard_dense_states(self, shard: int, cgen: ClusterGeneration) -> dict:
-        """One shard's dense index states at the pinned generation
-        (empty when the shard is unavailable)."""
-        try:
-            return self._pool.call(shard, "index_states", cgen.shards[shard])
-        except ShardUnavailableError:
-            return {}
-
     def _admitted(
         self, endpoint: str, cache_key: tuple, compute: Callable[[], Any]
     ) -> Any:
@@ -1167,7 +1059,7 @@ class AliCoCoCluster:
         if not tokens or cgen.search_index is None:
             return ()
         arms = self._arm_scatter("search_arm", cgen, tokens, k)
-        return merge_ranked(arms, cgen.concept_position, k)
+        return merge_ranked(arms, cgen.positions[CONCEPT_INDEX], k)
 
     def _graph_arm(
         self, shard: int, concept_id: str, k: int, cgen: ClusterGeneration
@@ -1185,20 +1077,18 @@ class AliCoCoCluster:
         k: int,
         query_state: Any,
     ) -> Callable[[], tuple] | None:
-        """The dense arm of :func:`verify_pool` over every shard's index
-        ``name``, merged, or ``None`` when no shard has one or the query
-        no tokens.  The query vector is read from ``query_state`` once,
-        parent-side, and the same vector goes to every shard."""
-        if not tokens or name not in cgen.dense_presence:
+        """The dense arm of :func:`verify_pool` over every shard's rows of
+        the global index ``name``, merged, or ``None`` when the population
+        has no index or the query no tokens.  The query vector is read
+        from ``query_state`` once, parent-side, and the same vector goes
+        to every shard."""
+        if not tokens or cgen.dense_indexes.get(name) is None:
             return None
-        positions = (
-            cgen.concept_position if name == DENSE_CONCEPT_INDEX else cgen.item_position
-        )
 
         def arm() -> tuple:
             vector = dense_query_vector(self._reranker, tokens, encoding=query_state)
             arms = self._arm_scatter("dense_arm", cgen, name, vector, k)
-            return merge_ranked(arms, positions, k)
+            return merge_ranked(arms, cgen.positions[name], k)
 
         return arm
 
@@ -1244,3 +1134,49 @@ class AliCoCoCluster:
             for position, score in zip(groups[shard], shard_scores):
                 scores[position] = score
         return scores
+
+
+def _dense_rows(
+    indexes: dict[str, BruteForceDense | None],
+    n_shards: int,
+    held: dict[str, BruteForceDense | None],
+) -> list[dict[str, BruteForceDense | None]]:
+    """Each shard's rows of each global dense index past the rows of
+    ``held``'s index of that population, which the shards hold already
+    (:func:`~repro.serving.shard.split_index`)."""
+    rows: list[dict[str, BruteForceDense | None]] = [{} for _ in range(n_shards)]
+    for name, index in indexes.items():
+        start = len(held[name]) if held.get(name) is not None else 0
+        for shard_rows, projection in zip(rows, split_index(index, n_shards, start)):
+            shard_rows[name] = projection
+    return rows
+
+
+def _bundle(
+    generation_id: int,
+    view: Any,
+    search_index: BM25Index | None,
+    dense_indexes: dict[str, BruteForceDense | None],
+    shards: tuple[Any, ...],
+) -> ClusterGeneration:
+    """The serving bundle of ``view``, its global indexes and shard pins.
+
+    Each index's merge tie-break is its own fit order — the order a
+    single index breaks score ties by.
+    """
+    indexes = {CONCEPT_INDEX: search_index, **dense_indexes}
+    return ClusterGeneration(
+        generation_id=generation_id,
+        store=view,
+        search_index=search_index,
+        dense_indexes=dense_indexes,
+        positions={
+            name: {doc_id: position for position, doc_id in enumerate(index.doc_ids)}
+            for name, index in indexes.items()
+            if index is not None
+        },
+        shards=shards,
+        node_count=len(view),
+        relation_count=sum(view.count_relations(kind) for kind in RelationKind),
+        concept_count=view.count_nodes(ECOMMERCE_PREFIX),
+    )

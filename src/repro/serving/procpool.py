@@ -18,7 +18,7 @@ cluster generation id to retained generation.
   arbitrary parent state, identical semantics on every platform.
 - *Snapshot bootstrap*: the parent writes one per-shard snapshot file
   (:func:`~repro.serving.service.save_shard_snapshot` — shard store plus
-  its projection of the global concept index) and each worker loads
+  its projections of the cluster's global indexes) and each worker loads
   *its shard only* from disk
   (:func:`~repro.serving.service.shard_service_from_snapshot`).  Live
   stores are never pickled across the spawn boundary; only the (small,
@@ -68,6 +68,7 @@ from typing import Any, Mapping, Sequence
 from ..errors import ConfigError, DataError, ShardUnavailableError
 from ..kg.store import AliCoCoStore
 from ..matching.bm25 import BM25Index
+from ..retrieval import BruteForceDense
 from .rpc import (
     ShardChannel,
     decode_frame,
@@ -82,7 +83,7 @@ from .service import (
     save_shard_snapshot,
     shard_service_from_snapshot,
 )
-from .shard import ShardHandler, dense_presence
+from .shard import ShardHandler
 
 #: Published generations a worker keeps addressable by cluster
 #: generation id.  Scatters only ever pin the current bundle (briefly
@@ -144,19 +145,19 @@ class _ShardWorker(ShardHandler):
         return ("pong", os.getpid(), self.service.generation_id)
 
     def _verb_apply_delta(
-        self, cluster_generation_id: int, ops: list, projection_state: Any
-    ) -> tuple[str, ...]:
-        """:meth:`ShardHandler.apply_delta` over a shipped projection
-        state; returns the dense presence."""
-        projection = (
-            BM25Index.from_state(projection_state)
-            if projection_state is not None
-            else None
+        self,
+        cluster_generation_id: int,
+        ops: list,
+        projection: BM25Index | None,
+        dense_rows: dict[str, BruteForceDense | None],
+    ) -> None:
+        """:meth:`ShardHandler.apply_delta`, retained under the cluster
+        generation id."""
+        self._gens[cluster_generation_id] = self.apply_delta(
+            ops, projection, dense_rows
         )
-        self._gens[cluster_generation_id] = self.apply_delta(ops, projection)
         while len(self._gens) > RETAINED_GENERATIONS:
             self._gens.pop(min(self._gens))
-        return dense_presence(self.service)
 
 
 def _worker_main(connection: Any, spec: ShardWorkerSpec) -> None:
@@ -170,7 +171,7 @@ def _worker_main(connection: Any, spec: ShardWorkerSpec) -> None:
             generational=spec.generational,
         )
         worker = _ShardWorker(service, spec.cluster_generation_id)
-        hello = (True, ("ready", os.getpid(), dense_presence(service)))
+        hello = (True, ("ready", os.getpid()))
     except BaseException as error:  # boot failures must travel, typed
         try:
             connection.send_bytes(encode_frame(error_envelope(error)))
@@ -282,23 +283,20 @@ class ProcessShardPool:
             )
             for position, spec in enumerate(specs)
         ]
-        self._presence: set[str] = set()
         self._pins = [spec.cluster_generation_id for spec in specs]
         try:
             for slot in self._slots:
-                presence = self._spawn_locked(slot)
-                self._presence.update(presence)
+                self._spawn_locked(slot)
         except BaseException:
             self.close()
             raise
 
     # --------------------------------------------------------- lifecycle
-    def _spawn_locked(self, slot: _WorkerSlot) -> tuple[str, ...]:
+    def _spawn_locked(self, slot: _WorkerSlot) -> None:
         """(Re)spawn one worker and wait for its hello.
 
         Caller holds the slot's channel lock (or is the constructor,
-        before the pool is shared).  Returns the worker's dense-index
-        presence from the hello frame.
+        before the pool is shared).
         """
         parent_end, child_end = self._context.Pipe(duplex=True)
         process = self._context.Process(
@@ -330,9 +328,7 @@ class ProcessShardPool:
         if not ok:
             self._reap(slot)
             raise_remote(value)
-        _tag, pid, presence = value
-        slot.pid = pid
-        return presence
+        _tag, slot.pid = value
 
     def _reap(self, slot: _WorkerSlot) -> None:
         """Force one worker process down and release its pipe."""
@@ -520,6 +516,7 @@ class ProcessShardPool:
         cluster_generation_id: int,
         ops: list,
         projection: BM25Index | None,
+        dense_rows: dict[str, BruteForceDense | None],
     ) -> int:
         """Ship one shard's publish delta and log it for crash replay.
 
@@ -532,11 +529,9 @@ class ProcessShardPool:
             The shard's new pin: the cluster generation id the worker
             retains the new generation under.
         """
-        state = projection.to_state() if projection is not None else None
-        args = (cluster_generation_id, ops, state)
-        presence = self.call(shard, "apply_delta", *args)
+        args = (cluster_generation_id, ops, projection, dense_rows)
+        self.call(shard, "apply_delta", *args)
         self._slots[shard].delta_log.append(("apply_delta", args))
-        self._presence.update(presence)
         self._pins[shard] = cluster_generation_id
         return cluster_generation_id
 
@@ -549,11 +544,6 @@ class ProcessShardPool:
     def pins(self) -> tuple[int, ...]:
         """Each shard's current pin, in shard order."""
         return tuple(self._pins)
-
-    def dense_presence(self) -> tuple[str, ...]:
-        """Dense index names present on at least one worker (from the
-        boot hellos, unioned with every ``apply_delta`` response)."""
-        return tuple(sorted(self._presence))
 
     def ping(self, shard: int) -> tuple:
         """Health-check one worker (restarts it if crashed, as any call)."""
@@ -602,15 +592,13 @@ def spawn_shard_pool(
     config: Any,
     *,
     search_indexes: Sequence[BM25Index | None],
-    dense_indexes: Sequence[dict[str, Any]],
-    dense_states: dict[int, dict[str, Any]],
+    dense_indexes: Sequence[dict[str, BruteForceDense | None]],
     config_fingerprint: str,
     **spec: Any,
 ) -> ProcessShardPool:
-    """Write one bootstrap snapshot per shard store (its projection and
-    dense index states embedded: a worker fits a dense index only where
-    none was given, as an in-process shard does) and spawn a worker over
-    each.
+    """Write one bootstrap snapshot per shard store, its index projections
+    embedded, and spawn a worker over each.  A worker boots from the
+    projections it is given and never fits an index.
 
     ``config`` is the :class:`~repro.serving.cluster.ClusterConfig`;
     ``spec`` holds the :class:`ShardWorkerSpec` fields all shards share.
@@ -626,16 +614,11 @@ def spawn_shard_pool(
         specs = []
         for shard, shard_store in enumerate(shard_stores):
             path = directory / f"shard-{shard}.snap"
-            states = dense_states.get(shard) or {
-                name: index.to_state()
-                for name, index in dense_indexes[shard].items()
-                if index is not None
-            }
             save_shard_snapshot(
                 path,
                 shard_store,
                 search_index=search_indexes[shard],
-                dense_states=states,
+                dense_indexes=dense_indexes[shard],
                 config_fingerprint=config_fingerprint,
             )
             specs.append(

@@ -421,7 +421,7 @@ class ServingGeneration:
             (empty under ``retriever="bm25"``).
         primitive_index: (surface, domain) -> primitive node id, for
             linking tagged mentions.
-        ecommerce_count / item_count / primitive_count: Layer sizes this
+        ecommerce_count / primitive_count: Layer sizes this
             generation's indexes cover; the next publish extends indexes
             with exactly the nodes beyond these counts.
     """
@@ -432,7 +432,6 @@ class ServingGeneration:
     dense_indexes: dict[str, BruteForceDense | None] = field(default_factory=dict)
     primitive_index: dict[tuple[str, str], str] = field(default_factory=dict)
     ecommerce_count: int = 0
-    item_count: int = 0
     primitive_count: int = 0
 
 
@@ -688,6 +687,20 @@ def dense_states_of(index_states: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+def index_states_of(
+    search_index: BM25Index | None, dense_indexes: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The snapshot ``index_states`` of a concept index and dense indexes
+    (absent ones are not written)."""
+    states: dict[str, Any] = {}
+    if search_index is not None:
+        states[CONCEPT_INDEX] = search_index.to_state()
+    for name, index in dense_indexes.items():
+        if index is not None:
+            states[name] = index.to_state()
+    return states
+
+
 def open_snapshot(
     snapshot: Any,
     expected_fingerprint: str | None,
@@ -743,7 +756,7 @@ def save_shard_snapshot(
     shard_store: AliCoCoStore,
     *,
     search_index: BM25Index | None = None,
-    dense_states: dict[str, Any] | None = None,
+    dense_indexes: Mapping[str, BruteForceDense | None] | None = None,
     config_fingerprint: str = "",
 ) -> int:
     """Persist one shard's bootstrap state as an ordinary snapshot file.
@@ -752,25 +765,18 @@ def save_shard_snapshot(
     each worker process can load *its shard only* from disk instead of
     receiving a pickled live store over the spawn boundary — bootstrap
     cost scales with the shard, not the net, and a crashed worker
-    restarts from the same file.  ``search_index`` is the shard's
-    *projection* of the global concept index (global corpus statistics,
-    shard-local postings — see :func:`repro.serving.shard.project_bm25_index`);
-    ``dense_states`` are optional per-shard dense index states for a
-    warm start.
+    restarts from the same file.  ``search_index`` and ``dense_indexes``
+    are the shard's *projections* of the cluster's global indexes: the
+    rows of the documents it owns (:func:`repro.serving.shard.split_index`).
 
     Returns:
         Number of bytes written.
     """
-    index_states: dict[str, Any] = {}
-    if search_index is not None:
-        index_states[CONCEPT_INDEX] = search_index.to_state()
-    if dense_states:
-        index_states.update(dense_states)
     return save_snapshot(
         shard_store,
         path,
         config_fingerprint=config_fingerprint,
-        index_states=index_states,
+        index_states=index_states_of(search_index, dense_indexes or {}),
     )
 
 
@@ -786,10 +792,11 @@ def shard_service_from_snapshot(
 
     The worker-process counterpart of the cluster's in-process shard
     construction: the shard store replays from disk (insertion order
-    preserved, so index fits stay bit-identical to the parent's split),
-    the index projection rehydrates from its serialised state, and the
-    service is built with ``fit_search_index=False`` — a shard must
-    never fit its own index over ghost replicas and local statistics.
+    preserved) and every index projection rehydrates from its serialised
+    state.  The service fits nothing: it is built with
+    ``fit_search_index=False`` and given both dense populations, ``None``
+    for one the shard owns no document of — a shard must never fit its
+    own index over ghost replicas and local statistics.
     With ``generational=True`` the store is wrapped in a
     :class:`~repro.kg.generations.GenerationalStore` so cluster
     publishes can grow it behind its readers.
@@ -801,8 +808,10 @@ def shard_service_from_snapshot(
     store: AliCoCoStore | GenerationalStore = snapshot.store
     if generational:
         store = GenerationalStore(store)
-    state = snapshot.index_states.get(CONCEPT_INDEX)
-    search_index = BM25Index.from_state(state) if state is not None else None
+    states = snapshot.index_states
+    search_index = (
+        BM25Index.from_state(states[CONCEPT_INDEX]) if CONCEPT_INDEX in states else None
+    )
     return AliCoCoService(
         store,
         config=config,
@@ -810,7 +819,10 @@ def shard_service_from_snapshot(
         fit_search_index=False,
         tagger=tagger,
         reranker=reranker,
-        dense_index_states=dense_states_of(snapshot.index_states) or None,
+        dense_indexes={
+            name: dense_index_from_state(states[name]) if name in states else None
+            for name in _DENSE_POPULATIONS
+        },
         config_fingerprint=snapshot.header.config_fingerprint,
     )
 
@@ -868,47 +880,92 @@ def fit_dense_index(
     )
 
 
-def shard_dense_indexes(
+def dense_index_for(
+    name: str,
     view: Any,
-    shard_stores: Sequence[AliCoCoStore],
+    state: Any,
+    fit: Callable[[list[tuple[str, list[str]]]], BruteForceDense | None],
+) -> BruteForceDense | None:
+    """One dense population's index over ``view``: the rule a service and
+    a cluster share.  A ``bruteforce`` state whose ids are exactly the
+    view's documents is rehydrated (bit-identical to a fresh fit); any
+    other state — ``ivf``/``hnsw`` from an older snapshot, or over other
+    documents — or none is rebuilt by ``fit(documents)``, not refused."""
+    layer, tokens_of = _DENSE_POPULATIONS[name]
+    # The ids alone, not the documents: a token list kept per document
+    # would set the collector off during a warm start.
+    if (
+        isinstance(state, dict)
+        and state.get("backend") == BruteForceDense.backend
+        and state.get("ids")
+        == [node.id for node in view.nodes(layer) if tokens_of(node)]
+    ):
+        return dense_index_from_state(state)
+    return fit(_dense_documents(name, view))
+
+
+def fresh_doc_vector(reranker: Module | None) -> Callable[[str, Sequence[str]], Any]:
+    """``vector_of`` for a dense index kept outside a service: each
+    document embedded afresh, with no doc cache.  A service's cached
+    encoding gives the same vector, so both build equal indexes."""
+    return lambda _node_id, tokens: dense_doc_vector(reranker, tokens)
+
+
+def global_dense_indexes(
+    view: Any,
     config: ServiceConfig,
     reranker: Module | None,
-    states: dict[str, Any],
-) -> list[dict[str, BruteForceDense | None]]:
-    """Each cluster shard's dense indexes, projected from one global index.
+    states: Mapping[str, Any],
+) -> dict[str, BruteForceDense | None]:
+    """A cluster's global dense indexes over ``view``, by population.
 
-    The global index of a population is rehydrated from ``states`` when
-    the state is a brute-force one over exactly the view's documents
-    (an ``ivf``/``hnsw`` state from an older snapshot is not), and
-    fitted once over the view otherwise — each document is encoded once,
-    not once per shard that holds it.  A shard
-    gets the rows of its own documents (ghost replicas included) in its
-    store's order, so its index equals a fit over the shard store
-    (:meth:`~repro.retrieval.dense.BruteForceDense.projected`); a shard
-    with no document of a population gets ``None``.
-
-    Returns one empty dict per shard when the config has no dense stage.
+    Each is rehydrated from ``states`` or fitted once over the view by
+    :func:`dense_index_for`, so every document is encoded once, however
+    many shards there are.  Empty when the config has no dense stage.
     """
-    projections: list[dict[str, BruteForceDense | None]] = [{} for _ in shard_stores]
     if config.retriever == "bm25":
-        return projections
-    for name in _DENSE_POPULATIONS:
-        documents = _dense_documents(name, view)
-        state = states.get(name)
-        if (
-            isinstance(state, dict)
-            and state.get("backend") == BruteForceDense.backend
-            and state.get("ids") == [node_id for node_id, _ in documents]
-        ):
-            index = dense_index_from_state(state)
+        return {}
+    vector_of = fresh_doc_vector(reranker)
+    return {
+        name: dense_index_for(
+            name,
+            view,
+            states.get(name),
+            lambda documents: fit_dense_index(documents, vector_of),
+        )
+        for name in _DENSE_POPULATIONS
+    }
+
+
+def extend_dense_indexes(
+    indexes: Mapping[str, BruteForceDense | None],
+    view: Any,
+    old_view: Any,
+    vector_of: Callable[[str, Sequence[str]], Any],
+) -> dict[str, BruteForceDense | None]:
+    """The dense indexes of a newly published generation ``view``.
+
+    ``indexes`` cover ``old_view``.  Each grows by the documents of the
+    nodes its population's layer gained since, each embedded once by
+    ``vector_of``, into a new index
+    (:meth:`~repro.retrieval.dense.BruteForceDense.extended`), so
+    requests pinned to the old generation keep the old one.  A
+    population with no index yet is fitted over the full view.
+    """
+    grown: dict[str, BruteForceDense | None] = {}
+    for name, index in indexes.items():
+        covered = old_view.count_nodes(_DENSE_POPULATIONS[name][0])
+        fresh = _dense_documents(name, view, covered)
+        if not fresh:
+            grown[name] = index
+        elif index is None:
+            grown[name] = fit_dense_index(_dense_documents(name, view), vector_of)
         else:
-            index = fit_dense_index(
-                documents, lambda _, tokens: dense_doc_vector(reranker, tokens)
+            grown[name] = index.extended(
+                [node_id for node_id, _ in fresh],
+                [vector_of(node_id, tokens) for node_id, tokens in fresh],
             )
-        for shard_store, shard_indexes in zip(shard_stores, projections):
-            ids = [node_id for node_id, _ in _dense_documents(name, shard_store)]
-            shard_indexes[name] = None if index is None else index.projected(ids)
-    return projections
+    return grown
 
 
 class AliCoCoService:
@@ -946,15 +1003,16 @@ class AliCoCoService:
         dense_index_states: Serialised dense index states to warm-start
             from (snapshot ``index_states`` entries, keyed
             :data:`DENSE_CONCEPT_INDEX` / :data:`DENSE_ITEM_INDEX`).  A
-            brute-force state is rehydrated instead of re-fitted —
-            retrieval is bit-identical to the fresh fit; other states
-            (``ivf``/``hnsw`` ones from older snapshots) and absent ones
-            rebuild from the store.  Ignored under ``retriever="bm25"``.
+            brute-force state over exactly the served view's documents
+            is rehydrated instead of re-fitted — retrieval is
+            bit-identical to the fresh fit; any other state and absent
+            ones rebuild from the store (:func:`dense_index_for`).
+            Ignored under ``retriever="bm25"``.
         dense_indexes: Fitted dense indexes to serve as they are, keyed
             like ``dense_index_states`` (``None`` for an empty
             population).  They take precedence over states; a cluster
-            passes each shard its projections of one global index (see
-            :mod:`repro.serving.shard`).  Ignored under
+            passes each shard its projections of the cluster's global
+            indexes (see :mod:`repro.serving.shard`).  Ignored under
             ``retriever="bm25"``.
         fit_search_index: Fit a BM25 index from the store when none is
             supplied (the default).  A cluster shard passes ``False``
@@ -1037,7 +1095,6 @@ class AliCoCoService:
             dense_indexes=served_dense,
             primitive_index=_build_primitive_index(view),
             ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
-            item_count=view.count_nodes(ITEM_PREFIX),
             primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
         )
         if self._doc_cache is not None and self.config.prewarm_doc_cache:
@@ -1134,23 +1191,19 @@ class AliCoCoService:
         Returns:
             Number of bytes written.
         """
-        index_states = {}
-        if self._search_index is not None:
-            index_states[CONCEPT_INDEX] = self._search_index.to_state()
-        for name, dense_index in self._dense_indexes.items():
-            if dense_index is not None:
-                index_states[name] = dense_index.to_state()
         saver = save_generations if self._generational else save_snapshot
         return saver(
             self._store,
             path,
             config_fingerprint=self._fingerprint,
-            index_states=index_states,
+            index_states=index_states_of(self._search_index, self._dense_indexes),
             model_states=model_bundles(self._tagger, self._reranker),
         )
 
     # ----------------------------------------------------------- generations
-    def publish(self, *, search_index: Any = _MISS) -> int:
+    def publish(
+        self, *, search_index: Any = _MISS, dense_indexes: Any = _MISS
+    ) -> int:
         """Seal pending writes and atomically serve the next generation.
 
         Seals the store's open delta, swaps the published view, extends
@@ -1169,12 +1222,11 @@ class AliCoCoService:
         returns the current generation id.
 
         Args:
-            search_index: When given, serve this index for the new
-                generation instead of extending the old one.  A cluster
-                shard cannot extend its index locally — its documents
-                score with *global* corpus statistics — so the cluster
-                passes a fresh projection of the advanced global index
-                here (see :meth:`repro.serving.cluster.AliCoCoCluster.publish`).
+            search_index / dense_indexes: When given, serve these indexes
+                for the new generation instead of extending the old ones:
+                a cluster shard never grows an index itself, so the
+                cluster passes its projections of the advanced global
+                indexes (:meth:`repro.serving.cluster.AliCoCoCluster.publish`).
 
         Returns:
             The generation id now being served.
@@ -1196,8 +1248,7 @@ class AliCoCoService:
             if generation_id == old.generation_id:
                 return generation_id
             view = self._store.current()
-            dense_indexes = old.dense_indexes
-            if self.config.retriever != "bm25":
+            if dense_indexes is _MISS:
                 dense_indexes = self._next_dense_indexes(old, view)
             self._gen = ServingGeneration(
                 generation_id=generation_id,
@@ -1210,7 +1261,6 @@ class AliCoCoService:
                 dense_indexes=dense_indexes,
                 primitive_index=_build_primitive_index(view, old),
                 ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
-                item_count=view.count_nodes(ITEM_PREFIX),
                 primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
             )
             # Roll the result cache's stats window so per-generation hit
@@ -1234,35 +1284,12 @@ class AliCoCoService:
     def _next_dense_indexes(
         self, old: ServingGeneration, view: Any
     ) -> dict[str, BruteForceDense | None]:
-        """The next generation's dense indexes: extended, or fitted.
-
-        An index is grown with
-        :meth:`~repro.retrieval.dense.BruteForceDense.extended` — a new
-        index, so requests pinned to the old generation keep the old one
-        — by the new documents' vectors, encoded through the doc cache so
-        the work is shared with future pool scoring.  A population that
-        had no documents yet (no index) is fitted over the full view.
-        Layers only ever grow (generational stores are add-only), so only
-        the nodes past the old count are read otherwise.
-        """
-        covered = {
-            DENSE_CONCEPT_INDEX: old.ecommerce_count,
-            DENSE_ITEM_INDEX: old.item_count,
-        }
-        indexes: dict[str, BruteForceDense | None] = {}
-        for name in _DENSE_POPULATIONS:
-            old_index = old.dense_indexes.get(name)
-            fresh = _dense_documents(name, view, covered[name])
-            if not fresh:
-                indexes[name] = old_index
-            elif old_index is None:
-                indexes[name] = self._fit_dense_index(_dense_documents(name, view))
-            else:
-                indexes[name] = old_index.extended(
-                    [node_id for node_id, _ in fresh],
-                    [self._dense_vector(node_id, tokens) for node_id, tokens in fresh],
-                )
-        return indexes
+        """The next generation's dense indexes (:func:`extend_dense_indexes`),
+        each new document encoded through the doc cache, so the work is
+        shared with future pool scoring."""
+        return extend_dense_indexes(
+            old.dense_indexes, view, old.store, self._dense_vector
+        )
 
     # ------------------------------------------------------------- endpoints
     def items_for_concept(self, concept_id: str, top_k: int | None = None) -> tuple:
@@ -1621,28 +1648,22 @@ class AliCoCoService:
     ) -> dict[str, BruteForceDense | None]:
         """Take, warm-start or fit the dense concept and item indexes.
 
-        A ``given`` index is served as is.  A snapshot state is reused
-        only when it is tagged ``bruteforce`` (rehydration is then
-        bit-identical to the fresh fit); a state another backend wrote —
-        an ``ivf`` or ``hnsw`` one from an older snapshot — is rebuilt
-        from the given view, not refused.  A fit encodes every
-        document through the doc-side cache when one is enabled, so it
-        doubles as a cache warm — and a later ``warm_doc_cache``
-        re-encodes nothing.
+        A ``given`` index is served as is; otherwise a snapshot state is
+        rehydrated or the population fitted by :func:`dense_index_for`,
+        the rule a cluster shares.  A fit encodes every document through
+        the doc-side cache when one is enabled, so it doubles as a cache
+        warm — and a later ``warm_doc_cache`` re-encodes nothing.
         """
-        indexes: dict[str, BruteForceDense | None] = {}
-        for name in _DENSE_POPULATIONS:
-            state = states.get(name)
-            if name in given:
-                indexes[name] = given[name]
-            elif (
-                isinstance(state, dict)
-                and state.get("backend") == BruteForceDense.backend
-            ):
-                indexes[name] = dense_index_from_state(state)
-            else:
-                indexes[name] = self._fit_dense_index(_dense_documents(name, view))
-        return indexes
+        return {
+            name: (
+                given[name]
+                if name in given
+                else dense_index_for(
+                    name, view, states.get(name), self._fit_dense_index
+                )
+            )
+            for name in _DENSE_POPULATIONS
+        }
 
     def _fit_dense_index(
         self, documents: list[tuple[str, list[str]]]

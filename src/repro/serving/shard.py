@@ -36,33 +36,30 @@ order.**  Point lookups (``items_for_concept``, ``concepts_for_item``,
 answer bit-identically to the monolithic store — including weight-tie
 ordering, because each shard replays its relations in global order.
 
-**Sharded lexical retrieval** (:func:`project_bm25_index`): a BM25 score
-depends on corpus statistics (idf, average document length), so an index
-*fitted per shard* would score with local statistics and a scatter-gather
-merge would disagree with the single-index oracle.  Instead each shard
-gets a **projection** of the one global index: its own documents and
-postings only, but the global idf table and the global length norms.
-Shard scores are then exactly the global scores, and merging per-shard
-top-k lists by ``(-score, global fit position)`` reproduces the global
-``top_k`` bit for bit (:func:`merge_ranked` — the same tie-break contract
-the retrieval backends pin down).
-
-**Sharded dense retrieval** works the same way: each shard's dense
-indexes are *projections* of one global index — the rows of the shard's
-own documents, ghost replicas included, in shard-store order
-(:meth:`~repro.retrieval.dense.BruteForceDense.projected`,
-:func:`~repro.serving.service.shard_dense_indexes`).  The global index
-comes from a snapshot's state or one fit over the net, so a re-split
-warm start encodes nothing; a projection equals a fit over the shard's
-documents, so it retrieves exactly as a per-shard refit would.  This is
-why the one dense index is exact: an approximate index whose structure
-depends on the whole population could not be projected, and its shards
-would answer differently from a single service.
+**Sharded retrieval** (:func:`split_index`): the cluster owns one global
+BM25 concept index and one global dense index per population, and each
+shard holds a **projection** of each — the rows of the documents it
+*owns* (:func:`shard_of`), in global fit order; ghost replicas are not
+indexed.  A BM25 score depends on corpus statistics (idf, average
+document length), so an index *fitted per shard* would score with local
+statistics; a BM25 projection keeps its documents' postings but the
+global idf table and length norms, so shard scores are exactly the
+global scores.  A dense projection keeps its documents' rows as stored
+(:meth:`~repro.retrieval.dense.BruteForceDense.projected`), and rows are
+scored one by one, so a document scores the same in any projection.
+The projections partition the global index, so the per-shard top-k
+lists are disjoint and together cover the global top-k: merging them by
+``(-score, global fit position)`` reproduces the global ranking bit for
+bit (:func:`merge_ranked` — the same tie-break contract the retrieval
+backends pin down).  This is why the one dense index is exact: an
+approximate index whose structure depends on the whole population could
+not be projected, and its shards would answer differently from a single
+service.
 
 **The shard interface** (:class:`ShardHandler`): the cluster reaches a
 shard only through named verbs — the five routed endpoints, answered by
 the shard service's public cached surface, plus the scattered arms,
-pool scoring, stats, index states and the publish delta
+pool scoring, stats and the publish delta
 (:meth:`ShardHandler.apply_delta`).  :class:`LocalShardPool` serves the
 verbs in-process; the process executor's worker
 (:mod:`repro.serving.procpool`) serves the same verbs over a pipe.
@@ -91,6 +88,7 @@ from ..kg.nodes import Node
 from ..kg.relations import Relation
 from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
+from ..retrieval import BruteForceDense
 from .service import RERANKER_MODEL, AliCoCoService, ServingGeneration, require_model
 
 #: Layers partitioned across shards by node-id hash.
@@ -251,20 +249,6 @@ def split_store(
     return shards
 
 
-def shard_sizes(store: AliCoCoStore, n_shards: int) -> list[int]:
-    """Partitioned nodes *owned* by each shard (replicas not counted).
-
-    The hash-placement census behind the cluster's ownership-imbalance
-    report: an unlucky split can leave a shard owning zero nodes, so
-    downstream ratio reports must stay ``inf``-safe
-    (:attr:`repro.serving.cluster.ClusterStats.ownership_imbalance`).
-
-    Raises:
-        ConfigError: If ``n_shards`` is not positive.
-    """
-    return owned_counts(owner_map(store, n_shards).values(), n_shards)
-
-
 def owned_counts(homes: Iterable[int], n_shards: int) -> list[int]:
     """How many of ``homes`` name each shard: the census of an
     :func:`owner_map`'s values."""
@@ -274,51 +258,14 @@ def owned_counts(homes: Iterable[int], n_shards: int) -> list[int]:
     return counts
 
 
-def owned_ids(
-    store: AliCoCoStore, shard_id: int, n_shards: int, layer: str
-) -> list[str]:
-    """Ids of a layer a shard *owns* (ghost replicas excluded).
+def split_index(index: Any, n_shards: int, start: int = 0) -> list[Any]:
+    """Each shard's projection of a global index's rows from ``start`` on.
 
-    Ownership is a pure function of the id (:func:`shard_of`), so this
-    works on the global store and on a shard store alike.
-    """
-    return [
-        node.id
-        for node in store.nodes(layer)
-        if shard_of(node.id, n_shards) == shard_id
-    ]
-
-
-def project_bm25_index(
-    index: BM25Index | None, keep: Iterable[str]
-) -> BM25Index | None:
-    """Project a fitted global BM25 index onto a document subset.
-
-    The projection keeps only the subset's documents, postings and
-    length norms, but the **global** idf table and global-statistics
-    norms — so every kept document scores exactly as it does in the full
-    index, and a scatter-gather merge of per-shard projections is
-    bit-identical to the global ``top_k`` (see :func:`merge_ranked`).
-    Local positions preserve global order, so per-shard tie-breaks stay
-    order-consistent with the global index.
-
-    Returns ``None`` when the subset is empty (or the index is ``None``)
-    — a shard owning no concepts serves an empty search surface.  The
-    projection reads the index's own lists
-    (:meth:`~repro.matching.bm25.BM25Index.projected`) and shares its idf
-    table; it is a bulk build of posting lists, so it runs with the
-    garbage collector paused (:func:`~repro.kg.store.gc_paused`).
-    """
-    if index is None:
-        return None
-    with gc_paused():
-        return index.projected(keep)
-
-
-def split_concept_index(
-    index: BM25Index | None, n_shards: int
-) -> list[BM25Index | None]:
-    """Per-shard projections of the global concept index.
+    The one projection rule, for a BM25 and a dense index alike: a shard
+    gets the documents it owns (``shard_of(doc_id) == shard``), in global
+    fit order — ``None`` when it owns none, or ``index`` is ``None``.
+    Projecting is a bulk build, so the garbage collector is paused
+    (:func:`~repro.kg.store.gc_paused`).
 
     Raises:
         ConfigError: If ``n_shards`` is not positive.
@@ -327,13 +274,11 @@ def split_concept_index(
         raise ConfigError(f"n_shards must be positive, got {n_shards}")
     if index is None:
         return [None] * n_shards
-    return [
-        project_bm25_index(
-            index,
-            (doc_id for doc_id in index.doc_ids if shard_of(doc_id, n_shards) == shard),
-        )
-        for shard in range(n_shards)
-    ]
+    owned: list[list[str]] = [[] for _ in range(n_shards)]
+    for doc_id in index.doc_ids[start:]:
+        owned[shard_of(doc_id, n_shards)].append(doc_id)
+    with gc_paused():
+        return [index.projected(ids) for ids in owned]
 
 
 def merge_ranked(
@@ -342,11 +287,11 @@ def merge_ranked(
     """Deterministic global merge of per-shard ``(id, score)`` rankings.
 
     The scatter-gather counterpart of a single index's ``top_k``: every
-    candidate from every shard is pooled (duplicates — ghost replicas
-    indexed on two shards — keep their first occurrence; replicas score
-    identically by construction, so which copy survives cannot matter)
-    and re-ranked by ``(-score, global fit position)``.  Because each
-    shard's list is its *exact* local top-k under global scores, the
+    candidate from every shard is pooled and re-ranked by ``(-score,
+    global fit position)``.  The arms are disjoint — each shard's
+    projection holds only the documents it owns (:func:`split_index`) —
+    so no id reaches two arms and nothing needs deduplicating.  Because
+    each shard's list is its *exact* local top-k under global scores, the
     union is a superset of the global top-k and the merge reproduces the
     single-index ranking bit for bit — the same tie-break contract as
     :meth:`repro.matching.bm25.BM25Index.top_k` and the dense retrievers.
@@ -357,23 +302,22 @@ def merge_ranked(
             Ids absent from the map rank after mapped ones, by id.
         k: Result length bound.
     """
-    pooled: dict[str, float] = {}
-    for arm in arms:
-        for node_id, score in arm:
-            if node_id not in pooled:
-                pooled[node_id] = score
     fallback = len(position)
     ranked = sorted(
-        pooled.items(),
+        (pair for arm in arms for pair in arm),
         key=lambda pair: (-pair[1], position.get(pair[0], fallback), pair[0]),
     )
     return tuple(ranked[:k])
 
 
-def dense_presence(service: AliCoCoService) -> tuple[str, ...]:
-    """Names of the dense indexes a shard service currently holds."""
-    indexes = service._gen.dense_indexes
-    return tuple(sorted(name for name, index in indexes.items() if index is not None))
+def _appended(
+    index: BruteForceDense | None, rows: BruteForceDense | None
+) -> BruteForceDense | None:
+    """A shard's dense projection grown by its new rows (either may be
+    ``None``)."""
+    if rows is None:
+        return index
+    return rows if index is None else index.concatenated(rows)
 
 
 class ShardHandler:
@@ -403,7 +347,10 @@ class ShardHandler:
         return pin
 
     def apply_delta(
-        self, ops: Sequence[tuple[str, Any]], projection: BM25Index | None
+        self,
+        ops: Sequence[tuple[str, Any]],
+        projection: BM25Index | None,
+        dense_rows: Mapping[str, BruteForceDense | None],
     ) -> ServingGeneration:
         """Grow the shard store with a publish delta, publish, and return
         the new pin.
@@ -415,7 +362,11 @@ class ShardHandler:
         only its endpoints, which precede it).  The pin serves
         ``projection``, the shard's share of the advanced global concept
         index, even when the shard had no delta and kept its old bundle:
-        global corpus statistics moved all the same.
+        global corpus statistics moved all the same.  ``dense_rows`` holds
+        each dense population's new rows the shard owns (``None`` for
+        none), projected from the cluster's advanced global index and
+        appended to the shard's projection as stored — the shard never
+        encodes, fits or extends an index itself.
         """
         store = self.service.store
         relations = []
@@ -432,10 +383,14 @@ class ShardHandler:
             else:
                 raise DataError(f"unknown delta op kind {kind!r}")
         store.add_relations(relations)
-        self.service.publish(search_index=projection)
+        dense = {
+            name: _appended(index, dense_rows.get(name))
+            for name, index in self.service._gen.dense_indexes.items()
+        }
+        self.service.publish(search_index=projection, dense_indexes=dense)
         gen = self.service._gen
         if gen.search_index is not projection:
-            gen = replace(gen, search_index=projection)
+            gen = replace(gen, search_index=projection, dense_indexes=dense)
         return gen
 
     def _verb_search_arm(self, pin: Any, tokens: tuple[str, ...], k: int) -> tuple:
@@ -456,14 +411,6 @@ class ShardHandler:
 
     def _verb_stats(self) -> Any:
         return self.service.stats()
-
-    def _verb_index_states(self, pin: Any) -> dict[str, Any]:
-        indexes = self.pinned(pin).dense_indexes
-        return {
-            name: index.to_state()
-            for name, index in indexes.items()
-            if index is not None
-        }
 
 
 class LocalShardPool:
@@ -493,23 +440,16 @@ class LocalShardPool:
         cluster_generation_id: int,
         ops: Sequence[tuple[str, Any]],
         projection: BM25Index | None,
+        dense_rows: Mapping[str, BruteForceDense | None],
     ) -> ServingGeneration:
         """One shard's :meth:`ShardHandler.apply_delta`; returns its pin."""
-        self._pins[shard] = self._handlers[shard].apply_delta(ops, projection)
+        handler = self._handlers[shard]
+        self._pins[shard] = handler.apply_delta(ops, projection, dense_rows)
         return self._pins[shard]
 
     def pins(self) -> tuple[ServingGeneration, ...]:
         """Each shard's current pin, in shard order."""
         return tuple(self._pins)
-
-    def dense_presence(self) -> tuple[str, ...]:
-        """Dense index names present on at least one shard."""
-        names = {
-            name
-            for handler in self._handlers
-            for name in dense_presence(handler.service)
-        }
-        return tuple(sorted(names))
 
     def stats(self) -> None:
         """No worker health to report in-process."""

@@ -75,6 +75,18 @@ def oracle_owner_shards(relation, n_shards):
     return tuple(sorted(owners)) if owners else tuple(range(n_shards))
 
 
+def oracle_census(store, n_shards):
+    """Partitioned nodes each shard owns, counted per node with
+    ``shard_of`` (ghost replicas are not owned)."""
+    from repro.serving.shard import PARTITIONED_LAYERS, shard_of
+
+    counts = [0] * n_shards
+    for layer in PARTITIONED_LAYERS:
+        for node in store.nodes(layer):
+            counts[shard_of(node.id, n_shards)] += 1
+    return counts
+
+
 def oracle_split(store, n_shards):
     """Shard stores by the per-relation placement walk: partitioned nodes
     to their owner, replicated ones everywhere, then every relation to

@@ -36,18 +36,16 @@ from repro.serving import (
     AliCoCoCluster,
     AliCoCoService,
     BatchResult,
-    CLUSTER_META,
     Coalescer,
     ClusterConfig,
     ServiceConfig,
     merge_ranked,
-    owned_ids,
-    project_bm25_index,
     shard_of,
-    shard_sizes,
+    split_index,
     split_store,
 )
 from repro.serving.service import (
+    CONCEPT_INDEX,
     DENSE_CONCEPT_INDEX,
     DENSE_ITEM_INDEX,
     fit_concept_index,
@@ -59,7 +57,12 @@ from repro.serving.shard import (
     place_relations,
 )
 
-from tests.conftest import assert_same_store, oracle_owner_shards, oracle_split
+from tests.conftest import (
+    assert_same_store,
+    oracle_census,
+    oracle_owner_shards,
+    oracle_split,
+)
 
 SHARD_COUNTS = (1, 2, 3)
 
@@ -144,7 +147,9 @@ class TestSplitStore:
             shards = split_store(store, n_shards, given)
             for actual, expected in zip(shards, oracle_split(store, n_shards)):
                 assert_same_store(actual, expected)
-        assert shard_sizes(store, n_shards) == owned_counts(owners.values(), n_shards)
+        assert oracle_census(store, n_shards) == owned_counts(
+            owners.values(), n_shards
+        )
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_placement_equals_the_oracle_per_relation(self, store, n_shards):
@@ -174,14 +179,23 @@ class TestSplitStore:
             assert list(shard_a.relations()) == list(shard_b.relations())
 
     def test_owned_ids_excludes_ghosts(self, store):
+        """The concepts a shard store holds that it owns are exactly the
+        owner map's for that shard, in global order; the rest are ghosts."""
         n_shards = 3
-        shards = split_store(store, n_shards)
+        owners = owner_map(store, n_shards)
+        shards = split_store(store, n_shards, owners)
         for shard_id, shard in enumerate(shards):
-            owned = set(owned_ids(shard, shard_id, n_shards, ECOMMERCE_PREFIX))
-            present = {node.id for node in shard.nodes(ECOMMERCE_PREFIX)}
-            assert owned <= present
-            for node_id in owned:
-                assert shard_of(node_id, n_shards) == shard_id
+            present = [node.id for node in shard.nodes(ECOMMERCE_PREFIX)]
+            owned = [
+                node_id
+                for node_id in present
+                if shard_of(node_id, n_shards) == shard_id
+            ]
+            assert owned == [
+                node.id
+                for node in store.nodes(ECOMMERCE_PREFIX)
+                if owners[node.id] == shard_id
+            ]
 
 
 class TestBM25Projection:
@@ -191,13 +205,7 @@ class TestBM25Projection:
         doc_ids = index.to_state()["doc_ids"]
         position = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         queries = [tuple(store.get(doc_id).tokens) for doc_id in doc_ids[:10]]
-        projections = [
-            project_bm25_index(
-                index,
-                [d for d in doc_ids if shard_of(d, n_shards) == shard],
-            )
-            for shard in range(n_shards)
-        ]
+        projections = split_index(index, n_shards)
         for tokens in queries:
             expected = tuple(index.top_k(tokens, k=10))
             arms = [
@@ -210,8 +218,10 @@ class TestBM25Projection:
 
     def test_empty_subset_projects_to_none(self, store):
         index = fit_concept_index(store)
-        assert project_bm25_index(index, []) is None
-        assert project_bm25_index(None, ["ec_0"]) is None
+        assert index.projected([]) is None
+        assert split_index(None, 3) == [None, None, None]
+        with pytest.raises(ConfigError, match="n_shards"):
+            split_index(index, 0)
 
     @staticmethod
     def _projected_through_state(index, keep):
@@ -241,9 +251,9 @@ class TestBM25Projection:
         self, store, n_shards
     ):
         index = fit_concept_index(store)
-        for shard in range(n_shards):
+        projections = split_index(index, n_shards)
+        for shard, projection in enumerate(projections):
             keep = [d for d in index.doc_ids if shard_of(d, n_shards) == shard]
-            projection = project_bm25_index(index, keep)
             oracle = self._projected_through_state(index, keep)
             assert json.dumps(projection.to_state()) == json.dumps(oracle.to_state())
 
@@ -422,12 +432,17 @@ class TestClusterSnapshot:
             reranker=fresh,
         )
         assert warm.search_reranked(query, 5) == expected
-        # Per-shard indexes really came from the snapshot, not a re-fit.
+        # A cluster snapshot holds the global indexes only: no shard
+        # count record and no per-shard index states.
         from repro.kg.serialize import load_snapshot
 
         snapshot = load_snapshot(path)
-        assert snapshot.index_states[CLUSTER_META] == {"n_shards": 3}
-        assert any("@shard" in name for name in snapshot.index_states)
+        assert set(snapshot.index_states) == {
+            CONCEPT_INDEX,
+            DENSE_CONCEPT_INDEX,
+            DENSE_ITEM_INDEX,
+        }
+        assert not any("@shard" in name for name in snapshot.index_states)
 
     def test_different_shard_count_resplits_deterministically(
         self, store, built, trained_reranker, tmp_path
@@ -447,13 +462,56 @@ class TestClusterSnapshot:
         assert resplit.n_shards == 2
         assert resplit.search_reranked(query, 5) == expected
 
-    def test_single_service_reads_a_cluster_snapshot(self, store, built, tmp_path):
-        cluster = _cluster(store, 2)
+    def test_single_service_reads_a_cluster_snapshot(
+        self, store, built, trained_reranker, tmp_path, monkeypatch
+    ):
+        """The service rehydrates the cluster's global dense states (no
+        fit) and answers like the cluster."""
+        from tests.conftest import make_trained_reranker
+
+        config = ServiceConfig(retriever="hybrid")
+        cluster = _cluster(
+            store, 2, service_config=config, reranker=trained_reranker
+        )
         path = tmp_path / "cluster.snapshot.jsonl"
         cluster.save_snapshot(path)
-        service = AliCoCoService.from_snapshot(path)
-        query = built.concepts[0].text
-        assert service.search(query) == cluster.search(query)
+        fits = []
+        fit = AliCoCoService._fit_dense_index
+
+        def counting_fit(service, documents):
+            fits.append(len(documents))
+            return fit(service, documents)
+
+        monkeypatch.setattr(AliCoCoService, "_fit_dense_index", counting_fit)
+        service = AliCoCoService.from_snapshot(
+            path, config=config, reranker=make_trained_reranker(built)
+        )
+        assert fits == []
+        for spec in built.concepts[:6]:
+            assert service.search(spec.text) == cluster.search(spec.text)
+            assert service.search_reranked(spec.text, 5) == (
+                cluster.search_reranked(spec.text, 5)
+            )
+        for node in list(store.nodes(ECOMMERCE_PREFIX))[:6]:
+            assert service.items_for_concept_reranked(node.id, 5) == (
+                cluster.items_for_concept_reranked(node.id, 5)
+            )
+
+    def test_a_cluster_snapshot_is_a_service_snapshot(
+        self, store, trained_reranker, tmp_path
+    ):
+        """Byte for byte, at any shard count."""
+        config = ServiceConfig(retriever="hybrid")
+        service = AliCoCoService(store, config=config, reranker=trained_reranker)
+        expected = tmp_path / "service.snapshot"
+        service.save_snapshot(expected)
+        for n_shards in SHARD_COUNTS:
+            cluster = _cluster(
+                store, n_shards, service_config=config, reranker=trained_reranker
+            )
+            path = tmp_path / f"cluster-{n_shards}.snapshot"
+            cluster.save_snapshot(path)
+            assert path.read_bytes() == expected.read_bytes()
 
     def test_fingerprint_mismatch_is_rejected(self, store, tmp_path):
         cluster = AliCoCoCluster(
@@ -888,8 +946,8 @@ class TestClusterStatsReport:
     def test_ownership_imbalance_is_inf_safe(self, store):
         # Regression: with more shards than partitioned nodes, some
         # shard owns nothing and max/min used to divide by zero.
-        n_shards = sum(shard_sizes(store, 1)) + 3
-        sizes = shard_sizes(store, n_shards)
+        n_shards = sum(oracle_census(store, 1)) + 3
+        sizes = oracle_census(store, n_shards)
         assert 0 in sizes
         with AliCoCoCluster(
             store, config=ClusterConfig(n_shards=n_shards)
@@ -916,20 +974,19 @@ class TestClusterStatsReport:
         assert stats.ownership_imbalance == expected
 
     def test_shard_sizes_census(self, store):
-        sizes = shard_sizes(store, 3)
+        """The cluster's ownership census is the owner map's, which
+        counts every partitioned node once."""
+        sizes = owned_counts(owner_map(store, 3).values(), 3)
         totals = sum(
             1
             for layer in (ECOMMERCE_PREFIX, ITEM_PREFIX)
             for _ in store.nodes(layer)
         )
         assert sum(sizes) == totals
-        assert sizes == [
-            len(owned_ids(store, shard, 3, ECOMMERCE_PREFIX))
-            + len(owned_ids(store, shard, 3, ITEM_PREFIX))
-            for shard in range(3)
-        ]
+        assert sizes == oracle_census(store, 3)
+        assert list(_cluster(store, 3).stats().shard_owned) == sizes
         with pytest.raises(ConfigError, match="n_shards"):
-            shard_sizes(store, 0)
+            owner_map(store, 0)
 
 
 # --------------------------------------------------------------- generations
@@ -1012,7 +1069,7 @@ class TestClusterGenerations:
                 if shard in oracle_owner_shards(relation, n_shards)
             ]
             assert list(service.store.relations()) == expected
-        assert list(cluster._shard_owned) == shard_sizes(view, n_shards)
+        assert list(cluster._shard_owned) == oracle_census(view, n_shards)
 
     def test_publish_needs_a_generational_source(self, store):
         cluster = _cluster(store, 2)

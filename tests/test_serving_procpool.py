@@ -34,7 +34,6 @@ from repro.serving import (
     ServiceConfig,
     decode_frame,
     encode_frame,
-    shard_sizes,
 )
 from repro.serving.rpc import (
     MAX_FRAME_BYTES,
@@ -42,7 +41,7 @@ from repro.serving.rpc import (
     raise_remote,
 )
 
-from tests.conftest import make_trained_reranker
+from tests.conftest import make_trained_reranker, oracle_census
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -453,7 +452,7 @@ class TestHousekeeping:
         cluster = _process_cluster(built.store, 4)
         try:
             stats = cluster.stats()
-            assert list(stats.shard_owned) == shard_sizes(built.store, 4)
+            assert list(stats.shard_owned) == oracle_census(built.store, 4)
             assert sum(stats.shard_owned) > 0
         finally:
             cluster.close()

@@ -9,7 +9,8 @@ bytes.
 A cluster warm-started from a single-service snapshot (plain or
 generational) re-splits the net and projects its shards' dense indexes
 from the snapshot's global ones: its shard stores must equal the
-per-relation oracle split and its dense indexes a per-shard refit.
+per-relation oracle split, and each shard's dense indexes must hold
+exactly the rows it owns of a single service's fit over the net.
 Dense states another backend wrote (``ivf``/``hnsw`` ones in older
 snapshots) are refit, not refused.
 """
@@ -19,7 +20,7 @@ import json
 import pytest
 
 from repro.concepts import ConceptTagger
-from repro.kg import GenerationalStore, Relation, RelationKind
+from repro.kg import GenerationalStore, Relation, RelationKind, flatten
 from repro.kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX
 from repro.kg.serialize import read_sections, write_sections
 from repro.nlp.pos import PosTagger
@@ -27,6 +28,7 @@ from repro.nlp.vocab import Vocab
 from repro.serving import AliCoCoCluster, AliCoCoService, ClusterConfig, ServiceConfig
 from repro.serving import service as service_module
 from repro.serving.service import DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX
+from repro.serving.shard import shard_of
 
 from tests.conftest import assert_same_store, make_trained_reranker, oracle_split
 
@@ -191,26 +193,34 @@ def _saved_generational(built, tagger, reranker, path):
 
 
 def _assert_oracle_shards(cluster, config=CONFIG):
-    """Shard stores equal the oracle split; dense indexes a refit on it."""
-    expected_shards = oracle_split(cluster.store, cluster.n_shards)
-    for service, expected in zip(cluster.services, expected_shards):
+    """Shard stores equal the oracle split; each shard's dense indexes
+    hold exactly its own rows of a single service's fit over the net."""
+    n_shards = cluster.n_shards
+    expected_shards = oracle_split(cluster.store, n_shards)
+    net = cluster.store if cluster.source is None else flatten(cluster.store)
+    refit = AliCoCoService(net, config=config, reranker=cluster._reranker)
+    for shard, (service, expected) in enumerate(
+        zip(cluster.services, expected_shards)
+    ):
         assert_same_store(service._gen.store, expected)
-        refit = AliCoCoService(
-            expected, config=config, reranker=cluster._reranker, fit_search_index=False
-        )
         for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX):
             served = service._gen.dense_indexes[name]
             fitted = refit._gen.dense_indexes[name]
-            if fitted is None:
+            owned = [
+                doc_id
+                for doc_id in (fitted.doc_ids if fitted is not None else ())
+                if shard_of(doc_id, n_shards) == shard
+            ]
+            if not owned:
                 assert served is None
             else:
-                assert served.to_state() == fitted.to_state()
+                assert served.to_state() == fitted.projected(owned).to_state()
 
 
 class TestClusterWarmStartFromAServiceSnapshot:
     """A re-split warm start: placement once per node, dense indexes
     projected from the snapshot's global ones — bit-identical to the
-    per-relation oracle split and a per-shard refit."""
+    per-relation oracle split and each shard's rows of a global refit."""
 
     @pytest.fixture(scope="class")
     def snapshots(self, built_tiny, tagger, trained_reranker, tmp_path_factory):
@@ -279,8 +289,9 @@ class TestClusterWarmStartFromAServiceSnapshot:
 
     def test_ivf_shards_still_refit(self, snapshots, built_tiny, monkeypatch, tmp_path):
         """An older snapshot may hold ``ivf`` dense states: a cluster
-        warm-started from it refits its shards' dense indexes, which equal
-        a per-shard refit, and answers like the unforged snapshot."""
+        warm-started from it refits its global dense indexes, whose shard
+        projections equal the owned rows of a global refit, and answers
+        like the unforged snapshot."""
         path = snapshots["service"]
         forged = tmp_path / "ivf.snapshot"
         header, sections = read_sections(path)
@@ -345,13 +356,14 @@ def test_store_built_cluster_encodes_each_document_once(
 
 
 def test_a_global_state_not_covering_the_net_is_refit(built_tiny, trained_reranker):
-    """A dense state over other documents than the net's is not projected
-    from: the cluster fits the population over the net instead."""
+    """A dense state over other documents than the net's is not
+    rehydrated: the cluster and the service alike fit the population over
+    the net instead."""
     store = built_tiny.store
     items = [node.id for node in store.nodes(ITEM_PREFIX)]
     stale = AliCoCoService(store, config=CONFIG, reranker=trained_reranker)
-    state = stale._gen.dense_indexes[DENSE_ITEM_INDEX].to_state()
-    state = {**state, "ids": list(reversed(state["ids"]))}
+    fitted = stale._gen.dense_indexes[DENSE_ITEM_INDEX].to_state()
+    state = {**fitted, "ids": list(reversed(fitted["ids"]))}
     assert state["ids"] != items
     cluster = AliCoCoCluster(
         store,
@@ -361,3 +373,11 @@ def test_a_global_state_not_covering_the_net_is_refit(built_tiny, trained_rerank
         dense_index_states={DENSE_ITEM_INDEX: state},
     )
     _assert_oracle_shards(cluster)
+    assert cluster._cgen.dense_indexes[DENSE_ITEM_INDEX].to_state() == fitted
+    service = AliCoCoService(
+        store,
+        config=CONFIG,
+        reranker=trained_reranker,
+        dense_index_states={DENSE_ITEM_INDEX: state},
+    )
+    assert service._gen.dense_indexes[DENSE_ITEM_INDEX].to_state() == fitted
