@@ -25,7 +25,7 @@ from ..errors import DataError, NotFittedError
 from ..ml import (
     AdditiveSelfAttention, Adam, BiLSTM, Conv1d, Embedding, Linear, Module,
 )
-from ..ml.tensor import Tensor, concat, no_grad
+from ..ml.tensor import Tensor, concat
 from ..nlp.crf import LinearChainCRF
 from ..nlp.doc2vec import Doc2Vec
 from ..nlp.pos import PosTagger
@@ -33,7 +33,6 @@ from ..nlp.vocab import Vocab
 from ..synth.lexicon import Lexicon
 from ..synth.world import ConceptSpec
 from ..utils.rng import spawn_rng
-from .classifier import lexicon_ner_lookup  # noqa: F401  (re-export neighbour)
 
 
 def build_text_matrix(corpus_sentences: list[list[str]], words: set[str],
@@ -141,23 +140,19 @@ class ConceptTagger(Module):
         self._fitted = False
 
     # -------------------------------------------------------------- encoding
-    def _char_feature(self, word: str) -> Tensor:
-        ids = np.asarray([self.char_vocab.id(c) for c in word])[None, :]
-        convolved = self.char_cnn(self.char_embedding(ids))
-        return convolved.max(axis=1)[0]  # (char_dim,)
-
-    def emissions(self, tokens: Sequence[str]) -> Tensor:
-        """Per-token emission scores over the IOB label set."""
+    def _inputs(self, tokens: Sequence[str]):
+        """Word ids, POS ids, per-token char ids (each with a leading
+        batch axis of 1) and the text-matrix rows (``None`` without
+        knowledge) of a concept."""
         if not tokens:
             raise DataError("cannot tag an empty concept")
-        word_ids = np.asarray(self.word_vocab.ids(list(tokens)))[None, :]
+        tokens = list(tokens)
+        word_ids = np.asarray(self.word_vocab.ids(tokens))[None, :]
         pos_ids = np.asarray([PosTagger.tag_id(t)
-                              for t in self.pos_tagger.tag(list(tokens))])[None, :]
-        char_features = concat(
-            [self._char_feature(t).reshape(1, 1, -1) for t in tokens], axis=1)
-        word_input = concat([self.word_embedding(word_ids), char_features,
-                             self.pos_embedding(pos_ids)], axis=2)
-        hidden = self.encoder(word_input)
+                              for t in self.pos_tagger.tag(tokens)])[None, :]
+        char_ids = [np.asarray([self.char_vocab.id(c) for c in token])[None, :]
+                    for token in tokens]
+        augmented = None
         if self.use_knowledge:
             vectors = []
             for token in tokens:
@@ -165,10 +160,48 @@ class ConceptTagger(Module):
                 if vector is None:
                     vector = np.zeros(self.text_dim)
                 vectors.append(np.asarray(vector, dtype=np.float64))
-            augmented = Tensor(np.stack(vectors)[None, :, :])
-            hidden = concat([hidden, augmented], axis=2)
+            augmented = np.stack(vectors)[None, :, :]
+        return word_ids, pos_ids, char_ids, augmented
+
+    def emissions(self, tokens: Sequence[str]) -> Tensor:
+        """Per-token emission scores over the IOB label set, on the tape
+        (what :meth:`loss` trains through)."""
+        word_ids, pos_ids, char_ids, augmented = self._inputs(tokens)
+        # One conv call per token: one GEMM over all tokens would sum the
+        # weight gradient in another order.
+        char_features = concat(
+            [self.char_cnn(self.char_embedding(ids)).max(axis=1)[0].reshape(1, 1, -1)
+             for ids in char_ids], axis=1)
+        word_input = concat([self.word_embedding(word_ids), char_features,
+                             self.pos_embedding(pos_ids)], axis=2)
+        hidden = self.encoder(word_input)
+        if augmented is not None:
+            hidden = concat([hidden, Tensor(augmented)], axis=2)
         attended = self.attention(hidden)
         return self.projection(attended)[0]
+
+    def emission_scores(self, tokens: Sequence[str]) -> np.ndarray:
+        """:meth:`emissions` computed on plain arrays, without a tape.
+
+        The same layer functions on the same shapes (the leading batch
+        axis of 1 included, since a 2-D and a 3-D matmul can round
+        differently), so the scores equal the taped ``emissions(...).data``
+        bit for bit.
+        """
+        session = self.inference_session()
+        word_ids, pos_ids, char_ids, augmented = self._inputs(tokens)
+        char_features = np.concatenate(
+            [session.conv1d(session.embed("char_embedding.weight", ids),
+                            "char_cnn").max(axis=1)[0].reshape(1, 1, -1)
+             for ids in char_ids], axis=1)
+        word_input = np.concatenate(
+            [session.embed("word_embedding.weight", word_ids), char_features,
+             session.embed("pos_embedding.weight", pos_ids)], axis=2)
+        hidden = session.bilstm(word_input, "encoder")
+        if augmented is not None:
+            hidden = np.concatenate([hidden, augmented], axis=2)
+        attended = session.self_attention(hidden, "attention")
+        return session.linear(attended, "projection")[0]
 
     # ------------------------------------------------------------- training
     def allowed_labels(self, tokens: Sequence[str],
@@ -220,11 +253,10 @@ class ConceptTagger(Module):
         return history
 
     def predict(self, tokens: Sequence[str]) -> list[str]:
-        """Viterbi-decode IOB labels for a concept."""
+        """Viterbi-decode IOB labels for a concept (tape-free)."""
         if not self._fitted:
             raise NotFittedError("tagger has not been trained")
-        with no_grad():
-            emissions = self.emissions(tokens).numpy()
+        emissions = self.emission_scores(tokens)
         return [self.labels.label(i) for i in self.crf.decode(emissions)]
 
     def evaluate(self, specs: Sequence[ConceptSpec]) -> dict[str, float]:

@@ -26,16 +26,6 @@ from .dataset import HypernymDataset, LabelledPair
 PhraseEmbedder = Callable[[str], np.ndarray]
 
 
-def mean_word_embedder(vocab, matrix: np.ndarray) -> PhraseEmbedder:
-    """Phrase embedder averaging word vectors from a lookup table."""
-
-    def embed(surface: str) -> np.ndarray:
-        ids = [vocab.id(word) for word in surface.split()]
-        return matrix[ids].mean(axis=0)
-
-    return embed
-
-
 class ProjectionModel(Module):
     """The projection-tensor hypernymy scorer.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import TaxonomyError
-from .ids import ECOMMERCE_PREFIX, PRIMITIVE_PREFIX
+from .ids import PRIMITIVE_PREFIX
 from .nodes import ClassNode, ECommerceConcept, Item, PrimitiveConcept
 from .relations import RelationKind
 from .store import AliCoCoStore
@@ -80,12 +80,6 @@ def interpretation(store: AliCoCoStore,
     return store.targets(ecommerce_id, RelationKind.INTERPRETED_BY)
 
 
-def concepts_interpreted_by(store: AliCoCoStore,
-                            primitive_id: str) -> list[ECommerceConcept]:
-    """E-commerce concepts whose interpretation includes a primitive."""
-    return store.sources(primitive_id, RelationKind.INTERPRETED_BY)
-
-
 def items_for_concept(store: AliCoCoStore, ecommerce_id: str,
                       top_k: int | None = None) -> list[Item]:
     """Items associated with an e-commerce concept, best weight first."""
@@ -101,16 +95,6 @@ def concepts_for_item(store: AliCoCoStore, item_id: str) -> list[ECommerceConcep
     return store.targets(item_id, RelationKind.ITEM_ECOMMERCE)
 
 
-def primitives_for_item(store: AliCoCoStore, item_id: str) -> list[PrimitiveConcept]:
-    """Primitive concepts (property-style tags) of an item."""
-    return store.targets(item_id, RelationKind.ITEM_PRIMITIVE)
-
-
 def find_primitive_senses(store: AliCoCoStore, name: str) -> list[PrimitiveConcept]:
     """All primitive-concept senses sharing a surface form."""
     return [node for node in store.find_by_name(PRIMITIVE_PREFIX, name)]
-
-
-def find_ecommerce(store: AliCoCoStore, text: str) -> list[ECommerceConcept]:
-    """E-commerce concepts with exactly this text."""
-    return [node for node in store.find_by_name(ECOMMERCE_PREFIX, text)]

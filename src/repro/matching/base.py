@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import DataError, NotFittedError
 from ..ml import Embedding, Module
-from ..ml.inference import InferenceSession, stable_sigmoid
+from ..ml.inference import stable_sigmoid
 from ..ml.tensor import Tensor, no_grad
 from ..nlp.vocab import Vocab
 from ..utils.rng import spawn_rng
@@ -98,19 +98,6 @@ class NeuralMatcher(Module):
         return float(stable_sigmoid(logit))
 
     # -------------------------------------------------- batched inference
-    def inference_session(self) -> InferenceSession:
-        """The matcher's functional weight session, extracted lazily once.
-
-        Weight arrays update in place during training, so one session
-        stays valid for the module's lifetime; a second concurrent
-        creation is benign (identical views).
-        """
-        session = self.__dict__.get("_inference_session")
-        if session is None:
-            session = InferenceSession(self)
-            self._inference_session = session
-        return session
-
     def encode_query(self, query_tokens: Sequence[str]) -> Any:
         """Query-side encoding reused across a whole candidate pool.
 

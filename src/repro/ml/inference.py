@@ -1,67 +1,43 @@
-"""Tape-free functional inference kernels over plain numpy arrays.
+"""Tape-free inference over plain numpy arrays.
 
-Serving traffic runs every model under ``no_grad`` — nothing is ever
-backpropagated — yet the :class:`~repro.ml.tensor.Tensor` forward pass
-still allocates a graph node, a backward closure and a parent tuple per
-op.  On the re-rank hot path (tens of model calls per query, dozens of
-ops per call) that bookkeeping dominates the arithmetic.  This module is
-the serving-side answer: the handful of kernels the matchers need
-(embedding gather, linear, same-padded conv1d, MLP, softmax, additive
-attention pooling), written as plain vectorized numpy functions that
-allocate nothing but their outputs.
+Serving never backpropagates, yet a :class:`~repro.ml.tensor.Tensor`
+forward pass allocates a graph node, a backward closure and a parent
+tuple per op; on the serving hot paths that bookkeeping dominates the
+arithmetic.  So served models run their forwards on plain arrays.
 
-**Exact parity is the contract.**  Each kernel mirrors the corresponding
-:class:`Tensor` op's arithmetic *operation for operation* — e.g.
-:func:`softmax` reproduces ``Tensor.softmax``'s
-``exp(x - (max + log(sum(exp(x - max)))))`` formulation rather than the
-textbook ``exp(x - max) / sum`` — so a fast-path score is bit-identical
-to the taped forward pass, not merely close.  The parity suite in
-``tests/test_inference_fastpath.py`` asserts this for every kernel and
-every matcher.
-
-:class:`InferenceSession` is the bridge from a trained
-:class:`~repro.ml.module.Module` to these kernels: it extracts the
-module's parameter arrays **once** (zero-copy views of each
-``Parameter.data``, so in-place weight updates — optimizers and
-``load_state_dict`` both mutate in place — stay visible) and exposes
-layer-shaped helpers (``linear``/``conv1d``/``mlp``/``embed``) keyed by
-the module's own dotted attribute names.  A served module gets its
-session extracted at :func:`~repro.serving.models.prepare_serving_module`
-time, before the first query arrives.
+**One forward per layer.**  Each layer's arithmetic is one plain-array
+function kept next to its layer or op (``linear``/``mlp``, ``conv1d``,
+``lstm``, ``self_attention``, and the ``relu``/``sigmoid``/``softmax``
+of :mod:`repro.ml.tensor`).  The taped layers and ops compute their
+forward data through it and :class:`InferenceSession` calls it on
+arrays, so a tape-free score is bit-identical to the taped one.  This
+module keeps only what no layer owns.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import ShapeError
+from .layers.attention import self_attention
+from .layers.conv import conv1d
+from .layers.linear import ACTIVATIONS, linear, mlp
+from .layers.recurrent import bidirectional, lstm
 from .module import Module
+from .tensor import softmax
 
 __all__ = [
     "InferenceSession",
     "additive_attention_pool",
-    "conv1d_same",
     "embedding_gather",
-    "linear",
-    "mlp",
-    "softmax",
     "stable_sigmoid",
 ]
 
 
 def stable_sigmoid(logits) -> np.ndarray:
-    """Overflow-free logistic function, vectorized.
-
-    The naive ``1 / (1 + exp(-x))`` overflows ``exp`` for very negative
-    ``x`` (RuntimeWarning, then ``1/inf``); this computes
-    ``z = exp(-|x|)`` (always in ``(0, 1]``) and picks
-    ``1/(1+z)`` or ``z/(1+z)`` per element — exactly the two branches
-    :meth:`~repro.matching.base.NeuralMatcher.score_text` always used,
-    now shared and array-shaped.  Accepts scalars (returns a 0-d array;
-    wrap in ``float``) and arrays of any shape.
-    """
+    """Overflow-free logistic function of a scalar (as a 0-d array) or an
+    array: ``1/(1+z)`` or ``z/(1+z)`` with ``z = exp(-|x|)``, where the
+    naive form overflows ``exp`` for very negative ``x``."""
     x = np.asarray(logits, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
@@ -74,79 +50,6 @@ def embedding_gather(table: np.ndarray, ids) -> np.ndarray:
     return table[np.asarray(ids, dtype=np.intp)]
 
 
-def linear(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
-    """Affine map over the last axis; mirrors :class:`~repro.ml.Linear`."""
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def conv1d_same(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                kernel_size: int) -> np.ndarray:
-    """Same-padded 1-D convolution over ``(time, in_dim)``.
-
-    The im2col + matmul of :class:`~repro.ml.Conv1d` with the batch
-    dimension dropped (serving scores one sequence at a time); identical
-    arithmetic, identical output values.
-    """
-    time, dim = x.shape
-    half = kernel_size // 2
-    padded = np.pad(x, ((half, half), (0, 0)))
-    cols = np.empty((time, kernel_size * dim))
-    for offset in range(kernel_size):
-        cols[:, offset * dim:(offset + 1) * dim] = padded[offset:offset + time, :]
-    return cols @ weight + bias
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    # Tensor.relu computes data * mask, not np.maximum — match it exactly.
-    return x * (x > 0)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Mirrors Tensor.sigmoid (the taped op is the naive form; an MLP
-    # activation never sees the extreme logits stable_sigmoid guards).
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-_ACTIVATIONS = {
-    "tanh": np.tanh,
-    "relu": _relu,
-    "sigmoid": _sigmoid,
-}
-
-
-def mlp(x: np.ndarray,
-        layers: Sequence[tuple[np.ndarray, np.ndarray | None]],
-        activation: str = "tanh") -> np.ndarray:
-    """A :class:`~repro.ml.MLP` forward pass from ``(weight, bias)`` pairs.
-
-    The activation is applied between layers, never after the last
-    (which produces logits/scores), matching ``MLP.forward``.
-    """
-    act = _ACTIVATIONS[activation]
-    for i, (weight, bias) in enumerate(layers):
-        x = linear(x, weight, bias)
-        if i < len(layers) - 1:
-            x = act(x)
-    return x
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax; bit-identical to ``Tensor.softmax``.
-
-    ``Tensor.softmax`` is ``(x - logsumexp(x)).exp()``; reproducing that
-    exact formulation (rather than ``exp(x - max) / sum``) keeps the
-    fast path's attention weights byte-equal to the taped forward pass.
-    """
-    m = x.max(axis=axis, keepdims=True)
-    total = np.exp(x - m).sum(axis=axis, keepdims=True)
-    return np.exp(x - (m + np.log(total)))
-
-
 def additive_attention_pool(left: np.ndarray, right: np.ndarray,
                             score_weight: np.ndarray,
                             left_states: np.ndarray,
@@ -154,17 +57,10 @@ def additive_attention_pool(left: np.ndarray, right: np.ndarray,
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Two-way additive attention pooling (the paper's Eqs. 11-14).
 
-    Args:
-        left: Pre-projected left side ``W1 @ concept``, ``(m, d)`` —
-            computed once per query and reused across the pool.
-        right: Pre-projected right side ``W2 @ title``, ``(t, d)``.
-        score_weight: The scoring vector ``v`` as a ``(d, 1)`` matrix.
-        left_states: Raw left encoder states to pool, ``(m, d)``.
-        right_states: Raw right encoder states to pool, ``(t, d)``.
-
-    Returns:
-        ``(left_vector, right_vector)`` — the attention-pooled ``(d,)``
-        vectors of both sides.
+    ``left`` ``(m, d)`` and ``right`` ``(t, d)`` are the pre-projected
+    sides (``W1 @ concept``, computed once per query, and ``W2 @ title``)
+    and ``score_weight`` is ``v`` as a ``(d, 1)`` matrix.  Returns the
+    attention-pooled ``(d,)`` vectors of both sides' raw states.
     """
     energies = np.tanh(left[:, None, :] + right[None, :, :]) @ score_weight
     attention = energies.reshape(left.shape[0], right.shape[0])
@@ -174,34 +70,24 @@ def additive_attention_pool(left: np.ndarray, right: np.ndarray,
 
 
 class InferenceSession:
-    """One module's weights, extracted once, bound to the kernels above.
+    """One module's weights, extracted once, bound to the layer functions.
 
-    Construction walks ``module.named_parameters()`` a single time and
-    keeps zero-copy views of every parameter array; the per-query hot
-    path then never touches the module tree again.  Because optimizers
-    and ``load_state_dict`` update parameter arrays *in place*, the views
-    always reflect the current weights — only structural changes (adding
-    or replacing a :class:`~repro.ml.module.Parameter` object) require a
-    new session.
-
-    The helpers take the module's own dotted attribute names
-    (``session.linear(x, "att_w1")``, ``session.mlp(x, "head", "relu")``)
-    so a matcher's functional forward reads like its taped one.
+    Keeps zero-copy views of every parameter array, so in-place updates
+    (optimizers, ``load_state_dict``) stay visible; only replacing a
+    :class:`~repro.ml.module.Parameter` needs a new session.  Helpers
+    take the module's dotted attribute names
+    (``session.mlp(x, "head", "relu")``), so a tape-free forward reads
+    like its taped one.
     """
 
     def __init__(self, module: Module):
-        self.module = module
         self._params: dict[str, np.ndarray] = {
             name: parameter.data for name, parameter in module.named_parameters()
         }
         self._mlp_layers: dict[str, list[tuple[np.ndarray, np.ndarray | None]]] = {}
 
     def weight(self, name: str) -> np.ndarray:
-        """The extracted array for a dotted parameter name.
-
-        Raises:
-            KeyError: If the module has no such parameter.
-        """
+        """The array of a dotted parameter name (``KeyError`` if none)."""
         return self._params[name]
 
     def embed(self, name: str, ids) -> np.ndarray:
@@ -214,11 +100,27 @@ class InferenceSession:
                       self._params.get(f"{name}.bias"))
 
     def conv1d(self, x: np.ndarray, name: str) -> np.ndarray:
-        """Apply the :class:`~repro.ml.Conv1d` submodule at ``name``."""
-        submodule = self._submodule(name)
-        return conv1d_same(x, self._params[f"{name}.weight"],
-                           self._params[f"{name}.bias"],
-                           submodule.kernel_size)
+        """Apply the :class:`~repro.ml.Conv1d` submodule at ``name`` to a
+        ``(..., time, in_dim)`` array."""
+        return conv1d(x, self._params[f"{name}.weight"],
+                      self._params[f"{name}.bias"])[0]
+
+    def bilstm(self, x: np.ndarray, name: str) -> np.ndarray:
+        """Apply the :class:`~repro.ml.BiLSTM` submodule at ``name``."""
+
+        def direction(module: str):
+            weights = [self._params[f"{name}.{module}.{part}"]
+                       for part in ("w_input", "w_hidden", "bias")]
+            return lambda data: lstm(data, *weights)[0]
+
+        return bidirectional(x, direction("forward_lstm"),
+                             direction("backward_lstm"), np.concatenate)
+
+    def self_attention(self, x: np.ndarray, name: str) -> np.ndarray:
+        """Apply the :class:`~repro.ml.AdditiveSelfAttention` at ``name``."""
+        return self_attention(x, self._params[f"{name}.query.weight"],
+                              self._params[f"{name}.key.weight"],
+                              self._params[f"{name}.score.weight"])[0]
 
     def mlp(self, x: np.ndarray, name: str, activation: str = "tanh") -> np.ndarray:
         """Apply the :class:`~repro.ml.MLP` submodule at ``name``."""
@@ -233,10 +135,4 @@ class InferenceSession:
             if not layers:
                 raise KeyError(f"module has no MLP parameters under {name!r}")
             self._mlp_layers[name] = layers
-        return mlp(x, layers, activation)
-
-    def _submodule(self, name: str):
-        target = self.module
-        for part in name.split("."):
-            target = target[int(part)] if part.isdigit() else getattr(target, part)
-        return target
+        return mlp(x, layers, ACTIVATIONS[activation][1])

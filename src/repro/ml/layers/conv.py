@@ -10,11 +10,30 @@ from ..module import Module, Parameter
 from ..tensor import Tensor, custom_op
 
 
+def conv1d(x: np.ndarray, weight: np.ndarray,
+           bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded 1-D convolution over ``(..., time, in_dim)`` arrays as
+    an im2col + matmul (``weight`` is ``(kernel * in_dim, out_dim)``):
+    the output, and the columns the backward pass reads."""
+    *lead, time, dim = x.shape
+    kernel = weight.shape[0] // dim
+    half = kernel // 2
+    cols = np.zeros((*lead, time, kernel * dim))
+    for offset in range(kernel):
+        # Read the input shifted by ``shift``; padding columns stay zero.
+        shift = offset - half
+        lo, hi = max(0, -shift), min(time, time - shift)
+        if lo < hi:
+            cols[..., lo:hi, offset * dim:(offset + 1) * dim] = \
+                x[..., lo + shift:hi + shift, :]
+    return cols @ weight + bias, cols
+
+
 class Conv1d(Module):
     """Same-padded 1-D convolution over ``(batch, time, in_dim)``.
 
-    Implemented as an im2col + matmul with a hand-written backward pass,
-    which is far cheaper than composing it from primitive autograd ops.
+    One tape node: the forward is :func:`conv1d` and the backward is
+    hand-written, far cheaper than composing it from primitive ops.
 
     Args:
         in_dim: Input feature dimension.
@@ -35,28 +54,13 @@ class Conv1d(Module):
             xavier_uniform(rng, fan_in, out_dim, shape=(fan_in, out_dim)))
         self.bias = Parameter(np.zeros(out_dim))
 
-    def _im2col(self, data: np.ndarray) -> np.ndarray:
-        # Window ``offset`` reads the input shifted by ``offset - half``;
-        # the columns it would read from the padding stay zero.
-        batch, time, dim = data.shape
-        half = self.kernel_size // 2
-        cols = np.zeros((batch, time, self.kernel_size * dim))
-        for offset in range(self.kernel_size):
-            shift = offset - half
-            lo, hi = max(0, -shift), min(time, time - shift)
-            if lo < hi:
-                cols[:, lo:hi, offset * dim:(offset + 1) * dim] = \
-                    data[:, lo + shift:hi + shift, :]
-        return cols
-
     def forward(self, x: Tensor) -> Tensor:
         """Convolve; output shape ``(batch, time, out_dim)``."""
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(
                 f"Conv1d expects (batch, time, {self.in_dim}), got {x.shape}")
         batch, time, dim = x.shape
-        cols = self._im2col(x.data)
-        out = cols @ self.weight.data + self.bias.data
+        out, cols = conv1d(x.data, self.weight.data, self.bias.data)
         weight, bias, kernel = self.weight, self.bias, self.kernel_size
 
         def backward(grad: np.ndarray) -> None:

@@ -6,7 +6,26 @@ import numpy as np
 
 from ..init import xavier_uniform
 from ..module import Module, Parameter
-from ..tensor import Tensor
+from ..tensor import Tensor, relu, sigmoid
+
+
+def linear(x, weight, bias=None):
+    """Affine map ``x @ weight + bias`` over the last axis, of tensors (the
+    layers) or arrays (inference sessions)."""
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def mlp(x, layers, activation):
+    """Stacked :func:`linear` maps from ``(weight, bias)`` pairs, with
+    ``activation`` between them (not after the last: it gives logits)."""
+    for i, (weight, bias) in enumerate(layers):
+        x = linear(x, weight, bias)
+        if i < len(layers) - 1:
+            x = activation(x)
+    return x
 
 
 class Linear(Module):
@@ -28,16 +47,14 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
-_ACTIVATIONS = {
-    "tanh": Tensor.tanh,
-    "relu": Tensor.relu,
-    "sigmoid": Tensor.sigmoid,
+#: MLP activations by name: the tape op and its plain forward.
+ACTIVATIONS = {
+    "tanh": (Tensor.tanh, np.tanh),
+    "relu": (Tensor.relu, relu),
+    "sigmoid": (Tensor.sigmoid, sigmoid),
 }
 
 
@@ -57,14 +74,11 @@ class MLP(Module):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output width")
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.layers = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
-        self._activation = _ACTIVATIONS[activation]
+        self._activation = ACTIVATIONS[activation][0]
 
     def forward(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = self._activation(x)
-        return x
+        layers = [(layer.weight, layer.bias) for layer in self.layers]
+        return mlp(x, layers, self._activation)

@@ -1,11 +1,12 @@
 """LSTM and BiLSTM encoders (batch-first).
 
 The paper uses BiLSTM encoders in four of its five models (Figs 4, 5, 6).
-An LSTM call records one tape node: the forward runs the recurrence on
-plain arrays and the backward is hand-written backpropagation through
-time.  Composed from primitive autograd ops, the same recurrence records
-about 19 nodes per step and direction, and the engine's bookkeeping for
-them costs more than the arithmetic.
+An LSTM call records one tape node: the forward is :func:`lstm`, the
+recurrence on plain arrays that inference sessions also call, and the
+backward is hand-written backpropagation through time.  Composed from
+primitive autograd ops, the same recurrence records about 19 nodes per
+step and direction, and the engine's bookkeeping for them costs more
+than the arithmetic.
 
 The fused node is bit-identical to the composed recurrence, values and
 gradients alike: the forward repeats its per-step expressions operation
@@ -23,6 +24,40 @@ from ...errors import ShapeError
 from ..init import xavier_uniform
 from ..module import Module, Parameter
 from ..tensor import Tensor, concat, custom_op, is_grad_enabled
+
+
+def lstm(data, w_input, w_hidden, bias, keep_steps=False):
+    """The LSTM recurrence over a ``(batch, time, dim)`` array: the
+    ``(batch, time, hidden)`` states and, if ``keep_steps``, the per-step
+    ``(h_prev, c_prev, i, f, g, o, tanh(c))`` the backward pass reads."""
+    batch, time, _ = data.shape
+    h_dim = w_hidden.shape[0]
+    h = np.zeros((batch, h_dim))
+    c = np.zeros((batch, h_dim))
+    out = np.empty((batch, time, h_dim))
+    steps = [] if keep_steps else None
+    for t in range(time):
+        z = data[:, t, :] @ w_input + h @ w_hidden + bias
+        i_gate = 1.0 / (1.0 + np.exp(-z[:, 0:h_dim]))
+        f_gate = 1.0 / (1.0 + np.exp(-z[:, h_dim : 2 * h_dim]))
+        g_cell = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
+        o_gate = 1.0 / (1.0 + np.exp(-z[:, 3 * h_dim : 4 * h_dim]))
+        c_prev, h_prev = c, h
+        c = f_gate * c_prev + i_gate * g_cell
+        tanh_c = np.tanh(c)
+        h = o_gate * tanh_c
+        out[:, t, :] = h
+        if steps is not None:
+            steps.append((h_prev, c_prev, i_gate, f_gate, g_cell, o_gate, tanh_c))
+    return out, steps
+
+
+def bidirectional(x, forward, backward, join):
+    """Run ``forward`` over ``(batch, time, dim)`` input and ``backward``
+    over it time-reversed, and join both along features: :class:`BiLSTM`
+    on tensors (``join=concat``), inference sessions on arrays."""
+    reverse = np.arange(x.shape[1] - 1, -1, -1)
+    return join([forward(x), backward(x[:, reverse, :])[:, reverse, :]], axis=2)
 
 
 class LSTM(Module):
@@ -60,25 +95,9 @@ class LSTM(Module):
         h_dim = self.hidden_dim
         data = x.data
         w_input, w_hidden, bias = self.w_input, self.w_hidden, self.bias
-        h = np.zeros((batch, h_dim))
-        c = np.zeros((batch, h_dim))
-        out = np.empty((batch, time, h_dim))
-        # Per step: (h_prev, c_prev, i, f, g, o, tanh(c)); kept only when
-        # a backward pass can follow.
-        steps = [] if is_grad_enabled() else None
-        for t in range(time):
-            z = data[:, t, :] @ w_input.data + h @ w_hidden.data + bias.data
-            i_gate = 1.0 / (1.0 + np.exp(-z[:, 0:h_dim]))
-            f_gate = 1.0 / (1.0 + np.exp(-z[:, h_dim : 2 * h_dim]))
-            g_cell = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
-            o_gate = 1.0 / (1.0 + np.exp(-z[:, 3 * h_dim : 4 * h_dim]))
-            c_prev, h_prev = c, h
-            c = f_gate * c_prev + i_gate * g_cell
-            tanh_c = np.tanh(c)
-            h = o_gate * tanh_c
-            out[:, t, :] = h
-            if steps is not None:
-                steps.append((h_prev, c_prev, i_gate, f_gate, g_cell, o_gate, tanh_c))
+        out, steps = lstm(
+            data, w_input.data, w_hidden.data, bias.data, keep_steps=is_grad_enabled()
+        )
 
         def backward(grad: np.ndarray) -> None:
             d_x = np.empty_like(data) if x.requires_grad else None
@@ -127,9 +146,4 @@ class BiLSTM(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Encode ``(batch, time, dim)`` into ``(batch, time, 2*hidden)``."""
-        time = x.shape[1]
-        reverse = np.arange(time - 1, -1, -1)
-        fwd = self.forward_lstm(x)
-        bwd = self.backward_lstm(x[:, reverse, :])
-        bwd = bwd[:, reverse, :]
-        return concat([fwd, bwd], axis=2)
+        return bidirectional(x, self.forward_lstm, self.backward_lstm, concat)

@@ -93,6 +93,16 @@ class Module:
             for module, was_training in previous:
                 module.training = was_training
 
+    def inference_session(self):
+        """The module's :class:`~repro.ml.inference.InferenceSession`,
+        extracted once (a concurrent second extraction is benign)."""
+        session = self.__dict__.get("_inference_session")
+        if session is None:
+            from .inference import InferenceSession  # it imports the layers
+
+            session = self._inference_session = InferenceSession(self)
+        return session
+
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 

@@ -309,7 +309,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
@@ -317,11 +317,10 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
+        out_data = relu(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * (self.data > 0))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -377,7 +376,13 @@ class Tensor:
         return Tensor._make(np.asarray(out), (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        return (self - self.logsumexp(axis=axis, keepdims=True)).exp()
+        out_data = softmax(self.data, axis)
+
+        def backward(grad: np.ndarray) -> None:
+            for part in softmax_backward(grad, out_data, self.data, axis):
+                self._accumulate(part)
+
+        return Tensor._make(out_data, (self,), backward)
 
     # --------------------------------------------------------------- reshape
     def reshape(self, *shape: int) -> "Tensor":
@@ -446,6 +451,30 @@ def logsumexp_softmax(data: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarr
     shifted = np.exp(data - m)
     total = shifted.sum(axis=axis, keepdims=True)
     return m + np.log(total), shifted / total
+
+
+# The plain forwards of the activation ops, shared with tape-free inference.
+def relu(data: np.ndarray) -> np.ndarray:
+    return data * (data > 0)  # a mask-multiply, not np.maximum
+
+
+def sigmoid(data: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-data))  # naive; see inference.stable_sigmoid
+
+
+def softmax(data: np.ndarray, axis: int = -1) -> np.ndarray:
+    # exp(x - logsumexp(x)), not exp(x - max) / sum, which rounds differently.
+    return np.exp(data - logsumexp_softmax(data, axis)[0])
+
+
+def softmax_backward(grad: np.ndarray, out: np.ndarray, data: np.ndarray,
+                     axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The input gradient of :func:`softmax` as the two parts the composed
+    ``(x - x.logsumexp()).exp()`` adds, in its order; adding them in this
+    order keeps gradients bit-identical to the composed op's."""
+    direct = grad * out
+    total = direct.sum(axis=axis, keepdims=True)
+    return direct, -total * logsumexp_softmax(data, axis)[1]
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

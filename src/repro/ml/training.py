@@ -13,7 +13,6 @@ from typing import Iterator, Sequence, TypeVar
 import numpy as np
 
 from ..errors import DataError
-from ..utils.rng import spawn_rng
 
 T = TypeVar("T")
 
@@ -113,9 +112,3 @@ class LearningCurve:
             raise DataError("no epochs recorded")
         array = np.asarray(values)
         return int(np.argmin(array) if mode == "min" else np.argmax(array))
-
-
-def train_seed(master_seed: int, component: str) -> np.random.Generator:
-    """Convenience wrapper over :func:`repro.utils.rng.spawn_rng` for
-    trainer code."""
-    return spawn_rng(master_seed, "training", component)

@@ -15,8 +15,10 @@ experiment scripts.  This module is the glue between trained
   would break both determinism and thread safety); the check runs over
   the submodule list flattened at preparation, not a recursive walk;
 - **tag spans** — :func:`tag_spans` runs the
-  :class:`~repro.concepts.tagging.ConceptTagger` under :func:`no_grad`
-  and links each IOB span to a primitive-concept node of the served net;
+  :class:`~repro.concepts.tagging.ConceptTagger` tape-free (its emissions
+  on plain arrays through the inference session extracted at
+  preparation, then Viterbi decoding) and links each IOB span to a
+  primitive-concept node of the served net;
 - **model bundles** — :func:`model_bundle_state` /
   :func:`restore_serving_module` wrap
   :func:`repro.ml.serialize.module_state_record` with a model *kind* so a
@@ -80,12 +82,10 @@ def prepare_serving_module(module: Module, name: str) -> Module:
             "(or restore trained weights from a snapshot bundle)"
         )
     _enter_eval(module)
-    # Extract the functional inference session (tape-free weight views,
+    # Extract the tape-free inference session (weight views,
     # repro.ml.inference) eagerly, before the first query arrives, so the
     # hot path never pays the named_parameters walk.
-    extract_session = getattr(module, "inference_session", None)
-    if callable(extract_session):
-        extract_session()
+    module.inference_session()
     return module
 
 
@@ -127,8 +127,9 @@ def tag_spans(
 ) -> tuple[TagSpan, ...]:
     """Tag a token sequence and link spans to primitive-concept nodes.
 
-    Decoding runs under the tagger's own :func:`no_grad` inference path;
-    linking is a pure lookup into ``primitive_index``
+    :meth:`~repro.concepts.tagging.ConceptTagger.predict` computes the
+    emissions without a tape and Viterbi-decodes them; linking is a pure
+    lookup into ``primitive_index``
     ((surface, domain) -> node id over the served net's primitive layer).
     """
     ensure_inference_mode(tagger, "tagger")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 _WHITESPACE = re.compile(r"\s+")
 _NON_WORD = re.compile(r"[^a-z0-9' -]+")
@@ -22,8 +22,3 @@ def ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
         raise ValueError(f"n must be positive, got {n}")
     for i in range(len(tokens) - n + 1):
         yield tuple(tokens[i:i + n])
-
-
-def join_phrase(words: Iterable[str]) -> str:
-    """Join words into a canonical single-space phrase string."""
-    return " ".join(w for w in words if w)

@@ -2,8 +2,8 @@
 
 Three layers of guarantees, each pinned here:
 
-- the tape-free kernels in ``repro.ml.inference`` are *bit-identical* to
-  the autograd ops they mirror;
+- an inference session's layer helpers are *bit-identical* to the taped
+  layers, since both run each layer's one forward function;
 - every matcher's ``score_pool`` returns the same scores as a per-pair
   ``score_text`` loop (the scalar oracle), fast path or fallback;
 - the service's doc-encoding cache is sound under contention
@@ -33,15 +33,9 @@ from repro.matching.base import NeuralMatcher, matching_vocab
 from repro.matching.dataset import pair_from_texts
 from repro.kg.ids import ECOMMERCE_PREFIX
 from repro.kg.relations import RelationKind
-from repro.ml import MLP, Conv1d, Tensor
-from repro.ml.inference import (
-    InferenceSession,
-    conv1d_same,
-    embedding_gather,
-    mlp,
-    softmax,
-    stable_sigmoid,
-)
+from repro.ml import MLP, Conv1d, Module, Tensor
+from repro.ml.inference import InferenceSession, embedding_gather, stable_sigmoid
+from repro.ml.tensor import softmax
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
 from repro.serving import AliCoCoService, ServiceConfig
@@ -85,27 +79,40 @@ def _knowledge_matcher(vocab, use_knowledge, seed=2):
 
 
 # ---------------------------------------------------------------- kernels
+class _Holder(Module):
+    """A module with one layer at ``layer``, for driving session helpers."""
+
+    def __init__(self, layer):
+        super().__init__()
+        self.layer = layer
+
+
 class TestKernels:
-    def test_conv1d_same_matches_taped_conv(self, vocab):
+    def test_session_conv1d_matches_taped_conv(self):
         rng = np.random.default_rng(0)
         conv = Conv1d(6, 5, 3, rng)
-        x = rng.normal(size=(7, 6))
-        taped = conv(Tensor(x[None, :, :]))[0]
-        fast = conv1d_same(x, conv.weight.data, conv.bias.data, conv.kernel_size)
-        assert_array_equal(fast, taped.data)
+        session = InferenceSession(_Holder(conv))
+        # The batch axis is optional on the tape-free side; a time axis
+        # of 1 reads nothing but padding around its one step.
+        for shape in [(1, 7, 6), (2, 1, 6), (7, 6)]:
+            x = rng.normal(size=shape)
+            taped = conv(Tensor(x.reshape((-1,) + shape[-2:]))).data
+            fast = session.conv1d(x, "layer")
+            assert_array_equal(fast, taped.reshape(shape[:-1] + (5,)))
 
     def test_mlp_matches_taped_mlp(self):
         rng = np.random.default_rng(1)
         for activation in ("tanh", "relu", "sigmoid"):
             net = MLP([6, 5, 3], rng, activation=activation)
-            x = rng.normal(size=(4, 6))
-            layers = [(layer.weight.data, layer.bias.data) for layer in net.layers]
-            assert_array_equal(mlp(x, layers, activation), net(Tensor(x)).data)
+            x = rng.normal(size=(4, 6)) * 3
+            fast = InferenceSession(_Holder(net)).mlp(x, "layer", activation)
+            assert_array_equal(fast, net(Tensor(x)).data)
 
     def test_softmax_matches_tensor_softmax(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=9) * 30
-        assert_array_equal(softmax(x, axis=0), Tensor(x).softmax(axis=0).data)
+        x = rng.normal(size=(3, 9)) * 30
+        for axis in (0, 1, -1):
+            assert_array_equal(softmax(x, axis), Tensor(x).softmax(axis=axis).data)
 
     def test_embedding_gather_rejects_bad_table(self):
         from repro.errors import ShapeError

@@ -1,10 +1,11 @@
-"""The fused LSTM and CRF kernels against their composed oracles.
+"""The fused kernels against their composed oracles.
 
-``LSTM.forward`` and ``LinearChainCRF._log_partition`` each record one
+``LSTM.forward``, ``LinearChainCRF._log_partition``,
+``AdditiveSelfAttention.forward`` and ``Tensor.softmax`` each record one
 tape node with a hand-written backward.  The composed forms below are the
-recurrences built from primitive ``Tensor`` ops that they replace.  Every
-fused output and gradient must equal the composed one bit for bit, and so
-must whole training runs of the models that use them.
+same computations built from primitive ``Tensor`` ops, which they
+replace.  Every fused output and gradient must equal the composed one bit
+for bit, and so must whole training runs of the models that use them.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from repro.config import TINY
 from repro.errors import DataError
 from repro.mining import BiLSTMCRFMiner, DistantSupervisionBuilder
 from repro.mining.bilstm_crf import LabelSet
-from repro.ml import LSTM, BiLSTM, Tensor, no_grad, stack
+from repro.ml import LSTM, AdditiveSelfAttention, BiLSTM, Tensor, no_grad, stack
 from repro.ml.gradcheck import check_gradients
 from repro.nlp import LinearChainCRF
 from repro.nlp.crf import _NEG_INF
@@ -71,12 +72,32 @@ def composed_log_partition(self, emissions: Tensor, allowed=None) -> Tensor:
     return (alpha + self.end_scores).logsumexp(axis=0)
 
 
+def composed_softmax(self, axis=-1):
+    """``Tensor.softmax`` as ``exp(x - logsumexp(x))`` in three tape ops."""
+    return (self - self.logsumexp(axis=axis, keepdims=True)).exp()
+
+
+def composed_self_attention(self, hidden: Tensor) -> Tensor:
+    """``AdditiveSelfAttention.forward`` from primitive tape ops."""
+    batch, time, _ = hidden.shape
+    queries = self.query(hidden)
+    keys = self.key(hidden)
+    attn_dim = queries.shape[2]
+    q_expanded = queries.reshape(batch, time, 1, attn_dim)
+    k_expanded = keys.reshape(batch, 1, time, attn_dim)
+    energies = self.score((q_expanded + k_expanded).tanh())
+    weights = energies.reshape(batch, time, time).softmax(axis=2)
+    return weights @ hidden
+
+
 @contextlib.contextmanager
 def composed_kernels():
     """Run the block with the composed oracles patched in."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LSTM, "forward", composed_lstm_forward)
         patch.setattr(LinearChainCRF, "_log_partition", composed_log_partition)
+        patch.setattr(AdditiveSelfAttention, "forward", composed_self_attention)
+        patch.setattr(Tensor, "softmax", composed_softmax)
         yield
 
 
@@ -137,6 +158,86 @@ def test_lstm_gradcheck():
     upstream = Tensor(rng.normal(size=(3, 4, 3)))
     report = check_gradients(
         lambda: (lstm(x) * upstream).sum(), [x] + lstm.parameters(), tolerance=1e-4
+    )
+    assert report, report
+
+
+# ------------------------------------------------ attention and softmax
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("time", [1, 4])
+@pytest.mark.parametrize("x_requires_grad", [True, False])
+def test_self_attention_matches_composed_oracle(batch, time, x_requires_grad):
+    rng = np.random.default_rng(batch * 10 + time)
+    module = AdditiveSelfAttention(5, 3, rng)
+    inputs = rng.normal(size=(2, batch, time, 5))
+    upstreams = rng.normal(size=(2, batch, time, 5))
+    fused = run_module(module, inputs, upstreams, x_requires_grad)
+    with composed_kernels():
+        oracle = run_module(module, inputs, upstreams, x_requires_grad)
+    for fused_array, oracle_array in zip(fused, oracle):
+        assert_same(fused_array, oracle_array)
+
+
+def test_self_attention_adds_input_gradient_after_other_consumers():
+    # The input's earlier gradient parts must be summed in the tape's
+    # order, so feed it to another op first.
+    rng = np.random.default_rng(5)
+    module = AdditiveSelfAttention(4, 3, rng)
+    data = rng.normal(size=(1, 3, 4))
+    upstream = rng.normal(size=(1, 3, 4))
+
+    def run():
+        module.zero_grad()
+        x = Tensor(data.copy(), requires_grad=True)
+        loss = (module(x) * Tensor(upstream)).sum() + (x * x).sum()
+        loss.backward()
+        return [x.grad] + [param.grad for param in module.parameters()]
+
+    fused = run()
+    with composed_kernels():
+        oracle = run()
+    for fused_array, oracle_array in zip(fused, oracle):
+        assert_same(fused_array, oracle_array)
+
+
+def test_self_attention_gradcheck():
+    rng = np.random.default_rng(6)
+    module = AdditiveSelfAttention(4, 3, rng)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    upstream = Tensor(rng.normal(size=(2, 3, 4)))
+    report = check_gradients(
+        lambda: (module(x) * upstream).sum(),
+        [x] + module.parameters(),
+        tolerance=1e-4,
+    )
+    assert report, report
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_softmax_matches_composed_oracle(axis):
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(3, 4)) * 5
+    upstream = rng.normal(size=(3, 4))
+
+    def run():
+        x = Tensor(data.copy(), requires_grad=True)
+        out = x.softmax(axis=axis)
+        (out * Tensor(upstream)).sum().backward()
+        return out.data, x.grad
+
+    fused = run()
+    with composed_kernels():
+        oracle = run()
+    for fused_array, oracle_array in zip(fused, oracle):
+        assert_same(fused_array, oracle_array)
+
+
+def test_softmax_gradcheck():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    upstream = Tensor(rng.normal(size=(3, 4)))
+    report = check_gradients(
+        lambda: (x.softmax(axis=1) * upstream).sum(), [x], tolerance=1e-4
     )
     assert report, report
 
