@@ -70,7 +70,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, GraphError
 from ..utils.io import atomic_write_bytes
-from .generations import GenerationalStore
+from .generations import GenerationalStore, GenerationView
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .store import _LAYER_TYPES, AliCoCoStore, _check_node, gc_paused
@@ -627,7 +627,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
 
 
 def save_generations(
-    store: GenerationalStore,
+    store: GenerationalStore | GenerationView,
     path: str | Path,
     *,
     config_fingerprint: str = "",
@@ -637,14 +637,17 @@ def save_generations(
     """Write a generational snapshot: the base block plus one delta block
     per published segment (atomic).
 
-    The *published* view is pinned at entry (open/staged writes are not
-    persisted — seal and swap first if they should be).  Each delta
-    section is named after the generation id its segment was published
-    under, letting :func:`load_generations` restore the exact generation
-    numbering.
+    Given a :class:`GenerationView`, that view is written — a server
+    passes the generation it serves, so the ``index_states`` built over
+    it describe exactly the saved net.  Given a
+    :class:`GenerationalStore`, its *published* view is pinned at entry
+    (open/staged writes are not persisted — seal and swap first if they
+    should be).  Each delta section is named after the generation id its
+    segment was published under, letting :func:`load_generations`
+    restore the exact generation numbering.
 
     Args:
-        store: The generational net to persist.
+        store: The generational net to persist, or one view of it.
         config_fingerprint / index_states / model_states: As in
             :func:`save_snapshot`.
 
@@ -652,19 +655,20 @@ def save_generations(
         Number of bytes written.
 
     Raises:
-        ConfigError: If ``store`` is not a :class:`GenerationalStore`.
+        ConfigError: If ``store`` is neither a :class:`GenerationalStore`
+            nor a :class:`GenerationView`.
     """
-    if not isinstance(store, GenerationalStore):
+    # Everything is read off the one view — base, segments and the base
+    # generation — so a concurrent compact() can never tear the snapshot
+    # (a folded base paired with the old overlay's deltas would
+    # duplicate content on load).  The base and each segment are stores,
+    # so each becomes its block the same way.
+    view = store.current() if isinstance(store, GenerationalStore) else store
+    if not isinstance(view, GenerationView):
         raise ConfigError(
-            f"save_generations needs a GenerationalStore, got "
-            f"{type(store).__name__}; use save_snapshot for plain stores"
+            f"save_generations needs a GenerationalStore or a GenerationView, "
+            f"got {type(store).__name__}; use save_snapshot for plain stores"
         )
-    # Everything is read off the pinned view — base, segments and the
-    # base generation — so a concurrent compact() can never tear the
-    # snapshot (a folded base paired with the old overlay's deltas
-    # would duplicate content on load).  The base and each segment are
-    # stores, so each becomes its block the same way.
-    view = store.current()
     deltas = [f"delta:{generation}" for generation in view.segment_generations]
     blocks = [
         (name, list(layer.nodes()), list(layer.relations()))

@@ -9,7 +9,7 @@ attention), losses and optimizers.  Everything the five models need trains
 end-to-end through this engine.
 """
 
-from .tensor import Tensor, concat, enable_grad, is_grad_enabled, no_grad, stack
+from .tensor import Tensor, concat, is_grad_enabled, no_grad, stack
 from .module import Module, Parameter
 from .inference import InferenceSession, stable_sigmoid
 from .losses import bce_with_logits, cross_entropy, binary_nll
@@ -26,7 +26,7 @@ from .layers import (
 )
 
 __all__ = [
-    "Tensor", "concat", "stack", "no_grad", "enable_grad", "is_grad_enabled",
+    "Tensor", "concat", "stack", "no_grad", "is_grad_enabled",
     "Module", "Parameter",
     "InferenceSession", "stable_sigmoid",
     "bce_with_logits", "cross_entropy", "binary_nll",

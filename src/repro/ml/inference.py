@@ -18,18 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
 from .layers.attention import self_attention
 from .layers.conv import conv1d
 from .layers.linear import ACTIVATIONS, linear, mlp
 from .layers.recurrent import bidirectional, lstm
 from .module import Module
-from .tensor import softmax
+from .tensor import gather_rows, softmax
 
 __all__ = [
     "InferenceSession",
     "additive_attention_pool",
-    "embedding_gather",
     "stable_sigmoid",
 ]
 
@@ -41,13 +39,6 @@ def stable_sigmoid(logits) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def embedding_gather(table: np.ndarray, ids) -> np.ndarray:
-    """Rows of a 2-D embedding table; mirrors ``Tensor.gather_rows``."""
-    if table.ndim != 2:
-        raise ShapeError(f"embedding_gather expects a 2-D table, got {table.shape}")
-    return table[np.asarray(ids, dtype=np.intp)]
 
 
 def additive_attention_pool(left: np.ndarray, right: np.ndarray,
@@ -92,7 +83,7 @@ class InferenceSession:
 
     def embed(self, name: str, ids) -> np.ndarray:
         """Embedding-table rows, e.g. ``session.embed("embedding.weight", ids)``."""
-        return embedding_gather(self._params[name], ids)
+        return gather_rows(self._params[name], ids)
 
     def linear(self, x: np.ndarray, name: str) -> np.ndarray:
         """Apply the :class:`~repro.ml.Linear` submodule at ``name``."""

@@ -1,22 +1,12 @@
-"""Save/load model parameters: .npz archives and JSON-able state records.
+"""Save/load model parameters as JSON-able state records.
 
-Two serialisation faces live here:
-
-- the original ``.npz`` archive (:func:`save_module` / :func:`load_module`)
-  for offline experiment checkpoints;
-- JSON-serialisable *state records* (:func:`module_state_record` /
-  :func:`load_module_state`) used by the serving layer to embed trained
-  model weights in a versioned net snapshot
-  (:func:`repro.kg.serialize.save_snapshot`).  A record carries a
-  fingerprint of the module's architecture (parameter names + shapes,
-  plus an arbitrary config dict), and loading validates it first — weights
-  can never be silently poured into a mismatched architecture.
-
-``save_module``/``load_module`` normalise the ``.npz`` suffix on both
-sides: ``numpy.savez`` silently *appends* ``.npz`` when the target lacks
-it, so before the fix ``save_module(m, "model")`` wrote ``model.npz``
-while ``load_module(m, "model")`` looked for a file called ``model`` and
-raised ``FileNotFoundError``.
+JSON-serialisable *state records* (:func:`module_state_record` /
+:func:`load_module_state`) are how the serving layer embeds trained model
+weights in a versioned net snapshot
+(:func:`repro.kg.serialize.save_snapshot`).  A record carries a
+fingerprint of the module's architecture (parameter names + shapes, plus
+an arbitrary config dict), and loading validates it first — weights can
+never be silently poured into a mismatched architecture.
 """
 
 from __future__ import annotations
@@ -24,7 +14,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -36,43 +25,6 @@ from .module import Module
 _DTYPE = "<f8"
 
 
-def _normalized(path: str | Path) -> Path:
-    """``path`` with the ``.npz`` suffix ``numpy.savez`` would append."""
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    return path
-
-
-def save_module(module: Module, path: str | Path) -> Path:
-    """Write a module's state dict to an ``.npz`` file.
-
-    Returns:
-        The path actually written (``.npz`` appended when missing, which
-        is what ``numpy.savez`` does anyway — normalising here keeps
-        :func:`load_module` symmetric with suffixless paths).
-    """
-    path = _normalized(path)
-    state = module.state_dict()
-    np.savez(path, **state)
-    return path
-
-
-def load_module(module: Module, path: str | Path) -> None:
-    """Load parameters saved by :func:`save_module` into ``module``.
-
-    Accepts the same path that was passed to :func:`save_module`, with or
-    without the ``.npz`` suffix.
-
-    Raises:
-        KeyError: If the archive is missing a parameter the module expects.
-    """
-    with np.load(_normalized(path)) as archive:
-        state = {name: archive[name] for name in archive.files}
-    module.load_state_dict(state)
-
-
-# --------------------------------------------------------- JSON state records
 def state_to_jsonable(state: Mapping[str, np.ndarray]) -> dict[str, Any]:
     """A state dict as a JSON-serialisable payload (exact float64 bytes).
 

@@ -34,8 +34,8 @@ import numpy as np
 from ..errors import ShapeError
 
 #: Context-local graph-recording flag.  Each thread starts at the default
-#: (enabled); ``no_grad``/``enable_grad`` swap it via set/reset tokens so
-#: nesting and exceptions restore the exact previous state.
+#: (enabled); ``no_grad`` swaps it via set/reset tokens so nesting and
+#: exceptions restore the exact previous state.
 _GRAD_ENABLED: ContextVar[bool] = ContextVar("repro_grad_enabled", default=True)
 
 
@@ -52,16 +52,6 @@ def no_grad():
     untouched, so concurrent inference and training never interfere.
     """
     token = _GRAD_ENABLED.set(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.reset(token)
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Re-enable graph recording inside a :func:`no_grad` region."""
-    token = _GRAD_ENABLED.set(True)
     try:
         yield
     finally:
@@ -425,10 +415,8 @@ class Tensor:
             indices: Integer array of any shape; output has shape
                 ``indices.shape + (dim,)``.
         """
-        if self.ndim != 2:
-            raise ShapeError(f"gather_rows expects a 2-D tensor, got {self.shape}")
         idx = np.asarray(indices, dtype=np.intp)
-        out_data = self.data[idx]
+        out_data = gather_rows(self.data, idx)
 
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
@@ -454,6 +442,18 @@ def logsumexp_softmax(data: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarr
 
 
 # The plain forwards of the activation ops, shared with tape-free inference.
+def gather_rows(table: np.ndarray, ids) -> np.ndarray:
+    """Rows of a 2-D ``table`` by integer ``ids`` of any shape (output
+    shape ``ids.shape + (dim,)``): the embedding lookup on plain arrays.
+
+    Raises:
+        ShapeError: If ``table`` is not 2-D.
+    """
+    if table.ndim != 2:
+        raise ShapeError(f"gather_rows expects a 2-D table, got {table.shape}")
+    return table[np.asarray(ids, dtype=np.intp)]
+
+
 def relu(data: np.ndarray) -> np.ndarray:
     return data * (data > 0)  # a mask-multiply, not np.maximum
 

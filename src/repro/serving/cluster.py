@@ -57,7 +57,9 @@ and the model bundles — nothing per shard.  A single service serves it
 as it is, and a cluster at any shard count warm-starts from it, or from
 a service's snapshot, the same way: :func:`~repro.serving.service.open_snapshot`,
 then a deterministic re-split and fresh projections of the global
-indexes, re-fitting none whose state covers the net.
+indexes, re-fitting none whose state covers the net
+(:func:`~repro.serving.service.served_indexes`).  A save writes the
+generation the cluster serves, with the global indexes built over it.
 
 **Generation advancement.**  A cluster over a
 :class:`~repro.kg.generations.GenerationalStore` is not pinned forever:
@@ -100,14 +102,14 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..concepts.tagging import ConceptTagger
 from ..errors import ConfigError, ShardUnavailableError
 from ..kg.generations import GenerationalStore
 from ..kg.ids import ECOMMERCE_PREFIX
 from ..kg.relations import RelationKind
-from ..kg.serialize import load_snapshot, save_generations, save_snapshot
+from ..kg.serialize import load_snapshot
 from ..kg.store import AliCoCoStore, gc_paused
 from ..matching.bm25 import BM25Index
 from ..ml.module import Module
@@ -127,24 +129,21 @@ from .service import (
     RERANKER_MODEL,
     AliCoCoService,
     ServiceConfig,
-    dense_states_of,
+    _MISS,
     endpoint_handlers,
-    extend_concept_index,
-    extend_dense_indexes,
-    fit_concept_index,
+    extended_indexes,
     fresh_doc_vector,
-    global_dense_indexes,
-    index_states_of,
     metered_errors,
-    model_bundles,
     open_snapshot,
     prepare_models,
     require_layer,
     require_model,
     run_batch,
+    served_indexes,
     served_models,
     serve_cached,
     verify_pool,
+    write_snapshot,
 )
 from .shard import (
     LocalShardPool,
@@ -265,8 +264,6 @@ class ClusterGeneration:
             the next publish routes exactly the rows beyond these counts
             (count slicing survives source-store compaction, which
             reshapes segments but never reorders reads).
-        concept_count: E-commerce concepts covered by ``search_index``;
-            the next publish extends the index with the nodes past it.
     """
 
     generation_id: int
@@ -277,7 +274,6 @@ class ClusterGeneration:
     shards: tuple[Any, ...]
     node_count: int
     relation_count: int
-    concept_count: int
 
 
 @dataclass(frozen=True)
@@ -442,17 +438,20 @@ class AliCoCoCluster:
         config: Cluster-tier knobs (sharding, coalescing, admission).
         service_config: Per-shard serving knobs (retriever mode, pool
             sizes, caches); every shard gets the same config.
-        search_index: A fitted *global* concept index to reuse; fitted
-            from the store when omitted.  Shards always serve
-            projections of this index, never their own fits.
+        search_index: A *global* concept index to serve as it is
+            (``None`` included).  When omitted, it comes from
+            ``dense_index_states`` or a fit over the store.  Shards
+            always serve projections of the global index, never their
+            own fits.
         tagger / reranker: Trained models, shared read-only by every
             shard service.
-        dense_index_states: *Global* dense index states (a snapshot's).
-            The cluster's global dense indexes are rehydrated from a
-            brute-force state over the store's documents or fitted once
-            over the store
-            (:func:`~repro.serving.service.global_dense_indexes`), and
-            shards serve their projections.
+        dense_index_states: *Global* index states (a snapshot's
+            ``index_states``).  Each global index — the concept index and
+            the dense ones — is rehydrated from a state whose ids are the
+            store's documents, or else fitted once over the store, every
+            document encoded once however many shards there are
+            (:func:`~repro.serving.service.served_indexes`); shards serve
+            their projections.
         config_fingerprint: Build-config digest embedded in snapshots.
 
     Raises:
@@ -467,10 +466,10 @@ class AliCoCoCluster:
         *,
         config: ClusterConfig | None = None,
         service_config: ServiceConfig | None = None,
-        search_index: BM25Index | None = None,
+        search_index: Any = _MISS,
         tagger: ConceptTagger | None = None,
         reranker: Module | None = None,
-        dense_index_states: dict[str, Any] | None = None,
+        dense_index_states: Mapping[str, Any] | None = None,
         config_fingerprint: str = "",
     ):
         self.config = config or ClusterConfig()
@@ -492,18 +491,20 @@ class AliCoCoCluster:
             view = store.freeze()
         self._generational = self._source is not None
         self._fingerprint = config_fingerprint
-        search_index = (
-            search_index if search_index is not None else fit_concept_index(view)
-        )
         initial_generation = view.generation_id if self._generational else 0
         # The prepared (fitted-checked, eval-mode) models; shared by
         # every shard, referenced here for query-side encodings.
         self._tagger, self._reranker = prepare_models(
             self._service_config, tagger, reranker
         )
-        dense_indexes = global_dense_indexes(
-            view, self._service_config, self._reranker, dense_index_states or {}
+        dense_indexes = served_indexes(
+            view,
+            self._service_config,
+            dense_index_states or {},
+            fresh_doc_vector(self._reranker),
+            {} if search_index is _MISS else {CONCEPT_INDEX: search_index},
         )
+        search_index = dense_indexes.pop(CONCEPT_INDEX)
         owners = owner_map(view, n_shards)
         shard_stores = split_store(view, n_shards, owners)
         shard_search = split_index(search_index, n_shards)
@@ -538,7 +539,6 @@ class AliCoCoCluster:
                         ),
                         config=self._service_config,
                         search_index=shard_search[shard],
-                        fit_search_index=False,
                         tagger=self._tagger,
                         reranker=self._reranker,
                         dense_indexes=shard_dense[shard],
@@ -588,10 +588,10 @@ class AliCoCoCluster:
         """Warm-start a cluster from a service (or cluster) snapshot, at
         any shard count.
 
-        :func:`~repro.serving.service.open_snapshot` — store, global
-        concept index, model bundles restored exactly as in
+        :func:`~repro.serving.service.open_snapshot` — store and model
+        bundles restored exactly as in
         :meth:`AliCoCoService.from_snapshot` — then the constructor with
-        the snapshot's global dense states.  The warm start is one bulk
+        the snapshot's global index states.  The warm start is one bulk
         build, so the collector is paused for all of it
         (:func:`~repro.kg.store.gc_paused`).
 
@@ -602,37 +602,33 @@ class AliCoCoCluster:
         """
         with gc_paused():
             snapshot = load_snapshot(path)
-            store, search_index = open_snapshot(
-                snapshot, expected_fingerprint, tagger, reranker
-            )
             return cls(
-                store,
+                open_snapshot(snapshot, expected_fingerprint, tagger, reranker),
                 config=config,
                 service_config=service_config,
-                search_index=search_index,
                 tagger=tagger,
                 reranker=reranker,
-                dense_index_states=dense_states_of(snapshot.index_states),
+                dense_index_states=snapshot.index_states,
                 config_fingerprint=snapshot.header.config_fingerprint,
             )
 
     def save_snapshot(self, path: str | Path) -> int:
-        """Persist the cluster as the snapshot a single service would write:
-        the global store — or, over a generational store, the source's
-        sealed segments and their numbering, so a reload resumes at the
-        saved generation — the global indexes and the model bundles.
+        """Persist the cluster as the snapshot a single service would write
+        (:func:`~repro.serving.service.write_snapshot`): the global view
+        the cluster serves — over a generational store, its sealed
+        segments and their numbering, so a reload resumes at the served
+        generation, not the source's newest — the global indexes built
+        over it and the model bundles.
 
         Returns:
             Number of bytes written.
         """
-        cgen = self._cgen
-        saver = save_snapshot if self._source is None else save_generations
-        return saver(
-            cgen.store if self._source is None else self._source,
+        return write_snapshot(
             path,
+            self._cgen,
             config_fingerprint=self._fingerprint,
-            index_states=index_states_of(cgen.search_index, cgen.dense_indexes),
-            model_states=model_bundles(self._tagger, self._reranker),
+            tagger=self._tagger,
+            reranker=self._reranker,
         )
 
     # ----------------------------------------------------------- generations
@@ -648,11 +644,12 @@ class AliCoCoCluster:
         every shard), each relation to its owner shards in global
         insertion order (:func:`~repro.serving.shard.place_relations`,
         the rule the initial split uses), endpoints owned elsewhere added
-        as ghost replicas.  The global concept index is extended
-        (``BM25Index.extended``, refit fallback) and re-split into fresh
-        per-shard projections; the global dense indexes are extended
-        (each new document encoded once) and each shard gets only its
-        new rows.  Each grown shard publishes its next generation with
+        as ghost replicas.  Every global index is extended by the one
+        rule a service publishes with
+        (:func:`~repro.serving.service.extended_indexes`, each new dense
+        document encoded once); the concept index is re-split into fresh
+        per-shard projections and each shard gets only its new dense
+        rows.  Each grown shard publishes its next generation with
         them (:meth:`~repro.serving.shard.ShardHandler.apply_delta`).
 
         **Phase two**: one attribute assignment installs the new
@@ -710,12 +707,13 @@ class AliCoCoCluster:
                 if ghost is not None:
                     ops.append(("ghost", view.get(ghost)))
                 ops.append(("relation", relation))
-            search_index = extend_concept_index(
-                old.search_index, view, old.concept_count
+            dense_indexes = extended_indexes(
+                {CONCEPT_INDEX: old.search_index, **old.dense_indexes},
+                view,
+                old.store,
+                fresh_doc_vector(self._reranker),
             )
-            dense_indexes = extend_dense_indexes(
-                old.dense_indexes, view, old.store, fresh_doc_vector(self._reranker)
-            )
+            search_index = dense_indexes.pop(CONCEPT_INDEX)
             projections = split_index(search_index, n_shards)
             dense_rows = _dense_rows(dense_indexes, n_shards, old.dense_indexes)
             pins = tuple(
@@ -1178,5 +1176,4 @@ def _bundle(
         shards=shards,
         node_count=len(view),
         relation_count=sum(view.count_relations(kind) for kind in RelationKind),
-        concept_count=view.count_nodes(ECOMMERCE_PREFIX),
     )

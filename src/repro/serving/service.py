@@ -136,7 +136,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from ..concepts.tagging import ConceptTagger
 from ..errors import ConfigError, DataError, RelationError, ReproError, error_by_name
 from ..kg import query as kgq
-from ..kg.generations import GenerationalStore
+from ..kg.generations import GenerationalStore, GenerationView
 from ..kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX, PRIMITIVE_PREFIX, layer_of
 from ..kg.relations import RelationKind
 from ..kg.serialize import (
@@ -178,9 +178,11 @@ DENSE_CONCEPT_INDEX = "dense-concepts"
 #: Snapshot index-state name of the dense item index (matching side).
 DENSE_ITEM_INDEX = "dense-items"
 
-#: Each dense index's population: the layer it covers and how a node of
-#: that layer tokenises into a document.
-_DENSE_POPULATIONS: dict[str, tuple[str, Callable[[Any], list[str]]]] = {
+#: Every served index's population: the layer it covers and how a node
+#: of that layer tokenises into a document.  Fitting and extending both
+#: read documents through it, and no index holds an empty document.
+_POPULATIONS: dict[str, tuple[str, Callable[[Any], list[str]]]] = {
+    CONCEPT_INDEX: (ECOMMERCE_PREFIX, lambda node: list(node.tokens)),
     DENSE_CONCEPT_INDEX: (ECOMMERCE_PREFIX, lambda node: list(node.tokens)),
     DENSE_ITEM_INDEX: (ITEM_PREFIX, lambda node: node.title.split()),
 }
@@ -421,9 +423,6 @@ class ServingGeneration:
             (empty under ``retriever="bm25"``).
         primitive_index: (surface, domain) -> primitive node id, for
             linking tagged mentions.
-        ecommerce_count / primitive_count: Layer sizes this
-            generation's indexes cover; the next publish extends indexes
-            with exactly the nodes beyond these counts.
     """
 
     generation_id: int
@@ -431,53 +430,15 @@ class ServingGeneration:
     search_index: BM25Index | None
     dense_indexes: dict[str, BruteForceDense | None] = field(default_factory=dict)
     primitive_index: dict[tuple[str, str], str] = field(default_factory=dict)
-    ecommerce_count: int = 0
-    primitive_count: int = 0
 
 
-def fit_concept_index(
-    store: AliCoCoStore,
-    k1: float = 1.5,
-    b: float = 0.75,
-) -> BM25Index | None:
+def fit_concept_index(store: Any) -> BM25Index | None:
     """Fit the text -> concept BM25 index over a store's concept layer.
 
-    Returns ``None`` when the store has no e-commerce concepts (a service
+    Returns ``None`` when the store has no concept with text (a service
     over such a store simply answers every search with no results).
     """
-    documents = {node.id: node.tokens for node in store.nodes(ECOMMERCE_PREFIX)}
-    if not documents:
-        return None
-    return BM25Index(k1=k1, b=b).fit(documents)
-
-
-def extend_concept_index(
-    index: BM25Index | None, view: Any, covered: int
-) -> BM25Index | None:
-    """The concept index of a newly published generation.
-
-    Grows ``index`` by the concepts of the generation ``view`` past its
-    first ``covered``.  The old index is never mutated:
-    :meth:`BM25Index.extended` returns a new, exactly refit-identical
-    index that shares the posting lists the new concepts do not touch,
-    so requests pinned to the old generation keep searching the old
-    index.  With no new concepts the old index is returned as is; with
-    no old index, or an old state predating raw-length persistence, the
-    view is refit.
-    """
-    fresh = {
-        node.id: list(node.tokens)
-        for node in view.nodes_since(covered, ECOMMERCE_PREFIX)
-        if node.tokens
-    }
-    if not fresh:
-        return index
-    if index is None:
-        return fit_concept_index(view)
-    try:
-        return index.extended(fresh)
-    except DataError:
-        return fit_concept_index(view)
+    return fit_index(CONCEPT_INDEX, index_documents(CONCEPT_INDEX, store), None)
 
 
 def require_model(module: Module | None, name: str, endpoint: str) -> Module:
@@ -636,7 +597,7 @@ def verify_pool(
         dense(population, tokens, pool_k, query_state),
     )
     node_ids = [node_id for node_id, _ in pool]
-    _, tokens_of = _DENSE_POPULATIONS[population]
+    _, tokens_of = _POPULATIONS[population]
     texts = [tokens_of(store.get(node_id)) for node_id in node_ids]
     scores = score(reranker, tokens, node_ids, texts, query_state)
     scored = sorted(zip(node_ids, scores), key=lambda pair: (-pair[1], pair[0]))
@@ -680,13 +641,6 @@ def model_bundles(
     }
 
 
-def dense_states_of(index_states: Mapping[str, Any]) -> dict[str, Any]:
-    """The dense index states among a snapshot's ``index_states``."""
-    return {
-        name: index_states[name] for name in _DENSE_POPULATIONS if name in index_states
-    }
-
-
 def index_states_of(
     search_index: BM25Index | None, dense_indexes: Mapping[str, Any]
 ) -> dict[str, Any]:
@@ -701,20 +655,49 @@ def index_states_of(
     return states
 
 
+def write_snapshot(
+    path: str | Path,
+    gen: Any,
+    *,
+    config_fingerprint: str,
+    tagger: ConceptTagger | None,
+    reranker: Module | None,
+) -> int:
+    """Write what is served: the view ``gen`` pinned — as its
+    generations when it is a generation view — the indexes built over
+    that view, and the model bundles.  ``gen`` is a
+    :class:`ServingGeneration` or a cluster's bundle, so a saved file is
+    consistent by construction, whatever the source store has published
+    since.
+
+    Returns:
+        Number of bytes written.
+    """
+    generational = isinstance(gen.store, GenerationView)
+    saver = save_generations if generational else save_snapshot
+    return saver(
+        gen.store,
+        path,
+        config_fingerprint=config_fingerprint,
+        index_states=index_states_of(gen.search_index, gen.dense_indexes),
+        model_states=model_bundles(tagger, reranker),
+    )
+
+
 def open_snapshot(
     snapshot: Any,
     expected_fingerprint: str | None,
     tagger: ConceptTagger | None,
     reranker: Module | None,
-) -> tuple[AliCoCoStore | GenerationalStore, BM25Index | None]:
-    """The store and concept index a loaded snapshot serves; restores
-    each given model's bundled weights into it.
+) -> AliCoCoStore | GenerationalStore:
+    """The store a loaded snapshot serves; restores each given model's
+    bundled weights into it.
 
     A generational snapshot (delta segments, or a folded generation in
     the header) replays into a generational store with its saved
     generation numbering, so generation-keyed caches stay coherent;
-    others serve frozen.  The concept index rehydrates from its state,
-    or is fitted when the snapshot has none.
+    others serve frozen.  The snapshot's index states are left to the
+    constructor it is handed to (:func:`served_indexes`).
 
     Raises:
         DataError: If the snapshot's fingerprint is not
@@ -730,15 +713,6 @@ def open_snapshot(
             f"snapshot fingerprint {header.config_fingerprint!r} does "
             f"not match expected {expected_fingerprint!r}"
         )
-    store: AliCoCoStore | GenerationalStore = (
-        generational_store_from_snapshot(snapshot)
-        if snapshot.deltas or header.base_generation > 0
-        else snapshot.store
-    )
-    state = snapshot.index_states.get(CONCEPT_INDEX)
-    search_index = (
-        BM25Index.from_state(state) if state is not None else fit_concept_index(store)
-    )
     for name, module in served_models(tagger, reranker).items():
         bundle = snapshot.model_states.get(name)
         if bundle is None:
@@ -748,7 +722,9 @@ def open_snapshot(
                 f"(bundled models: {bundled})"
             )
         restore_serving_module(module, bundle, _MODEL_KINDS[name], name)
-    return store, search_index
+    if snapshot.deltas or header.base_generation > 0:
+        return generational_store_from_snapshot(snapshot)
+    return snapshot.store
 
 
 def save_shard_snapshot(
@@ -793,11 +769,10 @@ def shard_service_from_snapshot(
     The worker-process counterpart of the cluster's in-process shard
     construction: the shard store replays from disk (insertion order
     preserved) and every index projection rehydrates from its serialised
-    state.  The service fits nothing: it is built with
-    ``fit_search_index=False`` and given both dense populations, ``None``
-    for one the shard owns no document of — a shard must never fit its
-    own index over ghost replicas and local statistics.
-    With ``generational=True`` the store is wrapped in a
+    state.  The service fits nothing: it is given every population's
+    projection, ``None`` for one the shard owns no document of — a
+    shard must never fit its own index over ghost replicas and local
+    statistics.  With ``generational=True`` the store is wrapped in a
     :class:`~repro.kg.generations.GenerationalStore` so cluster
     publishes can grow it behind its readers.
 
@@ -809,20 +784,17 @@ def shard_service_from_snapshot(
     if generational:
         store = GenerationalStore(store)
     states = snapshot.index_states
-    search_index = (
-        BM25Index.from_state(states[CONCEPT_INDEX]) if CONCEPT_INDEX in states else None
-    )
+    indexes = {
+        name: index_from_state(name, states[name]) if name in states else None
+        for name in _POPULATIONS
+    }
     return AliCoCoService(
         store,
         config=config,
-        search_index=search_index,
-        fit_search_index=False,
+        search_index=indexes.pop(CONCEPT_INDEX),
         tagger=tagger,
         reranker=reranker,
-        dense_indexes={
-            name: dense_index_from_state(states[name]) if name in states else None
-            for name in _DENSE_POPULATIONS
-        },
+        dense_indexes=indexes,
         config_fingerprint=snapshot.header.config_fingerprint,
     )
 
@@ -835,29 +807,29 @@ def _build_primitive_index(
     Derived from an immutable view, so the mapping is immutable too;
     setdefault keeps the first node in insertion order on the rare
     duplicate surface.  Given the previous generation, only the
-    primitives beyond its count are read: its map is returned as is
+    primitives beyond its view's are read: its map is returned as is
     when none were added, and extended in a copy otherwise (layers only
     grow, so the first-in-insertion-order rule still holds).
     """
     primitive_index: dict[tuple[str, str], str] = {}
     covered = 0
     if old is not None:
-        if view.count_nodes(PRIMITIVE_PREFIX) == old.primitive_count:
+        covered = old.store.count_nodes(PRIMITIVE_PREFIX)
+        if view.count_nodes(PRIMITIVE_PREFIX) == covered:
             return old.primitive_index
         primitive_index = dict(old.primitive_index)
-        covered = old.primitive_count
     for node in view.nodes_since(covered, PRIMITIVE_PREFIX):
         primitive_index.setdefault((node.name, node.domain), node.id)
     return primitive_index
 
 
-def _dense_documents(
+def index_documents(
     name: str, view: Any, start: int = 0
 ) -> list[tuple[str, list[str]]]:
-    """(node id, tokens) of one dense population's nodes from position
+    """(node id, tokens) of population ``name``'s nodes from position
     ``start`` of their layer on, in insertion order, skipping empty
     documents."""
-    layer, tokens_of = _DENSE_POPULATIONS[name]
+    layer, tokens_of = _POPULATIONS[name]
     documents = []
     for node in view.nodes_since(start, layer):
         tokens = tokens_of(node)
@@ -866,42 +838,82 @@ def _dense_documents(
     return documents
 
 
-def fit_dense_index(
+def fit_index(
+    name: str,
     documents: list[tuple[str, list[str]]],
-    vector_of: Callable[[str, Sequence[str]], Any],
-) -> BruteForceDense | None:
-    """A fresh dense index over ``(node id, tokens)`` documents, each
-    embedded by ``vector_of(node_id, tokens)``; None when empty."""
+    vector_of: Callable[[str, Sequence[str]], Any] | None,
+) -> BM25Index | BruteForceDense | None:
+    """A fresh index of population ``name`` over ``(node id, tokens)``
+    documents; ``None`` when there are none.  The concept index is BM25
+    over the tokens; a dense index holds ``vector_of(node_id, tokens)``
+    per document."""
     if not documents:
         return None
+    if name == CONCEPT_INDEX:
+        return BM25Index().fit(dict(documents))
     return BruteForceDense().fit(
         [node_id for node_id, _ in documents],
         [vector_of(node_id, tokens) for node_id, tokens in documents],
     )
 
 
-def dense_index_for(
-    name: str,
-    view: Any,
-    state: Any,
-    fit: Callable[[list[tuple[str, list[str]]]], BruteForceDense | None],
-) -> BruteForceDense | None:
-    """One dense population's index over ``view``: the rule a service and
-    a cluster share.  A ``bruteforce`` state whose ids are exactly the
-    view's documents is rehydrated (bit-identical to a fresh fit); any
-    other state — ``ivf``/``hnsw`` from an older snapshot, or over other
-    documents — or none is rebuilt by ``fit(documents)``, not refused."""
-    layer, tokens_of = _DENSE_POPULATIONS[name]
+def index_from_state(
+    name: str, state: Mapping[str, Any]
+) -> BM25Index | BruteForceDense:
+    """Rehydrate a saved index of population ``name`` as it is."""
+    if name == CONCEPT_INDEX:
+        return BM25Index.from_state(state)
+    return dense_index_from_state(state)
+
+
+def _covers(name: str, state: Any, view: Any) -> bool:
+    """Whether a saved state of population ``name`` covers ``view``: its
+    ids — a BM25 state's ``doc_ids``, a brute-force state's ``ids`` —
+    are the view's document ids, in order.  No state, or one another
+    dense backend wrote, covers nothing."""
+    if not isinstance(state, Mapping):
+        return False
+    if name == CONCEPT_INDEX:
+        ids = state.get("doc_ids")
+    elif state.get("backend") == BruteForceDense.backend:
+        ids = state.get("ids")
+    else:
+        return False
+    layer, tokens_of = _POPULATIONS[name]
     # The ids alone, not the documents: a token list kept per document
     # would set the collector off during a warm start.
-    if (
-        isinstance(state, dict)
-        and state.get("backend") == BruteForceDense.backend
-        and state.get("ids")
-        == [node.id for node in view.nodes(layer) if tokens_of(node)]
-    ):
-        return dense_index_from_state(state)
-    return fit(_dense_documents(name, view))
+    return ids == [node.id for node in view.nodes(layer) if tokens_of(node)]
+
+
+def served_indexes(
+    view: Any,
+    config: ServiceConfig,
+    states: Mapping[str, Any],
+    vector_of: Callable[[str, Sequence[str]], Any],
+    given: Mapping[str, Any],
+) -> dict[str, Any]:
+    """Every index a service or a cluster serves over ``view``, by
+    population: the concept index, and the dense ones unless the config
+    has no dense stage.
+
+    A ``given`` index is served as it is (a cluster shard's projection,
+    ``None`` included).  Otherwise one coverage rule holds for every
+    kind: a saved state whose ids are the view's document ids, in order,
+    is rehydrated, bit-identical to a fresh fit.  Any other state (over
+    other documents, or from another dense backend) or none is refit
+    over the view, not refused.
+    """
+    names = _POPULATIONS if config.retriever != "bm25" else (CONCEPT_INDEX,)
+    indexes = {}
+    for name in names:
+        state = states.get(name)
+        if name in given:
+            indexes[name] = given[name]
+        elif _covers(name, state, view):
+            indexes[name] = index_from_state(name, state)
+        else:
+            indexes[name] = fit_index(name, index_documents(name, view), vector_of)
+    return indexes
 
 
 def fresh_doc_vector(reranker: Module | None) -> Callable[[str, Sequence[str]], Any]:
@@ -911,61 +923,53 @@ def fresh_doc_vector(reranker: Module | None) -> Callable[[str, Sequence[str]], 
     return lambda _node_id, tokens: dense_doc_vector(reranker, tokens)
 
 
-def global_dense_indexes(
-    view: Any,
-    config: ServiceConfig,
-    reranker: Module | None,
-    states: Mapping[str, Any],
-) -> dict[str, BruteForceDense | None]:
-    """A cluster's global dense indexes over ``view``, by population.
-
-    Each is rehydrated from ``states`` or fitted once over the view by
-    :func:`dense_index_for`, so every document is encoded once, however
-    many shards there are.  Empty when the config has no dense stage.
-    """
-    if config.retriever == "bm25":
-        return {}
-    vector_of = fresh_doc_vector(reranker)
-    return {
-        name: dense_index_for(
-            name,
-            view,
-            states.get(name),
-            lambda documents: fit_dense_index(documents, vector_of),
-        )
-        for name in _DENSE_POPULATIONS
-    }
-
-
-def extend_dense_indexes(
-    indexes: Mapping[str, BruteForceDense | None],
+def extended_indexes(
+    indexes: Mapping[str, Any],
     view: Any,
     old_view: Any,
     vector_of: Callable[[str, Sequence[str]], Any],
-) -> dict[str, BruteForceDense | None]:
-    """The dense indexes of a newly published generation ``view``.
+) -> dict[str, Any]:
+    """The indexes of a newly published generation ``view``, by population.
 
-    ``indexes`` cover ``old_view``.  Each grows by the documents of the
-    nodes its population's layer gained since, each embedded once by
-    ``vector_of``, into a new index
-    (:meth:`~repro.retrieval.dense.BruteForceDense.extended`), so
-    requests pinned to the old generation keep the old one.  A
-    population with no index yet is fitted over the full view.
+    ``indexes`` cover ``old_view``.  Each grows by the documents its
+    population's layer gained since into a new index — BM25 re-derives
+    its corpus statistics exactly, a dense index appends rows, each new
+    document embedded once by ``vector_of`` — so requests pinned to the
+    old generation keep the old one.  A population with no index yet, or
+    one whose index cannot grow, is fitted over the full view.
     """
-    grown: dict[str, BruteForceDense | None] = {}
+    grown: dict[str, Any] = {}
     for name, index in indexes.items():
-        covered = old_view.count_nodes(_DENSE_POPULATIONS[name][0])
-        fresh = _dense_documents(name, view, covered)
-        if not fresh:
-            grown[name] = index
-        elif index is None:
-            grown[name] = fit_dense_index(_dense_documents(name, view), vector_of)
-        else:
-            grown[name] = index.extended(
-                [node_id for node_id, _ in fresh],
-                [vector_of(node_id, tokens) for node_id, tokens in fresh],
-            )
+        layer = _POPULATIONS[name][0]
+        fresh = index_documents(name, view, old_view.count_nodes(layer))
+        if fresh:
+            index = _extended(name, index, fresh, vector_of)
+            if index is None:
+                index = fit_index(name, index_documents(name, view), vector_of)
+        grown[name] = index
     return grown
+
+
+def _extended(
+    name: str,
+    index: BM25Index | BruteForceDense | None,
+    fresh: list[tuple[str, list[str]]],
+    vector_of: Callable[[str, Sequence[str]], Any],
+) -> BM25Index | BruteForceDense | None:
+    """``index`` grown by the ``fresh`` documents, or ``None`` when there
+    is no index or it cannot grow (a BM25 state saved without raw
+    lengths)."""
+    if index is None:
+        return None
+    if name != CONCEPT_INDEX:
+        return index.extended(
+            [node_id for node_id, _ in fresh],
+            [vector_of(node_id, tokens) for node_id, tokens in fresh],
+        )
+    try:
+        return index.extended(dict(fresh))
+    except DataError:
+        return None
 
 
 class AliCoCoService:
@@ -991,8 +995,13 @@ class AliCoCoService:
             stays growable through its own API — only its published
             views are immutable).
         config: Serving knobs (defaults are fine for tests/benchmarks).
-        search_index: A fitted concept index to reuse (warm start); fitted
-            from the store when omitted.
+        search_index: A concept index to serve as it is, ``None``
+            included (a cluster passes each shard its projection of the
+            global index, or ``None`` for a shard owning no concept, so
+            no shard fits over its ghost replicas with shard-local corpus
+            statistics; see :mod:`repro.serving.shard`).  When omitted,
+            the index comes from ``dense_index_states`` or a fit, by the
+            one rule of :func:`served_indexes`.
         tagger: A trained :class:`~repro.concepts.tagging.ConceptTagger`
             to serve behind ``tag``; the endpoint raises
             :class:`~repro.errors.ConfigError` when omitted.
@@ -1000,27 +1009,19 @@ class AliCoCoService:
             :class:`~repro.matching.dssm.DSSM`) to serve behind the
             ``*_reranked`` endpoints; they raise
             :class:`~repro.errors.ConfigError` when omitted.
-        dense_index_states: Serialised dense index states to warm-start
-            from (snapshot ``index_states`` entries, keyed
-            :data:`DENSE_CONCEPT_INDEX` / :data:`DENSE_ITEM_INDEX`).  A
-            brute-force state over exactly the served view's documents
-            is rehydrated instead of re-fitted — retrieval is
-            bit-identical to the fresh fit; any other state and absent
-            ones rebuild from the store (:func:`dense_index_for`).
-            Ignored under ``retriever="bm25"``.
-        dense_indexes: Fitted dense indexes to serve as they are, keyed
-            like ``dense_index_states`` (``None`` for an empty
-            population).  They take precedence over states; a cluster
-            passes each shard its projections of the cluster's global
-            indexes (see :mod:`repro.serving.shard`).  Ignored under
+        dense_index_states: Serialised index states to warm-start from (a
+            snapshot's ``index_states``, keyed :data:`CONCEPT_INDEX`,
+            :data:`DENSE_CONCEPT_INDEX` and :data:`DENSE_ITEM_INDEX`).  A
+            state whose ids are exactly the served view's documents is
+            rehydrated — bit-identical to a fresh fit; any other state
+            and absent ones are refit over the view
+            (:func:`served_indexes`).  Dense states are ignored under
             ``retriever="bm25"``.
-        fit_search_index: Fit a BM25 index from the store when none is
-            supplied (the default).  A cluster shard passes ``False``
-            together with its *projection* of the global index (or no
-            index at all, for a shard owning no concepts): fitting over
-            the shard store would index ghost replicas with shard-local
-            corpus statistics and break scatter-gather bit-identity (see
-            :mod:`repro.serving.shard`).
+        dense_indexes: Dense indexes to serve as they are, keyed like
+            ``dense_index_states`` (``None`` for an empty population).
+            They take precedence over states; a cluster passes each
+            shard its projections of the cluster's global indexes.
+            Ignored under ``retriever="bm25"``.
         config_fingerprint: Digest of the build configuration, embedded in
             snapshots this service writes
             (:meth:`repro.config.RunScale.fingerprint`).
@@ -1036,25 +1037,21 @@ class AliCoCoService:
         store: AliCoCoStore,
         *,
         config: ServiceConfig | None = None,
-        search_index: BM25Index | None = None,
+        search_index: Any = _MISS,
         tagger: ConceptTagger | None = None,
         reranker: Module | None = None,
-        dense_index_states: dict[str, Any] | None = None,
+        dense_index_states: Mapping[str, Any] | None = None,
         dense_indexes: dict[str, BruteForceDense | None] | None = None,
-        fit_search_index: bool = True,
         config_fingerprint: str = "",
     ):
         self.config = config or ServiceConfig()
         self._generational = isinstance(store, GenerationalStore)
         self._store = store.freeze()  # a no-op self-return for generational stores
         self._fingerprint = config_fingerprint
-        self._fit_search_index = fit_search_index
         # The view every index below is built over.  For a generational
         # store this pins the *published* view — open/staged writes stay
         # invisible until publish() builds the next generation.
         view = store.current() if self._generational else self._store
-        if search_index is None and fit_search_index:
-            search_index = fit_concept_index(view)
         self._tagger, self._reranker = prepare_models(self.config, tagger, reranker)
         self._cache = (
             LRUCache(self.config.cache_capacity) if self.config.cache_capacity else None
@@ -1074,15 +1071,16 @@ class AliCoCoService:
             else None
         )
         self._doc_epoch = 0
-        # Dense first-stage indexes over the pinned view (None entries
-        # mean "population empty, fall back to the cheap stage").  Built
-        # after the doc cache exists so index construction flows through
-        # it — every title/concept encoded here is a future cache hit.
-        served_dense: dict[str, BruteForceDense | None] = {}
-        if self.config.retriever != "bm25":
-            served_dense = self._build_dense_indexes(
-                dense_index_states or {}, view, dense_indexes or {}
-            )
+        # Every index over the pinned view (a None dense entry means
+        # "population empty, fall back to the cheap stage").  Built after
+        # the doc cache exists so a dense fit flows through it — every
+        # title/concept encoded here is a future cache hit.
+        given = dict(dense_indexes or {})
+        if search_index is not _MISS:
+            given[CONCEPT_INDEX] = search_index
+        indexes = served_indexes(
+            view, self.config, dense_index_states or {}, self._dense_vector, given
+        )
         # All per-generation state rides one immutable bundle behind one
         # attribute; requests pin it at entry and publish() replaces it
         # atomically (the lock serializes publishers only — readers
@@ -1091,11 +1089,9 @@ class AliCoCoService:
         self._gen = ServingGeneration(
             generation_id=view.generation_id if self._generational else 0,
             store=view,
-            search_index=search_index,
-            dense_indexes=served_dense,
+            search_index=indexes.pop(CONCEPT_INDEX),
+            dense_indexes=indexes,
             primitive_index=_build_primitive_index(view),
-            ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
-            primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
         )
         if self._doc_cache is not None and self.config.prewarm_doc_cache:
             self.warm_doc_cache()
@@ -1141,9 +1137,10 @@ class AliCoCoService:
     ) -> "AliCoCoService":
         """Warm-start a service from a versioned snapshot.
 
-        The store replays from disk, the search index rehydrates from its
-        serialised state, and trained weights load from the snapshot's
-        model bundle — no net rebuild, no index re-fit, no re-training.
+        The store replays from disk, each index whose saved state covers
+        the loaded view rehydrates from it (any other is refit:
+        :func:`served_indexes`), and trained weights load from the
+        snapshot's model bundle — no net rebuild, no re-training.
 
         Weights cannot conjure a model architecture out of thin air, so
         warm-starting a model works like ``torch`` state dicts: pass a
@@ -1166,38 +1163,37 @@ class AliCoCoService:
                 is absent, or a bundle fails kind/architecture validation.
         """
         snapshot = load_snapshot(path)
-        store, search_index = open_snapshot(
-            snapshot, expected_fingerprint, tagger, reranker
-        )
         return cls(
-            store,
+            open_snapshot(snapshot, expected_fingerprint, tagger, reranker),
             config=config,
-            search_index=search_index,
             tagger=tagger,
             reranker=reranker,
-            dense_index_states=dense_states_of(snapshot.index_states) or None,
+            dense_index_states=snapshot.index_states,
             config_fingerprint=snapshot.header.config_fingerprint,
         )
 
     def save_snapshot(self, path: str | Path) -> int:
-        """Persist the served net, indexes and models as one snapshot.
+        """Persist what is served — the current generation's view, its
+        indexes and the models — as one snapshot (:func:`write_snapshot`).
 
-        Served models are embedded as model-bundle sections (exact
-        float64 weights plus an architecture fingerprint); a model-less
-        service writes a model-less snapshot.  A dense-retrieval service
-        additionally embeds its fitted dense index states, so a warm
-        start skips the k-means/graph build and retrieves bit-identically.
+        A generational service writes the generation it serves, not the
+        store's newest: writes published on the store directly, without
+        :meth:`publish`, are not in the file, so the saved indexes always
+        cover the saved net.  Served models are embedded as model-bundle
+        sections (exact float64 weights plus an architecture
+        fingerprint); a model-less service writes a model-less snapshot.
+        A dense-retrieval service additionally embeds its dense index
+        states, so a warm start retrieves bit-identically without a fit.
 
         Returns:
             Number of bytes written.
         """
-        saver = save_generations if self._generational else save_snapshot
-        return saver(
-            self._store,
+        return write_snapshot(
             path,
+            self._gen,
             config_fingerprint=self._fingerprint,
-            index_states=index_states_of(self._search_index, self._dense_indexes),
-            model_states=model_bundles(self._tagger, self._reranker),
+            tagger=self._tagger,
+            reranker=self._reranker,
         )
 
     # ----------------------------------------------------------- generations
@@ -1248,20 +1244,19 @@ class AliCoCoService:
             if generation_id == old.generation_id:
                 return generation_id
             view = self._store.current()
+            # The indexes not given grow by the new documents, each dense
+            # one encoded through the doc cache, so the work is shared
+            # with future pool scoring.
+            stale = {CONCEPT_INDEX: old.search_index} if search_index is _MISS else {}
             if dense_indexes is _MISS:
-                dense_indexes = self._next_dense_indexes(old, view)
+                stale.update(old.dense_indexes)
+            grown = extended_indexes(stale, view, old.store, self._dense_vector)
             self._gen = ServingGeneration(
                 generation_id=generation_id,
                 store=view,
-                search_index=(
-                    self._next_search_index(old, view)
-                    if search_index is _MISS
-                    else search_index
-                ),
-                dense_indexes=dense_indexes,
+                search_index=grown.pop(CONCEPT_INDEX, search_index),
+                dense_indexes=grown if dense_indexes is _MISS else dense_indexes,
                 primitive_index=_build_primitive_index(view, old),
-                ecommerce_count=view.count_nodes(ECOMMERCE_PREFIX),
-                primitive_count=view.count_nodes(PRIMITIVE_PREFIX),
             )
             # Roll the result cache's stats window so per-generation hit
             # rates are observable; entries are left in place — retired
@@ -1269,27 +1264,6 @@ class AliCoCoService:
             if self._cache is not None:
                 self._cache.begin_generation(f"gen-{generation_id}")
             return generation_id
-
-    def _next_search_index(self, old: ServingGeneration, view: Any) -> BM25Index | None:
-        """The next generation's concept index: extended, refit, or reused
-        (see :func:`extend_concept_index`)."""
-        if not self._fit_search_index:
-            # Shard services serve projections of a cluster-global index;
-            # extending one locally would break scatter-gather parity.
-            # The cluster advances them by passing fresh projections
-            # through publish(search_index=...).
-            return old.search_index
-        return extend_concept_index(old.search_index, view, old.ecommerce_count)
-
-    def _next_dense_indexes(
-        self, old: ServingGeneration, view: Any
-    ) -> dict[str, BruteForceDense | None]:
-        """The next generation's dense indexes (:func:`extend_dense_indexes`),
-        each new document encoded through the doc cache, so the work is
-        shared with future pool scoring."""
-        return extend_dense_indexes(
-            old.dense_indexes, view, old.store, self._dense_vector
-        )
 
     # ------------------------------------------------------------- endpoints
     def items_for_concept(self, concept_id: str, top_k: int | None = None) -> tuple:
@@ -1640,37 +1614,6 @@ class AliCoCoService:
         return tuple(index.top_k(tokens, k=k))
 
     # ------------------------------------------------- dense first stage
-    def _build_dense_indexes(
-        self,
-        states: dict[str, Any],
-        view: Any,
-        given: dict[str, BruteForceDense | None],
-    ) -> dict[str, BruteForceDense | None]:
-        """Take, warm-start or fit the dense concept and item indexes.
-
-        A ``given`` index is served as is; otherwise a snapshot state is
-        rehydrated or the population fitted by :func:`dense_index_for`,
-        the rule a cluster shares.  A fit encodes every document through
-        the doc-side cache when one is enabled, so it doubles as a cache
-        warm — and a later ``warm_doc_cache`` re-encodes nothing.
-        """
-        return {
-            name: (
-                given[name]
-                if name in given
-                else dense_index_for(
-                    name, view, states.get(name), self._fit_dense_index
-                )
-            )
-            for name in _DENSE_POPULATIONS
-        }
-
-    def _fit_dense_index(
-        self, documents: list[tuple[str, list[str]]]
-    ) -> BruteForceDense | None:
-        """A fresh dense index over ``documents`` (None when empty)."""
-        return fit_dense_index(documents, self._dense_vector)
-
     def _dense_vector(self, node_id: str, tokens: Sequence[str]) -> Any:
         """One document's retrieval embedding, via the doc-encoding cache."""
         encoding = None
@@ -1811,7 +1754,7 @@ class AliCoCoService:
         store = self._gen.store
         warmed = 0
         for name in (DENSE_ITEM_INDEX, DENSE_CONCEPT_INDEX):
-            layer, tokens_of = _DENSE_POPULATIONS[name]
+            layer, tokens_of = _POPULATIONS[name]
             for node in store.nodes(layer):
                 tokens = tokens_of(node)
                 # ``in`` skips already-cached ids without counting a

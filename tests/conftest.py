@@ -10,6 +10,9 @@ settings.register_profile("snapshot-fuzz", max_examples=3000, deadline=None)
 #: A larger example budget for the relation batch-path property tests,
 #: selected in CI with ``--hypothesis-profile=batch-relations``.
 settings.register_profile("batch-relations", max_examples=2000, deadline=None)
+#: A larger example budget for the index lifecycle property test, selected
+#: in CI with ``--hypothesis-profile=index-lifecycle``.
+settings.register_profile("index-lifecycle", max_examples=500, deadline=None)
 
 
 @pytest.fixture

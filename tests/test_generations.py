@@ -632,9 +632,9 @@ class TestPublishReadsTheDelta:
         from types import SimpleNamespace
 
         from repro.serving.service import (
-            _DENSE_POPULATIONS,
+            _POPULATIONS,
             _build_primitive_index,
-            _dense_documents,
+            index_documents,
         )
 
         store = self._grown(built_tiny)
@@ -647,10 +647,10 @@ class TestPublishReadsTheDelta:
                     assert list(view.nodes_since(count, layer)) == list(
                         islice(view.nodes(layer), count, None)
                     ), (stage, layer, count)
-            for name, (layer, tokens_of) in _DENSE_POPULATIONS.items():
+            for name, (layer, tokens_of) in _POPULATIONS.items():
                 for start in range(view.count_nodes(layer) + 2):
                     walked = islice(view.nodes(layer), start, None)
-                    assert _dense_documents(name, view, start) == [
+                    assert index_documents(name, view, start) == [
                         (node.id, tokens_of(node)) for node in walked if tokens_of(node)
                     ], (stage, name, start)
             primitives = list(view.nodes("pc"))
@@ -662,12 +662,19 @@ class TestPublishReadsTheDelta:
                 covered: dict = {}
                 for node in primitives[:start]:
                     covered.setdefault((node.name, node.domain), node.id)
-                old = SimpleNamespace(primitive_count=start, primitive_index=covered)
+                old = SimpleNamespace(
+                    store=SimpleNamespace(count_nodes=lambda layer, start=start: start),
+                    primitive_index=covered,
+                )
                 assert _build_primitive_index(view, old) == full, (stage, start)
 
     def test_evolved_dense_indexes_equal_a_refit(self, built_tiny, tagger, reranker):
         from repro.pipeline import EvolutionConfig, EvolutionDriver
-        from repro.serving.service import _DENSE_POPULATIONS
+        from repro.serving.service import (
+            _POPULATIONS,
+            DENSE_CONCEPT_INDEX,
+            DENSE_ITEM_INDEX,
+        )
 
         config = ServiceConfig(seed=0, retriever="hybrid")
         store = GenerationalStore(built_tiny.store, compact_after_segments=4)
@@ -691,7 +698,8 @@ class TestPublishReadsTheDelta:
         refit = AliCoCoService(
             flatten(store), config=config, tagger=tagger, reranker=reranker
         )
-        for name, (layer, tokens_of) in _DENSE_POPULATIONS.items():
+        for name in (DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX):
+            layer, tokens_of = _POPULATIONS[name]
             served = service._gen.dense_indexes[name]
             fresh = refit._gen.dense_indexes[name]
             assert served is not None and served.to_state() == fresh.to_state()

@@ -29,7 +29,6 @@ from repro.serving.procpool import _ShardWorker
 from repro.serving.service import (
     DENSE_CONCEPT_INDEX,
     DENSE_ITEM_INDEX,
-    dense_states_of,
     open_snapshot,
     shard_service_from_snapshot,
 )
@@ -80,14 +79,12 @@ def _warm(kind, path, built, n_shards, executor):
             path, config=config, service_config=CONFIG, reranker=reranker
         )
     snapshot = load_snapshot(path)
-    store, search_index = open_snapshot(snapshot, None, None, reranker)
     return AliCoCoCluster(
-        GenerationalStore(store),
+        GenerationalStore(open_snapshot(snapshot, None, None, reranker)),
         config=config,
         service_config=CONFIG,
-        search_index=search_index,
         reranker=reranker,
-        dense_index_states=dense_states_of(snapshot.index_states),
+        dense_index_states=snapshot.index_states,
     )
 
 

@@ -34,8 +34,8 @@ from repro.matching.dataset import pair_from_texts
 from repro.kg.ids import ECOMMERCE_PREFIX
 from repro.kg.relations import RelationKind
 from repro.ml import MLP, Conv1d, Module, Tensor
-from repro.ml.inference import InferenceSession, embedding_gather, stable_sigmoid
-from repro.ml.tensor import softmax
+from repro.ml.inference import InferenceSession, stable_sigmoid
+from repro.ml.tensor import gather_rows, softmax
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
 from repro.serving import AliCoCoService, ServiceConfig
@@ -118,7 +118,7 @@ class TestKernels:
         from repro.errors import ShapeError
 
         with pytest.raises(ShapeError):
-            embedding_gather(np.zeros((2, 3, 4)), [0])
+            gather_rows(np.zeros((2, 3, 4)), [0])
 
     def test_session_extracts_live_views(self, vocab):
         model = DSSMMatcher(vocab, dim=8, hidden=8, seed=0)

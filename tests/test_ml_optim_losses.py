@@ -8,10 +8,8 @@ from repro.ml import Adam, Adagrad, Linear, MLP, SGD, Tensor
 from repro.ml.gradcheck import check_gradients, numeric_gradient
 from repro.ml.losses import bce_with_logits, binary_nll, cross_entropy
 from repro.ml.serialize import (
-    load_module,
     load_module_state,
     module_state_record,
-    save_module,
     state_from_jsonable,
     state_to_jsonable,
 )
@@ -115,33 +113,6 @@ class TestOptimizers:
 
 
 class TestSerialization:
-    def test_save_load_roundtrip(self, rng, tmp_path):
-        model = Linear(3, 2, rng)
-        path = tmp_path / "model.npz"
-        save_module(model, path)
-        other = Linear(3, 2, np.random.default_rng(5))
-        load_module(other, path)
-        np.testing.assert_allclose(other.weight.data, model.weight.data)
-        np.testing.assert_allclose(other.bias.data, model.bias.data)
-
-    def test_load_missing_key_raises(self, rng, tmp_path):
-        model = Linear(3, 2, rng)
-        path = tmp_path / "model.npz"
-        np.savez(path, nothing=np.zeros(1))
-        with pytest.raises(KeyError):
-            load_module(model, path)
-
-    def test_suffixless_path_round_trips(self, rng, tmp_path):
-        """Regression: ``numpy.savez`` appends ``.npz`` behind the
-        caller's back, so saving to ``model`` then loading from ``model``
-        used to raise ``FileNotFoundError``."""
-        model = Linear(3, 2, rng)
-        written = save_module(model, tmp_path / "model")
-        assert written == tmp_path / "model.npz"
-        other = Linear(3, 2, np.random.default_rng(5))
-        load_module(other, tmp_path / "model")  # same suffixless path
-        np.testing.assert_allclose(other.weight.data, model.weight.data)
-
     def test_state_record_round_trips_bit_identical(self, rng):
         model = Linear(3, 2, rng)
         state = model.state_dict()

@@ -44,6 +44,7 @@ from repro.serving import (
     split_index,
     split_store,
 )
+from repro.serving import service as service_module
 from repro.serving.service import (
     CONCEPT_INDEX,
     DENSE_CONCEPT_INDEX,
@@ -465,7 +466,7 @@ class TestClusterSnapshot:
     def test_single_service_reads_a_cluster_snapshot(
         self, store, built, trained_reranker, tmp_path, monkeypatch
     ):
-        """The service rehydrates the cluster's global dense states (no
+        """The service rehydrates the cluster's global index states (no
         fit) and answers like the cluster."""
         from tests.conftest import make_trained_reranker
 
@@ -476,13 +477,13 @@ class TestClusterSnapshot:
         path = tmp_path / "cluster.snapshot.jsonl"
         cluster.save_snapshot(path)
         fits = []
-        fit = AliCoCoService._fit_dense_index
+        fit = service_module.fit_index
 
-        def counting_fit(service, documents):
-            fits.append(len(documents))
-            return fit(service, documents)
+        def counting_fit(name, documents, vector_of):
+            fits.append(name)
+            return fit(name, documents, vector_of)
 
-        monkeypatch.setattr(AliCoCoService, "_fit_dense_index", counting_fit)
+        monkeypatch.setattr(service_module, "fit_index", counting_fit)
         service = AliCoCoService.from_snapshot(
             path, config=config, reranker=make_trained_reranker(built)
         )

@@ -23,11 +23,12 @@ from repro.concepts import ConceptTagger
 from repro.kg import GenerationalStore, Relation, RelationKind, flatten
 from repro.kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX
 from repro.kg.serialize import read_sections, write_sections
+from repro.matching.bm25 import BM25Index
 from repro.nlp.pos import PosTagger
 from repro.nlp.vocab import Vocab
 from repro.serving import AliCoCoCluster, AliCoCoService, ClusterConfig, ServiceConfig
 from repro.serving import service as service_module
-from repro.serving.service import DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX
+from repro.serving.service import CONCEPT_INDEX, DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX
 from repro.serving.shard import shard_of
 
 from tests.conftest import assert_same_store, make_trained_reranker, oracle_split
@@ -237,16 +238,17 @@ class TestClusterWarmStartFromAServiceSnapshot:
         }
 
     def _warm(self, path, built, n_shards, monkeypatch, config=CONFIG):
-        """The warm-started cluster and the dense fits its shards ran."""
+        """The warm-started cluster and the index fits it ran, global or
+        on a shard, as (population, documents)."""
         fits = []
-        fit = AliCoCoService._fit_dense_index
+        fit = service_module.fit_index
 
-        def counting_fit(service, documents):
-            fits.append(len(documents))
-            return fit(service, documents)
+        def counting_fit(name, documents, vector_of):
+            fits.append((name, len(documents)))
+            return fit(name, documents, vector_of)
 
         with monkeypatch.context() as patch:
-            patch.setattr(AliCoCoService, "_fit_dense_index", counting_fit)
+            patch.setattr(service_module, "fit_index", counting_fit)
             cluster = AliCoCoCluster.from_snapshot(
                 path,
                 config=ClusterConfig(n_shards=n_shards),
@@ -304,20 +306,11 @@ class TestClusterWarmStartFromAServiceSnapshot:
         unforged = AliCoCoService.from_snapshot(
             path, config=CONFIG, **_fresh_models(built_tiny)
         )
-        global_fits = []
-        fit = service_module.fit_dense_index
-
-        def counting_fit(documents, vector):
-            global_fits.append(len(documents))
-            return fit(documents, vector)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(service_module, "fit_dense_index", counting_fit)
-            cluster, fits = self._warm(forged, built_tiny, 2, monkeypatch)
+        cluster, fits = self._warm(forged, built_tiny, 2, monkeypatch)
         try:
-            # One global refit per population, projected onto the shards.
-            assert len(global_fits) == 2
-            assert fits == []
+            # One global refit per dense population, projected onto the
+            # shards; the covering BM25 state is rehydrated.
+            assert [name for name, _ in fits] == [DENSE_CONCEPT_INDEX, DENSE_ITEM_INDEX]
             _assert_oracle_shards(cluster)
             requests = _requests(built_tiny)
             assert cluster.batch(requests) == unforged.batch(requests)
@@ -356,7 +349,7 @@ def test_store_built_cluster_encodes_each_document_once(
 
 
 def test_a_global_state_not_covering_the_net_is_refit(built_tiny, trained_reranker):
-    """A dense state over other documents than the net's is not
+    """A dense or BM25 state over other documents than the net's is not
     rehydrated: the cluster and the service alike fit the population over
     the net instead."""
     store = built_tiny.store
@@ -365,19 +358,25 @@ def test_a_global_state_not_covering_the_net_is_refit(built_tiny, trained_rerank
     fitted = stale._gen.dense_indexes[DENSE_ITEM_INDEX].to_state()
     state = {**fitted, "ids": list(reversed(fitted["ids"]))}
     assert state["ids"] != items
+    fitted_bm25 = stale._gen.search_index.to_state()
+    concepts = fitted_bm25["doc_ids"]
+    stale_bm25 = BM25Index().fit({doc_id: ["stale"] for doc_id in concepts[:-1]})
+    states = {DENSE_ITEM_INDEX: state, CONCEPT_INDEX: stale_bm25.to_state()}
     cluster = AliCoCoCluster(
         store,
         config=ClusterConfig(n_shards=2),
         service_config=CONFIG,
         reranker=trained_reranker,
-        dense_index_states={DENSE_ITEM_INDEX: state},
+        dense_index_states=states,
     )
     _assert_oracle_shards(cluster)
     assert cluster._cgen.dense_indexes[DENSE_ITEM_INDEX].to_state() == fitted
+    assert cluster._cgen.search_index.to_state() == fitted_bm25
     service = AliCoCoService(
         store,
         config=CONFIG,
         reranker=trained_reranker,
-        dense_index_states={DENSE_ITEM_INDEX: state},
+        dense_index_states=states,
     )
     assert service._gen.dense_indexes[DENSE_ITEM_INDEX].to_state() == fitted
+    assert service._gen.search_index.to_state() == fitted_bm25
