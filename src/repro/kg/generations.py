@@ -31,14 +31,16 @@ deterministic: every read is the base result followed by each segment's
 result in publish order, which is exactly the insertion order a
 monolithic store would have produced — weight-tie ordering included.
 
-Generation 0 (no published segments) delegates every read straight to
-the base store, so a service over a zero-delta ``GenerationalStore`` is
-bit-identical to one over the frozen store itself.
+Generation 0 (no published segments) is a view over the base alone: it
+answers every read exactly as the base store does, so the serving tier
+serves every net as a generation and a plain store is generation 0 of
+one (:class:`GenerationalStore` wraps it).
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ..errors import ConfigError
@@ -70,9 +72,8 @@ class GenerationView:
 
     A view is deeply immutable (the base and the segments are frozen),
     so reads are lock-free and results can be cached keyed by
-    :attr:`generation_id`.  With zero segments every method delegates
-    straight to the base store: generation 0 is bit-identical to the
-    frozen path.
+    :attr:`generation_id`.  With zero segments every read answers
+    exactly as the base store does.
     """
 
     __slots__ = (
@@ -109,16 +110,6 @@ class GenerationView:
         #: if the owning store compacts concurrently.
         self.base_generation = base_generation
 
-    # ------------------------------------------------------------- freezing
-    @property
-    def frozen(self) -> bool:
-        """Views are always read-only."""
-        return True
-
-    def freeze(self) -> "GenerationView":
-        """No-op for API compatibility with :class:`AliCoCoStore`."""
-        return self
-
     # --------------------------------------------------------------- access
     def get(self, node_id: str) -> Node:
         """Node by id, searching base then segments.
@@ -126,8 +117,13 @@ class GenerationView:
         Raises:
             NodeNotFoundError: If absent from every layer.
         """
-        for store in self._stores:
-            node = store._nodes.get(node_id)
+        # The base first, outside the loop: most reads hit it, and this
+        # keeps a generation-0 read as cheap as the base store's own.
+        node = self._base._nodes.get(node_id)
+        if node is not None:
+            return node
+        for segment in self._segments:
+            node = segment._nodes.get(node_id)
             if node is not None:
                 return node
         raise _missing(node_id)
@@ -147,13 +143,22 @@ class GenerationView:
 
     def nodes(self, layer: str | None = None) -> Iterator[Node]:
         """Iterate nodes in insertion order, base first."""
-        for store in self._stores:
-            yield from store.nodes(layer)
+        if layer is None:
+            parts = [store._nodes.values() for store in self._stores]
+        else:
+            parts = [store._layer_nodes.get(layer, ()) for store in self._stores]
+        return chain.from_iterable(parts)
 
     def relations(self, kind: RelationKind | None = None) -> Iterator[Relation]:
-        """Iterate relations in insertion order, base first."""
-        for store in self._stores:
-            yield from store.relations(kind)
+        """Iterate relations in insertion order, base first: one C-level
+        walk over every layer's relation chunks."""
+        if kind is None:
+            chunks = [chunk for store in self._stores for chunk in store._relations]
+        else:
+            chunks = [
+                chunk for store in self._stores for chunk in store._by_kind.get(kind, ())
+            ]
+        return chain.from_iterable(chunks)
 
     def nodes_since(self, count: int, layer: str | None = None) -> Iterator[Node]:
         """The nodes of ``nodes(layer)`` past the first ``count``, in order.
@@ -252,9 +257,8 @@ class GenerationalStore:
     ``swap`` itself installs the new view with a single attribute
     assignment, so concurrent readers always see a whole generation.
 
-    ``frozen`` is ``True`` and :meth:`freeze` returns ``self``: the
-    *published* surface is immutable (the serving tier's caching
-    contract), even though new generations can be prepared behind it.
+    The *published* surface is immutable (the serving tier's caching
+    contract), even though new generations are prepared behind it.
 
     Long-lived stores bound their segment chain with :meth:`compact`
     (fold every published segment into a new frozen base — reads stay
@@ -262,10 +266,14 @@ class GenerationalStore:
     or automatically via ``compact_after_segments``.
 
     Args:
-        base: The frozen build output (frozen here if it is not yet).
-        base_generation: Generation id the bare base represents — 0 for
-            a fresh build; a compacted snapshot restores the id its base
-            was folded at so generation numbering survives a warm start.
+        base: The frozen build output (frozen here if it is not yet), or
+            a published :class:`GenerationView` to grow from: the store
+            then starts at that view, keeping its base, its segments and
+            its generation numbering.
+        base_generation: Generation id a bare base store represents — 0
+            for a fresh build; a compacted snapshot restores the id its
+            base was folded at so generation numbering survives a warm
+            start.  A view brings its own.
         compact_after_segments: When set, every :meth:`swap` that leaves
             more than this many published segments triggers an automatic
             :meth:`compact` — the chain-length bound for stores that
@@ -278,7 +286,7 @@ class GenerationalStore:
 
     def __init__(
         self,
-        base: AliCoCoStore,
+        base: AliCoCoStore | GenerationView,
         *,
         base_generation: int = 0,
         compact_after_segments: int | None = None,
@@ -290,15 +298,17 @@ class GenerationalStore:
                 "compact_after_segments must be positive, got "
                 f"{compact_after_segments}"
             )
-        self._base = base.freeze()
+        if not isinstance(base, GenerationView):
+            base = GenerationView(
+                base.freeze(), (), base_generation, base_generation=base_generation
+            )
+        self._view = base
+        self._base = base._base
+        self._base_generation = base.base_generation
         self._lock = threading.Lock()
         self._open = AliCoCoStore()
         self._staged: list[AliCoCoStore] = []
-        self._base_generation = base_generation
         self.compact_after_segments = compact_after_segments
-        self._view = GenerationView(
-            self._base, (), base_generation, base_generation=base_generation
-        )
         # Lazily-initialised per-layer id counters for create_*: snapshot
         # replay leaves the base's IdAllocator at zero, so counters start
         # at the pending layer size and probe past collisions.
@@ -318,15 +328,6 @@ class GenerationalStore:
     def current(self) -> GenerationView:
         """The published view — pin it once per request for consistency."""
         return self._view
-
-    @property
-    def frozen(self) -> bool:
-        """The published surface is always read-only."""
-        return True
-
-    def freeze(self) -> "GenerationalStore":
-        """No-op for API compatibility with :class:`AliCoCoStore`."""
-        return self
 
     # ------------------------------------------------------------- mutation
     def _pending(self) -> GenerationView:

@@ -278,9 +278,10 @@ class EvolutionDriver:
     Args:
         target: What to publish through — a
             :class:`~repro.kg.generations.GenerationalStore`, or an
-            ``AliCoCoService`` / ``AliCoCoCluster`` built over one.  The
-            driver stages writes into the target's generational store,
-            so every ``publish()`` rebuilds the target's indexes too.
+            ``AliCoCoService`` / ``AliCoCoCluster`` (each serves one).
+            The driver stages writes into the target's generational
+            store, so every ``publish()`` rebuilds the target's indexes
+            too.
         world: Ground-truth world (candidate patterns, oracle, item
             matching all derive from it).
         items: Catalog :class:`~repro.synth.items.SynthItem` objects the
@@ -363,19 +364,15 @@ class EvolutionDriver:
 
     @staticmethod
     def _staging_store_of(target: Any) -> GenerationalStore:
-        source = getattr(target, "source", None)
-        if isinstance(source, GenerationalStore):
-            return source
-        if isinstance(target, GenerationalStore):
-            return target
-        store = getattr(target, "store", None)
-        if isinstance(store, GenerationalStore):
-            return store
-        raise ConfigError(
-            "EvolutionDriver needs a publish target backed by a "
-            "GenerationalStore: the store itself, or a service/cluster "
-            "built over one (frozen stores cannot grow)"
-        )
+        # A cluster stages into its source, a service into its store.
+        store = getattr(target, "source", getattr(target, "store", target))
+        if not isinstance(store, GenerationalStore):
+            raise ConfigError(
+                "EvolutionDriver needs a publish target backed by a "
+                "GenerationalStore: the store itself, or a service or "
+                f"cluster, got {type(target).__name__}"
+            )
+        return store
 
     # ------------------------------------------------------- default stages
     def _fresh_batch(self, cycle_index: int) -> CorpusBatch:

@@ -1,9 +1,13 @@
 """Online serving of the net (Section 7's deployment, in miniature).
 
 Construction (:mod:`repro.pipeline`) is offline; this package is the
-online half: a read-only, cached, metered query service that warm-starts
-from checksummed snapshots (format 2, :mod:`repro.kg.serialize`)
-instead of rebuilding the net.  Given trained
+online half: a cached, metered query service that warm-starts from
+checksummed snapshots (format 2, :mod:`repro.kg.serialize`) instead of
+rebuilding the net.  Every service and cluster serves one immutable
+generation at a time of a :class:`~repro.kg.generations.GenerationalStore`
+(a plain store is frozen and served as generation 0 of one) and
+``publish()`` serves the next; a snapshot warm-starts into a store that
+can keep publishing, whatever generation it was saved at.  Given trained
 models it also serves them: concept tagging (``tag``) and neural
 re-ranking of graph/BM25 candidates (``items_for_concept_reranked``,
 ``search_reranked``), with model weights riding the same snapshot as a

@@ -2,10 +2,10 @@
 
 The paper's net sits behind Alibaba search and recommendation — traffic
 no single store answers.  :class:`AliCoCoCluster` is that deployment
-shape in miniature: the frozen net is hash-split across N shard stores
-(:mod:`repro.serving.shard`), each served by an ordinary
-:class:`~repro.serving.AliCoCoService`, and the cluster exposes the
-*same eight endpoints* with the same answers:
+shape in miniature: the served generation of the net is hash-split
+across N shard stores (:mod:`repro.serving.shard`), each served by an
+ordinary :class:`~repro.serving.AliCoCoService`, and the cluster exposes
+the *same eight endpoints* with the same answers:
 
 - **Routed** endpoints (``items_for_concept``, ``concepts_for_item``,
   ``interpretation``, ``hypernyms``, ``tag``) touch one shard — the
@@ -41,7 +41,7 @@ adds (both off the hot path of a cache hit):
   endpoints — the model-bound hot path — deduplicate concurrent
   identical requests into one ``score_pool`` computation, optionally
   widened by a coalescing window.  Results are serial-identical because
-  the computation is deterministic over frozen state.
+  the computation is deterministic over one immutable generation.
 - **Admission control** (:mod:`repro.serving.admission`): every
   computed request holds one of ``max_inflight`` slots; beyond
   ``max_queue_depth`` waiters or ``max_queue_wait_ms`` of waiting the
@@ -51,8 +51,8 @@ adds (both off the hot path of a cache hit):
   deadlock waiting for a leader that is itself queued behind the
   joiner's slot.
 
-A cluster snapshot **is** a service snapshot: the global store (or its
-generations), the global concept index, the global dense index states
+A cluster snapshot **is** a service snapshot: the served generation of
+the global store, the global concept index, the global dense index states
 and the model bundles — nothing per shard.  A single service serves it
 as it is, and a cluster at any shard count warm-starts from it, or from
 a service's snapshot, the same way: :func:`~repro.serving.service.open_snapshot`,
@@ -61,8 +61,10 @@ indexes, re-fitting none whose state covers the net
 (:func:`~repro.serving.service.served_indexes`).  A save writes the
 generation the cluster serves, with the global indexes built over it.
 
-**Generation advancement.**  A cluster over a
-:class:`~repro.kg.generations.GenerationalStore` is not pinned forever:
+**Generation advancement.**  Every cluster serves the published view of
+a :class:`~repro.kg.generations.GenerationalStore`, its
+:attr:`~AliCoCoCluster.source`: a plain store is frozen and wrapped as
+generation 0 of one, and a snapshot always warm-starts into one.
 :meth:`AliCoCoCluster.publish` seals the source store's open delta and
 advances every shard in a **two-phase** publish.  Phase one grows each
 shard's own generational store (delta nodes route through
@@ -106,7 +108,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..concepts.tagging import ConceptTagger
 from ..errors import ConfigError, ShardUnavailableError
-from ..kg.generations import GenerationalStore
+from ..kg.generations import GenerationalStore, GenerationView
 from ..kg.ids import ECOMMERCE_PREFIX
 from ..kg.relations import RelationKind
 from ..kg.serialize import load_snapshot
@@ -293,8 +295,7 @@ class ClusterStats:
         shards: Each shard service's own :class:`ServiceStats` (under
             the process executor, fetched from the workers over RPC;
             shards whose worker is unavailable are omitted).
-        generation_id: The cluster generation being served (0 for a
-            cluster over a plain frozen store).
+        generation_id: The cluster generation being served.
         executor: Which shard executor answered — ``"thread"`` or
             ``"process"``.
         shard_owned: Partitioned nodes *owned* by each shard (hash
@@ -428,13 +429,16 @@ class AliCoCoCluster:
     contract), plus request coalescing on the reranked endpoints and
     admission control with typed load shedding on everything computed.
 
-    Thread-safe exactly like the single service: shard stores and
-    indexes are frozen, and the cache / metrics / coalescer / admission
-    controller each guard themselves.
+    Thread-safe exactly like the single service: every served
+    generation of the shard stores and indexes is immutable, and the
+    cache / metrics / coalescer / admission controller each guard
+    themselves.
 
     Args:
-        store: The global net; frozen in place and hash-split into
-            ``config.n_shards`` shard stores.
+        store: The global net: a generational store, served as given, or
+            a plain store or a view, wrapped in a new generational store
+            (a plain store is frozen in place).  Its published view is
+            hash-split into ``config.n_shards`` shard stores.
         config: Cluster-tier knobs (sharding, coalescing, admission).
         service_config: Per-shard serving knobs (retriever mode, pool
             sizes, caches); every shard gets the same config.
@@ -462,7 +466,7 @@ class AliCoCoCluster:
 
     def __init__(
         self,
-        store: AliCoCoStore,
+        store: AliCoCoStore | GenerationView | GenerationalStore,
         *,
         config: ClusterConfig | None = None,
         service_config: ServiceConfig | None = None,
@@ -475,23 +479,18 @@ class AliCoCoCluster:
         self.config = config or ClusterConfig()
         self._service_config = service_config or ServiceConfig()
         n_shards = self.config.n_shards
-        # A cluster over a generational store serves its *published*
-        # view and advances through publish() (see the module
-        # docstring); one over a plain store is frozen at generation 0
-        # forever.  Either way, all serving state — shard placement,
-        # index projections, tie-break orders — derives from one
-        # consistent pinned view, bundled in a ClusterGeneration.  The
-        # generation id prefixes the cluster cache's keys, so entries
-        # from different generations can never alias.
-        if isinstance(store, GenerationalStore):
-            self._source: GenerationalStore | None = store
-            view = store.current()
-        else:
-            self._source = None
-            view = store.freeze()
-        self._generational = self._source is not None
+        # The cluster serves its source's *published* view and advances
+        # through publish() (see the module docstring).  All serving
+        # state — shard placement, index projections, tie-break orders —
+        # derives from one consistent pinned view, bundled in a
+        # ClusterGeneration.  The generation id prefixes the cluster
+        # cache's keys, so entries from different generations can never
+        # alias.
+        if not isinstance(store, GenerationalStore):
+            store = GenerationalStore(store)  # freezes a plain store in place
+        self._source = store
         self._fingerprint = config_fingerprint
-        initial_generation = view.generation_id if self._generational else 0
+        view = store.current()
         # The prepared (fitted-checked, eval-mode) models; shared by
         # every shard, referenced here for query-side encodings.
         self._tagger, self._reranker = prepare_models(
@@ -520,23 +519,17 @@ class AliCoCoCluster:
                 service_config=self._service_config,
                 tagger=self._tagger,
                 reranker=self._reranker,
-                generational=self._generational,
-                cluster_generation_id=initial_generation,
+                cluster_generation_id=view.generation_id,
             )
         else:
-            # Shards of an advancing cluster get generational stores of
-            # their own, so publish() can grow them behind their readers;
-            # frozen clusters keep the historical frozen shard stores.
-            # Building a shard service is a bulk build, so the collector
-            # is paused, as for the split.
+            # Each shard service serves its shard store as generation 0
+            # of a generational store of its own, so publish() grows it
+            # behind its readers.  Building a shard service is a bulk
+            # build, so the collector is paused, as for the split.
             with gc_paused():
                 self._services = tuple(
                     AliCoCoService(
-                        (
-                            GenerationalStore(shard_store)
-                            if self._generational
-                            else shard_store
-                        ),
+                        shard_store,
                         config=self._service_config,
                         search_index=shard_search[shard],
                         tagger=self._tagger,
@@ -550,7 +543,7 @@ class AliCoCoCluster:
         self._publish_lock = threading.Lock()
         self._shard_owned = tuple(owned_counts(owners.values(), n_shards))
         self._cgen = _bundle(
-            initial_generation, view, search_index, dense_indexes, self._pool.pins()
+            view.generation_id, view, search_index, dense_indexes, self._pool.pins()
         )
         self._cache = (
             LRUCache(self.config.cache_capacity)
@@ -659,19 +652,13 @@ class AliCoCoCluster:
         shard, whose own publish is equally atomic.
 
         A publish with nothing staged and nothing open is a no-op that
-        returns the current generation id.
+        returns the current generation id — so is every publish of a
+        cluster built over a plain store until something is written to
+        its :attr:`source`.
 
         Returns:
             The cluster generation id now being served.
-
-        Raises:
-            ConfigError: If the cluster serves a plain frozen store.
         """
-        if self._source is None:
-            raise ConfigError(
-                "publish() needs a cluster over a GenerationalStore; this "
-                "cluster serves a frozen store (generation 0 forever)"
-            )
         with self._publish_lock:
             old = self._cgen
             generation_id = self._source.publish()
@@ -875,24 +862,25 @@ class AliCoCoCluster:
         return self.config.n_shards
 
     @property
-    def store(self) -> AliCoCoStore:
-        """The served global view (the frozen store, or the pinned
-        generation view of an advancing cluster)."""
+    def store(self) -> GenerationView:
+        """The served global view: the source's generation the cluster
+        serves."""
         return self._cgen.store
 
     @property
-    def source(self) -> GenerationalStore | None:
-        """The growable source store behind an advancing cluster.
+    def source(self) -> GenerationalStore:
+        """The growable source store behind the cluster: the
+        :class:`~repro.kg.generations.GenerationalStore` given, or the
+        one the given store was wrapped in.
 
         Grow it through its ``create_*``/``add_*`` API and call
-        :meth:`publish` to advance every shard; ``None`` for a cluster
-        over a plain frozen store.
+        :meth:`publish` to advance every shard.
         """
         return self._source
 
     @property
     def generation_id(self) -> int:
-        """The cluster generation currently being served (0 when frozen)."""
+        """The cluster generation currently being served."""
         return self._cgen.generation_id
 
     @property

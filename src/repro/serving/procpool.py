@@ -109,9 +109,6 @@ class ShardWorkerSpec:
         service_config: The per-shard :class:`~repro.serving.ServiceConfig`.
         tagger / reranker: Trained models (picklable modules); ``None``
             for a model-less cluster.
-        generational: Wrap the shard store in a
-            :class:`~repro.kg.generations.GenerationalStore` so
-            ``apply_delta`` can grow it.
         cluster_generation_id: The cluster generation the bootstrap
             snapshot represents; keys the worker's first retained bundle.
     """
@@ -121,7 +118,6 @@ class ShardWorkerSpec:
     service_config: Any
     tagger: Any = None
     reranker: Any = None
-    generational: bool = False
     cluster_generation_id: int = 0
 
 
@@ -168,7 +164,6 @@ def _worker_main(connection: Any, spec: ShardWorkerSpec) -> None:
             config=spec.service_config,
             tagger=spec.tagger,
             reranker=spec.reranker,
-            generational=spec.generational,
         )
         worker = _ShardWorker(service, spec.cluster_generation_id)
         hello = (True, ("ready", os.getpid()))

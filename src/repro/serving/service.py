@@ -2,9 +2,11 @@
 
 The paper deploys the net behind Alibaba search and recommendation
 (Section 7): construction is offline, serving is online.  This module is
-the online half for the reproduction — :class:`AliCoCoService` wraps a
-frozen (read-only) :class:`~repro.kg.store.AliCoCoStore` and exposes the
-production query surface:
+the online half for the reproduction — :class:`AliCoCoService` serves
+one generation at a time of a
+:class:`~repro.kg.generations.GenerationalStore` (a plain
+:class:`~repro.kg.store.AliCoCoStore` is frozen and served as generation
+0 of one) and exposes the production query surface:
 
 - ``items_for_concept`` — the shopping list behind a concept card;
 - ``concepts_for_item`` — the concepts an item participates in;
@@ -36,22 +38,25 @@ restore from the snapshot's model bundle instead of re-training.
 **Thread safety.**  A service instance may be shared freely across
 threads.  The design splits state into two camps:
 
-- *Frozen graph state* — the store, the fitted search index and the
-  handler table are immutable after ``__init__`` (the store is
-  explicitly frozen: any mutation raises
-  :class:`~repro.errors.FrozenStoreError`).  Reads of immutable
-  structures need no locks, so the hot query path over the graph is
-  lock-free by construction.  This is the invariant that makes the rest
-  cheap: if the store could change, every endpoint would need a reader
-  lock *and* the cache could serve stale results.
+- *Immutable graph state* — the served generation (a published,
+  immutable view of the store and the indexes fitted over it) and the
+  handler table never change once built; writes go to the store's open
+  delta, invisible until :meth:`AliCoCoService.publish` installs the
+  next generation, and a plain store handed in is frozen in place (any
+  mutation of it raises :class:`~repro.errors.FrozenStoreError`).
+  Reads of immutable structures need no locks, so the hot query path
+  over the graph is lock-free by construction.  This is the invariant
+  that makes the rest cheap: if the served view could change, every
+  endpoint would need a reader lock *and* the cache could serve stale
+  results.
 - *Mutable bookkeeping* — the LRU result cache, the per-endpoint
   counters and the latency reservoirs each guard themselves with a
   single internal lock (:class:`~repro.serving.cache.LRUCache`,
   :class:`~repro.serving.stats.EndpointMetrics`,
   :class:`~repro.utils.timing.LatencyReservoir`).  Two threads missing
-  the same key may both compute it, but the store is frozen so they
-  compute the *same* value and the second ``put`` is a harmless
-  refresh.
+  the same key in one generation may both compute it, but the
+  generation is immutable so they compute the *same* value and the
+  second ``put`` is a harmless refresh.
 - *Served models* — prepared once at construction time
   (:func:`~repro.serving.models.prepare_serving_module`: fitted check +
   eval mode) and treated as frozen thereafter.  Inference is read-only
@@ -72,11 +77,10 @@ bounded thread-safe LRU keyed by (epoch, node id).  That cache is
 never change once it exists (generational stores only ever *add*
 nodes, never mutate or re-use ids), so a cached encoding can never go
 stale.  The result cache's no-invalidation property is narrower: it
-holds only *within one generation* — a frozen service never leaves
-generation 0, so its cache never invalidates at all, while a
-generational service retires a whole generation's entries at ``swap()``
-by keying them under the new generation id (see **Evolvable serving**
-below).  The
+holds only *within one generation* — a publish retires a whole
+generation's entries by keying new ones under the new generation id
+(see **Evolvable serving** below), and a service nobody writes to stays
+at its first generation, so its cache never invalidates at all.  The
 served model is equally frozen (prepared once, never trained —
 :func:`~repro.serving.models.ensure_inference_mode` enforces it), so
 encodings outlive any individual query.  The cache warms lazily as pools
@@ -98,13 +102,16 @@ doc-encoding cache; ``"hybrid"`` runs both arms and fuses their
 *rankings* with Reciprocal Rank Fusion (:func:`~repro.retrieval.rrf_fuse`)
 — lexical arms pin exact term matches, the dense arm bridges semantic
 drift.  Dense indexes are
-frozen with the store, persist inside snapshots
+immutable per generation, persist inside snapshots
 (:data:`DENSE_CONCEPT_INDEX` / :data:`DENSE_ITEM_INDEX`), and
 warm-start bit-identically to a fresh fit.
 
-**Evolvable serving.**  A service constructed over a
-:class:`~repro.kg.generations.GenerationalStore` serves *generations*
-instead of one forever-frozen net.  Every request pins the current
+**Evolvable serving.**  Every service serves *generations* of its
+:class:`~repro.kg.generations.GenerationalStore`, the one it was given
+or the one a given plain store or view was wrapped in, and a snapshot
+warm-starts into one whatever generation it was saved at.  A plain
+store is generation 0 of its net, not a separate frozen mode.  Every
+request pins the current
 :class:`ServingGeneration` — one immutable bundle of (store view,
 search index, dense indexes, primitive index) — at entry and reads only
 from it, so no request ever observes a mixed generation.  Writers grow
@@ -409,15 +416,13 @@ class ServingGeneration:
     from it, so a concurrent :meth:`AliCoCoService.publish` can never
     show a request the new graph with the old indexes (or vice versa) —
     installing a generation is a single attribute assignment, atomic
-    under the GIL.  A frozen (non-generational) service holds exactly
-    one of these forever, at ``generation_id`` 0.
+    under the GIL.
 
     Attributes:
         generation_id: The store generation these indexes were built
-            over; 0 for a plain frozen store.
-        store: The pinned read view (an
-            :class:`~repro.kg.store.AliCoCoStore` or
-            :class:`~repro.kg.generations.GenerationView`).
+            over.
+        store: The pinned read view
+            (a :class:`~repro.kg.generations.GenerationView`).
         search_index: The BM25 concept index over this view, or ``None``.
         dense_indexes: Dense first-stage indexes by snapshot name
             (empty under ``retriever="bm25"``).
@@ -514,20 +519,16 @@ def serve_cached(
 ) -> Any:
     """Answer one request through ``owner``'s result cache, metered.
 
-    ``owner`` (a service or a cluster) supplies ``_cache``, ``_metrics``
-    and ``_generational``.  A generational owner prefixes keys with the
-    pinned ``gen``'s id, so a swap retires the old generation's entries
-    by making them unreachable instead of ``clear()``-ing under
-    concurrent readers.  A miss runs ``compute()``, or ``run(endpoint,
-    cache_key, compute)`` when given (the cluster's coalesce ->
-    admission path).
+    ``owner`` (a service or a cluster) supplies ``_cache`` and
+    ``_metrics``.  Every key carries the pinned ``gen``'s id, so a swap
+    retires the old generation's entries by making them unreachable
+    instead of ``clear()``-ing under concurrent readers.  A miss runs
+    ``compute()``, or ``run(endpoint, cache_key, compute)`` when given
+    (the cluster's coalesce -> admission path).
     """
     metrics = owner._metrics[endpoint]
     start = perf_counter()
-    if owner._generational:
-        cache_key = ("gen", gen.generation_id, endpoint, *key)
-    else:
-        cache_key = (endpoint, *key)
+    cache_key = (gen.generation_id, endpoint, *key)
     cache = owner._cache
     if cache is not None:
         cached = cache.get(cache_key, _MISS)
@@ -663,19 +664,17 @@ def write_snapshot(
     tagger: ConceptTagger | None,
     reranker: Module | None,
 ) -> int:
-    """Write what is served: the view ``gen`` pinned — as its
-    generations when it is a generation view — the indexes built over
-    that view, and the model bundles.  ``gen`` is a
-    :class:`ServingGeneration` or a cluster's bundle, so a saved file is
-    consistent by construction, whatever the source store has published
-    since.
+    """Write what is served: the generation view ``gen`` pinned, as its
+    base and delta segments (:func:`~repro.kg.serialize.save_generations`),
+    the indexes built over that view, and the model bundles.  ``gen`` is
+    a :class:`ServingGeneration` or a cluster's bundle, so a saved file
+    is consistent by construction, whatever the source store has
+    published since.  A view at generation 0 writes no delta section.
 
     Returns:
         Number of bytes written.
     """
-    generational = isinstance(gen.store, GenerationView)
-    saver = save_generations if generational else save_snapshot
-    return saver(
+    return save_generations(
         gen.store,
         path,
         config_fingerprint=config_fingerprint,
@@ -689,15 +688,16 @@ def open_snapshot(
     expected_fingerprint: str | None,
     tagger: ConceptTagger | None,
     reranker: Module | None,
-) -> AliCoCoStore | GenerationalStore:
+) -> GenerationalStore:
     """The store a loaded snapshot serves; restores each given model's
     bundled weights into it.
 
-    A generational snapshot (delta segments, or a folded generation in
-    the header) replays into a generational store with its saved
-    generation numbering, so generation-keyed caches stay coherent;
-    others serve frozen.  The snapshot's index states are left to the
-    constructor it is handed to (:func:`served_indexes`).
+    Every snapshot replays into a generational store with its saved
+    generation numbering (:func:`~repro.kg.serialize.generational_store_from_snapshot`),
+    so generation-keyed caches stay coherent and the warm-started system
+    can publish, whatever generation it was saved at.  The snapshot's
+    index states are left to the constructor it is handed to
+    (:func:`served_indexes`).
 
     Raises:
         DataError: If the snapshot's fingerprint is not
@@ -722,9 +722,7 @@ def open_snapshot(
                 f"(bundled models: {bundled})"
             )
         restore_serving_module(module, bundle, _MODEL_KINDS[name], name)
-    if snapshot.deltas or header.base_generation > 0:
-        return generational_store_from_snapshot(snapshot)
-    return snapshot.store
+    return generational_store_from_snapshot(snapshot)
 
 
 def save_shard_snapshot(
@@ -762,7 +760,6 @@ def shard_service_from_snapshot(
     config: ServiceConfig | None = None,
     tagger: ConceptTagger | None = None,
     reranker: Module | None = None,
-    generational: bool = False,
 ) -> "AliCoCoService":
     """Rehydrate one shard service from a :func:`save_shard_snapshot` file.
 
@@ -772,24 +769,21 @@ def shard_service_from_snapshot(
     state.  The service fits nothing: it is given every population's
     projection, ``None`` for one the shard owns no document of — a
     shard must never fit its own index over ghost replicas and local
-    statistics.  With ``generational=True`` the store is wrapped in a
-    :class:`~repro.kg.generations.GenerationalStore` so cluster
-    publishes can grow it behind its readers.
+    statistics.  Like every service, it serves the store as generation
+    0 of a :class:`~repro.kg.generations.GenerationalStore`, so cluster
+    publishes grow it behind its readers.
 
     Raises:
         DataError: If the snapshot is malformed.
     """
     snapshot = load_snapshot(path)
-    store: AliCoCoStore | GenerationalStore = snapshot.store
-    if generational:
-        store = GenerationalStore(store)
     states = snapshot.index_states
     indexes = {
         name: index_from_state(name, states[name]) if name in states else None
         for name in _POPULATIONS
     }
     return AliCoCoService(
-        store,
+        snapshot.store,
         config=config,
         search_index=indexes.pop(CONCEPT_INDEX),
         tagger=tagger,
@@ -973,27 +967,27 @@ def _extended(
 
 
 class AliCoCoService:
-    """Concept query service over a frozen net — or an evolvable one.
+    """Concept query service over an evolvable net.
 
-    Given a plain :class:`~repro.kg.store.AliCoCoStore`, the store is
-    frozen at construction time: cached results can never go stale
-    because the graph underneath can never change, and the service stays
-    at generation 0 forever.  Given a
-    :class:`~repro.kg.generations.GenerationalStore`, the service serves
-    its *published* view and advances to new generations through
-    :meth:`publish` — requests pin one immutable
+    The service serves the *published* view of a
+    :class:`~repro.kg.generations.GenerationalStore`: the one given, or
+    one wrapped around a given plain
+    :class:`~repro.kg.store.AliCoCoStore` (frozen in place, served as
+    generation 0) or :class:`~repro.kg.generations.GenerationView` (its
+    generation numbering kept).  It advances to new generations through
+    :meth:`publish`.  Requests pin one immutable
     :class:`ServingGeneration` at entry, so reads stay lock-free and
     internally consistent even while a publish is installing the next
     one (see the module docstring's **Evolvable serving** section).  One
-    instance may be shared across threads either way — graph reads are
-    lock-free over immutable state, and the cache/metrics guard
-    themselves (see the module docstring for the full thread-safety
-    contract).
+    instance may be shared across threads — graph reads are lock-free
+    over immutable state, and the cache/metrics guard themselves (see
+    the module docstring for the full thread-safety contract).
 
     Args:
-        store: The net to serve; frozen in place (a generational store
-            stays growable through its own API — only its published
-            views are immutable).
+        store: The net to serve: a generational store, served as given
+            (growable through its own API — only its published views are
+            immutable), or a plain store or a view, wrapped in a new
+            generational store (a plain store is frozen in place).
         config: Serving knobs (defaults are fine for tests/benchmarks).
         search_index: A concept index to serve as it is, ``None``
             included (a cluster passes each shard its projection of the
@@ -1034,7 +1028,7 @@ class AliCoCoService:
 
     def __init__(
         self,
-        store: AliCoCoStore,
+        store: AliCoCoStore | GenerationView | GenerationalStore,
         *,
         config: ServiceConfig | None = None,
         search_index: Any = _MISS,
@@ -1045,13 +1039,14 @@ class AliCoCoService:
         config_fingerprint: str = "",
     ):
         self.config = config or ServiceConfig()
-        self._generational = isinstance(store, GenerationalStore)
-        self._store = store.freeze()  # a no-op self-return for generational stores
+        if not isinstance(store, GenerationalStore):
+            store = GenerationalStore(store)  # freezes a plain store in place
+        self._store = store
         self._fingerprint = config_fingerprint
-        # The view every index below is built over.  For a generational
-        # store this pins the *published* view — open/staged writes stay
-        # invisible until publish() builds the next generation.
-        view = store.current() if self._generational else self._store
+        # The view every index below is built over: the *published* view
+        # — open/staged writes stay invisible until publish() builds the
+        # next generation.
+        view = store.current()
         self._tagger, self._reranker = prepare_models(self.config, tagger, reranker)
         self._cache = (
             LRUCache(self.config.cache_capacity) if self.config.cache_capacity else None
@@ -1087,7 +1082,7 @@ class AliCoCoService:
         # never take it).
         self._publish_lock = threading.Lock()
         self._gen = ServingGeneration(
-            generation_id=view.generation_id if self._generational else 0,
+            generation_id=view.generation_id,
             store=view,
             search_index=indexes.pop(CONCEPT_INDEX),
             dense_indexes=indexes,
@@ -1215,7 +1210,9 @@ class AliCoCoService:
         ``clear()``, no stale hits, no lost concurrent lookups.
 
         A publish with nothing staged and nothing open is a no-op that
-        returns the current generation id.
+        returns the current generation id — so is every publish of a
+        service built over a plain store until something is written to
+        its :attr:`store`.
 
         Args:
             search_index / dense_indexes: When given, serve these indexes
@@ -1226,18 +1223,7 @@ class AliCoCoService:
 
         Returns:
             The generation id now being served.
-
-        Raises:
-            ConfigError: If the service serves a plain frozen store
-                (build it over a
-                :class:`~repro.kg.generations.GenerationalStore` to
-                evolve it).
         """
-        if not self._generational:
-            raise ConfigError(
-                "publish() needs a service over a GenerationalStore; this "
-                "service serves a frozen store (generation 0 forever)"
-            )
         with self._publish_lock:
             old = self._gen
             generation_id = self._store.publish()
@@ -1492,8 +1478,9 @@ class AliCoCoService:
             workers: When given, fan sub-queries out over a thread pool
                 of this size.  Result order is deterministic (always
                 request order) and content is identical to serial
-                execution — the store is frozen, so a query's answer does
-                not depend on scheduling.
+                execution — each sub-query reads an immutable
+                generation, so a query's answer does not depend on
+                scheduling.
 
         Raises:
             ConfigError: On an unknown endpoint name (``"raise"`` mode),
@@ -1504,19 +1491,17 @@ class AliCoCoService:
 
     # --------------------------------------------------------- introspection
     @property
-    def store(self) -> AliCoCoStore:
-        """The net being served.
-
-        For a frozen service this is the store itself; for a generational
-        service it is the :class:`~repro.kg.generations.GenerationalStore`
-        — grow it through its ``create_*`` API and :meth:`publish` the
-        next generation.
+    def store(self) -> GenerationalStore:
+        """The net being served: the
+        :class:`~repro.kg.generations.GenerationalStore` given, or the one
+        the given store was wrapped in — grow it through its ``create_*``
+        API and :meth:`publish` the next generation.
         """
         return self._store
 
     @property
     def generation_id(self) -> int:
-        """The generation currently being served (0 for frozen services)."""
+        """The generation currently being served."""
         return self._gen.generation_id
 
     @property

@@ -1,9 +1,9 @@
-"""Hash-sharding a frozen net for scatter-gather serving.
+"""Hash-sharding a served net for scatter-gather serving.
 
 The paper's net answers Alibaba-scale traffic; one Python process with
 one monolithic store does not.  This module is the *data* half of the
 cluster tier (:mod:`repro.serving.cluster` is the query half): it splits
-an :class:`~repro.kg.store.AliCoCoStore` into N self-contained shard
+the cluster's served generation view into N self-contained shard
 stores by node-id hash, so each shard can be served by an ordinary
 :class:`~repro.serving.AliCoCoService` and queries either *route* to one
 shard or *scatter* across all of them and merge.
@@ -195,8 +195,8 @@ def split_store(
     """Split a store into ``n_shards`` self-contained shard stores.
 
     Node objects are shared, not copied (nodes are immutable under
-    serving); the shard stores come back unfrozen so callers can freeze
-    them through the services that serve them.  Splitting is
+    serving); the shard stores come back unfrozen, and the service that
+    serves each one freezes it.  Splitting is
     deterministic: the same store and shard count always produce the
     same shards, so a cluster can re-split after a snapshot reload and
     land on identical placement.  Each shard holds its nodes in global

@@ -151,8 +151,7 @@ class ServiceStats:
     counter triples are each taken as one locked snapshot
     (:meth:`repro.serving.cache.LRUCache.counters`), so hits + misses
     always equals the lookups actually made — never a torn mid-update
-    read.  ``generation_id`` is 0 for frozen services and the published
-    generation for services over a
+    read.  ``generation_id`` is the served generation of the service's
     :class:`~repro.kg.generations.GenerationalStore`;
     ``cache_generations`` breaks the result cache's counters into
     per-generation windows (``(label, hits, misses, evictions)``,

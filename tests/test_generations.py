@@ -117,9 +117,36 @@ class TestGenerationalStore:
         assert store.count_nodes("item") == base.count_nodes("item")
 
     def test_store_is_frozen_for_the_serving_tier(self, built_tiny):
+        """The base is frozen in place; writes go to the open delta."""
         store = GenerationalStore(built_tiny.store)
-        assert store.frozen is True
-        assert store.freeze() is store  # idempotent, returns self
+        assert built_tiny.store.frozen is True
+        with pytest.raises(FrozenStoreError):
+            built_tiny.store.create_item("contraband")
+        item = store.create_item("staged item title")
+        assert store.open_counts == (1, 0)
+        assert item.id not in built_tiny.store
+
+    def test_a_view_keeps_its_base_segments_and_numbering(self, built_tiny):
+        source = GenerationalStore(built_tiny.store)
+        for tag in ("v1", "v2"):
+            _grow(source, tag)
+            source.publish()
+        source.compact()
+        _grow(source, "v3")
+        source.publish()
+        view = source.current()
+        store = GenerationalStore(view)
+        assert store.current() is view
+        assert store.generation_id == view.generation_id == 3
+        assert store.base_generation == view.base_generation == 2
+        assert store.current().segment_generations == view.segment_generations
+        assert store.published_segments == view._segments
+        concept, _ = _grow(store, "v4")
+        assert store.publish() == view.generation_id + 1
+        assert store.current().segment_generations == (3, 4)
+        assert concept.id in store and concept.id not in source
+        flat = flatten(store)
+        assert list(store.relations()) == list(flat.relations())
 
     def test_writes_stay_invisible_until_publish(self, built_tiny):
         base = built_tiny.store
@@ -418,10 +445,13 @@ class TestPublishServing:
             ]
         assert service.batch(requests) == fresh.batch(requests)
 
-    def test_publish_requires_a_generational_store(self, built_tiny):
+    def test_publish_over_a_plain_store_is_a_noop(self, built_tiny):
         service = AliCoCoService(built_tiny.store)
-        with pytest.raises(ConfigError):
-            service.publish()
+        assert isinstance(service.store, GenerationalStore)
+        assert service.publish() == 0
+        concept, _ = _grow(service.store, "plain")
+        assert service.publish() == 1
+        assert service.search(concept.text)[0][0] == concept.id
 
     def test_swap_keys_the_cache_instead_of_clearing_it(self, built_tiny):
         store = GenerationalStore(built_tiny.store)

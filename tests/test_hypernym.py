@@ -1,5 +1,7 @@
 """Tests for hypernym discovery: patterns, dataset, projection, active."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def toy_embedder(dim=8):
 
     def word_vector(word):
         if word not in cache:
-            rng = np.random.default_rng(abs(hash(word)) % (2 ** 31))
+            rng = np.random.default_rng(zlib.crc32(word.encode()))
             cache[word] = rng.normal(size=dim)
         return cache[word]
 

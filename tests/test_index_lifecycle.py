@@ -7,6 +7,8 @@ fits, after every publish and across a save and a warm start:
 
 - a save writes the generation the system serves, so the saved indexes
   cover the saved net even when the source store published past it;
+- a warm start can publish whatever generation was saved, generation 0
+  included;
 - a saved BM25 state that does not cover its net is refit on load, like
   a dense one;
 - an e-commerce concept without text is in no index, whether the index
@@ -111,6 +113,29 @@ def test_a_save_writes_the_served_generation(
                 closable.close()
 
 
+@pytest.mark.parametrize("kind", ["service", "cluster"])
+def test_a_generation_zero_save_warm_starts_evolvable(
+    built_tiny, trained_reranker, tmp_path, kind
+):
+    """A system saved before its first publish warm-starts over a store
+    that still publishes, and serves a new concept like a fresh service
+    over ``flatten()``."""
+    system = _system(kind, GenerationalStore(built_tiny.store), trained_reranker)
+    path = tmp_path / "generation-0.snapshot"
+    system.save_snapshot(path)
+    warm = _warm(kind, path, trained_reranker)
+    try:
+        concept = _source(warm).create_ecommerce("velvet lamb chops")
+        assert warm.publish() == 1
+        assert warm.search(concept.text)[0][0] == concept.id
+        queries = [spec.text for spec in built_tiny.concepts[:3]]
+        _assert_flatten_parity(warm, trained_reranker, queries + [concept.text])
+    finally:
+        for closable in (system, warm):
+            if isinstance(closable, AliCoCoCluster):
+                closable.close()
+
+
 @pytest.mark.parametrize("loader", ["service", "cluster"])
 def test_a_bm25_state_not_covering_its_store_is_refit_on_load(
     built_tiny, tmp_path, loader
@@ -170,8 +195,8 @@ def test_index_lifecycles_equal_a_fresh_fit_over_flatten(
 ):
     """After every step, the service's and the cluster's index ids and
     ``search`` answers equal a fresh single service's over ``flatten()``.
-    A save + warm start at generation 0 would serve a frozen store, so a
-    ``save`` before the first publish is skipped."""
+    A ``save`` replaces each system with one warm-started from its
+    snapshot, before the first publish too."""
     systems = {
         kind: _system(kind, GenerationalStore(built_tiny.store), trained_reranker)
         for kind in ("service", "cluster")
@@ -187,7 +212,7 @@ def test_index_lifecycles_equal_a_fresh_fit_over_flatten(
                         _source(system).create_item(*args)
                     elif op == "publish":
                         system.publish()
-                    elif system.generation_id > 0:
+                    else:
                         path = Path(directory) / f"{kind}-{step}.snapshot"
                         system.save_snapshot(path)
                         if isinstance(system, AliCoCoCluster):

@@ -22,14 +22,12 @@ is checked to return exactly the ids it owns.
 import pytest
 
 from repro.kg import GenerationalStore, Relation, RelationKind, flatten
-from repro.kg.serialize import load_snapshot
 from repro.serving import AliCoCoCluster, AliCoCoService, ClusterConfig, ServiceConfig
 from repro.serving.models import dense_query_vector
 from repro.serving.procpool import _ShardWorker
 from repro.serving.service import (
     DENSE_CONCEPT_INDEX,
     DENSE_ITEM_INDEX,
-    open_snapshot,
     shard_service_from_snapshot,
 )
 from repro.serving.shard import shard_of
@@ -65,26 +63,13 @@ def snapshots(built_tiny, trained_reranker, tmp_path_factory):
     return {"service": plain, "generational": generational}
 
 
-def _warm(kind, path, built, n_shards, executor):
-    """A publishable cluster warm-started from ``path``.
-
-    A service snapshot serves frozen, so its store is wrapped in a
-    generational one: ``open_snapshot`` plus the constructor, exactly
-    what ``from_snapshot`` runs.
-    """
+def _warm(path, built, n_shards, executor):
+    """A cluster warm-started from ``path``; it can publish whatever
+    generation the snapshot was saved at."""
     config = ClusterConfig(n_shards=n_shards, executor=executor)
     reranker = make_trained_reranker(built, seed=9, epochs=1)
-    if kind == "generational":
-        return AliCoCoCluster.from_snapshot(
-            path, config=config, service_config=CONFIG, reranker=reranker
-        )
-    snapshot = load_snapshot(path)
-    return AliCoCoCluster(
-        GenerationalStore(open_snapshot(snapshot, None, None, reranker)),
-        config=config,
-        service_config=CONFIG,
-        reranker=reranker,
-        dense_index_states=snapshot.index_states,
+    return AliCoCoCluster.from_snapshot(
+        path, config=config, service_config=CONFIG, reranker=reranker
     )
 
 
@@ -103,7 +88,6 @@ def _shard_generations(cluster):
                 config=spec.service_config,
                 tagger=spec.tagger,
                 reranker=spec.reranker,
-                generational=spec.generational,
             ),
             spec.cluster_generation_id,
         )
@@ -174,7 +158,7 @@ def _assert_owned_rows(cluster):
 def test_shards_hold_exactly_their_own_rows(
     snapshots, built_tiny, kind, n_shards, executor
 ):
-    cluster = _warm(kind, snapshots[kind], built_tiny, n_shards, executor)
+    cluster = _warm(snapshots[kind], built_tiny, n_shards, executor)
     try:
         _assert_owned_rows(cluster)
         for round_index in range(3):

@@ -280,9 +280,9 @@ class TestCachingAndStats:
         assert stats.cache_misses == 2
 
     def test_store_is_frozen_by_serving(self, built):
-        service = AliCoCoService.from_build(built)
+        AliCoCoService.from_build(built)
         with pytest.raises(FrozenStoreError):
-            service.store.create_item("contraband")
+            built.store.create_item("contraband")
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

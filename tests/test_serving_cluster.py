@@ -1072,10 +1072,17 @@ class TestClusterGenerations:
             assert list(service.store.relations()) == expected
         assert list(cluster._shard_owned) == oracle_census(view, n_shards)
 
-    def test_publish_needs_a_generational_source(self, store):
+    def test_publish_over_a_plain_store_is_a_noop(self, store):
+        from repro.kg import GenerationalStore
+
         cluster = _cluster(store, 2)
-        with pytest.raises(ConfigError, match="GenerationalStore"):
-            cluster.publish()
+        bundle = cluster._cgen
+        assert isinstance(cluster.source, GenerationalStore)
+        assert cluster.publish() == 0
+        assert cluster._cgen is bundle
+        concept, _ = _grow_round(cluster.source, "plain")
+        assert cluster.publish() == 1
+        assert cluster.search(concept.text)[0][0] == concept.id
 
     def test_noop_publish_keeps_the_generation_bundle(self, built):
         from repro.kg import GenerationalStore

@@ -182,6 +182,29 @@ def test_generational_round_trip(
 GROWN = ("w1", "w2")
 
 
+def test_a_service_over_a_cluster_view_answers_like_one_over_flatten(
+    built_tiny, tagger, trained_reranker
+):
+    """A service over a cluster's served view keeps its generation and
+    answers all eight endpoints like a service over ``flatten()``."""
+    source = GenerationalStore(built_tiny.store)
+    models = {"tagger": tagger, "reranker": trained_reranker}
+    cluster = AliCoCoCluster(
+        source, config=ClusterConfig(n_shards=2), service_config=CONFIG, **models
+    )
+    try:
+        for tag in GROWN:
+            _grow(source, tag)
+            cluster.publish()
+        over_view = AliCoCoService(cluster.store, config=CONFIG, **models)
+        over_flat = AliCoCoService(flatten(cluster.store), config=CONFIG, **models)
+        assert over_view.generation_id == cluster.generation_id == len(GROWN)
+        requests = _requests(built_tiny, GROWN)
+        assert over_view.batch(requests) == over_flat.batch(requests)
+    finally:
+        cluster.close()
+
+
 def _saved_generational(built, tagger, reranker, path):
     """A generational service snapshot: two published segments."""
     store = GenerationalStore(built.store)
@@ -198,8 +221,9 @@ def _assert_oracle_shards(cluster, config=CONFIG):
     hold exactly its own rows of a single service's fit over the net."""
     n_shards = cluster.n_shards
     expected_shards = oracle_split(cluster.store, n_shards)
-    net = cluster.store if cluster.source is None else flatten(cluster.store)
-    refit = AliCoCoService(net, config=config, reranker=cluster._reranker)
+    refit = AliCoCoService(
+        flatten(cluster.store), config=config, reranker=cluster._reranker
+    )
     for shard, (service, expected) in enumerate(
         zip(cluster.services, expected_shards)
     ):
