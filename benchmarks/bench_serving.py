@@ -574,7 +574,7 @@ def _load_stages(path):
         )
         store = AliCoCoStore()
         timed(f"{insert} (nodes)", store.add_nodes_trusted, block.nodes)
-        timed(f"{insert} (relations)", store.add_relations_trusted, relations)
+        timed(f"{insert} (relations)", store._insert_relations, relations)
     return store, times
 
 
@@ -610,7 +610,7 @@ def test_load_stages(tmp_path, report):
     scale = replace(BENCH_SCALE, n_items=_LOAD_ITEMS)
     built = build_alicoco(scale, n_concepts=_LOAD_CONCEPTS)
     path = tmp_path / "net.snapshot"
-    snapshot_bytes = serialize.save_store(built.store, path)
+    snapshot_bytes = serialize.save_snapshot(built.store, path)
     n_relations = built.store.stats().relations_total
 
     passes = [_load_stages(path) for _ in range(_LOAD_PASSES)]

@@ -4,25 +4,27 @@ The serving tier (:mod:`repro.serving`) freezes its store so cached
 answers can never go stale — but the paper's production net *grows*
 while serving traffic (newly mined concepts and item associations stream
 in; AliCG calls this an "evolvable" conceptual graph).  This module
-reconciles the two with a classic copy-on-write generation scheme:
+reconciles the two with a classic copy-on-write generation scheme.  A
+**generation** is a frozen base plus one frozen segment per publish:
 
 - a frozen **base** :class:`~repro.kg.store.AliCoCoStore` holds the
-  build output and is never touched again;
-- writes go to an **open** delta segment — an unfrozen
+  build output (or a compaction of earlier generations) and is never
+  touched again;
+- writes go to an **open** delta — an unfrozen
   :class:`~repro.kg.store.AliCoCoStore` whose own indexes the views read
   after the base's;
-- :meth:`GenerationalStore.seal` closes the open segment (it is frozen)
-  and :meth:`GenerationalStore.swap` atomically publishes all
-  sealed segments as the next **generation** — a new immutable
+- :meth:`GenerationalStore.swap` freezes the open delta into the next
+  segment and atomically publishes the next generation — a new immutable
   :class:`GenerationView` whose reads see base + segments through the
-  existing store/query API.
+  existing store/query API.  A view's :attr:`~GenerationView.generation_id`
+  is its base's generation plus its segment count.
 
 The concurrency contract mirrors the serving tier's: a published
 :class:`GenerationView` is deeply immutable, so readers touch it without
 locks; ``swap()`` installs the next view with one attribute assignment
 (atomic under the GIL), so a reader sees either the old generation or
-the new one — never a mix.  Writers and ``seal``/``swap`` serialize on
-one internal lock.
+the new one — never a mix.  Writers and ``swap`` serialize on one
+internal lock.
 
 Semantics are **add-only**: nodes and relations can be added in a delta
 but never removed or rewritten (node ids are never reused), matching the
@@ -34,7 +36,8 @@ monolithic store would have produced — weight-tie ordering included.
 Generation 0 (no published segments) is a view over the base alone: it
 answers every read exactly as the base store does, so the serving tier
 serves every net as a generation and a plain store is generation 0 of
-one (:class:`GenerationalStore` wraps it).
+one (:class:`GenerationalStore` wraps it).  A snapshot loads as the view
+it saved (:func:`repro.kg.serialize.load_snapshot`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from ..errors import ConfigError
-from .ids import CLASS_PREFIX, ECOMMERCE_PREFIX, ITEM_PREFIX, PRIMITIVE_PREFIX
+from .ids import (
+    CLASS_PREFIX,
+    ECOMMERCE_PREFIX,
+    ITEM_PREFIX,
+    PRIMITIVE_PREFIX,
+    fresh_id,
+)
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
 from .relations import Relation, RelationKind
 from .stats import StoreStats
@@ -74,41 +83,33 @@ class GenerationView:
     so reads are lock-free and results can be cached keyed by
     :attr:`generation_id`.  With zero segments every read answers
     exactly as the base store does.
+
+    Args:
+        base: The frozen base store.
+        segments: The frozen segments, one per publish, in order.
+        base_generation: Generation id folded into ``base`` (0 until a
+            compaction); segment ``i`` (from 1) is generation
+            ``base_generation + i``.
     """
 
-    __slots__ = (
-        "_base",
-        "_segments",
-        "_stores",
-        "generation_id",
-        "segment_generations",
-        "base_generation",
-    )
+    __slots__ = ("_base", "_segments", "_stores", "generation_id", "base_generation")
 
     def __init__(
         self,
         base: AliCoCoStore,
         segments: tuple[AliCoCoStore, ...] = (),
-        generation_id: int = 0,
-        segment_generations: tuple[int, ...] = (),
         base_generation: int = 0,
     ) -> None:
         self._base = base
         self._segments = segments
         # The base, then every segment: the order every read answers in.
         self._stores = (base, *segments)
-        #: Monotonic publish counter; 0 is the bare base store.
-        self.generation_id = generation_id
-        #: Generation id each segment was published under (one swap may
-        #: publish several sealed segments); snapshots persist this so a
-        #: warm start restores the exact generation numbering.
-        self.segment_generations = segment_generations or tuple(
-            range(base_generation + 1, base_generation + len(segments) + 1)
-        )
-        #: Generation id folded into ``_base`` (0 until a compaction).
-        #: Pinned on the view so snapshotting a view is tear-free even
-        #: if the owning store compacts concurrently.
+        #: Generation id folded into ``_base``.  Pinned on the view so
+        #: snapshotting a view is tear-free even if the owning store
+        #: compacts concurrently.
         self.base_generation = base_generation
+        #: Monotonic publish counter: one generation per segment.
+        self.generation_id = base_generation + len(segments)
 
     # --------------------------------------------------------------- access
     def get(self, node_id: str) -> Node:
@@ -246,16 +247,13 @@ class GenerationalStore:
     :class:`AliCoCoStore` — all of it goes through :meth:`add_node` and
     :meth:`add_relations` (``add_relation`` and ``create_*`` included),
     which run the store's own checks against the whole pending state —
-    and stays invisible to readers until published:
+    and stays invisible to readers until :meth:`swap` freezes it into
+    the next segment and publishes the next generation
+    (:meth:`publish` is the same call).
 
-    - :meth:`seal` freezes the open segment and stages it;
-    - :meth:`swap` publishes every staged segment as the next
-      generation, bumping :attr:`generation_id` by one;
-    - :meth:`publish` is the common ``seal(); swap()`` shorthand.
-
-    Writers, ``seal`` and ``swap`` serialize on one internal lock;
-    ``swap`` itself installs the new view with a single attribute
-    assignment, so concurrent readers always see a whole generation.
+    Writers and ``swap`` serialize on one internal lock; ``swap`` itself
+    installs the new view with a single attribute assignment, so
+    concurrent readers always see a whole generation.
 
     The *published* surface is immutable (the serving tier's caching
     contract), even though new generations are prepared behind it.
@@ -270,49 +268,32 @@ class GenerationalStore:
             a published :class:`GenerationView` to grow from: the store
             then starts at that view, keeping its base, its segments and
             its generation numbering.
-        base_generation: Generation id a bare base store represents — 0
-            for a fresh build; a compacted snapshot restores the id its
-            base was folded at so generation numbering survives a warm
-            start.  A view brings its own.
         compact_after_segments: When set, every :meth:`swap` that leaves
             more than this many published segments triggers an automatic
             :meth:`compact` — the chain-length bound for stores that
             keep evolving.
 
     Raises:
-        ConfigError: On a negative ``base_generation`` or a
-            non-positive ``compact_after_segments``.
+        ConfigError: On a non-positive ``compact_after_segments``.
     """
 
     def __init__(
         self,
         base: AliCoCoStore | GenerationView,
         *,
-        base_generation: int = 0,
         compact_after_segments: int | None = None,
     ) -> None:
-        if base_generation < 0:
-            raise ConfigError(f"base_generation must be >= 0, got {base_generation}")
         if compact_after_segments is not None and compact_after_segments <= 0:
             raise ConfigError(
                 "compact_after_segments must be positive, got "
                 f"{compact_after_segments}"
             )
         if not isinstance(base, GenerationView):
-            base = GenerationView(
-                base.freeze(), (), base_generation, base_generation=base_generation
-            )
+            base = GenerationView(base.freeze())
         self._view = base
-        self._base = base._base
-        self._base_generation = base.base_generation
         self._lock = threading.Lock()
         self._open = AliCoCoStore()
-        self._staged: list[AliCoCoStore] = []
         self.compact_after_segments = compact_after_segments
-        # Lazily-initialised per-layer id counters for create_*: snapshot
-        # replay leaves the base's IdAllocator at zero, so counters start
-        # at the pending layer size and probe past collisions.
-        self._id_counters: dict[str, int] = {}
 
     # ------------------------------------------------------------ published
     @property
@@ -323,7 +304,7 @@ class GenerationalStore:
     @property
     def base_generation(self) -> int:
         """Generation id folded into the base (0 until a compaction)."""
-        return self._base_generation
+        return self._view.base_generation
 
     def current(self) -> GenerationView:
         """The published view — pin it once per request for consistency."""
@@ -331,20 +312,18 @@ class GenerationalStore:
 
     # ------------------------------------------------------------- mutation
     def _pending(self) -> GenerationView:
-        """A private view of published + staged + open (writer-side only)."""
+        """A private view of published + open (writer-side only)."""
+        view = self._view
         return GenerationView(
-            self._base,
-            self._view._segments + tuple(self._staged) + (self._open,),
-            self._view.generation_id,
-            base_generation=self._base_generation,
+            view._base, view._segments + (self._open,), view.base_generation
         )
 
     def add_node(self, node: Node) -> Node:
         """Insert a pre-built node into the open delta.
 
         Raises:
-            DuplicateNodeError: If the id exists in any generation,
-                staged segment, or the open delta.
+            DuplicateNodeError: If the id exists in any generation or the
+                open delta.
             RelationError: If the node type does not match its id prefix.
         """
         with self._lock:
@@ -367,12 +346,12 @@ class GenerationalStore:
         """Insert a batch of relations into the open delta, all or nothing.
 
         Endpoints may live in any layer of the pending state (base, a
-        published or staged segment, or the open delta).  The result is
-        that of :meth:`AliCoCoStore.add_relations`: duplicate (kind,
-        source, target) triples — of each other or of an edge in any
-        layer — resolve to the stored relation, which is what the
-        returned list holds per input edge, and a batch with an invalid
-        edge stages nothing.
+        published segment, or the open delta).  The result is that of
+        :meth:`AliCoCoStore.add_relations`: duplicate (kind, source,
+        target) triples — of each other or of an edge in any layer —
+        resolve to the stored relation, which is what the returned list
+        holds per input edge, and a batch with an invalid edge inserts
+        nothing.
 
         An edge with an endpoint in the open delta is checked for
         duplicates there only.  That is exact: node ids are unique across
@@ -400,25 +379,15 @@ class GenerationalStore:
         self._open._insert_relations(fresh)
         return stored
 
-    def _allocate(self, prefix: str) -> str:
-        # Caller holds self._lock.
-        pending = self._pending()
-        n = self._id_counters.get(prefix)
-        if n is None:
-            n = pending.count_nodes(prefix)
-        while f"{prefix}_{n}" in pending:
-            n += 1
-        self._id_counters[prefix] = n + 1
-        return f"{prefix}_{n}"
-
     def create_class(
         self, name: str, domain: str, parent_id: str | None = None
     ) -> ClassNode:
         """Allocate an id and insert a taxonomy class into the open delta."""
         with self._lock:
+            pending = self._pending()
             if parent_id is not None:
-                _check_endpoint(self._pending(), parent_id, CLASS_PREFIX)
-            node = ClassNode(self._allocate(CLASS_PREFIX), name, domain, parent_id)
+                _check_endpoint(pending, parent_id, CLASS_PREFIX)
+            node = ClassNode(fresh_id(CLASS_PREFIX, pending), name, domain, parent_id)
             self._add_node_locked(node)
             if parent_id is not None:
                 self._add_relations_locked(
@@ -432,7 +401,7 @@ class GenerationalStore:
             pending = self._pending()
             _check_endpoint(pending, class_id, CLASS_PREFIX)
             node = PrimitiveConcept(
-                self._allocate(PRIMITIVE_PREFIX),
+                fresh_id(PRIMITIVE_PREFIX, pending),
                 name,
                 class_id,
                 pending.get(class_id).domain,
@@ -448,7 +417,10 @@ class GenerationalStore:
         with self._lock:
             return self._add_node_locked(
                 ECommerceConcept(
-                    self._allocate(ECOMMERCE_PREFIX), text, tuple(text.split()), source
+                    fresh_id(ECOMMERCE_PREFIX, self._pending()),
+                    text,
+                    tuple(text.split()),
+                    source,
                 )
             )
 
@@ -461,33 +433,22 @@ class GenerationalStore:
         """Allocate an id and insert an item into the open delta."""
         with self._lock:
             return self._add_node_locked(
-                Item(self._allocate(ITEM_PREFIX), title, shop, dict(properties or {}))
+                Item(
+                    fresh_id(ITEM_PREFIX, self._pending()),
+                    title,
+                    shop,
+                    dict(properties or {}),
+                )
             )
 
     # ---------------------------------------------------------- publication
-    def seal(self) -> AliCoCoStore | None:
-        """Freeze the open delta and stage it for the next :meth:`swap`.
-
-        Returns the sealed segment, or ``None`` when the open delta was
-        empty (nothing to stage).
-        """
-        with self._lock:
-            if _empty(self._open):
-                return None
-            segment = self._open.freeze()
-            self._staged.append(segment)
-            self._open = AliCoCoStore()
-            return segment
-
     def swap(self) -> int:
-        """Atomically publish all staged segments as the next generation.
+        """Freeze the open delta into the next segment and atomically
+        publish it as the next generation.
 
-        A no-op (current :attr:`generation_id` returned) when nothing is
-        staged — an empty publish must not invalidate caches.  Empty
-        segments are dropped rather than published (``seal`` never
-        stages one, but a replayed or hand-staged empty segment must not
-        mint a no-op generation that lengthens the chain and churns
-        generation-keyed caches).
+        A no-op (current :attr:`generation_id` returned) when the open
+        delta is empty — an empty publish must not mint a generation that
+        lengthens the chain and invalidates generation-keyed caches.
 
         When ``compact_after_segments`` is configured and the publish
         leaves more than that many segments, the chain is folded into a
@@ -497,17 +458,14 @@ class GenerationalStore:
             The now-published generation id.
         """
         with self._lock:
-            staged = [s for s in self._staged if not _empty(s)]
-            self._staged = []
-            if not staged:
-                return self._view.generation_id
-            next_id = self._view.generation_id + 1
+            segment, view = self._open, self._view
+            if not segment._nodes and not segment._kind_counts:
+                return view.generation_id
+            self._open = AliCoCoStore()
             view = GenerationView(
-                self._base,
-                self._view._segments + tuple(staged),
-                next_id,
-                self._view.segment_generations + (next_id,) * len(staged),
-                base_generation=self._base_generation,
+                view._base,
+                view._segments + (segment.freeze(),),
+                view.base_generation,
             )
             self._view = view  # single assignment: atomic publish
             if (
@@ -518,8 +476,7 @@ class GenerationalStore:
             return view.generation_id
 
     def publish(self) -> int:
-        """``seal()`` + ``swap()``: publish whatever the open delta holds."""
-        self.seal()
+        """Publish whatever the open delta holds: :meth:`swap`."""
         return self.swap()
 
     def compact(self) -> int:
@@ -540,9 +497,9 @@ class GenerationalStore:
         caches stay valid.
 
         Readers pinned to the old overlay keep working (the fold never
-        mutates the old base or a sealed segment); staged and open
-        segments are *not* folded — they belong to unpublished
-        generations and stay writable behind the new base.
+        mutates the old base or a published segment); the open delta is
+        *not* folded — it belongs to the next generation and stays
+        writable behind the new base.
 
         Returns:
             The (unchanged) published generation id.
@@ -552,18 +509,12 @@ class GenerationalStore:
 
     def _compact_locked(self) -> int:
         view = self._view
-        if not view._segments:
-            return view.generation_id  # nothing to fold
-        self._base = view._base.fold(view._segments)
-        self._base_generation = view.generation_id
-        # Single assignment: readers see the overlay or the folded base,
-        # both of which answer every read identically.
-        self._view = GenerationView(
-            self._base,
-            (),
-            view.generation_id,
-            base_generation=view.generation_id,
-        )
+        if view._segments:
+            # Single assignment: readers see the overlay or the folded
+            # base, both of which answer every read identically.
+            self._view = GenerationView(
+                view._base.fold(view._segments), (), view.generation_id
+            )
         return view.generation_id
 
     @property
@@ -627,7 +578,7 @@ class GenerationalStore:
     # -------------------------------------------------------------- segments
     @property
     def published_segments(self) -> tuple[AliCoCoStore, ...]:
-        """Sealed (frozen) segments of the published view, in publish order."""
+        """Frozen segments of the published view, one per publish, in order."""
         return self._view._segments
 
 
@@ -638,8 +589,8 @@ def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
     relations replay in global insertion order through the trusted bulk
     paths (every one was validated when the view's layers took it), so
     the flattened store answers every read identically to the view.
-    Used by snapshot loaders that want a plain store (sharding, tools)
-    and as the oracle :meth:`GenerationalStore.compact` is tested
+    Used wherever a plain store is wanted (sharding, tools, a loaded
+    snapshot as one store) and as the oracle :meth:`GenerationalStore.compact` is tested
     against.  Unlike a compacted base, the result shares no index list
     with the view, so callers may mutate it.
 
@@ -657,7 +608,3 @@ def flatten(view: GenerationView | GenerationalStore) -> AliCoCoStore:
     store.add_relations_trusted(view.relations())
     return store
 
-
-def _empty(segment: AliCoCoStore) -> bool:
-    """Whether a delta segment holds no node and no relation."""
-    return not segment._nodes and not segment._kind_counts

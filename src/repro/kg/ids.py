@@ -8,7 +8,7 @@ are therefore allocated per node, never derived from names.
 
 from __future__ import annotations
 
-from itertools import count
+from typing import Protocol
 
 CLASS_PREFIX = "cls"
 PRIMITIVE_PREFIX = "pc"
@@ -18,19 +18,28 @@ ITEM_PREFIX = "item"
 _PREFIXES = (CLASS_PREFIX, PRIMITIVE_PREFIX, ECOMMERCE_PREFIX, ITEM_PREFIX)
 
 
-class IdAllocator:
-    """Hands out sequential ids per layer prefix."""
+class _Nodes(Protocol):
+    def __contains__(self, node_id: object) -> bool: ...
 
-    def __init__(self) -> None:
-        self._counters = {prefix: count() for prefix in _PREFIXES}
+    def count_nodes(self, layer: str) -> int: ...
 
-    def allocate(self, prefix: str) -> str:
-        """Next id for ``prefix``.
 
-        Raises:
-            KeyError: On an unknown prefix.
-        """
-        return f"{prefix}_{next(self._counters[prefix])}"
+def fresh_id(prefix: str, nodes: _Nodes) -> str:
+    """An id of layer ``prefix`` that ``nodes`` (a store or a generation
+    view) does not hold: the first free one from the layer's node count.
+
+    A net grown by ``create_*`` alone numbers each layer 0, 1, 2, ...; a
+    net whose nodes came from elsewhere (a snapshot, a flattened view, a
+    shard's split) is probed past the ids it holds, so no id is handed
+    out twice.
+
+    Raises:
+        KeyError: On an unknown prefix.
+    """
+    n = nodes.count_nodes(prefix)
+    while f"{prefix}_{n}" in nodes:
+        n += 1
+    return f"{prefix}_{n}"
 
 
 def layer_of(node_id: str) -> str:

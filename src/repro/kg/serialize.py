@@ -1,11 +1,11 @@
 """Persistence for a full AliCoCo store: format-2 snapshots.
 
-One on-disk format lives here, the *snapshot*, format 2
-(:func:`save_snapshot` / :func:`load_snapshot`, :func:`save_generations`
-/ :func:`load_generations`, and the store-only :func:`save_store` /
-:func:`load_store`): the net, its serialised query-index states (e.g.
-the fitted :class:`~repro.matching.bm25.BM25Index` over concept texts)
-and a *model bundle* — one state per trained model, built on
+One on-disk format lives here, the *snapshot*, format 2, written by
+:func:`save_snapshot` (a plain store) or :func:`save_generations` (a
+generation) and read by :func:`load_snapshot`: the net, its serialised
+query-index states (e.g. the fitted
+:class:`~repro.matching.bm25.BM25Index` over concept texts) and a *model
+bundle* — one state per trained model, built on
 :func:`repro.ml.serialize.module_state_record` — in one checksummed file
 that a serving process warm-starts from (see :mod:`repro.serving`).
 
@@ -26,8 +26,9 @@ columns, and the ``sections`` table: each entry gives a section's
 ``length`` and ``digest`` (blake2b, hex).  The sections are, in order:
 
 - ``base`` — the base store as a *block*;
-- ``delta:<generation>`` — one block per published delta segment, in
-  publish order, tagged with the generation id it was published under;
+- ``delta:<generation>`` — one non-empty block per published segment,
+  in publish order, named ``delta:<b+1>`` … ``delta:<b+n>`` after the
+  generation it was published as (``b`` is ``base_generation``);
 - ``index:<name>`` and ``model:<name>`` — one JSON object each.
 
 A block is ``<u4`` node-table bytes, ``<u4`` relation count, the node
@@ -39,21 +40,22 @@ table positions, counting the base's nodes then each delta's), weight
 What the digests guarantee: the loader reads the whole file and checks
 the magic, the header digest, the exact file length and every section's
 digest before it decodes a section, then checks the decoded tables (the
-counts, every node id's layer, every relation's endpoint layers, range
-and uniqueness) before it builds anything.  A truncated or extended
-file, or any flipped bit, raises :class:`DataError` and no store, index
-or model state is built from it.  The digests detect damage, not
-forgery: whoever can write the file can recompute them.  Saving the same
-net twice writes identical bytes.
+counts, the delta names, every node id's layer, every relation's
+endpoint layers, range and uniqueness) before it builds anything.  A
+truncated or extended file, or any flipped bit, raises
+:class:`DataError` and no store, index or model state is built from it.
+The digests detect damage, not forgery: whoever can write the file can
+recompute them.  Saving the same net twice writes identical bytes.
 
 Once every check has passed, the relations are built in bulk: each
 column becomes a list of field values through one fancy index over an
 object array, and each edge costs one tuple (``tuple.__new__`` on the
-:class:`~repro.kg.relations.Relation` NamedTuple).  Nodes and edges
-enter the store through the trusted bulk paths,
-:meth:`~repro.kg.store.AliCoCoStore.add_nodes_trusted` and
-:meth:`~repro.kg.store.AliCoCoStore.add_relations_trusted`, which skip
-the checks the loader has already made on whole tables.
+:class:`~repro.kg.relations.Relation` NamedTuple).  Each block becomes
+one frozen store, built through the trusted bulk inserts, which skip the
+checks the loader has already made on whole tables, and the file loads
+as the generation it saved: a
+:class:`~repro.kg.generations.GenerationView` over the base and one
+segment per delta.
 """
 
 from __future__ import annotations
@@ -138,18 +140,17 @@ class SnapshotHeader:
 class Snapshot:
     """Everything read back from one snapshot file.
 
-    ``deltas`` holds one ``(generation_id, nodes, relations)`` triple per
-    persisted delta segment, in publish order — empty for ordinary
-    snapshots.  ``store`` is always the *base* store only; use
-    :func:`generational_store_from_snapshot` (or :func:`load_store`,
-    which flattens) to see base + deltas together.
+    ``store`` is the generation the file saved: a
+    :class:`~repro.kg.generations.GenerationView` over the frozen base
+    and one frozen segment per delta, numbered as it was saved.  Hand it
+    to :class:`~repro.kg.generations.GenerationalStore` to grow it, or to
+    :func:`~repro.kg.generations.flatten` for one plain store.
     """
 
     header: SnapshotHeader
-    store: AliCoCoStore
+    store: GenerationView
     index_states: dict[str, dict[str, Any]] = field(default_factory=dict)
     model_states: dict[str, dict[str, Any]] = field(default_factory=dict)
-    deltas: list[tuple[int, list[Node], list[Relation]]] = field(default_factory=list)
 
 
 # ------------------------------------------------------------- node records
@@ -293,6 +294,12 @@ def _encode_block(
         for values, (_, dtype) in zip(columns, _COLUMNS)
     )
     return b"".join(parts)
+
+
+def _delta_names(base_generation: int, count: int) -> list[str]:
+    """The delta section names of a generation with ``count`` segments:
+    each is named after the generation it was published as."""
+    return [f"delta:{base_generation + n}" for n in range(1, count + 1)]
 
 
 def _write(
@@ -571,58 +578,53 @@ def load_snapshot(path: str | Path) -> Snapshot:
     :func:`save_generations`.
 
     Every check — magic, exact length, every digest, then the decoded
-    header and tables — runs before anything is built; the base store is
-    then built through the trusted bulk paths
-    (:meth:`~repro.kg.store.AliCoCoStore.add_nodes_trusted` and
-    :meth:`~repro.kg.store.AliCoCoStore.add_relations_trusted`).
+    header, the delta names and the tables — runs before anything is
+    built; each block is then built into a frozen store through the
+    trusted bulk inserts, and the store is the generation the file saved.
 
     Returns:
-        The header, the rebuilt base store, the delta segments and the
-        serialised index and model states.
+        The header, the saved generation (a
+        :class:`~repro.kg.generations.GenerationView`) and the serialised
+        index and model states.
 
     Raises:
         DataError: If the file is not a snapshot, is damaged anywhere,
-            comes from another format version, or its tables disagree
-            with its header.
+            comes from another format version, its deltas are not named
+            ``delta:<b+1>`` … ``delta:<b+n>`` or one is empty, or its
+            tables disagree with its header.
     """
     record, sections = read_sections(path)
     header, kinds, names = _parse_header(record)
     states = [f"index:{name}" for name in header.index_names]
     states += [f"model:{name}" for name in header.model_names]
-    order = list(sections)
-    delta_sections = order[1 : len(order) - len(states)]
-    if (
-        order[:1] != ["base"]
-        or order[len(order) - len(states) :] != states
-        or len(delta_sections) != header.generation_count
-        or not all(name.startswith("delta:") for name in delta_sections)
-    ):
-        raise DataError(f"snapshot sections {order} do not match its header")
-    try:
-        generations = [int(name[len("delta:") :]) for name in delta_sections]
-    except ValueError as error:
-        raise DataError(f"bad delta section name ({error})") from error
+    deltas = _delta_names(header.base_generation, header.generation_count)
+    if list(sections) != ["base", *deltas, *states]:
+        raise DataError(
+            f"snapshot sections {list(sections)} do not match its header "
+            f"(expected {['base', *deltas, *states]})"
+        )
     with gc_paused():
-        blocks = [
-            _decode_block(name, sections[name]) for name in ["base", *delta_sections]
-        ]
+        blocks = [_decode_block(name, sections[name]) for name in ["base", *deltas]]
+        for block in blocks[1:]:
+            if not block.nodes and not len(block.columns["kind"]):
+                raise DataError(f"section {block.section!r}: delta is empty")
         decoded = {name: _decode_state(name, sections[name]) for name in states}
         _check_tables(blocks, header, kinds, len(names))
         node_ids = [node.id for block in blocks for node in block.nodes]
         tables = (_objects(node_ids), _objects(kinds), _objects(names))
-        store = AliCoCoStore()
-        store.add_nodes_trusted(blocks[0].nodes)
-        store.add_relations_trusted(_relations(blocks[0], *tables))
-        deltas = [
-            (generation, block.nodes, _relations(block, *tables))
-            for generation, block in zip(generations, blocks[1:])
-        ]
+        layers = []
+        for block in blocks:
+            # Endpoints may lie in an earlier layer: _check_tables has
+            # checked every one, so the insert skips the lookup.
+            layer = AliCoCoStore()
+            layer.add_nodes_trusted(block.nodes)
+            layer._insert_relations(_relations(block, *tables))
+            layers.append(layer.freeze())
     return Snapshot(
         header,
-        store,
+        GenerationView(layers[0], tuple(layers[1:]), header.base_generation),
         {name: decoded[f"index:{name}"] for name in header.index_names},
         {name: decoded[f"model:{name}"] for name in header.model_names},
-        deltas,
     )
 
 
@@ -641,10 +643,10 @@ def save_generations(
     passes the generation it serves, so the ``index_states`` built over
     it describe exactly the saved net.  Given a
     :class:`GenerationalStore`, its *published* view is pinned at entry
-    (open/staged writes are not persisted — seal and swap first if they
-    should be).  Each delta section is named after the generation id its
-    segment was published under, letting :func:`load_generations`
-    restore the exact generation numbering.
+    (the open delta is not persisted — publish first if it should be).
+    Each delta section is named after the generation its segment was
+    published as, and :func:`load_snapshot` reads the file back as this
+    view, numbering included.
 
     Args:
         store: The generational net to persist, or one view of it.
@@ -669,7 +671,7 @@ def save_generations(
             f"save_generations needs a GenerationalStore or a GenerationView, "
             f"got {type(store).__name__}; use save_snapshot for plain stores"
         )
-    deltas = [f"delta:{generation}" for generation in view.segment_generations]
+    deltas = _delta_names(view.base_generation, len(view._segments))
     blocks = [
         (name, list(layer.nodes()), list(layer.relations()))
         for name, layer in zip(["base", *deltas], view._stores)
@@ -682,99 +684,3 @@ def save_generations(
         index_states=index_states,
         model_states=model_states,
     )
-
-
-def generational_store_from_snapshot(snapshot: Snapshot) -> GenerationalStore:
-    """Replay a loaded snapshot's deltas into a fresh generational store.
-
-    Each delta becomes one sealed segment again, and a ``swap()`` fires
-    at every generation boundary, so segment boundaries *and* generation
-    numbering match the saved store exactly — warm-started caches keyed
-    by generation id stay coherent.  A compacted snapshot
-    (``base_generation > 0``) restores its numbering too: the bare base
-    answers as the generation it was folded at, and any later deltas
-    continue from there.
-
-    Raises:
-        DataError: If the deltas' generation ids are not consecutive from
-            ``base_generation + 1`` as a live store produces (a live
-            store never skips: empty segments are never sealed and swaps
-            without staged content do not bump the id).
-    """
-    base_generation = snapshot.header.base_generation
-    if base_generation < 0:
-        raise DataError(
-            f"snapshot header: base_generation {base_generation} must be >= 0"
-        )
-    store = GenerationalStore(snapshot.store, base_generation=base_generation)
-    previous = base_generation
-    for position, (generation, nodes, relations) in enumerate(snapshot.deltas):
-        if generation <= base_generation or generation not in (previous, previous + 1):
-            raise DataError(
-                f"delta {position}: generation {generation} "
-                f"follows generation {previous} (ids must be "
-                f"consecutive from {base_generation + 1})"
-            )
-        if generation == previous + 1 and previous > base_generation:
-            store.swap()
-        for node in nodes:
-            store.add_node(node)
-        store.add_relations(relations)
-        if store.seal() is None:
-            raise DataError(
-                f"delta {position}: segment is empty (a live "
-                f"store never seals an empty segment)"
-            )
-        previous = generation
-    if previous > base_generation:
-        store.swap()
-    if store.generation_id != previous:
-        raise DataError(
-            f"replayed generation id {store.generation_id} does not "
-            f"match the saved {previous}"
-        )
-    return store
-
-
-def load_generations(path: str | Path) -> GenerationalStore:
-    """Read a generational snapshot back into a :class:`GenerationalStore`.
-
-    Convenience over :func:`load_snapshot` +
-    :func:`generational_store_from_snapshot`; index/model states ride the
-    snapshot — use :func:`load_snapshot` directly when they are needed.
-
-    Raises:
-        DataError: As :func:`load_snapshot`, plus non-consecutive or
-            empty deltas.
-    """
-    return generational_store_from_snapshot(load_snapshot(path))
-
-
-def save_store(store: AliCoCoStore, path: str | Path) -> int:
-    """Write ``store`` as a format-2 snapshot with no index or model
-    states (atomic): :func:`save_snapshot` with its defaults.
-
-    Returns:
-        Number of bytes written.
-    """
-    return save_snapshot(store, path)
-
-
-def load_store(path: str | Path) -> AliCoCoStore:
-    """Read any snapshot back as one plain store.
-
-    The file loads through :func:`load_snapshot` and its deltas are
-    flattened in: the returned store holds base *and* delta contents,
-    generation structure discarded — use :func:`load_generations` to
-    keep it.  Index and model states are not returned.
-
-    Raises:
-        DataError: If the file is not a snapshot (an empty file
-            included) or is damaged anywhere; see :func:`load_snapshot`.
-    """
-    snapshot = load_snapshot(path)
-    store = snapshot.store
-    for _, nodes, relations in snapshot.deltas:
-        store.add_nodes_trusted(nodes)
-        store.add_relations_trusted(relations)
-    return store

@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 from collections import defaultdict
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 from ..errors import (
@@ -18,9 +18,9 @@ from ..errors import (
 from .ids import (
     CLASS_PREFIX,
     ECOMMERCE_PREFIX,
-    IdAllocator,
     ITEM_PREFIX,
     PRIMITIVE_PREFIX,
+    fresh_id,
     layer_of,
 )
 from .nodes import ClassNode, ECommerceConcept, Item, Node, PrimitiveConcept
@@ -52,7 +52,8 @@ class AliCoCoStore:
 
     All mutation goes through :meth:`add_node` / :meth:`add_relations`
     (:meth:`add_relation` is its one-edge case; the typed ``create_*``
-    conveniences also allocate ids), so the indexes can never drift from
+    conveniences also allocate ids, by :func:`~repro.kg.ids.fresh_id`
+    like a generational store's), so the indexes can never drift from
     the node table.
     """
 
@@ -62,7 +63,6 @@ class AliCoCoStore:
         self._layer_nodes: dict[str, list[Node]] = {
             prefix: [] for prefix in _LAYER_TYPES
         }
-        self._ids = IdAllocator()
         # name index: layer prefix -> name -> list of node ids
         self._by_name: dict[str, dict[str, list[str]]] = {
             prefix: defaultdict(list) for prefix in _LAYER_TYPES
@@ -174,7 +174,7 @@ class AliCoCoStore:
         """Allocate an id and insert a taxonomy class."""
         if parent_id is not None:
             _check_endpoint(self._nodes, parent_id, CLASS_PREFIX)
-        node = ClassNode(self._ids.allocate(CLASS_PREFIX), name, domain, parent_id)
+        node = ClassNode(fresh_id(CLASS_PREFIX, self), name, domain, parent_id)
         self.add_node(node)
         if parent_id is not None:
             self.add_relation(Relation(RelationKind.SUBCLASS_OF, node.id, parent_id))
@@ -185,7 +185,7 @@ class AliCoCoStore:
         _check_endpoint(self._nodes, class_id, CLASS_PREFIX)
         domain = self._nodes[class_id].domain
         node = PrimitiveConcept(
-            self._ids.allocate(PRIMITIVE_PREFIX), name, class_id, domain
+            fresh_id(PRIMITIVE_PREFIX, self), name, class_id, domain
         )
         self.add_node(node)
         self.add_relation(Relation(RelationKind.INSTANCE_OF, node.id, class_id))
@@ -194,9 +194,7 @@ class AliCoCoStore:
     def create_ecommerce(self, text: str, source: str = "mined") -> ECommerceConcept:
         """Allocate an id and insert an e-commerce concept."""
         tokens = tuple(text.split())
-        node = ECommerceConcept(
-            self._ids.allocate(ECOMMERCE_PREFIX), text, tokens, source
-        )
+        node = ECommerceConcept(fresh_id(ECOMMERCE_PREFIX, self), text, tokens, source)
         return self.add_node(node)
 
     def create_item(
@@ -206,9 +204,7 @@ class AliCoCoStore:
         properties: dict[str, str] | None = None,
     ) -> Item:
         """Allocate an id and insert an item."""
-        node = Item(
-            self._ids.allocate(ITEM_PREFIX), title, shop, dict(properties or {})
-        )
+        node = Item(fresh_id(ITEM_PREFIX, self), title, shop, dict(properties or {}))
         return self.add_node(node)
 
     def add_relation(self, relation: Relation) -> Relation:
@@ -251,10 +247,11 @@ class AliCoCoStore:
     def add_relations_trusted(self, relations: Iterable[Relation]) -> int:
         """Bulk-insert relations known to be schema-valid and duplicate-free.
 
-        The one bulk build path: the snapshot loader, :func:`flatten
-        <repro.kg.generations.flatten>` and shard splitting all replay
-        edges that were already validated (the loader checks the whole
-        relation table at array speed before it builds).  Re-validating
+        The bulk build path of :func:`flatten
+        <repro.kg.generations.flatten>` and shard splitting, which replay
+        edges that were already validated.  (The snapshot loader checks
+        every endpoint on whole columns and inserts through
+        :meth:`_insert_relations` directly.)  Re-validating
         endpoint layers and re-checking for duplicates per edge would
         dominate their time, so this path skips both.  Endpoint
         *existence* is still enforced, one dictionary lookup each inside
@@ -281,7 +278,8 @@ class AliCoCoStore:
         self, relations: Iterable[Relation], nodes: Container[str] | None = None
     ) -> None:
         """Add validated relations to every index and counter: the one edge
-        insert of both add paths and a generational store's open delta.
+        insert of both add paths, a generational store's open delta and
+        the snapshot loader.
         With ``nodes`` given, an endpoint missing from it raises
         :class:`NodeNotFoundError` (the trusted path's one check)."""
         ordered = self._relations[-1]
@@ -438,9 +436,8 @@ class AliCoCoStore:
         layer prefix (per-layer lists are maintained incrementally, so
         filtering does not scan)."""
         if layer is None:
-            yield from self._nodes.values()
-        else:
-            yield from self._layer_nodes.get(layer, ())
+            return iter(self._nodes.values())
+        return iter(self._layer_nodes.get(layer, ()))
 
     def nodes_since(self, count: int, layer: str | None = None) -> Iterator[Node]:
         """The nodes of ``nodes(layer)`` past the first ``count``, in order.
@@ -457,8 +454,7 @@ class AliCoCoStore:
         """Iterate relations, optionally filtered by kind (per-kind lists
         are maintained incrementally, so filtering does not scan)."""
         chunks = self._relations if kind is None else self._by_kind.get(kind, ())
-        for chunk in chunks:
-            yield from chunk
+        return chain.from_iterable(chunks)
 
     def relations_since(self, count: int) -> Iterator[Relation]:
         """The relations of ``relations()`` past the first ``count``, in

@@ -65,7 +65,7 @@ generation the cluster serves, with the global indexes built over it.
 a :class:`~repro.kg.generations.GenerationalStore`, its
 :attr:`~AliCoCoCluster.source`: a plain store is frozen and wrapped as
 generation 0 of one, and a snapshot always warm-starts into one.
-:meth:`AliCoCoCluster.publish` seals the source store's open delta and
+:meth:`AliCoCoCluster.publish` swaps in the source store's open delta and
 advances every shard in a **two-phase** publish.  Phase one grows each
 shard's own generational store (delta nodes route through
 :func:`~repro.serving.shard.shard_of`, relations land on their owner
@@ -608,8 +608,8 @@ class AliCoCoCluster:
     def save_snapshot(self, path: str | Path) -> int:
         """Persist the cluster as the snapshot a single service would write
         (:func:`~repro.serving.service.write_snapshot`): the global view
-        the cluster serves — over a generational store, its sealed
-        segments and their numbering, so a reload resumes at the served
+        the cluster serves — over a generational store, its segments and
+        their numbering, so a reload resumes at the served
         generation, not the source's newest — the global indexes built
         over it and the model bundles.
 
@@ -626,9 +626,9 @@ class AliCoCoCluster:
 
     # ----------------------------------------------------------- generations
     def publish(self) -> int:
-        """Seal source-store writes and advance every shard, two-phase.
+        """Publish source-store writes and advance every shard, two-phase.
 
-        **Phase one** (invisible to readers): seals and swaps the source
+        **Phase one** (invisible to readers): swaps the source
         :class:`~repro.kg.generations.GenerationalStore`, slices the
         rows beyond the served bundle's covered counts — count slicing,
         so a source-store compaction between publishes changes nothing —
@@ -651,7 +651,7 @@ class AliCoCoCluster:
         a blend spanning two generations.  Routed reads touch a single
         shard, whose own publish is equally atomic.
 
-        A publish with nothing staged and nothing open is a no-op that
+        A publish with nothing written since the last is a no-op that
         returns the current generation id — so is every publish of a
         cluster built over a plain store until something is written to
         its :attr:`source`.

@@ -116,15 +116,15 @@ request pins the current
 search index, dense indexes, primitive index) — at entry and reads only
 from it, so no request ever observes a mixed generation.  Writers grow
 the store through its ``create_*``/``add_*`` API (buffered in an open
-delta, invisible to readers), and :meth:`AliCoCoService.publish` seals
-and swaps: indexes extend incrementally (BM25 re-derives corpus
-statistics exactly; the dense index appends rows), and one attribute
-assignment installs the next generation.  Result-cache entries are
-keyed by generation id, so a swap retires the old generation's entries
-without ever calling a racy ``clear()`` — in-flight requests keep
-hitting their pinned generation's keys, and the LRU evicts the retired
-entries naturally.  Doc-side encodings survive swaps untouched (nodes
-are immutable and ids are never reused);
+delta, invisible to readers), and :meth:`AliCoCoService.publish` swaps
+it in as the next segment: indexes extend incrementally (BM25
+re-derives corpus statistics exactly; the dense index appends rows),
+and one attribute assignment installs the next generation.
+Result-cache entries are keyed by generation id, so a swap retires the
+old generation's entries without ever calling a racy ``clear()`` —
+in-flight requests keep hitting their pinned generation's keys, and the
+LRU evicts the retired entries naturally.  Doc-side encodings survive
+swaps untouched (nodes are immutable and ids are never reused);
 :meth:`AliCoCoService.invalidate_doc_cache` bumps their epoch for the
 deliberate cases (e.g. swapping the served reranker).
 """
@@ -146,12 +146,7 @@ from ..kg import query as kgq
 from ..kg.generations import GenerationalStore, GenerationView
 from ..kg.ids import ECOMMERCE_PREFIX, ITEM_PREFIX, PRIMITIVE_PREFIX, layer_of
 from ..kg.relations import RelationKind
-from ..kg.serialize import (
-    generational_store_from_snapshot,
-    load_snapshot,
-    save_generations,
-    save_snapshot,
-)
+from ..kg.serialize import load_snapshot, save_generations, save_snapshot
 from ..kg.store import AliCoCoStore
 from ..matching.bm25 import BM25Index
 from ..matching.retrieval import RETRIEVER_MODES, require_dense_capable
@@ -688,16 +683,15 @@ def open_snapshot(
     expected_fingerprint: str | None,
     tagger: ConceptTagger | None,
     reranker: Module | None,
-) -> GenerationalStore:
-    """The store a loaded snapshot serves; restores each given model's
-    bundled weights into it.
+) -> GenerationView:
+    """The generation a loaded snapshot serves; restores each given
+    model's bundled weights into it.
 
-    Every snapshot replays into a generational store with its saved
-    generation numbering (:func:`~repro.kg.serialize.generational_store_from_snapshot`),
-    so generation-keyed caches stay coherent and the warm-started system
-    can publish, whatever generation it was saved at.  The snapshot's
-    index states are left to the constructor it is handed to
-    (:func:`served_indexes`).
+    A snapshot loads as the generation it saved, numbering included, so
+    generation-keyed caches stay coherent; the system it is handed to
+    grows it, so a warm-started system can publish whatever generation
+    it was saved at.  The snapshot's index states are left to that
+    constructor (:func:`served_indexes`).
 
     Raises:
         DataError: If the snapshot's fingerprint is not
@@ -722,7 +716,7 @@ def open_snapshot(
                 f"(bundled models: {bundled})"
             )
         restore_serving_module(module, bundle, _MODEL_KINDS[name], name)
-    return generational_store_from_snapshot(snapshot)
+    return snapshot.store
 
 
 def save_shard_snapshot(
@@ -1044,7 +1038,7 @@ class AliCoCoService:
         self._store = store
         self._fingerprint = config_fingerprint
         # The view every index below is built over: the *published* view
-        # — open/staged writes stay invisible until publish() builds the
+        # — open writes stay invisible until publish() builds the
         # next generation.
         view = store.current()
         self._tagger, self._reranker = prepare_models(self.config, tagger, reranker)
@@ -1132,10 +1126,10 @@ class AliCoCoService:
     ) -> "AliCoCoService":
         """Warm-start a service from a versioned snapshot.
 
-        The store replays from disk, each index whose saved state covers
-        the loaded view rehydrates from it (any other is refit:
-        :func:`served_indexes`), and trained weights load from the
-        snapshot's model bundle — no net rebuild, no re-training.
+        The store loads as the generation it saved, each index whose
+        saved state covers the loaded view rehydrates from it (any other
+        is refit: :func:`served_indexes`), and trained weights load from
+        the snapshot's model bundle — no net rebuild, no re-training.
 
         Weights cannot conjure a model architecture out of thin air, so
         warm-starting a model works like ``torch`` state dicts: pass a
@@ -1209,7 +1203,7 @@ class AliCoCoService:
         are simply never looked up again and age out of the LRU — no
         ``clear()``, no stale hits, no lost concurrent lookups.
 
-        A publish with nothing staged and nothing open is a no-op that
+        A publish with nothing written since the last is a no-op that
         returns the current generation id — so is every publish of a
         service built over a plain store until something is written to
         its :attr:`store`.

@@ -5,12 +5,12 @@
 order, duplicates (inside the batch or of any older layer) resolving to
 the stored edge — except that a batch with an invalid edge stages
 nothing.  On a :class:`~repro.kg.generations.GenerationalStore` the
-batch may touch the base, published segments (or a compacted base),
-staged segments and the open delta at once; an edge with an endpoint in
+batch may touch the base, published segments (or a compacted base)
+and the open delta at once; an edge with an endpoint in
 the open delta is checked for duplicates there only, which the property
 test below holds to the same answers as the full walk.
 
-A second property runs whole histories — batches, new nodes, ``seal``,
+A second property runs whole histories — batches, new nodes,
 ``publish`` and ``compact`` (a fold of a fold included) in random order
 — and after every step holds every keyed and bulk read of the published
 view to :func:`~repro.kg.generations.flatten` and to a plain store given
@@ -96,7 +96,7 @@ LAYERS = {
             Relation(K.ITEM_PRIMITIVE, "item_0", "pc_3"),
         ],
     ),
-    "staged": (
+    "published-3": (
         [_concept(4), _item(4)],
         [
             Relation(K.ITEM_ECOMMERCE, "item_4", "ec_4", weight=0.8),
@@ -129,8 +129,8 @@ KINDS = [
 WEIGHTS = [1.0, 0.25, 0.5]
 
 #: Scenario shapes: a plain store, and generational stores over every
-#: mix of layers — two published segments, or the first folded into the
-#: base by ``compact()`` before the second was published.
+#: mix of layers — three published segments, or the first folded into
+#: the base by ``compact()`` before the others were published.
 SHAPES = ["plain", "segments", "compacted"]
 
 
@@ -152,7 +152,7 @@ def _generational(compacted: bool):
     for relation in base_relations:
         base.add_relation(relation)
     store = GenerationalStore(base)
-    for name in ("published-1", "published-2", "staged", "open"):
+    for name in ("published-1", "published-2", "published-3", "open"):
         nodes, relations = LAYERS[name]
         for node in nodes:
             store.add_node(node)
@@ -162,8 +162,6 @@ def _generational(compacted: bool):
             store.publish()
             if compacted and name == "published-1":
                 store.compact()
-        elif name == "staged":
-            store.seal()
     return store
 
 
@@ -378,11 +376,11 @@ class TestNodeWriteParity:
 
 # ------------------------------------------------------------------ histories
 #: The layers a history writes after the base, one ``grow`` step each.
-GROWN = ["published-1", "published-2", "staged", "open"]
+GROWN = ["published-1", "published-2", "published-3", "open"]
 
 #: History step kinds, weighted towards the steps that change what a
 #: fold sees.
-STEP_KINDS = ["batch", "batch", "grow", "grow", "seal", "publish", "publish", "compact"]
+STEP_KINDS = ["batch", "batch", "grow", "grow", "publish", "publish", "compact"]
 
 
 @st.composite
@@ -485,9 +483,7 @@ class TestHistoryProperty:
                 write = None
             if write is not None and _write_both(store, pending, *write):
                 unpublished.append(write)
-            if step == "seal":
-                store.seal()
-            elif step == "publish":
+            if step == "publish":
                 store.publish()
                 for nodes, relations in unpublished:
                     for node in nodes:

@@ -3,9 +3,9 @@
 The paper's net is rebuilt offline and served frozen; between rebuilds
 the catalog still moves.  :class:`~repro.kg.generations.GenerationalStore`
 lets the serving tier absorb that drift without unfreezing anything:
-writes land in an open delta, ``seal()``/``swap()`` publishes the next
-numbered generation, and readers always see base + published deltas
-through the unchanged store/query API.
+writes land in an open delta, ``publish()`` freezes it into the next
+segment and publishes the next numbered generation, and readers always
+see base + published deltas through the unchanged store/query API.
 
 These tests pin the three contracts the design stands on:
 
@@ -43,11 +43,10 @@ from repro.kg import (
     flatten,
 )
 from repro.kg.ids import layer_of
+from repro.kg.generations import GenerationView
 from repro.kg.serialize import (
-    generational_store_from_snapshot,
-    load_generations,
+    _BLOCK_PREFIX,
     load_snapshot,
-    load_store,
     read_sections,
     save_generations,
     write_sections,
@@ -139,11 +138,11 @@ class TestGenerationalStore:
         assert store.current() is view
         assert store.generation_id == view.generation_id == 3
         assert store.base_generation == view.base_generation == 2
-        assert store.current().segment_generations == view.segment_generations
         assert store.published_segments == view._segments
         concept, _ = _grow(store, "v4")
         assert store.publish() == view.generation_id + 1
-        assert store.current().segment_generations == (3, 4)
+        assert store.base_generation == 2
+        assert len(store.published_segments) == 2
         assert concept.id in store and concept.id not in source
         flat = flatten(store)
         assert list(store.relations()) == list(flat.relations())
@@ -175,6 +174,32 @@ class TestGenerationalStore:
         created = [store.create_ecommerce(f"alloc probe {i}") for i in range(3)]
         assert len({c.id for c in created}) == 3
         assert not taken & {c.id for c in created}
+
+    def test_a_flattened_or_loaded_net_allocates_fresh_ids(
+        self, built_tiny, tmp_path
+    ):
+        """A plain store whose nodes were not made by its own ``create_*``
+        (``flatten()`` of a published view, or of a loaded snapshot)
+        still hands out ids it does not hold, in every layer."""
+        store = GenerationalStore(built_tiny.store)
+        _grow(store, "ids")
+        store.publish()
+        path = tmp_path / "ids.snap"
+        save_generations(store, path)
+        for view in (store.current(), load_snapshot(path).store):
+            flat = flatten(view)
+            taken = {node.id for node in flat.nodes()}
+            parent = next(flat.nodes("cls"))
+            created = [
+                flat.create_class("fresh class", parent.domain, parent.id),
+                flat.create_primitive("fresh primitive", parent.id),
+                flat.create_ecommerce("fresh ids concept"),
+                flat.create_ecommerce("fresh ids concept two"),
+                flat.create_item("fresh ids item"),
+            ]
+            ids = [node.id for node in created]
+            assert len(set(ids)) == len(ids) and not taken & set(ids)
+            assert len(flat) == len(taken) + len(ids)
 
     def test_duplicate_and_dangling_writes_rejected(self, built_tiny):
         store = GenerationalStore(built_tiny.store)
@@ -225,8 +250,9 @@ class TestGenerationalStore:
         and the segment reads as it did when it was sealed."""
         store = GenerationalStore(built_tiny.store)
         _grow(store, "sealed")
-        segment = store.seal()
-        assert segment is not None and segment.frozen
+        store.publish()
+        (segment,) = store.published_segments
+        assert segment.frozen
         before = (list(segment.nodes()), list(segment.relations()))
         (item,) = segment.nodes("item")
         (concept,) = segment.nodes("ec")
@@ -247,11 +273,12 @@ class TestGenerationalStore:
 
     def test_empty_publish_is_a_noop(self, built_tiny):
         store = GenerationalStore(built_tiny.store)
-        assert store.seal() is None
         assert store.publish() == 0
+        assert store.published_segments == ()
         _grow(store, "real")
         assert store.publish() == 1
-        assert store.publish() == 1  # nothing new staged
+        assert store.publish() == 1  # nothing new written
+        assert len(store.published_segments) == 1
 
     def test_generations_are_monotonic(self, built_tiny):
         store = GenerationalStore(built_tiny.store)
@@ -522,9 +549,12 @@ class TestGenerationSnapshots:
     def test_round_trip_restores_generation_history(self, grown, tmp_path):
         path = tmp_path / "net.gen.jsonl"
         save_generations(grown, path)
-        restored = load_generations(path)
-        assert isinstance(restored, GenerationalStore)
-        assert restored.generation_id == 2
+        view = load_snapshot(path).store
+        assert isinstance(view, GenerationView)
+        assert view.generation_id == 2
+        assert view.base_generation == 0
+        assert all(segment.frozen for segment in view._stores)
+        restored = GenerationalStore(view)
         assert len(restored.published_segments) == 2
         assert restored.stats() == grown.stats()
         assert [n.id for n in restored.nodes()] == [n.id for n in grown.nodes()]
@@ -533,40 +563,58 @@ class TestGenerationSnapshots:
         assert restored.publish() == 3
 
     def test_open_writes_never_ride_a_snapshot(self, grown, tmp_path):
-        _grow(grown, "snap-open")  # staged but unpublished
+        _grow(grown, "snap-open")  # written but unpublished
         path = tmp_path / "net.gen.jsonl"
         save_generations(grown, path)
-        restored = load_generations(path)
+        restored = load_snapshot(path).store
         assert restored.generation_id == 2
         assert not restored.find_by_name("ec", "fresh snap-open concept")
 
     def test_load_store_flattens_the_deltas(self, grown, tmp_path):
         path = tmp_path / "net.gen.snap"
         save_generations(grown, path)
-        flat = load_store(path)
+        flat = flatten(load_snapshot(path).store)
         assert isinstance(flat, AliCoCoStore)
         assert flat.stats() == grown.stats()
+        assert list(flat.relations()) == list(grown.relations())
 
     def test_save_generations_rejects_plain_stores(self, built_tiny, tmp_path):
         with pytest.raises(ConfigError):
             save_generations(built_tiny.store, tmp_path / "bad.jsonl")
 
     def test_corrupt_generation_numbering_is_loud(self, grown, tmp_path):
-        """A file whose digests are all valid but whose delta generation
-        ids skip one loads, and then refuses to replay."""
+        """Files whose digests are all valid but whose deltas are not
+        ``delta:1`` … ``delta:n``, or hold an empty delta, are refused by
+        the load itself."""
         path = tmp_path / "net.gen.snap"
         save_generations(grown, path)
         header, sections = read_sections(path)
         assert list(sections)[1:3] == ["delta:1", "delta:2"]
-        renamed = [
-            ("delta:7" if name == "delta:2" else name, payload)
-            for name, payload in sections.items()
-        ]
-        write_sections(path, header, renamed)
-        snapshot = load_snapshot(path)
-        assert [generation for generation, _, _ in snapshot.deltas] == [1, 7]
-        with pytest.raises(DataError, match="generation 7"):
-            generational_store_from_snapshot(snapshot)
+        base, first, second, *states = sections.items()
+        empty = _BLOCK_PREFIX.pack(2, 0) + b"[]"
+        last = grown.published_segments[1]
+        emptied = {
+            **header,
+            "nodes": header["nodes"] - len(last),
+            "relations": header["relations"] - len(list(last.relations())),
+        }
+        forgeries = {
+            "skipped": (header, [base, first, ("delta:7", second[1]), *states]),
+            "repeated": (header, [base, first, ("delta:1", second[1]), *states]),
+            "out of order": (
+                header,
+                [base, ("delta:2", first[1]), ("delta:1", second[1]), *states],
+            ),
+            "empty": (emptied, [base, first, ("delta:2", empty), *states]),
+        }
+        for name, (forged_header, forged) in forgeries.items():
+            forged_path = tmp_path / f"{name}.snap"
+            write_sections(forged_path, forged_header, forged)
+            with pytest.raises(DataError):
+                load_snapshot(forged_path)
+        # The emptied file is refused for its empty delta alone.
+        with pytest.raises(DataError, match="delta is empty"):
+            load_snapshot(tmp_path / "empty.snap")
 
     def test_service_snapshot_round_trip_keeps_generations(self, built_tiny, tmp_path):
         store = GenerationalStore(built_tiny.store)
@@ -972,15 +1020,13 @@ class TestCompaction:
         assert [n.id for n in view.nodes("ec")] == expected
         assert view.get(expected[-1]).id == expected[-1]
 
-    def test_open_and_staged_writes_survive_compaction(self, built_tiny):
+    def test_open_writes_survive_compaction(self, built_tiny):
         store = self._grown(built_tiny)
-        _grow(store, "staged")
-        store.seal()
         concept, _ = _grow(store, "open")
         store.compact()
-        assert not store.find_by_name("ec", "fresh staged concept")
+        assert not store.find_by_name("ec", "fresh open concept")
         assert store.publish() == 4
-        assert store.find_by_name("ec", "fresh staged concept")
+        assert store.find_by_name("ec", "fresh open concept")
         assert store.get(concept.id) == concept
 
     def test_auto_compaction_bounds_the_chain(self, built_tiny):
@@ -999,7 +1045,7 @@ class TestCompaction:
         store.compact()
         path = tmp_path / "compacted.gen.jsonl"
         save_generations(store, path)
-        restored = load_generations(path)
+        restored = GenerationalStore(load_snapshot(path).store)
         assert restored.generation_id == 3
         assert restored.base_generation == 3
         assert restored.stats() == store.stats()
@@ -1058,30 +1104,3 @@ class TestCompaction:
         )
         assert warm.generation_id == 3
         assert warm.batch(requests) == before
-
-
-# ------------------------------------------------------------- empty segments
-class TestEmptySegments:
-    """Empty deltas never lengthen the chain or mint no-op generations."""
-
-    def test_seal_on_an_empty_delta_returns_none(self, built_tiny):
-        store = GenerationalStore(built_tiny.store)
-        assert store.seal() is None
-        assert store.publish() == 0
-        assert store.published_segments == ()
-
-    def test_hand_staged_empty_segment_is_dropped(self, built_tiny):
-        store = GenerationalStore(built_tiny.store)
-        store._staged.append(AliCoCoStore().freeze())
-        assert store.swap() == 0
-        assert store.published_segments == ()
-
-    def test_empty_segments_dropped_alongside_real_ones(self, built_tiny):
-        store = GenerationalStore(built_tiny.store)
-        store._staged.append(AliCoCoStore().freeze())
-        _grow(store, "real")
-        store.seal()
-        store._staged.append(AliCoCoStore().freeze())
-        assert store.swap() == 1
-        assert len(store.published_segments) == 1
-        assert store.find_by_name("ec", "fresh real concept")

@@ -12,7 +12,7 @@ from repro.apps import (
 from repro.apps.coverage import alicoco_vocabulary, cpv_vocabulary
 from repro.apps.monitoring import CoverageMonitor
 from repro.kg.query import items_for_concept
-from repro.kg.serialize import load_store, save_store
+from repro.kg.serialize import load_snapshot, save_snapshot
 from repro.kg.validate import validate_store
 from repro.synth.queries import generate_queries
 from repro.synth.sessions import simulate_sessions
@@ -35,8 +35,8 @@ class TestEndToEnd:
 
     def test_persistence_survives_full_cycle(self, built, tmp_path):
         path = tmp_path / "net.snapshot"
-        save_store(built.store, path)
-        loaded = load_store(path)
+        save_snapshot(built.store, path)
+        loaded = load_snapshot(path).store
         assert validate_store(loaded).ok
         # Applications work on the reloaded store too.
         engine = SemanticSearchEngine(loaded)

@@ -14,9 +14,7 @@ from repro.kg import (
 from repro.kg import query as kgq
 from repro.kg.generations import flatten
 from repro.kg.ids import layer_of
-from repro.kg.serialize import (
-    load_snapshot, load_store, save_generations, save_store,
-)
+from repro.kg.serialize import load_snapshot, save_generations, save_snapshot
 from repro.serving.shard import split_store
 
 
@@ -271,8 +269,8 @@ class TestStats:
 class TestSerialization:
     def test_roundtrip(self, store, tmp_path):
         path = tmp_path / "net.snapshot"
-        save_store(store, path)
-        loaded = load_store(path)
+        save_snapshot(store, path)
+        loaded = load_snapshot(path).store
         assert len(loaded) == len(store)
         assert loaded.stats() == store.stats()
         concept = next(loaded.nodes("ec"))
@@ -281,8 +279,8 @@ class TestSerialization:
 
     def test_roundtrip_preserves_weights(self, store, tmp_path):
         path = tmp_path / "net.snapshot"
-        save_store(store, path)
-        loaded = load_store(path)
+        save_snapshot(store, path)
+        loaded = load_snapshot(path).store
         weights = [r.weight for r in loaded.relations(RelationKind.ITEM_ECOMMERCE)]
         assert weights == [0.9]
 
@@ -334,19 +332,20 @@ class TestRelationValue:
 
         path = tmp_path / "net.gen.snap"
         save_generations(generational, path)
-        snapshot = load_snapshot(path)
+        loaded = load_snapshot(path).store
         read_back = {
-            "loaded base": list(snapshot.store.relations()),
-            "loaded delta": [relation for _, _, relations in snapshot.deltas
-                             for relation in relations],
-            "load_store": list(load_store(path).relations()),
+            "loaded base": list(loaded._base.relations()),
+            "loaded delta": [relation for segment in loaded._segments
+                             for relation in segment.relations()],
+            "loaded": list(loaded.relations()),
+            "flatten loaded": list(flatten(loaded).relations()),
             "flatten": list(flatten(generational).relations()),
             "split": [relation for shard in split_store(store, 2)
                       for relation in shard.relations()],
         }
         assert read_back["loaded base"] == base
         assert read_back["loaded delta"] == built[len(base):]
-        for how in ("load_store", "flatten"):
+        for how in ("loaded", "flatten loaded", "flatten"):
             assert read_back[how] == built, how
             assert [hash(r) for r in read_back[how]] == [hash(r) for r in built]
         assert set(read_back["split"]) == set(base)

@@ -7,7 +7,8 @@ import pytest
 from repro import build_alicoco, TINY
 from repro.config import BENCH, get_scale, RunScale, SMALL, TINY as TINY_SCALE
 from repro.errors import ConfigError
-from repro.kg.ids import IdAllocator, layer_of
+from repro.kg import AliCoCoStore
+from repro.kg.ids import fresh_id, layer_of
 from repro.synth import build_lexicon, World
 from repro.utils.rng import derive_seed, spawn_rng
 
@@ -54,14 +55,16 @@ class TestRng:
 
 class TestIds:
     def test_allocator_sequential_per_layer(self):
-        allocator = IdAllocator()
-        assert allocator.allocate("pc") == "pc_0"
-        assert allocator.allocate("pc") == "pc_1"
-        assert allocator.allocate("ec") == "ec_0"
+        store = AliCoCoStore()
+        root = store.create_class("Root", "Category")
+        assert root.id == "cls_0"
+        assert store.create_primitive("dress", root.id).id == "pc_0"
+        assert store.create_primitive("skirt", root.id).id == "pc_1"
+        assert store.create_ecommerce("summer dress").id == "ec_0"
 
     def test_unknown_prefix(self):
         with pytest.raises(KeyError):
-            IdAllocator().allocate("spaceship")
+            fresh_id("spaceship", AliCoCoStore())
 
     def test_layer_of(self):
         assert layer_of("item_42") == "item"

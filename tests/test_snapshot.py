@@ -9,13 +9,12 @@ import pytest
 
 from repro import build_alicoco, TINY
 from repro.errors import DataError
+from repro.kg import AliCoCoStore, flatten
 from repro.kg.serialize import (
     load_snapshot,
-    load_store,
     MAGIC,
     read_sections,
     save_snapshot,
-    save_store,
     SNAPSHOT_FORMAT,
     write_sections,
 )
@@ -87,23 +86,22 @@ class TestSnapshotRoundTrip:
         assert top and top[0][0] == concept.id
 
     def test_load_store_accepts_snapshot_files(self, built, snapshot_path):
-        loaded = load_store(snapshot_path)
+        loaded = flatten(load_snapshot(snapshot_path).store)
+        assert isinstance(loaded, AliCoCoStore)
         assert loaded.stats() == built.store.stats()
 
     def test_save_store_writes_a_state_free_snapshot(self, built, tmp_path):
         path = tmp_path / "net.snapshot"
-        written = save_store(built.store, path)
+        written = save_snapshot(built.store, path)
         assert written == path.stat().st_size
-        same = tmp_path / "same.snapshot"
-        save_snapshot(built.store, same)
-        assert path.read_bytes() == same.read_bytes()
         snapshot = load_snapshot(path)
         assert snapshot.index_states == snapshot.model_states == {}
-        assert list(load_store(path).relations()) == list(built.store.relations())
+        assert snapshot.store.generation_id == 0
+        assert list(snapshot.store.relations()) == list(built.store.relations())
 
     def test_headerless_files_are_refused(self, built, tmp_path):
         """An empty file, or one without the magic (such as a JSON-lines
-        record stream), is not a snapshot for either loader."""
+        record stream), is not a snapshot."""
         records = tmp_path / "legacy.jsonl"
         records.write_text(
             '{"record": "node", "type": "class", "id": "cls_0", '
@@ -112,9 +110,8 @@ class TestSnapshotRoundTrip:
         empty = tmp_path / "empty.snapshot"
         empty.write_bytes(b"")
         for path in (records, empty):
-            for load in (load_snapshot, load_store):
-                with pytest.raises(DataError, match="not a snapshot"):
-                    load(path)
+            with pytest.raises(DataError, match="not a snapshot"):
+                load_snapshot(path)
 
     def test_sections_rewrite_byte_identically(self, snapshot_path, tmp_path):
         """What `_forge` relies on."""
@@ -231,8 +228,6 @@ class TestHeaderValidation:
         )
         with pytest.raises(DataError, match="do not match its header"):
             load_snapshot(bad)
-        with pytest.raises(DataError, match="do not match its header"):
-            load_store(bad)
 
         data = snapshot_path.read_bytes()
         (length,) = struct.unpack_from("<Q", data, len(MAGIC))
@@ -292,7 +287,7 @@ class TestAtomicity:
 
     def test_save_store_streams_atomically(self, built, tmp_path, monkeypatch):
         path = tmp_path / "net.snapshot"
-        save_store(built.store, path)
+        save_snapshot(built.store, path)
         before = path.read_bytes()
 
         import repro.utils.io as io_module
@@ -302,7 +297,7 @@ class TestAtomicity:
 
         monkeypatch.setattr(io_module.os, "replace", exploding_replace)
         with pytest.raises(OSError):
-            save_store(built.store, path)
+            save_snapshot(built.store, path)
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]

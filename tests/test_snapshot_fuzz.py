@@ -3,9 +3,9 @@
 A small generational net (every layer, named and weighted relations, two
 delta segments, an index state and a model state) is saved once.  Every
 truncation, every appended suffix and every single-bit flip of that file
-must raise :class:`DataError` from :func:`load_snapshot` and
-:func:`load_store`, and the bulk build paths must never be entered: the
-tests replace them, and ``add_node``, with ones that fail.
+must raise :class:`DataError` from :func:`load_snapshot`, and the bulk
+build paths must never be entered: the tests replace them, and
+``add_node``, with ones that fail.
 
 The example budget is hypothesis's default in tier-1; CI runs this
 module again under the larger ``snapshot-fuzz`` profile registered in
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataError
 from repro.kg import AliCoCoStore, GenerationalStore, Relation, RelationKind
-from repro.kg.serialize import MAGIC, load_snapshot, load_store, save_generations
+from repro.kg.serialize import MAGIC, load_snapshot, save_generations
 from repro.matching.bm25 import BM25Index
 from repro.ml import Linear
 from repro.ml.serialize import module_state_record
@@ -89,20 +89,24 @@ def saved(tmp_path_factory):
 
 
 def _assert_rejected(path, damaged: bytes) -> None:
-    """Both loaders raise DataError, the empty file included, and nothing
-    is ever built: both bulk paths and ``add_node`` are made to fail."""
+    """The loader raises DataError, the empty file included, and nothing
+    is ever built: the bulk paths, the edge insert and ``add_node`` are
+    made to fail."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("a damaged snapshot reached the bulk build path")
 
     path.write_bytes(damaged)
     with pytest.MonkeyPatch.context() as patch:
-        for method in ("add_relations_trusted", "add_nodes_trusted", "add_node"):
+        for method in (
+            "add_relations_trusted",
+            "add_nodes_trusted",
+            "_insert_relations",
+            "add_node",
+        ):
             patch.setattr(AliCoCoStore, method, no_build)
         with pytest.raises(DataError):
             load_snapshot(path)
-        with pytest.raises(DataError):
-            load_store(path)
 
 
 def _flip(data: bytes, position: int, bit: int) -> bytes:
@@ -115,7 +119,8 @@ def test_the_undamaged_file_loads(saved):
     data, _, path = saved
     path.write_bytes(data)
     snapshot = load_snapshot(path)
-    assert [generation for generation, _, _ in snapshot.deltas] == [1, 2]
+    assert snapshot.store.generation_id == 2
+    assert len(snapshot.store._segments) == 2
     assert set(snapshot.model_states) == {"demo"}
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro import build_alicoco, TINY
 from repro.errors import BudgetExhaustedError, DataError
-from repro.kg.serialize import load_store, read_sections, save_store, write_sections
+from repro.kg.serialize import load_snapshot, read_sections, save_snapshot, write_sections
 from repro.utils.io import atomic_write_bytes
 
 
@@ -53,7 +53,7 @@ def _edit_node_table(payload: bytes, edit) -> bytes:
 def saved_tiny(tmp_path_factory):
     built = build_alicoco(TINY)
     path = tmp_path_factory.mktemp("store") / "net.snapshot"
-    save_store(built.store, path)
+    save_snapshot(built.store, path)
     return built, path
 
 
@@ -61,9 +61,9 @@ class TestStoreSerializationFailures:
     def test_full_build_roundtrip(self, saved_tiny, tmp_path):
         built, _ = saved_tiny
         path = tmp_path / "net.snapshot"
-        written = save_store(built.store, path)
+        written = save_snapshot(built.store, path)
         assert written == path.stat().st_size
-        loaded = load_store(path)
+        loaded = load_snapshot(path).store
         assert loaded.stats() == built.store.stats()
 
     def test_unknown_relation_kind_rejected(self, saved_tiny, tmp_path):
@@ -74,7 +74,7 @@ class TestStoreSerializationFailures:
 
         bad = _forge(source, tmp_path / "bad.snapshot", edit_header=teleport)
         with pytest.raises(DataError, match="relation string tables"):
-            load_store(bad)
+            load_snapshot(bad)
 
     def test_bad_node_fields_rejected(self, saved_tiny, tmp_path):
         _, source = saved_tiny
@@ -89,7 +89,7 @@ class TestStoreSerializationFailures:
             edit_base=lambda payload: _edit_node_table(payload, extra_field),
         )
         with pytest.raises(DataError, match="bad node record"):
-            load_store(bad)
+            load_snapshot(bad)
 
     def test_truncated_file_is_detected(self, saved_tiny, tmp_path):
         """A truncated file, or one whose relations reference nodes cut out
@@ -101,7 +101,7 @@ class TestStoreSerializationFailures:
             truncated = tmp_path / "truncated.snapshot"
             truncated.write_bytes(data[:length])
             with pytest.raises(DataError):
-                load_store(truncated)
+                load_snapshot(truncated)
 
         def no_nodes(header):
             header["nodes"] = 0
@@ -113,7 +113,7 @@ class TestStoreSerializationFailures:
             edit_base=lambda payload: _edit_node_table(payload, lambda _: []),
         )
         with pytest.raises(DataError, match="out of range"):
-            load_store(dangling)
+            load_snapshot(dangling)
 
 
 class TestOracleBudgetFailures:
