@@ -67,6 +67,8 @@ def _item(i):
 
 #: The layers a generational scenario is written in, oldest first: each
 #: holds (nodes, relations); relations may name any node written so far.
+#: Every layer but "open" becomes a segment: the "published-*" layers by
+#: ``publish()``, the "staged" layer by calling ``swap()`` directly.
 LAYERS = {
     "base": (
         [_class(0), _class(1, "cls_0"), _primitive(0), _primitive(1)]
@@ -96,7 +98,7 @@ LAYERS = {
             Relation(K.ITEM_PRIMITIVE, "item_0", "pc_3"),
         ],
     ),
-    "published-3": (
+    "staged": (
         [_concept(4), _item(4)],
         [
             Relation(K.ITEM_ECOMMERCE, "item_4", "ec_4", weight=0.8),
@@ -152,7 +154,7 @@ def _generational(compacted: bool):
     for relation in base_relations:
         base.add_relation(relation)
     store = GenerationalStore(base)
-    for name in ("published-1", "published-2", "published-3", "open"):
+    for name in ("published-1", "published-2", "staged", "open"):
         nodes, relations = LAYERS[name]
         for node in nodes:
             store.add_node(node)
@@ -162,6 +164,8 @@ def _generational(compacted: bool):
             store.publish()
             if compacted and name == "published-1":
                 store.compact()
+        elif name == "staged":
+            store.swap()
     return store
 
 
@@ -376,7 +380,7 @@ class TestNodeWriteParity:
 
 # ------------------------------------------------------------------ histories
 #: The layers a history writes after the base, one ``grow`` step each.
-GROWN = ["published-1", "published-2", "published-3", "open"]
+GROWN = ["published-1", "published-2", "staged", "open"]
 
 #: History step kinds, weighted towards the steps that change what a
 #: fold sees.
